@@ -276,7 +276,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 }
 
 // BenchmarkParallelExecutor measures the §8 partition-parallel
-// speed-up over worker counts.
+// speed-up over worker counts (1 is the in-thread worker).
 func BenchmarkParallelExecutor(b *testing.B) {
 	plan, events := fig5Setup(50000)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -290,14 +290,14 @@ func BenchmarkParallelExecutor(b *testing.B) {
 					cloned[j] = e.Clone()
 				}
 				b.StartTimer()
-				exec, err := cogra.NewParallelExecutor(plan, workers)
-				if err != nil {
+				sess := cogra.NewSession(cogra.WithWorkers(workers))
+				if _, err := sess.Subscribe(plan.Query); err != nil {
 					b.Fatal(err)
 				}
-				if err := exec.Run(cogra.FromSlice(cloned)); err != nil {
+				if err := sess.PushBatch(cloned); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := exec.Close(); err != nil {
+				if err := sess.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}

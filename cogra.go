@@ -43,7 +43,6 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
-	"repro/internal/runtime"
 	"repro/internal/stream"
 )
 
@@ -215,69 +214,15 @@ func FromSlice(events []*Event) Iterator { return stream.FromSlice(events) }
 // ordered stream).
 func MergeStreams(srcs ...Iterator) Iterator { return stream.Merge(srcs...) }
 
-// ParallelExecutor runs one engine per stream partition on worker
-// goroutines (§8, "Parallel Processing").
-type ParallelExecutor = stream.ParallelExecutor
-
-// NewParallelExecutor starts a partition-parallel execution with n
-// workers.
-//
-// Deprecated: use NewSession(WithWorkers(n)) and Subscribe — the
-// session hosts one query the same way and allows attaching more.
-func NewParallelExecutor(p *Plan, n int) (*ParallelExecutor, error) {
-	return stream.NewParallelExecutor(p, n)
-}
-
 // Catalog is the shared symbol table a set of plans is compiled
 // against: plans compiled in one catalog agree on dense type and
-// attribute ids, which lets a Runtime resolve each stream event once
+// attribute ids, which lets a Session resolve each stream event once
 // for all of them.
 type Catalog = core.Catalog
 
 // NewCatalog returns an empty catalog for multi-query compilation.
 func NewCatalog() *Catalog { return core.NewCatalog() }
 
-// CompileIn compiles a query against a shared catalog, for hosting
-// alongside other plans in a Runtime or MultiExecutor. Compile all
-// plans before processing events.
+// CompileIn compiles a query against a shared catalog — a session's
+// (Session.Catalog), for hosting the plan there with SubscribePlan.
 func CompileIn(cat *Catalog, q *Query) (*Plan, error) { return core.NewPlanIn(cat, q) }
-
-// Runtime executes many queries over one event stream in a single
-// pass: each event is resolved once into a shared attribute view, a
-// per-event-type index dispatches it only to the queries whose
-// patterns react to its type, and one watermark drives every hosted
-// window manager. It is the inline execution core behind Session.
-type Runtime = runtime.Runtime
-
-// RuntimeSubscription is one query hosted directly by a Runtime (the
-// Session API wraps it as Subscription).
-type RuntimeSubscription = runtime.Subscription
-
-// NewRuntime returns an empty multi-query runtime over a fresh
-// catalog. Subscribe compiles queries directly into it.
-//
-// Deprecated: use NewSession — a Session is the same single-pass
-// multi-query runtime plus dynamic subscribe/unsubscribe, per-
-// subscription lifecycle and stats.
-func NewRuntime() *Runtime { return runtime.New() }
-
-// NewRuntimeOn returns an empty multi-query runtime over an existing
-// catalog, for hosting plans compiled with CompileIn.
-//
-// Deprecated: use NewSession with SubscribePlan.
-func NewRuntimeOn(cat *Catalog) *Runtime { return runtime.NewOn(cat) }
-
-// MultiExecutor runs a set of queries partition-parallel: every worker
-// hosts a shared multi-query runtime over all plans, and events are
-// routed by the partition attributes the plans have in common. It is
-// the parallel execution core behind Session (WithWorkers).
-type MultiExecutor = stream.MultiExecutor
-
-// NewMultiExecutor starts a partition-parallel multi-query execution
-// with n workers. The plans must share one catalog (CompileIn).
-//
-// Deprecated: use NewSession(WithWorkers(n)) — the session keeps the
-// same routing and adds dynamic membership over the live stream.
-func NewMultiExecutor(plans []*Plan, n int) (*MultiExecutor, error) {
-	return stream.NewMultiExecutor(plans, n)
-}

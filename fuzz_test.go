@@ -5,7 +5,8 @@ package cogra_test
 // a worker-count conflict) — never panic, hang, or over-allocate. The
 // committed seed corpus in testdata/fuzz/FuzzSnapshotDecode covers a
 // valid snapshot plus truncated, bit-flipped, version-skewed and
-// oversized-length mutants (regenerate with scripts/gen_fuzz_corpus.go).
+// oversized-length mutants (regenerate with scripts/gen_fuzz_corpus.go)
+// and one genuine format-v3 frame of an inline session.
 
 import (
 	"bytes"

@@ -35,7 +35,7 @@ func benchSession(b *testing.B, churn bool) {
 		}
 		next := 0 // round-robin churn victim
 		for j, e := range events {
-			if err := sess.Process(e); err != nil {
+			if err := sess.Push(e); err != nil {
 				b.Fatal(err)
 			}
 			if churn && (j+1)%churnPeriod == 0 {

@@ -85,7 +85,7 @@ func runShared(events []*event.Event, queries []*query.Query) ([][]core.Result, 
 			return nil, err
 		}
 	}
-	if err := rt.ProcessAll(events); err != nil {
+	if err := rt.ProcessBatch(events); err != nil {
 		return nil, err
 	}
 	return rt.Close(), nil

@@ -46,9 +46,9 @@ var (
 	ErrBadSnapshot = snap.ErrBadSnapshot
 
 	// ErrSinkPanic marks a subscription failed because its user-supplied
-	// Sink / OnResult callback panicked. The panic is recovered — the
-	// stream and the other subscriptions keep running — and the failed
-	// subscription reports it via Err; further results for that
-	// subscription are buffered instead of delivered.
+	// Sink panicked. The panic is recovered — the stream and the other
+	// subscriptions keep running — and the failed subscription reports
+	// it via Err; further results for that subscription are buffered
+	// instead of delivered.
 	ErrSinkPanic = errors.New("sink panicked")
 )

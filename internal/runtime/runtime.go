@@ -69,14 +69,6 @@ func (s *Subscription) ID() int { return s.id }
 // Plan returns the compiled plan of the hosted query.
 func (s *Subscription) Plan() *core.Plan { return s.plan }
 
-// Engine returns the hosted engine (for accounting or inspection; do
-// not feed it events directly while the runtime owns it).
-func (s *Subscription) Engine() *core.Engine { return s.eng }
-
-// Results returns the results the hosted engine has collected so far
-// (nil when the subscription streams through a result callback).
-func (s *Subscription) Results() []core.Result { return s.eng.Results() }
-
 // Drain returns the results collected since the last Drain and clears
 // the engine's buffer (nil when the subscription streams through a
 // result callback). Windows still open are not included — they emit
@@ -105,18 +97,15 @@ type Runtime struct {
 
 	subs   []*Subscription // active subscriptions, in subscribe order
 	nextID int
-	// byType[tid] lists the subscriptions whose plans react to catalog
-	// type id tid; wantsAll lists contiguous-semantics subscriptions,
-	// which must observe every event. Rebuilt on membership change.
-	byType   [][]*Subscription
-	wantsAll []*Subscription
-	// The batch-execution split of byType: runByType holds the
-	// run-safe subscriptions (execution independent of equal-time
-	// arrival order — see Plan.OrderSensitive), seqByType the
-	// order-sensitive rest, and neededAttrs the per-type union of every
-	// attribute id the run-safe subscriptions read, which restricts
-	// batch resolution to the slots some hosted plan needs. All three
-	// are maintained alongside byType on membership change.
+	// The per-type dispatch index, rebuilt on membership change: for
+	// catalog type id tid, runByType[tid] lists the run-safe
+	// subscriptions reacting to it (execution independent of equal-time
+	// arrival order — see Plan.OrderSensitive), seqByType[tid] the
+	// order-sensitive rest, and neededAttrs[tid] the union of every
+	// attribute id the run-safe ones read, which restricts batch
+	// resolution to the slots some hosted plan needs. wantsAll lists
+	// contiguous-semantics subscriptions, which must observe every event.
+	wantsAll    []*Subscription
 	runByType   [][]*Subscription
 	seqByType   [][]*Subscription
 	neededAttrs [][]int32
@@ -125,7 +114,8 @@ type Runtime struct {
 	sawEvent    bool
 	seq         int64
 	closed      bool
-	dispatching bool // inside Process: membership changes must wait
+	dispatching bool            // inside Process: membership changes must wait
+	one         [1]*event.Event // Process's batch of one
 
 	// Shared-aggregation state (sharing.go): the sharing groups keyed
 	// by plan fingerprint, plus a deterministic iteration order —
@@ -159,10 +149,6 @@ func New() *Runtime {
 func NewOn(cat *core.Catalog) *Runtime {
 	return &Runtime{cat: cat, res: core.NewResolver(cat)}
 }
-
-// Catalog returns the runtime's catalog, for compiling further plans
-// against it.
-func (rt *Runtime) Catalog() *core.Catalog { return rt.cat }
 
 // Subscribe compiles a query against the runtime's catalog and hosts
 // it. Engine options (result callbacks, accounting) apply to the
@@ -253,9 +239,8 @@ func (rt *Runtime) subscribePlan(plan *core.Plan, opts ...core.Option) (*Subscri
 	return s, nil
 }
 
-// index registers a subscription in the per-type dispatch index and
-// the batch-execution split (run-safe vs order-sensitive, plus the
-// per-type needed-attribute union).
+// index registers a subscription in the per-type dispatch index
+// (run-safe vs order-sensitive, plus the needed-attribute union).
 func (rt *Runtime) index(s *Subscription) {
 	if s.plan.WantsAllEvents() {
 		rt.wantsAll = append(rt.wantsAll, s)
@@ -263,13 +248,11 @@ func (rt *Runtime) index(s *Subscription) {
 	}
 	ordered := s.plan.OrderSensitive()
 	for _, tid := range s.plan.SubscribedTypeIDs() {
-		for int(tid) >= len(rt.byType) {
-			rt.byType = append(rt.byType, nil)
+		for int(tid) >= len(rt.runByType) {
 			rt.runByType = append(rt.runByType, nil)
 			rt.seqByType = append(rt.seqByType, nil)
 			rt.neededAttrs = append(rt.neededAttrs, nil)
 		}
-		rt.byType[tid] = append(rt.byType[tid], s)
 		if ordered {
 			rt.seqByType[tid] = append(rt.seqByType[tid], s)
 		} else {
@@ -309,8 +292,7 @@ func mergeAttrIDs(dst []int32, add []int32) []int32 {
 // subscriptions — the membership-change slow path; the per-event path
 // never pays for it.
 func (rt *Runtime) rebuildIndex() {
-	for i := range rt.byType {
-		rt.byType[i] = nil
+	for i := range rt.runByType {
 		rt.runByType[i] = nil
 		rt.seqByType[i] = nil
 		rt.neededAttrs[i] = nil
@@ -372,25 +354,13 @@ func (rt *Runtime) unsubscribe(s *Subscription) ([]core.Result, error) {
 	return out, nil
 }
 
-// Queries returns the active subscriptions in Subscribe order.
-func (rt *Runtime) Queries() []*Subscription { return rt.subs }
-
 // Stats summarises the runtime's hosted state.
 type Stats struct {
 	// Queries is the number of active subscriptions.
 	Queries int
-	// Events is the number of events processed.
-	Events int64
-	// InternedTypes and InternedAttrs are the catalog id-space sizes.
-	InternedTypes int
-	InternedAttrs int
 	// BindingInternBytes is the summed live footprint of the hosted
 	// engines' binding intern tables.
 	BindingInternBytes int64
-	// Watermark is the time stamp of the last dispatched event;
-	// WatermarkValid is false before the first event.
-	Watermark      int64
-	WatermarkValid bool
 	// SharedGroups counts sharing groups currently backed by a host
 	// engine (shared execution, or a flip in flight); ShareFlips counts
 	// share/unshare decisions taken; SharedSavedOps estimates the
@@ -424,12 +394,7 @@ func (rt *Runtime) Stats() Stats {
 	}
 	return Stats{
 		Queries:            active,
-		Events:             rt.seq,
-		InternedTypes:      rt.cat.NumTypes(),
-		InternedAttrs:      rt.cat.NumAttrs(),
 		BindingInternBytes: rt.InternBytes(),
-		Watermark:          rt.lastTime,
-		WatermarkValid:     rt.sawEvent,
 		SharedGroups:       hosted,
 		ShareFlips:         rt.shareFlips,
 		SharedSavedOps:     saved,
@@ -451,18 +416,16 @@ func (rt *Runtime) InternBytes() int64 {
 	return total
 }
 
-// Process consumes the next stream event for every hosted query.
-// Events must arrive in non-decreasing time-stamp order. Result
-// callbacks fire inside Process; they must not call Subscribe or
-// Unsubscribe (those return an error) — defer membership changes
+// Process consumes the next stream event for every hosted query: a
+// batch of one. Events must arrive in non-decreasing time-stamp order.
+// Result callbacks fire inside Process; they must not call Subscribe
+// or Unsubscribe (those return an error) — defer membership changes
 // until Process returns.
 func (rt *Runtime) Process(ev *event.Event) error {
-	if rt.closed {
-		return fmt.Errorf("runtime: Process after Close: %w", core.ErrClosed)
-	}
-	rt.dispatching = true
-	defer func() { rt.dispatching = false }()
-	return rt.dispatch(ev)
+	rt.one[0] = ev
+	err := rt.ProcessBatch(rt.one[:])
+	rt.one[0] = nil
+	return err
 }
 
 // runChunkSize bounds how many events one run-building pass buckets at
@@ -470,20 +433,19 @@ func (rt *Runtime) Process(ev *event.Event) error {
 // parallel router's batch granularity.
 const runChunkSize = 256
 
-// ProcessBatch consumes a pre-sorted batch natively — the primary
-// ingest path under Session.PushBatch. Unlike Process, the batch is
-// the unit of execution, not just of transport: each 256-event chunk
-// is order-validated and arrival-stamped in one prescan, split into
-// equal-timestamp groups (one watermark pass each), and every group is
-// bucketed by interned type id into runs. A run is resolved once into
-// a struct-of-arrays view restricted to the attributes its subscribed
-// plans read, and executed with one hoisted per-run prologue per
-// engine (Engine.ProcessResolvedRun). Order-sensitive queries
-// (pattern granularity, contiguous semantics) observe their events
-// through the per-event path in arrival order — results are
-// byte-identical to event-at-a-time execution either way. On an
-// out-of-order event the in-order prefix is ingested and the error
-// names the first offender, exactly like the per-event loop.
+// ProcessBatch consumes a pre-sorted batch — the one ingest path. The
+// batch is the unit of execution, not just of transport: each
+// 256-event chunk is order-validated and arrival-stamped in one
+// prescan, split into equal-timestamp groups (one watermark pass
+// each), and every group is bucketed by interned type id into runs. A
+// run is resolved once into a struct-of-arrays view restricted to the
+// attributes its subscribed plans read, and executed with one hoisted
+// per-run prologue per engine (Engine.ProcessResolvedRun).
+// Order-sensitive queries (pattern granularity, contiguous semantics)
+// observe their events one by one in arrival order
+// (Engine.ProcessResolved) — results are byte-identical however the
+// stream is cut into batches. On an out-of-order event the in-order
+// prefix is ingested and the error names the first offender.
 func (rt *Runtime) ProcessBatch(events []*event.Event) error {
 	if rt.closed {
 		return fmt.Errorf("runtime: Process after Close: %w", core.ErrClosed)
@@ -503,9 +465,8 @@ func (rt *Runtime) ProcessBatch(events []*event.Event) error {
 }
 
 // dispatchChunk runs one chunk through the batch kernels: prescan
-// (order validation + arrival-order id assignment, matching what the
-// per-event loop would have stamped), then group-by-time dispatch of
-// the in-order prefix.
+// (order validation + arrival-order id assignment), then group-by-time
+// dispatch of the in-order prefix.
 func (rt *Runtime) dispatchChunk(chunk []*event.Event) error {
 	good := len(chunk)
 	last, saw := rt.lastTime, rt.sawEvent
@@ -566,7 +527,7 @@ func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 			tid = id
 		}
 		tids[i] = tid
-		if tid < 0 || int(tid) >= len(rt.byType) {
+		if tid < 0 || int(tid) >= len(rt.runByType) {
 			continue
 		}
 		if len(rt.seqByType[tid]) > 0 {
@@ -575,7 +536,7 @@ func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 		if len(rt.runByType[tid]) == 0 {
 			continue
 		}
-		for len(rt.buckets) < len(rt.byType) {
+		for len(rt.buckets) < len(rt.runByType) {
 			rt.buckets = append(rt.buckets, nil)
 		}
 		if len(rt.buckets[tid]) == 0 {
@@ -685,62 +646,10 @@ func (rt *Runtime) advanceAll(t int64) error {
 	return nil
 }
 
-// dispatch is the per-event body shared by Process and ProcessBatch;
-// the caller holds the dispatching guard. Error construction lives
-// out of line (lateEventErr) to keep the hot path lean.
-func (rt *Runtime) dispatch(ev *event.Event) error {
-	if rt.sawEvent && ev.Time < rt.lastTime {
-		return rt.lateEventErr(ev.Time)
-	}
-	rt.seq++
-	if ev.ID == 0 {
-		ev.ID = rt.seq
-	}
-	if !rt.sawEvent || ev.Time != rt.lastTime {
-		// One watermark pass closes complete windows across every
-		// hosted engine, including those the event's type won't reach.
-		if err := rt.advanceAll(ev.Time); err != nil {
-			return err
-		}
-	}
-	rt.lastTime, rt.sawEvent = ev.Time, true
-
-	var interested []*Subscription
-	if id, ok := rt.cat.TypeID(ev.Type); ok && int(id) < len(rt.byType) {
-		interested = rt.byType[id]
-	}
-	if len(interested) == 0 && len(rt.wantsAll) == 0 {
-		return nil // no hosted query reacts to this type
-	}
-	// Resolve once; every interested engine reads the same view. The
-	// tid returned here is from the same catalog epoch as the resolved
-	// arrays, so dispatch and values always agree.
-	tid := rt.res.Resolve(ev)
-	for _, s := range interested {
-		if err := s.eng.ProcessResolved(ev, rt.res, tid); err != nil {
-			return err
-		}
-	}
-	for _, s := range rt.wantsAll {
-		if err := s.eng.ProcessResolved(ev, rt.res, tid); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // lateEventErr builds the out-of-order rejection — the cold path of
-// dispatch.
+// dispatchChunk.
 func (rt *Runtime) lateEventErr(t int64) error {
 	return fmt.Errorf("runtime: out-of-order event at time %d after %d: %w", t, rt.lastTime, core.ErrLateEvent)
-}
-
-// ProcessAll feeds a pre-sorted batch of events.
-//
-// Deprecated: use ProcessBatch, which pays the dispatch prologue once
-// per batch instead of once per event.
-func (rt *Runtime) ProcessAll(events []*event.Event) error {
-	return rt.ProcessBatch(events)
 }
 
 // Close flushes every open window of every still-subscribed query and

@@ -135,7 +135,7 @@ func TestRuntimeMatchesIndependentEngines(t *testing.T) {
 		}
 		subs = append(subs, s)
 	}
-	if err := rt.ProcessAll(events); err != nil {
+	if err := rt.ProcessBatch(events); err != nil {
 		t.Fatal(err)
 	}
 	shared := rt.Close()
@@ -312,7 +312,7 @@ func TestRuntimeMidStreamSubscribeAligns(t *testing.T) {
 	if _, err := rt.Subscribe(queries[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.ProcessAll(events[:k]); err != nil {
+	if err := rt.ProcessBatch(events[:k]); err != nil {
 		t.Fatal(err)
 	}
 	var late []*Subscription
@@ -323,7 +323,7 @@ func TestRuntimeMidStreamSubscribeAligns(t *testing.T) {
 		}
 		late = append(late, s)
 	}
-	if err := rt.ProcessAll(events[k:]); err != nil {
+	if err := rt.ProcessBatch(events[k:]); err != nil {
 		t.Fatal(err)
 	}
 	shared := rt.Close()
@@ -392,9 +392,10 @@ func TestRuntimeRejectsMembershipChangeFromCallback(t *testing.T) {
 	}
 }
 
-// TestRuntimeProcessBatchMatchesProcess: the native batch path is a
-// pure prologue hoist — results, stats and the mid-batch callback
-// guard are identical to per-event Process.
+// TestRuntimeProcessBatchMatchesProcess is the batch-of-one
+// differential: Process is ProcessBatch on one event, and however the
+// stream is cut — one event at a time, or uneven batches including
+// empty ones — the results are identical.
 func TestRuntimeProcessBatchMatchesProcess(t *testing.T) {
 	events := mixedStream(3000)
 	queries := testQueries()

@@ -130,10 +130,6 @@ func (rt *Runtime) EnableSharedAggregation(hostOpts ...core.Option) {
 	rt.hostOpts = hostOpts
 }
 
-// SharedAggregationEnabled reports whether share/unshare decisions
-// are active.
-func (rt *Runtime) SharedAggregationEnabled() bool { return rt.sharedOn }
-
 // groupJoin registers a freshly subscribed s with its sharing group,
 // creating the group on first contact. aligned/alignT describe the
 // watermark the new engine was aligned to (false: the stream has not

@@ -31,8 +31,9 @@ const Magic = "COGRASNP"
 // cross-version compatibility is out of scope (checkpoints are
 // re-taken after an upgrade). Version 3 added the window-manager
 // ceiling to the engine codec and the sharing-group section to the
-// runtime codec.
-const Version uint32 = 3
+// runtime codec; version 4 dropped the inline-session topology (every
+// session now nests one executor blob).
+const Version uint32 = 4
 
 // Writer accumulates a snapshot payload in memory.
 type Writer struct {

@@ -62,9 +62,19 @@ const routeBatchSize = 256
 // The routing hot path is allocation-free: the routing key is appended
 // into a reused buffer, hashed with an inlined FNV-1a loop, and events
 // travel in pooled batches instead of one channel send per event.
+//
+// One worker with no executor groups is the in-thread case — the inline
+// session. It is the same worker running the same runtime and the same
+// control plane, but its messages are handled on the caller's
+// goroutine: there is nothing to route to, so no routing attributes
+// are computed, no event is skipped or re-batched (the caller's slice
+// is the worker's batch), and a subscription's callback is installed
+// in its engine, so results stream inside the ProcessBatch that closes
+// their window.
 type MultiExecutor struct {
 	cat        *core.Catalog
 	engOpts    []core.Option // applied to every hosted engine (e.g. intern eviction)
+	inThread   bool          // one worker, run on the caller's goroutine
 	routeAttrs []string
 	workers    []*mworker
 	// Executor groups: lazily created full-stream workers hosting the
@@ -107,8 +117,7 @@ type Sub struct {
 	wsubs  []*runtime.Subscription // parallel to hosts
 }
 
-// ID returns the subscription's id: 0-based, in subscribe order
-// (constructor plans keep their slice positions).
+// ID returns the subscription's id: 0-based, in subscribe order.
 func (s *Sub) ID() int { return s.id }
 
 // Plan returns the hosted plan.
@@ -132,7 +141,7 @@ func (s *Sub) Unsubscribe() ([]core.Result, error) { return s.m.unsubscribe(s) }
 func (s *Sub) Drain() ([]core.Result, error) { return s.m.drain(s) }
 
 type mworker struct {
-	in      chan wmsg
+	in      chan wmsg // nil: in-thread — ask and stop act on the caller's goroutine
 	done    chan struct{}
 	pool    *sync.Pool
 	rt      *runtime.Runtime
@@ -163,10 +172,11 @@ const (
 
 // ctlMsg asks a worker to change or report its hosted state at the
 // current position of its input channel. The worker always replies
-// exactly once.
+// exactly once (see ask).
 type ctlMsg struct {
 	op       ctlOp
 	plan     *core.Plan
+	cb       func(core.Result)
 	align    int64
 	hasAlign bool
 	wsub     *runtime.Subscription
@@ -184,65 +194,25 @@ type ctlReply struct {
 	err          error
 }
 
-// NewMultiExecutor starts n workers (n >= 1) executing all plans over
-// one stream. The plans must be compiled against one shared catalog
-// (core.NewPlanIn), so each worker resolves every event once for all
-// of them. Further queries may subscribe (and any query unsubscribe)
-// while the stream runs.
-func NewMultiExecutor(plans []*core.Plan, n int) (*MultiExecutor, error) {
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("stream: no plans")
-	}
-	cat := plans[0].Catalog()
-	for i, plan := range plans[1:] {
-		if plan.Catalog() != cat {
-			return nil, fmt.Errorf("stream: plan %d compiled against a different catalog (use core.NewPlanIn with one shared catalog): %w", i+1, core.ErrNotHosted)
-		}
-	}
-	m := &MultiExecutor{
-		cat:        cat,
-		routeAttrs: sharedRouteAttrs(plans),
-		maxGroups:  1,
-	}
-	if n < 1 || len(m.routeAttrs) == 0 {
-		n = 1
-	}
-	m.pool.New = func() any {
-		b := make([]*event.Event, 0, routeBatchSize)
-		return &b
-	}
-	m.pending = make([]*[]*event.Event, n)
-	for i := 0; i < n; i++ {
-		m.workers = append(m.workers, m.newWorker())
-	}
-	for _, plan := range plans {
-		if _, err := m.SubscribePlan(plan); err != nil {
-			m.shutdown()
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
 // NewMultiExecutorOn starts an EMPTY executor with n workers (n >= 1)
-// over an existing catalog — the serving-shaped entry point behind the
-// public Session API, where the query population is entirely dynamic.
-// Unlike NewMultiExecutor, the worker count is kept as requested even
-// while the (changing) fleet shares no routing attribute: routing then
-// sends every event to worker 0 and the others idle, so a membership
-// change arriving before the first event can still spread the stream
-// over all n. (Once an event has flowed the routing function is
-// frozen — see the type comment — so a collapsed stream stays on
-// worker 0 for its lifetime.)
+// over an existing catalog — the execution core behind the public
+// Session API, where the query population is entirely dynamic. n <= 1
+// builds the in-thread worker (see the type comment). The worker count
+// is kept as requested even while the (changing) fleet shares no
+// routing attribute: routing then sends every event to worker 0 and
+// the others idle, so a membership change arriving before the first
+// event can still spread the stream over all n. (Once an event has
+// flowed the routing function is frozen — see the type comment — so a
+// collapsed stream stays on worker 0 for its lifetime.)
 //
 // engOpts are applied to every engine the executor's workers create
 // (each worker adds its own accountant after them), so session-wide
-// engine policies like core.WithInternEviction reach parallel mode.
+// engine policies like core.WithInternEviction reach every worker.
 func NewMultiExecutorOn(cat *core.Catalog, n int, engOpts ...core.Option) *MultiExecutor {
 	if n < 1 {
 		n = 1
 	}
-	m := &MultiExecutor{cat: cat, engOpts: engOpts, maxGroups: 1}
+	m := &MultiExecutor{cat: cat, engOpts: engOpts, inThread: n == 1, maxGroups: 1}
 	m.pool.New = func() any {
 		b := make([]*event.Event, 0, routeBatchSize)
 		return &b
@@ -254,22 +224,59 @@ func NewMultiExecutorOn(cat *core.Catalog, n int, engOpts ...core.Option) *Multi
 	return m
 }
 
-// newWorker builds and starts one worker goroutine.
+// newWorker builds one worker and, unless the executor runs in-thread,
+// starts its goroutine.
 func (m *MultiExecutor) newWorker() *mworker {
-	w := &mworker{
-		in:      make(chan wmsg, 16),
-		done:    make(chan struct{}),
-		pool:    &m.pool,
-		rt:      runtime.NewOn(m.cat),
-		engOpts: m.engOpts,
-	}
+	w := &mworker{pool: &m.pool, rt: runtime.NewOn(m.cat), engOpts: m.engOpts}
 	if m.shared {
 		// Enabled before the goroutine starts, so the worker never
 		// observes the runtime flipping under it.
 		w.rt.EnableSharedAggregation(w.hostOpts()...)
 	}
-	go w.run()
+	if !m.inThread {
+		w.start()
+	}
 	return w
+}
+
+// start moves the worker onto its own goroutine; the go statement
+// publishes everything installed on it so far.
+func (w *mworker) start() {
+	// 16 batches in flight let the router run ahead of a worker busy
+	// closing windows without growing the backlog past ~4K events.
+	w.in = make(chan wmsg, 16)
+	w.done = make(chan struct{})
+	go w.run()
+}
+
+// ask has the worker apply one control-plane message — ordered after
+// everything sent to it so far — and returns its reply. The in-thread
+// worker applies it right here.
+func (w *mworker) ask(c ctlMsg) ctlReply {
+	if w.in == nil {
+		return w.handleCtl(c)
+	}
+	queued := c // only the queued copy escapes: the in-thread call allocates nothing
+	queued.reply = make(chan ctlReply, 1)
+	w.in <- wmsg{ctl: &queued}
+	return <-queued.reply
+}
+
+// stop ends the worker's input: it flushes its open windows — on its
+// own goroutine, side by side with the other workers; join waits.
+func (w *mworker) stop() {
+	if w.in == nil {
+		w.finish()
+		return
+	}
+	close(w.in)
+}
+
+// join waits until a stopped worker has flushed and exited.
+func (w *mworker) join() {
+	if w.in != nil {
+		<-w.done
+	}
 }
 
 // hostOpts returns the engine options for engines the worker's runtime
@@ -277,7 +284,8 @@ func (m *MultiExecutor) newWorker() *mworker {
 // policies plus the worker's accountant, exactly like a subscriber's
 // engine.
 func (w *mworker) hostOpts() []core.Option {
-	return append(append([]core.Option(nil), w.engOpts...), core.WithAccountant(&w.acct))
+	opts := make([]core.Option, 0, len(w.engOpts)+2) // room for a subscriber's callback
+	return append(append(opts, w.engOpts...), core.WithAccountant(&w.acct))
 }
 
 // EnableSharedAggregation turns runtime share/unshare decisions on in
@@ -294,21 +302,19 @@ func (m *MultiExecutor) EnableSharedAggregation() {
 	m.shared = true
 	m.flushPending()
 	for _, w := range m.allWorkers() {
-		ctl := &ctlMsg{op: ctlShare, reply: make(chan ctlReply, 1)}
-		w.in <- wmsg{ctl: ctl}
-		<-ctl.reply
+		w.ask(ctlMsg{op: ctlShare})
 	}
 }
 
-// shutdown closes every worker channel and waits; used on constructor
-// failure before any event flowed.
+// shutdown stops every worker and waits; used when a restore fails
+// before any event flowed.
 func (m *MultiExecutor) shutdown() {
 	m.closed = true
 	for _, w := range m.allWorkers() {
-		close(w.in)
+		w.stop()
 	}
 	for _, w := range m.allWorkers() {
-		<-w.done
+		w.join()
 	}
 }
 
@@ -318,11 +324,18 @@ func (m *MultiExecutor) shutdown() {
 // subscribes, so raising the cap takes effect for future subscribes;
 // lowering it never disturbs groups already hosting subscribers —
 // they shrink only by retirement when their last subscriber leaves.
+// Groups execute beside the partition workers, so k > 1 on a
+// one-worker executor that hosts nothing yet moves that worker off the
+// caller's goroutine; once a plan is subscribed the shape stays.
 func (m *MultiExecutor) SetExecutorGroups(k int) {
 	if k < 1 {
 		k = 1
 	}
 	m.maxGroups = k
+	if k > 1 && m.inThread && len(m.subs) == 0 {
+		m.inThread = false
+		m.workers[0].start()
+	}
 }
 
 // allWorkers returns the partition workers plus the executor groups.
@@ -349,6 +362,16 @@ type SubscribeOpt func(*subOpts)
 
 type subOpts struct {
 	strict bool
+	cb     func(core.Result)
+}
+
+// WithCallback delivers the subscription's results to fn instead of
+// returning them from Unsubscribe, Drain and Close: merged and
+// re-ordered at those calls when worker goroutines produce them, or
+// straight from the engine, as each window closes, when the executor
+// runs in-thread.
+func WithCallback(fn func(core.Result)) SubscribeOpt {
+	return func(o *subOpts) { o.cb = fn }
 }
 
 // StrictRouting rejects the subscription with ErrFrozenRouting instead
@@ -363,16 +386,15 @@ func StrictRouting() SubscribeOpt {
 
 // SubscribePlan hosts an additional compiled plan, at any stream
 // position. The plan must share the executor's catalog (compile with
-// core.NewPlanIn against Catalog()). Before the first event the
-// routing attributes are recomputed over the new fleet; mid-stream the
-// routing is frozen, and the plan either joins every partition worker
-// (its partition keys cover the routing attributes — sub-streams stay
+// core.NewPlanIn against it). Before the first event the routing
+// attributes are recomputed over the new fleet; mid-stream the routing
+// is frozen, and the plan either joins every partition worker (its
+// partition keys cover the routing attributes — sub-streams stay
 // worker-local) or falls back to an executor group clustered by its
 // partition-key signature (rejected with ErrFrozenRouting under
-// StrictRouting). The
-// subscription takes effect at one consistent stream position on
-// every worker: after every event routed so far, before any event
-// routed later.
+// StrictRouting). The subscription takes effect at one consistent
+// stream position on every worker: after every event routed so far,
+// before any event routed later.
 func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*Sub, error) {
 	if m.closed {
 		return nil, fmt.Errorf("stream: Subscribe after Close: %w", core.ErrClosed)
@@ -387,7 +409,7 @@ func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*S
 	var hosts []*mworker
 	switch {
 	case !m.sawEvent:
-		m.routeAttrs = sharedRouteAttrs(append(m.activePlans(), plan))
+		m.reroute(plan)
 		hosts = m.workers
 	case attrsCovered(m.routeAttrs, plan.StreamKeys):
 		hosts = m.workers
@@ -399,20 +421,13 @@ func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*S
 		hosts = []*mworker{m.groupFor(plan)}
 	}
 	m.flushPending()
-	sub := &Sub{m: m, id: len(m.subs), plan: plan, active: true, hosts: hosts}
+	sub := &Sub{m: m, id: len(m.subs), plan: plan, cb: o.cb, active: true, hosts: hosts}
 	for _, w := range hosts {
-		ctl := &ctlMsg{op: ctlSubscribe, plan: plan, reply: make(chan ctlReply, 1)}
-		if m.sawEvent {
-			ctl.align, ctl.hasAlign = m.lastTime, true
-		}
-		w.in <- wmsg{ctl: ctl}
-		rep := <-ctl.reply
+		rep := w.ask(ctlMsg{op: ctlSubscribe, plan: plan, cb: o.cb, align: m.lastTime, hasAlign: m.sawEvent})
 		if rep.err != nil {
 			// Roll back the workers that already subscribed.
 			for i, prev := range sub.hosts[:len(sub.wsubs)] {
-				ctl := &ctlMsg{op: ctlUnsubscribe, wsub: sub.wsubs[i], reply: make(chan ctlReply, 1)}
-				prev.in <- wmsg{ctl: ctl}
-				<-ctl.reply
+				prev.ask(ctlMsg{op: ctlUnsubscribe, wsub: sub.wsubs[i]})
 			}
 			return nil, rep.err
 		}
@@ -420,6 +435,24 @@ func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*S
 	}
 	m.subs = append(m.subs, sub)
 	return sub, nil
+}
+
+// reroute recomputes the routing attributes over the active fleet plus
+// a joining plan (nil: none) — legal only while no event has been
+// routed; an empty fleet keeps what it had. The in-thread executor has
+// nowhere to route to: its attributes stay empty, so it never skips an
+// event for lacking one.
+func (m *MultiExecutor) reroute(joining *core.Plan) {
+	if m.inThread {
+		return
+	}
+	plans := m.activePlans()
+	if joining != nil {
+		plans = append(plans, joining)
+	}
+	if len(plans) > 0 {
+		m.routeAttrs = sharedRouteAttrs(plans)
+	}
 }
 
 // groupSig is a plan's clustering signature: its partition attributes,
@@ -498,21 +531,19 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	var merged []core.Result
 	var firstErr error
 	for i, w := range sub.hosts {
-		ctl := &ctlMsg{op: ctlUnsubscribe, wsub: sub.wsubs[i], reply: make(chan ctlReply, 1)}
-		w.in <- wmsg{ctl: ctl}
-		rep := <-ctl.reply
+		rep := w.ask(ctlMsg{op: ctlUnsubscribe, wsub: sub.wsubs[i]})
 		if rep.err != nil {
 			if firstErr == nil {
 				firstErr = rep.err
 			}
 			continue
 		}
-		merged = append(merged, rep.results...)
+		merged = adopt(merged, rep.results)
 	}
-	if !m.sawEvent && len(m.activePlans()) > 0 {
+	if !m.sawEvent {
 		// No event routed yet: the routing attributes may re-expand now
 		// that the intersection spans fewer plans.
-		m.routeAttrs = sharedRouteAttrs(m.activePlans())
+		m.reroute(nil)
 	}
 	if err := m.retireIdleGroups(); err != nil && firstErr == nil {
 		firstErr = err
@@ -520,14 +551,33 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	// Even on a partial failure the healthy workers' engines have been
 	// flushed and released; return what they reported alongside the
 	// error rather than destroying it.
-	merged = sortResults(merged)
-	if sub.cb != nil {
-		for _, r := range merged {
-			sub.cb(r)
-		}
-		return nil, firstErr
+	return sub.deliver(merged), firstErr
+}
+
+// adopt appends one host's results — handed over for good — to those
+// gathered so far; the first host's slice is taken as is, so a
+// one-host subscription never copies.
+func adopt(merged, results []core.Result) []core.Result {
+	if merged == nil {
+		return results
 	}
-	return merged, firstErr
+	return append(merged, results...)
+}
+
+// deliver puts one subscription's gathered per-host results into the
+// order a single engine emits them (one host already has it) and hands
+// them to the callback when one is installed, else back to the caller.
+func (s *Sub) deliver(merged []core.Result) []core.Result {
+	if len(s.hosts) > 1 {
+		merged = sortResults(merged)
+	}
+	if s.cb == nil {
+		return merged
+	}
+	for _, r := range merged {
+		s.cb(r)
+	}
+	return nil
 }
 
 // retireIdleGroups shuts down every executor group with no active
@@ -555,8 +605,8 @@ func (m *MultiExecutor) retireIdleGroups() error {
 			kept++
 			continue
 		}
-		close(g.in)
-		<-g.done
+		g.stop()
+		g.join()
 		// Peak memory is a high-water mark over the whole run: keep the
 		// retired worker's contribution so the reported fleet peak stays
 		// monotone. Flip counters are lifetime totals too.
@@ -586,24 +636,15 @@ func (m *MultiExecutor) drain(sub *Sub) ([]core.Result, error) {
 	var merged []core.Result
 	var firstErr error
 	for i, w := range sub.hosts {
-		ctl := &ctlMsg{op: ctlDrain, wsub: sub.wsubs[i], reply: make(chan ctlReply, 1)}
-		w.in <- wmsg{ctl: ctl}
-		rep := <-ctl.reply
+		rep := w.ask(ctlMsg{op: ctlDrain, wsub: sub.wsubs[i]})
 		if rep.err != nil && firstErr == nil {
 			firstErr = rep.err
 		}
-		merged = append(merged, rep.results...)
+		merged = adopt(merged, rep.results)
 	}
 	// Drained results are destructively taken from the worker engines;
 	// hand them over even when one worker reported an error.
-	merged = sortResults(merged)
-	if sub.cb != nil {
-		for _, r := range merged {
-			sub.cb(r)
-		}
-		return nil, firstErr
-	}
-	return merged, firstErr
+	return sub.deliver(merged), firstErr
 }
 
 // Stats is the executor's aggregate hosted state, gathered from every
@@ -654,26 +695,17 @@ func (m *MultiExecutor) Stats() (Stats, error) {
 		ShareFlips:     m.retiredFlips,
 		SharedSavedOps: m.retiredSaved,
 	}
-	if m.closed {
-		// Workers have exited (Close waited on them), so their state is
-		// safe to read directly; the engines still hold their intern
-		// tables, so the footprint stays comparable to the inline path.
-		for _, w := range m.allWorkers() {
-			st.PeakBytes += w.acct.Peak()
-			st.BindingInternBytes += w.rt.InternBytes()
-			rs := w.rt.Stats()
-			st.SharedGroups += rs.SharedGroups
-			st.ShareFlips += rs.ShareFlips
-			st.SharedSavedOps += rs.SharedSavedOps
-		}
-		return st, nil
+	if !m.closed {
+		m.flushPending()
 	}
-	m.flushPending()
 	for _, w := range m.allWorkers() {
-		ctl := &ctlMsg{op: ctlStats, reply: make(chan ctlReply, 1)}
-		w.in <- wmsg{ctl: ctl}
-		rep := <-ctl.reply
-		if rep.err != nil {
+		var rep ctlReply
+		if m.closed {
+			// The workers have exited (Close waited on them), so their
+			// state is safe to read directly; the engines still hold their
+			// intern tables, so the footprint stays comparable to a live run.
+			rep = w.report()
+		} else if rep = w.ask(ctlMsg{op: ctlStats}); rep.err != nil {
 			return st, rep.err
 		}
 		st.BindingInternBytes += rep.intern
@@ -715,47 +747,59 @@ func sharedRouteAttrs(plans []*core.Plan) []string {
 func (w *mworker) run() {
 	defer close(w.done)
 	for msg := range w.in {
-		if msg.ctl != nil {
-			w.handleCtl(msg.ctl)
-			continue
-		}
-		if w.err == nil {
-			// The batch is the unit of execution, not just of transport:
-			// the runtime chunks it into equal-time, type-partitioned runs
-			// for the columnar kernels (Runtime.ProcessBatch). On failure
-			// the remaining input is drained without processing.
-			w.err = w.rt.ProcessBatch(*msg.batch)
-		}
-		*msg.batch = (*msg.batch)[:0]
-		w.pool.Put(msg.batch)
+		w.handle(msg)
 	}
+	w.finish()
+}
+
+// handle applies one queued message: a control-plane request, or a
+// pooled event batch.
+func (w *mworker) handle(msg wmsg) {
+	if msg.ctl != nil {
+		msg.ctl.reply <- w.handleCtl(*msg.ctl)
+		return
+	}
+	if w.err == nil {
+		// The batch is the unit of execution, not just of transport:
+		// the runtime chunks it into equal-time, type-partitioned runs
+		// for the columnar kernels (Runtime.ProcessBatch). On failure
+		// the remaining input is drained without processing.
+		w.err = w.rt.ProcessBatch(*msg.batch)
+	}
+	*msg.batch = (*msg.batch)[:0]
+	w.pool.Put(msg.batch)
+}
+
+// finish flushes every open window once the input has ended.
+func (w *mworker) finish() {
 	if w.err == nil {
 		w.results = w.rt.Close()
 	}
 }
 
-// handleCtl applies one control-plane message on the worker goroutine
-// (the runtime is single-threaded) and always replies exactly once. A
-// worker in error state refuses membership changes — the stream is
-// already broken and Close will surface the error.
-func (w *mworker) handleCtl(c *ctlMsg) {
+// handleCtl applies one control-plane message where the worker runs
+// (the runtime is single-threaded). A worker in error state refuses
+// membership changes — the stream is already broken and Close will
+// surface the error.
+func (w *mworker) handleCtl(c ctlMsg) ctlReply {
 	var rep ctlReply
 	if c.op == ctlStats {
 		// Stats stay readable even in error state: a caller polling
 		// PeakBytes after a worker failure gets the accumulated peak,
 		// not a silent zero (Close surfaces the error itself).
-		rep.intern = w.rt.InternBytes()
-		rep.peak = w.acct.Peak()
-		rs := w.rt.Stats()
-		rep.sharedGroups = rs.SharedGroups
-		rep.shareFlips = rs.ShareFlips
-		rep.sharedSaved = rs.SharedSavedOps
+		rep = w.report()
 	} else if w.err != nil {
 		rep.err = w.err
 	} else {
 		switch c.op {
 		case ctlSubscribe:
-			opts := append(append([]core.Option(nil), w.engOpts...), core.WithAccountant(&w.acct))
+			opts := w.hostOpts()
+			if c.cb != nil && w.in == nil {
+				// In-thread engines run on the caller's goroutine, so they
+				// stream straight into the callback; a worker goroutine's
+				// results wait for the executor to gather them.
+				opts = append(opts, core.WithResultCallback(c.cb))
+			}
 			if c.hasAlign {
 				rep.wsub, rep.err = w.rt.SubscribePlanFrom(c.plan, c.align, opts...)
 			} else {
@@ -769,7 +813,19 @@ func (w *mworker) handleCtl(c *ctlMsg) {
 			w.rt.EnableSharedAggregation(w.hostOpts()...)
 		}
 	}
-	c.reply <- rep
+	return rep
+}
+
+// report reads the worker's share of the executor statistics.
+func (w *mworker) report() ctlReply {
+	rs := w.rt.Stats()
+	return ctlReply{
+		intern:       rs.BindingInternBytes,
+		peak:         w.acct.Peak(),
+		sharedGroups: rs.SharedGroups,
+		shareFlips:   rs.ShareFlips,
+		sharedSaved:  rs.SharedSavedOps,
+	}
 }
 
 // fnv1a is the 32-bit FNV-1a hash, inlined so routing does not
@@ -783,45 +839,27 @@ func fnv1a(b []byte) uint32 {
 	return h
 }
 
-// OnResult installs a result callback for one hosted query (by its
-// subscription id; constructor plans keep their slice positions).
-// Unsubscribe, Drain and Close deliver the query's merged, re-ordered
-// results to the callback instead of returning them. Installing a
-// callback after Close is an error — the results were already
-// returned.
-func (p *MultiExecutor) OnResult(qi int, fn func(core.Result)) error {
-	if p.closed {
-		return fmt.Errorf("stream: OnResult after Close: %w", core.ErrClosed)
-	}
-	if qi < 0 || qi >= len(p.subs) {
-		return fmt.Errorf("stream: OnResult for unknown query %d: %w", qi, core.ErrNotHosted)
-	}
-	p.subs[qi].cb = fn
-	return nil
-}
-
-// Process routes one event to its partition's worker, and additionally
-// to every running executor group. Events missing a shared routing
-// attribute are counted and skipped for the partition workers — such
-// an event lacks part of every routed plan's partition key, so no
-// routed engine would admit it to a sub-stream — but they still reach
-// the executor groups, whose queries route on nothing. Events are
-// delivered in batches; Close flushes any partial batch.
-func (p *MultiExecutor) Process(e *event.Event) error {
-	if p.closed {
-		return fmt.Errorf("stream: Process after Close: %w", core.ErrClosed)
-	}
-	p.route(e)
-	return nil
-}
-
-// ProcessBatch routes a pre-sorted batch natively: the closed check is
-// paid once, and the events flow straight into the per-worker batches
-// under construction (no per-event re-batching) — the primary ingest
-// path under Session.PushBatch.
+// ProcessBatch ingests a pre-sorted batch — the one ingest path (a
+// single event is a batch of one). Every event goes to its partition's
+// worker and additionally to every running executor group. Events
+// missing a shared routing attribute are counted and skipped for the
+// partition workers — such an event lacks part of every routed plan's
+// partition key, so no routed engine would admit it to a sub-stream —
+// but they still reach the executor groups, whose queries route on
+// nothing. Events travel in pooled batches; control-plane calls and
+// Close flush any partial one, and a worker's failure surfaces there.
+// The in-thread worker takes the caller's slice as is and reports its
+// error at once.
 func (p *MultiExecutor) ProcessBatch(events []*event.Event) error {
 	if p.closed {
 		return fmt.Errorf("stream: Process after Close: %w", core.ErrClosed)
+	}
+	if p.inThread {
+		if n := len(events); n > 0 {
+			p.seq += int64(n)
+			p.lastTime, p.sawEvent = events[n-1].Time, true
+		}
+		return p.workers[0].rt.ProcessBatch(events)
 	}
 	for _, e := range events {
 		p.route(e)
@@ -829,7 +867,7 @@ func (p *MultiExecutor) ProcessBatch(events []*event.Event) error {
 	return nil
 }
 
-// route is the per-event body shared by Process and ProcessBatch.
+// route sends one event to its partition worker and the groups.
 func (p *MultiExecutor) route(e *event.Event) {
 	p.seq++
 	if e.ID == 0 {
@@ -894,19 +932,6 @@ func (p *MultiExecutor) flushPending() {
 	}
 }
 
-// Run consumes an entire ordered source.
-func (p *MultiExecutor) Run(src Iterator) error {
-	for {
-		e, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if err := p.Process(e); err != nil {
-			return err
-		}
-	}
-}
-
 // Sync flushes every partial batch to its worker and waits until all
 // workers have consumed everything routed so far — a control-plane
 // barrier. RunContext uses it when its context is cancelled, so the
@@ -924,9 +949,7 @@ func (p *MultiExecutor) Sync() error {
 		return err
 	}
 	for _, w := range p.allWorkers() {
-		ctl := &ctlMsg{op: ctlStats, reply: make(chan ctlReply, 1)}
-		w.in <- wmsg{ctl: ctl}
-		if rep := <-ctl.reply; rep.err != nil {
+		if rep := w.ask(ctlMsg{op: ctlStats}); rep.err != nil {
 			return rep.err
 		}
 	}
@@ -936,9 +959,8 @@ func (p *MultiExecutor) Sync() error {
 // Close flushes pending batches, drains the workers and returns each
 // query's results ordered by window then group, exactly like a single
 // engine would emit them — indexed by subscription id. Slots of
-// queries with an OnResult callback (delivered through it) and of
-// queries that already unsubscribed (returned at Unsubscribe time)
-// are nil.
+// queries with a callback (delivered through it) and of queries that
+// already unsubscribed (returned at Unsubscribe time) are nil.
 func (p *MultiExecutor) Close() ([][]core.Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("stream: double Close: %w", core.ErrClosed)
@@ -946,16 +968,12 @@ func (p *MultiExecutor) Close() ([][]core.Result, error) {
 	p.flushPending()
 	p.closed = true
 	workers := p.allWorkers()
-	var wg sync.WaitGroup
 	for _, w := range workers {
-		close(w.in)
-		wg.Add(1)
-		go func(w *mworker) {
-			defer wg.Done()
-			<-w.done
-		}(w)
+		w.stop()
 	}
-	wg.Wait()
+	for _, w := range workers {
+		w.join()
+	}
 	for _, w := range workers {
 		if w.err != nil {
 			return nil, w.err
@@ -969,16 +987,9 @@ func (p *MultiExecutor) Close() ([][]core.Result, error) {
 		sub.active = false
 		var merged []core.Result
 		for i, w := range sub.hosts {
-			merged = append(merged, w.results[sub.wsubs[i].ID()]...)
+			merged = adopt(merged, w.results[sub.wsubs[i].ID()])
 		}
-		merged = sortResults(merged)
-		if sub.cb != nil {
-			for _, r := range merged {
-				sub.cb(r)
-			}
-			continue
-		}
-		out[sub.id] = merged
+		out[sub.id] = sub.deliver(merged)
 	}
 	return out, nil
 }
@@ -1008,75 +1019,3 @@ func sortResults(out []core.Result) []core.Result {
 	}
 	return out[:w]
 }
-
-// Skipped returns the number of events without a routing key.
-func (p *MultiExecutor) Skipped() int64 { return p.skipped }
-
-// Workers returns the partition worker count — 1 when the hosted
-// plans share no partition attribute, regardless of what was
-// requested. Executor groups, when running, are not counted (see
-// Stats).
-func (p *MultiExecutor) Workers() int { return len(p.workers) }
-
-// Catalog returns the shared catalog further plans must be compiled
-// against (core.NewPlanIn).
-func (p *MultiExecutor) Catalog() *core.Catalog { return p.cat }
-
-// PeakBytes returns the summed logical peak memory across workers.
-// Each worker's peak covers all queries it hosts simultaneously;
-// worker peaks may occur at different times, so the sum is an upper
-// bound on the fleet-wide footprint (as for ParallelExecutor). Before
-// Close this is a control-plane round trip to the workers.
-func (p *MultiExecutor) PeakBytes() int64 {
-	st, err := p.Stats()
-	if err != nil {
-		return 0
-	}
-	return st.PeakBytes
-}
-
-// ParallelExecutor runs one plan partition-parallel: the single-query
-// special case of MultiExecutor, kept as its own type for the public
-// API (§8, "Parallel Processing"). Each worker hosts the plan's engine
-// behind a one-query runtime; routing hashes the plan's own partition
-// key, so results are byte-identical to a solo engine run.
-type ParallelExecutor struct {
-	m *MultiExecutor
-}
-
-// NewParallelExecutor starts n workers (n >= 1). A plan without
-// partition keys yields a single worker, since an unpartitioned
-// stream has a single sub-stream.
-func NewParallelExecutor(plan *core.Plan, n int) (*ParallelExecutor, error) {
-	m, err := NewMultiExecutor([]*core.Plan{plan}, n)
-	if err != nil {
-		return nil, err
-	}
-	return &ParallelExecutor{m: m}, nil
-}
-
-// Process routes one event to its partition's worker.
-func (p *ParallelExecutor) Process(e *event.Event) error { return p.m.Process(e) }
-
-// Run consumes an entire ordered source.
-func (p *ParallelExecutor) Run(src Iterator) error { return p.m.Run(src) }
-
-// Close flushes pending batches, drains the workers and returns all
-// results ordered by window then group, exactly like a single engine
-// would emit them.
-func (p *ParallelExecutor) Close() ([]core.Result, error) {
-	out, err := p.m.Close()
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// Skipped returns the number of events without a partition key.
-func (p *ParallelExecutor) Skipped() int64 { return p.m.Skipped() }
-
-// Workers returns the actual worker count (1 for unpartitioned plans).
-func (p *ParallelExecutor) Workers() int { return p.m.Workers() }
-
-// PeakBytes returns the summed logical peak memory across workers.
-func (p *ParallelExecutor) PeakBytes() int64 { return p.m.PeakBytes() }

@@ -3,11 +3,13 @@ package stream
 // Checkpoint codec for the stream layer: events, the K-slack reorder
 // buffer, and the multi-query executor topology. A MultiExecutor
 // snapshot must be taken at a consistent cut — after Sync() returns,
-// every worker is parked on its input channel with all routed events
-// applied, and the reply-channel receive gives the snapshotting
-// goroutine a happens-before edge to read worker state directly.
-// Restore is the mirror image: worker runtimes are installed before
-// any message is sent, so the first channel send publishes them.
+// every worker goroutine is parked on its input channel with all
+// routed events applied, and the reply-channel receive gives the
+// snapshotting goroutine a happens-before edge to read worker state
+// directly (the in-thread worker shares the caller's goroutine, so
+// the caller's quiescence is the cut). Restore is the mirror image:
+// worker runtimes are installed before any message is sent, so the
+// first channel send publishes them.
 
 import (
 	"container/heap"
@@ -223,6 +225,10 @@ func RestoreMultiExecutor(cat *core.Catalog, r *snap.Reader, plans []*core.Plan,
 		return nil, err
 	}
 	m := NewMultiExecutorOn(cat, nw, engOpts...)
+	m.SetExecutorGroups(maxGroups)
+	if m.inThread && ng > 0 {
+		return nil, fmt.Errorf("%w: %d executor groups beside an in-thread worker", snap.ErrBadSnapshot, ng)
+	}
 	ok := false
 	defer func() {
 		if !ok {
@@ -232,18 +238,13 @@ func RestoreMultiExecutor(cat *core.Catalog, r *snap.Reader, plans []*core.Plan,
 	m.routeAttrs = routeAttrs
 	m.seq, m.lastTime, m.sawEvent = seq, lastTime, sawEvent
 	m.skipped, m.retiredPeak = skipped, retiredPeak
-	m.maxGroups = maxGroups
 	for _, sig := range groupSigs {
 		m.groups = append(m.groups, m.newWorker())
 		m.groupSigs = append(m.groupSigs, sig)
 		m.groupPend = append(m.groupPend, nil)
 	}
 	for _, wk := range m.allWorkers() {
-		wk := wk
-		wopts := func(int) []core.Option {
-			return append(append([]core.Option(nil), m.engOpts...), core.WithAccountant(&wk.acct))
-		}
-		rt, err := runtime.RestoreRuntime(cat, r, plans, wopts)
+		rt, err := runtime.RestoreRuntime(cat, r, plans, func(int) []core.Option { return wk.hostOpts() })
 		if err != nil {
 			return nil, err
 		}
@@ -325,10 +326,6 @@ func (m *MultiExecutor) groupIndex(hosts []*mworker) int {
 	return -1
 }
 
-// Sub returns the subscription with the given id, or nil.
-func (m *MultiExecutor) Sub(id int) *Sub {
-	if id < 0 || id >= len(m.subs) {
-		return nil
-	}
-	return m.subs[id]
-}
+// Subs returns every subscription the executor ever hosted, indexed
+// by id — after a restore, the way back to the rebuilt handles.
+func (m *MultiExecutor) Subs() []*Sub { return m.subs }

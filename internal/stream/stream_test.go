@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
+	"repro/internal/snap"
 )
 
 func TestSliceIterator(t *testing.T) {
@@ -149,8 +151,33 @@ func parallelStream(n, groups int) []*event.Event {
 	return out
 }
 
+// startExecutor starts an n-worker executor (1: the in-thread worker)
+// hosting the plans, which must share one catalog.
+func startExecutor(t *testing.T, n int, plans ...*core.Plan) (*MultiExecutor, []*Sub) {
+	t.Helper()
+	m := NewMultiExecutorOn(plans[0].Catalog(), n)
+	var subs []*Sub
+	for _, plan := range plans {
+		sub, err := m.SubscribePlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	return m, subs
+}
+
+func cloneEvents(events []*event.Event) []*event.Event {
+	cloned := make([]*event.Event, len(events))
+	for i, e := range events {
+		cloned[i] = e.Clone()
+	}
+	return cloned
+}
+
 // TestParallelMatchesSequential is the §8 correctness claim: stream
-// partitioning preserves results exactly.
+// partitioning preserves results exactly — for the in-thread worker
+// and for any number of worker goroutines.
 func TestParallelMatchesSequential(t *testing.T) {
 	plan := core.MustPlan(parallelQuery())
 	events := parallelStream(500, 7)
@@ -164,21 +191,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := seqEng.Close()
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		p, err := NewParallelExecutor(plan, workers)
+		p, _ := startExecutor(t, workers, plan)
+		if err := p.ProcessBatch(cloneEvents(events)); err != nil {
+			t.Fatal(err)
+		}
+		all, err := p.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cloned := make([]*event.Event, len(events))
-		for i, e := range events {
-			cloned[i] = e.Clone()
-		}
-		if err := p.Run(FromSlice(cloned)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := all[0]
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
@@ -192,68 +213,92 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelSkipsKeylessEvents: a router skips (and counts) an event
+// lacking the routing attribute; the in-thread worker routes nothing,
+// so it skips nothing.
 func TestParallelSkipsKeylessEvents(t *testing.T) {
 	plan := core.MustPlan(parallelQuery())
-	p, err := NewParallelExecutor(plan, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Process(event.New("M", 1).WithNum("rate", 60)) // no patient attr
-	if _, err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Skipped() != 1 {
-		t.Errorf("skipped = %d", p.Skipped())
+	for workers, want := range map[int]int64{1: 0, 2: 1} {
+		p, _ := startExecutor(t, workers, plan)
+		keyless := event.New("M", 1).WithNum("rate", 60) // no patient attr
+		if err := p.ProcessBatch([]*event.Event{keyless}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Skipped != want || st.Events != 1 {
+			t.Errorf("workers=%d: skipped = %d of %d events, want %d of 1", workers, st.Skipped, st.Events, want)
+		}
 	}
 }
 
 func TestParallelLifecycleErrors(t *testing.T) {
 	plan := core.MustPlan(parallelQuery())
-	p, err := NewParallelExecutor(plan, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Process(event.New("M", 1).WithSym("patient", "p").WithNum("rate", 1)); err == nil {
-		t.Error("Process after Close accepted")
-	}
-	if _, err := p.Close(); err == nil {
-		t.Error("double Close accepted")
+	for _, workers := range []int{1, 2} {
+		p, _ := startExecutor(t, workers, plan)
+		if _, err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ev := event.New("M", 1).WithSym("patient", "p").WithNum("rate", 1)
+		if err := p.ProcessBatch([]*event.Event{ev}); !errors.Is(err, core.ErrClosed) {
+			t.Errorf("workers=%d: ProcessBatch after Close = %v, want ErrClosed", workers, err)
+		}
+		if _, err := p.SubscribePlan(plan); !errors.Is(err, core.ErrClosed) {
+			t.Errorf("workers=%d: SubscribePlan after Close = %v, want ErrClosed", workers, err)
+		}
+		if _, err := p.Close(); !errors.Is(err, core.ErrClosed) {
+			t.Errorf("workers=%d: double Close = %v, want ErrClosed", workers, err)
+		}
 	}
 }
 
+// TestParallelPropagatesEngineErrors: an out-of-order event fails the
+// in-thread worker's ProcessBatch at once; a worker goroutine reports
+// it at Close.
 func TestParallelPropagatesEngineErrors(t *testing.T) {
 	plan := core.MustPlan(parallelQuery())
-	p, err := NewParallelExecutor(plan, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mk := func(tm int64) *event.Event {
 		return event.New("M", tm).WithSym("patient", "p").WithNum("rate", 60)
 	}
-	p.Process(mk(10))
-	p.Process(mk(5)) // out of order
-	if _, err := p.Close(); err == nil {
-		t.Error("out-of-order error not propagated")
+	p, _ := startExecutor(t, 1, plan)
+	if err := p.ProcessBatch([]*event.Event{mk(10), mk(5)}); !errors.Is(err, core.ErrLateEvent) {
+		t.Errorf("in-thread: out-of-order ProcessBatch = %v, want ErrLateEvent", err)
+	}
+	p, _ = startExecutor(t, 2, plan)
+	if err := p.ProcessBatch([]*event.Event{mk(10), mk(5)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Close(); !errors.Is(err, core.ErrLateEvent) {
+		t.Errorf("worker goroutine: Close = %v, want the worker's ErrLateEvent", err)
 	}
 }
 
 func TestParallelPeakBytes(t *testing.T) {
 	plan := core.MustPlan(parallelQuery())
-	p, err := NewParallelExecutor(plan, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range parallelStream(200, 5) {
-		p.Process(e)
-	}
-	if _, err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if p.PeakBytes() <= 0 {
-		t.Error("peak bytes not tracked")
+	for _, workers := range []int{1, 4} {
+		p, _ := startExecutor(t, workers, plan)
+		if err := p.ProcessBatch(parallelStream(200, 5)); err != nil {
+			t.Fatal(err)
+		}
+		live, err := p.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closed, err := p.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live.PeakBytes <= 0 || closed.PeakBytes < live.PeakBytes {
+			t.Errorf("workers=%d: peak bytes not tracked: %d live, %d after Close", workers, live.PeakBytes, closed.PeakBytes)
+		}
 	}
 }
 
@@ -324,24 +369,28 @@ func TestMultiExecutorMatchesSoloEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m, err := NewMultiExecutor(plans, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := NewMultiExecutorOn(cat, workers)
 		var viaCallback []core.Result
-		m.OnResult(1, func(r core.Result) { viaCallback = append(viaCallback, r) })
-		cloned := make([]*event.Event, len(events))
-		for i, e := range events {
-			cloned[i] = e.Clone()
+		for i, plan := range plans {
+			var opts []SubscribeOpt
+			if i == 1 {
+				opts = append(opts, WithCallback(func(r core.Result) { viaCallback = append(viaCallback, r) }))
+			}
+			if _, err := m.SubscribePlan(plan, opts...); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := m.Run(FromSlice(cloned)); err != nil {
+		if err := m.ProcessBatch(cloneEvents(events)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := m.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got[1] = viaCallback // callback query returns through OnResult
+		if got[1] != nil {
+			t.Errorf("workers=%d: callback query also returned %d results", workers, len(got[1]))
+		}
+		got[1] = viaCallback // callback query returns through WithCallback
 		for qi := range queries {
 			if fmt.Sprintf("%v", got[qi]) != fmt.Sprintf("%v", want[qi]) {
 				t.Errorf("workers=%d query=%d: multi-executor diverges\ngot:  %v\nwant: %v",
@@ -354,13 +403,16 @@ func TestMultiExecutorMatchesSoloEngines(t *testing.T) {
 	}
 }
 
-// TestMultiExecutorRejectsMixedCatalogs: plans must share a catalog.
+// TestMultiExecutorRejectsMixedCatalogs: plans must share the
+// executor's catalog.
 func TestMultiExecutorRejectsMixedCatalogs(t *testing.T) {
 	q := parallelQuery()
-	a := core.MustPlan(q)
-	b := core.MustPlan(q)
-	if _, err := NewMultiExecutor([]*core.Plan{a, b}, 2); err == nil {
-		t.Error("plans from different catalogs accepted")
+	m, _ := startExecutor(t, 2, core.MustPlan(q))
+	if _, err := m.SubscribePlan(core.MustPlan(q)); !errors.Is(err, core.ErrNotHosted) {
+		t.Errorf("plan from a different catalog: %v, want ErrNotHosted", err)
+	}
+	if _, err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -390,32 +442,6 @@ func TestSharedRouteAttrs(t *testing.T) {
 	}
 }
 
-// TestMultiExecutorOnResultLifecycleGuards: OnResult must refuse to
-// install a callback that can never fire (after Close) or for an
-// unknown query, mirroring the Process-after-Close guard.
-func TestMultiExecutorOnResultLifecycleGuards(t *testing.T) {
-	plan := core.MustPlan(parallelQuery())
-	m, err := NewMultiExecutor([]*core.Plan{plan}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.OnResult(1, func(core.Result) {}); err == nil {
-		t.Error("OnResult for unknown query accepted")
-	}
-	if err := m.OnResult(0, func(core.Result) {}); err != nil {
-		t.Errorf("OnResult before Close rejected: %v", err)
-	}
-	if _, err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.OnResult(0, func(core.Result) {}); err == nil {
-		t.Error("OnResult after Close accepted")
-	}
-	if err := m.Process(event.New("M", 1)); err == nil {
-		t.Error("Process after Close accepted")
-	}
-}
-
 // TestMultiExecutorDynamicMembership: a query subscribed mid-stream on
 // the executor joins every partition worker at one consistent stream
 // position and, from its first fully covered window on, matches a solo
@@ -435,14 +461,9 @@ func TestMultiExecutorDynamicMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMultiExecutor([]*core.Plan{base}, 4)
-	if err != nil {
+	m, _ := startExecutor(t, 4, base)
+	if err := m.ProcessBatch(events[:k]); err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range events[:k] {
-		if err := m.Process(e); err != nil {
-			t.Fatal(err)
-		}
 	}
 	latePlan, err := core.NewPlanIn(cat, queries[1])
 	if err != nil {
@@ -452,8 +473,8 @@ func TestMultiExecutorDynamicMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range events[k:] {
-		if err := m.Process(e); err != nil {
+	for _, e := range events[k:] { // a single event is a batch of one
+		if err := m.ProcessBatch([]*event.Event{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -520,14 +541,9 @@ func TestMultiExecutorLocalityFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMultiExecutor([]*core.Plan{base}, 4)
-	if err != nil {
+	m, _ := startExecutor(t, 4, base)
+	if err := m.ProcessBatch(events[:k]); err != nil {
 		t.Fatal(err)
-	}
-	for _, e := range events[:k] {
-		if err := m.Process(e); err != nil {
-			t.Fatal(err)
-		}
 	}
 	// Keyed on ward only: [patient] is not covered, locality breaks.
 	wardQ := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
@@ -552,8 +568,8 @@ func TestMultiExecutorLocalityFallback(t *testing.T) {
 	if st.Workers != 5 { // 4 partition workers + full-stream fallback
 		t.Errorf("workers = %d, want 5 (fallback running)", st.Workers)
 	}
-	for _, e := range events[k:] {
-		if err := m.Process(e); err != nil {
+	for _, e := range events[k:] { // a single event is a batch of one
+		if err := m.ProcessBatch([]*event.Event{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -599,5 +615,27 @@ func TestMultiExecutorLocalityFallback(t *testing.T) {
 	}
 	if len(want) == 0 {
 		t.Error("fallback query produced no results; test is vacuous")
+	}
+}
+
+// TestRestoreRejectsGroupsBesideInThreadWorker: a frame claiming an
+// executor group next to the in-thread worker describes a shape no
+// executor can have (nothing feeds such a group); it must fail as a bad
+// snapshot rather than build a worker that is never started.
+func TestRestoreRejectsGroupsBesideInThreadWorker(t *testing.T) {
+	var w snap.Writer
+	w.U32(1) // workers
+	w.U32(0) // routing attributes
+	w.I64(0) // seq
+	w.I64(0) // lastTime
+	w.Bool(false)
+	w.I64(0) // skipped
+	w.I64(0) // retired peak
+	w.U32(1) // group cap
+	w.U32(1) // running groups
+	w.Str("ward")
+	_, err := RestoreMultiExecutor(core.NewCatalog(), snap.NewReader(w.Raw()), nil)
+	if !errors.Is(err, snap.ErrBadSnapshot) {
+		t.Errorf("groups beside an in-thread worker: %v, want ErrBadSnapshot", err)
 	}
 }

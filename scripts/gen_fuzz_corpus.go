@@ -11,6 +11,11 @@
 // corpus files. Run from the repo root:
 //
 //	go run scripts/gen_fuzz_corpus.go
+//
+// seed_v3_inline in the same directory is NOT regenerated: it is the
+// same session's frame as written by the last format-v3 build, whose
+// inline sessions carried their own topology section — real version
+// skew, which Restore must refuse with ErrBadSnapshot.
 package main
 
 import (

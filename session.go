@@ -20,11 +20,11 @@ package cogra
 //	sess.Close()
 //	for r := range sub.Results() { ... }         // remaining windows
 //
-// Ingest is batch-first: Push and PushBatch are the primary entry
-// points, and batches flow natively down the stack (the multi-query
-// runtime pays its dispatch prologue once per batch; the parallel
-// router appends straight into the per-worker batches in flight).
-// Sources with bounded disorder are accepted with WithSlack(k): a
+// Ingest is batch-first: Push and PushBatch are the entry points, a
+// single event is a batch of one, and batches flow natively down the
+// stack (the multi-query runtime pays its dispatch prologue once per
+// batch; the router appends straight into the per-worker batches in
+// flight). Sources with bounded disorder are accepted with WithSlack(k): a
 // K-slack buffer (stream.Reorderer) re-sorts events in front of the
 // watermark, and events later than the slack allows follow the
 // session's late policy — counted and dropped (DropLate, default) or
@@ -32,10 +32,10 @@ package cogra
 // stream must be in non-decreasing time-stamp order, as the paper
 // assumes (§2.1).
 //
-// Egress is push or pull, per subscription: WithSink (or the OnResult
-// shim) streams results as windows close; otherwise results buffer
-// and Subscription.Results() returns a pull-based iterator over what
-// has become available (stopping early keeps the rest buffered).
+// Egress is push or pull, per subscription: WithSink streams results
+// as windows close; otherwise results buffer and Subscription.Results()
+// returns a pull-based iterator over what has become available
+// (stopping early keeps the rest buffered).
 //
 // Partial-first-window semantics: a query subscribed mid-stream at
 // watermark t (the time stamp of the last event the session saw) may
@@ -48,8 +48,10 @@ package cogra
 // Under the hood, subscription compiles the query against the
 // session's shared catalog, which interns symbols copy-on-write
 // (epochs), so running engines and resolvers are never invalidated by
-// mid-stream compilation. With WithWorkers(n > 1) the session routes
-// events to partition workers and membership changes travel to every
+// mid-stream compilation. Every session runs on one executor
+// (stream.MultiExecutor): by default a single worker on the caller's
+// own goroutine, and with WithWorkers(n > 1) n partition workers the
+// session routes events to, where membership changes travel to every
 // worker on the event channels themselves, taking effect at one
 // consistent stream position; a late query whose partition keys do
 // not cover the frozen routing attributes is hosted on a dedicated
@@ -82,8 +84,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/runtime"
 	"repro/internal/stream"
 )
 
@@ -103,7 +103,7 @@ type sessionCfg struct {
 }
 
 // WithWorkers runs the session partition-parallel on n workers (n > 1;
-// n <= 1 keeps the session inline on the caller's goroutine). Events
+// n <= 1 keeps the one worker on the caller's goroutine). Events
 // are routed by the partition attributes the subscribed queries share;
 // see MultiExecutor for the routing and fallback rules.
 func WithWorkers(n int) SessionOption {
@@ -244,16 +244,15 @@ type Session struct {
 
 	cfg    sessionCfg // resolved construction options, for Snapshot
 	cat    *core.Catalog
-	rt     *runtime.Runtime      // inline mode (workers <= 1)
-	mx     *stream.MultiExecutor // parallel mode (workers > 1)
-	acct   metrics.Accountant    // inline mode: spans every hosted engine
+	mx     *stream.MultiExecutor // in-thread worker, or workers/groups on goroutines
 	ro     *stream.Reorderer     // nil without WithSlack
-	late   LatePolicy
-	evict  bool
 	roPeak int
 	roSeq  int64 // arrival order stamped onto ID-0 events before buffering
-	mxLast int64 // parallel mode: stream-order guard (the router is async)
-	mxSaw  bool
+	// last/saw are the stream-order guard and the watermark Stats
+	// reports: the time stamp of the last event handed to the executor.
+	last   int64
+	saw    bool
+	one    [1]*Event // Push's batch of one
 	subs   []*Subscription
 	closed bool
 }
@@ -264,41 +263,52 @@ func NewSession(opts ...SessionOption) *Session {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s := &Session{cfg: cfg, cat: core.NewCatalog(), late: cfg.late, evict: cfg.evict}
-	if cfg.reorder {
-		s.ro = stream.NewReorderer(cfg.slack)
-		if cfg.maxDepth > 0 {
-			// Map the public policy to the stream-level one explicitly:
-			// the two enums are declared independently, and a numeric
-			// cast would silently diverge if either was ever reordered.
-			policy := stream.ShedOldest
-			if cfg.depth == Reject {
-				policy = stream.Reject
-			}
-			s.ro.SetMaxDepth(cfg.maxDepth, policy)
-		}
-	}
-	var engOpts []core.Option
-	if cfg.evict {
-		engOpts = append(engOpts, core.WithInternEviction())
-	}
-	if cfg.workers > 1 || cfg.groups > 1 {
-		s.mx = stream.NewMultiExecutorOn(s.cat, cfg.workers, engOpts...)
-		if cfg.groups > 1 {
-			s.mx.SetExecutorGroups(cfg.groups)
-		}
-		if cfg.shared {
-			s.mx.EnableSharedAggregation()
-		}
-	} else {
-		s.rt = runtime.NewOn(s.cat)
-		if cfg.shared {
-			// Host engines charge the session accountant like every member
-			// engine, so PeakBytes keeps covering the whole footprint.
-			s.rt.EnableSharedAggregation(append([]EngineOption{core.WithAccountant(&s.acct)}, engOpts...)...)
-		}
-	}
+	s := &Session{cfg: cfg, cat: core.NewCatalog(), ro: newReorderer(cfg)}
+	s.mx = newExecutor(s.cat, cfg)
 	return s
+}
+
+// newReorderer builds the slack buffer a configuration asks for (nil
+// without WithSlack).
+func newReorderer(cfg sessionCfg) *stream.Reorderer {
+	if !cfg.reorder {
+		return nil
+	}
+	ro := stream.NewReorderer(cfg.slack)
+	if cfg.maxDepth > 0 {
+		// Map the public policy to the stream-level one explicitly:
+		// the two enums are declared independently, and a numeric
+		// cast would silently diverge if either was ever reordered.
+		policy := stream.ShedOldest
+		if cfg.depth == Reject {
+			policy = stream.Reject
+		}
+		ro.SetMaxDepth(cfg.maxDepth, policy)
+	}
+	return ro
+}
+
+// engineOpts are the session-wide policies every hosted engine runs
+// with.
+func (cfg sessionCfg) engineOpts() []core.Option {
+	if cfg.evict {
+		return []core.Option{core.WithInternEviction()}
+	}
+	return nil
+}
+
+// newExecutor builds the empty executor a configuration asks for:
+// workers <= 1 with groups <= 1 is the in-thread worker, anything wider
+// runs on goroutines.
+func newExecutor(cat *core.Catalog, cfg sessionCfg) *stream.MultiExecutor {
+	mx := stream.NewMultiExecutorOn(cat, cfg.workers, cfg.engineOpts()...)
+	if cfg.groups > 1 {
+		mx.SetExecutorGroups(cfg.groups)
+	}
+	if cfg.shared {
+		mx.EnableSharedAggregation()
+	}
+	return mx
 }
 
 // Catalog returns the session's shared catalog, for compiling plans
@@ -307,9 +317,9 @@ func (s *Session) Catalog() *Catalog { return s.cat }
 
 // Sink receives a subscription's results as they become available —
 // the push half of the egress surface (Subscription.Results is the
-// pull half). Inline sessions emit as each window closes; parallel
-// sessions emit when results are gathered from the workers (Results,
-// Drain, Unsubscribe, Close).
+// pull half). The default in-thread session emits as each window
+// closes; sessions whose workers run on goroutines emit when results
+// are gathered from them (Results, Drain, Unsubscribe, Close).
 type Sink interface {
 	Emit(Result)
 }
@@ -334,22 +344,14 @@ func WithSink(sink Sink) SubscribeOption {
 	return func(c *subCfg) { c.cb = sink.Emit }
 }
 
-// OnResult streams the subscription's results to fn.
-//
-// Deprecated: use WithSink(SinkFunc(fn)), or pull with
-// Subscription.Results instead.
-func OnResult(fn func(Result)) SubscribeOption {
-	return func(c *subCfg) { c.cb = fn }
-}
-
 // StrictRouting rejects a mid-stream subscription with
 // ErrFrozenRouting when hosting it would break worker-locality: the
 // parallel session's routing is frozen (events have flowed) and the
 // query's partition keys do not cover the routing attributes. Without
 // this option such a query is hosted on a dedicated full-stream
 // fallback worker, which preserves correctness but streams every
-// event twice. Inline sessions route nothing, so the option has no
-// effect there.
+// event twice. The in-thread session routes nothing, so the option
+// has no effect there.
 func StrictRouting() SubscribeOption {
 	return func(c *subCfg) { c.strict = true }
 }
@@ -399,37 +401,16 @@ func (s *Session) SubscribePlan(plan *Plan, opts ...SubscribeOption) (*Subscript
 		opt(&cfg)
 	}
 	sub := &Subscription{sess: s, id: len(s.subs), plan: plan, active: true}
-	if cfg.cb != nil {
-		cfg.cb = guardSink(sub, cfg.cb)
+	var mopts []stream.SubscribeOpt
+	if cfg.strict {
+		mopts = append(mopts, stream.StrictRouting())
 	}
-	if s.rt != nil {
-		engOpts := []EngineOption{core.WithAccountant(&s.acct)}
-		if s.evict {
-			engOpts = append(engOpts, core.WithInternEviction())
-		}
-		if cfg.cb != nil {
-			engOpts = append(engOpts, core.WithResultCallback(cfg.cb))
-		}
-		rsub, err := s.rt.SubscribePlan(plan, engOpts...)
-		if err != nil {
-			return nil, err
-		}
-		sub.rsub = rsub
-	} else {
-		var mopts []stream.SubscribeOpt
-		if cfg.strict {
-			mopts = append(mopts, stream.StrictRouting())
-		}
-		msub, err := s.mx.SubscribePlan(plan, mopts...)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.cb != nil {
-			if err := s.mx.OnResult(msub.ID(), cfg.cb); err != nil {
-				return nil, err
-			}
-		}
-		sub.msub = msub
+	if cfg.cb != nil {
+		mopts = append(mopts, stream.WithCallback(guardSink(sub, cfg.cb)))
+	}
+	var err error
+	if sub.msub, err = s.mx.SubscribePlan(plan, mopts...); err != nil {
+		return nil, err
 	}
 	s.subs = append(s.subs, sub)
 	return sub, nil
@@ -437,8 +418,8 @@ func (s *Session) SubscribePlan(plan *Plan, opts ...SubscribeOption) (*Subscript
 
 // guardSink wraps a subscription's sink so a panic inside user code
 // fails the subscription instead of tearing down the goroutine that
-// happened to deliver the result (the feeding goroutine under Push, or
-// a lifecycle call in parallel mode). The first panic is recorded on
+// happened to deliver the result (the feeding goroutine under Push or
+// a lifecycle call). The first panic is recorded on
 // Subscription.Err wrapping ErrSinkPanic; the sink is never called
 // again, and later results for the failed subscription are discarded —
 // the stream and every other subscription keep running. Sinks only
@@ -474,16 +455,19 @@ func (s *Session) Push(e *Event) error {
 	}
 	s.dispatching = true
 	defer func() { s.dispatching = false }()
-	if s.ro == nil {
-		return s.dispatch(e)
+	if s.ro != nil {
+		return s.offer(e)
 	}
-	return s.offer(e)
+	s.one[0] = e
+	err := s.dispatchBatch(s.one[:])
+	s.one[0] = nil
+	return err
 }
 
 // PushBatch ingests a batch of events in arrival order — the primary
 // bulk entry point; the batch flows natively down the stack (one
-// dispatch prologue in inline sessions, direct appends into the
-// in-flight worker batches in parallel ones). The same ordering and
+// dispatch prologue on the in-thread worker, direct appends into the
+// in-flight batches of worker goroutines). The same ordering and
 // slack rules as Push apply; a returned error reports the first
 // offending event, everything before it has been ingested.
 func (s *Session) PushBatch(events []*Event) error {
@@ -537,7 +521,7 @@ func (s *Session) offer(e *Event) error {
 		s.roSeq--
 		return fmt.Errorf("cogra: event at time %d refused: %w", e.Time, err)
 	}
-	if s.ro.Dropped() != dropped && s.late == RejectLate {
+	if s.ro.Dropped() != dropped && s.cfg.late == RejectLate {
 		// Cite the actual drop boundary: after shedding it can sit well
 		// above maxSeen-slack, and a message naming only the watermark
 		// would describe an event as legal that was correctly dropped.
@@ -553,58 +537,27 @@ func (s *Session) offer(e *Event) error {
 	return s.dispatchBatch(out)
 }
 
-// dispatch hands one in-order event to the execution layer. The
-// inline runtime checks stream order itself; the parallel router is
-// asynchronous (a worker would only surface the violation at Close),
-// so the session rejects out-of-order events HERE to keep Push's
-// synchronous ErrLateEvent contract — the bad event never reaches a
-// worker and the session stays usable.
-func (s *Session) dispatch(e *Event) error {
-	if s.rt != nil {
-		return s.rt.Process(e)
-	}
-	if s.mxSaw && e.Time < s.mxLast {
-		return s.mxLateErr(e)
-	}
-	s.mxLast, s.mxSaw = e.Time, true
-	return s.mx.Process(e)
-}
-
-// dispatchBatch hands an in-order batch to the execution layer. In
-// parallel mode the batch is order-validated in one scan first (see
-// dispatch), then routed natively; on a violation the good prefix is
-// ingested and the error names the first offender.
+// dispatchBatch hands an in-order batch to the executor. Worker
+// goroutines would only surface an ordering violation at Close, so the
+// session validates the batch HERE, in one scan, to keep Push's
+// synchronous ErrLateEvent contract: on a violation the good prefix is
+// ingested, the error names the first offender, the bad event never
+// reaches a worker and the session stays usable.
 func (s *Session) dispatchBatch(events []*Event) error {
-	if s.rt != nil {
-		return s.rt.ProcessBatch(events)
-	}
+	last, saw := s.last, s.saw
 	for i, e := range events {
-		if s.mxSaw && e.Time < s.mxLast {
+		if saw && e.Time < last {
+			s.last, s.saw = last, saw
 			if err := s.mx.ProcessBatch(events[:i]); err != nil {
 				return err
 			}
-			return s.mxLateErr(e)
+			return fmt.Errorf("cogra: out-of-order event at time %d after %d: %w", e.Time, last, ErrLateEvent)
 		}
-		s.mxLast, s.mxSaw = e.Time, true
+		last, saw = e.Time, true
 	}
+	s.last, s.saw = last, saw
 	return s.mx.ProcessBatch(events)
 }
-
-// mxLateErr builds the parallel-mode out-of-order rejection — the
-// cold path of dispatch.
-func (s *Session) mxLateErr(e *Event) error {
-	return fmt.Errorf("cogra: out-of-order event at time %d after %d: %w", e.Time, s.mxLast, ErrLateEvent)
-}
-
-// Process consumes the next stream event.
-//
-// Deprecated: use Push — same semantics, batch-first data plane.
-func (s *Session) Process(e *Event) error { return s.Push(e) }
-
-// ProcessAll feeds a pre-sorted batch of events.
-//
-// Deprecated: use PushBatch.
-func (s *Session) ProcessAll(events []*Event) error { return s.PushBatch(events) }
 
 // Run consumes an entire ordered source.
 func (s *Session) Run(src Iterator) error {
@@ -624,13 +577,11 @@ func (s *Session) RunContext(ctx context.Context, src Iterator) error {
 	for {
 		select {
 		case <-done:
-			if s.mx != nil {
-				s.mu.Lock()
-				err := s.mx.Sync()
-				s.mu.Unlock()
-				if err != nil {
-					return err
-				}
+			s.mu.Lock()
+			err := s.mx.Sync()
+			s.mu.Unlock()
+			if err != nil {
+				return err
 			}
 			return ctx.Err()
 		default:
@@ -668,16 +619,6 @@ func (s *Session) Close() error {
 		}
 	}
 	s.closed = true
-	if s.rt != nil {
-		results := s.rt.Close()
-		for _, sub := range s.subs {
-			if sub.active {
-				sub.active = false
-				sub.pending = append(sub.pending, results[sub.rsub.ID()]...)
-			}
-		}
-		return nil
-	}
 	results, err := s.mx.Close()
 	for _, sub := range s.subs {
 		if sub.active {
@@ -695,16 +636,15 @@ func (s *Session) Close() error {
 // SessionStats summarises a session's hosted state.
 type SessionStats struct {
 	// Queries is the number of active subscriptions; Workers the
-	// worker count (1 for inline sessions; parallel sessions count
-	// running executor groups too). ExecutorGroups counts the running
-	// executor groups alone (0 for inline sessions and while none
-	// hosts a subscriber).
+	// worker count (1 for the default in-thread session; running
+	// executor groups count too). ExecutorGroups counts the running
+	// executor groups alone (0 while none hosts a subscriber).
 	Queries        int
 	Workers        int
 	ExecutorGroups int
 	// Events is the number of events the session accepted; Skipped
-	// counts events a parallel session could not route (missing a
-	// routing attribute).
+	// counts events a routing session could not route (missing a
+	// routing attribute; the in-thread session never routes).
 	Events  int64
 	Skipped int64
 	// LateDropped counts events that arrived later than the slack
@@ -737,17 +677,17 @@ type SessionStats struct {
 	// RoutingAttrs are the partition attributes a parallel session
 	// routes events by; empty with Workers > 1 means the subscribed
 	// queries share no partition attribute, so every event goes to one
-	// worker (nil for inline sessions).
+	// worker (nil for the in-thread session).
 	RoutingAttrs []string
 	// BindingInternBytes is the live footprint of the hosted engines'
 	// binding intern tables; unsubscribing a query releases its share.
 	BindingInternBytes int64
 	// PeakBytes is the peak logical memory across the session's
-	// engines (summed across workers in parallel mode).
+	// engines (summed across workers).
 	PeakBytes int64
 	// SharedGroups counts the sharing groups currently backed by a host
-	// engine (WithSharedAggregation sessions; summed across workers in
-	// parallel mode). ShareFlips counts share/unshare decisions taken
+	// engine (WithSharedAggregation sessions; summed across workers).
+	// ShareFlips counts share/unshare decisions taken
 	// over the session's lifetime, and SharedSavedOps estimates the
 	// per-event aggregation passes sharing saved — host events times the
 	// members served beyond the first.
@@ -778,45 +718,26 @@ type SessionStats struct {
 func (s *Session) Stats() (SessionStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var st SessionStats
-	if s.rt != nil {
-		rs := s.rt.Stats()
-		st = SessionStats{
-			Queries:            rs.Queries,
-			Workers:            1,
-			Events:             rs.Events,
-			InternedTypes:      rs.InternedTypes,
-			InternedAttrs:      rs.InternedAttrs,
-			BindingInternBytes: rs.BindingInternBytes,
-			PeakBytes:          s.acct.Peak(),
-			SharedGroups:       rs.SharedGroups,
-			ShareFlips:         rs.ShareFlips,
-			SharedSavedOps:     rs.SharedSavedOps,
-			Watermark:          rs.Watermark,
-			WatermarkValid:     rs.WatermarkValid,
-		}
-	} else {
-		ms, err := s.mx.Stats()
-		if err != nil {
-			return SessionStats{}, err
-		}
-		st = SessionStats{
-			Queries:            ms.Queries,
-			Workers:            ms.Workers,
-			ExecutorGroups:     ms.Groups,
-			Events:             ms.Events,
-			Skipped:            ms.Skipped,
-			InternedTypes:      ms.InternedTypes,
-			InternedAttrs:      ms.InternedAttrs,
-			RoutingAttrs:       ms.RoutingAttrs,
-			BindingInternBytes: ms.BindingInternBytes,
-			PeakBytes:          ms.PeakBytes,
-			SharedGroups:       ms.SharedGroups,
-			ShareFlips:         ms.ShareFlips,
-			SharedSavedOps:     ms.SharedSavedOps,
-			Watermark:          s.mxLast,
-			WatermarkValid:     s.mxSaw,
-		}
+	ms, err := s.mx.Stats()
+	if err != nil {
+		return SessionStats{}, err
+	}
+	st := SessionStats{
+		Queries:            ms.Queries,
+		Workers:            ms.Workers,
+		ExecutorGroups:     ms.Groups,
+		Events:             ms.Events,
+		Skipped:            ms.Skipped,
+		InternedTypes:      ms.InternedTypes,
+		InternedAttrs:      ms.InternedAttrs,
+		RoutingAttrs:       ms.RoutingAttrs,
+		BindingInternBytes: ms.BindingInternBytes,
+		PeakBytes:          ms.PeakBytes,
+		SharedGroups:       ms.SharedGroups,
+		ShareFlips:         ms.ShareFlips,
+		SharedSavedOps:     ms.SharedSavedOps,
+		Watermark:          s.last,
+		WatermarkValid:     s.saw,
 	}
 	if s.ro != nil {
 		st.LateDropped = s.ro.Dropped()
@@ -836,8 +757,7 @@ type Subscription struct {
 	sess    *Session
 	id      int
 	plan    *Plan
-	rsub    *runtime.Subscription
-	msub    *stream.Sub
+	msub    *stream.Sub // the executor-side handle
 	active  bool
 	pending []Result
 	err     error
@@ -869,8 +789,8 @@ func (sub *Subscription) Err() error { return sub.err }
 //	    handle(r)
 //	}
 //
-// Empty when a sink streams the results instead. In parallel sessions
-// each iterator's results are ordered by window then group, but a
+// Empty when a sink streams the results instead. With worker
+// goroutines each iterator's results are ordered by window then group, but a
 // lagging worker's windows may surface in a later call (exactly like
 // Drain).
 func (sub *Subscription) Results() iter.Seq[Result] {
@@ -912,21 +832,11 @@ func (sub *Subscription) Unsubscribe() []Result {
 	}
 	s.dispatching = true
 	defer func() { s.dispatching = false }()
-	var out []Result
-	var err error
-	if sub.rsub != nil {
-		out, err = sub.rsub.Unsubscribe()
-	} else {
-		out, err = sub.msub.Unsubscribe()
-	}
+	// The executor only errors after detaching, so the partial results
+	// of its healthy workers still count.
+	out, err := sub.msub.Unsubscribe()
 	if err != nil {
 		sub.err = err
-		// A rejected membership change (inline mode) leaves the query
-		// hosted: stay active for a retry. The parallel executor only
-		// errors after detaching, so its partial results still count.
-		if sub.rsub != nil {
-			return nil
-		}
 	}
 	sub.active = false
 	return append(sub.takePending(), out...)
@@ -936,7 +846,7 @@ func (sub *Subscription) Unsubscribe() []Result {
 // Drain (all remaining results once the session is closed) and clears
 // them; nil when a sink streams results instead. On a partial
 // worker failure it returns what the healthy workers reported and
-// records the error (Err). In parallel sessions each Drain is
+// records the error (Err). With worker goroutines each Drain is
 // internally ordered by window then group, but windows from a lagging
 // worker may appear in a later Drain.
 func (sub *Subscription) Drain() []Result {
@@ -947,26 +857,20 @@ func (sub *Subscription) Drain() []Result {
 		// pending results are reachable without deadlocking.
 		return sub.takePending()
 	}
-	// The drain reaches shared ingest state (the parallel router's
-	// pending batches, the inline engines' result buffers), which a
+	// The drain reaches shared ingest state (the router's pending
+	// batches, the in-thread engines' result buffers), which a
 	// concurrent Stats call also walks — serialise on the session lock.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !sub.active {
 		return sub.takePending()
 	}
-	// Parallel-mode drains deliver to sinks synchronously: mark the
+	// Drains deliver gathered results to sinks synchronously: mark the
 	// dispatch so a sink calling back into the session hits the
 	// reentrancy rejections above instead of deadlocking on mu.
 	s.dispatching = true
 	defer func() { s.dispatching = false }()
-	var out []Result
-	var err error
-	if sub.rsub != nil {
-		out = sub.rsub.Drain()
-	} else {
-		out, err = sub.msub.Drain()
-	}
+	out, err := sub.msub.Drain()
 	if err != nil {
 		// Drained results were destructively taken from the workers;
 		// hand over what the healthy ones reported and record the error.

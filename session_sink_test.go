@@ -1,8 +1,7 @@
 package cogra_test
 
 // Tests for sink panic containment: a panic inside a user-supplied
-// Sink or OnResult callback must fail that one subscription (Err wraps
-// ErrSinkPanic) instead of crashing the goroutine that delivered the
+// Sink must fail that one subscription (Err wraps ErrSinkPanic) instead of crashing the goroutine that delivered the
 // result — the stream and the rest of the fleet keep running. CI runs
 // this under -race (parallel-mode drains deliver to sinks too).
 

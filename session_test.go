@@ -139,14 +139,14 @@ func TestSessionSubscribeMidStreamMatchesSuffix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sess.ProcessAll(events[:k]); err != nil {
+				if err := sess.PushBatch(events[:k]); err != nil {
 					t.Fatal(err)
 				}
 				late, err := sess.Subscribe(cogra.MustParse(src))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sess.ProcessAll(events[k:]); err != nil {
+				if err := sess.PushBatch(events[k:]); err != nil {
 					t.Fatal(err)
 				}
 				if err := sess.Close(); err != nil {
@@ -189,14 +189,14 @@ func TestSessionUnsubscribeMatchesPrefix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sess.ProcessAll(events[:k]); err != nil {
+				if err := sess.PushBatch(events[:k]); err != nil {
 					t.Fatal(err)
 				}
 				got := leaving.Unsubscribe()
 				if err := leaving.Err(); err != nil {
 					t.Fatal(err)
 				}
-				if err := sess.ProcessAll(events[k:]); err != nil {
+				if err := sess.PushBatch(events[k:]); err != nil {
 					t.Fatal(err)
 				}
 				if err := sess.Close(); err != nil {
@@ -283,7 +283,7 @@ func TestSessionChurn(t *testing.T) {
 			// [patient] before the first event.
 			subscribe(0, 0)
 			for i, e := range events {
-				if err := sess.Process(e); err != nil {
+				if err := sess.Push(e); err != nil {
 					t.Fatal(err)
 				}
 				if rng.Intn(100) != 0 {
@@ -330,7 +330,7 @@ func TestSessionChurn(t *testing.T) {
 // id-space and the engines' binding intern footprint, and
 // unsubscribing the last query referencing a high-cardinality
 // equivalence attribute releases that footprint — in both session
-// modes.
+// modes; the inline mode also pins the in-thread executor's shape.
 func TestSessionStatsAndInternRelease(t *testing.T) {
 	hot := `
 		RETURN COUNT(*)
@@ -360,7 +360,7 @@ func TestSessionStatsAndInternRelease(t *testing.T) {
 					WithSym("patient", fmt.Sprintf("p%d", i%3)).
 					WithSym("tag", fmt.Sprintf("tag-%d", i)) // high cardinality
 				ev.ID = int64(i + 1)
-				if err := sess.Process(ev); err != nil {
+				if err := sess.Push(ev); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -379,6 +379,26 @@ func TestSessionStatsAndInternRelease(t *testing.T) {
 			}
 			if st.PeakBytes <= 0 {
 				t.Errorf("peak bytes not tracked: %+v", st)
+			}
+			if mode == "inline" {
+				// The in-thread shape: one worker, nothing routed — so
+				// nothing skipped, even for events lacking every partition
+				// attribute — and its accountant charges exactly what the
+				// pre-executor inline session did on this stream (80810 is
+				// that session's PeakBytes, measured at commit 75f9e97).
+				for i := 0; i < 5; i++ {
+					if err := sess.Push(cogra.NewEvent("A", int64(2000+i)).WithSym("tag", "x")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				in, err := sess.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if in.Workers != 1 || in.ExecutorGroups != 0 || in.RoutingAttrs != nil || in.Skipped != 0 ||
+					in.Events != 1029 || in.PeakBytes != 80810 {
+					t.Errorf("in-thread stats = %+v; want 1 worker, 0 groups, nil routing attrs, 0 skipped of 1029 events, peak 80810", in)
+				}
 			}
 
 			if res := hotSub.Unsubscribe(); len(res) == 0 || hotSub.Err() != nil {
@@ -410,10 +430,10 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Process(cogra.NewEvent("A", 5)); err != nil {
+	if err := sess.Push(cogra.NewEvent("A", 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Process(cogra.NewEvent("A", 1)); err == nil {
+	if err := sess.Push(cogra.NewEvent("A", 1)); err == nil {
 		t.Error("out-of-order event accepted")
 	}
 	if err := sess.Close(); err != nil {
@@ -422,7 +442,7 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if err := sess.Close(); err == nil {
 		t.Error("double Close accepted")
 	}
-	if err := sess.Process(cogra.NewEvent("A", 9)); err == nil {
+	if err := sess.Push(cogra.NewEvent("A", 9)); err == nil {
 		t.Error("Process after Close accepted")
 	}
 	if _, err := sess.Subscribe(cogra.MustParse(`RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`)); err == nil {
@@ -437,27 +457,26 @@ func TestSessionLifecycleErrors(t *testing.T) {
 }
 
 // TestSessionUnsubscribeFromCallbackIsRetriable: an Unsubscribe issued
-// inside an OnResult callback is rejected (Process is mid-dispatch)
-// but must leave the subscription active, so deferring it until
-// Process returns — as the error advises — works and recovers the
-// query's results.
+// inside a sink is rejected (Push is mid-dispatch) but must leave the
+// subscription active, so deferring it until Push returns — as the
+// error advises — works and recovers the query's results.
 func TestSessionUnsubscribeFromCallbackIsRetriable(t *testing.T) {
 	sess := cogra.NewSession()
 	var watched *cogra.Subscription
 	fired := false
 	watched, err := sess.Subscribe(
 		cogra.MustParse(`RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`),
-		cogra.OnResult(func(cogra.Result) {
+		cogra.WithSink(cogra.SinkFunc(func(cogra.Result) {
 			fired = true
 			watched.Unsubscribe() // mid-dispatch: must be rejected
-		}))
+		})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Process(cogra.NewEvent("A", 1)); err != nil {
+	if err := sess.Push(cogra.NewEvent("A", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Process(cogra.NewEvent("A", 15)); err != nil { // closes [0,10)
+	if err := sess.Push(cogra.NewEvent("A", 15)); err != nil { // closes [0,10)
 		t.Fatal(err)
 	}
 	if !fired {

@@ -25,8 +25,8 @@ func shuffleBounded(events []*cogra.Event, block int, seed int64) ([]*cogra.Even
 
 // TestSessionSlackDifferential: a stream shuffled within slack K,
 // pushed through PushBatch on a WithSlack(K) session, produces
-// byte-identical results to the sorted stream pushed through the
-// deprecated Process path — for every granularity (plus the
+// byte-identical results to the sorted stream pushed event by event
+// through a slack-less session — for every granularity (plus the
 // contiguous wants-all path) and for inline and 4-worker sessions.
 func TestSessionSlackDifferential(t *testing.T) {
 	events := sessionTestStream(3000)
@@ -43,7 +43,7 @@ func TestSessionSlackDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, e := range events {
-					if err := ref.Process(e); err != nil {
+					if err := ref.Push(e); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -86,8 +86,8 @@ func TestSessionSlackDifferential(t *testing.T) {
 	}
 }
 
-// TestSessionSlackZeroMatchesProcess: with slack 0 the new Push
-// surface is result-identical to the PR 3 Process path on an in-order
+// TestSessionSlackZeroMatchesProcess: with slack 0 Push is
+// result-identical to a solo engine's per-event Process on an in-order
 // stream, in both session modes.
 func TestSessionSlackZeroMatchesProcess(t *testing.T) {
 	events := sessionTestStream(2000)
@@ -271,11 +271,15 @@ func TestSessionTypedErrors(t *testing.T) {
 		})
 	}
 
-	// An out-of-order Push fails SYNCHRONOUSLY with ErrLateEvent in
-	// both modes (the parallel router is asynchronous, so the session
-	// checks ordering itself), the bad event is not ingested, and the
-	// session remains usable.
-	for mode, opts := range sessionModes() {
+	// An out-of-order Push fails SYNCHRONOUSLY with ErrLateEvent under
+	// every executor shape (worker goroutines are asynchronous, so the
+	// session checks ordering itself — one guard, one message), the bad
+	// event is not ingested, and the session remains usable.
+	for mode, opts := range map[string][]cogra.SessionOption{
+		"inline":   nil,
+		"workers1": {cogra.WithWorkers(1)},
+		"workers4": {cogra.WithWorkers(4)},
+	} {
 		t.Run("late/"+mode, func(t *testing.T) {
 			sess := cogra.NewSession(opts...)
 			sub, err := sess.Subscribe(cogra.MustParse(src))
@@ -285,11 +289,22 @@ func TestSessionTypedErrors(t *testing.T) {
 			if err := sess.Push(cogra.NewEvent("A", 5)); err != nil {
 				t.Fatal(err)
 			}
-			if err := sess.Push(cogra.NewEvent("A", 1)); !errors.Is(err, cogra.ErrLateEvent) {
-				t.Errorf("out-of-order Push err = %v, want ErrLateEvent", err)
+			err = sess.Push(cogra.NewEvent("A", 1))
+			if !errors.Is(err, cogra.ErrLateEvent) {
+				t.Fatalf("out-of-order Push err = %v, want ErrLateEvent", err)
 			}
-			if err := sess.PushBatch([]*cogra.Event{cogra.NewEvent("A", 6), cogra.NewEvent("A", 2)}); !errors.Is(err, cogra.ErrLateEvent) {
-				t.Errorf("out-of-order PushBatch err = %v, want ErrLateEvent", err)
+			if got, want := err.Error(), "cogra: out-of-order event at time 1 after 5: "+cogra.ErrLateEvent.Error(); got != want {
+				t.Errorf("out-of-order Push message = %q, want %q", got, want)
+			}
+			err = sess.PushBatch([]*cogra.Event{cogra.NewEvent("A", 6), cogra.NewEvent("A", 2)})
+			if !errors.Is(err, cogra.ErrLateEvent) {
+				t.Fatalf("out-of-order PushBatch err = %v, want ErrLateEvent", err)
+			}
+			if got, want := err.Error(), "cogra: out-of-order event at time 2 after 6: "+cogra.ErrLateEvent.Error(); got != want {
+				t.Errorf("out-of-order PushBatch message = %q, want %q", got, want)
+			}
+			if st, err := sess.Stats(); err != nil || st.Watermark != 6 || !st.WatermarkValid || st.Events != 2 {
+				t.Errorf("after the rejections: stats = %+v, err = %v; want watermark 6 over 2 events", st, err)
 			}
 			if err := sess.Push(cogra.NewEvent("A", 15)); err != nil {
 				t.Fatalf("session unusable after rejected event: %v", err)

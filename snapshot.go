@@ -7,15 +7,15 @@ package cogra
 // byte-identical results and continuous Stats counters, under every
 // granularity, worker configuration, slack buffer and eviction policy.
 //
-// The cut is consistent by construction. Inline sessions are
-// single-threaded, so the caller's quiescence IS the cut. Parallel
-// sessions first run the executor's control-plane barrier (Sync): when
-// it returns, every worker has applied every event routed so far and
-// is parked on its input channel, and the barrier's reply handshake
-// gives the snapshotting goroutine a happens-before edge to read the
-// workers' runtimes directly. Restore installs each worker's rebuilt
-// runtime before any message is sent on its channel, which publishes
-// it to the worker goroutine the same way.
+// The cut is consistent by construction. Snapshot first runs the
+// executor's control-plane barrier (Sync): when it returns, every
+// worker has applied every event routed so far; worker goroutines are
+// parked on their input channels, and the barrier's reply handshake
+// gives the snapshotting goroutine a happens-before edge to read their
+// runtimes directly (the in-thread worker shares the caller's
+// goroutine, so the caller's quiescence IS the cut). Restore installs
+// each worker's rebuilt runtime before any message is sent on its
+// channel, which publishes it to the worker goroutine the same way.
 //
 // The snapshot serializes live state VERBATIM rather than draining it:
 // the catalog's id spaces including tombstones and free lists (so
@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/query"
-	"repro/internal/runtime"
 	"repro/internal/snap"
 	"repro/internal/stream"
 )
@@ -49,8 +48,8 @@ const maxRestoreWorkers = 4096
 
 // Snapshot writes a consistent checkpoint of the session to w in the
 // versioned, CRC-protected snapshot format. The session must be
-// quiescent from the caller's side (no concurrent Push); parallel
-// workers are synchronized internally. The session remains fully
+// quiescent from the caller's side (no concurrent Push); worker
+// goroutines are synchronized internally. The session remains fully
 // usable afterwards — snapshotting is a read-only barrier, and its
 // cost is paid entirely inside this call, never on the ingest path.
 func (s *Session) Snapshot(w io.Writer) error {
@@ -62,10 +61,8 @@ func (s *Session) Snapshot(w io.Writer) error {
 	if s.closed {
 		return fmt.Errorf("cogra: Snapshot after Close: %w", ErrClosed)
 	}
-	if s.mx != nil {
-		if err := s.mx.Sync(); err != nil {
-			return err
-		}
+	if err := s.mx.Sync(); err != nil {
+		return err
 	}
 	var sw snap.Writer
 	sw.Int(s.cfg.workers)
@@ -79,13 +76,19 @@ func (s *Session) Snapshot(w io.Writer) error {
 	sw.Bool(s.cfg.shared)
 	sw.Int(s.roPeak)
 	sw.I64(s.roSeq)
-	sw.I64(s.mxLast)
-	sw.Bool(s.mxSaw)
+	// Whether any event reached the executor (saw) also gates restore:
+	// the worker count may only change while it is false, since routing
+	// and worker-local state are frozen by the first dispatched event.
+	sw.I64(s.last)
+	sw.Bool(s.saw)
 	if s.cfg.reorder {
 		s.ro.Snapshot(&sw)
 	}
 	s.cat.Snapshot(&sw)
 	sw.U32(uint32(len(s.subs)))
+	// The session's plan table is indexed by its own subscription ids;
+	// the executor numbers only the plans it hosts (the two diverge once
+	// a restore re-subscribed a fleet with detached members).
 	planIdx := map[int]int32{}
 	for _, sub := range s.subs {
 		sw.Bool(sub.active)
@@ -93,47 +96,21 @@ func (s *Session) Snapshot(w io.Writer) error {
 			if err := sub.plan.Query.Snapshot(&sw); err != nil {
 				return err
 			}
-			planIdx[sub.id] = int32(sub.id)
+			planIdx[sub.msub.ID()] = int32(sub.id)
 		}
 		sw.U32(uint32(len(sub.pending)))
 		for _, r := range sub.pending {
 			core.SnapshotResult(&sw, r)
 		}
 	}
-	// Whether any event reached the execution layer: a restore may only
-	// change the worker count while this is false (routing and
-	// worker-local state are frozen by the first dispatched event).
-	sawAny := s.mxSaw
-	if s.rt != nil {
-		sawAny = s.rt.Stats().Events > 0
-	}
-	sw.Bool(sawAny)
 	// The execution topology is nested as one length-prefixed blob, so
 	// a restore that rebuilds a fresh topology (worker-count change on
 	// an event-free snapshot) can skip it wholesale.
 	var tw snap.Writer
-	if s.rt != nil {
-		tw.U8(0)
-		byRsub := map[int]int32{}
-		for _, sub := range s.subs {
-			if sub.active {
-				byRsub[sub.rsub.ID()] = planIdx[sub.id]
-			}
-		}
-		if err := s.rt.Snapshot(&tw, byRsub); err != nil {
-			return err
-		}
-	} else {
-		tw.U8(1)
-		if err := s.mx.Snapshot(&tw, planIdx); err != nil {
-			return err
-		}
+	if err := s.mx.Snapshot(&tw, planIdx); err != nil {
+		return err
 	}
 	sw.Bytes(tw.Raw())
-	if s.rt != nil {
-		sw.I64(s.acct.Current())
-		sw.I64(s.acct.Peak())
-	}
 	return sw.Frame(w)
 }
 
@@ -182,24 +159,14 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s := &Session{cfg: cfg, late: cfg.late, evict: cfg.evict}
+	s := &Session{cfg: cfg, ro: newReorderer(cfg)}
 	s.roPeak = rd.Int()
 	s.roSeq = rd.I64()
-	s.mxLast = rd.I64()
-	s.mxSaw = rd.Bool()
-	if cfg.reorder {
-		s.ro = stream.NewReorderer(cfg.slack)
-		if cfg.maxDepth > 0 {
-			policy := stream.ShedOldest
-			if cfg.depth == Reject {
-				policy = stream.Reject
-			}
-			s.ro.SetMaxDepth(cfg.maxDepth, policy)
-		}
-		if orig.reorder {
-			if err := s.ro.RestoreState(rd); err != nil {
-				return nil, err
-			}
+	s.last = rd.I64()
+	s.saw = rd.Bool()
+	if orig.reorder { // options only ever add WithSlack, so s.ro exists
+		if err := s.ro.RestoreState(rd); err != nil {
+			return nil, err
 		}
 	}
 	cat, err := core.RestoreCatalog(rd)
@@ -238,12 +205,7 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 			pendings[id] = append(pendings[id], res)
 		}
 	}
-	sawAny := rd.Bool()
 	blob := rd.RawBytes()
-	var acctCur, acctPeak int64
-	if orig.workers <= 1 && orig.groups <= 1 {
-		acctCur, acctPeak = rd.I64(), rd.I64()
-	}
 	if err := rd.Close(); err != nil {
 		return nil, err
 	}
@@ -254,111 +216,59 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 		}
 		return 1
 	}
-	var engOpts []EngineOption
-	if cfg.evict {
-		engOpts = append(engOpts, core.WithInternEviction())
-	}
-	parallel := cfg.workers > 1 || cfg.groups > 1
-	rsubs := make([]*runtime.Subscription, nsubs)
 	msubs := make([]*stream.Sub, nsubs)
 	if normalize(cfg.workers) != normalize(orig.workers) || normalize(cfg.groups) != normalize(orig.groups) {
-		if sawAny {
+		if s.saw {
 			return nil, fmt.Errorf("cogra: restore with %d workers / %d groups from a %d-worker / %d-group snapshot after events flowed (routing is frozen): %w",
 				normalize(cfg.workers), normalize(cfg.groups), normalize(orig.workers), normalize(orig.groups), ErrFrozenRouting)
 		}
 		// Event-free snapshot: the topology blob holds only fresh
 		// construction state, so skip it and re-subscribe the surviving
-		// plans against a fresh topology of the requested width.
-		if parallel {
-			s.mx = stream.NewMultiExecutorOn(cat, cfg.workers, engOpts...)
-			if cfg.groups > 1 {
-				s.mx.SetExecutorGroups(cfg.groups)
-			}
-			if cfg.shared {
-				s.mx.EnableSharedAggregation()
-			}
-		} else {
-			s.rt = runtime.NewOn(cat)
-			if cfg.shared {
-				s.rt.EnableSharedAggregation(append([]EngineOption{core.WithAccountant(&s.acct)}, engOpts...)...)
-			}
-		}
+		// plans against a fresh executor of the requested width.
+		s.mx = newExecutor(cat, cfg)
 		for id, plan := range plans {
 			if plan == nil {
 				continue
 			}
-			if s.rt != nil {
-				iopts := append([]EngineOption{core.WithAccountant(&s.acct)}, engOpts...)
-				if rsubs[id], err = s.rt.SubscribePlan(plan, iopts...); err != nil {
-					return nil, err
-				}
-			} else if msubs[id], err = s.mx.SubscribePlan(plan); err != nil {
+			if msubs[id], err = s.mx.SubscribePlan(plan); err != nil {
 				s.mx.Close()
 				return nil, err
 			}
 		}
 	} else {
 		brd := snap.NewReader(blob)
-		tag := brd.U8()
-		if parallel {
-			if tag != 1 {
-				return nil, fmt.Errorf("%w: parallel session with an inline topology blob", ErrBadSnapshot)
+		mx, err := stream.RestoreMultiExecutor(cat, brd, plans, cfg.engineOpts()...)
+		if err != nil {
+			return nil, err
+		}
+		s.mx = mx
+		if err := brd.Close(); err != nil {
+			mx.Close()
+			return nil, err
+		}
+		if cfg.shared {
+			// Re-arm the executor-level flag so lazily started executor
+			// groups inherit sharing (and future subscribers may share when
+			// WithSharedAggregation was added at restore time); worker
+			// runtimes restored with sharing already on are left untouched.
+			mx.EnableSharedAggregation()
+		}
+		// Each surviving plan was recompiled into its own *Plan above, so
+		// the pointer identifies the executor subscription hosting it.
+		byPlan := map[*Plan]*stream.Sub{}
+		for _, msub := range mx.Subs() {
+			if msub.Active() {
+				byPlan[msub.Plan()] = msub
 			}
-			mx, err := stream.RestoreMultiExecutor(cat, brd, plans, engOpts...)
-			if err != nil {
-				return nil, err
+		}
+		for id := range plans {
+			if !actives[id] {
+				continue
 			}
-			if err := brd.Close(); err != nil {
+			if msubs[id] = byPlan[plans[id]]; msubs[id] == nil {
 				mx.Close()
-				return nil, err
+				return nil, fmt.Errorf("%w: subscription %d missing from the executor topology", ErrBadSnapshot, id)
 			}
-			if cfg.shared {
-				// Re-arm the executor-level flag so lazily started executor
-				// groups inherit sharing; worker runtimes restored with
-				// sharing already on are left untouched.
-				mx.EnableSharedAggregation()
-			}
-			s.mx = mx
-			for id := range plans {
-				if !actives[id] {
-					continue
-				}
-				msub := mx.Sub(id)
-				if msub == nil || !msub.Active() || msub.Plan() != plans[id] {
-					mx.Close()
-					return nil, fmt.Errorf("%w: subscription %d missing from the executor topology", ErrBadSnapshot, id)
-				}
-				msubs[id] = msub
-			}
-		} else {
-			if tag != 0 {
-				return nil, fmt.Errorf("%w: inline session with a parallel topology blob", ErrBadSnapshot)
-			}
-			iopts := append([]EngineOption{core.WithAccountant(&s.acct)}, engOpts...)
-			rt, err := runtime.RestoreRuntime(cat, brd, plans, func(int) []EngineOption { return iopts })
-			if err != nil {
-				return nil, err
-			}
-			if err := brd.Close(); err != nil {
-				return nil, err
-			}
-			if cfg.shared && !rt.SharedAggregationEnabled() {
-				// WithSharedAggregation added at restore time over an
-				// unshared snapshot: future subscribers may share.
-				rt.EnableSharedAggregation(iopts...)
-			}
-			s.rt = rt
-			for id := range plans {
-				if !actives[id] {
-					continue
-				}
-				rsub := rt.Lookup(id)
-				if rsub == nil || rsub.Plan() != plans[id] {
-					return nil, fmt.Errorf("%w: subscription %d missing from the runtime topology", ErrBadSnapshot, id)
-				}
-				rsubs[id] = rsub
-			}
-			s.acct.Restore(acctCur, acctPeak)
 		}
 	}
 	for id := 0; id < nsubs; id++ {
@@ -366,7 +276,6 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 			sess:    s,
 			id:      id,
 			plan:    plans[id],
-			rsub:    rsubs[id],
 			msub:    msubs[id],
 			active:  actives[id],
 			pending: pendings[id],

@@ -12,6 +12,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	cogra "repro"
@@ -194,35 +197,87 @@ func TestRestoreWorkerCount(t *testing.T) {
 		}
 	})
 
-	t.Run("free before events", func(t *testing.T) {
-		sess := cogra.NewSession()
-		if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"])); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sess.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
-		restored, err := cogra.Restore(bytes.NewReader(buf.Bytes()), cogra.WithWorkers(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.PushBatch(events); err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got := restored.Subscriptions()[0].Drain()
-		want := soloRun(t, sessionTestQueries()["type"], events)
-		if !diff.Equal(got, want) {
-			t.Errorf("event-free snapshot rescaled to 4 workers diverges from solo run\n%s", diff.Diff(got, want))
-		}
-		if len(want) == 0 {
-			t.Error("no results; test is vacuous")
-		}
-	})
+	// An event-free frame may cross between the in-thread worker and
+	// worker goroutines in either direction. The fleet has a detached
+	// member, so the rebuilt executor numbers its subscriptions
+	// differently from the session; a second snapshot of the reshaped
+	// session must still restore.
+	for name, reshape := range map[string]struct {
+		from, to []cogra.SessionOption
+		workers  int
+	}{
+		"free before events/in-thread to workers": {nil, []cogra.SessionOption{cogra.WithWorkers(4)}, 4},
+		"free before events/workers to in-thread": {[]cogra.SessionOption{cogra.WithWorkers(4)}, []cogra.SessionOption{cogra.WithWorkers(1)}, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sess := cogra.NewSession(reshape.from...)
+			gone, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["mixed"]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"])); err != nil {
+				t.Fatal(err)
+			}
+			gone.Unsubscribe()
+			var buf bytes.Buffer
+			if err := sess.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sess.Close()
+			reshaped, err := cogra.Restore(bytes.NewReader(buf.Bytes()), reshape.to...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Reset()
+			if err := reshaped.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			reshaped.Close()
+			restored, err := cogra.Restore(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.PushBatch(events); err != nil {
+				t.Fatal(err)
+			}
+			st, err := restored.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Workers != reshape.workers {
+				t.Errorf("workers after reshape = %d, want %d", st.Workers, reshape.workers)
+			}
+			if err := restored.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := restored.Subscriptions()[1].Drain()
+			want := soloRun(t, sessionTestQueries()["type"], events)
+			if !diff.Equal(got, want) {
+				t.Errorf("event-free snapshot reshaped diverges from solo run\n%s", diff.Diff(got, want))
+			}
+			if len(want) == 0 {
+				t.Error("no results; test is vacuous")
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesV3Frame: the frame an inline session wrote under
+// format v3 (its own topology section, before every session nested an
+// executor blob) is version skew, not corruption to guess around.
+func TestRestoreRefusesV3Frame(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotDecode/seed_v3_inline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(raw), "\n") // skip the "go test fuzz v1" line
+	frame, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")\n"))
+	if err != nil {
+		t.Fatalf("corpus file is not a []byte literal: %v", err)
+	}
+	if _, err := cogra.Restore(strings.NewReader(frame)); !errors.Is(err, cogra.ErrBadSnapshot) {
+		t.Errorf("Restore of a v3 frame: %v, want ErrBadSnapshot", err)
+	}
 }
 
 // TestRestoreThenSubscribe: a restored session keeps full dynamic

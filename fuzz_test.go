@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	cogra "repro"
+	"repro/internal/fuzz/diff"
 )
 
 // fuzzSeedSnapshot builds a small but representative valid snapshot:
@@ -45,6 +46,19 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// snapshotAndClose snapshots a restored session and closes it.
+func snapshotAndClose(t *testing.T, sess *cogra.Session) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sess.Snapshot(&buf); err != nil {
+		t.Fatalf("restored session failed to snapshot: %v", err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatalf("restored session failed to close: %v", err)
+	}
+	return buf.Bytes()
+}
+
 func FuzzSnapshotDecode(f *testing.F) {
 	valid := fuzzSeedSnapshot(f)
 	f.Add(valid)
@@ -63,19 +77,32 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(oversized)
 	f.Add([]byte{})
 	f.Add([]byte("COGRASNP"))
+	// The golden frames reach the sections the seed above does not
+	// (sharing groups, executor groups, interned vectors, staged state).
+	for _, g := range diff.GoldenFrames() {
+		f.Add(readGolden(f, g.Name))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sess, err := cogra.Restore(bytes.NewReader(data))
-		if err == nil {
-			// Decoded (the valid seed, or an equivalent mutation): the
-			// session must be live and closable.
-			if cerr := sess.Close(); cerr != nil {
-				t.Fatalf("restored session failed to close: %v", cerr)
+		if err != nil {
+			if !errors.Is(err, cogra.ErrBadSnapshot) && !errors.Is(err, cogra.ErrFrozenRouting) {
+				t.Fatalf("Restore returned an untyped error: %v", err)
 			}
 			return
 		}
-		if !errors.Is(err, cogra.ErrBadSnapshot) && !errors.Is(err, cogra.ErrFrozenRouting) {
-			t.Fatalf("Restore returned an untyped error: %v", err)
+		// Decoded (the valid seed, or an equivalent mutation): whatever
+		// Restore accepts it must also be able to write, and what it
+		// writes is a fixpoint — it restores and re-encodes to the same
+		// bytes. (The input itself need not be: Restore tolerates, e.g.,
+		// a heap in any order.)
+		first := snapshotAndClose(t, sess)
+		again, err := cogra.Restore(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("snapshot of an accepted input does not restore: %v", err)
+		}
+		if second := snapshotAndClose(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("second-generation snapshot differs from the first (%d vs %d bytes)", len(second), len(first))
 		}
 	})
 }

@@ -2,35 +2,30 @@ package agg
 
 import "repro/internal/snap"
 
-// Snapshot codec for aggregate nodes. A node is pure value state —
-// the trend-set count plus one Aux entry per spec — so the encoding is
-// positional: the owning structure knows the Specs and validates the
-// Aux arity on restore.
+// Snapshot codec for aggregate nodes and specs. A node is pure value
+// state — the trend-set count plus one Aux entry per spec — so the
+// encoding is positional: the owning structure knows the Specs and
+// validates the Aux arity on restore.
 
 // NodeMinBytes is the minimum encoded size of a Node, for collection
 // length validation.
 const NodeMinBytes = 12
 
-// SnapshotNode writes n to w.
-func SnapshotNode(w *snap.Writer, n *Node) {
-	w.U64(n.Count)
-	w.U32(uint32(len(n.Aux)))
-	for _, a := range n.Aux {
-		w.U64(a.N)
-		w.F64(a.F)
-		w.Bool(a.Valid)
-	}
+// CodeNode lists a Node's fields in wire order.
+func CodeNode(c *snap.Coder, n *Node) {
+	c.U64(&n.Count)
+	snap.Slice(c, &n.Aux, 17, codeAux)
 }
 
-// RestoreNode reads a Node written by SnapshotNode.
-func RestoreNode(r *snap.Reader) Node {
-	n := Node{Count: r.U64()}
-	k := r.Count(17)
-	if k > 0 {
-		n.Aux = make([]Aux, k)
-		for i := range n.Aux {
-			n.Aux[i] = Aux{N: r.U64(), F: r.F64(), Valid: r.Bool()}
-		}
-	}
-	return n
+func codeAux(c *snap.Coder, a *Aux) {
+	c.U64(&a.N)
+	c.F64(&a.F)
+	c.Bool(&a.Valid)
+}
+
+// CodeSpec lists a Spec's fields in wire order.
+func CodeSpec(c *snap.Coder, s *Spec) {
+	snap.Enum(c, &s.Func, Avg, "aggregate func")
+	c.Str(&s.Alias)
+	c.Str(&s.Attr)
 }

@@ -91,10 +91,10 @@ type Plan struct {
 	Slots []predicate.Equivalence
 	// groupRefs maps each GROUP-BY item to StreamKeys/Slots.
 	groupRefs []groupKeyRef
-	// negTypes maps an event type to the negation constraints it
-	// fires (the §8 restriction: negated sub-patterns are single
-	// event types).
-	negTypes map[string][]negRef
+	// negLeaves holds each negation constraint's negated event type,
+	// parallel to FSA.Negations (the §8 restriction: negated
+	// sub-patterns are single event types).
+	negLeaves []*pattern.TypeNode
 	// negGuard maps a (predecessor alias, successor alias) pair to the
 	// negation constraint guarding it, if any.
 	negGuard map[[2]string]int
@@ -121,13 +121,6 @@ type Plan struct {
 	adjLeft          []int32
 	endAliasIDs      []int32
 	eventGrainedByID []bool
-}
-
-// negRef identifies one negation constraint an event type fires,
-// together with the alias local predicates are evaluated under.
-type negRef struct {
-	ci    int
-	alias string
 }
 
 // NewPlan runs the static query analyzer: pattern analysis (§3.1),
@@ -161,7 +154,6 @@ func NewPlanIn(cat *Catalog, q *query.Query) (*Plan, error) {
 		Granularity: SelectGranularity(q.Semantics, q.Where.HasAdjacent()),
 		Specs:       q.Returns,
 		Where:       q.Where,
-		negTypes:    map[string][]negRef{},
 		negGuard:    map[[2]string]int{},
 		fingerprint: sharedFingerprint(q),
 	}
@@ -235,7 +227,7 @@ func NewPlanIn(cat *Catalog, q *query.Query) (*Plan, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: negated sub-pattern %s must be a single event type", nc.Neg)
 		}
-		p.negTypes[leaf.EventType] = append(p.negTypes[leaf.EventType], negRef{ci: i, alias: leaf.Alias})
+		p.negLeaves = append(p.negLeaves, leaf)
 		for _, pred := range nc.Pred {
 			for _, fol := range nc.Follow {
 				pair := [2]string{pred, fol}

@@ -2,134 +2,89 @@ package core
 
 // Checkpoint codec for the core execution state: catalog staging,
 // binding intern tables, the three granularity-specific aggregators,
-// window states and the engine envelope. Everything here serializes
-// live private state VERBATIM — including the staged (uncommitted)
-// contributions of the current time stamp, which must not be flushed:
-// a snapshot may land mid-timestamp, and Definition 7 (a predecessor is
-// strictly earlier) requires the staging discipline to survive restore.
+// window states and the engine envelope. Every structure has ONE method
+// (or function) that lists its fields in wire order against a
+// snap.Coder; the same list encodes and decodes. Everything here
+// serializes live private state VERBATIM — including the staged
+// (uncommitted) contributions of the current time stamp, which must not
+// be flushed: a snapshot may land mid-timestamp, and Definition 7 (a
+// predecessor is strictly earlier) requires the staging discipline to
+// survive restore.
 //
 // Decoding is defensive throughout: every collection length passes
 // snap.Reader.Count, every enum and id read from the stream is range-
 // checked against the restored plan's shape, and binding keys are
 // validated against the restored intern tables, so a corrupt snapshot
 // fails with ErrBadSnapshot instead of panicking or indexing out of
-// bounds. Shape that is implied by the plan (table counts, shadow
+// bounds. That work is not field enumeration and sits behind
+// c.Decoding(). Shape that is implied by the plan (table counts, shadow
 // layout, adjacent-operand arity) is NOT serialized — restore derives
 // it from the recompiled plan, leaving fewer places for drift to hide.
 
 import (
-	"fmt"
-
 	"repro/internal/agg"
 	"repro/internal/snap"
 )
 
 // --- catalog ---
 
-// Snapshot writes the catalog's staging state: names, flags, tombstones
-// and free lists, plus the epoch and compaction counters. Reference
-// counts are NOT serialized — restore rebuilds them by re-retaining the
-// plans of the active subscriptions, exactly as live hosting does.
-func (c *Catalog) Snapshot(w *snap.Writer) {
+// Code lists the catalog's staging state in wire order: names, flags,
+// tombstones and free lists, plus the epoch and compaction counters.
+// Reference counts are NOT serialized — restore rebuilds them by
+// re-retaining the plans of the active subscriptions, exactly as live
+// hosting does. Decoding (into a fresh catalog) reproduces the id
+// spaces verbatim — live names at their original ids, tombstones in
+// place, free lists in recycling order — so recompiling the surviving
+// queries re-interns every name to its original id.
+func (c *Catalog) Code(sc *snap.Coder) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w.U32(uint32(len(c.attrNames)))
+	na := len(c.attrNames)
+	sc.Len(&na, 6)
+	if sc.Decoding() {
+		c.attrNames, c.attrRefs = make([]string, na), make([]int32, na)
+		c.symNeeded, c.attrDead = make([]bool, na), make([]bool, na)
+	}
 	for id := range c.attrNames {
-		w.Str(c.attrNames[id])
-		w.Bool(c.symNeeded[id])
-		w.Bool(c.attrDead[id])
+		sc.Str(&c.attrNames[id])
+		sc.Bool(&c.symNeeded[id])
+		sc.Bool(&c.attrDead[id])
 	}
-	w.U32(uint32(len(c.freeAttrs)))
-	for _, id := range c.freeAttrs {
-		w.U32(uint32(id))
+	snap.Slice(sc, &c.freeAttrs, 4, (*snap.Coder).I32)
+	nt := len(c.typeNames)
+	sc.Len(&nt, 5)
+	if sc.Decoding() {
+		c.typeNames, c.typeRefs, c.typeDead = make([]string, nt), make([]int32, nt), make([]bool, nt)
 	}
-	w.U32(uint32(len(c.typeNames)))
 	for id := range c.typeNames {
-		w.Str(c.typeNames[id])
-		w.Bool(c.typeDead[id])
+		sc.Str(&c.typeNames[id])
+		sc.Bool(&c.typeDead[id])
 	}
-	w.U32(uint32(len(c.freeTypes)))
-	for _, id := range c.freeTypes {
-		w.U32(uint32(id))
+	snap.Slice(sc, &c.freeTypes, 4, (*snap.Coder).I32)
+	sc.U64(&c.epoch)
+	compactions := c.compactions.Load()
+	sc.U64(&compactions)
+	if sc.Decoding() && sc.Err() == nil {
+		reindexNames(sc, "attr", c.attrNames, c.attrDead, c.freeAttrs, c.attrIDs)
+		reindexNames(sc, "type", c.typeNames, c.typeDead, c.freeTypes, c.typeIDs)
+		c.publishEpoch(c.epoch)
+		c.compactions.Store(compactions)
 	}
-	w.U64(c.epoch)
-	w.U64(c.compactions.Load())
 }
 
-// RestoreCatalog rebuilds a catalog from Snapshot: the id spaces are
-// reproduced verbatim (live names at their original ids, tombstones in
-// place, free lists in recycling order), so recompiling the surviving
-// queries against it re-interns every name to its original id.
-func RestoreCatalog(r *snap.Reader) (*Catalog, error) {
-	c := NewCatalog()
-	na := r.Count(6)
-	for id := 0; id < na; id++ {
-		name := r.Str()
-		sym := r.Bool()
-		dead := r.Bool()
-		if err := r.Err(); err != nil {
-			return nil, err
+// reindexNames rebuilds one name→id map from a decoded id space and
+// validates its tombstones against the free list.
+func reindexNames(sc *snap.Coder, kind string, names []string, dead []bool, free []int32, ids map[string]int32) {
+	for id, name := range names {
+		sc.Check(dead[id] == (name == ""), "catalog %s %d: tombstone flag disagrees with name %q", kind, id, name)
+		if _, dup := ids[name]; !dead[id] {
+			sc.Check(!dup, "catalog %s %q interned twice", kind, name)
+			ids[name] = int32(id)
 		}
-		if dead != (name == "") {
-			return nil, fmt.Errorf("%w: catalog attr %d: tombstone flag disagrees with name %q", snap.ErrBadSnapshot, id, name)
-		}
-		if !dead {
-			if _, dup := c.attrIDs[name]; dup {
-				return nil, fmt.Errorf("%w: catalog attr %q interned twice", snap.ErrBadSnapshot, name)
-			}
-			c.attrIDs[name] = int32(id)
-		}
-		c.attrNames = append(c.attrNames, name)
-		c.symNeeded = append(c.symNeeded, sym)
-		c.attrDead = append(c.attrDead, dead)
-		c.attrRefs = append(c.attrRefs, 0)
 	}
-	nf := r.Count(4)
-	for i := 0; i < nf; i++ {
-		id := int32(r.U32())
-		if r.Err() == nil && (int(id) >= na || !c.attrDead[id]) {
-			return nil, fmt.Errorf("%w: catalog attr free list entry %d is not a tombstone", snap.ErrBadSnapshot, id)
-		}
-		c.freeAttrs = append(c.freeAttrs, id)
+	for _, id := range free {
+		sc.Check(id >= 0 && int(id) < len(names) && dead[id], "catalog %s free list entry %d is not a tombstone", kind, id)
 	}
-	nt := r.Count(5)
-	for id := 0; id < nt; id++ {
-		name := r.Str()
-		dead := r.Bool()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if dead != (name == "") {
-			return nil, fmt.Errorf("%w: catalog type %d: tombstone flag disagrees with name %q", snap.ErrBadSnapshot, id, name)
-		}
-		if !dead {
-			if _, dup := c.typeIDs[name]; dup {
-				return nil, fmt.Errorf("%w: catalog type %q interned twice", snap.ErrBadSnapshot, name)
-			}
-			c.typeIDs[name] = int32(id)
-		}
-		c.typeNames = append(c.typeNames, name)
-		c.typeDead = append(c.typeDead, dead)
-		c.typeRefs = append(c.typeRefs, 0)
-	}
-	nf = r.Count(4)
-	for i := 0; i < nf; i++ {
-		id := int32(r.U32())
-		if r.Err() == nil && (int(id) >= nt || !c.typeDead[id]) {
-			return nil, fmt.Errorf("%w: catalog type free list entry %d is not a tombstone", snap.ErrBadSnapshot, id)
-		}
-		c.freeTypes = append(c.freeTypes, id)
-	}
-	epoch := r.U64()
-	compactions := r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.publishEpoch(epoch)
-	c.mu.Unlock()
-	c.compactions.Store(compactions)
-	return c, nil
 }
 
 // publishEpoch publishes the staging area at exactly the given epoch
@@ -157,270 +112,150 @@ func (c *Catalog) ResetEpoch(epoch, compactions uint64) {
 
 // --- results ---
 
-// SnapshotResult writes one buffered result. The aggregate specs are
-// serialized inline (not derived from a plan): pending results can
-// outlive their subscription's plan — an unsubscribed query keeps its
-// undelivered results — so the record must be self-contained.
-func SnapshotResult(w *snap.Writer, res Result) {
-	w.I64(res.Wid)
-	w.I64(res.Start)
-	w.I64(res.End)
-	w.U32(uint32(len(res.Group)))
-	for _, g := range res.Group {
-		w.Str(g)
-	}
-	w.U32(uint32(len(res.Values)))
-	for _, v := range res.Values {
-		w.U8(uint8(v.Spec.Func))
-		w.Str(v.Spec.Alias)
-		w.Str(v.Spec.Attr)
-		w.U64(v.Count)
-		w.F64(v.F)
-		w.Bool(v.Valid)
-		w.F64(v.Sum)
-	}
+// CodeResult lists one buffered result's fields in wire order. The
+// aggregate specs are serialized inline (not derived from a plan):
+// pending results can outlive their subscription's plan — an
+// unsubscribed query keeps its undelivered results — so the record must
+// be self-contained.
+func CodeResult(c *snap.Coder, res *Result) {
+	c.I64(&res.Wid)
+	c.I64(&res.Start)
+	c.I64(&res.End)
+	snap.Slice(c, &res.Group, 4, (*snap.Coder).Str)
+	snap.Slice(c, &res.Values, 26, codeValue)
 }
 
-// RestoreResult reads one result written by SnapshotResult.
-func RestoreResult(r *snap.Reader) (Result, error) {
-	res := Result{Wid: r.I64(), Start: r.I64(), End: r.I64()}
-	if n := r.Count(4); n > 0 {
-		res.Group = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			res.Group = append(res.Group, r.Str())
-		}
-	}
-	n := r.Count(26)
-	for i := 0; i < n; i++ {
-		fn := agg.Func(r.U8())
-		if r.Err() == nil && fn > agg.Avg {
-			return Result{}, fmt.Errorf("%w: result aggregate func %d", snap.ErrBadSnapshot, fn)
-		}
-		res.Values = append(res.Values, agg.Value{
-			Spec:  agg.Spec{Func: fn, Alias: r.Str(), Attr: r.Str()},
-			Count: r.U64(),
-			F:     r.F64(),
-			Valid: r.Bool(),
-			Sum:   r.F64(),
-		})
-	}
-	return res, r.Err()
+func codeValue(c *snap.Coder, v *agg.Value) {
+	agg.CodeSpec(c, &v.Spec)
+	c.U64(&v.Count)
+	c.F64(&v.F)
+	c.Bool(&v.Valid)
+	c.F64(&v.Sum)
 }
 
 // --- bindings ---
 
-// snapshot writes the intern tables: values (tombstoned entries as ""),
-// optional epoch stamps, free lists, and for wide plans the interned
-// vectors. The maps and the per-epoch candidate buckets are pure
-// bookkeeping and are rebuilt from this on restore.
-func (b *bindings) snapshot(w *snap.Writer) {
-	w.Int(b.nslots)
-	w.I64(b.bytes)
-	w.I64(b.epoch)
-	w.Bool(b.epochInit)
+// code lists the intern tables in wire order: values (tombstoned
+// entries as ""), optional epoch stamps, free lists, and for wide plans
+// the interned vectors. It decodes into a freshly built bindings of the
+// same plan shape: the id→value slices are taken verbatim (so binding
+// keys stored in the aggregator tables keep decoding to the same
+// values); the maps and the per-epoch candidate buckets are pure
+// bookkeeping and are rebuilt from them.
+func (b *bindings) code(c *snap.Coder) {
+	nslots := b.nslots
+	c.Int(&nslots)
+	c.I64(&b.bytes)
+	c.I64(&b.epoch)
+	c.Bool(&b.epochInit)
+	c.Check(nslots == b.nslots, "binding slot count %d disagrees with the recompiled plan's %d", nslots, b.nslots)
 	if b.nslots == 0 {
 		return
 	}
-	w.U32(uint32(len(b.vals)))
-	for _, v := range b.vals {
-		w.Str(v)
-	}
-	w.Bool(b.valEpoch != nil)
-	for _, e := range b.valEpoch {
-		w.I64(e)
-	}
-	w.U32(uint32(len(b.freeVals)))
-	for _, id := range b.freeVals {
-		w.U32(id)
+	snap.Slice(c, &b.vals, 4, (*snap.Coder).Str)
+	codeStamps(c, &b.valEpoch, len(b.vals))
+	snap.Slice(c, &b.freeVals, 4, (*snap.Coder).U32)
+	if c.Decoding() {
+		c.Check(len(b.vals) > 0 && b.vals[0] == "", "binding value id 0 is not the unbound value")
+		if c.Err() != nil {
+			return
+		}
+		live := func(id int) (string, bool) { return b.vals[id], b.vals[id] != "" }
+		b.valIDs, b.valEpoch, b.valBuckets = reindex(c, len(b.vals), live, b.freeVals, b.evict, b.valEpoch)
+		b.valIDs[""] = 0
 	}
 	if b.nslots <= 2 {
 		return
 	}
-	w.U32(uint32(len(b.vecs)))
-	for _, vec := range b.vecs {
-		w.Bool(vec != nil)
-		for _, v := range vec {
-			w.U32(v)
+	nvec := len(b.vecs)
+	c.Len(&nvec, 1)
+	if c.Decoding() {
+		b.vecs = make([][]uint32, nvec)
+	}
+	for i := range b.vecs {
+		live := b.vecs[i] != nil
+		c.Bool(&live)
+		if live {
+			snap.Array(c, &b.vecs[i], b.nslots, 4, (*snap.Coder).U32)
 		}
 	}
-	w.Bool(b.vecEpoch != nil)
-	for _, e := range b.vecEpoch {
-		w.I64(e)
-	}
-	w.U32(uint32(len(b.freeVecs)))
-	for _, id := range b.freeVecs {
-		w.U64(uint64(id))
+	codeStamps(c, &b.vecEpoch, nvec)
+	snap.Slice(c, &b.freeVecs, 8, codeBkey)
+	if c.Decoding() {
+		c.Check(nvec > 0 && b.vecs[0] != nil, "binding vector 0 (all-unbound) is missing")
+		for _, vec := range b.vecs {
+			for _, v := range vec {
+				c.Check(int(v) < len(b.vals), "binding vector references an unknown value id")
+			}
+		}
+		if c.Err() != nil {
+			return
+		}
+		b.vecIDs, b.vecEpoch, b.vecBuckets = reindex(c, nvec, b.vecKey, b.freeVecs, b.evict, b.vecEpoch)
 	}
 }
 
-// restore loads the intern tables into a freshly built bindings of the
-// same plan shape. The id→value slices are taken verbatim (so binding
-// keys stored in the aggregator tables keep decoding to the same
-// values), the value→id maps are rebuilt from the live entries, and
-// with eviction enabled the per-epoch candidate buckets are rebuilt
-// from the stamps. A snapshot taken without eviction restores into an
-// evicting engine with zeroed stamps (entries age out normally from
-// here); stamps in the snapshot are dropped when the restored engine
-// does not evict.
-func (b *bindings) restore(r *snap.Reader) error {
-	nslots := r.Int()
-	bytes := r.I64()
-	epoch := r.I64()
-	epochInit := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
+// codeStamps codes the optional epoch stamps parallel to an n-entry
+// intern table (present only when the snapshotted engine evicted).
+func codeStamps(c *snap.Coder, stamps *[]int64, n int) {
+	stamped := *stamps != nil
+	c.Bool(&stamped)
+	if stamped {
+		snap.Array(c, stamps, n, 8, (*snap.Coder).I64)
+	} else if c.Decoding() {
+		*stamps = nil
 	}
-	if nslots != b.nslots {
-		return fmt.Errorf("%w: binding slot count %d disagrees with the recompiled plan's %d", snap.ErrBadSnapshot, nslots, b.nslots)
+}
+
+func codeBkey(c *snap.Coder, k *bkey) { c.U64((*uint64)(k)) }
+
+// reindex rebuilds the bookkeeping of one decoded n-entry intern table:
+// the entry→id map over its live entries (key reports an entry's map
+// key, false for a tombstone; id 0 is reserved and never mapped), the
+// free list's claim to hold exactly tombstones, and the stamps and
+// per-epoch candidate buckets of the restoring engine. A snapshot taken
+// without eviction restores into an evicting engine with zeroed stamps
+// (entries age out normally from here); stamps in the snapshot are
+// dropped when the restored engine does not evict.
+func reindex[ID ~uint32 | ~uint64](c *snap.Coder, n int, key func(id int) (string, bool), free []ID, evict bool, stamps []int64) (ids map[string]ID, _ []int64, buckets map[int64][]ID) {
+	ids = map[string]ID{}
+	if !evict {
+		stamps = nil
+	} else if buckets = map[int64][]ID{}; stamps == nil {
+		stamps = make([]int64, n)
 	}
-	b.bytes = bytes
-	b.epoch, b.epochInit = epoch, epochInit
-	if b.nslots == 0 {
-		return nil
-	}
-	nv := r.Count(4)
-	if nv < 1 {
-		return fmt.Errorf("%w: binding value table is empty (id 0 is reserved)", snap.ErrBadSnapshot)
-	}
-	vals := make([]string, 0, nv)
-	for i := 0; i < nv; i++ {
-		vals = append(vals, r.Str())
-	}
-	var valEpoch []int64
-	if r.Bool() {
-		if r.Rem() < 8*nv {
-			return fmt.Errorf("%w: binding value stamps truncated", snap.ErrBadSnapshot)
-		}
-		valEpoch = make([]int64, 0, nv)
-		for i := 0; i < nv; i++ {
-			valEpoch = append(valEpoch, r.I64())
-		}
-	}
-	nf := r.Count(4)
-	freeVals := make([]uint32, 0, nf)
-	for i := 0; i < nf; i++ {
-		freeVals = append(freeVals, r.U32())
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if vals[0] != "" {
-		return fmt.Errorf("%w: binding value id 0 is not the unbound value", snap.ErrBadSnapshot)
-	}
-	valIDs := map[string]uint32{"": 0}
-	for id := 1; id < nv; id++ {
-		v := vals[id]
-		if v == "" {
-			continue // tombstone (on the free list)
-		}
-		if _, dup := valIDs[v]; dup {
-			return fmt.Errorf("%w: binding value %q interned twice", snap.ErrBadSnapshot, v)
-		}
-		valIDs[v] = uint32(id)
-	}
-	for _, id := range freeVals {
-		if int(id) >= nv || id == 0 || vals[id] != "" {
-			return fmt.Errorf("%w: binding value free list entry %d is not a tombstone", snap.ErrBadSnapshot, id)
-		}
-	}
-	b.vals, b.valIDs, b.freeVals = vals, valIDs, freeVals
-	if b.evict {
-		if valEpoch == nil {
-			valEpoch = make([]int64, nv)
-		}
-		b.valEpoch = valEpoch
-		b.valBuckets = map[int64][]uint32{}
-		for id := 1; id < nv; id++ {
-			if vals[id] != "" {
-				b.valBuckets[valEpoch[id]] = append(b.valBuckets[valEpoch[id]], uint32(id))
-			}
-		}
-	} else {
-		b.valEpoch, b.valBuckets = nil, nil
-	}
-	if b.nslots <= 2 {
-		return nil
-	}
-	nvec := r.Count(1)
-	if nvec < 1 {
-		return fmt.Errorf("%w: binding vector table is empty (key 0 is reserved)", snap.ErrBadSnapshot)
-	}
-	vecs := make([][]uint32, 0, nvec)
-	for i := 0; i < nvec; i++ {
-		if !r.Bool() {
-			vecs = append(vecs, nil)
+	for id := 1; id < n; id++ {
+		k, live := key(id)
+		if !live {
 			continue
 		}
-		if r.Rem() < 4*b.nslots {
-			return fmt.Errorf("%w: binding vector %d truncated", snap.ErrBadSnapshot, i)
-		}
-		vec := make([]uint32, b.nslots)
-		for j := range vec {
-			vec[j] = r.U32()
-			if int(vec[j]) >= nv {
-				return fmt.Errorf("%w: binding vector %d references value id %d of %d", snap.ErrBadSnapshot, i, vec[j], nv)
-			}
-		}
-		vecs = append(vecs, vec)
-	}
-	var vecEpoch []int64
-	if r.Bool() {
-		if r.Rem() < 8*nvec {
-			return fmt.Errorf("%w: binding vector stamps truncated", snap.ErrBadSnapshot)
-		}
-		vecEpoch = make([]int64, 0, nvec)
-		for i := 0; i < nvec; i++ {
-			vecEpoch = append(vecEpoch, r.I64())
+		_, dup := ids[k]
+		c.Check(!dup, "binding intern table holds an entry twice")
+		ids[k] = ID(id)
+		if evict {
+			buckets[stamps[id]] = append(buckets[stamps[id]], ID(id))
 		}
 	}
-	nf = r.Count(8)
-	freeVecs := make([]bkey, 0, nf)
-	for i := 0; i < nf; i++ {
-		freeVecs = append(freeVecs, bkey(r.U64()))
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if vecs[0] == nil {
-		return fmt.Errorf("%w: binding vector 0 (all-unbound) is missing", snap.ErrBadSnapshot)
-	}
-	vecIDs := map[string]bkey{}
-	key := make([]byte, 0, 4*b.nslots)
-	for id := 1; id < nvec; id++ {
-		vec := vecs[id]
-		if vec == nil {
-			continue
+	for _, id := range free {
+		tombstone := id != 0 && uint64(id) < uint64(n)
+		if tombstone {
+			_, live := key(int(id))
+			tombstone = !live
 		}
-		key = key[:0]
-		for _, v := range vec {
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		if _, dup := vecIDs[string(key)]; dup {
-			return fmt.Errorf("%w: binding vector %d interned twice", snap.ErrBadSnapshot, id)
-		}
-		vecIDs[string(key)] = bkey(id)
+		c.Check(tombstone, "binding free list entry is not a tombstone")
 	}
-	for _, id := range freeVecs {
-		if int(id) >= nvec || id == 0 || vecs[id] != nil {
-			return fmt.Errorf("%w: binding vector free list entry %d is not a tombstone", snap.ErrBadSnapshot, id)
-		}
+	return ids, stamps, buckets
+}
+
+// vecKey packs interned vector id into its vecIDs map key; false for a
+// tombstone.
+func (b *bindings) vecKey(id int) (string, bool) {
+	k := b.scratchKey[:0]
+	for _, v := range b.vecs[id] {
+		k = append(k, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	b.vecs, b.vecIDs, b.freeVecs = vecs, vecIDs, freeVecs
-	if b.evict {
-		if vecEpoch == nil {
-			vecEpoch = make([]int64, nvec)
-		}
-		b.vecEpoch = vecEpoch
-		b.vecBuckets = map[int64][]bkey{}
-		for id := 1; id < nvec; id++ {
-			if vecs[id] != nil {
-				b.vecBuckets[vecEpoch[id]] = append(b.vecBuckets[vecEpoch[id]], bkey(id))
-			}
-		}
-	} else {
-		b.vecEpoch, b.vecBuckets = nil, nil
-	}
-	return nil
+	b.scratchKey = k
+	return string(k), b.vecs[id] != nil
 }
 
 // validKey reports whether a binding key read from a snapshot can be
@@ -441,450 +276,206 @@ func (b *bindings) validKey(key bkey) bool {
 		}
 		return true
 	}
-	return int(key) < len(b.vecs)
+	return key < bkey(len(b.vecs)) && b.vecs[key] != nil
 }
 
 // --- shared aggregator pieces ---
 
-// readNode reads an aggregate node and validates its auxiliary arity
-// against the plan's RETURN clause (live nodes always carry one Aux
-// per spec).
-func readNode(r *snap.Reader, p *Plan) (agg.Node, error) {
-	n := agg.RestoreNode(r)
-	if err := r.Err(); err != nil {
-		return agg.Node{}, err
-	}
-	if len(n.Aux) != len(p.Specs) {
-		return agg.Node{}, fmt.Errorf("%w: aggregate node carries %d auxiliaries for %d specs", snap.ErrBadSnapshot, len(n.Aux), len(p.Specs))
-	}
-	return n, nil
+// fits reports whether a decoded (binding key, node) pair can live in
+// an engine of this plan: the key decodes against the restored intern
+// tables and the node carries one auxiliary per RETURN spec, as live
+// nodes always do.
+func (p *Plan) fits(bnd *bindings, k bkey, n *agg.Node) bool {
+	return bnd.validKey(k) && len(n.Aux) == len(p.Specs)
 }
 
-// writeTable writes one binding-keyed aggregate table in ascending key
-// order (map iteration order must not leak into the snapshot bytes).
-func writeTable(w *snap.Writer, tbl map[bkey]*agg.Node) {
-	keys := make([]bkey, 0, len(tbl))
-	for k := range tbl {
-		keys = append(keys, k)
-	}
-	sortBkeys(keys)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.U64(uint64(k))
-		agg.SnapshotNode(w, tbl[k])
-	}
-}
-
-// sortBkeys sorts binding keys ascending (insertion sort is fine: this
-// is the cold snapshot path, and most tables are small).
-func sortBkeys(keys []bkey) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+// codeTable codes one binding-keyed aggregate table in ascending key
+// order.
+func codeTable(c *snap.Coder, tbl *map[bkey]*agg.Node, p *Plan, bnd *bindings) {
+	keys, n := snap.MapKeys(c, tbl, 8+agg.NodeMinBytes)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var k bkey
+		var node *agg.Node
+		if c.Decoding() {
+			node = new(agg.Node)
+		} else {
+			k, node = keys[i], (*tbl)[keys[i]]
+		}
+		codeBkey(c, &k)
+		agg.CodeNode(c, node)
+		if c.Decoding() {
+			_, dup := (*tbl)[k]
+			c.Check(!dup && p.fits(bnd, k, node), "aggregate table entry repeats a binding key or does not fit the plan")
+			(*tbl)[k] = node
 		}
 	}
 }
 
-func readTable(r *snap.Reader, p *Plan, bnd *bindings) (map[bkey]*agg.Node, error) {
-	n := r.Count(8 + agg.NodeMinBytes)
-	tbl := make(map[bkey]*agg.Node, n)
-	for i := 0; i < n; i++ {
-		k := bkey(r.U64())
-		node, err := readNode(r, p)
-		if err != nil {
-			return nil, err
+// codeShadows codes the negation shadow rows; which cells exist is
+// implied by the plan (the constructor made them).
+func codeShadows(c *snap.Coder, shadows [][]map[bkey]*agg.Node, p *Plan, bnd *bindings) {
+	for _, row := range shadows {
+		for ai := range row {
+			if row[ai] != nil {
+				codeTable(c, &row[ai], p, bnd)
+			}
 		}
-		if !bnd.validKey(k) {
-			return nil, fmt.Errorf("%w: aggregate table references unknown binding key %d", snap.ErrBadSnapshot, k)
-		}
-		if _, dup := tbl[k]; dup {
-			return nil, fmt.Errorf("%w: aggregate table repeats binding key %d", snap.ErrBadSnapshot, k)
-		}
-		tbl[k] = &node
-	}
-	return tbl, nil
-}
-
-func writeStaged(w *snap.Writer, staged []stagedUpdate, resets []int) {
-	w.U32(uint32(len(staged)))
-	for i := range staged {
-		w.U32(uint32(staged[i].alias))
-		w.U64(uint64(staged[i].key))
-		agg.SnapshotNode(w, &staged[i].node)
-	}
-	w.U32(uint32(len(resets)))
-	for _, ci := range resets {
-		w.Int(ci)
 	}
 }
 
-func readStaged(r *snap.Reader, p *Plan, bnd *bindings) ([]stagedUpdate, []int, error) {
-	n := r.Count(12 + agg.NodeMinBytes)
-	var staged []stagedUpdate
-	for i := 0; i < n; i++ {
-		alias := int32(r.U32())
-		key := bkey(r.U64())
-		node, err := readNode(r, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		if int(alias) < 0 || int(alias) >= len(p.aliasNames) {
-			return nil, nil, fmt.Errorf("%w: staged update references alias id %d of %d", snap.ErrBadSnapshot, alias, len(p.aliasNames))
-		}
-		if !bnd.validKey(key) {
-			return nil, nil, fmt.Errorf("%w: staged update references unknown binding key %d", snap.ErrBadSnapshot, key)
-		}
-		staged = append(staged, stagedUpdate{alias: alias, key: key, node: node})
-	}
-	n = r.Count(8)
-	var resets []int
-	for i := 0; i < n; i++ {
-		ci := r.Int()
-		if r.Err() == nil && (ci < 0 || ci >= len(p.FSA.Negations)) {
-			return nil, nil, fmt.Errorf("%w: staged reset references negation %d of %d", snap.ErrBadSnapshot, ci, len(p.FSA.Negations))
-		}
-		resets = append(resets, ci)
-	}
-	return staged, resets, r.Err()
+func codeStagedUpdate(c *snap.Coder, u *stagedUpdate) {
+	c.I32(&u.alias)
+	codeBkey(c, &u.key)
+	agg.CodeNode(c, &u.node)
 }
 
-func writeNegFires(w *snap.Writer, f *negFires, n int) {
+// codeStaged codes the open time stamp's uncommitted updates and
+// negation resets.
+func codeStaged(c *snap.Coder, staged *[]stagedUpdate, resets *[]int, p *Plan, bnd *bindings) {
+	snap.Slice(c, staged, 12+agg.NodeMinBytes, codeStagedUpdate)
+	snap.Slice(c, resets, 8, (*snap.Coder).Int)
+	if c.Decoding() {
+		for i := range *staged {
+			u := &(*staged)[i]
+			c.Check(u.alias >= 0 && int(u.alias) < len(p.aliasNames) && p.fits(bnd, u.key, &u.node), "staged update does not fit the plan")
+		}
+		for _, ci := range *resets {
+			c.Check(ci >= 0 && ci < len(p.FSA.Negations), "staged reset references an unknown negation")
+		}
+	}
+}
+
+// codeNegFires codes the fire times of the plan's n negation
+// constraints (f is nil exactly when n is 0).
+func codeNegFires(c *snap.Coder, f *negFires, n int) {
 	for ci := 0; ci < n; ci++ {
-		var ts []int64
-		if f != nil {
-			ts = f.times[ci]
-		}
-		w.U32(uint32(len(ts)))
-		for _, t := range ts {
-			w.I64(t)
-		}
+		snap.Slice(c, &f.times[ci], 8, (*snap.Coder).I64)
 	}
 }
 
-func readNegFires(r *snap.Reader, n int) *negFires {
-	f := newNegFires(n)
-	for ci := 0; ci < n; ci++ {
-		k := r.Count(8)
-		for i := 0; i < k; i++ {
-			f.times[ci] = append(f.times[ci], r.I64())
-		}
-	}
-	return f
+func codeAttrVal(c *snap.Coder, v *attrVal) {
+	c.F64(&v.num)
+	c.Str(&v.sym)
+	c.U8(&v.has)
 }
 
-func writeAttrVals(w *snap.Writer, vals []attrVal) {
-	w.U32(uint32(len(vals)))
-	for i := range vals {
-		w.F64(vals[i].num)
-		w.Str(vals[i].sym)
-		w.U8(vals[i].has)
-	}
-}
-
-// readAttrVals reads retained left operands; live entries always have
-// exactly one value per distinct adjacent-predicate left attribute.
-func readAttrVals(r *snap.Reader, p *Plan) ([]attrVal, error) {
-	n := r.Count(13)
-	if r.Err() == nil && n != 0 && n != len(p.adjLeft) {
-		return nil, fmt.Errorf("%w: stored event retains %d left operands for %d adjacent attributes", snap.ErrBadSnapshot, n, len(p.adjLeft))
-	}
-	var out []attrVal
-	for i := 0; i < n; i++ {
-		out = append(out, attrVal{num: r.F64(), sym: r.Str(), has: r.U8()})
-	}
-	return out, r.Err()
+// fitsLeft reports whether decoded left operands have a live entry's
+// arity: one value per distinct adjacent-predicate left attribute, or
+// none retained.
+func (p *Plan) fitsLeft(left []attrVal) bool {
+	return len(left) == 0 || len(left) == len(p.adjLeft)
 }
 
 // --- sub-aggregators ---
+//
+// The concrete type is implied by the plan's granularity, so no tag is
+// written; each decodes into a freshly constructed aggregator.
+// Accounting side effects of construction are irrelevant: the owning
+// accountant is restored verbatim afterwards.
 
-// snapshotSubAgg writes one sub-aggregator's state. The concrete type
-// is implied by the plan's granularity, so no tag is written.
-func snapshotSubAgg(w *snap.Writer, sa subAggregator) {
-	switch t := sa.(type) {
-	case *typeGrained:
-		t.snapshot(w)
-	case *mixedGrained:
-		t.snapshot(w)
-	case *patternGrained:
-		t.snapshot(w)
-	}
-}
-
-// restoreSubAgg builds a fresh sub-aggregator for the plan and loads
-// its serialized state. Accounting side effects of construction are
-// irrelevant: the owning accountant is restored verbatim afterwards.
-func restoreSubAgg(r *snap.Reader, p *Plan, acct accountant, bnd *bindings, ar *storeArenas, memo *runMemo) (subAggregator, error) {
-	sa := newSubAggregator(p, acct, bnd, ar, memo)
-	var err error
-	switch t := sa.(type) {
-	case *typeGrained:
-		err = t.restore(r)
-	case *mixedGrained:
-		err = t.restore(r)
-	case *patternGrained:
-		err = t.restore(r)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return sa, nil
-}
-
-func (t *typeGrained) snapshot(w *snap.Writer) {
-	w.I64(t.curTime)
-	w.Bool(t.hasCur)
-	for _, tbl := range t.tables {
-		writeTable(w, tbl)
-	}
-	for _, row := range t.shadows {
-		for _, tbl := range row {
-			if tbl != nil {
-				writeTable(w, tbl)
-			}
-		}
-	}
-	writeStaged(w, t.staged, t.stagedResets)
-}
-
-func (t *typeGrained) restore(r *snap.Reader) error {
-	t.curTime = r.I64()
-	t.hasCur = r.Bool()
-	var err error
+func (t *typeGrained) code(c *snap.Coder) {
+	c.I64(&t.curTime)
+	c.Bool(&t.hasCur)
 	for i := range t.tables {
-		if t.tables[i], err = readTable(r, t.plan, t.bnd); err != nil {
-			return err
-		}
+		codeTable(c, &t.tables[i], t.plan, t.bnd)
 	}
-	for _, row := range t.shadows {
-		for ai, tbl := range row {
-			if tbl == nil {
-				continue
-			}
-			if row[ai], err = readTable(r, t.plan, t.bnd); err != nil {
-				return err
-			}
-		}
-	}
-	t.staged, t.stagedResets, err = readStaged(r, t.plan, t.bnd)
-	return err
+	codeShadows(c, t.shadows, t.plan, t.bnd)
+	codeStaged(c, &t.staged, &t.stagedResets, t.plan, t.bnd)
 }
 
-func (m *mixedGrained) snapshot(w *snap.Writer) {
-	w.I64(m.curTime)
-	w.Bool(m.hasCur)
-	for _, tbl := range m.typeTables {
-		if tbl != nil {
-			writeTable(w, tbl)
+func (m *mixedGrained) code(c *snap.Coder) {
+	c.I64(&m.curTime)
+	c.Bool(&m.hasCur)
+	for i := range m.typeTables {
+		if m.typeTables[i] != nil {
+			codeTable(c, &m.typeTables[i], m.plan, m.bnd)
 		}
 	}
-	for _, row := range m.shadows {
-		for _, tbl := range row {
-			if tbl != nil {
-				writeTable(w, tbl)
-			}
-		}
-	}
-	for _, entries := range m.stored {
-		w.U32(uint32(len(entries)))
-		for i := range entries {
-			se := &entries[i]
-			w.I64(se.time)
-			writeAttrVals(w, se.left)
-			w.U64(uint64(se.key))
-			agg.SnapshotNode(w, &se.node)
-			w.I64(se.foot)
-		}
-	}
-	writeNegFires(w, m.fires, len(m.plan.FSA.Negations))
-	writeStaged(w, m.staged, m.stagedResets)
-}
-
-func (m *mixedGrained) restore(r *snap.Reader) error {
-	m.curTime = r.I64()
-	m.hasCur = r.Bool()
-	var err error
-	for i, tbl := range m.typeTables {
-		if tbl == nil {
-			continue
-		}
-		if m.typeTables[i], err = readTable(r, m.plan, m.bnd); err != nil {
-			return err
-		}
-	}
-	for _, row := range m.shadows {
-		for ai, tbl := range row {
-			if tbl == nil {
-				continue
-			}
-			if row[ai], err = readTable(r, m.plan, m.bnd); err != nil {
-				return err
-			}
-		}
-	}
+	codeShadows(c, m.shadows, m.plan, m.bnd)
 	for id := range m.stored {
-		n := r.Count(16 + agg.NodeMinBytes)
-		for i := 0; i < n; i++ {
-			se := storedEntry{time: r.I64()}
-			if se.left, err = readAttrVals(r, m.plan); err != nil {
-				return err
-			}
-			se.key = bkey(r.U64())
-			if se.node, err = readNode(r, m.plan); err != nil {
-				return err
-			}
-			se.foot = r.I64()
-			if !m.bnd.validKey(se.key) {
-				return fmt.Errorf("%w: stored event references unknown binding key %d", snap.ErrBadSnapshot, se.key)
-			}
-			m.stored[id] = append(m.stored[id], se)
+		snap.Slice(c, &m.stored[id], 16+agg.NodeMinBytes, codeStoredEntry)
+		for i := 0; c.Decoding() && i < len(m.stored[id]); i++ {
+			se := &m.stored[id][i]
+			c.Check(m.plan.fits(m.bnd, se.key, &se.node) && m.plan.fitsLeft(se.left), "stored event does not fit the plan")
 		}
 	}
-	m.fires = readNegFires(r, len(m.plan.FSA.Negations))
-	m.staged, m.stagedResets, err = readStaged(r, m.plan, m.bnd)
-	return err
+	codeNegFires(c, m.fires, len(m.plan.FSA.Negations))
+	codeStaged(c, &m.staged, &m.stagedResets, m.plan, m.bnd)
 }
 
-func (g *patternGrained) snapshot(w *snap.Writer) {
-	w.Bool(g.hasEl)
-	w.I64(g.elTime)
-	w.U32(uint32(g.elAlias))
-	w.I64(g.elFoot)
-	writeAttrVals(w, g.elLeft)
-	agg.SnapshotNode(w, &g.elNode)
-	agg.SnapshotNode(w, &g.final)
-	writeNegFires(w, g.fires, len(g.plan.FSA.Negations))
+func codeStoredEntry(c *snap.Coder, se *storedEntry) {
+	c.I64(&se.time)
+	snap.Slice(c, &se.left, 13, codeAttrVal)
+	codeBkey(c, &se.key)
+	agg.CodeNode(c, &se.node)
+	c.I64(&se.foot)
 }
 
-func (g *patternGrained) restore(r *snap.Reader) error {
-	g.hasEl = r.Bool()
-	g.elTime = r.I64()
-	g.elAlias = int32(r.U32())
-	g.elFoot = r.I64()
-	var err error
-	if g.elLeft, err = readAttrVals(r, g.plan); err != nil {
-		return err
-	}
-	if g.hasEl && (int(g.elAlias) < 0 || int(g.elAlias) >= len(g.plan.aliasNames)) {
-		return fmt.Errorf("%w: last matched event references alias id %d of %d", snap.ErrBadSnapshot, g.elAlias, len(g.plan.aliasNames))
-	}
-	if g.elNode, err = readNode(r, g.plan); err != nil {
-		return err
-	}
-	if g.final, err = readNode(r, g.plan); err != nil {
-		return err
-	}
-	g.fires = readNegFires(r, len(g.plan.FSA.Negations))
-	return r.Err()
+func (g *patternGrained) code(c *snap.Coder) {
+	c.Bool(&g.hasEl)
+	c.I64(&g.elTime)
+	c.I32(&g.elAlias)
+	c.I64(&g.elFoot)
+	snap.Slice(c, &g.elLeft, 13, codeAttrVal)
+	agg.CodeNode(c, &g.elNode)
+	agg.CodeNode(c, &g.final)
+	codeNegFires(c, g.fires, len(g.plan.FSA.Negations))
+	p := g.plan
+	c.Check(!g.hasEl || (g.elAlias >= 0 && int(g.elAlias) < len(p.aliasNames)), "last matched event references an unknown alias")
+	c.Check(p.fitsLeft(g.elLeft) && len(g.elNode.Aux) == len(p.Specs) && len(g.final.Aux) == len(p.Specs), "pattern-grained state does not fit the plan")
 }
 
 // --- engine ---
 
-// Snapshot writes the engine's complete execution state: stream
-// position, counters, the undelivered result buffer, the binding intern
-// tables, and every open window's sub-aggregators. The engine must be
-// quiescent (no Process in flight).
-func (e *Engine) Snapshot(w *snap.Writer) {
-	w.I64(e.lastTime)
-	w.Bool(e.sawEvent)
-	w.I64(e.seq)
-	w.I64(e.eventsIn)
-	w.I64(e.skipped)
-	w.U32(uint32(len(e.results)))
-	for _, res := range e.results {
-		SnapshotResult(w, res)
-	}
-	e.bnd.snapshot(w)
-	emitted, maxWid, ever := e.mgr.Cursor()
-	w.I64(emitted)
-	w.I64(maxWid)
-	w.Bool(ever)
-	ceil, hasCeil := e.mgr.Ceiling()
-	w.Bool(hasCeil)
-	w.I64(ceil)
+// Code lists the engine's complete execution state in wire order:
+// stream position, counters, the undelivered result buffer, the binding
+// intern tables, and every open window's sub-aggregators by ascending
+// window id and partition key. Encoding, the engine must be quiescent
+// (no Process in flight); decoding loads a freshly built engine for the
+// same (recompiled) plan — the caller restores the engine's accountant
+// afterwards, overwriting the accounting churn of state loading.
+func (e *Engine) Code(c *snap.Coder) {
+	c.I64(&e.lastTime)
+	c.Bool(&e.sawEvent)
+	c.I64(&e.seq)
+	c.I64(&e.eventsIn)
+	c.I64(&e.skipped)
+	snap.Slice(c, &e.results, 16, CodeResult)
+	e.bnd.code(c)
+	e.mgr.CodeCursor(c)
 	wids := e.mgr.ActiveWids()
-	w.U32(uint32(len(wids)))
-	for _, wid := range wids {
-		w.I64(wid)
-		ws, _ := e.mgr.State(wid)
-		partKeys := make([]string, 0, len(ws.parts))
-		for k := range ws.parts {
-			partKeys = append(partKeys, k)
+	nw := len(wids)
+	c.Len(&nw, 16)
+	for i := 0; i < nw && c.Err() == nil; i++ {
+		var ws *winState
+		if c.Decoding() {
+			ws = &winState{parts: map[string]subAggregator{}}
+		} else {
+			ws, _ = e.mgr.State(wids[i])
 		}
-		sortStrings(partKeys)
-		w.U32(uint32(len(partKeys)))
-		for _, pk := range partKeys {
-			w.Str(pk)
-			snapshotSubAgg(w, ws.parts[pk])
-		}
-	}
-}
-
-// sortStrings is sort.Strings without importing sort twice in hot
-// files; snapshot is a cold path.
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
-}
-
-// RestoreState loads a snapshot written by Snapshot into a freshly
-// built engine for the same (recompiled) plan. The caller restores the
-// engine's accountant afterwards; accounting churn during state
-// loading is overwritten there.
-func (e *Engine) RestoreState(r *snap.Reader) error {
-	e.lastTime = r.I64()
-	e.sawEvent = r.Bool()
-	e.seq = r.I64()
-	e.eventsIn = r.I64()
-	e.skipped = r.I64()
-	n := r.Count(16)
-	for i := 0; i < n; i++ {
-		res, err := RestoreResult(r)
-		if err != nil {
-			return err
-		}
-		e.results = append(e.results, res)
-	}
-	if err := e.bnd.restore(r); err != nil {
-		return err
-	}
-	emitted := r.I64()
-	maxWid := r.I64()
-	ever := r.Bool()
-	hasCeil := r.Bool()
-	ceil := r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	e.mgr.RestoreCursor(emitted, maxWid, ever)
-	e.mgr.RestoreCeiling(ceil, hasCeil)
-	nw := r.Count(16)
-	var lastWid int64
-	for i := 0; i < nw; i++ {
-		wid := r.I64()
-		if r.Err() == nil && (wid < emitted || (i > 0 && wid <= lastWid) || (hasCeil && wid >= ceil)) {
-			return fmt.Errorf("%w: active window %d violates the cursor order", snap.ErrBadSnapshot, wid)
-		}
-		lastWid = wid
-		ws := &winState{wid: wid, parts: map[string]subAggregator{}}
-		np := r.Count(8)
-		for j := 0; j < np; j++ {
-			pk := r.Str()
-			sa, err := restoreSubAgg(r, e.plan, e.acct, e.bnd, &e.arenas, &e.memo)
-			if err != nil {
-				return err
+		c.I64(&ws.wid)
+		keys, np := snap.MapKeys(c, &ws.parts, 8)
+		for j := 0; j < np && c.Err() == nil; j++ {
+			var pk string
+			var sa subAggregator
+			if c.Decoding() {
+				sa = newSubAggregator(e.plan, e.acct, e.bnd, &e.arenas, &e.memo)
+			} else {
+				pk, sa = keys[j], ws.parts[keys[j]]
 			}
-			if _, dup := ws.parts[pk]; dup {
-				return fmt.Errorf("%w: window %d repeats partition key %q", snap.ErrBadSnapshot, wid, pk)
+			c.Str(&pk)
+			sa.code(c)
+			if c.Decoding() {
+				_, dup := ws.parts[pk]
+				c.Check(!dup, "window repeats a partition key")
+				ws.parts[pk] = sa
 			}
-			ws.parts[pk] = sa
 		}
-		if r.Err() == nil {
-			e.mgr.RestoreState(wid, ws)
+		if c.Decoding() && c.Err() == nil {
+			c.Check(e.mgr.RestoreState(ws.wid, ws), "active window contradicts the window cursor")
 		}
 	}
-	e.statesValid = false
-	return r.Err()
+	if c.Decoding() {
+		e.statesValid = false
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/agg"
+	"repro/internal/snap"
 )
 
 // subAggregator is the per-sub-stream execution unit: one instance
@@ -21,6 +22,9 @@ type subAggregator interface {
 	// Release returns the aggregator's logical memory to the
 	// accountant; the aggregator must not be used afterwards.
 	Release()
+	// code lists the aggregator's serialized fields in wire order
+	// (snapshot.go).
+	code(c *snap.Coder)
 }
 
 // bindingResult is the final aggregate of one equivalence binding,

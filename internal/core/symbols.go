@@ -308,17 +308,24 @@ func (p *Plan) compile() {
 		}
 		return tp
 	}
-	for typ, aliases := range p.FSA.TypeAliases {
+	// Types are interned in the pattern's own order — each type at its
+	// first alias (FSA.Aliases lists negated leaves too) — never in map
+	// order: type ids reach the catalog section of every snapshot, and
+	// identical runs must write identical bytes.
+	for _, first := range p.FSA.Aliases {
+		typ := p.FSA.AliasType[first]
+		aliases := p.FSA.TypeAliases[typ]
+		if aliases[0] != first {
+			continue // compiled with the type's first alias
+		}
 		tp := typePlanOf(typ)
 		for _, alias := range aliases {
 			tp.aliases = append(tp.aliases, p.compileAlias(alias, leftPos))
 		}
 	}
-	for typ, refs := range p.negTypes {
-		tp := typePlanOf(typ)
-		for _, ref := range refs {
-			tp.negs = append(tp.negs, negCheck{ci: ref.ci, locals: p.compileLocals(ref.alias)})
-		}
+	for ci, leaf := range p.negLeaves {
+		tp := typePlanOf(leaf.EventType)
+		tp.negs = append(tp.negs, negCheck{ci: ci, locals: p.compileLocals(leaf.Alias)})
 	}
 }
 

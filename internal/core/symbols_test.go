@@ -154,3 +154,27 @@ func TestResolvedViewSemantics(t *testing.T) {
 		t.Error("typePlan present for irrelevant type")
 	}
 }
+
+// TestTypeInterningOrderIsDeterministic: type ids reach the catalog
+// section of every snapshot, so compiling one query must intern its
+// types in one order — each type at its first alias in the pattern,
+// negated leaves included — never in map-iteration order.
+func TestTypeInterningOrderIsDeterministic(t *testing.T) {
+	q := query.MustParse(`
+		RETURN COUNT(*)
+		PATTERN SEQ(D+, NOT(N), C, NOT(M), B, A+)
+		SEMANTICS skip-till-any-match
+		WITHIN 10 SLIDE 10`)
+	want := []string{"D", "N", "C", "M", "B", "A"}
+	for run := 0; run < 50; run++ {
+		cat := NewCatalog()
+		if _, err := NewPlanIn(cat, q); err != nil {
+			t.Fatal(err)
+		}
+		for id, name := range want {
+			if got, ok := cat.TypeID(name); !ok || got != int32(id) {
+				t.Fatalf("run %d: type %s interned as id %d (known %v), want %d", run, name, got, ok, id)
+			}
+		}
+	}
+}

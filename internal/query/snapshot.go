@@ -7,7 +7,6 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/snap"
-	"repro/internal/window"
 )
 
 // Structural snapshot codec for queries: a checkpoint records each
@@ -15,8 +14,8 @@ import (
 // Builder-constructed query never had) and restore recompiles it
 // against the restored catalog. Only declarative state is encoded;
 // queries carrying opaque predicate functions (Adjacent.NumFn/Fn) or
-// non-float64/string Local values cannot be checkpointed and fail at
-// Snapshot time with a descriptive error.
+// non-float64/string Local values cannot be checkpointed and fail the
+// encoding Coder with a descriptive error.
 
 // maxPatternDepth bounds pattern-AST recursion while decoding, so a
 // corrupt snapshot cannot drive unbounded stack growth.
@@ -33,227 +32,168 @@ const (
 	tagNot
 )
 
-// Snapshot writes q's structure to w.
-func (q *Query) Snapshot(w *snap.Writer) error {
-	w.U32(uint32(len(q.Returns)))
-	for _, s := range q.Returns {
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("snapshot query: %w", err)
+// Code lists q's structure in wire order; decoding fills a zero Query
+// and validates it.
+func (q *Query) Code(c *snap.Coder) {
+	if !c.Decoding() {
+		for _, s := range q.Returns {
+			if err := s.Validate(); err != nil {
+				c.Fail(fmt.Errorf("snapshot query: %w", err))
+			}
 		}
-		w.U8(uint8(s.Func))
-		w.Str(s.Alias)
-		w.Str(s.Attr)
 	}
-	writeGroupKeys(w, q.ReturnKeys)
-	if err := writePattern(w, q.Pattern); err != nil {
-		return err
-	}
-	w.U8(uint8(q.Semantics))
+	snap.Slice(c, &q.Returns, 3, agg.CodeSpec)
+	snap.Slice(c, &q.ReturnKeys, 8, codeGroupKey)
+	codePattern(c, &q.Pattern, 0)
+	snap.Enum(c, &q.Semantics, Cont, "semantics")
 	where := q.Where
 	if where == nil {
 		where = &predicate.Set{}
 	}
-	w.U32(uint32(len(where.Locals)))
-	for _, p := range where.Locals {
-		w.Str(p.Alias)
-		w.Str(p.Attr)
-		w.U8(uint8(p.Op))
-		switch v := p.Value.(type) {
-		case float64:
-			w.U8(0)
-			w.F64(v)
-		case string:
-			w.U8(1)
-			w.Str(v)
-		default:
-			return fmt.Errorf("snapshot query: local predicate value %T is not serializable (float64 or string)", p.Value)
-		}
-	}
-	w.U32(uint32(len(where.Equivalences)))
-	for _, p := range where.Equivalences {
-		w.Str(p.Alias)
-		w.Str(p.Attr)
-	}
-	w.U32(uint32(len(where.Adjacents)))
-	for _, p := range where.Adjacents {
-		if p.NumFn != nil || p.Fn != nil {
-			return fmt.Errorf("snapshot query: adjacent predicate %s.%s carries an opaque comparison function and cannot be checkpointed", p.Left, p.LeftAttr)
-		}
-		w.Str(p.Left)
-		w.Str(p.LeftAttr)
-		w.U8(uint8(p.Op))
-		w.Str(p.Right)
-		w.Str(p.RightAttr)
-	}
-	writeGroupKeys(w, q.GroupBy)
-	w.I64(q.Window.Within)
-	w.I64(q.Window.Slide)
-	return nil
-}
-
-// RestoreQuery decodes one query written by Snapshot.
-func RestoreQuery(r *snap.Reader) (*Query, error) {
-	q := &Query{}
-	n := r.Count(3)
-	for i := 0; i < n; i++ {
-		fn := agg.Func(r.U8())
-		if fn > agg.Avg {
-			return nil, fmt.Errorf("%w: aggregate func %d", snap.ErrBadSnapshot, fn)
-		}
-		q.Returns = append(q.Returns, agg.Spec{Func: fn, Alias: r.Str(), Attr: r.Str()})
-	}
-	q.ReturnKeys = readGroupKeys(r)
-	p, err := readPattern(r, 0)
-	if err != nil {
-		return nil, err
-	}
-	q.Pattern = p
-	sem := Semantics(r.U8())
-	if sem > Cont {
-		return nil, fmt.Errorf("%w: semantics %d", snap.ErrBadSnapshot, sem)
-	}
-	q.Semantics = sem
-	where := &predicate.Set{}
-	n = r.Count(10)
-	for i := 0; i < n; i++ {
-		p := predicate.Local{Alias: r.Str(), Attr: r.Str(), Op: predicate.Op(r.U8())}
-		if p.Op > predicate.Ne {
-			return nil, fmt.Errorf("%w: predicate op %d", snap.ErrBadSnapshot, p.Op)
-		}
-		switch kind := r.U8(); kind {
-		case 0:
-			p.Value = r.F64()
-		case 1:
-			p.Value = r.Str()
-		default:
-			if r.Err() == nil {
-				return nil, fmt.Errorf("%w: local predicate value kind %d", snap.ErrBadSnapshot, kind)
-			}
-		}
-		where.Locals = append(where.Locals, p)
-	}
-	n = r.Count(8)
-	for i := 0; i < n; i++ {
-		where.Equivalences = append(where.Equivalences, predicate.Equivalence{Alias: r.Str(), Attr: r.Str()})
-	}
-	n = r.Count(17)
-	for i := 0; i < n; i++ {
-		p := predicate.Adjacent{Left: r.Str(), LeftAttr: r.Str(), Op: predicate.Op(r.U8()),
-			Right: r.Str(), RightAttr: r.Str()}
-		if p.Op > predicate.Ne {
-			return nil, fmt.Errorf("%w: predicate op %d", snap.ErrBadSnapshot, p.Op)
-		}
-		where.Adjacents = append(where.Adjacents, p)
-	}
-	q.Where = where
-	q.GroupBy = readGroupKeys(r)
-	q.Window = window.Spec{Within: r.I64(), Slide: r.I64()}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: restored query invalid: %v", snap.ErrBadSnapshot, err)
-	}
-	return q, nil
-}
-
-func writeGroupKeys(w *snap.Writer, keys []GroupKey) {
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.Str(k.Alias)
-		w.Str(k.Attr)
+	snap.Slice(c, &where.Locals, 10, codeLocal)
+	snap.Slice(c, &where.Equivalences, 8, codeEquivalence)
+	snap.Slice(c, &where.Adjacents, 17, codeAdjacent)
+	snap.Slice(c, &q.GroupBy, 8, codeGroupKey)
+	c.I64(&q.Window.Within)
+	c.I64(&q.Window.Slide)
+	if c.Decoding() && c.Err() == nil {
+		q.Where = where
+		err := q.Validate()
+		c.Check(err == nil, "restored query invalid: %v", err)
 	}
 }
 
-func readGroupKeys(r *snap.Reader) []GroupKey {
-	n := r.Count(8)
-	var out []GroupKey
-	for i := 0; i < n; i++ {
-		out = append(out, GroupKey{Alias: r.Str(), Attr: r.Str()})
-	}
-	return out
+func codeGroupKey(c *snap.Coder, k *GroupKey) {
+	c.Str(&k.Alias)
+	c.Str(&k.Attr)
 }
 
-func writePattern(w *snap.Writer, p pattern.Node) error {
-	switch v := p.(type) {
-	case *pattern.TypeNode:
-		w.U8(tagType)
-		w.Str(v.EventType)
-		w.Str(v.Alias)
-	case *pattern.SeqNode:
-		w.U8(tagSeq)
-		w.U32(uint32(len(v.Parts)))
-		for _, c := range v.Parts {
-			if err := writePattern(w, c); err != nil {
-				return err
-			}
-		}
-	case *pattern.PlusNode:
-		w.U8(tagPlus)
-		return writePattern(w, v.Sub)
-	case *pattern.StarNode:
-		w.U8(tagStar)
-		return writePattern(w, v.Sub)
-	case *pattern.OptNode:
-		w.U8(tagOpt)
-		return writePattern(w, v.Sub)
-	case *pattern.OrNode:
-		w.U8(tagOr)
-		w.U32(uint32(len(v.Parts)))
-		for _, c := range v.Parts {
-			if err := writePattern(w, c); err != nil {
-				return err
-			}
-		}
-	case *pattern.NotNode:
-		w.U8(tagNot)
-		return writePattern(w, v.Sub)
+func codeEquivalence(c *snap.Coder, p *predicate.Equivalence) {
+	c.Str(&p.Alias)
+	c.Str(&p.Attr)
+}
+
+func codeLocal(c *snap.Coder, p *predicate.Local) {
+	c.Str(&p.Alias)
+	c.Str(&p.Attr)
+	snap.Enum(c, &p.Op, predicate.Ne, "predicate op")
+	var kind uint8
+	var num float64
+	var str string
+	switch v := p.Value.(type) {
+	case float64:
+		num = v
+	case string:
+		kind, str = 1, v
 	default:
-		return fmt.Errorf("snapshot query: unknown pattern node %T", p)
+		if !c.Decoding() {
+			c.Fail(fmt.Errorf("snapshot query: local predicate value %T is not serializable (float64 or string)", p.Value))
+		}
 	}
-	return nil
+	c.U8(&kind)
+	switch kind {
+	case 0:
+		c.F64(&num)
+	case 1:
+		c.Str(&str)
+	default:
+		c.Check(false, "local predicate value kind %d", kind)
+	}
+	if c.Decoding() {
+		if p.Value = any(num); kind == 1 {
+			p.Value = str
+		}
+	}
 }
 
-func readPattern(r *snap.Reader, depth int) (pattern.Node, error) {
+func codeAdjacent(c *snap.Coder, p *predicate.Adjacent) {
+	if p.NumFn != nil || p.Fn != nil {
+		c.Fail(fmt.Errorf("snapshot query: adjacent predicate %s.%s carries an opaque comparison function and cannot be checkpointed", p.Left, p.LeftAttr))
+	}
+	c.Str(&p.Left)
+	c.Str(&p.LeftAttr)
+	snap.Enum(c, &p.Op, predicate.Ne, "predicate op")
+	c.Str(&p.Right)
+	c.Str(&p.RightAttr)
+}
+
+// nodeAt returns the pattern node of concrete type T at *p: the one
+// already there when encoding, a fresh one installed there when
+// decoding.
+func nodeAt[T any, PT interface {
+	*T
+	pattern.Node
+}](c *snap.Coder, p *pattern.Node) PT {
+	if c.Decoding() {
+		*p = PT(new(T))
+	}
+	return (*p).(PT)
+}
+
+// codePattern is the one recursive pattern-node coder: a tag byte,
+// then the node's own fields.
+func codePattern(c *snap.Coder, p *pattern.Node, depth int) {
 	if depth > maxPatternDepth {
-		return nil, fmt.Errorf("%w: pattern nesting exceeds %d", snap.ErrBadSnapshot, maxPatternDepth)
+		c.Check(false, "pattern nesting exceeds %d", maxPatternDepth)
+		return
 	}
-	switch tag := r.U8(); tag {
-	case tagType:
-		return &pattern.TypeNode{EventType: r.Str(), Alias: r.Str()}, nil
-	case tagSeq, tagOr:
-		n := r.Count(1)
-		parts := make([]pattern.Node, 0, min(n, 64))
-		for i := 0; i < n; i++ {
-			c, err := readPattern(r, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, c)
-		}
-		if tag == tagSeq {
-			return &pattern.SeqNode{Parts: parts}, nil
-		}
-		return &pattern.OrNode{Parts: parts}, nil
-	case tagPlus, tagStar, tagOpt, tagNot:
-		sub, err := readPattern(r, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case tagPlus:
-			return &pattern.PlusNode{Sub: sub}, nil
-		case tagStar:
-			return &pattern.StarNode{Sub: sub}, nil
-		case tagOpt:
-			return &pattern.OptNode{Sub: sub}, nil
-		default:
-			return &pattern.NotNode{Sub: sub}, nil
-		}
+	var tag uint8
+	switch (*p).(type) {
+	case *pattern.TypeNode:
+		tag = tagType
+	case *pattern.SeqNode:
+		tag = tagSeq
+	case *pattern.PlusNode:
+		tag = tagPlus
+	case *pattern.StarNode:
+		tag = tagStar
+	case *pattern.OptNode:
+		tag = tagOpt
+	case *pattern.OrNode:
+		tag = tagOr
+	case *pattern.NotNode:
+		tag = tagNot
 	default:
-		if err := r.Err(); err != nil {
-			return nil, err
+		if !c.Decoding() {
+			c.Fail(fmt.Errorf("snapshot query: unknown pattern node %T", *p))
+			return
 		}
-		return nil, fmt.Errorf("%w: pattern node tag %d", snap.ErrBadSnapshot, tag)
+	}
+	c.U8(&tag)
+	if c.Err() != nil {
+		return
+	}
+	switch tag {
+	case tagType:
+		n := nodeAt[pattern.TypeNode](c, p)
+		c.Str(&n.EventType)
+		c.Str(&n.Alias)
+	case tagSeq:
+		codeParts(c, &nodeAt[pattern.SeqNode](c, p).Parts, depth)
+	case tagOr:
+		codeParts(c, &nodeAt[pattern.OrNode](c, p).Parts, depth)
+	case tagPlus:
+		codePattern(c, &nodeAt[pattern.PlusNode](c, p).Sub, depth+1)
+	case tagStar:
+		codePattern(c, &nodeAt[pattern.StarNode](c, p).Sub, depth+1)
+	case tagOpt:
+		codePattern(c, &nodeAt[pattern.OptNode](c, p).Sub, depth+1)
+	case tagNot:
+		codePattern(c, &nodeAt[pattern.NotNode](c, p).Sub, depth+1)
+	default:
+		c.Check(false, "pattern node tag %d", tag)
+	}
+}
+
+// codeParts codes the children of a SEQ or OR node. The slice grows as
+// children actually decode, never from the declared count alone.
+func codeParts(c *snap.Coder, parts *[]pattern.Node, depth int) {
+	n := len(*parts)
+	c.Len(&n, 1)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Decoding() {
+			*parts = append(*parts, nil)
+		}
+		codePattern(c, &(*parts)[i], depth+1)
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/snap"
 	"repro/internal/window"
 )
@@ -190,21 +191,13 @@ func (g *shareGroup) initiateShare(alignT int64, aligned bool) bool {
 		projs[i], _ = union.Add(m.sub.plan.Specs)
 	}
 	uq := core.UnionQuery(g.members[0].sub.plan.Query, union.Specs())
-	plan, err := core.NewPlanIn(rt.cat, uq)
-	if err != nil {
+	if err := g.startHost(uq); err != nil {
 		// Members validated individually; a union that fails to compile
 		// means the group cannot share — stay solo and stop trying.
 		g.poisoned = true
 		return false
 	}
-	if err := rt.cat.Retain(plan); err != nil {
-		rt.cat.DiscardPlan(plan)
-		g.poisoned = true
-		return false
-	}
-	opts := append(append([]core.Option(nil), rt.hostOpts...), core.WithResultCallback(g.fanout))
 	g.union = union
-	g.host = &Subscription{id: -1, plan: plan, eng: core.NewEngine(plan, opts...), rt: rt, active: true}
 	g.hostRetiring = false
 	var boundary int64
 	if aligned {
@@ -221,6 +214,23 @@ func (g *shareGroup) initiateShare(alignT int64, aligned bool) bool {
 	rt.shareFlips++
 	g.trySharingComplete()
 	return true
+}
+
+// startHost compiles and retains the union query and builds the host
+// engine, its results fanned out to the members.
+func (g *shareGroup) startHost(uq *query.Query) error {
+	rt := g.rt
+	plan, err := core.NewPlanIn(rt.cat, uq)
+	if err != nil {
+		return err
+	}
+	if err := rt.cat.Retain(plan); err != nil {
+		rt.cat.DiscardPlan(plan)
+		return err
+	}
+	opts := append(append([]core.Option(nil), rt.hostOpts...), core.WithResultCallback(g.fanout))
+	g.host = &Subscription{id: -1, plan: plan, eng: core.NewEngine(plan, opts...), rt: rt, active: true}
+	return nil
 }
 
 // initiateUnshare flips a shared group back to solo execution at the
@@ -468,9 +478,10 @@ func (g *shareGroup) deliverCloneTo(m *groupMember) error {
 		return nil
 	}
 	var w snap.Writer
-	g.host.eng.Snapshot(&w)
-	clone := core.NewEngine(g.host.plan)
-	if err := clone.RestoreState(snap.NewReader(w.Raw())); err != nil {
+	g.host.eng.Code(snap.Encoder(&w))
+	clone, dec := core.NewEngine(g.host.plan), snap.Decoder(w.Reader())
+	clone.Code(dec)
+	if err := dec.Err(); err != nil {
 		return fmt.Errorf("runtime: cloning shared host for unsubscribe: %v", err)
 	}
 	for _, r := range clone.Close() {

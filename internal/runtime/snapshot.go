@@ -14,215 +14,176 @@ import (
 	"repro/internal/snap"
 )
 
-// Snapshot writes the runtime's execution state. planIdxByID maps a
+// Code lists the runtime's execution state in wire order. The two
+// directions bring different context. Encoding, planIdx maps a
 // subscription id to the index of its plan in the session-level plan
-// table; it is keyed by id rather than plan pointer because one plan
-// can legitimately host several subscriptions.
-func (rt *Runtime) Snapshot(w *snap.Writer, planIdxByID map[int]int32) error {
-	w.I64(rt.lastTime)
-	w.Bool(rt.sawEvent)
-	w.I64(rt.seq)
-	w.Int(rt.nextID)
-	w.U32(uint32(len(rt.subs)))
-	for _, s := range rt.subs {
-		pi, ok := planIdxByID[s.id]
-		if !ok {
-			return fmt.Errorf("runtime snapshot: subscription %d has no plan index", s.id)
+// table (keyed by id rather than plan pointer because one plan can
+// legitimately host several subscriptions). Decoding — into a fresh
+// runtime on the restored catalog — plans holds the recompiled plans
+// under those indexes and opts are the engine options of every engine
+// the runtime rebuilds, subscribers' and sharing-group hosts' alike
+// (session-wide accounting and eviction; no result callback: sinks are
+// not data, and a host's callback is its group's fan-out). The catalog
+// reference counts are rebuilt by re-retaining each hosted plan,
+// mirroring live subscribe.
+func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan, opts []core.Option) {
+	c.I64(&rt.lastTime)
+	c.Bool(&rt.sawEvent)
+	c.I64(&rt.seq)
+	c.Int(&rt.nextID)
+	if c.Decoding() && (c.Err() != nil || rt.nextID < 0 || rt.nextID > len(plans)) {
+		// Every id the runtime ever handed out belongs to a subscription
+		// the session ever made, and Close sizes its result table by it.
+		c.Check(false, "runtime numbered %d subscriptions of the %d ever made", rt.nextID, len(plans))
+		rt.nextID = 0
+		return
+	}
+	n := len(rt.subs)
+	c.Len(&n, 20)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var s *Subscription
+		var pi int32
+		if c.Decoding() {
+			s = &Subscription{rt: rt, active: true}
+		} else {
+			s = rt.subs[i]
+			idx, ok := planIdx[s.id]
+			if pi = idx; !ok {
+				c.Fail(fmt.Errorf("runtime snapshot: subscription %d has no plan index", s.id))
+			}
 		}
-		w.Int(s.id)
-		w.U32(uint32(pi))
-		s.eng.Snapshot(w)
+		c.Int(&s.id)
+		c.I32(&pi)
+		if c.Decoding() {
+			c.Check(s.id >= 0 && s.id < rt.nextID && rt.Lookup(s.id) == nil, "runtime subscription id %d out of range or repeated", s.id)
+			c.Check(pi >= 0 && int(pi) < len(plans) && plans[pi] != nil, "runtime subscription %d references plan %d of %d", s.id, pi, len(plans))
+			if c.Err() != nil {
+				return
+			}
+			// The plan was recompiled against this very catalog moments
+			// ago; a failed retain means the snapshot is inconsistent.
+			s.plan = plans[pi]
+			err := rt.cat.Retain(s.plan)
+			c.Check(err == nil, "retaining plan for subscription %d: %v", s.id, err)
+			s.eng = core.NewEngine(s.plan, opts...)
+			rt.subs = append(rt.subs, s)
+		}
+		s.eng.Code(c)
 	}
 	// Sharing-group section: membership, flip state, the per-epoch
 	// monitor, and — when a host exists — its union query (restore
 	// recompiles it; the union is not in the session plan table) and
-	// engine state. Written in groupList order so restored decision
-	// replay stays deterministic.
-	w.Bool(rt.sharedOn)
-	if rt.sharedOn {
-		w.U32(uint32(len(rt.groupList)))
-		for _, g := range rt.groupList {
-			w.U8(uint8(g.mode))
-			w.Bool(g.wantRefresh)
-			w.Bool(g.poisoned)
-			w.I64(g.lastEpoch)
-			w.Bool(g.epochValid)
-			w.I64(g.probeBase)
-			w.I64(g.hostBase)
-			w.U32(uint32(len(g.members)))
-			for _, m := range g.members {
-				w.Int(m.sub.id)
-				w.U8(uint8(m.mode))
-				w.Bool(m.served)
-				w.I64(m.from)
+	// engine state, in groupList order so restored decision replay stays
+	// deterministic.
+	shared := rt.sharedOn
+	c.Bool(&shared)
+	if shared {
+		if c.Decoding() {
+			rt.EnableSharedAggregation(opts...)
+		}
+		ng := len(rt.groupList)
+		c.Len(&ng, 16)
+		for i := 0; i < ng && c.Err() == nil; i++ {
+			var g *shareGroup
+			if c.Decoding() {
+				g = &shareGroup{rt: rt}
+			} else {
+				g = rt.groupList[i]
 			}
-			w.Bool(g.host != nil)
-			if g.host != nil {
-				w.Bool(g.hostRetiring)
-				if err := g.host.plan.Query.Snapshot(w); err != nil {
-					return err
-				}
-				g.host.eng.Snapshot(w)
+			g.code(c)
+			if c.Decoding() && c.Err() == nil {
+				c.Check(rt.groups[g.key] == nil, "two sharing groups share a fingerprint")
+				rt.groups[g.key] = g
+				rt.groupList = append(rt.groupList, g)
 			}
 		}
-		w.I64(rt.shareFlips)
-		w.I64(rt.sharedSavedOps)
+		c.I64(&rt.shareFlips)
+		c.I64(&rt.sharedSavedOps)
 	}
-	return nil
+	if c.Decoding() && c.Err() == nil {
+		rt.rebuildIndex()
+	}
 }
 
-// RestoreRuntime rebuilds a runtime from Snapshot on a restored
-// catalog. plans holds the recompiled plans indexed as during
-// Snapshot; engOpts yields the engine options for a subscription using
-// plan index pi (the caller wires accountants and eviction there). The
-// catalog reference counts are rebuilt by re-retaining each hosted
-// plan, mirroring live subscribe. When the snapshot carries sharing
-// groups, engOpts(-1) supplies the base options for group host
-// engines — session-wide accounting and eviction without any
-// per-subscription result callback (the host's callback is the
-// group-owned fan-out).
-func RestoreRuntime(cat *core.Catalog, r *snap.Reader, plans []*core.Plan, engOpts func(pi int) []core.Option) (*Runtime, error) {
-	rt := NewOn(cat)
-	rt.lastTime = r.I64()
-	rt.sawEvent = r.Bool()
-	rt.seq = r.I64()
-	nextID := r.Int()
-	n := r.Count(20)
-	seen := map[int]bool{}
-	for i := 0; i < n; i++ {
-		id := r.Int()
-		pi := int(r.U32())
-		if err := r.Err(); err != nil {
-			return nil, err
+// code lists one sharing group in wire order. Decoding re-links the
+// members to the restored subscriptions and recompiles the host from
+// its serialized union query; member projections are recomputed from
+// the union rather than serialized — the union's column order is the
+// host query's RETURN order, which the snapshot pins.
+func (g *shareGroup) code(c *snap.Coder) {
+	rt := g.rt
+	c.U8((*uint8)(&g.mode))
+	c.Check(g.mode <= groupUnsharing, "sharing group mode %d", g.mode)
+	c.Bool(&g.wantRefresh)
+	c.Bool(&g.poisoned)
+	c.I64(&g.lastEpoch)
+	c.Bool(&g.epochValid)
+	c.I64(&g.probeBase)
+	c.I64(&g.hostBase)
+	nm := len(g.members)
+	c.Len(&nm, 11)
+	c.Check(nm > 0, "sharing group has no members")
+	for j := 0; j < nm && c.Err() == nil; j++ {
+		var m *groupMember
+		var id int
+		if c.Decoding() {
+			m = &groupMember{}
+		} else {
+			m, id = g.members[j], g.members[j].sub.id
 		}
-		if id < 0 || id >= nextID || seen[id] {
-			return nil, fmt.Errorf("%w: runtime subscription id %d out of range or repeated", snap.ErrBadSnapshot, id)
-		}
-		if pi < 0 || pi >= len(plans) || plans[pi] == nil {
-			return nil, fmt.Errorf("%w: runtime subscription %d references plan %d of %d", snap.ErrBadSnapshot, id, pi, len(plans))
-		}
-		seen[id] = true
-		plan := plans[pi]
-		if err := cat.Retain(plan); err != nil {
-			// The plan was recompiled against this very catalog moments
-			// ago; a failed retain means the snapshot is inconsistent.
-			return nil, fmt.Errorf("%w: retaining plan for subscription %d: %v", snap.ErrBadSnapshot, id, err)
-		}
-		eng := core.NewEngine(plan, engOpts(pi)...)
-		if err := eng.RestoreState(r); err != nil {
-			cat.Release(plan)
-			return nil, err
-		}
-		s := &Subscription{id: id, plan: plan, eng: eng, rt: rt, active: true}
-		rt.subs = append(rt.subs, s)
-		rt.index(s)
-	}
-	rt.nextID = nextID
-	if r.Bool() {
-		if err := restoreGroups(rt, r, engOpts); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return rt, nil
-}
-
-// restoreGroups loads the sharing-group section: the runtime is
-// re-enabled for shared aggregation, each group's membership and flip
-// state are re-linked to the restored subscriptions, and host engines
-// are recompiled from their serialized union queries and restored.
-// Member projections are recomputed from the union rather than
-// serialized — the union's column order is the host query's RETURN
-// order, which the snapshot pins.
-func restoreGroups(rt *Runtime, r *snap.Reader, engOpts func(pi int) []core.Option) error {
-	rt.EnableSharedAggregation(engOpts(-1)...)
-	ng := r.Count(16)
-	for i := 0; i < ng; i++ {
-		g := &shareGroup{rt: rt}
-		g.mode = groupMode(r.U8())
-		if r.Err() == nil && g.mode > groupUnsharing {
-			return fmt.Errorf("%w: sharing group %d mode %d", snap.ErrBadSnapshot, i, g.mode)
-		}
-		g.wantRefresh = r.Bool()
-		g.poisoned = r.Bool()
-		g.lastEpoch = r.I64()
-		g.epochValid = r.Bool()
-		g.probeBase = r.I64()
-		g.hostBase = r.I64()
-		nm := r.Count(11)
-		if r.Err() == nil && nm == 0 {
-			return fmt.Errorf("%w: sharing group %d has no members", snap.ErrBadSnapshot, i)
-		}
-		for j := 0; j < nm; j++ {
-			id := r.Int()
-			mode := memberMode(r.U8())
-			served := r.Bool()
-			from := r.I64()
-			if err := r.Err(); err != nil {
-				return err
+		c.Int(&id)
+		c.U8((*uint8)(&m.mode))
+		c.Bool(&m.served)
+		c.I64(&m.from)
+		if c.Decoding() {
+			m.sub = rt.Lookup(id)
+			c.Check(m.mode <= memberShared && m.sub != nil && m.sub.gm == nil,
+				"sharing group member %d is in a bad mode, unknown, or in two groups", id)
+			if c.Err() != nil {
+				return
 			}
-			if mode > memberShared {
-				return fmt.Errorf("%w: sharing group %d member mode %d", snap.ErrBadSnapshot, i, mode)
-			}
-			s := rt.Lookup(id)
-			if s == nil {
-				return fmt.Errorf("%w: sharing group %d references unknown subscription %d", snap.ErrBadSnapshot, i, id)
-			}
-			if s.gm != nil {
-				return fmt.Errorf("%w: subscription %d belongs to two sharing groups", snap.ErrBadSnapshot, id)
-			}
-			m := &groupMember{sub: s, mode: mode, served: served, from: from}
 			g.members = append(g.members, m)
-			s.group, s.gm = g, m
+			m.sub.group, m.sub.gm = g, m
 		}
-		g.key = g.members[0].sub.plan.Fingerprint()
-		g.win = g.members[0].sub.plan.Query.Window
-		if r.Bool() {
-			g.hostRetiring = r.Bool()
-			uq, err := query.RestoreQuery(r)
-			if err != nil {
-				return err
-			}
-			plan, err := core.NewPlanIn(rt.cat, uq)
-			if err != nil {
-				return fmt.Errorf("%w: recompiling sharing-group union query: %v", snap.ErrBadSnapshot, err)
-			}
-			if err := rt.cat.Retain(plan); err != nil {
-				rt.cat.DiscardPlan(plan)
-				return fmt.Errorf("%w: retaining sharing-group union plan: %v", snap.ErrBadSnapshot, err)
-			}
-			opts := append(append([]core.Option(nil), rt.hostOpts...), core.WithResultCallback(g.fanout))
-			g.host = &Subscription{id: -1, plan: plan, eng: core.NewEngine(plan, opts...), rt: rt, active: true}
-			if err := g.host.eng.RestoreState(r); err != nil {
-				return err
-			}
-			g.union = core.NewSpecUnion()
-			g.union.Add(plan.Specs)
-			for _, m := range g.members {
-				if !m.served {
-					continue
-				}
-				proj, ok := g.union.Project(m.sub.plan.Specs)
-				if !ok {
-					return fmt.Errorf("%w: sharing group %d union does not cover subscription %d", snap.ErrBadSnapshot, i, m.sub.id)
-				}
-				m.proj = proj
-			}
-		} else if g.mode == groupSharing || g.mode == groupShared || g.mode == groupUnsharing {
-			return fmt.Errorf("%w: sharing group %d in mode %d without a host", snap.ErrBadSnapshot, i, g.mode)
-		}
-		if dup := rt.groups[g.key]; dup != nil {
-			return fmt.Errorf("%w: two sharing groups share fingerprint", snap.ErrBadSnapshot)
-		}
-		rt.groups[g.key] = g
-		rt.groupList = append(rt.groupList, g)
 	}
-	rt.shareFlips = r.I64()
-	rt.sharedSavedOps = r.I64()
-	rt.rebuildIndex()
-	return r.Err()
+	if c.Err() != nil {
+		return
+	}
+	first := g.members[0].sub.plan
+	hosted := g.host != nil
+	c.Bool(&hosted)
+	if c.Decoding() {
+		g.key, g.win = first.Fingerprint(), first.Query.Window
+		c.Check(hosted || g.mode == groupSolo, "sharing group in mode %d without a host", g.mode)
+	}
+	if !hosted {
+		return
+	}
+	c.Bool(&g.hostRetiring)
+	if c.Decoding() {
+		var uq query.Query
+		if uq.Code(c); c.Err() != nil {
+			return
+		}
+		if err := g.startHost(&uq); err != nil {
+			c.Check(false, "rebuilding the sharing-group host: %v", err)
+			return
+		}
+	} else {
+		g.host.plan.Query.Code(c)
+	}
+	g.host.eng.Code(c)
+	if c.Decoding() {
+		g.union = core.NewSpecUnion()
+		g.union.Add(g.host.plan.Specs)
+		for _, m := range g.members {
+			if m.served {
+				var ok bool
+				m.proj, ok = g.union.Project(m.sub.plan.Specs)
+				c.Check(ok, "sharing-group union does not cover subscription %d", m.sub.id)
+			}
+		}
+	}
 }
 
 // Lookup returns the live subscription with the given id, or nil.

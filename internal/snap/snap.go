@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // ErrBadSnapshot is wrapped by every decode failure: truncation,
@@ -40,41 +39,13 @@ type Writer struct {
 	b []byte
 }
 
-// Len returns the bytes written so far.
-func (w *Writer) Len() int { return len(w.b) }
-
-// Raw returns the accumulated payload bytes without framing, for
-// nesting one writer's output inside another via Bytes.
-func (w *Writer) Raw() []byte { return w.b }
-
 func (w *Writer) U8(v uint8)   { w.b = append(w.b, v) }
 func (w *Writer) U32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *Writer) U64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *Writer) I64(v int64)  { w.U64(uint64(v)) }
-func (w *Writer) Int(v int)    { w.I64(int64(v)) }
-func (w *Writer) F64(v float64) {
-	w.U64(math.Float64bits(v))
-}
 
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// Str writes a length-prefixed string.
-func (w *Writer) Str(s string) {
-	w.U32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(p []byte) {
-	w.U32(uint32(len(p)))
-	w.b = append(w.b, p...)
-}
+// Reader returns a payload reader over the bytes written so far (no
+// envelope): the way to decode in-process what was just encoded.
+func (w *Writer) Reader() *Reader { return &Reader{b: w.b} }
 
 // Frame wraps the accumulated payload in the snapshot envelope —
 // magic, version, payload length, payload, CRC-32 (IEEE) of the
@@ -145,12 +116,6 @@ func Open(r io.Reader) (*Reader, error) {
 	return &Reader{b: payload}, nil
 }
 
-// NewReader wraps a raw payload (no envelope) for tests.
-func NewReader(payload []byte) *Reader { return &Reader{b: payload} }
-
-// Err returns the sticky decode error, already wrapping ErrBadSnapshot.
-func (r *Reader) Err() error { return r.err }
-
 // Rem returns the unread bytes remaining.
 func (r *Reader) Rem() int { return len(r.b) - r.off }
 
@@ -197,21 +162,6 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(p)
 }
 
-func (r *Reader) I64() int64   { return int64(r.U64()) }
-func (r *Reader) Int() int     { return int(r.I64()) }
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-func (r *Reader) Bool() bool   { return r.U8() != 0 }
-func (r *Reader) Str() string  { return string(r.take(int(r.U32()))) }
-func (r *Reader) RawBytes() []byte {
-	p := r.take(int(r.U32()))
-	if p == nil {
-		return nil
-	}
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
-}
-
 // Count reads a collection length and validates it against the bytes
 // remaining, given a minimum encoded size per element, so a corrupt
 // length can never drive an over-allocation: a slice of n elements is
@@ -219,17 +169,23 @@ func (r *Reader) RawBytes() []byte {
 // present.
 func (r *Reader) Count(elemMin int) int {
 	n := int(r.U32())
-	if r.err != nil {
+	if r.err != nil || !r.fits(n, elemMin) {
 		return 0
 	}
+	return n
+}
+
+// fits reports whether n elements of at least elemMin bytes each can
+// still follow, failing the reader when they cannot.
+func (r *Reader) fits(n, elemMin int) bool {
 	if elemMin < 1 {
 		elemMin = 1
 	}
 	if n < 0 || n*elemMin > r.Rem() {
 		r.fail("collection of %d elements (min %d bytes each) exceeds %d remaining bytes", n, elemMin, r.Rem())
-		return 0
+		return false
 	}
-	return n
+	return true
 }
 
 // Close verifies the payload was fully consumed.

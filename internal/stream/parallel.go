@@ -209,10 +209,16 @@ type ctlReply struct {
 // (each worker adds its own accountant after them), so session-wide
 // engine policies like core.WithInternEviction reach every worker.
 func NewMultiExecutorOn(cat *core.Catalog, n int, engOpts ...core.Option) *MultiExecutor {
-	if n < 1 {
-		n = 1
-	}
-	m := &MultiExecutor{cat: cat, engOpts: engOpts, inThread: n == 1, maxGroups: 1}
+	m := &MultiExecutor{cat: cat, engOpts: engOpts, maxGroups: 1}
+	m.start(max(n, 1))
+	return m
+}
+
+// start builds the n partition workers of an executor that has its
+// catalog, engine options and group cap — the tail of construction,
+// shared with snapshot restore, which learns n from the frame.
+func (m *MultiExecutor) start(n int) {
+	m.inThread = n == 1 && m.maxGroups <= 1
 	m.pool.New = func() any {
 		b := make([]*event.Event, 0, routeBatchSize)
 		return &b
@@ -221,7 +227,6 @@ func NewMultiExecutorOn(cat *core.Catalog, n int, engOpts ...core.Option) *Multi
 	for i := 0; i < n; i++ {
 		m.workers = append(m.workers, m.newWorker())
 	}
-	return m
 }
 
 // newWorker builds one worker and, unless the executor runs in-thread,

@@ -624,18 +624,20 @@ func TestMultiExecutorLocalityFallback(t *testing.T) {
 // snapshot rather than build a worker that is never started.
 func TestRestoreRejectsGroupsBesideInThreadWorker(t *testing.T) {
 	var w snap.Writer
-	w.U32(1) // workers
-	w.U32(0) // routing attributes
-	w.I64(0) // seq
-	w.I64(0) // lastTime
-	w.Bool(false)
-	w.I64(0) // skipped
-	w.I64(0) // retired peak
-	w.U32(1) // group cap
-	w.U32(1) // running groups
-	w.Str("ward")
-	_, err := RestoreMultiExecutor(core.NewCatalog(), snap.NewReader(w.Raw()), nil)
-	if !errors.Is(err, snap.ErrBadSnapshot) {
-		t.Errorf("groups beside an in-thread worker: %v, want ErrBadSnapshot", err)
+	enc := snap.Encoder(&w)
+	one, none, sig := uint32(1), int64(0), "ward"
+	enc.U32(&one)  // workers
+	w.U32(0)       // routing attributes
+	enc.I64(&none) // seq
+	enc.I64(&none) // lastTime
+	w.U8(0)        // sawEvent
+	enc.I64(&none) // skipped
+	enc.I64(&none) // retired peak
+	enc.U32(&one)  // group cap
+	enc.U32(&one)  // running groups
+	enc.Str(&sig)
+	dec := snap.Decoder(w.Reader())
+	if m := RestoreMultiExecutor(core.NewCatalog(), dec, nil); m != nil || !errors.Is(dec.Err(), snap.ErrBadSnapshot) {
+		t.Errorf("groups beside an in-thread worker: executor %v, error %v, want ErrBadSnapshot", m, dec.Err())
 	}
 }

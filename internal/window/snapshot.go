@@ -1,18 +1,26 @@
 package window
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/snap"
+)
 
 // Checkpoint accessors. The manager's bookkeeping (active wids,
-// emission cursor, max wid) is private on purpose — these two hooks
-// expose exactly what a snapshot needs, keeping the state-machine
-// invariants (emitted only moves forward, active never holds emitted
-// wids) inside the package.
+// emission cursor, max wid) is private on purpose — these hooks expose
+// exactly what a snapshot needs, keeping the state-machine invariants
+// (emitted only moves forward, active never holds emitted wids) inside
+// the package.
 
-// Cursor returns the watermark bookkeeping: the emission cursor (all
-// wids < emitted are closed), the largest wid ever seen, and whether
-// any window was ever created.
-func (m *Manager[T]) Cursor() (emitted, maxWid int64, everSawWid bool) {
-	return m.emitted, m.maxWid, m.everSawWid
+// CodeCursor lists the watermark bookkeeping in wire order: the
+// emission cursor (all wids < emitted are closed), the largest wid ever
+// seen, whether any window was ever created, and the SkipFrom ceiling.
+func (m *Manager[T]) CodeCursor(c *snap.Coder) {
+	c.I64(&m.emitted)
+	c.I64(&m.maxWid)
+	c.Bool(&m.everSawWid)
+	c.Bool(&m.hasCeil)
+	c.I64(&m.ceil)
 }
 
 // ActiveWids returns the live window ids in ascending order.
@@ -31,18 +39,13 @@ func (m *Manager[T]) State(wid int64) (T, bool) {
 	return st, ok
 }
 
-// RestoreCursor sets the watermark bookkeeping verbatim; used by
-// checkpoint restore before re-adding window states.
-func (m *Manager[T]) RestoreCursor(emitted, maxWid int64, everSawWid bool) {
-	m.emitted, m.maxWid, m.everSawWid = emitted, maxWid, everSawWid
-}
-
-// RestoreState re-installs one live window state verbatim.
-func (m *Manager[T]) RestoreState(wid int64, st T) {
+// RestoreState re-installs one live window state verbatim. It refuses
+// (false) a wid the decoded cursor rules out: already emitted, at or
+// above the ceiling, or already live.
+func (m *Manager[T]) RestoreState(wid int64, st T) bool {
+	if _, live := m.active[wid]; live || wid < m.emitted || (m.hasCeil && wid >= m.ceil) {
+		return false
+	}
 	m.active[wid] = st
-}
-
-// RestoreCeiling re-installs a SkipFrom ceiling verbatim.
-func (m *Manager[T]) RestoreCeiling(ceil int64, hasCeil bool) {
-	m.ceil, m.hasCeil = ceil, hasCeil
+	return true
 }

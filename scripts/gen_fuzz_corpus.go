@@ -1,7 +1,11 @@
 //go:build ignore
 
-// gen_fuzz_corpus regenerates the committed seed corpus for
-// FuzzSnapshotDecode (testdata/fuzz/FuzzSnapshotDecode). It builds the
+// gen_fuzz_corpus regenerates the committed snapshot fixtures: the
+// golden frames TestSnapshotGoldenFrames pins byte for byte
+// (testdata/golden, one per diff.GoldenFrames scenario) and the seed
+// corpus for FuzzSnapshotDecode (testdata/fuzz/FuzzSnapshotDecode).
+// Both must be exactly what the current build writes — CI reruns this
+// and fails on any diff under testdata/. For the corpus it builds the
 // same kind of valid snapshot as the fuzz target's programmatic seed —
 // three granularities subscribed, one unsubscribed (tombstoned catalog
 // ids), a slack buffer holding events, intern eviction on, a
@@ -27,9 +31,13 @@ import (
 	"path/filepath"
 
 	cogra "repro"
+	"repro/internal/fuzz/diff"
 )
 
-const corpusDir = "testdata/fuzz/FuzzSnapshotDecode"
+const (
+	corpusDir = "testdata/fuzz/FuzzSnapshotDecode"
+	goldenDir = "testdata/golden"
+)
 
 // seedStream mirrors the shape of the test suite's session stream:
 // A/B sequences, M measurement walks and X noise over three patients,
@@ -149,7 +157,34 @@ func writeCorpus(name string, data []byte) error {
 	return os.WriteFile(filepath.Join(corpusDir, name), []byte(body), 0o644)
 }
 
+// writeGoldens snapshots every golden scenario at its cut.
+func writeGoldens() error {
+	if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+		return err
+	}
+	for _, g := range diff.GoldenFrames() {
+		sess, err := g.Build()
+		if err != nil {
+			return fmt.Errorf("golden %s: %w", g.Name, err)
+		}
+		var buf bytes.Buffer
+		if err := sess.Snapshot(&buf); err != nil {
+			return fmt.Errorf("golden %s: %w", g.Name, err)
+		}
+		if err := sess.Close(); err != nil {
+			return fmt.Errorf("golden %s: %w", g.Name, err)
+		}
+		if err := os.WriteFile(filepath.Join(goldenDir, g.Name+".snap"), buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func main() {
+	if err := writeGoldens(); err != nil {
+		log.Fatal("gen_fuzz_corpus: ", err)
+	}
 	valid, err := seedSnapshot()
 	if err != nil {
 		log.Fatal("gen_fuzz_corpus: ", err)
@@ -185,6 +220,6 @@ func main() {
 			log.Fatal("gen_fuzz_corpus: ", err)
 		}
 	}
-	fmt.Printf("gen_fuzz_corpus: wrote %d seeds to %s (valid snapshot: %d bytes)\n",
-		len(seeds), corpusDir, len(valid))
+	fmt.Printf("gen_fuzz_corpus: wrote %d golden frames to %s, %d seeds to %s (valid snapshot: %d bytes)\n",
+		len(diff.GoldenFrames()), goldenDir, len(seeds), corpusDir, len(valid))
 }

@@ -42,10 +42,6 @@ import (
 	"repro/internal/stream"
 )
 
-// maxRestoreWorkers bounds the worker count accepted from a snapshot,
-// so a corrupt header cannot spawn an absurd goroutine fleet.
-const maxRestoreWorkers = 4096
-
 // Snapshot writes a consistent checkpoint of the session to w in the
 // versioned, CRC-protected snapshot format. The session must be
 // quiescent from the caller's side (no concurrent Push); worker
@@ -65,52 +61,11 @@ func (s *Session) Snapshot(w io.Writer) error {
 		return err
 	}
 	var sw snap.Writer
-	sw.Int(s.cfg.workers)
-	sw.Int(s.cfg.groups)
-	sw.I64(s.cfg.slack)
-	sw.Bool(s.cfg.reorder)
-	sw.U8(uint8(s.cfg.late))
-	sw.Int(s.cfg.maxDepth)
-	sw.U8(uint8(s.cfg.depth))
-	sw.Bool(s.cfg.evict)
-	sw.Bool(s.cfg.shared)
-	sw.Int(s.roPeak)
-	sw.I64(s.roSeq)
-	// Whether any event reached the executor (saw) also gates restore:
-	// the worker count may only change while it is false, since routing
-	// and worker-local state are frozen by the first dispatched event.
-	sw.I64(s.last)
-	sw.Bool(s.saw)
-	if s.cfg.reorder {
-		s.ro.Snapshot(&sw)
-	}
-	s.cat.Snapshot(&sw)
-	sw.U32(uint32(len(s.subs)))
-	// The session's plan table is indexed by its own subscription ids;
-	// the executor numbers only the plans it hosts (the two diverge once
-	// a restore re-subscribed a fleet with detached members).
-	planIdx := map[int]int32{}
-	for _, sub := range s.subs {
-		sw.Bool(sub.active)
-		if sub.active {
-			if err := sub.plan.Query.Snapshot(&sw); err != nil {
-				return err
-			}
-			planIdx[sub.msub.ID()] = int32(sub.id)
-		}
-		sw.U32(uint32(len(sub.pending)))
-		for _, r := range sub.pending {
-			core.SnapshotResult(&sw, r)
-		}
-	}
-	// The execution topology is nested as one length-prefixed blob, so
-	// a restore that rebuilds a fresh topology (worker-count change on
-	// an event-free snapshot) can skip it wholesale.
-	var tw snap.Writer
-	if err := s.mx.Snapshot(&tw, planIdx); err != nil {
+	c := snap.Encoder(&sw)
+	s.code(c, nil)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	sw.Bytes(tw.Raw())
 	return sw.Frame(w)
 }
 
@@ -132,158 +87,162 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	var orig sessionCfg
-	orig.workers = rd.Int()
-	orig.groups = rd.Int()
-	orig.slack = rd.I64()
-	orig.reorder = rd.Bool()
-	late := rd.U8()
-	orig.maxDepth = rd.Int()
-	depth := rd.U8()
-	orig.evict = rd.Bool()
-	orig.shared = rd.Bool()
-	if err := rd.Err(); err != nil {
-		return nil, err
+	s, c := &Session{}, snap.Decoder(rd)
+	if err = s.code(c, opts); err == nil {
+		err = rd.Close() // the sticky decode error, or trailing bytes
 	}
-	if late > uint8(RejectLate) || depth > uint8(Reject) {
-		return nil, fmt.Errorf("%w: session policy out of range (late %d, depth %d)", ErrBadSnapshot, late, depth)
-	}
-	if orig.workers > maxRestoreWorkers || orig.workers < 0 {
-		return nil, fmt.Errorf("%w: session worker count %d", ErrBadSnapshot, orig.workers)
-	}
-	if orig.groups > maxRestoreWorkers || orig.groups < 0 {
-		return nil, fmt.Errorf("%w: session executor group count %d", ErrBadSnapshot, orig.groups)
-	}
-	orig.late, orig.depth = LatePolicy(late), DepthPolicy(depth)
-	cfg := orig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	s := &Session{cfg: cfg, ro: newReorderer(cfg)}
-	s.roPeak = rd.Int()
-	s.roSeq = rd.I64()
-	s.last = rd.I64()
-	s.saw = rd.Bool()
-	if orig.reorder { // options only ever add WithSlack, so s.ro exists
-		if err := s.ro.RestoreState(rd); err != nil {
-			return nil, err
-		}
-	}
-	cat, err := core.RestoreCatalog(rd)
 	if err != nil {
+		if s.mx != nil {
+			s.mx.Close()
+		}
 		return nil, err
 	}
-	s.cat = cat
+	return s, nil
+}
+
+// code lists the session's fields in wire order: configuration, ingest
+// position, the reorder buffer, the catalog, every subscription (its
+// query when active, its undelivered results either way) and the
+// execution topology. Decoding fills an empty Session, applying opts on
+// top of the decoded configuration; the error it returns is one that is
+// not the snapshot's fault (the sticky decode error stays in c).
+func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
+	orig := s.cfg
+	orig.code(c)
+	if c.Decoding() {
+		if c.Err() != nil {
+			return nil
+		}
+		s.cfg = orig
+		for _, opt := range opts {
+			opt(&s.cfg)
+		}
+		s.ro, s.cat = newReorderer(s.cfg), core.NewCatalog()
+	}
+	c.Int(&s.roPeak)
+	c.I64(&s.roSeq)
+	// Whether any event reached the executor (saw) also gates restore:
+	// the worker count may only change while it is false, since routing
+	// and worker-local state are frozen by the first dispatched event.
+	c.I64(&s.last)
+	c.Bool(&s.saw)
+	if orig.reorder { // options only ever add WithSlack, so s.ro exists
+		s.ro.Code(c)
+	}
+	s.cat.Code(c)
 	// Recompiling the surviving queries below re-interns their symbols
 	// (hitting the restored ids) but also republishes the catalog,
 	// advancing the epoch; remember the snapshot's marks and re-pin
 	// them once the topology is rebuilt, so diagnostics stay continuous.
-	epochMark, compMark := cat.Epoch(), cat.Compactions()
-	nsubs := rd.Count(5)
-	plans := make([]*Plan, nsubs)
-	actives := make([]bool, nsubs)
-	pendings := make([][]Result, nsubs)
-	for id := 0; id < nsubs; id++ {
-		actives[id] = rd.Bool()
-		if actives[id] {
-			q, err := query.RestoreQuery(rd)
-			if err != nil {
-				return nil, err
-			}
-			plan, err := core.NewPlanIn(cat, q)
-			if err != nil {
-				return nil, fmt.Errorf("%w: recompiling query %d: %v", ErrBadSnapshot, id, err)
-			}
-			plans[id] = plan
+	epochMark, compMark := s.cat.Epoch(), s.cat.Compactions()
+	n := len(s.subs)
+	c.Len(&n, 5)
+	// The session's plan table is indexed by its own subscription ids;
+	// the executor numbers only the plans it hosts (the two diverge once
+	// a restore re-subscribed a fleet with detached members).
+	planIdx, plans := map[int]int32{}, make([]*Plan, n)
+	for id := 0; id < n && c.Err() == nil; id++ {
+		if c.Decoding() {
+			s.subs = append(s.subs, &Subscription{sess: s, id: id})
 		}
-		np := rd.Count(32)
-		for i := 0; i < np; i++ {
-			res, err := core.RestoreResult(rd)
-			if err != nil {
-				return nil, err
+		sub := s.subs[id]
+		c.Bool(&sub.active)
+		if sub.active && c.Decoding() {
+			var q query.Query
+			if q.Code(c); c.Err() != nil {
+				break
 			}
-			pendings[id] = append(pendings[id], res)
+			plan, err := core.NewPlanIn(s.cat, &q)
+			c.Check(err == nil, "recompiling query %d: %v", id, err)
+			sub.plan, plans[id] = plan, plan
+		} else if sub.active {
+			sub.plan.Query.Code(c)
+			planIdx[sub.msub.ID()] = int32(id)
 		}
+		snap.Slice(c, &sub.pending, 32, core.CodeResult)
 	}
-	blob := rd.RawBytes()
-	if err := rd.Close(); err != nil {
-		return nil, err
+	// The execution topology is nested as one length-prefixed section,
+	// so a restore that rebuilds a fresh topology (worker-count change on
+	// an event-free snapshot) can skip it wholesale.
+	topology := c.Begin()
+	if !c.Decoding() {
+		s.mx.Code(c, planIdx, nil)
+		c.End(topology)
+		return nil
 	}
-
-	normalize := func(n int) int {
-		if n > 1 {
-			return n
-		}
-		return 1
+	if c.Err() != nil {
+		return nil
 	}
-	msubs := make([]*stream.Sub, nsubs)
-	if normalize(cfg.workers) != normalize(orig.workers) || normalize(cfg.groups) != normalize(orig.groups) {
+	if width(s.cfg.workers) != width(orig.workers) || width(s.cfg.groups) != width(orig.groups) {
 		if s.saw {
-			return nil, fmt.Errorf("cogra: restore with %d workers / %d groups from a %d-worker / %d-group snapshot after events flowed (routing is frozen): %w",
-				normalize(cfg.workers), normalize(cfg.groups), normalize(orig.workers), normalize(orig.groups), ErrFrozenRouting)
+			return fmt.Errorf("cogra: restore with %d workers / %d groups from a %d-worker / %d-group snapshot after events flowed (routing is frozen): %w",
+				width(s.cfg.workers), width(s.cfg.groups), width(orig.workers), width(orig.groups), ErrFrozenRouting)
 		}
-		// Event-free snapshot: the topology blob holds only fresh
-		// construction state, so skip it and re-subscribe the surviving
-		// plans against a fresh executor of the requested width.
-		s.mx = newExecutor(cat, cfg)
+		// Event-free snapshot: the topology holds only fresh construction
+		// state, so skip it and re-subscribe the surviving plans against a
+		// fresh executor of the requested width.
+		c.Skip(topology)
+		s.mx = newExecutor(s.cat, s.cfg)
 		for id, plan := range plans {
 			if plan == nil {
 				continue
 			}
-			if msubs[id], err = s.mx.SubscribePlan(plan); err != nil {
-				s.mx.Close()
-				return nil, err
+			msub, err := s.mx.SubscribePlan(plan)
+			if err != nil {
+				return err
 			}
+			s.subs[id].msub = msub
 		}
 	} else {
-		brd := snap.NewReader(blob)
-		mx, err := stream.RestoreMultiExecutor(cat, brd, plans, cfg.engineOpts()...)
-		if err != nil {
-			return nil, err
+		if s.mx = stream.RestoreMultiExecutor(s.cat, c, plans, s.cfg.engineOpts()...); s.mx == nil {
+			return nil
 		}
-		s.mx = mx
-		if err := brd.Close(); err != nil {
-			mx.Close()
-			return nil, err
-		}
-		if cfg.shared {
+		c.End(topology)
+		if s.cfg.shared {
 			// Re-arm the executor-level flag so lazily started executor
 			// groups inherit sharing (and future subscribers may share when
 			// WithSharedAggregation was added at restore time); worker
 			// runtimes restored with sharing already on are left untouched.
-			mx.EnableSharedAggregation()
+			s.mx.EnableSharedAggregation()
 		}
 		// Each surviving plan was recompiled into its own *Plan above, so
 		// the pointer identifies the executor subscription hosting it.
 		byPlan := map[*Plan]*stream.Sub{}
-		for _, msub := range mx.Subs() {
+		for _, msub := range s.mx.Subs() {
 			if msub.Active() {
 				byPlan[msub.Plan()] = msub
 			}
 		}
-		for id := range plans {
-			if !actives[id] {
-				continue
-			}
-			if msubs[id] = byPlan[plans[id]]; msubs[id] == nil {
-				mx.Close()
-				return nil, fmt.Errorf("%w: subscription %d missing from the executor topology", ErrBadSnapshot, id)
+		for id, plan := range plans {
+			if plan != nil {
+				s.subs[id].msub = byPlan[plan]
+				c.Check(byPlan[plan] != nil, "subscription %d missing from the executor topology", id)
 			}
 		}
 	}
-	for id := 0; id < nsubs; id++ {
-		s.subs = append(s.subs, &Subscription{
-			sess:    s,
-			id:      id,
-			plan:    plans[id],
-			msub:    msubs[id],
-			active:  actives[id],
-			pending: pendings[id],
-		})
-	}
-	cat.ResetEpoch(epochMark, compMark)
-	return s, nil
+	s.cat.ResetEpoch(epochMark, compMark)
+	return nil
 }
+
+// code lists the construction options in wire order.
+func (cfg *sessionCfg) code(c *snap.Coder) {
+	c.Int(&cfg.workers)
+	c.Int(&cfg.groups)
+	c.I64(&cfg.slack)
+	c.Bool(&cfg.reorder)
+	snap.Enum(c, &cfg.late, RejectLate, "session late policy")
+	c.Int(&cfg.maxDepth)
+	snap.Enum(c, &cfg.depth, Reject, "session depth policy")
+	c.Bool(&cfg.evict)
+	c.Bool(&cfg.shared)
+	c.Check(cfg.workers >= 0 && cfg.workers <= stream.MaxSnapshotWorkers, "session worker count %d", cfg.workers)
+	c.Check(cfg.groups >= 0 && cfg.groups <= stream.MaxSnapshotWorkers, "session executor group count %d", cfg.groups)
+}
+
+// width is the worker (or executor-group) count a configured value
+// stands for: anything below 2 is the one in-thread worker (or the
+// single fallback group).
+func width(n int) int { return max(n, 1) }
 
 // Subscriptions returns the session's subscription handles, active and
 // detached, indexed by their ids — the way back to a restored

@@ -10,8 +10,10 @@ package cogra_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"strconv"
 	"strings"
@@ -19,6 +21,7 @@ import (
 
 	cogra "repro"
 	"repro/internal/fuzz/diff"
+	"repro/internal/snap"
 )
 
 // snapRun feeds events to a session hosting a standing query and the
@@ -262,6 +265,67 @@ func TestRestoreWorkerCount(t *testing.T) {
 	}
 }
 
+// readGolden loads one committed golden frame.
+func readGolden(tb testing.TB, name string) []byte {
+	tb.Helper()
+	golden, err := os.ReadFile("testdata/golden/" + name + ".snap")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return golden
+}
+
+// TestSnapshotGoldenFrames pins the wire format byte for byte: each
+// diff.GoldenFrames scenario, rebuilt from scratch, must snapshot to
+// exactly the committed frame, and restoring the committed frame must
+// re-encode to the same bytes. The frames were first written by the
+// paired encode/decode functions the Coder methods replaced, so this is
+// what makes "the format did not move" checked rather than trusted.
+// Regenerate (after a deliberate snap.Version bump only) with
+// go run scripts/gen_fuzz_corpus.go.
+func TestSnapshotGoldenFrames(t *testing.T) {
+	for _, g := range diff.GoldenFrames() {
+		t.Run(g.Name, func(t *testing.T) {
+			golden := readGolden(t, g.Name)
+			sess, err := g.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Name == "fleet" { // the sections this frame is committed for
+				st, err := sess.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Workers != 5 || st.ExecutorGroups != 1 || st.SharedGroups == 0 {
+					t.Fatalf("fleet scenario is vacuous: %+v", st)
+				}
+			}
+			var built bytes.Buffer
+			if err := sess.Snapshot(&built); err != nil {
+				t.Fatal(err)
+			}
+			sess.Close()
+			if !bytes.Equal(built.Bytes(), golden) {
+				t.Errorf("rebuilt scenario snapshots to %d bytes that differ from the %d golden ones: %s",
+					built.Len(), len(golden), diff.FirstByteDiff(built.String(), string(golden)))
+			}
+			restored, err := cogra.Restore(bytes.NewReader(golden))
+			if err != nil {
+				t.Fatalf("golden frame does not restore: %v", err)
+			}
+			var again bytes.Buffer
+			if err := restored.Snapshot(&again); err != nil {
+				t.Fatal(err)
+			}
+			restored.Close()
+			if !bytes.Equal(again.Bytes(), golden) {
+				t.Errorf("restored golden frame re-encodes differently: %s",
+					diff.FirstByteDiff(again.String(), string(golden)))
+			}
+		})
+	}
+}
+
 // TestRestoreRefusesV3Frame: the frame an inline session wrote under
 // format v3 (its own topology section, before every session nested an
 // executor blob) is version skew, not corruption to guess around.
@@ -389,6 +453,76 @@ func TestRestorePendingResults(t *testing.T) {
 			}
 			if len(want) == 0 {
 				t.Error("no results; test is vacuous")
+			}
+		})
+	}
+}
+
+// reframe wraps a (possibly damaged) payload in a valid envelope, so the
+// damage reaches the decoder instead of stopping at the checksum.
+func reframe(payload []byte) []byte {
+	out := append([]byte(snap.Magic), make([]byte, 12)...)
+	binary.LittleEndian.PutUint32(out[8:], snap.Version)
+	binary.LittleEndian.PutUint64(out[12:], uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// TestRestoreSurvivesPayloadDamage drives the decoder itself — behind
+// the checksum, where the byte-level fuzzer rarely gets — with every
+// golden frame's payload truncated at each offset and with single bytes
+// overwritten. Restore must fail with a typed error or, when the damage
+// happens to decode, return a session that snapshots to a fixpoint and
+// closes; it must never panic or hang.
+func TestRestoreSurvivesPayloadDamage(t *testing.T) {
+	for _, g := range diff.GoldenFrames() {
+		t.Run(g.Name, func(t *testing.T) {
+			golden := readGolden(t, g.Name)
+			payload := golden[20 : len(golden)-4]
+			if !bytes.Equal(reframe(payload), golden) {
+				t.Fatal("reframe does not reproduce the golden envelope")
+			}
+			stride := 1 + len(payload)/1024 // byte damage is sampled on the larger frames
+			if testing.Short() {
+				stride *= 8
+			}
+			try := func(what string, at int, damaged []byte) {
+				sess, err := cogra.Restore(bytes.NewReader(reframe(damaged)))
+				if err != nil {
+					if !errors.Is(err, cogra.ErrBadSnapshot) && !errors.Is(err, cogra.ErrFrozenRouting) {
+						t.Fatalf("%s at payload offset %d: untyped error %v", what, at, err)
+					}
+					return
+				}
+				// Damage that decodes may still describe an impossible stream
+				// position (a clock ahead of the buffered events, say), which
+				// a later Push or Close reports as an ordinary typed error;
+				// what it must not do is break the codec.
+				var first, second bytes.Buffer
+				if err := sess.Snapshot(&first); err != nil {
+					t.Fatalf("%s at payload offset %d: accepted, but does not snapshot: %v", what, at, err)
+				}
+				sess.Close()
+				again, err := cogra.Restore(bytes.NewReader(first.Bytes()))
+				if err != nil {
+					t.Fatalf("%s at payload offset %d: accepted, but its snapshot does not restore: %v", what, at, err)
+				}
+				if err := again.Snapshot(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+					t.Fatalf("%s at payload offset %d: accepted, but its snapshot is not a fixpoint (%v)", what, at, err)
+				}
+				again.Close()
+			}
+			for at := 0; at < len(payload); at += 1 + len(payload)/16384 { // every offset, but for the goroutine fleet
+				try("truncation", at, payload[:at])
+			}
+			for at := 0; at < len(payload); at += stride {
+				for _, b := range []byte{0x00, 0x01, 0x7f, 0xff} {
+					if payload[at] != b {
+						damaged := append([]byte(nil), payload...)
+						damaged[at] = b
+						try(fmt.Sprintf("byte %#02x", b), at, damaged)
+					}
+				}
 			}
 		})
 	}

@@ -5,10 +5,11 @@ package cogra_test
 //
 //   - batch execution (PushBatch, type-partitioned runs through the
 //     run kernels) is byte-identical to event-at-a-time Push across
-//     all three granularities (plus the contiguous wants-all path) ×
-//     {inline, 4 workers} × {slack, intern eviction, catalog
-//     compaction}, on a run-shaped stream whose type runs carry
-//     equal-timestamp ties and straddle window boundaries;
+//     all three granularities (plus the contiguous wants-all path and
+//     the Figure 2 plan whose alias A has both a stored and a table
+//     predecessor) × {inline, 4 workers} × {slack, intern eviction,
+//     catalog compaction}, on a run-shaped stream whose type runs
+//     carry equal-timestamp ties and straddle window boundaries;
 //   - a k-group session produces byte-identical results to the
 //     single-group default (groups are full-stream workers — routing
 //     subscribers across more of them cannot change results), and the
@@ -156,12 +157,30 @@ func kernelRun(t *testing.T, opts []cogra.SessionOption, src string, events []*c
 	return sub.Drain()
 }
 
+// figure2Mixed is the paper's Figure 2 pattern with an adjacent
+// predicate on A only: alias A then has a stored predecessor (A, in Te)
+// AND a table predecessor (B, in Tt), so within an equal-time run of A's
+// the kernel serves the B part from the per-time-stamp memo and scans
+// the stored A's per event on top of it. Every side of this differential
+// runs that same kernel, so it pins that batching, worker count and the
+// bounded-state variants do not change what the memo serves; that the
+// memo serves the right sums is core's TestRunMemoSurvivesStoredScan.
+const figure2Mixed = `
+	RETURN COUNT(*), SUM(A.v)
+	PATTERN (SEQ(A+, B))+
+	SEMANTICS skip-till-any-match
+	WHERE [patient] AND A.v < NEXT(A).v
+	GROUP-BY patient
+	WITHIN 64 SLIDE 32`
+
 // TestSessionBatchKernelDifferential pins the run kernels: batch
 // execution equals event-at-a-time for every granularity × session
 // mode × bounded-state variant, on the run-shaped stream.
 func TestSessionBatchKernelDifferential(t *testing.T) {
 	base := runShapedStream(3000)
 	assertRunShaped(t, base)
+	queries := sessionTestQueries()
+	queries["figure2-mixed"] = figure2Mixed
 	shuffled, slack := shuffleBounded(base, 6, 7)
 	if slack == 0 {
 		t.Fatal("shuffle produced no disorder; slack variant is vacuous")
@@ -178,7 +197,7 @@ func TestSessionBatchKernelDifferential(t *testing.T) {
 	}
 	for mode, mopts := range sessionModes() {
 		for vname, v := range variants {
-			for qname, src := range sessionTestQueries() {
+			for qname, src := range queries {
 				t.Run(mode+"/"+vname+"/"+qname, func(t *testing.T) {
 					opts := append(mopts[:len(mopts):len(mopts)], v.opts...)
 					want := kernelRun(t, opts, src, v.events, false, v.churnAt)

@@ -4,8 +4,9 @@ import (
 	"repro/internal/agg"
 )
 
-// Stored-event arenas: mixed granularity retains one storedEntry per
-// event of an event-grained (Te) type, and each entry carries two small
+// Stored-event arenas: the skip-till-any-match kernel retains one
+// storedEntry per event of an event-grained (Te) type (none when the
+// plan has no adjacent predicate), and each entry carries two small
 // slices — its adjacent-predicate left operands ([]attrVal) and its
 // aggregate's auxiliary state ([]agg.Aux). Allocating those
 // item-at-a-time is where BenchmarkEngineProcessMixedAdjacent burnt
@@ -18,19 +19,16 @@ import (
 // arenaMaxEntries cells, so a near-empty window pays one small slab
 // while a dense one amortises allocation to ~log₂(n) + n/max slabs.
 //
-// Reclamation is wholesale and epoch-bucketed by construction: one
-// arena pair belongs to one mixedGrained sub-aggregator, which is the
-// state of exactly one (window, partition) — when the window closes
-// (or eviction sweeps the engine past it) Release drops the stored
-// slices and the arena, and the GC frees whole slabs instead of
-// tracing thousands of entries. Entries are written once at store time
-// and never returned individually, so the arena needs no free list.
+// Reclamation is wholesale: entries are written once at store time and
+// never returned individually, so the arena needs no free list — when a
+// window closes its sub-aggregators' Release drops their stored slices,
+// and the GC frees whole slabs instead of tracing thousands of entries.
 const (
 	arenaMinEntries = 8
 	arenaMaxEntries = 1024
 )
 
-// storeArenas bundles the two arenas backing mixed-grained stored
+// storeArenas bundles the two arenas backing the stored (Te)
 // entries. One pair is owned per Engine and shared by every hosted
 // sub-aggregator: slabs fill across the open windows of the engine and
 // become collectible once the last window whose entries they carry has

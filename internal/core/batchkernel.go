@@ -17,11 +17,11 @@ import (
 // resolution probes only the attributes some hosted plan actually
 // reads instead of the catalog's whole attribute space.
 //
-// Granularity kernels are unchanged: they consume the same resolvedVals
-// slot views, but for a run those views are consecutive stride-wide
-// slices of three contiguous columns (num/sym/has), so the inner
-// aggregation loops walk linear memory instead of chasing one heap
-// object per event.
+// The aggregation kernels are unchanged: they consume the same
+// resolvedVals slot views, but for a run those views are consecutive
+// stride-wide slices of three contiguous columns (num/sym/has), so the
+// inner aggregation loops walk linear memory instead of chasing one
+// heap object per event.
 //
 // Only run-safe plans take this path. Within one timestamp COGRA's
 // stream-transaction discipline stages every contribution and commits

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/agg"
 	"repro/internal/event"
@@ -67,10 +70,14 @@ func TestPaperTable5(t *testing.T) {
 }
 
 // TestPaperTable5Intermediates checks the per-event intermediate
-// counts of Table 5 via the aggregator directly.
+// counts of Table 5 via the aggregator directly: Algorithm 2 with
+// Te = ∅ keeps exactly Algorithm 1's per-type tables.
 func TestPaperTable5Intermediates(t *testing.T) {
 	plan := MustPlan(countQuery(query.Any))
-	tg := newTypeGrained(plan, nopAccountant{}, newBindings(plan.Slots, nopAccountant{}, false), &runMemo{})
+	tg := newMixedGrained(plan, nopAccountant{}, newBindings(plan.Slots, nopAccountant{}, false), nil, &runMemo{})
+	if tg.te != nil {
+		t.Fatal("type-grained plan carries an event store")
+	}
 	wantA := map[int64]uint64{1: 1, 3: 4, 4: 10, 7: 32}
 	wantB := map[int64]uint64{2: 1, 6: 11, 8: 43}
 	var rv resolvedVals
@@ -88,6 +95,140 @@ func TestPaperTable5Intermediates(t *testing.T) {
 				t.Errorf("after %v: B.count = %d, want %d", e, got, want)
 			}
 		}
+	}
+}
+
+// TestSubAggregatorOpenCost pins what opening one (window, partition)
+// costs a type-grained plan — the dominant term of a fleet of grouped
+// queries: the struct stays in the 240-byte size class and the open is
+// five allocations (the struct, the table slice, one table per alias,
+// the contribution index), none of them for the event store only a
+// mixed-grained plan builds.
+func TestSubAggregatorOpenCost(t *testing.T) {
+	if size := unsafe.Sizeof(mixedGrained{}); size > 240 {
+		t.Errorf("sizeof(mixedGrained) = %d, want <= 240", size)
+	}
+	plan := MustPlan(query.MustParse(`
+		RETURN key, COUNT(*), SUM(A.v) PATTERN SEQ(S0 A+, S1 B)
+		WHERE [key] GROUP-BY key WITHIN 256 SLIDE 256`))
+	if plan.Granularity != TypeGrained {
+		t.Fatalf("granularity = %v, want type", plan.Granularity)
+	}
+	bnd := newBindings(plan.Slots, nopAccountant{}, false)
+	var arenas storeArenas
+	var memo runMemo
+	var sink subAggregator
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = newSubAggregator(plan, nopAccountant{}, bnd, &arenas, &memo)
+	})
+	if allocs != 5 {
+		t.Errorf("newSubAggregator: %v allocations per open, want 5", allocs)
+	}
+	if _, ok := sink.(*mixedGrained); !ok {
+		t.Errorf("type-grained plan built a %T", sink)
+	}
+}
+
+// TestZeroSumPredecessorStillExtends pins the skip rule of the
+// no-equivalence fast path: an event that starts nothing is dropped when
+// NO predecessor entry exists, not when the merged predecessor sum
+// happens to be all-zero. The two differ only once a committed count is
+// congruent to 0 modulo 2^64 with zero auxiliaries (the wrap is by
+// design, agg.TestCountWrapsModulo64), which no event stream of testable
+// length reaches — so the committed entry is overwritten in place.
+func TestZeroSumPredecessorStillExtends(t *testing.T) {
+	seqAB := pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+	}{
+		{"Te empty", query.NewBuilder(seqAB).Return(agg.Spec{Func: agg.CountStar}).Within(100, 100).MustBuild()},
+		// B (Te) follows A (Tt): the zero entry reaches a stored event.
+		{"Te = {B}", query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Plus(pattern.Type("B")))).
+			Return(agg.Spec{Func: agg.CountStar}).
+			WhereAdjacent(predicate.Adjacent{Left: "B", LeftAttr: "t", Op: predicate.Lt, Right: "B", RightAttr: "t"}).
+			Within(100, 100).MustBuild()},
+	} {
+		plan := MustPlan(tc.q)
+		a, b := plan.aliasIDs["A"], plan.aliasIDs["B"]
+		var arenas storeArenas
+		mg := newMixedGrained(plan, nopAccountant{}, newBindings(plan.Slots, nopAccountant{}, false), &arenas, &runMemo{})
+		var rv resolvedVals
+		feed := func(typ string, at int64) {
+			plan.resolveInto(&rv, event.New(typ, at).WithNum("t", float64(at)))
+			mg.Process(&rv)
+		}
+		recordedB := func() (out []agg.Node) {
+			mg.flush()
+			for _, n := range mg.tables[b] {
+				out = append(out, *n)
+			}
+			if mg.te != nil {
+				for _, se := range mg.te.stored[b] {
+					out = append(out, se.node)
+				}
+			}
+			return out
+		}
+		feed("B", 1) // no A entry yet and B starts nothing: dropped
+		feed("A", 2)
+		if got := recordedB(); len(got) != 0 {
+			t.Fatalf("%s: a B with no predecessor entry was recorded: %v", tc.name, got)
+		}
+		mg.tables[a][0].Count = 0 // as if wrapped to 0 mod 2^64
+		feed("B", 3)
+		if got := recordedB(); len(got) != 1 || got[0].Count != 0 {
+			t.Errorf("%s: B after a zero-count A entry recorded %v, want one zero-count node", tc.name, got)
+		}
+	}
+}
+
+// TestRunMemoSurvivesStoredScan pins memo plus scan on the Figure 2
+// shape with A.x < NEXT(A).x: alias A has a stored predecessor (A, Te)
+// and a table predecessor (B, Tt). Inside an equal-time run of A's the
+// B part comes from the per-time-stamp memo and the stored A's are
+// merged on top per event — into a copy, or the next A of the run would
+// inherit the stored predecessors of the previous one. Expected counts
+// are derived by hand from Definition 7, not from another run of the
+// kernel.
+func TestRunMemoSurvivesStoredScan(t *testing.T) {
+	plan := MustPlan(query.NewBuilder(figure2Pattern()).
+		Return(agg.Spec{Func: agg.CountStar}).
+		Semantics(query.Any).
+		WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "x", Op: predicate.Lt, Right: "A", RightAttr: "x"}).
+		Within(100, 100).MustBuild())
+	a, b := plan.aliasIDs["A"], plan.aliasIDs["B"]
+	if !plan.eventGrainedByID[a] || plan.eventGrainedByID[b] {
+		t.Fatalf("event-grained set = %v, want {A}", plan.EventGrained)
+	}
+	var arenas storeArenas
+	mg := newMixedGrained(plan, nopAccountant{}, newBindings(plan.Slots, nopAccountant{}, false), &arenas, &runMemo{})
+	var rv resolvedVals
+	for _, e := range []struct {
+		typ string
+		at  int64
+		x   float64
+	}{
+		{"A", 1, 1}, // starts: 1
+		{"B", 2, 0}, // a1: 1
+		{"A", 3, 5}, // b2 (memoized) + a1 (1 < 5) + start: 3
+		{"A", 3, 0}, // b2 (from the memo) + start: 2 — a1 must not linger
+		{"A", 3, 5}, // 3 again
+		{"B", 4, 0}, // all four a's: 1 + 3 + 2 + 3 = 9
+	} {
+		plan.resolveInto(&rv, event.New(e.typ, e.at).WithNum("x", e.x))
+		mg.Process(&rv)
+	}
+	mg.flush()
+	var got []uint64
+	for _, se := range mg.te.stored[a] {
+		got = append(got, se.node.Count)
+	}
+	if want := []uint64{1, 3, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("stored A counts = %v, want %v", got, want)
+	}
+	if got := mg.tables[b][0].Count; got != 1+9 {
+		t.Errorf("B table count = %d, want 10", got)
 	}
 }
 
@@ -605,27 +746,13 @@ func TestPlanString(t *testing.T) {
 		WITHIN 600 SLIDE 10`))
 	s := p.String()
 	for _, frag := range []string{"granularity=mixed", "partition-by=[sector]", "binding-slots"} {
-		if !contains(s, frag) {
+		if !strings.Contains(s, frag) {
 			t.Errorf("Plan.String() = %q missing %q", s, frag)
 		}
 	}
 	if p.Granularity != MixedGrained || !p.EventGrained["A"] {
 		t.Errorf("q3 plan wrong: %v", p)
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
-		indexOf(s, sub) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestMinLengthExcludesShortTrends verifies the §8 minimal-trend-

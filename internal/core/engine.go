@@ -68,12 +68,12 @@ type Engine struct {
 	statesTime  int64
 	statesValid bool
 
-	// arenas backs the mixed-grained stored entries of every hosted
-	// sub-aggregator (arena.go); unused by the other granularities.
+	// arenas backs the stored (Te) entries of every hosted
+	// sub-aggregator (arena.go); untouched unless the plan stores events.
 	arenas storeArenas
-	// memo is the type-grained predecessor-sum scratch shared by every
-	// hosted sub-aggregator (runMemo); unused by the other
-	// granularities.
+	// memo is the Tt predecessor-sum scratch shared by every hosted
+	// skip-till-any-match sub-aggregator (runMemo); unused by
+	// pattern-grained plans.
 	memo runMemo
 	// runParts is processRunSinglePart's reusable per-run view of the
 	// open windows' "" partitions.

@@ -1,8 +1,9 @@
 // Package core implements the COGRA runtime (§3–§7): the static query
 // analyzer that selects the coarsest safe aggregation granularity
-// (Table 4), the three incremental aggregators (Algorithms 1–3 with
-// the Table 8 aggregate propagation), and the streaming engine that
-// applies them per sliding window and per stream partition.
+// (Table 4), the two incremental aggregation kernels (Algorithm 2,
+// which with Te = ∅ is Algorithm 1, and Algorithm 3, with the Table 8
+// aggregate propagation), and the streaming engine that applies them
+// per sliding window and per stream partition.
 package core
 
 import (
@@ -31,7 +32,9 @@ const (
 	TypeGrained
 	// MixedGrained keeps type aggregates where possible and per-event
 	// aggregates where adjacent predicates require stored events (ANY
-	// with adjacent predicates, Algorithm 2).
+	// with adjacent predicates, Algorithm 2). Both ANY labels run the
+	// same kernel (mixedgrained.go): the label records what Table 4
+	// chose, the compiled Tt/Te split is what executes.
 	MixedGrained
 )
 

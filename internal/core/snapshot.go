@@ -1,8 +1,8 @@
 package core
 
 // Checkpoint codec for the core execution state: catalog staging,
-// binding intern tables, the three granularity-specific aggregators,
-// window states and the engine envelope. Every structure has ONE method
+// binding intern tables, the two aggregation kernels, window states and
+// the engine envelope. Every structure has ONE method
 // (or function) that lists its fields in wire order against a
 // snap.Coder; the same list encodes and decodes. Everything here
 // serializes live private state VERBATIM — including the staged
@@ -368,39 +368,33 @@ func (p *Plan) fitsLeft(left []attrVal) bool {
 
 // --- sub-aggregators ---
 //
-// The concrete type is implied by the plan's granularity, so no tag is
-// written; each decodes into a freshly constructed aggregator.
+// The concrete type is implied by the plan's semantics, which tables
+// exist by its Tt/Te split and whether the stored and fires sections
+// exist by its label (MixedGrained writes them even when Te = ∅), so no
+// tag is written; each decodes into a freshly constructed aggregator.
 // Accounting side effects of construction are irrelevant: the owning
 // accountant is restored verbatim afterwards.
 
-func (t *typeGrained) code(c *snap.Coder) {
+func (t *mixedGrained) code(c *snap.Coder) {
 	c.I64(&t.curTime)
 	c.Bool(&t.hasCur)
 	for i := range t.tables {
-		codeTable(c, &t.tables[i], t.plan, t.bnd)
+		if t.tables[i] != nil {
+			codeTable(c, &t.tables[i], t.plan, t.bnd)
+		}
 	}
 	codeShadows(c, t.shadows, t.plan, t.bnd)
+	if te := t.te; te != nil {
+		for id := range te.stored {
+			snap.Slice(c, &te.stored[id], 16+agg.NodeMinBytes, codeStoredEntry)
+			for i := 0; c.Decoding() && i < len(te.stored[id]); i++ {
+				se := &te.stored[id][i]
+				c.Check(t.plan.fits(t.bnd, se.key, &se.node) && t.plan.fitsLeft(se.left), "stored event does not fit the plan")
+			}
+		}
+		codeNegFires(c, te.fires, len(t.plan.FSA.Negations))
+	}
 	codeStaged(c, &t.staged, &t.stagedResets, t.plan, t.bnd)
-}
-
-func (m *mixedGrained) code(c *snap.Coder) {
-	c.I64(&m.curTime)
-	c.Bool(&m.hasCur)
-	for i := range m.typeTables {
-		if m.typeTables[i] != nil {
-			codeTable(c, &m.typeTables[i], m.plan, m.bnd)
-		}
-	}
-	codeShadows(c, m.shadows, m.plan, m.bnd)
-	for id := range m.stored {
-		snap.Slice(c, &m.stored[id], 16+agg.NodeMinBytes, codeStoredEntry)
-		for i := 0; c.Decoding() && i < len(m.stored[id]); i++ {
-			se := &m.stored[id][i]
-			c.Check(m.plan.fits(m.bnd, se.key, &se.node) && m.plan.fitsLeft(se.left), "stored event does not fit the plan")
-		}
-	}
-	codeNegFires(c, m.fires, len(m.plan.FSA.Negations))
-	codeStaged(c, &m.staged, &m.stagedResets, m.plan, m.bnd)
 }
 
 func codeStoredEntry(c *snap.Coder, se *storedEntry) {

@@ -50,22 +50,20 @@ func sortBindingResults(out []bindingResult) {
 	})
 }
 
-// newSubAggregator builds the aggregator the plan's granularity
-// selector chose. The engine-owned bindings instance is shared so
-// binding keys stay comparable across windows and partitions, the
-// engine-owned store arenas so mixed-grained entries bump-allocate
-// instead of paying two GC objects per stored event, and the
-// engine-owned run memo so type-grained predecessor sums amortize over
+// newSubAggregator builds the aggregator of the plan's semantics: the
+// Algorithm 2 kernel for skip-till-any-match (both the type- and the
+// mixed-grained plan label — the compiled Tt/Te split is all that
+// differs), the Algorithm 3 kernel otherwise. The engine-owned bindings
+// instance is shared so binding keys stay comparable across windows and
+// partitions, the engine-owned store arenas so stored (Te) entries
+// bump-allocate instead of paying two GC objects per stored event, and
+// the engine-owned run memo so Tt predecessor sums amortize over
 // equal-time runs without per-partition scratch.
 func newSubAggregator(p *Plan, acct accountant, bnd *bindings, ar *storeArenas, memo *runMemo) subAggregator {
-	switch p.Granularity {
-	case TypeGrained:
-		return newTypeGrained(p, acct, bnd, memo)
-	case MixedGrained:
-		return newMixedGrained(p, acct, bnd, ar)
-	default:
+	if p.Granularity == PatternGrained {
 		return newPatternGrained(p, acct)
 	}
+	return newMixedGrained(p, acct, bnd, ar, memo)
 }
 
 // stagedUpdate is one uncommitted contribution of the current
@@ -78,7 +76,7 @@ type stagedUpdate struct {
 
 // stageUpdate appends one staged update and returns its node for
 // ExtendInto, reusing the entry (and its Aux storage) left behind by
-// a previous flush; shared by the type- and mixed-grained aggregators.
+// a previous flush.
 func stageUpdate(staged *[]stagedUpdate, alias int32, key bkey) *agg.Node {
 	n := len(*staged)
 	if n < cap(*staged) {

@@ -26,6 +26,7 @@ func GoldenFrames() []GoldenFrame {
 		{"vectors", goldenVectors},
 		{"mixed", goldenMixed},
 		{"detached", goldenDetached},
+		{"unconstrained", goldenUnconstrained},
 	}
 }
 
@@ -223,4 +224,36 @@ func goldenDetached() (*cogra.Session, error) {
 		break
 	}
 	return sess, subs[1].Err()
+}
+
+// goldenUnconstrained: a plan labelled mixed-grained whose adjacent
+// predicate constrains no FSA transition (B never follows B), so Te = ∅
+// and nothing is ever stored — yet the label, not the split, decides
+// that the frame carries one empty stored section per alias and the
+// fire times of N. Cut inside an equal-timestamp run, like goldenMixed.
+func goldenUnconstrained() (*cogra.Session, error) {
+	sess := cogra.NewSession()
+	if _, err := subscribeAll(sess, `
+		RETURN COUNT(*), AVG(A.v)
+		PATTERN SEQ(A+, NOT(N), B)
+		SEMANTICS skip-till-any-match
+		WHERE [patient] AND B.v < NEXT(B).v
+		GROUP-BY patient
+		WITHIN 64 SLIDE 32`); err != nil {
+		return nil, err
+	}
+	if err := sess.PushBatch(goldenStream(300, 35)); err != nil {
+		return nil, err
+	}
+	st, err := sess.Stats()
+	if err != nil {
+		return nil, err
+	}
+	for i, typ := range []string{"A", "N", "A", "B", "N", "A"} {
+		ev := cogra.NewEvent(typ, st.Watermark+min(int64(i), 2)).WithSym("patient", "p0").WithNum("v", float64(i))
+		if err := sess.Push(ev); err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
 }

@@ -178,17 +178,7 @@ func (rt *Runtime) Subscribe(q *query.Query, opts ...core.Option) (*Subscription
 // SubscribePlanFrom when a global stream position is known upstream
 // (the partition-parallel executor's workers lag the router).
 func (rt *Runtime) SubscribePlan(plan *core.Plan, opts ...core.Option) (*Subscription, error) {
-	s, err := rt.subscribePlan(plan, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if rt.sawEvent {
-		s.eng.AlignTo(rt.lastTime)
-	}
-	if rt.sharedOn && rt.groupJoin(s, rt.lastTime, rt.sawEvent) {
-		rt.rebuildIndex()
-	}
-	return s, nil
+	return rt.subscribeAt(plan, rt.lastTime, rt.sawEvent, opts)
 }
 
 // SubscribePlanFrom is SubscribePlan aligning the new engine to
@@ -196,21 +186,16 @@ func (rt *Runtime) SubscribePlan(plan *core.Plan, opts ...core.Option) (*Subscri
 // this runtime has not seen an event that recent (its partition was
 // quiet). Results start from the first window fully after t.
 func (rt *Runtime) SubscribePlanFrom(plan *core.Plan, t int64, opts ...core.Option) (*Subscription, error) {
-	s, err := rt.subscribePlan(plan, opts...)
-	if err != nil {
-		return nil, err
-	}
 	if rt.sawEvent && rt.lastTime > t {
 		t = rt.lastTime
 	}
-	s.eng.AlignTo(t)
-	if rt.sharedOn && rt.groupJoin(s, t, true) {
-		rt.rebuildIndex()
-	}
-	return s, nil
+	return rt.subscribeAt(plan, t, true, opts)
 }
 
-func (rt *Runtime) subscribePlan(plan *core.Plan, opts ...core.Option) (*Subscription, error) {
+// subscribeAt hosts plan with its engine aligned to watermark t; aligned
+// is false when the stream has not started, so there is nothing to align
+// to and every window is fully observable.
+func (rt *Runtime) subscribeAt(plan *core.Plan, t int64, aligned bool, opts []core.Option) (*Subscription, error) {
 	if rt.closed {
 		return nil, fmt.Errorf("runtime: Subscribe after Close: %w", core.ErrClosed)
 	}
@@ -236,6 +221,12 @@ func (rt *Runtime) subscribePlan(plan *core.Plan, opts ...core.Option) (*Subscri
 	rt.nextID++
 	rt.subs = append(rt.subs, s)
 	rt.index(s)
+	if aligned {
+		s.eng.AlignTo(t)
+	}
+	if rt.sharedOn && rt.groupJoin(s, t, aligned) {
+		rt.rebuildIndex()
+	}
 	return s, nil
 }
 

@@ -31,8 +31,8 @@
 // with backpressure under -reorder-reject), and -evict reclaims
 // binding-intern memory once the windows referencing it have closed.
 // -shared lets queries that differ only in RETURN share one trend
-// aggregation pass, with runtime share/unshare decisions per window
-// epoch; results are byte-identical to per-query execution.
+// aggregation pass (one host engine over the union of their RETURN
+// lists); results are byte-identical to per-query execution.
 //
 // Crash recovery: -checkpoint <path> -checkpoint-every <n> (with
 // -follow) snapshots the whole session — query fleet, window state,

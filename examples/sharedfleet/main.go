@@ -8,16 +8,19 @@
 // aggregation specs once per trend, and each query's answer is a
 // cheap projection of the union row at emission.
 //
-// Whether sharing pays depends on the stream, so the decision is
-// taken at runtime, per window epoch: a burstiness monitor compares
-// the group's per-epoch event volume against its fleet size and flips
-// between shared and per-query execution — only ever at a window
-// boundary, so results are byte-identical either way. The stream
-// below has a dense phase (sharing wins: eight-fold work collapses
-// into one pass), then a sparse phase (per-query execution wins: the
-// host's union bookkeeping is overhead at a trickle), then a dense
-// phase again; Stats() shows the group forming, the flips, and the
-// aggregation passes the host saved.
+// That is a compile-time property of the queries (everything but
+// RETURN is equal), and one engine over the union is never more work
+// than one engine per query, so the session simply does it: a query
+// that shares with nobody is a group of one. The fleet below changes
+// while the stream runs. A dashboard whose RETURN the host already
+// computes attaches to it from its first full window on; one that adds
+// a new aggregate makes the group hand over, at the next window
+// boundary, to a host over the grown union (the old host finishes its
+// open windows and is released); a dashboard that leaves takes its
+// open windows with it and the rest never notice. Stats() shows the
+// group, the handovers, and the aggregation passes the host saved —
+// the results are the ones a per-query fleet would produce, window for
+// window.
 package main
 
 import (
@@ -29,15 +32,16 @@ import (
 )
 
 // fleetReturns: eight distinct answers over one trend computation.
+// The first five subscribe before the stream starts, the rest join it.
 var fleetReturns = [8]string{
 	"COUNT(*)",
 	"COUNT(M)",
 	"SUM(M.rate)",
-	"AVG(M.rate)",
 	"MAX(M.rate)",
 	"MIN(M.rate)",
-	"COUNT(*), SUM(M.rate)",
-	"COUNT(*), AVG(M.rate)",
+	"COUNT(*), SUM(M.rate)", // covered by the union of the first five
+	"AVG(M.rate)",           // a new aggregate: the group hands over
+	"COUNT(*), AVG(M.rate)", // covered again
 }
 
 const fleetBody = `
@@ -51,54 +55,59 @@ func main() {
 	sess := cogra.NewSession(cogra.WithSharedAggregation())
 
 	subs := make([]*cogra.Subscription, len(fleetReturns))
-	for i, ret := range fleetReturns {
+	subscribe := func(i int) {
 		var err error
-		if subs[i], err = sess.Subscribe(cogra.MustParse("RETURN " + ret + "\n" + fleetBody)); err != nil {
+		if subs[i], err = sess.Subscribe(cogra.MustParse("RETURN " + fleetReturns[i] + "\n" + fleetBody)); err != nil {
 			log.Fatal(err)
 		}
 	}
+	for i := 0; i < 5; i++ {
+		subscribe(i)
+	}
+	report(sess, "five dashboards before the first event (each new aggregate rebuilt the idle host in place)")
 
-	// Three phases of synthetic measurements for three patients:
-	// dense (25 events per time step), sparse (one event every 10
-	// steps — under one per window-epoch per member), dense again.
+	// Synthetic measurements for three patients, 25 per time step.
 	rng := rand.New(rand.NewSource(7))
 	rates := []float64{62, 71, 80}
-	push := func(t int64) {
-		p := rng.Intn(3)
-		rates[p] += float64(rng.Intn(7)) - 3
-		ev := cogra.NewEvent("M", t).
-			WithSym("patient", fmt.Sprintf("p%d", p)).
-			WithNum("rate", rates[p])
-		if err := sess.Push(ev); err != nil {
-			log.Fatal(err)
+	run := func(from, to int64) {
+		for t := from; t < to; t++ {
+			for i := 0; i < 25; i++ {
+				p := rng.Intn(3)
+				rates[p] += float64(rng.Intn(7)) - 3
+				ev := cogra.NewEvent("M", t).
+					WithSym("patient", fmt.Sprintf("p%d", p)).
+					WithNum("rate", rates[p])
+				if err := sess.Push(ev); err != nil {
+					log.Fatal(err)
+				}
+			}
 		}
 	}
-	for t := int64(0); t < 240; t++ {
-		for i := 0; i < 25; i++ {
-			push(t)
-		}
-	}
-	report(sess, "after the dense phase (one host computes all eight)")
-	for t := int64(240); t < 480; t += 10 {
-		push(t)
-	}
-	report(sess, "after the sparse phase (fleet flipped back to per-query)")
-	for t := int64(480); t < 720; t++ {
-		for i := 0; i < 25; i++ {
-			push(t)
-		}
-	}
-	report(sess, "after the second dense phase (shared again)")
+	run(0, 200)
+	subscribe(5)
+	report(sess, "a sixth joins mid-window, covered by the host (no handover)")
+	run(200, 400)
+	subscribe(6)
+	report(sess, "a seventh adds AVG (one handover at the next window boundary)")
+	run(400, 600)
+	subscribe(7)
+	left := subs[4].Unsubscribe()
+	report(sess, "an eighth joins, the MIN dashboard leaves with its open window")
+	run(600, 720)
 
 	if err := sess.Close(); err != nil {
 		log.Fatal(err)
 	}
 	// Every query kept its own answer shape throughout — the same
-	// results, window for window, a per-query fleet would produce.
+	// results, window for window, a per-query fleet would produce; the
+	// late joiners start at their first full window.
 	for i, sub := range subs {
 		results := sub.Drain()
-		fmt.Printf("  RETURN %-22s -> %d window results, first: %v\n",
-			fleetReturns[i], len(results), results[0])
+		if i == 4 {
+			results = left
+		}
+		fmt.Printf("  RETURN %-22s -> %d window results, last: %v\n",
+			fleetReturns[i], len(results), results[len(results)-1])
 	}
 }
 
@@ -107,6 +116,6 @@ func report(sess *cogra.Session, phase string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s:\n  sharing groups: %d, share/unshare flips: %d, aggregation passes saved: %d\n",
+	fmt.Printf("%s:\n  sharing groups: %d, host handovers: %d, aggregation passes saved: %d\n",
 		phase, st.SharedGroups, st.ShareFlips, st.SharedSavedOps)
 }

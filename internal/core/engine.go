@@ -103,6 +103,18 @@ func WithResultCallback(fn func(Result)) Option {
 	return func(e *Engine) { e.onResult = fn }
 }
 
+// ResultCallbackOf returns the callback opts install (nil: results are
+// collected). The multi-query runtime keeps a subscriber's callback to
+// itself — its engines emit to their sharing group, which projects per
+// member — so it has to read it out of the opaque option list.
+func ResultCallbackOf(opts []Option) func(Result) {
+	var probe Engine
+	for _, opt := range opts {
+		opt(&probe)
+	}
+	return probe.onResult
+}
+
 // WithInternEviction ties the engine's binding-intern tables to window
 // expiry: intern entries are stamped with the epoch (Within-length
 // frame) of the watermark they were last touched at, and entries whose
@@ -282,51 +294,17 @@ func (e *Engine) AlignTo(t int64) {
 
 // RetireFrom caps the engine at window boundary wid: windows >= wid
 // are never created, so the engine drains as the watermark closes its
-// remaining windows. A sharing-group flip retires the outgoing
-// execution side this way while the incoming side aligns with the same
-// boundary — every window is owned by exactly one side, keeping
-// results byte-identical across the flip.
+// remaining windows. A sharing-group handover retires the old host this
+// way while the new one aligns to the same boundary — every window is
+// owned by exactly one engine, so results are byte-identical across it.
 func (e *Engine) RetireFrom(wid int64) {
 	e.mgr.SkipFrom(wid)
 	e.statesValid = false
 }
 
-// Unretire lifts a RetireFrom ceiling so the engine owns windows
-// again; pair with ResumeFrom to fix the resumption boundary.
-func (e *Engine) Unretire() {
-	e.mgr.ClearCeiling()
-	e.statesValid = false
-}
-
-// ResumeFrom suppresses every window below wid — the revived side of a
-// sharing-group flip resumes ownership exactly at the boundary the
-// retiring side stops at. Unlike AlignTo this takes the window id
-// directly: the flip boundary was fixed when the transition started,
-// not at the current watermark.
-func (e *Engine) ResumeFrom(wid int64) {
-	e.mgr.SkipBefore(wid)
-	e.statesValid = false
-}
-
 // Drained reports whether the engine was retired and every window
-// below its ceiling has closed: it owns nothing anymore and can be
-// removed from event dispatch (watermark passes must continue so its
-// stream clock stays current for a later revival).
+// below its ceiling has closed: it owns nothing anymore and never will.
 func (e *Engine) Drained() bool { return e.mgr.Drained() }
-
-// Deliver injects an externally computed result as if this engine had
-// emitted it: through the result callback when one is installed,
-// otherwise into the collected-results buffer. A sharing group's host
-// engine fans its per-member projections back through Deliver so
-// downstream consumers see one result stream per subscription
-// regardless of which side computed each window.
-func (e *Engine) Deliver(r Result) {
-	if e.onResult != nil {
-		e.onResult(r)
-	} else {
-		e.results = append(e.results, r)
-	}
-}
 
 // Close flushes every open window and returns all collected results
 // (nil when a result callback is installed).
@@ -356,16 +334,6 @@ func (e *Engine) InternBytes() int64 { return e.bnd.footprint() }
 
 // Results returns the results collected so far.
 func (e *Engine) Results() []Result { return e.results }
-
-// TakeResults returns the results collected so far and clears the
-// engine's buffer, so a caller can drain incrementally without
-// re-reading earlier windows. Nil when a result callback streams
-// results instead.
-func (e *Engine) TakeResults() []Result {
-	out := e.results
-	e.results = nil
-	return out
-}
 
 // EventsProcessed returns how many events entered a sub-stream.
 func (e *Engine) EventsProcessed() int64 { return e.eventsIn }

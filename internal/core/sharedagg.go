@@ -8,14 +8,16 @@
 // the Table 8 propagation maintains every spec's auxiliary state
 // independently inside one trend count, so a member's RETURN values
 // are an exact column projection of the union's values, applied as a
-// cheap per-query correction at emission. Whether a group actually
-// runs shared is a runtime decision (internal/runtime); this file is
-// the static side: the equivalence key, the spec union and the
-// per-member projections.
+// cheap per-query correction at emission. Unlike Hamlet's shared
+// sub-patterns this costs a fingerprint-equal group nothing per
+// snapshot, so it is decided at compile time: the equivalence key, the
+// union query and the per-member projections live here, and
+// internal/runtime owns the engines.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/agg"
@@ -53,86 +55,49 @@ func sharedFingerprint(q *query.Query) string {
 // against one shared aggregation node.
 func (p *Plan) Fingerprint() string { return p.fingerprint }
 
-// SpecUnion accumulates the distinct aggregation specs of a sharing
-// group's members, in first-seen order, and hands each member the
-// projection mapping its RETURN columns onto the union's columns.
-type SpecUnion struct {
-	specs agg.Specs
-	index map[agg.Spec]int
-}
-
-// NewSpecUnion returns an empty union.
-func NewSpecUnion() *SpecUnion {
-	return &SpecUnion{index: map[agg.Spec]int{}}
-}
-
-// Add merges a member's specs into the union and returns the member's
-// projection: proj[i] is the union column holding the member's i-th
-// RETURN value. grew reports whether the union gained a column (the
-// hosting engine must then be rebuilt to maintain the new spec).
-func (u *SpecUnion) Add(specs agg.Specs) (proj []int, grew bool) {
-	proj = make([]int, len(specs))
-	for i, s := range specs {
-		j, ok := u.index[s]
-		if !ok {
-			j = len(u.specs)
-			u.specs = append(u.specs, s)
-			u.index[s] = j
-			grew = true
-		}
-		proj[i] = j
+// ProjectSpecs maps a member's RETURN columns onto a host's: proj[i] is
+// the host column holding the member's i-th value. ok is false when
+// the host lacks one of them; proj is nil when the two lists are the
+// same, so the member reports the host's results as they are.
+func ProjectSpecs(host, member agg.Specs) (proj []int, ok bool) {
+	if slices.Equal(host, member) {
+		return nil, true
 	}
-	return proj, grew
-}
-
-// Covers reports whether every given spec is already a union column.
-func (u *SpecUnion) Covers(specs agg.Specs) bool {
-	for _, s := range specs {
-		if _, ok := u.index[s]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Project returns the projection for specs without growing the union;
-// ok is false when some spec is not a union column.
-func (u *SpecUnion) Project(specs agg.Specs) (proj []int, ok bool) {
-	proj = make([]int, len(specs))
-	for i, s := range specs {
-		j, found := u.index[s]
-		if !found {
+	proj = make([]int, len(member))
+	for i, s := range member {
+		if proj[i] = slices.Index(host, s); proj[i] < 0 {
 			return nil, false
 		}
-		proj[i] = j
 	}
 	return proj, true
 }
 
-// Specs returns the union columns in first-seen order.
-func (u *SpecUnion) Specs() agg.Specs {
-	return append(agg.Specs(nil), u.specs...)
-}
-
-// Len returns the number of union columns.
-func (u *SpecUnion) Len() int { return len(u.specs) }
-
-// UnionQuery builds the query a sharing group's host engine runs: the
-// representative member's query with the RETURN clause replaced by the
-// union columns. ReturnKeys are dropped — they only echo group values
-// at the presentation layer and each member re-applies its own.
-func UnionQuery(rep *query.Query, specs agg.Specs) *query.Query {
+// UnionQuery builds the query a sharing group's next host runs: the
+// current host's query with the RETURN clause grown by the specs of
+// add it lacks, in first-seen order. ReturnKeys are dropped — they
+// only echo group values at the presentation layer and each member
+// re-applies its own.
+func UnionQuery(rep *query.Query, add agg.Specs) *query.Query {
 	q := *rep
-	q.Returns = append(agg.Specs(nil), specs...)
+	q.Returns = slices.Clone(rep.Returns)
+	for _, s := range add {
+		if !slices.Contains(q.Returns, s) {
+			q.Returns = append(q.Returns, s)
+		}
+	}
 	q.ReturnKeys = nil
 	return &q
 }
 
-// ProjectResult applies a member's projection to a union result:
-// the member's RETURN values are the proj-selected columns, in its own
-// clause order. Wid/bounds/group carry over (the group tuple is shared
-// read-only across members — consumers never mutate results).
+// ProjectResult applies a member's projection to a host result: the
+// member's RETURN values are the proj-selected columns, in its own
+// clause order (nil: the result as is, no copy). Wid/bounds/group
+// carry over (the group tuple is shared read-only across members —
+// consumers never mutate results).
 func ProjectResult(r Result, proj []int) Result {
+	if proj == nil {
+		return r
+	}
 	vals := make([]agg.Value, len(proj))
 	for i, j := range proj {
 		vals[i] = r.Values[j]

@@ -27,6 +27,7 @@ func GoldenFrames() []GoldenFrame {
 		{"mixed", goldenMixed},
 		{"detached", goldenDetached},
 		{"unconstrained", goldenUnconstrained},
+		{"handover", goldenHandover},
 	}
 }
 
@@ -83,10 +84,10 @@ func subscribeAll(sess *cogra.Session, srcs ...string) ([]*cogra.Subscription, e
 	return subs, nil
 }
 
-// goldenFleet: four workers, each deciding for its own sharing group
-// of three RETURN-variants — at this cut two run solo, one runs shared
-// (live host engine, union query in the frame) and one is mid-unshare
-// (host retiring, members revived) — and a late joiner partitioned by
+// goldenFleet: four workers, each with its own sharing group of three
+// RETURN-variants on one host over their union (the second variant is
+// covered by the first, the third grows the union before any event, so
+// the first host is rebuilt in place), and a late joiner partitioned by
 // another attribute, which lands on an executor group.
 func goldenFleet() (*cogra.Session, error) {
 	const body = `
@@ -251,6 +252,44 @@ func goldenUnconstrained() (*cogra.Session, error) {
 	}
 	for i, typ := range []string{"A", "N", "A", "B", "N", "A"} {
 		ev := cogra.NewEvent(typ, st.Watermark+min(int64(i), 2)).WithSym("patient", "p0").WithNum("v", float64(i))
+		if err := sess.Push(ev); err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
+}
+
+// goldenHandover: a sharing group cut while an old and a new host are
+// both live. The second RETURN-variant joins mid-stream with an
+// aggregate the first host does not compute, so the group hands over
+// at the next window boundary W*; the events pushed after the join
+// reach past that boundary but not past the close of window W*-1, so
+// the frame carries the retired host (ceiling W*, open windows below
+// it, one view) ahead of its successor (floor W*, union query, two
+// views).
+func goldenHandover() (*cogra.Session, error) {
+	const body = `
+		PATTERN (SEQ(A+, B))+
+		SEMANTICS skip-till-any-match
+		WHERE [patient] GROUP-BY patient
+		WITHIN 64 SLIDE 32`
+	sess := cogra.NewSession(cogra.WithSharedAggregation())
+	if _, err := subscribeAll(sess, "RETURN COUNT(*)"+body); err != nil {
+		return nil, err
+	}
+	if err := sess.PushBatch(goldenStream(300, 36)); err != nil {
+		return nil, err
+	}
+	if _, err := subscribeAll(sess, "RETURN COUNT(*), SUM(A.v)"+body); err != nil {
+		return nil, err
+	}
+	st, err := sess.Stats()
+	if err != nil {
+		return nil, err
+	}
+	boundary := (st.Watermark/32 + 1) * 32 // start of window W*
+	for i, typ := range []string{"A", "A", "B", "A", "B", "A", "A", "B"} {
+		ev := cogra.NewEvent(typ, max(st.Watermark, boundary-4+2*int64(i))).WithSym("patient", "p0").WithNum("v", float64(i))
 		if err := sess.Push(ev); err != nil {
 			return nil, err
 		}

@@ -30,10 +30,13 @@
 // called at any stream position. The catalog interns copy-on-write
 // (core.Catalog), so mid-stream compilation never invalidates resolved
 // views; the per-type index is rebuilt on membership change; a
-// late-joining query's window manager is aligned to the current
-// watermark, so it reports results starting from the first fully
-// covered window; and an unsubscribing query's windows are flushed and
-// its engine-side intern memory released.
+// late-joining query reports results starting from the first fully
+// covered window; and an unsubscribing query's windows are flushed.
+//
+// Every engine belongs to a sharing group (sharing.go) and a
+// subscription is a projection over the engines its group owns; a
+// query that shares with nobody is a group of one whose projection is
+// the identity.
 //
 // The runtime is single-threaded like the engines it hosts; partition
 // parallelism runs one runtime per worker (internal/stream).
@@ -41,25 +44,25 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/query"
 )
 
-// Subscription is one hosted query: its plan, its engine, and its
-// position in the runtime.
+// Subscription is one hosted query: its plan, the group whose engines
+// compute its windows, the first window it reports, and where its
+// results go.
 type Subscription struct {
 	id     int
 	plan   *core.Plan
-	eng    *core.Engine
 	rt     *Runtime
+	group  *group
+	from   int64
+	sink   func(core.Result) // nil: results collect in buf
+	buf    []core.Result
 	active bool
-	// group/gm link the subscription to its sharing group when shared
-	// aggregation is enabled (sharing.go); nil otherwise. A group host
-	// is itself a Subscription with id -1, never part of rt.subs.
-	group *shareGroup
-	gm    *groupMember
 }
 
 // ID returns the subscription's id: 0-based, in Subscribe order,
@@ -70,22 +73,35 @@ func (s *Subscription) ID() int { return s.id }
 func (s *Subscription) Plan() *core.Plan { return s.plan }
 
 // Drain returns the results collected since the last Drain and clears
-// the engine's buffer (nil when the subscription streams through a
-// result callback). Windows still open are not included — they emit
-// when the watermark passes them.
-func (s *Subscription) Drain() []core.Result { return s.eng.TakeResults() }
+// the buffer (nil when the subscription streams through a result
+// callback). Windows still open are not included — they emit when the
+// watermark passes them.
+func (s *Subscription) Drain() []core.Result {
+	out := s.buf
+	s.buf = nil
+	return out
+}
 
 // Active reports whether the subscription still receives events.
 func (s *Subscription) Active() bool { return s.active }
 
 // Unsubscribe detaches the query from the runtime at the current
 // stream position: its remaining open windows are flushed (returned,
-// or delivered to the subscription's result callback), its engine is
-// released, and its binding intern memory is returned to the
-// accountant. The rest of the fleet is untouched. Unsubscribing twice
-// or after Close is an error.
+// or delivered to the subscription's result callback) and its symbol
+// references are dropped; engines only it used are released with their
+// binding intern memory. The rest of the fleet is untouched.
+// Unsubscribing twice or after Close is an error.
 func (s *Subscription) Unsubscribe() ([]core.Result, error) {
 	return s.rt.unsubscribe(s)
+}
+
+// deliver hands the subscription one of its results.
+func (s *Subscription) deliver(r core.Result) {
+	if s.sink != nil {
+		s.sink(r)
+	} else {
+		s.buf = append(s.buf, r)
+	}
 }
 
 // Runtime hosts any number of compiled plans over one catalog and
@@ -96,18 +112,19 @@ type Runtime struct {
 	res *core.Resolver
 
 	subs   []*Subscription // active subscriptions, in subscribe order
+	hosts  []*host         // live engines, in creation order
 	nextID int
 	// The per-type dispatch index, rebuilt on membership change: for
-	// catalog type id tid, runByType[tid] lists the run-safe
-	// subscriptions reacting to it (execution independent of equal-time
-	// arrival order — see Plan.OrderSensitive), seqByType[tid] the
-	// order-sensitive rest, and neededAttrs[tid] the union of every
-	// attribute id the run-safe ones read, which restricts batch
-	// resolution to the slots some hosted plan needs. wantsAll lists
-	// contiguous-semantics subscriptions, which must observe every event.
-	wantsAll    []*Subscription
-	runByType   [][]*Subscription
-	seqByType   [][]*Subscription
+	// catalog type id tid, runByType[tid] lists the run-safe hosts
+	// reacting to it (execution independent of equal-time arrival order
+	// — see Plan.OrderSensitive), seqByType[tid] the order-sensitive
+	// rest, and neededAttrs[tid] the union of every attribute id the
+	// run-safe ones read, which restricts batch resolution to the slots
+	// some hosted plan needs. wantsAll lists contiguous-semantics hosts,
+	// which must observe every event.
+	wantsAll    []*host
+	runByType   [][]*host
+	seqByType   [][]*host
 	neededAttrs [][]int32
 
 	lastTime    int64
@@ -117,13 +134,10 @@ type Runtime struct {
 	dispatching bool            // inside Process: membership changes must wait
 	one         [1]*event.Event // Process's batch of one
 
-	// Shared-aggregation state (sharing.go): the sharing groups keyed
-	// by plan fingerprint, plus a deterministic iteration order —
-	// share/unshare decisions must replay identically across runs.
+	// Shared aggregation (sharing.go): groups lists, by plan fingerprint,
+	// the groups a fingerprint-equal subscriber joins.
 	sharedOn       bool
-	hostOpts       []core.Option
-	groups         map[string]*shareGroup
-	groupList      []*shareGroup
+	groups         map[string]*group
 	shareFlips     int64
 	sharedSavedOps int64
 
@@ -152,11 +166,11 @@ func NewOn(cat *core.Catalog) *Runtime {
 
 // Subscribe compiles a query against the runtime's catalog and hosts
 // it. Engine options (result callbacks, accounting) apply to the
-// query's private engine. Subscribing is allowed at any stream
-// position — the catalog interns copy-on-write, so compilation is
-// safe even while other runtimes share the catalog; a mid-stream
-// subscriber is aligned to the current watermark and reports results
-// from the first fully covered window.
+// subscription and to an engine built on its behalf. Subscribing is
+// allowed at any stream position — the catalog interns copy-on-write,
+// so compilation is safe even while other runtimes share the catalog;
+// a mid-stream subscriber reports results from the first fully covered
+// window.
 func (rt *Runtime) Subscribe(q *query.Query, opts ...core.Option) (*Subscription, error) {
 	plan, err := core.NewPlanIn(rt.cat, q)
 	if err != nil {
@@ -173,15 +187,15 @@ func (rt *Runtime) Subscribe(q *query.Query, opts ...core.Option) (*Subscription
 }
 
 // SubscribePlan hosts an already-compiled plan. The plan must have
-// been compiled against the runtime's catalog. Mid-stream, the new
-// engine is aligned to the runtime's own watermark; use
+// been compiled against the runtime's catalog. Mid-stream, the
+// subscription is aligned to the runtime's own watermark; use
 // SubscribePlanFrom when a global stream position is known upstream
 // (the partition-parallel executor's workers lag the router).
 func (rt *Runtime) SubscribePlan(plan *core.Plan, opts ...core.Option) (*Subscription, error) {
 	return rt.subscribeAt(plan, rt.lastTime, rt.sawEvent, opts)
 }
 
-// SubscribePlanFrom is SubscribePlan aligning the new engine to
+// SubscribePlanFrom is SubscribePlan aligning the subscription to
 // watermark t: the stream may already have advanced to time t even if
 // this runtime has not seen an event that recent (its partition was
 // quiet). Results start from the first window fully after t.
@@ -192,9 +206,9 @@ func (rt *Runtime) SubscribePlanFrom(plan *core.Plan, t int64, opts ...core.Opti
 	return rt.subscribeAt(plan, t, true, opts)
 }
 
-// subscribeAt hosts plan with its engine aligned to watermark t; aligned
-// is false when the stream has not started, so there is nothing to align
-// to and every window is fully observable.
+// subscribeAt hosts plan aligned to watermark t; aligned is false when
+// the stream has not started, so there is nothing to align to and
+// every window is fully observable.
 func (rt *Runtime) subscribeAt(plan *core.Plan, t int64, aligned bool, opts []core.Option) (*Subscription, error) {
 	if rt.closed {
 		return nil, fmt.Errorf("runtime: Subscribe after Close: %w", core.ErrClosed)
@@ -211,44 +225,38 @@ func (rt *Runtime) subscribeAt(plan *core.Plan, t int64, aligned bool, opts []co
 	if err := rt.cat.Retain(plan); err != nil {
 		return nil, err
 	}
-	s := &Subscription{
-		id:     rt.nextID,
-		plan:   plan,
-		eng:    core.NewEngine(plan, opts...),
-		rt:     rt,
-		active: true,
+	s := &Subscription{id: rt.nextID, plan: plan, rt: rt, sink: core.ResultCallbackOf(opts), active: true}
+	if aligned {
+		s.from = plan.Query.Window.FirstFullWindow(t)
+	}
+	if err := rt.join(s, t, aligned, opts); err != nil {
+		rt.cat.Release(plan)
+		return nil, err
 	}
 	rt.nextID++
 	rt.subs = append(rt.subs, s)
-	rt.index(s)
-	if aligned {
-		s.eng.AlignTo(t)
-	}
-	if rt.sharedOn && rt.groupJoin(s, t, aligned) {
-		rt.rebuildIndex()
-	}
 	return s, nil
 }
 
-// index registers a subscription in the per-type dispatch index
-// (run-safe vs order-sensitive, plus the needed-attribute union).
-func (rt *Runtime) index(s *Subscription) {
-	if s.plan.WantsAllEvents() {
-		rt.wantsAll = append(rt.wantsAll, s)
+// index registers a host in the per-type dispatch index (run-safe vs
+// order-sensitive, plus the needed-attribute union).
+func (rt *Runtime) index(h *host) {
+	if h.plan.WantsAllEvents() {
+		rt.wantsAll = append(rt.wantsAll, h)
 		return
 	}
-	ordered := s.plan.OrderSensitive()
-	for _, tid := range s.plan.SubscribedTypeIDs() {
+	ordered := h.plan.OrderSensitive()
+	for _, tid := range h.plan.SubscribedTypeIDs() {
 		for int(tid) >= len(rt.runByType) {
 			rt.runByType = append(rt.runByType, nil)
 			rt.seqByType = append(rt.seqByType, nil)
 			rt.neededAttrs = append(rt.neededAttrs, nil)
 		}
 		if ordered {
-			rt.seqByType[tid] = append(rt.seqByType[tid], s)
+			rt.seqByType[tid] = append(rt.seqByType[tid], h)
 		} else {
-			rt.runByType[tid] = append(rt.runByType[tid], s)
-			rt.neededAttrs[tid] = mergeAttrIDs(rt.neededAttrs[tid], s.plan.ReferencedAttrIDs())
+			rt.runByType[tid] = append(rt.runByType[tid], h)
+			rt.neededAttrs[tid] = mergeAttrIDs(rt.neededAttrs[tid], h.plan.ReferencedAttrIDs())
 		}
 	}
 }
@@ -279,9 +287,9 @@ func mergeAttrIDs(dst []int32, add []int32) []int32 {
 	return dst
 }
 
-// rebuildIndex reconstructs the per-type index from the active
-// subscriptions — the membership-change slow path; the per-event path
-// never pays for it.
+// rebuildIndex reconstructs the per-type index from the live hosts —
+// the membership-change slow path; the per-event path never pays for
+// it.
 func (rt *Runtime) rebuildIndex() {
 	for i := range rt.runByType {
 		rt.runByType[i] = nil
@@ -289,18 +297,8 @@ func (rt *Runtime) rebuildIndex() {
 		rt.neededAttrs[i] = nil
 	}
 	rt.wantsAll = nil
-	for _, s := range rt.subs {
-		if s.gm != nil && s.gm.mode == memberShared {
-			continue // served by its group's host; no event dispatch
-		}
-		rt.index(s)
-	}
-	for _, g := range rt.groupList {
-		if g.host != nil {
-			// Live and retiring hosts both receive events: a retiring
-			// host still owns the open windows below its ceiling.
-			rt.index(g.host)
-		}
+	for _, h := range rt.hosts {
+		rt.index(h)
 	}
 }
 
@@ -310,39 +308,27 @@ func (rt *Runtime) unsubscribe(s *Subscription) ([]core.Result, error) {
 		return nil, fmt.Errorf("runtime: Unsubscribe after Close: %w", core.ErrClosed)
 	}
 	if rt.dispatching {
-		// Process is ranging over the subscription list right now (the
-		// call came from a result callback); splicing it here would
-		// skip a sibling's watermark advance and re-enter this engine's
-		// window manager mid-emission.
+		// Process is ranging over the host list right now (the call came
+		// from a result callback); splicing it here would skip a
+		// sibling's watermark advance and re-enter this engine's window
+		// manager mid-emission.
 		return nil, fmt.Errorf("runtime: Unsubscribe from within event dispatch (e.g. a result callback); defer it until Process returns")
 	}
 	if !s.active {
 		return nil, fmt.Errorf("runtime: subscription %d already unsubscribed: %w", s.id, core.ErrNotHosted)
 	}
+	if err := rt.leave(s); err != nil {
+		return nil, err
+	}
 	s.active = false
-	for i, cur := range rt.subs {
-		if cur == s {
-			rt.subs = append(rt.subs[:i], rt.subs[i+1:]...)
-			break
-		}
-	}
-	var out []core.Result
-	if s.gm != nil {
-		var err error
-		if out, err = rt.groupLeave(s); err != nil {
-			return nil, err
-		}
-	} else {
-		out = s.eng.Close()
-	}
-	rt.rebuildIndex()
-	s.eng.ReleaseIntern()
+	rt.subs = slices.DeleteFunc(rt.subs, func(o *Subscription) bool { return o == s })
 	// Drop this hosting's symbol references; ids only this plan used
-	// are retired and the catalog publishes a compacted view. The
-	// engine and the per-type index no longer mention the plan, so a
-	// recycled id can never reach its dispatch tables.
+	// are retired and the catalog publishes a compacted view. No engine
+	// and no index entry mentions them anymore (a host the group keeps
+	// holds its own references), so a recycled id can never reach the
+	// dispatch tables.
 	rt.cat.Release(s.plan)
-	return out, nil
+	return s.Drain(), nil
 }
 
 // Stats summarises the runtime's hosted state.
@@ -352,12 +338,12 @@ type Stats struct {
 	// BindingInternBytes is the summed live footprint of the hosted
 	// engines' binding intern tables.
 	BindingInternBytes int64
-	// SharedGroups counts sharing groups currently backed by a host
-	// engine (shared execution, or a flip in flight); ShareFlips counts
-	// share/unshare decisions taken; SharedSavedOps estimates the
-	// member-engine event aggregations the hosts absorbed (host events
-	// × served members beyond the first). All zero when shared
-	// aggregation is disabled.
+	// SharedGroups counts the groups whose engines serve more than one
+	// subscription; ShareFlips counts host handovers (a group's engine
+	// replaced, at a window boundary, by one over a grown RETURN union);
+	// SharedSavedOps estimates the per-query event aggregations sharing
+	// absorbed (host events × members served beyond the first). All
+	// zero when shared aggregation is disabled.
 	SharedGroups   int
 	ShareFlips     int64
 	SharedSavedOps int64
@@ -365,47 +351,22 @@ type Stats struct {
 
 // Stats reports the runtime's hosted-query and interning state.
 func (rt *Runtime) Stats() Stats {
-	active := 0
-	for _, s := range rt.subs {
-		if s.active {
-			active++
+	st := Stats{Queries: len(rt.subs), ShareFlips: rt.shareFlips, SharedSavedOps: rt.sharedSavedOps}
+	for _, g := range rt.groups {
+		if len(g.newest().views) > 1 {
+			st.SharedGroups++
 		}
 	}
-	hosted := 0
-	saved := rt.sharedSavedOps
-	for _, g := range rt.groupList {
-		if g.host != nil {
-			hosted++
-			if served := g.servedCount(); served > 1 {
-				// Fold in the not-yet-accounted host volume so Stats
-				// reflects savings accrued mid-epoch.
-				saved += (g.host.eng.EventsProcessed() - g.hostBase) * int64(served-1)
-			}
-		}
+	for _, h := range rt.hosts {
+		st.BindingInternBytes += h.eng.InternBytes()
+		st.SharedSavedOps += h.unaccounted()
 	}
-	return Stats{
-		Queries:            active,
-		BindingInternBytes: rt.InternBytes(),
-		SharedGroups:       hosted,
-		ShareFlips:         rt.shareFlips,
-		SharedSavedOps:     saved,
-	}
+	return st
 }
 
 // InternBytes returns the summed live footprint of the hosted engines'
 // binding intern tables.
-func (rt *Runtime) InternBytes() int64 {
-	var total int64
-	for _, s := range rt.subs {
-		total += s.eng.InternBytes()
-	}
-	for _, g := range rt.groupList {
-		if g.host != nil {
-			total += g.host.eng.InternBytes()
-		}
-	}
-	return total
-}
+func (rt *Runtime) InternBytes() int64 { return rt.Stats().BindingInternBytes }
 
 // Process consumes the next stream event for every hosted query: a
 // batch of one. Events must arrive in non-decreasing time-stamp order.
@@ -491,9 +452,8 @@ func (rt *Runtime) dispatchChunk(chunk []*event.Event) error {
 }
 
 // dispatchGroup executes one equal-timestamp group: one watermark pass
-// across the fleet, then type-bucketed runs for the run-safe
-// subscriptions and an arrival-order pass for the order-sensitive
-// ones. Within one timestamp the staged-commit discipline makes the
+// across the fleet, then type-bucketed runs for the run-safe hosts and
+// an arrival-order pass for the order-sensitive ones. Within one timestamp the staged-commit discipline makes the
 // split order-invariant (see Plan.OrderSensitive).
 func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 	t := group[0].Time
@@ -542,8 +502,8 @@ func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 		bucket := rt.buckets[tid]
 		if firstErr == nil {
 			rt.res.ResolveRun(&rt.run, bucket, tid, rt.neededAttrs[tid])
-			for _, s := range rt.runByType[tid] {
-				if err := s.eng.ProcessResolvedRun(&rt.run); err != nil {
+			for _, h := range rt.runByType[tid] {
+				if err := h.eng.ProcessResolvedRun(&rt.run); err != nil {
 					firstErr = err
 					break
 				}
@@ -568,7 +528,7 @@ func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 	// Arrival-order pass for pattern-grained and contiguous-semantics
 	// queries, which are sensitive to equal-time arrival order.
 	for i, ev := range group {
-		var interested []*Subscription
+		var interested []*host
 		if tid := tids[i]; tid >= 0 && int(tid) < len(rt.seqByType) {
 			interested = rt.seqByType[tid]
 		}
@@ -576,13 +536,13 @@ func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 			continue
 		}
 		tid := rt.res.Resolve(ev)
-		for _, s := range interested {
-			if err := s.eng.ProcessResolved(ev, rt.res, tid); err != nil {
+		for _, h := range interested {
+			if err := h.eng.ProcessResolved(ev, rt.res, tid); err != nil {
 				return err
 			}
 		}
-		for _, s := range rt.wantsAll {
-			if err := s.eng.ProcessResolved(ev, rt.res, tid); err != nil {
+		for _, h := range rt.wantsAll {
+			if err := h.eng.ProcessResolved(ev, rt.res, tid); err != nil {
 				return err
 			}
 		}
@@ -591,48 +551,21 @@ func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 }
 
 // advanceAll drives one stream watermark through every hosted engine,
-// in two sweeps so sharing-group flips preserve result order: the
-// retiring side of any in-flight flip advances first (its windows lie
-// below the flip boundary and must emit before the incoming side
-// reaches the boundary), then every live engine and group host. With
-// no sharing groups this degenerates to the plain fleet-wide pass.
-// Afterwards the sharing state machine steps: transitions whose
-// retiring side just drained complete, and the per-epoch monitor may
-// initiate new flips — all before the caller dispatches the events
-// that exposed this watermark, so the index reads below see the
-// post-flip membership.
+// oldest first — a group's earlier host owns the windows below its
+// handover boundary, so each member's results stay in window order —
+// and then releases the hosts that retired and just closed their last
+// window, before the caller dispatches the events that exposed this
+// watermark.
 func (rt *Runtime) advanceAll(t int64) error {
-	for _, g := range rt.groupList {
-		for _, m := range g.members {
-			if m.mode == memberDraining {
-				if err := m.sub.eng.AdvanceWatermark(t); err != nil {
-					return err
-				}
-			}
-		}
-		if g.host != nil && g.hostRetiring {
-			if err := g.host.eng.AdvanceWatermark(t); err != nil {
-				return err
-			}
-		}
-	}
-	for _, s := range rt.subs {
-		if s.gm != nil && s.gm.mode == memberDraining {
-			continue // advanced in the retiring sweep
-		}
-		if err := s.eng.AdvanceWatermark(t); err != nil {
+	drained := false
+	for _, h := range rt.hosts {
+		if err := h.eng.AdvanceWatermark(t); err != nil {
 			return err
 		}
+		drained = drained || h.eng.Drained()
 	}
-	for _, g := range rt.groupList {
-		if g.host != nil && !g.hostRetiring {
-			if err := g.host.eng.AdvanceWatermark(t); err != nil {
-				return err
-			}
-		}
-	}
-	if len(rt.groupList) > 0 {
-		rt.shareStep(t)
+	if drained {
+		rt.release((*host).drained)
 	}
 	return nil
 }
@@ -643,34 +576,21 @@ func (rt *Runtime) lateEventErr(t int64) error {
 	return fmt.Errorf("runtime: out-of-order event at time %d after %d: %w", t, rt.lastTime, core.ErrLateEvent)
 }
 
-// Close flushes every open window of every still-subscribed query and
-// returns the collected results indexed by subscription id (nil
-// entries for subscriptions that stream through callbacks or already
-// unsubscribed — their results were returned at Unsubscribe time).
+// Close flushes every open window of every still-subscribed query —
+// hosts oldest first, like advanceAll — and returns the collected
+// results indexed by subscription id (nil entries for subscriptions
+// that stream through callbacks or already unsubscribed — their
+// results were returned at Unsubscribe time).
 func (rt *Runtime) Close() [][]core.Result {
 	rt.closed = true
-	// Flush in flip order so each member's results stay in window
-	// order: draining member engines own the windows below an in-flight
-	// flip boundary and flush first; the group hosts flush next, fanning
-	// their windows out through the member engines; the uniform pass
-	// then re-Closes every engine (idempotent — nothing left to flush)
-	// and collects the full buffers.
-	for _, g := range rt.groupList {
-		for _, m := range g.members {
-			if m.mode == memberDraining {
-				m.sub.eng.Close()
-			}
-		}
-	}
-	for _, g := range rt.groupList {
-		if g.host != nil {
-			g.releaseHost()
-		}
+	for _, h := range rt.hosts {
+		h.eng.Close()
 	}
 	out := make([][]core.Result, rt.nextID)
 	for _, s := range rt.subs {
-		out[s.id] = s.eng.Close()
+		out[s.id] = s.Drain()
 		s.active = false
 	}
+	rt.subs = nil
 	return out
 }

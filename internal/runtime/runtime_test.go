@@ -477,3 +477,138 @@ func TestRuntimeTypedErrors(t *testing.T) {
 		t.Errorf("Subscribe after Close err = %v, want ErrClosed", err)
 	}
 }
+
+// countQuery returns one RETURN-variant of a fixed query body: every
+// variant has the same sharing fingerprint.
+func countQuery(returns ...agg.Spec) *query.Query {
+	return query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
+		Return(returns...).
+		Semantics(query.Any).
+		Within(20, 10).
+		MustBuild()
+}
+
+// TestGroupLifecycle walks one sharing group through the whole
+// ownership model: a covered joiner attaches a view to the live host, an
+// uncovered one hands over to a new host at the next window boundary,
+// the retired host is released when the watermark closes its last
+// window, a member leaving a shared host leaves it running, and the
+// group retires with its last member.
+func TestGroupLifecycle(t *testing.T) {
+	count, sum := agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}
+	rt := New()
+	rt.EnableSharedAggregation()
+	shape := func(step string, hosts, groups int, flips int64) {
+		t.Helper()
+		if st := rt.Stats(); len(rt.hosts) != hosts || st.SharedGroups != groups || st.ShareFlips != flips {
+			t.Fatalf("%s: %d hosts, %d shared groups, %d handovers; want %d, %d, %d",
+				step, len(rt.hosts), st.SharedGroups, st.ShareFlips, hosts, groups, flips)
+		}
+	}
+	feed := func(typ string, tm int64) {
+		t.Helper()
+		if err := rt.Process(event.New(typ, tm).WithNum("v", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subscribe := func(returns ...agg.Spec) *Subscription {
+		t.Helper()
+		s, err := rt.Subscribe(countQuery(returns...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	first := subscribe(count)
+	shape("a group of one", 1, 0, 0)
+	feed("A", 3)
+	covered := subscribe(count)
+	shape("covered joiner", 1, 1, 0)
+	if v := rt.hosts[0].views; len(v) != 2 || v[0].proj != nil || v[1].proj != nil || covered.from != 1 {
+		t.Fatalf("covered joiner: views %+v from window %d, want two identity views from window 1", v, covered.from)
+	}
+	grown := subscribe(count, sum)
+	shape("uncovered joiner", 2, 1, 1)
+	if old, cur := rt.hosts[0], rt.hosts[1]; len(old.views) != 2 || len(cur.views) != 3 || old.drained() {
+		t.Fatalf("handover: retired host serves %d, new host %d, retired drained=%v", len(old.views), len(cur.views), old.drained())
+	}
+	feed("A", 12) // window 1 [10,30) belongs to the new host, window 0 [0,20) still to the old
+	feed("B", 14)
+	shape("both hosts live", 2, 1, 1)
+	feed("A", 25) // closes window 0: the retired host owns nothing anymore
+	shape("retired host drained", 1, 1, 1)
+	if got := first.Drain(); len(got) != 1 || got[0].Wid != 0 || got[0].Values[0].Count != 3 {
+		t.Fatalf("first member's window 0 = %v, want COUNT(*)=3 from the retired host", got)
+	}
+	if got := covered.Drain(); len(got) != 0 {
+		t.Fatalf("covered joiner reported the partially observed window: %v", got)
+	}
+	for i, s := range []*Subscription{covered, first} {
+		if _, err := s.Unsubscribe(); err != nil {
+			t.Fatal(err)
+		}
+		shape("member left", 1, 1-i, 1)
+	}
+	out, err := grown.Unsubscribe()
+	if err != nil || len(out) == 0 {
+		t.Fatalf("last member flushed %v, %v", out, err)
+	}
+	shape("group retired", 0, 0, 1)
+	if len(rt.groups) != 0 {
+		t.Fatalf("%d groups registered after the last member left", len(rt.groups))
+	}
+}
+
+// TestEnableSharedAggregationLate: sharing enabled on a populated
+// runtime registers the hosted queries' groups, so a later
+// fingerprint-equal subscriber joins the earlier engine.
+func TestEnableSharedAggregationLate(t *testing.T) {
+	rt := New()
+	early, err := rt.Subscribe(countQuery(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Subscribe(countQuery(agg.Spec{Func: agg.CountStar})); err != nil { // sharing off: private
+		t.Fatal(err)
+	}
+	if err := rt.Process(event.New("A", 1).WithNum("v", 4)); err != nil {
+		t.Fatal(err)
+	}
+	rt.EnableSharedAggregation()
+	late, err := rt.Subscribe(countQuery(agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.group != early.group || len(rt.hosts) != 2 || rt.Stats().SharedGroups != 1 {
+		t.Fatalf("late subscriber did not join the earliest fingerprint-equal engine: %d hosts, %+v", len(rt.hosts), rt.Stats())
+	}
+	for _, ev := range []*event.Event{event.New("A", 11).WithNum("v", 5), event.New("B", 12)} {
+		if err := rt.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := rt.Close()[late.ID()]
+	if len(out) != 1 || out[0].Wid != 1 || out[0].Values[0].F != 5 {
+		t.Fatalf("late subscriber's results = %v, want window 1 with SUM(A.v)=5", out)
+	}
+}
+
+// TestGroupOfOneEmitsWithoutAllocating pins the price of the ownership
+// model where nothing is shared: a result leaving a host for the only
+// subscription it serves — the identity projection — allocates nothing,
+// exactly like a bare engine calling its core.WithResultCallback, so
+// allocations per event cannot drift on fleets that share nothing.
+func TestGroupOfOneEmitsWithoutAllocating(t *testing.T) {
+	seen := 0
+	rt := New()
+	if _, err := rt.Subscribe(testQueries()[0], core.WithResultCallback(func(core.Result) { seen++ })); err != nil {
+		t.Fatal(err)
+	}
+	r := core.Result{Wid: 3, Start: 96, End: 160, Values: []agg.Value{{Count: 7}, {F: 1}}}
+	if n := testing.AllocsPerRun(100, func() { rt.hosts[0].emit(r) }); n != 0 {
+		t.Errorf("emitting through a group of one costs %v allocations, want 0", n)
+	}
+	if seen == 0 {
+		t.Fatal("the subscription's callback never fired")
+	}
+}

@@ -1,13 +1,16 @@
 package runtime
 
-// Checkpoint codec for the single-threaded runtime: stream position
-// plus every subscription's engine state. Plans are NOT serialized
-// here — the session layer snapshots queries and recompiles them
-// against the restored catalog; this codec records only which plan
-// index each subscription uses.
+// Checkpoint codec for the single-threaded runtime: stream position,
+// every subscription with its undelivered results, and every host with
+// its engine state. Subscribers' plans are NOT serialized here — the
+// session layer snapshots queries and recompiles them against the
+// restored catalog; this codec records only which plan index each
+// subscription uses. A host's query is: it may be a union no
+// subscriber wrote, or outlive the member it was compiled for.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/query"
@@ -20,12 +23,11 @@ import (
 // table (keyed by id rather than plan pointer because one plan can
 // legitimately host several subscriptions). Decoding — into a fresh
 // runtime on the restored catalog — plans holds the recompiled plans
-// under those indexes and opts are the engine options of every engine
-// the runtime rebuilds, subscribers' and sharing-group hosts' alike
-// (session-wide accounting and eviction; no result callback: sinks are
-// not data, and a host's callback is its group's fan-out). The catalog
-// reference counts are rebuilt by re-retaining each hosted plan,
-// mirroring live subscribe.
+// under those indexes and opts are the engine options of every host the
+// runtime rebuilds (session-wide accounting and eviction; no result
+// callback: sinks are not data, so restored subscriptions collect).
+// The catalog reference counts are rebuilt by re-retaining each hosted
+// plan, mirroring live subscribe.
 func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan, opts []core.Option) {
 	c.I64(&rt.lastTime)
 	c.Bool(&rt.sawEvent)
@@ -39,7 +41,7 @@ func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan
 		return
 	}
 	n := len(rt.subs)
-	c.Len(&n, 20)
+	c.Len(&n, 24)
 	for i := 0; i < n && c.Err() == nil; i++ {
 		var s *Subscription
 		var pi int32
@@ -54,6 +56,8 @@ func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan
 		}
 		c.Int(&s.id)
 		c.I32(&pi)
+		c.I64(&s.from)
+		snap.Slice(c, &s.buf, 32, core.CodeResult)
 		if c.Decoding() {
 			c.Check(s.id >= 0 && s.id < rt.nextID && rt.Lookup(s.id) == nil, "runtime subscription id %d out of range or repeated", s.id)
 			c.Check(pi >= 0 && int(pi) < len(plans) && plans[pi] != nil, "runtime subscription %d references plan %d of %d", s.id, pi, len(plans))
@@ -65,125 +69,96 @@ func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan
 			s.plan = plans[pi]
 			err := rt.cat.Retain(s.plan)
 			c.Check(err == nil, "retaining plan for subscription %d: %v", s.id, err)
-			s.eng = core.NewEngine(s.plan, opts...)
 			rt.subs = append(rt.subs, s)
 		}
-		s.eng.Code(c)
 	}
-	// Sharing-group section: membership, flip state, the per-epoch
-	// monitor, and — when a host exists — its union query (restore
-	// recompiles it; the union is not in the session plan table) and
-	// engine state, in groupList order so restored decision replay stays
-	// deterministic.
 	shared := rt.sharedOn
-	c.Bool(&shared)
-	if shared {
-		if c.Decoding() {
-			rt.EnableSharedAggregation(opts...)
-		}
-		ng := len(rt.groupList)
-		c.Len(&ng, 16)
-		for i := 0; i < ng && c.Err() == nil; i++ {
-			var g *shareGroup
-			if c.Decoding() {
-				g = &shareGroup{rt: rt}
-			} else {
-				g = rt.groupList[i]
-			}
-			g.code(c)
-			if c.Decoding() && c.Err() == nil {
-				c.Check(rt.groups[g.key] == nil, "two sharing groups share a fingerprint")
-				rt.groups[g.key] = g
-				rt.groupList = append(rt.groupList, g)
-			}
-		}
-		c.I64(&rt.shareFlips)
-		c.I64(&rt.sharedSavedOps)
+	if c.Bool(&shared); shared && c.Decoding() {
+		rt.EnableSharedAggregation()
 	}
+	// Hosts in creation order — the order they advance and flush in —
+	// each naming its group by first appearance in that order.
+	var groups []*group
+	nh := len(rt.hosts)
+	c.Len(&nh, 20)
+	for i := 0; i < nh && c.Err() == nil; i++ {
+		var h *host
+		if !c.Decoding() {
+			h = rt.hosts[i]
+		}
+		rt.codeHost(c, &groups, h, opts)
+	}
+	c.I64(&rt.shareFlips)
+	c.I64(&rt.sharedSavedOps)
 	if c.Decoding() && c.Err() == nil {
-		rt.rebuildIndex()
+		for _, s := range rt.subs {
+			c.Check(s.group != nil && s.group.newest().viewOf(s) >= 0, "a subscription is not served by its group's newest host")
+		}
 	}
 }
 
-// code lists one sharing group in wire order. Decoding re-links the
-// members to the restored subscriptions and recompiles the host from
-// its serialized union query; member projections are recomputed from
-// the union rather than serialized — the union's column order is the
-// host query's RETURN order, which the snapshot pins.
-func (g *shareGroup) code(c *snap.Coder) {
-	rt := g.rt
-	c.U8((*uint8)(&g.mode))
-	c.Check(g.mode <= groupUnsharing, "sharing group mode %d", g.mode)
-	c.Bool(&g.wantRefresh)
-	c.Bool(&g.poisoned)
-	c.I64(&g.lastEpoch)
-	c.Bool(&g.epochValid)
-	c.I64(&g.probeBase)
-	c.I64(&g.hostBase)
-	nm := len(g.members)
-	c.Len(&nm, 11)
-	c.Check(nm > 0, "sharing group has no members")
-	for j := 0; j < nm && c.Err() == nil; j++ {
-		var m *groupMember
-		var id int
-		if c.Decoding() {
-			m = &groupMember{}
-		} else {
-			m, id = g.members[j], g.members[j].sub.id
-		}
-		c.Int(&id)
-		c.U8((*uint8)(&m.mode))
-		c.Bool(&m.served)
-		c.I64(&m.from)
-		if c.Decoding() {
-			m.sub = rt.Lookup(id)
-			c.Check(m.mode <= memberShared && m.sub != nil && m.sub.gm == nil,
-				"sharing group member %d is in a bad mode, unknown, or in two groups", id)
-			if c.Err() != nil {
-				return
-			}
-			g.members = append(g.members, m)
-			m.sub.group, m.sub.gm = g, m
-		}
+// codeHost lists one host in wire order: its group (and, where the
+// group first appears, whether it is registered for joiners), its
+// query, the saved-operations base, the subscriptions it serves and its
+// engine. Decoding recompiles the query and recomputes the projections
+// from the two plans' RETURN lists, which the snapshot pins.
+func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, opts []core.Option) {
+	g, q := new(group), query.Query{}
+	if h != nil {
+		g, q = h.g, *h.plan.Query
 	}
+	gi := slices.Index(*groups, g)
+	if gi < 0 {
+		gi = len(*groups)
+	}
+	c.Int(&gi)
+	c.Check(gi >= 0 && gi <= len(*groups), "host names group %d of %d", gi, len(*groups))
 	if c.Err() != nil {
 		return
 	}
-	first := g.members[0].sub.plan
-	hosted := g.host != nil
-	c.Bool(&hosted)
-	if c.Decoding() {
-		g.key, g.win = first.Fingerprint(), first.Query.Window
-		c.Check(hosted || g.mode == groupSolo, "sharing group in mode %d without a host", g.mode)
-	}
-	if !hosted {
-		return
-	}
-	c.Bool(&g.hostRetiring)
-	if c.Decoding() {
-		var uq query.Query
-		if uq.Code(c); c.Err() != nil {
-			return
-		}
-		if err := g.startHost(&uq); err != nil {
-			c.Check(false, "rebuilding the sharing-group host: %v", err)
-			return
-		}
+	registered := g.key != ""
+	if gi < len(*groups) {
+		g = (*groups)[gi]
 	} else {
-		g.host.plan.Query.Code(c)
+		*groups = append(*groups, g)
+		c.Bool(&registered)
 	}
-	g.host.eng.Code(c)
-	if c.Decoding() {
-		g.union = core.NewSpecUnion()
-		g.union.Add(g.host.plan.Specs)
-		for _, m := range g.members {
-			if m.served {
-				var ok bool
-				m.proj, ok = g.union.Project(m.sub.plan.Specs)
-				c.Check(ok, "sharing-group union does not cover subscription %d", m.sub.id)
+	if q.Code(c); c.Decoding() {
+		if c.Err() != nil {
+			return
+		}
+		plan, err := core.NewPlanIn(rt.cat, &q)
+		if err == nil {
+			err = rt.cat.Retain(plan)
+		}
+		if c.Check(err == nil, "rebuilding a host: %v", err); err != nil {
+			return
+		}
+		if registered {
+			rt.register(g, plan.Fingerprint())
+			c.Check(g.key != "", "a registered group without sharing, or two under one fingerprint")
+		}
+		c.Check(len(g.hosts) == 0 || g.newest().plan.Fingerprint() == plan.Fingerprint(), "a group's hosts differ in fingerprint")
+		h = rt.newHost(g, plan, opts)
+	}
+	nv := len(h.views)
+	c.Len(&nv, 8)
+	for j := 0; j < nv && c.Err() == nil; j++ {
+		var id int
+		if !c.Decoding() {
+			id = h.views[j].sub.id
+		}
+		if c.Int(&id); c.Decoding() {
+			s := rt.Lookup(id)
+			ok := s != nil && (s.group == nil || s.group == g) && h.viewOf(s) < 0 &&
+				s.plan.Fingerprint() == h.plan.Fingerprint() && h.attach(rt, s)
+			if c.Check(ok, "host serves subscription %d: unknown, repeated, of another group or not covered", id); ok {
+				s.group = g
 			}
 		}
 	}
+	c.I64(&h.base)
+	h.eng.Code(c)
 }
 
 // Lookup returns the live subscription with the given id, or nil.

@@ -73,8 +73,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"cograd_tenant_reorder_shed_total", "Events shed by the reorder depth cap.", func(r sessionStatsRow) float64 { return float64(r.shed) }},
 		{"cograd_tenant_peak_bytes", "Peak logical memory of the session.", func(r sessionStatsRow) float64 { return float64(r.peak) }},
 		{"cograd_tenant_ingest_rate", "Events/s between the last two scrapes.", func(r sessionStatsRow) float64 { return r.rate }},
-		{"cograd_tenant_shared_groups", "Sharing groups currently backed by a host engine.", func(r sessionStatsRow) float64 { return float64(r.sharedGroups) }},
-		{"cograd_tenant_share_flips_total", "Share/unshare decisions taken.", func(r sessionStatsRow) float64 { return float64(r.shareFlips) }},
+		{"cograd_tenant_shared_groups", "Sharing groups whose host engine serves more than one query.", func(r sessionStatsRow) float64 { return float64(r.sharedGroups) }},
+		{"cograd_tenant_share_flips_total", "Sharing-group host handovers taken (a host replaced at a window boundary by one over a grown RETURN union).", func(r sessionStatsRow) float64 { return float64(r.shareFlips) }},
 		{"cograd_tenant_shared_saved_ops_total", "Estimated per-event aggregation passes saved by sharing.", func(r sessionStatsRow) float64 { return float64(r.sharedSaved) }},
 	}
 	for _, g := range gauges {

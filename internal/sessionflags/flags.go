@@ -44,8 +44,8 @@ type Flags struct {
 	RejectOverrun bool
 	// Evict bounds binding-intern memory via window-expiry epochs.
 	Evict bool
-	// Shared folds fingerprint-equal queries into sharing groups with
-	// runtime share/unshare decisions at window boundaries.
+	// Shared serves fingerprint-equal queries from one host engine per
+	// sharing group.
 	Shared bool
 
 	fs *flag.FlagSet // nil when the struct was filled by hand
@@ -62,7 +62,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.MaxDepth, "max-reorder-depth", 0, "cap the -slack reorder buffer at this many events (0: unbounded)")
 	fs.BoolVar(&f.RejectOverrun, "reorder-reject", false, "fail with backpressure when the capped reorder buffer is full, instead of shedding its oldest events")
 	fs.BoolVar(&f.Evict, "evict", false, "bound binding-intern memory: reclaim slot values once no open window references them")
-	fs.BoolVar(&f.Shared, "shared", false, "share trend aggregation across queries that differ only in RETURN: fingerprint-equal queries form a sharing group whose host computes the union of their aggregation specs once per trend, with a per-epoch burstiness monitor flipping between shared and per-query execution at window boundaries (results are byte-identical either way)")
+	fs.BoolVar(&f.Shared, "shared", false, "share trend aggregation across queries that differ only in RETURN: fingerprint-equal queries form a sharing group whose host engine computes the union of their aggregation specs once per trend; a later query that adds an aggregate hands the group over to a wider host at the next window boundary (results are byte-identical to per-query execution)")
 	return f
 }
 

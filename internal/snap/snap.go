@@ -31,8 +31,10 @@ const Magic = "COGRASNP"
 // re-taken after an upgrade). Version 3 added the window-manager
 // ceiling to the engine codec and the sharing-group section to the
 // runtime codec; version 4 dropped the inline-session topology (every
-// session now nests one executor blob).
-const Version uint32 = 4
+// session now nests one executor blob); version 5 replaced the runtime
+// codec's per-subscription engines and sharing-group mode machine with
+// per-host sections (a subscription no longer owns an engine).
+const Version uint32 = 5
 
 // Writer accumulates a snapshot payload in memory.
 type Writer struct {

@@ -97,7 +97,7 @@ type MultiExecutor struct {
 	retiredPeak int64 // summed peaks of retired fallback workers
 	// shared marks that every worker runtime (including ones started
 	// later) runs with shared aggregation enabled; retiredFlips and
-	// retiredSaved keep the flip counters of retired fallback workers,
+	// retiredSaved keep the sharing counters of retired fallback workers,
 	// mirroring retiredPeak.
 	shared       bool
 	retiredFlips int64
@@ -235,8 +235,8 @@ func (m *MultiExecutor) newWorker() *mworker {
 	w := &mworker{pool: &m.pool, rt: runtime.NewOn(m.cat), engOpts: m.engOpts}
 	if m.shared {
 		// Enabled before the goroutine starts, so the worker never
-		// observes the runtime flipping under it.
-		w.rt.EnableSharedAggregation(w.hostOpts()...)
+		// observes the runtime changing under it.
+		w.rt.EnableSharedAggregation()
 	}
 	if !m.inThread {
 		w.start()
@@ -284,22 +284,22 @@ func (w *mworker) join() {
 	}
 }
 
-// hostOpts returns the engine options for engines the worker's runtime
-// creates on its own behalf (sharing-group hosts): the executor-wide
-// policies plus the worker's accountant, exactly like a subscriber's
-// engine.
+// hostOpts returns the engine options of every engine the worker's
+// runtime builds: the executor-wide policies plus the worker's
+// accountant.
 func (w *mworker) hostOpts() []core.Option {
 	opts := make([]core.Option, 0, len(w.engOpts)+2) // room for a subscriber's callback
 	return append(append(opts, w.engOpts...), core.WithAccountant(&w.acct))
 }
 
-// EnableSharedAggregation turns runtime share/unshare decisions on in
-// every worker runtime — current and future (lazily started executor
-// groups inherit the setting). Call it before subscribing plans;
-// queries hosted earlier never join a sharing group. Each worker takes
-// its share/unshare decisions independently, so flip boundaries may
-// differ across workers; per-worker results are byte-identical to an
-// unshared run, and the Close-time merge is unchanged.
+// EnableSharedAggregation lets fingerprint-equal plans share engines
+// in every worker runtime — current and future (lazily started executor
+// groups inherit the setting). Queries hosted earlier keep their
+// engines, and later fingerprint-equal subscribers join them. Workers
+// lag the router by different amounts, so a host handover may land on
+// different window boundaries across workers; per-worker results are
+// byte-identical to an unshared run, and the Close-time merge is
+// unchanged.
 func (m *MultiExecutor) EnableSharedAggregation() {
 	if m.shared || m.closed {
 		return
@@ -614,7 +614,7 @@ func (m *MultiExecutor) retireIdleGroups() error {
 		g.join()
 		// Peak memory is a high-water mark over the whole run: keep the
 		// retired worker's contribution so the reported fleet peak stays
-		// monotone. Flip counters are lifetime totals too.
+		// monotone. The sharing counters are lifetime totals too.
 		m.retiredPeak += g.acct.Peak()
 		rs := g.rt.Stats()
 		m.retiredFlips += rs.ShareFlips
@@ -675,10 +675,11 @@ type Stats struct {
 	// workers' engines; PeakBytes sums the workers' logical peaks.
 	BindingInternBytes int64
 	PeakBytes          int64
-	// SharedGroups counts the sharing groups currently backed by a host
-	// engine, summed across workers; ShareFlips and SharedSavedOps sum
-	// the workers' share/unshare decision counters (retired fallback
-	// workers keep their lifetime contributions, like PeakBytes).
+	// SharedGroups counts the groups whose engines serve more than one
+	// subscription, summed across workers; ShareFlips and SharedSavedOps
+	// sum the workers' handover and saved-operations counters (retired
+	// fallback workers keep their lifetime contributions, like
+	// PeakBytes).
 	SharedGroups   int
 	ShareFlips     int64
 	SharedSavedOps int64
@@ -815,7 +816,7 @@ func (w *mworker) handleCtl(c ctlMsg) ctlReply {
 		case ctlDrain:
 			rep.results = c.wsub.Drain()
 		case ctlShare:
-			w.rt.EnableSharedAggregation(w.hostOpts()...)
+			w.rt.EnableSharedAggregation()
 		}
 	}
 	return rep

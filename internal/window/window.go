@@ -114,10 +114,10 @@ type Manager[T any] struct {
 	everSawWid bool
 	// ceil (when hasCeil) caps window creation: wids >= ceil are never
 	// created, so the manager drains — once the watermark closes every
-	// window below the ceiling it owns nothing. A retiring engine (its
-	// sharing group hands ownership of wids >= ceil to the other
-	// execution mode) keeps processing events for its remaining windows
-	// and is torn down when Drained reports true.
+	// window below the ceiling it owns nothing. A retired engine (its
+	// sharing group handed wids >= ceil to a newer host) keeps processing
+	// events for its remaining windows and is torn down when Drained
+	// reports true.
 	ceil    int64
 	hasCeil bool
 }
@@ -183,11 +183,10 @@ func (m *Manager[T]) SkipBefore(floor int64) {
 // SkipFrom suppresses every window with wid >= ceil: they are never
 // created, so the manager owns exactly the windows below the ceiling
 // and drains as the watermark closes them. The mirror image of
-// SkipBefore — a sharing-group flip at window boundary W* retires the
-// outgoing execution side with SkipFrom(W*) while the incoming side
-// aligns with SkipBefore(W*), so every window is owned by exactly one
-// side and results stay byte-identical across the flip. The ceiling
-// only moves downward; states at/above it are dropped.
+// SkipBefore — a sharing-group handover at window boundary W* retires
+// the old host with SkipFrom(W*) while the new one aligns with
+// SkipBefore(W*), so every window is owned by exactly one of them. The
+// ceiling only moves downward; states at/above it are dropped.
 func (m *Manager[T]) SkipFrom(ceil int64) {
 	if m.hasCeil && m.ceil <= ceil {
 		return
@@ -200,20 +199,8 @@ func (m *Manager[T]) SkipFrom(ceil int64) {
 	}
 }
 
-// ClearCeiling lifts a SkipFrom ceiling: the manager owns windows
-// again from the current emission cursor on. A revived engine pairs
-// this with SkipBefore(W*) so ownership resumes exactly at the flip
-// boundary.
-func (m *Manager[T]) ClearCeiling() {
-	m.ceil, m.hasCeil = 0, false
-}
-
-// Ceiling returns the SkipFrom ceiling, if set.
-func (m *Manager[T]) Ceiling() (int64, bool) { return m.ceil, m.hasCeil }
-
 // Drained reports whether a ceiling is set and every window below it
-// has closed: the manager owns nothing anymore and never will until
-// the ceiling is lifted.
+// has closed: the manager owns nothing anymore and never will.
 func (m *Manager[T]) Drained() bool {
 	return m.hasCeil && m.emitted >= m.ceil && len(m.active) == 0
 }

@@ -16,10 +16,14 @@
 //
 //	go run scripts/gen_fuzz_corpus.go
 //
-// seed_v3_inline in the same directory is NOT regenerated: it is the
-// same session's frame as written by the last format-v3 build, whose
-// inline sessions carried their own topology section — real version
-// skew, which Restore must refuse with ErrBadSnapshot.
+// seed_v3_inline and seed_v4_fleet in the same directory are NOT
+// regenerated: they are frames as the last format-v3 and format-v4
+// builds wrote them (v3: this seed session, whose inline topology had
+// its own section; v4: the fleet golden frame, with per-subscription
+// engines and the sharing-group mode machine) — real version skew,
+// which Restore must refuse with ErrBadSnapshot. seed_v4_skew is the
+// regenerated companion: this build's payload under the version word
+// of the format before it.
 package main
 
 import (
@@ -197,6 +201,8 @@ func main() {
 	flipped[len(flipped)/3] ^= 0x40
 	skewed := append([]byte(nil), valid...)
 	skewed[8] = 0xff // version word
+	prior := append([]byte(nil), valid...)
+	prior[8] = 4 // the version word of the format before this one
 	oversized := append([]byte(nil), valid...)
 	for i := 12; i < 20; i++ {
 		oversized[i] = 0xff // declared payload length far beyond the data
@@ -211,6 +217,7 @@ func main() {
 		{"seed_truncated_header", valid[:11]},
 		{"seed_bitflip", flipped},
 		{"seed_version_skew", skewed},
+		{"seed_v4_skew", prior},
 		{"seed_oversized_length", oversized},
 		{"seed_empty", nil},
 		{"seed_magic_only", []byte("COGRASNP")},

@@ -207,23 +207,28 @@ func WithInternEviction() SessionOption {
 }
 
 // WithSharedAggregation lets the session share aggregation work
-// across queries with a common sub-pattern (paper §5, "Shared Trend
-// Aggregation"). Queries whose plans are sharing-equivalent — same
-// PATTERN, SEMANTICS, WHERE, GROUP BY and WITHIN clause; only their
-// RETURN lists differ — are clustered into sharing groups. A group the
-// runtime decides to share executes ONE host engine computing the
-// union of the members' aggregation specs, and each member's results
-// are projected out of the union at emission, so the per-event
-// matching and aggregation work is paid once for the whole group
-// instead of once per query.
+// across queries that differ only in what they report (whole-query
+// sharing in the direction of Poppe et al., "To Share, or not to Share
+// Online Event Trend Aggregation Over Bursty Event Streams" — the
+// Hamlet report in PAPERS.md). Queries whose plans are
+// sharing-equivalent — same PATTERN, SEMANTICS, WHERE, GROUP BY and
+// WITHIN clause; only their RETURN lists differ — are served by ONE
+// host engine computing the union of their aggregation specs, and each
+// query's results are projected out of the union at emission, so the
+// per-event matching and aggregation work is paid once for the whole
+// group instead of once per query.
 //
-// The share/unshare decision is revisited at runtime: a per-epoch
-// monitor watches the group's event volume and flips the group between
-// shared and per-query execution, always at a window boundary, so
-// results stay byte-identical to an unshared session under every flip
-// sequence. Stats reports the live group count and flip totals
-// (SharedGroups, ShareFlips, SharedSavedOps). In parallel sessions the
-// decision is taken independently inside each worker.
+// Equivalence is a compile-time property and one union engine is never
+// more work than one engine per query, so there is no runtime decision
+// to revisit: a later subscriber the host already covers attaches from
+// its first full window on, and one that adds an aggregate hands the
+// group over to a host over the grown union at that window boundary.
+// Results stay byte-identical to an unshared session throughout. The
+// option may be added at Restore: queries of the snapshot keep their
+// engines and later sharing-equivalent subscribers join them. Stats
+// reports the live group count, the handovers and the saved work
+// (SharedGroups, ShareFlips, SharedSavedOps). In parallel sessions
+// every worker owns its own groups.
 func WithSharedAggregation() SessionOption {
 	return func(c *sessionCfg) { c.shared = true }
 }
@@ -685,11 +690,12 @@ type SessionStats struct {
 	// PeakBytes is the peak logical memory across the session's
 	// engines (summed across workers).
 	PeakBytes int64
-	// SharedGroups counts the sharing groups currently backed by a host
-	// engine (WithSharedAggregation sessions; summed across workers).
-	// ShareFlips counts share/unshare decisions taken
-	// over the session's lifetime, and SharedSavedOps estimates the
-	// per-event aggregation passes sharing saved — host events times the
+	// SharedGroups counts the sharing groups whose host engine serves
+	// more than one query (WithSharedAggregation sessions; summed across
+	// workers). ShareFlips counts host handovers over the session's
+	// lifetime — a group's engine replaced, at a window boundary, by one
+	// over a grown RETURN union — and SharedSavedOps estimates the
+	// per-event aggregation passes sharing saved: host events times the
 	// members served beyond the first.
 	SharedGroups   int
 	ShareFlips     int64

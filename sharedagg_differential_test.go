@@ -1,24 +1,27 @@
 package cogra_test
 
 // Differential tests for shared trend aggregation (the fingerprint
-// registry in internal/core + the share/unshare runtime in
+// registry in internal/core + the group/host ownership model in
 // internal/runtime), extending the repo's differential spine:
 //
 //   - a fleet of sharing-equivalent queries (same PATTERN, SEMANTICS,
 //     WHERE, GROUP-BY and WITHIN — only RETURN differs) produces
 //     byte-identical results with WithSharedAggregation on and off,
-//     across all three granularities × {inline, 4 workers} ×
-//     {intern eviction, snapshot-mid-stream, churn that retires the
-//     sharing group's last member};
+//     across all three granularities × {inline, 4 workers} × the
+//     lifecycle variants of TestSharedAggregationDifferential: intern
+//     eviction, a snapshot cut with live groups, churn that retires the
+//     group's last member, a late joiner the live host does not cover
+//     (a handover at the next window boundary), a member leaving and a
+//     snapshot cut while both hosts of that handover are live, and
+//     membership 2 → 1 → 2;
 //   - the stream's phase structure (dense burst → sparse idle → dense
-//     burst) drives the burstiness monitor through genuine share AND
-//     unshare decisions, so the differential covers both flip
-//     directions, not just the steady shared state;
-//   - a snapshot cut lands while sharing groups are live: the restored
-//     session rebuilds them (stats continuous across the cut) and the
-//     tail results equal the undisturbed run;
-//   - the sharing group retires with its last subscriber — after churn
-//     removes every member, Stats().SharedGroups is 0.
+//     burst) places those membership changes where they bite: a
+//     handover taken in a dense phase keeps its retired host live for
+//     hundreds of events, one taken in the sparse phase drains it
+//     within an event or two and leaves windows no event lands in;
+//   - every cut checks Stats continuous across restore, and the group
+//     retires with its last subscriber — after churn removes every
+//     member, Stats().SharedGroups is 0.
 //
 // Runs under -race in CI like the rest of the spine.
 
@@ -73,11 +76,8 @@ func sharedFleetQueries() map[string][]string {
 // sharedPhaseStream emits the session test mix (A/B sequences, M
 // random walks, X noise, all keyed by patient) with a three-phase
 // tempo: a dense burst (time crawls, heavy ties), a sparse idle
-// stretch (time jumps per event), then a second dense burst. The
-// dense phases push per-epoch event volume far above the share-up
-// threshold for a 3-member fleet; the sparse phase drops it below the
-// share-down threshold — so a shared session provably takes both
-// share and unshare decisions along this stream.
+// stretch (time jumps per event, so every few events close a window),
+// then a second dense burst.
 func sharedPhaseStream(n int) []*cogra.Event {
 	rng := rand.New(rand.NewSource(23))
 	rates := [3]float64{60, 70, 80}
@@ -108,7 +108,7 @@ func sharedPhaseStream(n int) []*cogra.Event {
 		sparse := 3*n/8 <= i && i < 5*n/8
 		switch {
 		case sparse:
-			tm += 16 + int64(rng.Intn(16)) // idle: a few events per epoch
+			tm += 16 + int64(rng.Intn(16)) // idle: a few events per window
 		case rng.Intn(8) < 5:
 			// dense tie run
 		case rng.Intn(8) == 0:
@@ -120,43 +120,70 @@ func sharedPhaseStream(n int) []*cogra.Event {
 	return out
 }
 
+// sharedSchedule is one lifecycle variant: fleet members subscribe up
+// front unless join names the event index they arrive at, leave names
+// the index a member unsubscribes at, and cutAt >= 0 snapshots,
+// discards and restores the session there.
+type sharedSchedule struct {
+	opts  []cogra.SessionOption
+	cutAt int
+	join  map[int]int
+	leave map[int]int
+}
+
+// quietBoundary returns the first event index >= lo whose predecessor's
+// time stamp lies just past a common boundary of every fleet window
+// (slides 32, 48, 64), with the next few events close behind: a host
+// retired there keeps its last window open well past index+6.
+func quietBoundary(t *testing.T, events []*cogra.Event, lo int) int {
+	t.Helper()
+	for i := lo; i+6 < len(events); i++ {
+		if tm := events[i-1].Time; tm%192 < 8 && events[i+6].Time < tm+20 {
+			return i
+		}
+	}
+	t.Fatal("no quiet window boundary in the stream")
+	return -1
+}
+
 // sharedDiffRun drives one scenario: the fleet plus an unrelated
-// control query subscribe up front, the stream flows in batches, and
-// the variant schedule applies — cutAt >= 0 snapshots/discards/
-// restores mid-stream, churn staggers the fleet members out until the
-// sharing group's last member leaves. Returns per-query results
-// (fleet order, control last), the stats probed at the end of the
-// first dense phase, and the final stats.
-func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, events []*cogra.Event, cutAt int, churn bool) ([][]cogra.Result, cogra.SessionStats, cogra.SessionStats) {
+// control query subscribe, the stream flows in batches that stop at
+// every scheduled index, and the schedule applies. Returns per-query
+// results (fleet order, control last), the stats probed at the end of
+// the first dense phase, and the final stats.
+func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, events []*cogra.Event, sched sharedSchedule) ([][]cogra.Result, cogra.SessionStats, cogra.SessionStats) {
 	t.Helper()
 	n := len(fleet)
 	sess := cogra.NewSession(opts...)
 	subs := make([]*cogra.Subscription, n+1)
 	results := make([][]cogra.Result, n+1)
-	var err error
-	for i, src := range fleet {
+	subscribe := func(i int, src string) {
+		var err error
 		if subs[i], err = sess.Subscribe(cogra.MustParse(src)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if subs[n], err = sess.Subscribe(cogra.MustParse(sessionTestQueries()["contiguous"])); err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]int, n+1)
-	for i, sub := range subs {
-		ids[i] = sub.ID()
-	}
-	leaveAt := map[int][]int{}
-	if churn {
-		// Stagger the whole fleet out: the group shrinks member by
-		// member and must retire when the last one leaves.
-		leaveAt[2048], leaveAt[2304], leaveAt[2560] = []int{1}, []int{2}, []int{0}
-	}
-	var mid cogra.SessionStats
+	late := map[int]bool{}
 	probeAt := len(events) * 3 / 8 // end of the first dense phase
+	stops := []int{sched.cutAt, probeAt}
+	for at, fi := range sched.join {
+		late[fi] = true
+		stops = append(stops, at)
+	}
+	for at := range sched.leave {
+		stops = append(stops, at)
+	}
+	for i, src := range fleet {
+		if !late[i] {
+			subscribe(i, src)
+		}
+	}
+	subscribe(n, sessionTestQueries()["contiguous"])
+	var mid cogra.SessionStats
+	var err error
 	for i := 0; i < len(events); {
 		end := min(i+256, len(events))
-		for _, p := range []int{cutAt, probeAt} {
+		for _, p := range stops {
 			if p > i && p < end {
 				end = p
 			}
@@ -170,14 +197,17 @@ func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, eve
 				t.Fatal(err)
 			}
 		}
-		for _, fi := range leaveAt[i] {
+		if fi, ok := sched.join[i]; ok {
+			subscribe(fi, fleet[fi])
+		}
+		if fi, ok := sched.leave[i]; ok {
 			results[fi] = subs[fi].Unsubscribe()
 			if err := subs[fi].Err(); err != nil {
 				t.Fatal(err)
 			}
 			subs[fi] = nil
 		}
-		if i == cutAt {
+		if i == sched.cutAt {
 			var buf bytes.Buffer
 			if err := sess.Snapshot(&buf); err != nil {
 				t.Fatal(err)
@@ -198,11 +228,14 @@ func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, eve
 				t.Fatalf("stats not continuous across restore\nbefore: %+v\nafter:  %+v", before, after)
 			}
 			all := sess.Subscriptions()
-			for qi, id := range ids {
-				if id >= len(all) || !all[id].Active() {
+			for qi, sub := range subs {
+				if sub == nil {
+					continue
+				}
+				if id := sub.ID(); id >= len(all) || !all[id].Active() {
 					t.Fatalf("restored session lost subscription %d", qi)
 				}
-				subs[qi] = all[id]
+				subs[qi] = all[sub.ID()]
 			}
 		}
 	}
@@ -222,30 +255,39 @@ func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, eve
 }
 
 // TestSharedAggregationDifferential pins the tentpole invariant:
-// WithSharedAggregation never changes results — only who computes
-// them. Every (granularity × session mode × lifecycle variant) cell
-// compares the shared run against the unshared run query by query,
+// WithSharedAggregation never changes results — only which engine
+// computes them. Every (granularity × session mode × lifecycle variant)
+// cell compares the shared run against the unshared run query by query,
 // and checks the shared run actually shared (the differential is not
 // vacuous) via the sharing counters.
 func TestSharedAggregationDifferential(t *testing.T) {
 	events := sharedPhaseStream(3000)
-	variants := map[string]struct {
-		opts  []cogra.SessionOption
-		cutAt int
-		churn bool
-	}{
-		"evict":    {[]cogra.SessionOption{cogra.WithInternEviction()}, -1, false},
-		"snapshot": {nil, 1873, false}, // cut inside the second dense phase: groups are live
-		"churn":    {nil, -1, true},
+	// A handover in the second dense phase whose retired host is still
+	// live six events on, and one in the sparse phase.
+	dense := quietBoundary(t, events, 2000)
+	variants := map[string]sharedSchedule{
+		"evict":    {opts: []cogra.SessionOption{cogra.WithInternEviction()}, cutAt: -1},
+		"snapshot": {cutAt: 1873}, // groups are live
+		// The group shrinks member by member and retires with the last.
+		"churn": {cutAt: -1, leave: map[int]int{2048: 1, 2304: 2, 2560: 0}},
+		// A late joiner whose RETURN the live host does not cover.
+		"handover": {cutAt: -1, join: map[int]int{dense: 2}},
+		// A member leaves while two hosts of its group are live.
+		"leave2hosts": {cutAt: -1, join: map[int]int{dense: 2}, leave: map[int]int{dense + 6: 0}},
+		// A cut between the handover and the retired host's last window.
+		"snapshot-handover": {cutAt: dense + 6, join: map[int]int{dense: 2}},
+		// Membership 2 → 1 → 2 across the sparse phase: the rejoin hands
+		// over to a host that drains within a couple of events.
+		"rejoin": {cutAt: -1, leave: map[int]int{1300: 1}, join: map[int]int{1500: 2}},
 	}
 	for mode, mopts := range sessionModes() {
 		for vname, v := range variants {
 			for gname, fleet := range sharedFleetQueries() {
 				t.Run(mode+"/"+vname+"/"+gname, func(t *testing.T) {
 					base := append(mopts[:len(mopts):len(mopts)], v.opts...)
-					want, _, _ := sharedDiffRun(t, base, fleet, events, v.cutAt, v.churn)
+					want, _, _ := sharedDiffRun(t, base, fleet, events, v)
 					shared := append(base[:len(base):len(base)], cogra.WithSharedAggregation())
-					got, mid, final := sharedDiffRun(t, shared, fleet, events, v.cutAt, v.churn)
+					got, mid, final := sharedDiffRun(t, shared, fleet, events, v)
 					for qi := range want {
 						if len(want[qi]) == 0 {
 							t.Errorf("query %d: no results; differential test is vacuous", qi)
@@ -258,13 +300,71 @@ func TestSharedAggregationDifferential(t *testing.T) {
 						t.Errorf("sharing never engaged by the dense-phase probe: %+v", mid)
 					}
 					if final.ShareFlips < 1 || final.SharedSavedOps < 1 {
-						t.Errorf("sharing counters vacuous at close: flips=%d saved=%d", final.ShareFlips, final.SharedSavedOps)
+						t.Errorf("sharing counters vacuous at close: handovers=%d saved=%d", final.ShareFlips, final.SharedSavedOps)
 					}
-					if v.churn && final.SharedGroups != 0 {
+					if vname == "churn" && final.SharedGroups != 0 {
 						t.Errorf("sharing group outlives its last member: %d groups at close", final.SharedGroups)
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestSharedAggregationAddedAtRestore: sharing switched on over a
+// populated session — WithSharedAggregation added at Restore —
+// registers the engines the snapshot's queries already run on, so a
+// later fingerprint-equal subscriber joins the earlier one's group
+// instead of silently staying private; results equal the run restored
+// without the option.
+func TestSharedAggregationAddedAtRestore(t *testing.T) {
+	events := sharedPhaseStream(1500)
+	fleet := sharedFleetQueries()["type"]
+	run := func(t *testing.T, mopts []cogra.SessionOption, added ...cogra.SessionOption) ([2][]cogra.Result, cogra.SessionStats) {
+		sess := cogra.NewSession(mopts...)
+		if _, err := sess.Subscribe(cogra.MustParse(fleet[0])); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.PushBatch(events[:600]); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sess.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sess.Close()
+		sess, err := cogra.Restore(&buf, added...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		late, err := sess.Subscribe(cogra.MustParse(fleet[1])) // COUNT(*): the earlier engine computes it
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.PushBatch(events[600:]); err != nil {
+			t.Fatal(err)
+		}
+		st, err := sess.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return [2][]cogra.Result{sess.Subscriptions()[0].Drain(), late.Drain()}, st
+	}
+	for mode, mopts := range sessionModes() {
+		t.Run(mode, func(t *testing.T) {
+			want, _ := run(t, mopts)
+			got, st := run(t, mopts, cogra.WithSharedAggregation())
+			for qi := range want {
+				if len(want[qi]) == 0 || !diff.Equal(got[qi], want[qi]) {
+					t.Errorf("query %d: sharing added at restore diverges (or the run is vacuous)\n%s", qi, diff.Diff(got[qi], want[qi]))
+				}
+			}
+			if st.SharedGroups < 1 || st.SharedSavedOps < 1 {
+				t.Errorf("the later subscriber did not join the restored query's group: %+v", st)
+			}
+		})
 	}
 }

@@ -291,14 +291,14 @@ func TestSnapshotGoldenFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.Name == "fleet" { // the sections this frame is committed for
-				st, err := sess.Stats()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Workers != 5 || st.ExecutorGroups != 1 || st.SharedGroups == 0 {
-					t.Fatalf("fleet scenario is vacuous: %+v", st)
-				}
+			st, err := sess.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch { // the sections these frames are committed for
+			case g.Name == "fleet" && (st.Workers != 5 || st.ExecutorGroups != 1 || st.SharedGroups == 0),
+				g.Name == "handover" && (st.SharedGroups != 1 || st.ShareFlips != 1):
+				t.Fatalf("%s scenario is vacuous: %+v", g.Name, st)
 			}
 			var built bytes.Buffer
 			if err := sess.Snapshot(&built); err != nil {
@@ -326,11 +326,11 @@ func TestSnapshotGoldenFrames(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesV3Frame: the frame an inline session wrote under
-// format v3 (its own topology section, before every session nested an
-// executor blob) is version skew, not corruption to guess around.
-func TestRestoreRefusesV3Frame(t *testing.T) {
-	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotDecode/seed_v3_inline")
+// restoreCorpusFrame restores the []byte literal of one committed
+// FuzzSnapshotDecode corpus file.
+func restoreCorpusFrame(t *testing.T, name string) error {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotDecode/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,8 +339,25 @@ func TestRestoreRefusesV3Frame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corpus file is not a []byte literal: %v", err)
 	}
-	if _, err := cogra.Restore(strings.NewReader(frame)); !errors.Is(err, cogra.ErrBadSnapshot) {
+	_, err = cogra.Restore(strings.NewReader(frame))
+	return err
+}
+
+// TestRestoreRefusesV3Frame: the frame an inline session wrote under
+// format v3 (its own topology section, before every session nested an
+// executor blob) is version skew, not corruption to guess around.
+func TestRestoreRefusesV3Frame(t *testing.T) {
+	if err := restoreCorpusFrame(t, "seed_v3_inline"); !errors.Is(err, cogra.ErrBadSnapshot) {
 		t.Errorf("Restore of a v3 frame: %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestRestoreRefusesV4Frame: likewise the fleet golden frame as the
+// last format-v4 build wrote it — per-subscription engines and the
+// sharing-group mode machine, sections this build no longer has.
+func TestRestoreRefusesV4Frame(t *testing.T) {
+	if err := restoreCorpusFrame(t, "seed_v4_fleet"); !errors.Is(err, cogra.ErrBadSnapshot) {
+		t.Errorf("Restore of a v4 frame: %v, want ErrBadSnapshot", err)
 	}
 }
 

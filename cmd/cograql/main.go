@@ -63,6 +63,7 @@ import (
 
 	cogra "repro"
 	"repro/internal/sessionflags"
+	"repro/internal/snap"
 )
 
 // querySource is one query given on the command line, in flag order —
@@ -208,7 +209,7 @@ func run(cfg runCfg) error {
 		// A crash mid-checkpoint leaves a stale temp file next to the
 		// durable one; it is truncated by construction and must never be
 		// restored from.
-		if strings.HasSuffix(cfg.restore, checkpointTempSuffix) {
+		if strings.HasSuffix(cfg.restore, snap.TempSuffix) {
 			return fmt.Errorf("refusing to restore from temp checkpoint %s: a crash mid-checkpoint leaves it truncated; restore from the durable path", cfg.restore)
 		}
 		f, err := os.Open(cfg.restore)
@@ -291,7 +292,7 @@ func run(cfg runCfg) error {
 			return nil
 		}
 		drainRestored()
-		if err := writeCheckpoint(sess, cfg.checkpoint); err != nil {
+		if err := snap.WriteFileAtomic(cfg.checkpoint, sess.Snapshot); err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "cograql: checkpoint %s @ %d events\n", cfg.checkpoint, pushed)
@@ -406,32 +407,4 @@ func follow(in io.Reader, sess *cogra.Session,
 		}
 	}
 	return sc.Err()
-}
-
-// checkpointTempSuffix marks an in-progress checkpoint write; restore
-// refuses such files.
-const checkpointTempSuffix = ".tmp"
-
-// writeCheckpoint snapshots the session to path atomically: the bytes
-// go to path+".tmp", are fsynced, then renamed over path — a crash
-// mid-checkpoint leaves the previous durable checkpoint intact (plus,
-// at worst, a stale temp file) and never a truncated snapshot at path.
-func writeCheckpoint(sess *cogra.Session, path string) error {
-	tmp := path + checkpointTempSuffix
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = sess.Snapshot(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -314,6 +314,3 @@ func CandidateAliases(plan *core.Plan, e *event.Event) []string {
 	}
 	return out
 }
-
-// SuccAliases returns the successor pattern types of an alias.
-func SuccAliases(plan *core.Plan, alias string) []string { return plan.FSA.Succ[alias] }

@@ -102,32 +102,32 @@ func BenchmarkEngineProcessTypeGrainedSlots(b *testing.B) {
 	benchEngine(b, q, typeBenchStream(4096))
 }
 
-// BenchmarkEngineProcessMixedAdjacent is the adjacent-predicate
-// workload: mixed granularity stores every M event and evaluates the
-// predicate against each stored predecessor.
-func BenchmarkEngineProcessMixedAdjacent(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
+// mixedAdjacentQuery is the adjacent-predicate workload: mixed
+// granularity stores every M event and evaluates the predicate against
+// each stored predecessor. aliasScoped swaps the stream-partitioning
+// [patient] + GROUP-BY for an alias-scoped [M.patient] binding slot.
+func mixedAdjacentQuery(aliasScoped bool, within int64) *query.Query {
+	b := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
 		Return(agg.Spec{Func: agg.CountStar}).
 		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
 		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-		GroupBy(query.GroupKey{Attr: "patient"}).
-		Within(512, 512).
-		MustBuild()
-	benchEngine(b, q, measureBenchStream(4096))
+		Within(within, within)
+	if aliasScoped {
+		b = b.WhereEquiv(predicate.Equivalence{Alias: "M", Attr: "patient"})
+	} else {
+		b = b.WhereEquiv(predicate.Equivalence{Attr: "patient"}).GroupBy(query.GroupKey{Attr: "patient"})
+	}
+	return b.MustBuild()
+}
+
+func BenchmarkEngineProcessMixedAdjacent(b *testing.B) {
+	benchEngine(b, mixedAdjacentQuery(false, 512), measureBenchStream(4096))
 }
 
 // BenchmarkEngineProcessMixedAdjacentSlots combines stored-event scans
 // with alias-scoped binding keys.
 func BenchmarkEngineProcessMixedAdjacentSlots(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Alias: "M", Attr: "patient"}).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-		Within(512, 512).
-		MustBuild()
-	benchEngine(b, q, measureBenchStream(4096))
+	benchEngine(b, mixedAdjacentQuery(true, 512), measureBenchStream(4096))
 }
 
 // BenchmarkEngineProcessMixedAdjacentNumFn is the Fig9-style workload
@@ -207,18 +207,44 @@ func BenchmarkEngineProcessPatternGrained(b *testing.B) {
 // under heavy window churn: the MixedAdjacent workload with 64-tick
 // tumbling windows expires a window every 64 events, freeing the
 // epoch's stored entries wholesale back to the engine-owned arenas.
-// Steady-state allocs/op is the gate — cell recycling must keep it
-// far below one allocation per stored event.
 func BenchmarkMixedAdjacentArena(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-		GroupBy(query.GroupKey{Attr: "patient"}).
-		Within(64, 64).
-		MustBuild()
-	benchEngine(b, q, measureBenchStream(4096))
+	benchEngine(b, mixedAdjacentQuery(false, 64), measureBenchStream(4096))
+}
+
+// TestMixedAdjacentAllocs pins the arena-reclamation guarantee — stored
+// (Te) entries come from the engine-owned storeArenas, never one
+// allocation per stored event — as exact per-pass allocation counts of
+// the three benches above: one pass stores all 4,096 events, so a
+// per-event allocation overshoots any row by thousands. The counts are
+// the last ones the retired benchmark gate committed
+// (docs/perf-history.md, PR 15); lower them when a change earns it,
+// never raise them to make a change pass.
+func TestMixedAdjacentAllocs(t *testing.T) {
+	// The counts repeat exactly on one toolchain; the slack only absorbs
+	// a Go release moving a map or slice growth step.
+	const slack = 8
+	events := measureBenchStream(4096)
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		want float64
+	}{
+		{"MixedAdjacent", mixedAdjacentQuery(false, 512), 842},
+		{"MixedAdjacentSlots", mixedAdjacentQuery(true, 512), 410},
+		{"MixedAdjacentArena", mixedAdjacentQuery(false, 64), 5754},
+	} {
+		plan := MustPlan(tc.q)
+		got := testing.AllocsPerRun(5, func() {
+			eng := NewEngine(plan)
+			if err := eng.ProcessAll(events); err != nil {
+				t.Fatal(err)
+			}
+			eng.Close()
+		})
+		if got > tc.want+slack {
+			t.Errorf("%s: %v allocs per pass over %d stored events, pinned at %v", tc.name, got, len(events), tc.want)
+		}
+	}
 }
 
 // BenchmarkEngineProcessRunKernel measures the batch-kernel execution

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/snap"
 )
 
 // RunConfig parameterises one fuzzing run.
@@ -156,20 +158,13 @@ func writeFailure(dir string, f *Failure) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, fmt.Sprintf("%s_%016x.repro", f.Oracle, f.Scenario.Seed))
-	tmp := path + ".tmp"
-	fh, err := os.Create(tmp)
+	err := snap.WriteFileAtomic(path, func(w io.Writer) error {
+		return WriteRepro(w, &Repro{Oracle: f.Oracle, Mismatch: f.Mismatch, Scenario: f.Scenario})
+	})
 	if err != nil {
 		return "", err
 	}
-	werr := WriteRepro(fh, &Repro{Oracle: f.Oracle, Mismatch: f.Mismatch, Scenario: f.Scenario})
-	if cerr := fh.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return "", werr
-	}
-	return path, os.Rename(tmp, path)
+	return path, nil
 }
 
 // Replay loads a repro file and re-runs its oracle. It returns the

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sort"
 	"time"
+
+	cogra "repro"
 )
 
 // handleMetrics serves Prometheus text-format metrics: server-wide
@@ -34,11 +36,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Per-tenant session stats. HELP/TYPE headers once, then one
 	// sample per tenant.
-	type gauge struct {
-		name, help string
-		val        func(st sessionStatsRow) float64
+	type row struct {
+		name string
+		rate float64 // events/s between the last two scrapes
+		cogra.SessionStats
 	}
-	rows := make([]sessionStatsRow, 0, len(names))
+	rows := make([]row, 0, len(names))
 	for _, name := range names {
 		t := s.tenant(name, false)
 		if t == nil {
@@ -48,67 +51,48 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		row := sessionStatsRow{name: name, events: st.Events, queries: st.Queries,
-			workers: st.Workers, skipped: st.Skipped, late: st.LateDropped,
-			shed: st.ReorderShed, peak: st.PeakBytes, watermark: st.Watermark,
-			wmValid: st.WatermarkValid, sharedGroups: st.SharedGroups,
-			shareFlips: st.ShareFlips, sharedSaved: st.SharedSavedOps}
+		tr := row{name: name, SessionStats: st}
 		// events/s from scrape-to-scrape deltas, owned by this handler.
 		t.rateMu.Lock()
 		if !t.rateWhen.IsZero() {
 			if dt := now.Sub(t.rateWhen).Seconds(); dt > 0 {
-				row.rate = float64(st.Events-t.rateEvents) / dt
+				tr.rate = float64(st.Events-t.rateEvents) / dt
 			}
 		}
 		t.rateEvents, t.rateWhen = st.Events, now
 		t.rateMu.Unlock()
-		rows = append(rows, row)
+		rows = append(rows, tr)
 	}
-	gauges := []gauge{
-		{"cograd_tenant_events_total", "Events the tenant's session accepted.", func(r sessionStatsRow) float64 { return float64(r.events) }},
-		{"cograd_tenant_queries", "Active subscriptions.", func(r sessionStatsRow) float64 { return float64(r.queries) }},
-		{"cograd_tenant_workers", "Session worker count.", func(r sessionStatsRow) float64 { return float64(r.workers) }},
-		{"cograd_tenant_skipped_total", "Events the session could not route.", func(r sessionStatsRow) float64 { return float64(r.skipped) }},
-		{"cograd_tenant_late_dropped_total", "Late events dropped by the slack policy.", func(r sessionStatsRow) float64 { return float64(r.late) }},
-		{"cograd_tenant_reorder_shed_total", "Events shed by the reorder depth cap.", func(r sessionStatsRow) float64 { return float64(r.shed) }},
-		{"cograd_tenant_peak_bytes", "Peak logical memory of the session.", func(r sessionStatsRow) float64 { return float64(r.peak) }},
-		{"cograd_tenant_ingest_rate", "Events/s between the last two scrapes.", func(r sessionStatsRow) float64 { return r.rate }},
-		{"cograd_tenant_shared_groups", "Sharing groups whose host engine serves more than one query.", func(r sessionStatsRow) float64 { return float64(r.sharedGroups) }},
-		{"cograd_tenant_share_flips_total", "Sharing-group host handovers taken (a host replaced at a window boundary by one over a grown RETURN union).", func(r sessionStatsRow) float64 { return float64(r.shareFlips) }},
-		{"cograd_tenant_shared_saved_ops_total", "Estimated per-event aggregation passes saved by sharing.", func(r sessionStatsRow) float64 { return float64(r.sharedSaved) }},
+	gauges := []struct {
+		name, help string
+		val        func(r row) float64
+	}{
+		{"cograd_tenant_events_total", "Events the tenant's session accepted.", func(r row) float64 { return float64(r.Events) }},
+		{"cograd_tenant_queries", "Active subscriptions.", func(r row) float64 { return float64(r.Queries) }},
+		{"cograd_tenant_workers", "Session worker count.", func(r row) float64 { return float64(r.Workers) }},
+		{"cograd_tenant_skipped_total", "Events the session could not route.", func(r row) float64 { return float64(r.Skipped) }},
+		{"cograd_tenant_late_dropped_total", "Late events dropped by the slack policy.", func(r row) float64 { return float64(r.LateDropped) }},
+		{"cograd_tenant_reorder_shed_total", "Events shed by the reorder depth cap.", func(r row) float64 { return float64(r.ReorderShed) }},
+		{"cograd_tenant_peak_bytes", "Peak logical memory of the session.", func(r row) float64 { return float64(r.PeakBytes) }},
+		{"cograd_tenant_ingest_rate", "Events/s between the last two scrapes.", func(r row) float64 { return r.rate }},
+		{"cograd_tenant_shared_groups", "Sharing groups whose host engine serves more than one query.", func(r row) float64 { return float64(r.SharedGroups) }},
+		{"cograd_tenant_share_flips_total", "Sharing-group host handovers taken (a host replaced at a window boundary by one over a grown RETURN union).", func(r row) float64 { return float64(r.ShareFlips) }},
+		{"cograd_tenant_shared_saved_ops_total", "Estimated per-event aggregation passes saved by sharing.", func(r row) float64 { return float64(r.SharedSavedOps) }},
 	}
 	for _, g := range gauges {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
-		for _, row := range rows {
-			fmt.Fprintf(w, "%s{tenant=%q} %g\n", g.name, row.name, g.val(row))
+		for _, tr := range rows {
+			fmt.Fprintf(w, "%s{tenant=%q} %g\n", g.name, tr.name, g.val(tr))
 		}
 	}
 	// Watermark only for tenants that have dispatched an event — a
 	// zero would be indistinguishable from a real time stamp 0.
 	fmt.Fprint(w, "# HELP cograd_tenant_watermark Stream position: time stamp of the last dispatched event.\n# TYPE cograd_tenant_watermark gauge\n")
-	for _, row := range rows {
-		if row.wmValid {
-			fmt.Fprintf(w, "cograd_tenant_watermark{tenant=%q} %d\n", row.name, row.watermark)
+	for _, tr := range rows {
+		if tr.WatermarkValid {
+			fmt.Fprintf(w, "cograd_tenant_watermark{tenant=%q} %d\n", tr.name, tr.Watermark)
 		}
 	}
-}
-
-// sessionStatsRow is the per-tenant scrape snapshot metrics.go formats.
-type sessionStatsRow struct {
-	name         string
-	events       int64
-	queries      int
-	workers      int
-	skipped      int64
-	late         int64
-	shed         int64
-	peak         int64
-	watermark    int64
-	wmValid      bool
-	rate         float64
-	sharedGroups int
-	shareFlips   int64
-	sharedSaved  int64
 }
 
 func b2i(b bool) int {

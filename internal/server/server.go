@@ -12,6 +12,7 @@ import (
 	"time"
 
 	cogra "repro"
+	"repro/internal/snap"
 )
 
 // Config shapes a Server. The zero value serves: 4 shards, no quotas,
@@ -590,27 +591,11 @@ func (s *Server) checkpointFile(tenant string) string {
 	return filepath.Join(s.cfg.CheckpointDir, hex.EncodeToString([]byte(tenant))+".snap")
 }
 
-// checkpointTenant snapshots one session atomically: temp file, fsync,
-// rename — a crash mid-write leaves the previous checkpoint intact.
+// checkpointTenant snapshots one session atomically: a crash mid-write
+// leaves the previous checkpoint intact.
 func (s *Server) checkpointTenant(t *tenant) error {
 	path := s.checkpointFile(t.name)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = t.sess.Snapshot(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint tenant %q: %w", t.name, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := snap.WriteFileAtomic(path, t.sess.Snapshot); err != nil {
 		return fmt.Errorf("checkpoint tenant %q: %w", t.name, err)
 	}
 	s.cfg.Logf("cograd: tenant %q checkpointed to %s", t.name, path)
@@ -658,7 +643,7 @@ func (s *Server) restoreAll() error {
 			t.sess = sess
 			for _, sub := range sess.Subscriptions() {
 				if sub.Active() {
-					t.subs[sub.ID()] = &subState{id: sub.ID(), sub: sub, query: "(restored)"}
+					t.subs[sub.ID()] = &subState{id: sub.ID(), sub: sub, query: sub.Plan().Query.String()}
 				}
 			}
 			t.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -268,6 +269,26 @@ func TestServerDrainRestoreDifferential(t *testing.T) {
 
 	srv2, c2, _ := newTestServer(t, Config{Shards: 3, CheckpointDir: dir})
 	defer srv2.Drain()
+	// A restored subscription has no source text: the listing renders
+	// the plan's query, which must parse back to itself.
+	var listed struct {
+		Queries []struct {
+			ID    int    `json:"id"`
+			Query string `json:"query"`
+		} `json:"queries"`
+	}
+	if err := c2.do("GET", "/v1/acme/queries", nil, &listed); err != nil {
+		t.Fatal(err)
+	}
+	if len(listed.Queries) != 1 || listed.Queries[0].ID != id {
+		t.Fatalf("restored listing: %+v, want query %d", listed.Queries, id)
+	}
+	text := listed.Queries[0].Query
+	if q, err := cogra.Parse(text); err != nil {
+		t.Fatalf("restored query lists unparseable text %q: %v", text, err)
+	} else if q.String() != text {
+		t.Errorf("restored query %q re-renders as %q", text, q.String())
+	}
 	if _, err := c2.push("acme", events[500:]); err != nil {
 		t.Fatal(err)
 	}
@@ -467,8 +488,10 @@ func TestServerTCPIngestDifferential(t *testing.T) {
 	}
 }
 
-// TestServerMetrics: the Prometheus surface reports per-tenant session
-// stats scraped concurrently with serving, plus the server counters.
+// TestServerMetrics pins the whole Prometheus scrape for one tenant,
+// line for line: the per-tenant gauges are formatted straight from
+// cogra.SessionStats, and served_tenants (benchmarks/) reads
+// peak_state_bytes out of this text. Only the uptime value varies.
 func TestServerMetrics(t *testing.T) {
 	_, c, ts := newTestServer(t, Config{})
 	if _, err := c.subscribe("acme", testQuery); err != nil {
@@ -483,20 +506,70 @@ func TestServerMetrics(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	body := string(raw)
-	for _, want := range []string{
-		"cograd_tenants 1",
-		"cograd_ingested_events_total 100",
-		`cograd_tenant_events_total{tenant="acme"} 100`,
-		`cograd_tenant_queries{tenant="acme"} 1`,
-		`cograd_tenant_watermark{tenant="acme"} 100`,
-		"cograd_draining 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics body lacks %q\n%s", want, body)
-		}
+	got := regexp.MustCompile(`(?m)^cograd_uptime_seconds .*$`).ReplaceAllString(string(raw), "cograd_uptime_seconds X")
+	if got != wantMetrics {
+		t.Errorf("metrics body moved\ngot:\n%s\nwant:\n%s", got, wantMetrics)
 	}
 }
+
+const wantMetrics = `# HELP cograd_uptime_seconds Seconds since the server started.
+# TYPE cograd_uptime_seconds gauge
+cograd_uptime_seconds X
+# HELP cograd_draining Whether the server is draining (1) or serving (0).
+# TYPE cograd_draining gauge
+cograd_draining 0
+# HELP cograd_tenants Hosted tenants.
+# TYPE cograd_tenants gauge
+cograd_tenants 1
+# HELP cograd_http_requests_total HTTP requests served.
+# TYPE cograd_http_requests_total counter
+cograd_http_requests_total 3
+# HELP cograd_tcp_frames_total Framed-TCP ingest frames received.
+# TYPE cograd_tcp_frames_total counter
+cograd_tcp_frames_total 0
+# HELP cograd_ingested_events_total Events accepted across all tenants.
+# TYPE cograd_ingested_events_total counter
+cograd_ingested_events_total 100
+# HELP cograd_quota_rejections_total Requests refused by a server-side quota.
+# TYPE cograd_quota_rejections_total counter
+cograd_quota_rejections_total 0
+# HELP cograd_tenant_events_total Events the tenant's session accepted.
+# TYPE cograd_tenant_events_total gauge
+cograd_tenant_events_total{tenant="acme"} 100
+# HELP cograd_tenant_queries Active subscriptions.
+# TYPE cograd_tenant_queries gauge
+cograd_tenant_queries{tenant="acme"} 1
+# HELP cograd_tenant_workers Session worker count.
+# TYPE cograd_tenant_workers gauge
+cograd_tenant_workers{tenant="acme"} 1
+# HELP cograd_tenant_skipped_total Events the session could not route.
+# TYPE cograd_tenant_skipped_total gauge
+cograd_tenant_skipped_total{tenant="acme"} 0
+# HELP cograd_tenant_late_dropped_total Late events dropped by the slack policy.
+# TYPE cograd_tenant_late_dropped_total gauge
+cograd_tenant_late_dropped_total{tenant="acme"} 0
+# HELP cograd_tenant_reorder_shed_total Events shed by the reorder depth cap.
+# TYPE cograd_tenant_reorder_shed_total gauge
+cograd_tenant_reorder_shed_total{tenant="acme"} 0
+# HELP cograd_tenant_peak_bytes Peak logical memory of the session.
+# TYPE cograd_tenant_peak_bytes gauge
+cograd_tenant_peak_bytes{tenant="acme"} 224
+# HELP cograd_tenant_ingest_rate Events/s between the last two scrapes.
+# TYPE cograd_tenant_ingest_rate gauge
+cograd_tenant_ingest_rate{tenant="acme"} 0
+# HELP cograd_tenant_shared_groups Sharing groups whose host engine serves more than one query.
+# TYPE cograd_tenant_shared_groups gauge
+cograd_tenant_shared_groups{tenant="acme"} 0
+# HELP cograd_tenant_share_flips_total Sharing-group host handovers taken (a host replaced at a window boundary by one over a grown RETURN union).
+# TYPE cograd_tenant_share_flips_total gauge
+cograd_tenant_share_flips_total{tenant="acme"} 0
+# HELP cograd_tenant_shared_saved_ops_total Estimated per-event aggregation passes saved by sharing.
+# TYPE cograd_tenant_shared_saved_ops_total gauge
+cograd_tenant_shared_saved_ops_total{tenant="acme"} 0
+# HELP cograd_tenant_watermark Stream position: time stamp of the last dispatched event.
+# TYPE cograd_tenant_watermark gauge
+cograd_tenant_watermark{tenant="acme"} 100
+`
 
 // TestServerDrainRefusals: after Drain every mutating surface refuses
 // with the draining code and Drain is idempotent.

@@ -1,8 +1,8 @@
 // Package stream provides the stream-processing substrate of §8
 // ("Parallel Processing"): ordered event sources, k-way merging of
-// per-source ordered feeds, the time-driven scheduler that wraps
-// simultaneous events into stream transactions, and a partition-
-// parallel executor that runs one COGRA engine per sub-stream, since
+// per-source ordered feeds, and a partition-parallel executor that
+// runs one COGRA engine per sub-stream (simultaneous events reach it
+// as Runtime.dispatchChunk's equal-time groups), since
 // equivalence predicates and the GROUP-BY clause partition the stream
 // into sub-streams that are processed independently.
 package stream
@@ -95,57 +95,4 @@ func (m *Merger) Next() (*event.Event, bool) {
 		heap.Pop(&m.h)
 	}
 	return top.e, true
-}
-
-// Transaction is a stream transaction (§8): all events carrying the
-// same application time stamp, to be processed atomically before any
-// event of a later time stamp.
-type Transaction struct {
-	Time   int64
-	Events []*event.Event
-}
-
-// Scheduler is the time-driven scheduler of §8: it waits until the
-// processing of all transactions with smaller time stamps has
-// completed (i.e. the previous transaction was consumed), then
-// extracts all events with the next time stamp and submits them as
-// one transaction.
-type Scheduler struct {
-	src     Iterator
-	pending *event.Event
-	done    bool
-}
-
-// NewScheduler wraps an ordered source.
-func NewScheduler(src Iterator) *Scheduler { return &Scheduler{src: src} }
-
-// NextTransaction returns the next stream transaction, or ok=false at
-// end of stream.
-func (s *Scheduler) NextTransaction() (Transaction, bool) {
-	if s.done && s.pending == nil {
-		return Transaction{}, false
-	}
-	if s.pending == nil {
-		e, ok := s.src.Next()
-		if !ok {
-			s.done = true
-			return Transaction{}, false
-		}
-		s.pending = e
-	}
-	tx := Transaction{Time: s.pending.Time, Events: []*event.Event{s.pending}}
-	s.pending = nil
-	for {
-		e, ok := s.src.Next()
-		if !ok {
-			s.done = true
-			break
-		}
-		if e.Time != tx.Time {
-			s.pending = e
-			break
-		}
-		tx.Events = append(tx.Events, e)
-	}
-	return tx, true
 }

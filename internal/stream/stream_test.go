@@ -97,36 +97,6 @@ func TestMergeRandomisedProperty(t *testing.T) {
 	}
 }
 
-func TestSchedulerGroupsTransactions(t *testing.T) {
-	evs := []*event.Event{
-		{Time: 1}, {Time: 1}, {Time: 2}, {Time: 5}, {Time: 5}, {Time: 5},
-	}
-	s := NewScheduler(FromSlice(evs))
-	var sizes []int
-	var times []int64
-	for {
-		tx, ok := s.NextTransaction()
-		if !ok {
-			break
-		}
-		sizes = append(sizes, len(tx.Events))
-		times = append(times, tx.Time)
-	}
-	if fmt.Sprint(sizes) != "[2 1 3]" || fmt.Sprint(times) != "[1 2 5]" {
-		t.Errorf("sizes=%v times=%v", sizes, times)
-	}
-	if _, ok := s.NextTransaction(); ok {
-		t.Error("scheduler not exhausted")
-	}
-}
-
-func TestSchedulerEmptySource(t *testing.T) {
-	s := NewScheduler(FromSlice(nil))
-	if _, ok := s.NextTransaction(); ok {
-		t.Error("empty source produced a transaction")
-	}
-}
-
 // parallelQuery is a partitioned q1-style query.
 func parallelQuery() *query.Query {
 	return query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).

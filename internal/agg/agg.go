@@ -364,6 +364,14 @@ func (v Value) String() string {
 // trends) into user-facing values; AVG divides SUM by COUNT(E).
 func (ss Specs) Report(final Node) []Value {
 	out := make([]Value, len(ss))
+	ss.ReportInto(out, final)
+	return out
+}
+
+// ReportInto is Report writing into out, which must hold len(ss)
+// values: a caller reporting many nodes at once (a closing window)
+// carves every row from one slab instead of allocating per row.
+func (ss Specs) ReportInto(out []Value, final Node) {
 	for i, s := range ss {
 		v := Value{Spec: s}
 		a := final.Aux[i]
@@ -393,7 +401,6 @@ func (ss Specs) Report(final Node) []Value {
 		}
 		out[i] = v
 	}
-	return out
 }
 
 // MergeValues folds src into dst, position-wise: the reported values

@@ -1,95 +1,86 @@
 package core
 
-import (
-	"repro/internal/agg"
-)
-
 // Stored-event arenas: the skip-till-any-match kernel retains one
 // storedEntry per event of an event-grained (Te) type (none when the
 // plan has no adjacent predicate), and each entry carries two small
 // slices — its adjacent-predicate left operands ([]attrVal) and its
 // aggregate's auxiliary state ([]agg.Aux). Allocating those
-// item-at-a-time is where BenchmarkEngineProcessMixedAdjacent burnt
-// ~9K allocs/op: two GC objects per stored event, each individually
+// item-at-a-time is two GC objects per stored event, each individually
 // traced and individually freed.
 //
 // Both slices have a plan-fixed width (len(plan.adjLeft) and
-// len(plan.Specs)), so the arena is a bump allocator over slabs of
-// fixed-width cells. Slabs grow geometrically from arenaMinEntries to
-// arenaMaxEntries cells, so a near-empty window pays one small slab
-// while a dense one amortises allocation to ~log₂(n) + n/max slabs.
+// len(plan.Specs)), so an arena is a bump allocator over slabs of
+// fixed-width cells. Slabs grow geometrically from arenaMinEntries cells
+// through arenaDoublings doublings (8 to 1,024), so a near-empty window
+// pays one small slab while a dense one amortises allocation to
+// ~log₂(n) + n/1024 slabs.
 //
-// Reclamation is wholesale: entries are written once at store time and
-// never returned individually, so the arena needs no free list — when a
-// window closes its sub-aggregators' Release drops their stored slices,
-// and the GC frees whole slabs instead of tracing thousands of entries.
+// Reclamation is wholesale and the slabs are recycled: entries are
+// written once at store time and never returned individually, and when
+// the window closes the owning sub-aggregator's Release rewinds its
+// arenas to their first slab. The aggregator is pooled with its slabs
+// (Engine.openSubAggregator), so the next (window, partition) it serves
+// bump-allocates through memory it already owns — a warm engine stores
+// events without allocating at all.
+//
+// What is recycled is what the last window generation used, not the most
+// a sub-stream ever needed: reset gives the slabs it did not reach back
+// to the GC, and shed does the same for the plain slices an aggregator
+// keeps, so one dense partition does not size the pool for good.
 const (
 	arenaMinEntries = 8
-	arenaMaxEntries = 1024
+	arenaDoublings  = 7
 )
 
-// storeArenas bundles the two arenas backing the stored (Te)
-// entries. One pair is owned per Engine and shared by every hosted
-// sub-aggregator: slabs fill across the open windows of the engine and
-// become collectible once the last window whose entries they carry has
-// closed (its sub-aggregator released its stored slices) — the
-// epoch-bucketing falls out of windows closing in time order, with at
-// most one partially-filled slab pair alive per engine.
-type storeArenas struct {
-	left attrValArena
-	aux  auxArena
+// arena bump-allocates cells of one fixed width from slabs it keeps.
+type arena[T any] struct {
+	slabs [][]T
+	cur   int // slab being filled
+	off   int // fill offset within it
 }
 
-// attrValArena bump-allocates fixed-width []attrVal cells.
-type attrValArena struct {
-	slab []attrVal
-	off  int
-	next int // entry count of the next slab
-}
-
-// alloc returns a zeroed n-wide cell with capacity exactly n, so a
-// later append can never bleed into the neighbouring cell.
-func (a *attrValArena) alloc(n int) []attrVal {
+// alloc returns an n-wide cell with capacity exactly n, so a later
+// append can never bleed into the neighbouring cell. A recycled cell is
+// zeroed by reset; the callers overwrite it in full regardless.
+func (a *arena[T]) alloc(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if len(a.slab)-a.off < n {
-		if a.next < arenaMinEntries {
-			a.next = arenaMinEntries
-		}
-		a.slab = make([]attrVal, a.next*n)
-		a.off = 0
-		if a.next < arenaMaxEntries {
-			a.next *= 2
+	for ; a.cur < len(a.slabs); a.cur, a.off = a.cur+1, 0 {
+		if s := a.slabs[a.cur]; len(s)-a.off >= n {
+			a.off += n
+			return s[a.off-n : a.off : a.off]
 		}
 	}
-	s := a.slab[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
+	entries := arenaMinEntries << min(len(a.slabs), arenaDoublings)
+	a.slabs = append(a.slabs, make([]T, entries*n))
+	a.off = n
+	return a.slabs[a.cur][:n:n]
 }
 
-// auxArena bump-allocates fixed-width []agg.Aux cells.
-type auxArena struct {
-	slab []agg.Aux
-	off  int
-	next int
+// reset rewinds to the first slab, zeroing the used cells so that they
+// pin nothing (left operands hold attribute strings) while pooled, and
+// drops the slabs this generation did not reach.
+func (a *arena[T]) reset() {
+	if len(a.slabs) == 0 {
+		return
+	}
+	clear(a.slabs[a.cur][:a.off])
+	for _, full := range a.slabs[:a.cur] {
+		clear(full)
+	}
+	clear(a.slabs[a.cur+1:])
+	a.slabs = a.slabs[:a.cur+1]
+	a.cur, a.off = 0, 0
 }
 
-func (a *auxArena) alloc(n int) []agg.Aux {
-	if n == 0 {
+// shed truncates s for the next window generation, keeping its storage
+// — unless the generation that ends used less than a quarter of it:
+// then it is sized for a spike and goes back to the GC. Storage the size
+// of an arena's first slab always stays.
+func shed[T any](s []T) []T {
+	if cap(s) > arenaMinEntries && len(s) < cap(s)/4 {
 		return nil
 	}
-	if len(a.slab)-a.off < n {
-		if a.next < arenaMinEntries {
-			a.next = arenaMinEntries
-		}
-		a.slab = make([]agg.Aux, a.next*n)
-		a.off = 0
-		if a.next < arenaMaxEntries {
-			a.next *= 2
-		}
-	}
-	s := a.slab[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
+	return s[:0]
 }

@@ -160,12 +160,7 @@ func (e *Engine) processRunSinglePart(run *ResolvedRun, stride int) error {
 	}
 	e.runParts = e.runParts[:0]
 	for _, ws := range e.states {
-		part, ok := ws.parts[""]
-		if !ok {
-			part = newSubAggregator(e.plan, e.acct, e.bnd, &e.arenas, &e.memo)
-			ws.parts[""] = part
-		}
-		e.runParts = append(e.runParts, part)
+		e.runParts = append(e.runParts, e.partOf(ws, nil))
 	}
 	e.eventsIn += int64(len(run.Events))
 	off := 0

@@ -16,7 +16,7 @@ import (
 // the two value ids packed into one uint64, otherwise the id of an
 // interned value-id vector. combine and startKey are therefore
 // allocation-free integer operations on the hot path; the string
-// values are only rematerialised by decode when a window closes.
+// values are only rematerialised (appendDecoded) when a window closes.
 //
 // One bindings instance is shared per engine (it owns the intern
 // tables), so keys are comparable across all sub-aggregators and
@@ -395,21 +395,18 @@ func (b *bindings) startKey(assigns []slotAssign) bkey {
 	return key
 }
 
-// decode rematerialises the slot value strings of a binding key, ""
-// meaning unbound. Cold path: called per binding when a window closes.
-func (b *bindings) decode(key bkey) []string {
-	if b.nslots == 0 {
-		return nil
-	}
-	out := make([]string, b.nslots)
+// appendDecoded appends the slot value strings of a binding key to dst,
+// "" meaning unbound: one value per slot, nothing for a slot-less plan.
+// Called per binding when a window closes, into scratch the close owns.
+func (b *bindings) appendDecoded(dst []string, key bkey) []string {
 	if b.nslots <= 2 {
-		for i := range out {
-			out[i] = b.vals[uint32(key>>(uint(i)*32))]
+		for i := 0; i < b.nslots; i++ {
+			dst = append(dst, b.vals[uint32(key>>(uint(i)*32))])
 		}
-		return out
+		return dst
 	}
-	for i, v := range b.vecs[key] {
-		out[i] = b.vals[v]
+	for _, v := range b.vecs[key] {
+		dst = append(dst, b.vals[v])
 	}
-	return out
+	return dst
 }

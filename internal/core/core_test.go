@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -30,6 +32,12 @@ func figure2Stream() []*event.Event {
 		out = append(out, event.New(spec.typ, spec.t).WithNum("t", float64(spec.t)))
 	}
 	return out
+}
+
+// testShared is what an engine without accounting shares with its
+// sub-aggregators, for tests that drive a kernel directly.
+func testShared(p *Plan) *kernelShared {
+	return &kernelShared{acct: nopAccountant{}, bnd: newBindings(p.Slots, nopAccountant{}, false)}
 }
 
 func countQuery(sem query.Semantics) *query.Query {
@@ -74,7 +82,7 @@ func TestPaperTable5(t *testing.T) {
 // Te = ∅ keeps exactly Algorithm 1's per-type tables.
 func TestPaperTable5Intermediates(t *testing.T) {
 	plan := MustPlan(countQuery(query.Any))
-	tg := newMixedGrained(plan, nopAccountant{}, newBindings(plan.Slots, nopAccountant{}, false), nil, &runMemo{})
+	tg := newMixedGrained(plan, testShared(plan))
 	if tg.te != nil {
 		t.Fatal("type-grained plan carries an event store")
 	}
@@ -86,12 +94,12 @@ func TestPaperTable5Intermediates(t *testing.T) {
 		tg.Process(&rv)
 		tg.flush() // commit so the tables are observable
 		if want, ok := wantA[e.Time]; ok {
-			if got := tg.tables[plan.aliasIDs["A"]][0].Count; got != want {
+			if got := tg.tables[plan.aliasIDs["A"]].entries[0].node.Count; got != want {
 				t.Errorf("after %v: A.count = %d, want %d", e, got, want)
 			}
 		}
 		if want, ok := wantB[e.Time]; ok {
-			if got := tg.tables[plan.aliasIDs["B"]][0].Count; got != want {
+			if got := tg.tables[plan.aliasIDs["B"]].entries[0].node.Count; got != want {
 				t.Errorf("after %v: B.count = %d, want %d", e, got, want)
 			}
 		}
@@ -100,13 +108,14 @@ func TestPaperTable5Intermediates(t *testing.T) {
 
 // TestSubAggregatorOpenCost pins what opening one (window, partition)
 // costs a type-grained plan — the dominant term of a fleet of grouped
-// queries: the struct stays in the 240-byte size class and the open is
-// five allocations (the struct, the table slice, one table per alias,
-// the contribution index), none of them for the event store only a
-// mixed-grained plan builds.
+// queries. A warm engine reopens an aggregator a closed window released:
+// nothing. A cold open is two allocations, the struct (which stays in
+// the 112-byte size class) and its table cells — no table storage before
+// the first commit, no scratch of its own, none of what only the event
+// store of a mixed-grained plan needs.
 func TestSubAggregatorOpenCost(t *testing.T) {
-	if size := unsafe.Sizeof(mixedGrained{}); size > 240 {
-		t.Errorf("sizeof(mixedGrained) = %d, want <= 240", size)
+	if size := unsafe.Sizeof(mixedGrained{}); size > 112 {
+		t.Errorf("sizeof(mixedGrained) = %d, want <= 112", size)
 	}
 	plan := MustPlan(query.MustParse(`
 		RETURN key, COUNT(*), SUM(A.v) PATTERN SEQ(S0 A+, S1 B)
@@ -114,18 +123,96 @@ func TestSubAggregatorOpenCost(t *testing.T) {
 	if plan.Granularity != TypeGrained {
 		t.Fatalf("granularity = %v, want type", plan.Granularity)
 	}
-	bnd := newBindings(plan.Slots, nopAccountant{}, false)
-	var arenas storeArenas
-	var memo runMemo
+	eng := NewEngine(plan)
 	var sink subAggregator
-	allocs := testing.AllocsPerRun(100, func() {
-		sink = newSubAggregator(plan, nopAccountant{}, bnd, &arenas, &memo)
-	})
-	if allocs != 5 {
-		t.Errorf("newSubAggregator: %v allocations per open, want 5", allocs)
+	if cold := testing.AllocsPerRun(100, func() { sink = eng.openSubAggregator() }); cold != 2 {
+		t.Errorf("cold open: %v allocations, want 2", cold)
 	}
 	if _, ok := sink.(*mixedGrained); !ok {
 		t.Errorf("type-grained plan built a %T", sink)
+	}
+	warm := testing.AllocsPerRun(100, func() {
+		eng.release(sink)
+		sink = eng.openSubAggregator()
+	})
+	if warm != 0 {
+		t.Errorf("warm open: %v allocations, want 0", warm)
+	}
+}
+
+// TestPoolsGiveBackASpike pins the bound on what an engine recycles: the
+// pools hold what a window generation reopens and an aggregator what its
+// last sub-stream used, not the most the stream ever needed. One window
+// with 20,000 partitions leaves that many pooled aggregators, a window
+// state with a large map and long close scratch behind; one partition
+// with 3,000 stored events leaves an aggregator with long slices and ten
+// arena slabs in circulation. After a few generations of the steady
+// traffic from before, the pools and the live heap are back where they
+// were.
+func TestPoolsGiveBackASpike(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	for _, win := range []string{"WITHIN 16 SLIDE 16", "WITHIN 16 SLIDE 4"} {
+		plan := MustPlan(query.MustParse(`
+			RETURN key, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B)
+			WHERE [key] AND A.v < NEXT(A).v GROUP-BY key ` + win))
+		if plan.Granularity != MixedGrained {
+			t.Fatalf("granularity = %v, want mixed", plan.Granularity)
+		}
+		eng := NewEngine(plan, WithResultCallback(func(Result) {}))
+		now := int64(0)
+		feed := func(typ, key string, v float64) {
+			if err := eng.Process(event.New(typ, now).WithSym("key", key).WithNum("v", v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		steady := func(ticks int) {
+			for end := now + int64(ticks); now < end; now++ {
+				typ := "A"
+				if now%4 == 3 {
+					typ = "B"
+				}
+				for _, key := range []string{"k0", "k1", "k2", "k3"} {
+					feed(typ, key, float64(now%5))
+				}
+			}
+		}
+		steady(8 * 16)
+		heap, pooled := liveHeap(), len(eng.aggs.free)
+		recovered := func(spike string) {
+			steady(8 * 16)
+			if n, c := len(eng.aggs.free), cap(eng.aggs.free); n > pooled+4 || c > 4*(pooled+4) {
+				t.Errorf("%s: %d aggregators pooled (cap %d) after %s, %d before", win, n, c, spike, pooled)
+			}
+			if n := len(eng.wins.free); n > 4 {
+				t.Errorf("%s: %d window states pooled after %s, want <= 4", win, n, spike)
+			}
+			if after := liveHeap(); after > heap+64<<10 {
+				t.Errorf("%s: live heap %d B after %s, %d B before", win, after, spike, heap)
+			}
+		}
+
+		for i := 0; i < 20000; i++ {
+			feed("A", fmt.Sprintf("spike%d", i), 1)
+		}
+		steady(17) // closes every window the spike fell into
+		if n := len(eng.aggs.free); n < 20000 {
+			t.Fatalf("%s: %d aggregators pooled once the spike closed, want >= 20000; the test is vacuous", win, n)
+		}
+		recovered("a partition spike")
+
+		// Every pooled aggregator is reopened each generation now, the one
+		// that served k0 included.
+		for i := 0; i < 3000; i++ {
+			feed("A", "k0", float64(i))
+		}
+		now++
+		recovered("a stored-event spike")
+		runtime.KeepAlive(eng)
 	}
 }
 
@@ -151,8 +238,7 @@ func TestZeroSumPredecessorStillExtends(t *testing.T) {
 	} {
 		plan := MustPlan(tc.q)
 		a, b := plan.aliasIDs["A"], plan.aliasIDs["B"]
-		var arenas storeArenas
-		mg := newMixedGrained(plan, nopAccountant{}, newBindings(plan.Slots, nopAccountant{}, false), &arenas, &runMemo{})
+		mg := newMixedGrained(plan, testShared(plan))
 		var rv resolvedVals
 		feed := func(typ string, at int64) {
 			plan.resolveInto(&rv, event.New(typ, at).WithNum("t", float64(at)))
@@ -160,8 +246,8 @@ func TestZeroSumPredecessorStillExtends(t *testing.T) {
 		}
 		recordedB := func() (out []agg.Node) {
 			mg.flush()
-			for _, n := range mg.tables[b] {
-				out = append(out, *n)
+			for _, e := range mg.tables[b].entries {
+				out = append(out, e.node)
 			}
 			if mg.te != nil {
 				for _, se := range mg.te.stored[b] {
@@ -175,7 +261,7 @@ func TestZeroSumPredecessorStillExtends(t *testing.T) {
 		if got := recordedB(); len(got) != 0 {
 			t.Fatalf("%s: a B with no predecessor entry was recorded: %v", tc.name, got)
 		}
-		mg.tables[a][0].Count = 0 // as if wrapped to 0 mod 2^64
+		mg.tables[a].entries[0].node.Count = 0 // as if wrapped to 0 mod 2^64
 		feed("B", 3)
 		if got := recordedB(); len(got) != 1 || got[0].Count != 0 {
 			t.Errorf("%s: B after a zero-count A entry recorded %v, want one zero-count node", tc.name, got)
@@ -201,8 +287,7 @@ func TestRunMemoSurvivesStoredScan(t *testing.T) {
 	if !plan.eventGrainedByID[a] || plan.eventGrainedByID[b] {
 		t.Fatalf("event-grained set = %v, want {A}", plan.EventGrained)
 	}
-	var arenas storeArenas
-	mg := newMixedGrained(plan, nopAccountant{}, newBindings(plan.Slots, nopAccountant{}, false), &arenas, &runMemo{})
+	mg := newMixedGrained(plan, testShared(plan))
 	var rv resolvedVals
 	for _, e := range []struct {
 		typ string
@@ -227,8 +312,44 @@ func TestRunMemoSurvivesStoredScan(t *testing.T) {
 	if want := []uint64{1, 3, 2, 3}; !slices.Equal(got, want) {
 		t.Errorf("stored A counts = %v, want %v", got, want)
 	}
-	if got := mg.tables[b][0].Count; got != 1+9 {
+	if got := mg.tables[b].entries[0].node.Count; got != 1+9 {
 		t.Errorf("B table count = %d, want 10", got)
+	}
+}
+
+// TestReleaseDisownsRunMemo pins the recycling hazard of runMemo.claim,
+// which identifies the memo's owner by pointer and time stamp: an
+// aggregator released without a flush — a window the manager dropped —
+// and reopened for another partition at the very same time stamp is the
+// same pointer at the same time, and must not find the predecessor sums
+// of the partition it served before.
+func TestReleaseDisownsRunMemo(t *testing.T) {
+	plan := MustPlan(query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
+		Return(agg.Spec{Func: agg.CountStar}).Within(100, 100).MustBuild())
+	a := plan.aliasIDs["A"]
+	eng := NewEngine(plan)
+	mg := eng.openSubAggregator().(*mixedGrained)
+	var rv resolvedVals
+	feed := func(at int64) {
+		plan.resolveInto(&rv, event.New("A", at))
+		mg.Process(&rv)
+	}
+	feed(1)
+	feed(2) // commits a1 and memoizes A's predecessor sum (a1) for time 2
+	if eng.sh.memo.owner != mg {
+		t.Fatal("the fast path did not claim the memo; the test is vacuous")
+	}
+	eng.release(mg)
+	if eng.sh.memo.owner == mg {
+		t.Error("Release left the memo owned by the released aggregator")
+	}
+	if again := eng.openSubAggregator(); again != subAggregator(mg) {
+		t.Fatal("the pool did not hand the released aggregator back")
+	}
+	feed(2) // another partition's first event, same time stamp: one trend
+	mg.flush()
+	if got := mg.tables[a].entries[0].node.Count; got != 1 {
+		t.Errorf("reopened aggregator counts %d trends ending at its first event, want 1 (stale memo: 2)", got)
 	}
 }
 

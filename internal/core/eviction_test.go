@@ -142,7 +142,7 @@ func TestBindingsEvictionRecyclesIDs(t *testing.T) {
 
 	id1 := b.internVal("alpha")
 	key1, _ := b.combine(0, []slotAssign{{idx: 0, val: id1}})
-	if got := b.decode(key1); got[0] != "alpha" {
+	if got := b.appendDecoded(nil, key1); got[0] != "alpha" {
 		t.Fatalf("decode = %v", got)
 	}
 	grown := b.footprint()
@@ -164,7 +164,7 @@ func TestBindingsEvictionRecyclesIDs(t *testing.T) {
 		t.Errorf("freed id %d not recycled (got %d)", id1, id2)
 	}
 	key2, _ := b.combine(0, []slotAssign{{idx: 0, val: id2}})
-	if got := b.decode(key2); got[0] != "beta" {
+	if got := b.appendDecoded(nil, key2); got[0] != "beta" {
 		t.Fatalf("decode after recycle = %v", got)
 	}
 

@@ -205,19 +205,22 @@ func BenchmarkEngineProcessPatternGrained(b *testing.B) {
 
 // BenchmarkMixedAdjacentArena measures the arena-backed event store
 // under heavy window churn: the MixedAdjacent workload with 64-tick
-// tumbling windows expires a window every 64 events, freeing the
-// epoch's stored entries wholesale back to the engine-owned arenas.
+// tumbling windows expires a window every 64 events, rewinding the
+// arenas of its aggregators wholesale for the next window to refill.
 func BenchmarkMixedAdjacentArena(b *testing.B) {
 	benchEngine(b, mixedAdjacentQuery(false, 64), measureBenchStream(4096))
 }
 
-// TestMixedAdjacentAllocs pins the arena-reclamation guarantee — stored
-// (Te) entries come from the engine-owned storeArenas, never one
-// allocation per stored event — as exact per-pass allocation counts of
-// the three benches above: one pass stores all 4,096 events, so a
-// per-event allocation overshoots any row by thousands. The counts are
-// the last ones the retired benchmark gate committed
-// (docs/perf-history.md, PR 15); lower them when a change earns it,
+// TestMixedAdjacentAllocs pins the recycling guarantee on the
+// stored-event path — stored (Te) entries come from their aggregator's
+// arenas, never one allocation per stored event, and the aggregators
+// with their arenas from the engine's pool, never a set per window — as
+// exact per-pass allocation counts of the three benches above: one pass
+// stores all 4,096 events over 8 (Arena: 64) windows on a new engine, so
+// a per-event allocation overshoots any row by thousands and a
+// per-window one the last row by hundreds. History: 842 / 410 / 5,754
+// while arenas were engine-owned and windows built their state fresh
+// (docs/perf-history.md); lower the counts when a change earns it,
 // never raise them to make a change pass.
 func TestMixedAdjacentAllocs(t *testing.T) {
 	// The counts repeat exactly on one toolchain; the slack only absorbs
@@ -229,9 +232,9 @@ func TestMixedAdjacentAllocs(t *testing.T) {
 		q    *query.Query
 		want float64
 	}{
-		{"MixedAdjacent", mixedAdjacentQuery(false, 512), 842},
-		{"MixedAdjacentSlots", mixedAdjacentQuery(true, 512), 410},
-		{"MixedAdjacentArena", mixedAdjacentQuery(false, 64), 5754},
+		{"MixedAdjacent", mixedAdjacentQuery(false, 512), 187},
+		{"MixedAdjacentSlots", mixedAdjacentQuery(true, 512), 97},
+		{"MixedAdjacentArena", mixedAdjacentQuery(false, 64), 263},
 	} {
 		plan := MustPlan(tc.q)
 		got := testing.AllocsPerRun(5, func() {
@@ -303,7 +306,8 @@ func BenchmarkEngineProcessRunKernel(b *testing.B) {
 // invariants as a regular test, so a regression fails `go test ./...`
 // rather than only shifting benchmark output: steady-state binding
 // combine (packed and interned-vector), value interning of seen
-// values, and per-event resolve must not allocate.
+// values, per-event resolve, and — beyond the result rows — the
+// turnover of a whole window must not allocate.
 func TestHotPathZeroAllocs(t *testing.T) {
 	packed := newBindings([]predicate.Equivalence{
 		{Alias: "A", Attr: "x"}, {Alias: "B", Attr: "y"},
@@ -361,6 +365,98 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { evalAdjacent(edge.adj, left, &rvn) }); n != 0 {
 		t.Errorf("NumFn adjacent evaluation allocates %v/op", n)
+	}
+
+	// Window turnover: on a warm engine, opening a window's partitions,
+	// filling them and closing the window allocates nothing but the result
+	// rows the receiver keeps — one Values and one Group backing array per
+	// closed window, counted at the callback and subtracted. One case per
+	// plan shape: the slot-less fast path over grouped partitions, the
+	// binding-key path with stored (Te) events, and the Algorithm 3 kernel.
+	for _, tc := range []struct {
+		name, query string
+		want        Granularity
+	}{
+		{"type", `RETURN key, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B)
+			WHERE [key] GROUP-BY key WITHIN 16 SLIDE 16`, TypeGrained},
+		{"mixed-slots", `RETURN A.key, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B)
+			WHERE [A.key] AND [B.key] AND A.v < NEXT(A).v GROUP-BY A.key WITHIN 16 SLIDE 16`, MixedGrained},
+		{"pattern", `RETURN key, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS skip-till-next-match
+			WHERE [key] AND A.v < NEXT(A).v GROUP-BY key WITHIN 16 SLIDE 16`, PatternGrained},
+	} {
+		plan := MustPlan(query.MustParse(tc.query))
+		if plan.Granularity != tc.want {
+			t.Fatalf("turnover/%s: granularity = %v, want %v", tc.name, plan.Granularity, tc.want)
+		}
+		const runs, perWindow = 50, 16
+		// Identical windows, one per AllocsPerRun call (plus its warm-up
+		// call, two to warm the pools, one to close the last).
+		events := make([]*event.Event, 0, (runs+4)*perWindow)
+		for i := 0; i < cap(events); i++ {
+			typ, at := "A", i%perWindow
+			if at%4 == 3 {
+				typ = "B"
+			}
+			events = append(events, event.New(typ, int64(i)).
+				WithSym("key", fmt.Sprintf("k%d", at%3)).WithNum("v", float64(at*7%5)))
+		}
+		var rowArrays, lastWid int64
+		lastWid = -1
+		eng := NewEngine(plan, WithResultCallback(func(r Result) {
+			if r.Wid != lastWid {
+				lastWid = r.Wid
+				rowArrays += 2 // this window's Values and Group arrays
+			}
+		}))
+		next := 0
+		window := func() {
+			for _, ev := range events[next : next+perWindow] {
+				if err := eng.Process(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next += perWindow
+		}
+		window()
+		window()
+		rowArrays = 0
+		allocs := testing.AllocsPerRun(runs, window)
+		if rowArrays == 0 {
+			t.Fatalf("turnover/%s: no window reported; the pin is vacuous", tc.name)
+		}
+		if beyond := allocs - float64(rowArrays)/(runs+1); beyond != 0 {
+			t.Errorf("turnover/%s: %v allocations per window beyond its result rows", tc.name, beyond)
+		}
+	}
+}
+
+// TestNegationResetZeroAllocs pins the staged negation reset: a fire of
+// the negated type empties the shadow tables it guards in place — it
+// used to replace each with a fresh map, one allocation per fire and
+// guarded alias, forever.
+func TestNegationResetZeroAllocs(t *testing.T) {
+	plan := MustPlan(query.MustParse(`RETURN COUNT(*) PATTERN SEQ(A+, NOT(C), B) WITHIN 1000000 SLIDE 1000000`))
+	const runs, perRun = 100, 6
+	events := make([]*event.Event, 0, (runs+2)*perRun)
+	for i := 0; i < cap(events); i++ {
+		events = append(events, event.New([]string{"A", "A", "C", "A", "B", "C"}[i%perRun], int64(i)))
+	}
+	eng := NewEngine(plan)
+	next := 0
+	chunk := func() {
+		for _, ev := range events[next : next+perRun] {
+			if err := eng.Process(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += perRun
+	}
+	chunk()
+	if n := testing.AllocsPerRun(runs, chunk); n != 0 {
+		t.Errorf("%v allocations per %d events with two negation fires, want 0", n, perRun)
+	}
+	if rs := eng.Close(); len(rs) != 1 || rs[0].Values[0].Count == 0 {
+		t.Errorf("negation plan reported %v", rs)
 	}
 }
 

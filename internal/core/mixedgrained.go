@@ -34,42 +34,35 @@ import (
 //
 // All tables are keyed by interned binding keys and indexed by alias
 // id (symbols.go); the steady-state Process path performs no string
-// operations and no allocations.
+// operations and no allocations. Neither does window turnover on a warm
+// engine: a released aggregator keeps every piece of storage it grew
+// and is reopened for a later (window, partition).
 type mixedGrained struct {
 	plan *Plan
-	acct accountant
-	bnd  *bindings
+	// sh is what every partition and window of the engine shares
+	// (kernelShared): the accountant, the bindings, the per-call scratch.
+	sh *kernelShared
 
 	// tables holds the Tt aggregates (Algorithm 2's hash table H,
-	// E.count of Theorem 4.1) per alias id and binding; nil for Te
-	// aliases.
-	tables []map[bkey]*agg.Node
-	// shadows[ci][aliasID] mirrors tables[aliasID] but resets on fires
-	// of negation constraint ci; only Tt aliases in the constraint's
-	// Pred set are tracked (nil otherwise).
-	shadows [][]map[bkey]*agg.Node
+	// E.count of Theorem 4.1) per binding, in rows of one cell per alias
+	// id: row 0 is the main tables, row ci+1 mirrors it but resets on
+	// fires of negation constraint ci. Which cells are ever used is the
+	// plan's (Plan.tableCells: Tt aliases, and in row ci+1 only those in
+	// the constraint's Pred set); an unused cell, like one no event has
+	// reached yet, owns no storage.
+	tables []nodeTable
 	// te is nil for a TypeGrained plan (no adjacent predicate, so Te = ∅
-	// by construction). One sub-aggregator is opened per (window,
-	// partition), and on a fleet of grouped queries that is the dominant
-	// cost: what only stored events need stays behind this one pointer
-	// so that open pays for none of it (TestSubAggregatorOpenCost). It is
-	// keyed on the plan label, not on len(EventGrained): a MixedGrained
-	// plan whose adjacent predicate constrains no FSA transition also has
-	// Te = ∅ but keeps its (empty) store — in snapshot format v4 the
-	// label decides whether a checkpoint carries the stored and fires
-	// sections, and with them whether negation fires are recorded and
-	// charged (snapshot.go, golden frame "unconstrained").
+	// by construction): what only stored events need stays behind this
+	// one pointer. It is keyed on the plan label, not on
+	// len(EventGrained): a MixedGrained plan whose adjacent predicate
+	// constrains no FSA transition also has Te = ∅ but keeps its (empty)
+	// store — the label decides whether a checkpoint carries the stored
+	// and fires sections, and with them whether negation fires are
+	// recorded and charged (snapshot.go, golden frame "unconstrained").
 	te *eventStore
 
 	staged       []stagedUpdate
 	stagedResets []int
-
-	contrib contribTable
-
-	// memo is the engine-owned predecessor-sum scratch shared by every
-	// partition and window the engine hosts (see runMemo); only the
-	// no-equivalence fast path reads it.
-	memo *runMemo
 
 	curTime int64
 	hasCur  bool
@@ -82,9 +75,9 @@ type eventStore struct {
 	stored [][]storedEntry
 	// fires records negation matches, for blocking stored predecessors.
 	fires *negFires
-	// arenas backs the stored entries' slices — engine-owned bump
-	// allocators shared across windows and partitions; see arena.go.
-	arenas *storeArenas
+	// left and aux back the stored entries' slices (arena.go).
+	left arena[attrVal]
+	aux  arena[agg.Aux]
 }
 
 // storedEntry is one retained event of an event-grained type with the
@@ -110,13 +103,14 @@ type storedEntry struct {
 // to a copy. Stored predecessors are not memoized — which of them an
 // event continues depends on the event's own attribute values — and are
 // scanned per event on top of the memoized sum, into the scan node. The
-// scratch is owned by the Engine, not the sub-aggregator: a partitioned
-// engine constructs one aggregator per partition and window, and
-// per-instance arrays would cost more allocation than the memo saves.
+// scratch is owned by the Engine, not the sub-aggregator (kernelShared).
 // Entries are valid only while one aggregator keeps processing one time
-// stamp — any other claimant, a time advance or a flush of the owner
-// (which commits staged updates into the memoized tables) invalidates
-// them wholesale.
+// stamp — any other claimant, a time advance, a flush of the owner
+// (which commits staged updates into the memoized tables) or its
+// release invalidates them wholesale. The owner is identified by
+// pointer, and aggregators are recycled: a released owner may be
+// reopened for another partition at the very same time stamp, so every
+// path that retires an aggregator must disown the memo.
 type runMemo struct {
 	owner *mixedGrained
 	time  int64
@@ -140,6 +134,13 @@ func (m *runMemo) claim(t *mixedGrained) {
 	clear(m.state)
 }
 
+// disown invalidates the memo if t holds it.
+func (m *runMemo) disown(t *mixedGrained) {
+	if m.owner == t {
+		m.owner = nil
+	}
+}
+
 // runSumState values: the memo entry for an alias id is either stale
 // (recompute), cached with at least one contributing predecessor
 // entry, or cached with all predecessor tables empty.
@@ -149,39 +150,25 @@ const (
 	runSumEmpty
 )
 
-func newMixedGrained(p *Plan, acct accountant, bnd *bindings, ar *storeArenas, memo *runMemo) *mixedGrained {
+// newMixedGrained builds a cold aggregator: the struct and its (empty)
+// table cells, plus the event store a MixedGrained plan needs. Everything
+// else is grown on demand and kept across Release.
+func newMixedGrained(p *Plan, sh *kernelShared) *mixedGrained {
 	t := &mixedGrained{
-		plan:    p,
-		acct:    acct,
-		bnd:     bnd,
-		tables:  make([]map[bkey]*agg.Node, len(p.aliasNames)),
-		contrib: newContribTable(p.Specs),
-		memo:    memo,
-	}
-	for id := range t.tables {
-		if !p.eventGrainedByID[id] {
-			t.tables[id] = map[bkey]*agg.Node{}
-		}
-	}
-	t.shadows = make([][]map[bkey]*agg.Node, len(p.FSA.Negations))
-	for ci, nc := range p.FSA.Negations {
-		row := make([]map[bkey]*agg.Node, len(p.aliasNames))
-		for _, a := range nc.Pred {
-			if id := p.aliasIDs[a]; !p.eventGrainedByID[id] {
-				row[id] = map[bkey]*agg.Node{}
-			}
-		}
-		t.shadows[ci] = row
+		plan:   p,
+		sh:     sh,
+		tables: make([]nodeTable, len(p.tableCells)),
 	}
 	if p.Granularity == MixedGrained {
 		t.te = &eventStore{
 			stored: make([][]storedEntry, len(p.aliasNames)),
 			fires:  newNegFires(len(p.FSA.Negations)),
-			arenas: ar,
 		}
 	}
 	return t
 }
+
+func (t *mixedGrained) reopen() {} // holds nothing until its first commit
 
 // entryBytes is the logical size of one table entry: the aggregate
 // node, the 8-byte interned key and map overhead.
@@ -206,20 +193,20 @@ func (t *mixedGrained) Process(rv *resolvedVals) {
 	if tp == nil {
 		return
 	}
-	specs := t.plan.Specs
+	specs, contrib := t.plan.Specs, &t.sh.contrib
 	for ai := range tp.aliases {
 		ap := &tp.aliases[ai]
 		if !evalLocals(ap.locals, rv) {
 			continue
 		}
-		if t.bnd.none() {
+		if t.sh.bnd.none() {
 			// Fast path without equivalence slots: every binding is the
 			// empty key, so a single reused accumulator replaces the
 			// contribution table.
 			t.processFast(ap, rv)
 			continue
 		}
-		assigns, ok := t.bnd.assignments(ap, rv)
+		assigns, ok := t.sh.bnd.assignments(ap, rv)
 		if !ok {
 			continue
 		}
@@ -242,27 +229,29 @@ func (t *mixedGrained) Process(rv *resolvedVals) {
 					if !evalAdjacent(edge.adj, se.left, rv) {
 						continue
 					}
-					if nk, compat := t.bnd.combine(se.key, assigns); compat {
-						t.contrib.add(nk, &se.node)
+					if nk, compat := t.sh.bnd.combine(se.key, assigns); compat {
+						contrib.add(specs, nk, &se.node)
 					}
 				}
 				continue
 			}
 			// Type-grained predecessor (Algorithm 2 lines 7–8).
-			for key, node := range t.tableFor(edge) {
-				if nk, compat := t.bnd.combine(key, assigns); compat {
-					t.contrib.add(nk, node)
+			tbl := t.tables[edge.table].entries
+			for i := range tbl {
+				if nk, compat := t.sh.bnd.combine(tbl[i].key, assigns); compat {
+					contrib.add(specs, nk, &tbl[i].node)
 				}
 			}
 		}
 		// A start-type event also begins one fresh trend in the
 		// binding holding only its own slot values.
-		startKey := t.bnd.emptyKey()
+		startKey := t.sh.bnd.emptyKey()
 		if ap.isStart {
-			startKey = t.bnd.startKey(assigns)
-			t.contrib.slot(startKey)
+			startKey = t.sh.bnd.startKey(assigns)
+			contrib.slot(specs, startKey)
 		}
-		for i, nk := range t.contrib.keys {
+		for i := range contrib.entries {
+			nk, pred := contrib.entries[i].key, contrib.entries[i].node
 			started := uint64(0)
 			if ap.isStart && nk == startKey {
 				started = 1
@@ -271,12 +260,12 @@ func (t *mixedGrained) Process(rv *resolvedVals) {
 			// congruent to 0 modulo 2^64 while its auxiliaries and
 			// future contributions remain meaningful.
 			if ap.eventGrained {
-				t.store(ap, rv, nk, t.contrib.nodes[i], started)
+				t.store(ap, rv, nk, pred, started)
 			} else {
-				specs.ExtendInto(stageUpdate(&t.staged, ap.id, nk), t.contrib.nodes[i], ap.specMatch, rv, started)
+				specs.ExtendInto(stageUpdate(&t.staged, ap.id, nk), pred, ap.specMatch, rv, started)
 			}
 		}
-		t.contrib.reset()
+		contrib.reset()
 	}
 	// Negation fires are also staged: they invalidate strictly earlier
 	// events only, and readers at this very time stamp must still see
@@ -285,7 +274,7 @@ func (t *mixedGrained) Process(rv *resolvedVals) {
 		ng := &tp.negs[ni]
 		if evalLocals(ng.locals, rv) {
 			if t.te != nil && t.te.fires.fire(ng.ci, e.Time) {
-				t.acct.Add(8)
+				t.sh.acct.Add(8)
 			}
 			t.stagedResets = append(t.stagedResets, ng.ci)
 		}
@@ -307,7 +296,7 @@ func (t *mixedGrained) Process(rv *resolvedVals) {
 // (TestZeroSumPredecessorStillExtends).
 func (t *mixedGrained) processFast(ap *aliasPlan, rv *resolvedVals) {
 	specs := t.plan.Specs
-	m := t.memo
+	m := &t.sh.memo
 	m.claim(t)
 	sum := &m.sums[ap.id]
 	state := m.state[ap.id]
@@ -316,8 +305,9 @@ func (t *mixedGrained) processFast(ap *aliasPlan, rv *resolvedVals) {
 		state = runSumEmpty
 		for pi := range ap.preds {
 			if edge := &ap.preds[pi]; !edge.eventGrained {
-				for _, node := range t.tableFor(edge) {
-					specs.Merge(sum, *node)
+				// Without slots a table holds the empty key or nothing.
+				if tbl := t.tables[edge.table].entries; len(tbl) > 0 {
+					specs.Merge(sum, tbl[0].node)
 					state = runSumFound
 				}
 			}
@@ -374,25 +364,17 @@ func (t *mixedGrained) processFast(ap *aliasPlan, rv *resolvedVals) {
 // adjacent-predicate left operands and the node's auxiliaries go to
 // arena cells (no per-entry GC object).
 func (t *mixedGrained) store(ap *aliasPlan, rv *resolvedVals, key bkey, pred agg.Node, started uint64) {
-	specs, ar := t.plan.Specs, t.te.arenas
+	specs, te := t.plan.Specs, t.te
 	se := storedEntry{
 		time: rv.ev.Time,
-		left: t.plan.copyLeftVals(ar.left.alloc(len(t.plan.adjLeft)), rv),
+		left: t.plan.copyLeftVals(te.left.alloc(len(t.plan.adjLeft)), rv),
 		key:  key,
-		node: agg.Node{Aux: ar.aux.alloc(len(specs))},
+		node: agg.Node{Aux: te.aux.alloc(len(specs))},
 		foot: t.storedBytes(rv),
 	}
 	specs.ExtendInto(&se.node, pred, ap.specMatch, rv, started)
-	t.te.stored[ap.id] = append(t.te.stored[ap.id], se)
-	t.acct.Add(se.foot)
-}
-
-// tableFor selects the main or shadow table for a Tt transition.
-func (t *mixedGrained) tableFor(edge *predEdge) map[bkey]*agg.Node {
-	if edge.guard != 0 {
-		return t.shadows[edge.guard-1][edge.id]
-	}
-	return t.tables[edge.id]
+	te.stored[ap.id] = append(te.stored[ap.id], se)
+	t.sh.acct.Add(se.foot)
 }
 
 // flush commits the staged time stamp: resets first (they concern
@@ -400,100 +382,99 @@ func (t *mixedGrained) tableFor(edge *predEdge) map[bkey]*agg.Node {
 // time stamp stay valid for the future). Committing mutates the
 // tables, so the per-time-stamp contribution memos go stale here.
 func (t *mixedGrained) flush() {
-	if t.memo.owner == t {
-		t.memo.owner = nil
-	}
+	t.sh.memo.disown(t)
+	n := len(t.plan.aliasNames)
 	for _, ci := range t.stagedResets {
-		for ai, tbl := range t.shadows[ci] {
-			if tbl == nil {
-				continue
-			}
-			t.acct.Add(-int64(len(tbl)) * t.entryBytes())
-			t.shadows[ci][ai] = map[bkey]*agg.Node{}
+		for i := (ci + 1) * n; i < (ci+2)*n; i++ {
+			tbl := &t.tables[i]
+			t.sh.acct.Add(-int64(len(tbl.entries)) * t.entryBytes())
+			tbl.reset()
 		}
 	}
 	t.stagedResets = t.stagedResets[:0]
+	specs := t.plan.Specs
 	for i := range t.staged {
 		u := &t.staged[i]
-		t.mergeInto(t.tables[u.alias], u.key, u.node)
-		for _, row := range t.shadows {
-			if tbl := row[u.alias]; tbl != nil {
-				t.mergeInto(tbl, u.key, u.node)
+		// The alias's cell in every row: the main table, then each shadow
+		// that tracks it.
+		for c := int(u.alias); c < len(t.tables); c += n {
+			if !t.plan.tableCells[c] {
+				continue
 			}
+			dst, created := t.tables[c].slot(specs, u.key)
+			if created {
+				t.sh.acct.Add(t.entryBytes())
+			}
+			specs.Merge(dst, u.node)
 		}
 	}
 	t.staged = t.staged[:0]
 }
 
-func (t *mixedGrained) mergeInto(tbl map[bkey]*agg.Node, key bkey, node agg.Node) {
-	dst, ok := tbl[key]
-	if !ok {
-		n := t.plan.Specs.Zero()
-		tbl[key] = &n
-		dst = &n
-		t.acct.Add(t.entryBytes())
-	}
-	t.plan.Specs.Merge(dst, node)
-}
-
 // Results merges per binding: Tt end aliases from their tables (Theorem
 // 4.1: the final count is the count of the end type of P), Te end
-// aliases from their stored entries (Algorithm 2 lines 15–16).
+// aliases from their stored entries (Algorithm 2 lines 15–16). When a
+// Tt alias is the only end alias its table is the merge.
 func (t *mixedGrained) Results() []bindingResult {
 	t.flush()
-	merged := map[bkey]*agg.Node{}
-	mergeKey := func(key bkey, node agg.Node) {
-		dst, ok := merged[key]
-		if !ok {
-			n := t.plan.Specs.Zero()
-			dst = &n
-			merged[key] = dst
-		}
-		t.plan.Specs.Merge(dst, node)
-	}
-	for _, id := range t.plan.endAliasIDs {
-		if t.plan.eventGrainedByID[id] {
-			for i := range t.te.stored[id] {
-				se := &t.te.stored[id][i]
-				mergeKey(se.key, se.node)
+	specs, sh, ends := t.plan.Specs, t.sh, t.plan.endAliasIDs
+	merged := &sh.merged
+	if len(ends) == 1 && !t.plan.eventGrainedByID[ends[0]] {
+		merged = &t.tables[ends[0]]
+	} else {
+		merged.reset()
+		for _, id := range ends {
+			if t.plan.eventGrainedByID[id] {
+				for i := range t.te.stored[id] {
+					se := &t.te.stored[id][i]
+					merged.add(specs, se.key, &se.node)
+				}
+				continue
 			}
-			continue
-		}
-		for key, node := range t.tables[id] {
-			mergeKey(key, *node)
+			for i := range t.tables[id].entries {
+				e := &t.tables[id].entries[i]
+				merged.add(specs, e.key, &e.node)
+			}
 		}
 	}
-	out := make([]bindingResult, 0, len(merged))
-	for k, n := range merged {
-		if n.Count == 0 {
-			continue
+	out, vals := sh.out[:0], sh.vals[:0]
+	for i := range merged.entries {
+		if e := &merged.entries[i]; e.node.Count != 0 {
+			at := len(vals)
+			vals = sh.bnd.appendDecoded(vals, e.key)
+			out = append(out, bindingResult{key: e.key, vals: vals[at:len(vals):len(vals)], node: e.node})
 		}
-		out = append(out, bindingResult{key: k, vals: t.bnd.decode(k), node: *n})
 	}
 	sortBindingResults(out)
+	sh.out, sh.vals = out, vals
 	return out
 }
 
-// Release returns all retained memory to the accountant.
+// Release returns all retained memory to the accountant and empties the
+// aggregator in place for its next sub-stream, keeping the storage this
+// one used (shed). Windows the manager drops unreported never flush, so
+// the memo is disowned here too.
 func (t *mixedGrained) Release() {
-	for _, tbl := range t.tables {
-		t.acct.Add(-int64(len(tbl)) * t.entryBytes())
+	t.sh.memo.disown(t)
+	var freed int64
+	for i := range t.tables {
+		freed += int64(len(t.tables[i].entries)) * t.entryBytes()
+		t.tables[i].release()
 	}
-	for _, row := range t.shadows {
-		for _, tbl := range row {
-			t.acct.Add(-int64(len(tbl)) * t.entryBytes())
-		}
-	}
-	if t.te != nil {
-		for _, entries := range t.te.stored {
+	if te := t.te; te != nil {
+		for id, entries := range te.stored {
 			for i := range entries {
-				t.acct.Add(-entries[i].foot)
+				freed += entries[i].foot
 			}
+			clear(entries) // their cells go back to the arenas below
+			te.stored[id] = shed(entries)
 		}
-		t.acct.Add(-t.te.fires.footprint())
+		freed += te.fires.footprint()
+		te.fires.reset()
+		te.left.reset()
+		te.aux.reset()
 	}
-	// Dropping the stored slices is what frees arena slabs: once every
-	// sub-aggregator whose entries share a slab has been released, the
-	// whole slab is unreachable and collected in one step.
-	t.tables, t.shadows, t.te = nil, nil, nil
+	t.sh.acct.Add(-freed)
+	t.staged, t.stagedResets = t.staged[:0], t.stagedResets[:0] // one time stamp's worth: bounded by a run, not a window
+	t.hasCur = false
 }

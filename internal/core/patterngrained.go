@@ -24,7 +24,7 @@ import (
 // reused buffers, so the steady-state path is allocation-free.
 type patternGrained struct {
 	plan *Plan
-	acct accountant
+	sh   *kernelShared // engine-owned: the accountant, Results' scratch
 
 	hasEl   bool
 	elTime  int64
@@ -39,17 +39,21 @@ type patternGrained struct {
 	fires    *negFires
 }
 
-func newPatternGrained(p *Plan, acct accountant) *patternGrained {
+func newPatternGrained(p *Plan, sh *kernelShared) *patternGrained {
 	g := &patternGrained{
 		plan:   p,
-		acct:   acct,
+		sh:     sh,
 		elNode: p.Specs.Zero(),
 		final:  p.Specs.Zero(),
 		fires:  newNegFires(len(p.FSA.Negations)),
 	}
-	// Constant state: two aggregate nodes.
-	acct.Add(2 * p.Specs.FootprintBytes())
+	g.reopen()
 	return g
+}
+
+// reopen charges the constant state: two aggregate nodes.
+func (g *patternGrained) reopen() {
+	g.sh.acct.Add(2 * g.plan.Specs.FootprintBytes())
 }
 
 // Process implements Algorithm 3 lines 2–9.
@@ -90,7 +94,7 @@ func (g *patternGrained) Process(rv *resolvedVals) {
 			ng := &tp.negs[ni]
 			if evalLocals(ng.locals, rv) {
 				if g.fires.fire(ng.ci, e.Time) {
-					g.acct.Add(8)
+					g.sh.acct.Add(8)
 				}
 			}
 		}
@@ -126,7 +130,7 @@ func (g *patternGrained) isAdjacent(ap *aliasPlan, rv *resolvedVals) bool {
 // reused), its left operands are copied out of the resolved view.
 func (g *patternGrained) setEl(rv *resolvedVals, ap *aliasPlan) {
 	if g.hasEl {
-		g.acct.Add(-g.elFoot)
+		g.sh.acct.Add(-g.elFoot)
 	}
 	g.hasEl = true
 	g.elTime = rv.ev.Time
@@ -134,12 +138,12 @@ func (g *patternGrained) setEl(rv *resolvedVals, ap *aliasPlan) {
 	g.elFoot = rv.ev.FootprintBytes()
 	g.elLeft = g.plan.copyLeftVals(g.elLeft, rv)
 	g.elNode, g.scratch = g.scratch, g.elNode
-	g.acct.Add(g.elFoot)
+	g.sh.acct.Add(g.elFoot)
 }
 
 func (g *patternGrained) resetEl() {
 	if g.hasEl {
-		g.acct.Add(-g.elFoot)
+		g.sh.acct.Add(-g.elFoot)
 	}
 	g.hasEl = false
 	g.elFoot = 0
@@ -149,18 +153,26 @@ func (g *patternGrained) resetEl() {
 // Results returns the final aggregate (Algorithm 3 line 10); pattern
 // granularity has no binding slots, so at most one result exists.
 func (g *patternGrained) Results() []bindingResult {
-	if g.final.Count == 0 {
-		return nil
+	out := g.sh.out[:0]
+	if g.final.Count != 0 {
+		out = append(out, bindingResult{key: 0, node: g.final})
 	}
-	return []bindingResult{{key: 0, node: g.final}}
+	g.sh.out = out
+	return out
 }
 
-// Release returns the constant state to the accountant.
+// Release returns the state to the accountant and empties the
+// aggregator in place for its next sub-stream.
 func (g *patternGrained) Release() {
+	freed := 2*g.plan.Specs.FootprintBytes() + g.fires.footprint()
 	if g.hasEl {
-		g.acct.Add(-g.elFoot)
+		freed += g.elFoot
 	}
-	g.acct.Add(-2 * g.plan.Specs.FootprintBytes())
-	g.acct.Add(-g.fires.footprint())
-	g.hasEl = false
+	g.sh.acct.Add(-freed)
+	// Every field a checkpoint lists goes back to what a new aggregator
+	// holds, so a frame never tells a recycled aggregator from a new one.
+	g.hasEl, g.elFoot, g.elTime, g.elAlias, g.elLeft = false, 0, 0, 0, g.elLeft[:0]
+	g.plan.Specs.ZeroInto(&g.elNode)
+	g.plan.Specs.ZeroInto(&g.final)
+	g.fires.reset()
 }

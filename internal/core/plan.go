@@ -124,6 +124,7 @@ type Plan struct {
 	adjLeft          []int32
 	endAliasIDs      []int32
 	eventGrainedByID []bool
+	tableCells       []bool // which cells of mixedGrained.tables the plan uses
 }
 
 // NewPlan runs the static query analyzer: pattern analysis (§3.1),
@@ -361,24 +362,41 @@ func AppendEventKey(buf []byte, e *event.Event, attrs []string) ([]byte, bool) {
 }
 
 // GroupOf materialises the GROUP-BY tuple for a result, given the
-// partition key parts and the binding.
+// partition key and the binding.
 func (p *Plan) GroupOf(streamKey string, binding []string) []string {
 	if len(p.groupRefs) == 0 {
 		return nil
 	}
-	var parts []string
-	if len(p.StreamKeys) > 0 {
-		parts = strings.Split(streamKey, "\x00")
+	return p.appendGroup(make([]string, 0, len(p.groupRefs)), p.appendKeyParts(nil, streamKey), binding)
+}
+
+// appendKeyParts appends the partition attribute values a partition key
+// spells (substrings of it, in StreamKeys order) to dst.
+func (p *Plan) appendKeyParts(dst []string, streamKey string) []string {
+	if len(p.StreamKeys) == 0 {
+		return dst
 	}
-	out := make([]string, len(p.groupRefs))
-	for i, ref := range p.groupRefs {
+	for {
+		i := strings.IndexByte(streamKey, 0)
+		if i < 0 {
+			return append(dst, streamKey)
+		}
+		dst = append(dst, streamKey[:i])
+		streamKey = streamKey[i+1:]
+	}
+}
+
+// appendGroup appends the GROUP-BY tuple in clause order to dst, each
+// value taken from the partition key's parts or the binding.
+func (p *Plan) appendGroup(dst, keyParts, binding []string) []string {
+	for _, ref := range p.groupRefs {
 		if ref.fromSlot {
-			out[i] = binding[ref.idx]
+			dst = append(dst, binding[ref.idx])
 		} else {
-			out[i] = parts[ref.idx]
+			dst = append(dst, keyParts[ref.idx])
 		}
 	}
-	return out
+	return dst
 }
 
 // String summarises the plan.

@@ -1,0 +1,48 @@
+//go:build poison
+
+package core
+
+import (
+	"testing"
+
+	"repro/internal/event"
+	"repro/internal/query"
+)
+
+// TestPoisonIsLive keeps `-tags poison` honest: under the tag a pooled
+// aggregator really is scribbled over, so the rest of the suite passing
+// means nothing read it back.
+func TestPoisonIsLive(t *testing.T) {
+	plan := MustPlan(query.MustParse(`RETURN COUNT(*) PATTERN SEQ(A+, B) WITHIN 4 SLIDE 4`))
+	eng := NewEngine(plan)
+	for i, typ := range []string{"A", "A", "B", "A"} {
+		if err := eng.Process(event.New(typ, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.AdvanceWatermark(4); err != nil { // closes the window
+		t.Fatal(err)
+	}
+	if len(eng.aggs.free) != 1 || len(eng.wins.free) != 1 {
+		t.Fatalf("%d aggregators and %d window states pooled, want 1 and 1", len(eng.aggs.free), len(eng.wins.free))
+	}
+	if wid := eng.wins.free[0].wid; wid != poisonTime {
+		t.Errorf("pooled window state has wid %d, want the sentinel", wid)
+	}
+	mg := eng.aggs.free[0].(*mixedGrained)
+	if mg.curTime != poisonTime {
+		t.Errorf("pooled aggregator has curTime %d, want the sentinel", mg.curTime)
+	}
+	scribbled := 0
+	for i := range mg.tables {
+		for _, e := range mg.tables[i].entries[:cap(mg.tables[i].entries)] {
+			if e.key != poisonKey || e.node.Count != poisonCount {
+				t.Errorf("table %d keeps entry {key %#x, count %#x} unscribbled", i, e.key, e.node.Count)
+			}
+			scribbled++
+		}
+	}
+	if scribbled == 0 {
+		t.Error("the pooled aggregator recycles no table entry; the check is vacuous")
+	}
+}

@@ -22,6 +22,9 @@ package core
 // it from the recompiled plan, leaving fewer places for drift to hide.
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/agg"
 	"repro/internal/snap"
 )
@@ -290,36 +293,31 @@ func (p *Plan) fits(bnd *bindings, k bkey, n *agg.Node) bool {
 }
 
 // codeTable codes one binding-keyed aggregate table in ascending key
-// order.
-func codeTable(c *snap.Coder, tbl *map[bkey]*agg.Node, p *Plan, bnd *bindings) {
-	keys, n := snap.MapKeys(c, tbl, 8+agg.NodeMinBytes)
-	for i := 0; i < n && c.Err() == nil; i++ {
-		var k bkey
-		var node *agg.Node
-		if c.Decoding() {
-			node = new(agg.Node)
-		} else {
-			k, node = keys[i], (*tbl)[keys[i]]
-		}
-		codeBkey(c, &k)
-		agg.CodeNode(c, node)
-		if c.Decoding() {
-			_, dup := (*tbl)[k]
-			c.Check(!dup && p.fits(bnd, k, node), "aggregate table entry repeats a binding key or does not fit the plan")
-			(*tbl)[k] = node
-		}
-	}
-}
-
-// codeShadows codes the negation shadow rows; which cells exist is
-// implied by the plan (the constructor made them).
-func codeShadows(c *snap.Coder, shadows [][]map[bkey]*agg.Node, p *Plan, bnd *bindings) {
-	for _, row := range shadows {
-		for ai := range row {
-			if row[ai] != nil {
-				codeTable(c, &row[ai], p, bnd)
+// order (a cell nothing was ever committed to is an empty table, as a
+// cell holding no entries is: the plan decides which cells a frame
+// carries, not what the run grew).
+func codeTable(c *snap.Coder, tbl *nodeTable, p *Plan, bnd *bindings) {
+	n := len(tbl.entries)
+	c.Len(&n, 8+agg.NodeMinBytes)
+	if c.Decoding() {
+		for i := 0; i < n && c.Err() == nil; i++ {
+			var e tableEntry
+			codeBkey(c, &e.key)
+			agg.CodeNode(c, &e.node)
+			c.Check(tbl.find(e.key) < 0 && p.fits(bnd, e.key, &e.node), "aggregate table entry repeats a binding key or does not fit the plan")
+			if c.Err() == nil {
+				dst, _ := tbl.slot(p.Specs, e.key)
+				dst.Count = e.node.Count
+				copy(dst.Aux, e.node.Aux)
 			}
 		}
+		return
+	}
+	sorted := slices.Clone(tbl.entries)
+	slices.SortFunc(sorted, func(a, b tableEntry) int { return cmp.Compare(a.key, b.key) })
+	for i := range sorted {
+		codeBkey(c, &sorted[i].key)
+		agg.CodeNode(c, &sorted[i].node)
 	}
 }
 
@@ -371,30 +369,31 @@ func (p *Plan) fitsLeft(left []attrVal) bool {
 // The concrete type is implied by the plan's semantics, which tables
 // exist by its Tt/Te split and whether the stored and fires sections
 // exist by its label (MixedGrained writes them even when Te = ∅), so no
-// tag is written; each decodes into a freshly constructed aggregator.
-// Accounting side effects of construction are irrelevant: the owning
+// tag is written; each decodes into a freshly opened aggregator
+// (Engine.openSubAggregator — built or recycled, it is empty either
+// way). Accounting side effects of opening are irrelevant: the owning
 // accountant is restored verbatim afterwards.
 
 func (t *mixedGrained) code(c *snap.Coder) {
+	bnd := t.sh.bnd
 	c.I64(&t.curTime)
 	c.Bool(&t.hasCur)
 	for i := range t.tables {
-		if t.tables[i] != nil {
-			codeTable(c, &t.tables[i], t.plan, t.bnd)
+		if t.plan.tableCells[i] { // main tables by alias id, then the shadow rows
+			codeTable(c, &t.tables[i], t.plan, bnd)
 		}
 	}
-	codeShadows(c, t.shadows, t.plan, t.bnd)
 	if te := t.te; te != nil {
 		for id := range te.stored {
 			snap.Slice(c, &te.stored[id], 16+agg.NodeMinBytes, codeStoredEntry)
 			for i := 0; c.Decoding() && i < len(te.stored[id]); i++ {
 				se := &te.stored[id][i]
-				c.Check(t.plan.fits(t.bnd, se.key, &se.node) && t.plan.fitsLeft(se.left), "stored event does not fit the plan")
+				c.Check(t.plan.fits(bnd, se.key, &se.node) && t.plan.fitsLeft(se.left), "stored event does not fit the plan")
 			}
 		}
 		codeNegFires(c, te.fires, len(t.plan.FSA.Negations))
 	}
-	codeStaged(c, &t.staged, &t.stagedResets, t.plan, t.bnd)
+	codeStaged(c, &t.staged, &t.stagedResets, t.plan, bnd)
 }
 
 func codeStoredEntry(c *snap.Coder, se *storedEntry) {
@@ -435,7 +434,7 @@ func (e *Engine) Code(c *snap.Coder) {
 	c.I64(&e.eventsIn)
 	c.I64(&e.skipped)
 	snap.Slice(c, &e.results, 16, CodeResult)
-	e.bnd.code(c)
+	e.sh.bnd.code(c)
 	e.mgr.CodeCursor(c)
 	wids := e.mgr.ActiveWids()
 	nw := len(wids)
@@ -443,7 +442,7 @@ func (e *Engine) Code(c *snap.Coder) {
 	for i := 0; i < nw && c.Err() == nil; i++ {
 		var ws *winState
 		if c.Decoding() {
-			ws = &winState{parts: map[string]subAggregator{}}
+			ws = e.openWindow(0)
 		} else {
 			ws, _ = e.mgr.State(wids[i])
 		}
@@ -453,7 +452,7 @@ func (e *Engine) Code(c *snap.Coder) {
 			var pk string
 			var sa subAggregator
 			if c.Decoding() {
-				sa = newSubAggregator(e.plan, e.acct, e.bnd, &e.arenas, &e.memo)
+				sa = e.openSubAggregator()
 			} else {
 				pk, sa = keys[j], ws.parts[keys[j]]
 			}

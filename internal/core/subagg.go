@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/agg"
@@ -8,20 +9,31 @@ import (
 )
 
 // subAggregator is the per-sub-stream execution unit: one instance
-// exists per (window, stream partition key). Events arrive in stream
-// order as resolved views; Results flushes pending state and reports
-// the final aggregates per binding.
+// serves one (window, stream partition key) at a time. Events arrive in
+// stream order as resolved views; Results flushes pending state and
+// reports the final aggregates per binding. Instances are recycled: the
+// engine pools a released aggregator and reopens it for a later
+// (window, partition) — see Engine.openSubAggregator.
 type subAggregator interface {
 	// Process consumes the next event of the sub-stream, presented as
 	// its per-event resolved view (symbols.go).
 	Process(rv *resolvedVals)
 	// Results returns the aggregate of all finished trends, per
 	// binding key, ordered by the decoded slot values. Bindings with
-	// zero finished trends are omitted.
+	// zero finished trends are omitted. The slice and everything it
+	// references is engine-owned scratch (kernelShared) or the
+	// aggregator's own state: valid until the next Results call on the
+	// engine and the aggregator's Release, whichever comes first.
 	Results() []bindingResult
-	// Release returns the aggregator's logical memory to the
-	// accountant; the aggregator must not be used afterwards.
+	// Release returns the aggregator's logical memory to the accountant
+	// and resets it in place, keeping the storage it grew: afterwards it
+	// holds no state of the sub-stream it served and only reopen may be
+	// called on it.
 	Release()
+	// reopen readies a released aggregator for its next sub-stream: it
+	// charges what a live aggregator holds from birth, as the constructor
+	// does.
+	reopen()
 	// code lists the aggregator's serialized fields in wire order
 	// (snapshot.go).
 	code(c *snap.Coder)
@@ -39,31 +51,42 @@ type bindingResult struct {
 // matching the lexicographic order the string-keyed representation
 // reported (so emit merges groups in the identical order).
 func sortBindingResults(out []bindingResult) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].vals, out[j].vals
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(out, func(a, b bindingResult) int { return slices.Compare(a.vals, b.vals) })
+}
+
+// kernelShared is what the sub-aggregators of one engine share instead
+// of owning. An engine hosts one aggregator per (window, partition) but
+// runs one of them at a time, so everything that is the same for all of
+// them lives once per engine and a partition pays for none of it: the
+// accountant, the bindings instance (so binding keys stay comparable
+// across windows and partitions) and the per-call scratch.
+type kernelShared struct {
+	acct accountant
+	bnd  *bindings
+	// memo holds the Tt predecessor sums of the current equal-time run
+	// (runMemo); only the no-equivalence fast path reads it.
+	memo runMemo
+	// contrib accumulates the per-binding contribution of the event
+	// being processed; empty between Process calls.
+	contrib nodeTable
+	// merged, out and vals back the return value of Results: the
+	// per-binding merge of several end aliases, the result list, and the
+	// decoded slot values out[i].vals slices.
+	merged nodeTable
+	out    []bindingResult
+	vals   []string
 }
 
 // newSubAggregator builds the aggregator of the plan's semantics: the
 // Algorithm 2 kernel for skip-till-any-match (both the type- and the
 // mixed-grained plan label — the compiled Tt/Te split is all that
-// differs), the Algorithm 3 kernel otherwise. The engine-owned bindings
-// instance is shared so binding keys stay comparable across windows and
-// partitions, the engine-owned store arenas so stored (Te) entries
-// bump-allocate instead of paying two GC objects per stored event, and
-// the engine-owned run memo so Tt predecessor sums amortize over
-// equal-time runs without per-partition scratch.
-func newSubAggregator(p *Plan, acct accountant, bnd *bindings, ar *storeArenas, memo *runMemo) subAggregator {
+// differs), the Algorithm 3 kernel otherwise. Only
+// Engine.openSubAggregator calls it — on a pool miss.
+func newSubAggregator(p *Plan, sh *kernelShared) subAggregator {
 	if p.Granularity == PatternGrained {
-		return newPatternGrained(p, acct)
+		return newPatternGrained(p, sh)
 	}
-	return newMixedGrained(p, acct, bnd, ar, memo)
+	return newMixedGrained(p, sh)
 }
 
 // stagedUpdate is one uncommitted contribution of the current
@@ -131,6 +154,16 @@ func (n *negFires) blockedBetween(ci int, t1, t2 int64) bool {
 	ts := n.times[ci]
 	i := sort.Search(len(ts), func(i int) bool { return ts[i] > t1 })
 	return i < len(ts) && ts[i] < t2
+}
+
+// reset forgets every fire, keeping the storage it used (shed).
+func (n *negFires) reset() {
+	if n == nil {
+		return
+	}
+	for ci := range n.times {
+		n.times[ci] = shed(n.times[ci])
+	}
 }
 
 // footprint returns the logical bytes of the recorded fire times.

@@ -12,7 +12,6 @@ package core
 // change only: results are identical to the string-keyed evaluator.
 
 import (
-	"repro/internal/agg"
 	"repro/internal/event"
 	"repro/internal/predicate"
 )
@@ -204,6 +203,7 @@ type slotRef struct {
 type predEdge struct {
 	id           int32 // predecessor alias id
 	guard        int32 // negation constraint index + 1; 0 = unguarded
+	table        int32 // cell of mixedGrained.tables a Tt predecessor is read from
 	eventGrained bool  // predecessor keeps stored events (mixed Te)
 	adj          []adjCheck
 }
@@ -289,6 +289,22 @@ func (p *Plan) compile() {
 			p.eventGrainedByID[id] = true
 		}
 	}
+	// The aggregate tables of the any-match kernel, one row of alias
+	// cells per table kind: row 0 the Tt aliases' main tables, row ci+1
+	// the shadows of negation constraint ci, which track only the Tt
+	// aliases in its Pred set.
+	n := len(p.aliasNames)
+	p.tableCells = make([]bool, n*(1+len(p.FSA.Negations)))
+	for id := range n {
+		p.tableCells[id] = !p.eventGrainedByID[id]
+	}
+	for ci, nc := range p.FSA.Negations {
+		for _, a := range nc.Pred {
+			if id := int(p.aliasIDs[a]); !p.eventGrainedByID[id] {
+				p.tableCells[(ci+1)*n+id] = true
+			}
+		}
+	}
 
 	// Per-type dispatch tables, indexed by catalog type id: matching
 	// aliases plus fired negations. Types of other plans in a shared
@@ -351,6 +367,8 @@ func (p *Plan) compileAlias(alias string, leftPos map[int32]int) aliasPlan {
 		if ci, guarded := p.negGuard[[2]string{pred, alias}]; guarded {
 			edge.guard = int32(ci) + 1
 		}
+		// A guarded transition reads the constraint's shadow row.
+		edge.table = edge.guard*int32(len(p.aliasNames)) + pid
 		for _, a := range p.Where.Adjacents {
 			if !a.Guards(pred, alias) {
 				continue
@@ -478,48 +496,4 @@ func (p *Plan) copyLeftVals(dst []attrVal, rv *resolvedVals) []attrVal {
 		dst[i] = attrVal{num: rv.num[id], sym: rv.sym[id], has: rv.has[id]}
 	}
 	return dst
-}
-
-// contribTable accumulates the per-binding contribution of one event:
-// a scratch map from binding key to a reused aggregate node. Entries
-// are deleted on reset, so steady-state accumulation is
-// allocation-free.
-type contribTable struct {
-	specs agg.Specs
-	idx   map[bkey]int
-	keys  []bkey
-	nodes []agg.Node
-}
-
-func newContribTable(specs agg.Specs) contribTable {
-	return contribTable{specs: specs, idx: map[bkey]int{}}
-}
-
-// slot returns the accumulator node of key, creating it zeroed.
-func (c *contribTable) slot(k bkey) *agg.Node {
-	i, ok := c.idx[k]
-	if !ok {
-		i = len(c.keys)
-		c.keys = append(c.keys, k)
-		if i < len(c.nodes) {
-			c.specs.ZeroInto(&c.nodes[i])
-		} else {
-			c.nodes = append(c.nodes, c.specs.Zero())
-		}
-		c.idx[k] = i
-	}
-	return &c.nodes[i]
-}
-
-// add merges node into the accumulator of key.
-func (c *contribTable) add(k bkey, node *agg.Node) {
-	c.specs.Merge(c.slot(k), *node)
-}
-
-// reset clears the table for the next event, keeping node storage.
-func (c *contribTable) reset() {
-	for _, k := range c.keys {
-		delete(c.idx, k)
-	}
-	c.keys = c.keys[:0]
 }

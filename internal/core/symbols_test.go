@@ -22,7 +22,7 @@ func TestBindingsPackedCombine(t *testing.T) {
 	v1, v2 := b.internVal("p1"), b.internVal("p2")
 
 	k1 := b.startKey([]slotAssign{{idx: 0, val: v1}})
-	if got := b.decode(k1); !reflect.DeepEqual(got, []string{"p1", ""}) {
+	if got := b.appendDecoded(nil, k1); !reflect.DeepEqual(got, []string{"p1", ""}) {
 		t.Errorf("decode(start) = %v", got)
 	}
 	// Binding the free slot succeeds; the bound slot accepts only the
@@ -31,7 +31,7 @@ func TestBindingsPackedCombine(t *testing.T) {
 	if !ok {
 		t.Fatal("combine rejected free slot")
 	}
-	if got := b.decode(k2); !reflect.DeepEqual(got, []string{"p1", "p2"}) {
+	if got := b.appendDecoded(nil, k2); !reflect.DeepEqual(got, []string{"p1", "p2"}) {
 		t.Errorf("decode(combined) = %v", got)
 	}
 	if _, ok := b.combine(k2, []slotAssign{{idx: 0, val: v1}}); !ok {
@@ -44,7 +44,7 @@ func TestBindingsPackedCombine(t *testing.T) {
 	if k, ok := b.combine(k2, nil); !ok || k != k2 {
 		t.Errorf("combine(key, nil) = %v, %v", k, ok)
 	}
-	if b.emptyKey() != 0 || !reflect.DeepEqual(b.decode(0), []string{"", ""}) {
+	if b.emptyKey() != 0 || !reflect.DeepEqual(b.appendDecoded(nil, 0), []string{"", ""}) {
 		t.Error("empty key not all-unbound")
 	}
 }
@@ -60,7 +60,7 @@ func TestBindingsVectorCombine(t *testing.T) {
 	if !ok {
 		t.Fatal("combine rejected free slots")
 	}
-	if got := b.decode(k2); !reflect.DeepEqual(got, []string{"u", "v", "w"}) {
+	if got := b.appendDecoded(nil, k2); !reflect.DeepEqual(got, []string{"u", "v", "w"}) {
 		t.Errorf("decode = %v", got)
 	}
 	// Interning is stable: the same vector yields the same key.
@@ -71,7 +71,7 @@ func TestBindingsVectorCombine(t *testing.T) {
 	if _, ok := b.combine(k2, []slotAssign{{idx: 2, val: v1}}); ok {
 		t.Error("combine accepted conflicting value")
 	}
-	if got := b.decode(b.emptyKey()); !reflect.DeepEqual(got, []string{"", "", ""}) {
+	if got := b.appendDecoded(nil, b.emptyKey()); !reflect.DeepEqual(got, []string{"", "", ""}) {
 		t.Errorf("decode(empty) = %v", got)
 	}
 }

@@ -3,7 +3,9 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/agg"
 	"repro/internal/core"
@@ -557,6 +559,68 @@ func TestGroupLifecycle(t *testing.T) {
 	if len(rt.groups) != 0 {
 		t.Fatalf("%d groups registered after the last member left", len(rt.groups))
 	}
+}
+
+// TestReleasedEnginesAreUnreachable: an engine pools the sub-aggregators
+// and window states of its closed windows, and the pools are the
+// engine's own — they die with it. Once a handover's retired host has
+// drained, and once a group's last member has unsubscribed, nothing in
+// the runtime (or in the subscription handles the caller still holds)
+// reaches the engine any more.
+func TestReleasedEnginesAreUnreachable(t *testing.T) {
+	count, sum := agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}
+	rt := New()
+	rt.EnableSharedAggregation()
+	feed := func(typ string, tm int64) {
+		t.Helper()
+		if err := rt.Process(event.New(typ, tm).WithNum("v", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collected := func(eng weak.Pointer[core.Engine]) bool {
+		for i := 0; i < 3 && eng.Value() != nil; i++ {
+			runtime.GC()
+		}
+		return eng.Value() == nil
+	}
+	first, err := rt.Subscribe(countQuery(count))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := weak.Make(rt.hosts[0].eng)
+	feed("A", 3)
+	grown, err := rt.Subscribe(countQuery(count, sum)) // uncovered: hands over at window 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsubscribed := weak.Make(rt.hosts[1].eng)
+	feed("A", 12)
+	feed("B", 14)
+	if runtime.GC(); retired.Value() == nil {
+		t.Fatal("the retired host's engine was collected while it still owns window 0; the test is vacuous")
+	}
+	feed("A", 25) // closes window 0: the retired host has drained, its pools are full
+	if len(rt.hosts) != 1 {
+		t.Fatalf("%d hosts after the retired one drained, want 1", len(rt.hosts))
+	}
+	if !collected(retired) {
+		t.Error("the engine of the retired, drained host is still reachable")
+	}
+	feed("B", 37) // the new host closes windows too
+	for _, s := range []*Subscription{first, grown} {
+		if _, err := s.Unsubscribe(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rt.hosts) != 0 {
+		t.Fatalf("%d hosts after the last member left, want 0", len(rt.hosts))
+	}
+	if !collected(unsubscribed) {
+		t.Error("the engine of the unsubscribed group's host is still reachable")
+	}
+	runtime.KeepAlive(rt)
+	runtime.KeepAlive(first)
+	runtime.KeepAlive(grown)
 }
 
 // TestEnableSharedAggregationLate: sharing enabled on a populated

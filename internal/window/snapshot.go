@@ -1,7 +1,7 @@
 package window
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/snap"
 )
@@ -29,7 +29,7 @@ func (m *Manager[T]) ActiveWids() []int64 {
 	for wid := range m.active {
 		wids = append(wids, wid)
 	}
-	sort.Slice(wids, func(i, j int) bool { return wids[i] < wids[j] })
+	slices.Sort(wids)
 	return wids
 }
 

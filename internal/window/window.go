@@ -9,7 +9,8 @@ package window
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Spec is the WITHIN w SLIDE s clause in stream time units.
@@ -120,6 +121,10 @@ type Manager[T any] struct {
 	// reports true.
 	ceil    int64
 	hasCeil bool
+	// wids and closed are the scratch AdvanceTo and Flush work from, so a
+	// window close allocates nothing here.
+	wids   []int64
+	closed []Closed[T]
 }
 
 // NewManager builds a manager; newState creates the state for a window
@@ -214,44 +219,43 @@ type Closed[T any] struct {
 }
 
 // AdvanceTo closes windows given a watermark: all events with time < t
-// have been observed.
+// have been observed. The returned slice is the manager's scratch, valid
+// until the next AdvanceTo or Flush.
 func (m *Manager[T]) AdvanceTo(t int64) []Closed[T] {
 	limit := m.spec.ClosedBefore(t)
 	if limit < m.emitted {
 		return nil
 	}
-	var out []Closed[T]
-	wids := make([]int64, 0, len(m.active))
-	for wid := range m.active {
-		if wid <= limit {
-			wids = append(wids, wid)
-		}
-	}
-	sort.Slice(wids, func(i, j int) bool { return wids[i] < wids[j] })
-	for _, wid := range wids {
-		out = append(out, Closed[T]{Wid: wid, State: m.active[wid]})
-		delete(m.active, wid)
-	}
 	m.emitted = limit + 1
-	return out
+	return m.close(limit)
 }
 
 // Flush closes every remaining window (end of stream), in wid order.
+// The returned slice is the manager's scratch, like AdvanceTo's.
 func (m *Manager[T]) Flush() []Closed[T] {
-	wids := make([]int64, 0, len(m.active))
-	for wid := range m.active {
-		wids = append(wids, wid)
-	}
-	sort.Slice(wids, func(i, j int) bool { return wids[i] < wids[j] })
-	out := make([]Closed[T], 0, len(wids))
-	for _, wid := range wids {
-		out = append(out, Closed[T]{Wid: wid, State: m.active[wid]})
-		delete(m.active, wid)
-	}
 	if m.everSawWid && m.maxWid >= m.emitted {
 		m.emitted = m.maxWid + 1
 	}
-	return out
+	return m.close(math.MaxInt64)
+}
+
+// close forgets the active windows up to limit and returns them in wid
+// order.
+func (m *Manager[T]) close(limit int64) []Closed[T] {
+	m.wids = m.wids[:0]
+	for wid := range m.active {
+		if wid <= limit {
+			m.wids = append(m.wids, wid)
+		}
+	}
+	slices.Sort(m.wids)
+	clear(m.closed) // drop the states of the previous close
+	m.closed = m.closed[:0]
+	for _, wid := range m.wids {
+		m.closed = append(m.closed, Closed[T]{Wid: wid, State: m.active[wid]})
+		delete(m.active, wid)
+	}
+	return m.closed
 }
 
 // ActiveCount returns the number of live window states (for memory

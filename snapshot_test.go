@@ -100,30 +100,50 @@ func snapRun(t *testing.T, opts []cogra.SessionOption, src string, events []*cog
 	return target.Drain(), fmt.Sprintf("%+v", st), cutStats
 }
 
+// TestSessionSnapshotRestoreDifferential is also the pooling
+// differential: engines recycle the sub-aggregators and window states of
+// closed windows, and a restored session starts with empty pools, so
+// every cell compares a cold-pool run (restored: its state is built
+// from the frame by the constructors a pool miss uses) with a warm-pool
+// run (undisturbed) byte for byte. The afterclose variant cuts right
+// after a long idle gap has closed every open window — the moment the
+// free lists are at their fullest and the frame at its emptiest.
 func TestSessionSnapshotRestoreDifferential(t *testing.T) {
 	base := sessionTestStream(2400)
 	shuffled, slack := shuffleBounded(base, 6, 99)
 	if slack == 0 {
 		t.Fatal("shuffle produced no disorder; slack variant is vacuous")
 	}
+	mid := len(base) / 2
+	afterClose := -1
+	for i := mid; i < len(base); i++ {
+		if base[i].Time-base[i-1].Time > 96+48 { // longer than any window reaches back
+			afterClose = i + 1 // event i closed them all
+			break
+		}
+	}
+	if afterClose < 0 {
+		t.Fatal("stream has no long idle gap after the midpoint; afterclose variant is vacuous")
+	}
 	variants := map[string]struct {
 		opts    []cogra.SessionOption
 		events  []*cogra.Event
 		churnAt int
+		snapAt  int
 	}{
-		"plain":      {nil, base, -1},
-		"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1},
-		"eviction":   {[]cogra.SessionOption{cogra.WithInternEviction()}, base, -1},
-		"compaction": {nil, base, len(base) / 4},
+		"plain":      {nil, base, -1, mid},
+		"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1, mid},
+		"eviction":   {[]cogra.SessionOption{cogra.WithInternEviction()}, base, -1, mid},
+		"compaction": {nil, base, len(base) / 4, mid},
+		"afterclose": {nil, base, -1, afterClose},
 	}
-	snapAt := len(base) / 2
 	for mode, mopts := range sessionModes() {
 		for vname, v := range variants {
 			for qname, src := range sessionTestQueries() {
 				t.Run(mode+"/"+vname+"/"+qname, func(t *testing.T) {
 					opts := append(mopts[:len(mopts):len(mopts)], v.opts...)
 					want, wantStats, _ := snapRun(t, opts, src, v.events, -1, v.churnAt)
-					got, gotStats, _ := snapRun(t, opts, src, v.events, snapAt, v.churnAt)
+					got, gotStats, _ := snapRun(t, opts, src, v.events, v.snapAt, v.churnAt)
 					if !diff.Equal(got, want) {
 						t.Errorf("restored run diverges from undisturbed run\n%s", diff.Diff(got, want))
 					}

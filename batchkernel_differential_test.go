@@ -7,9 +7,11 @@ package cogra_test
 //     run kernels) is byte-identical to event-at-a-time Push across
 //     all three granularities (plus the contiguous wants-all path and
 //     the Figure 2 plan whose alias A has both a stored and a table
-//     predecessor) × {inline, 4 workers} × {slack, intern eviction,
-//     catalog compaction}, on a run-shaped stream whose type runs
-//     carry equal-timestamp ties and straddle window boundaries;
+//     predecessor) × {inline, 4 workers} × {slack, catalog compaction},
+//     on a run-shaped stream whose type runs carry equal-timestamp ties
+//     and straddle window boundaries, and — with a binding slot over
+//     values that age out, which session engines evict — equal to a
+//     bare core.Engine without eviction fed one event at a time;
 //   - a k-group session produces byte-identical results to the
 //     single-group default (groups are full-stream workers — routing
 //     subscribers across more of them cannot change results), and the
@@ -175,7 +177,10 @@ const figure2Mixed = `
 
 // TestSessionBatchKernelDifferential pins the run kernels: batch
 // execution equals event-at-a-time for every granularity × session
-// mode × bounded-state variant, on the run-shaped stream.
+// mode × bounded-state variant, on the run-shaped stream. The eviction
+// variant binds a slot over values that age out (wardSlot, rotateWards),
+// and its event-at-a-time side is the unbounded reference: a bare
+// core.Engine that never evicts.
 func TestSessionBatchKernelDifferential(t *testing.T) {
 	base := runShapedStream(3000)
 	assertRunShaped(t, base)
@@ -189,18 +194,25 @@ func TestSessionBatchKernelDifferential(t *testing.T) {
 		opts    []cogra.SessionOption
 		events  []*cogra.Event
 		churnAt int
+		evict   bool // wardSlot over rotateWards, against a non-evicting engine
 	}{
-		"plain":      {nil, base, -1},
-		"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1},
-		"eviction":   {[]cogra.SessionOption{cogra.WithInternEviction()}, base, -1},
-		"compaction": {nil, base, 1024},
+		"plain":      {nil, base, -1, false},
+		"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1, false},
+		"eviction":   {nil, rotateWards(base), -1, true},
+		"compaction": {nil, base, 1024, false},
 	}
 	for mode, mopts := range sessionModes() {
 		for vname, v := range variants {
 			for qname, src := range queries {
 				t.Run(mode+"/"+vname+"/"+qname, func(t *testing.T) {
 					opts := append(mopts[:len(mopts):len(mopts)], v.opts...)
-					want := kernelRun(t, opts, src, v.events, false, v.churnAt)
+					var want []cogra.Result
+					if v.evict {
+						src = wardSlot(src)
+						want, _ = engineRun(t, src, v.events)
+					} else {
+						want = kernelRun(t, opts, src, v.events, false, v.churnAt)
+					}
 					got := kernelRun(t, opts, src, v.events, true, v.churnAt)
 					if !diff.Equal(got, want) {
 						t.Errorf("batch kernels diverge from event-at-a-time\n%s", diff.Diff(got, want))

@@ -9,7 +9,7 @@
 //
 //	cograd -addr :8080 -tcp-addr :8081 -shards 4 \
 //	       -checkpoint-dir /var/lib/cograd \
-//	       -slack 100 -evict
+//	       -slack 100
 //
 // Session flags (-workers, -groups, -slack, ...) apply to every tenant
 // session the daemon creates; they are the same flags cograql takes.

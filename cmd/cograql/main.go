@@ -26,13 +26,13 @@
 //	-query <id>     unsubscribe query <id> (as printed at subscribe
 //	                time), flushing its open windows
 //
-// Long-lived sessions can bound their state: -max-reorder-depth caps
-// the slack buffer (shedding its oldest events at the cap, or failing
-// with backpressure under -reorder-reject), and -evict reclaims
-// binding-intern memory once the windows referencing it have closed.
-// -shared lets queries that differ only in RETURN share one trend
-// aggregation pass (one host engine over the union of their RETURN
-// lists); results are byte-identical to per-query execution.
+// Long-lived sessions bound their state: -max-reorder-depth caps the
+// slack buffer (shedding its oldest events at the cap, or failing with
+// backpressure under -reorder-reject), and binding-intern memory is
+// always reclaimed once the windows referencing it have closed. Queries
+// that differ only in RETURN always share one trend aggregation pass
+// (one host engine over the union of their RETURN lists); results are
+// byte-identical to per-query execution.
 //
 // Crash recovery: -checkpoint <path> -checkpoint-every <n> (with
 // -follow) snapshots the whole session — query fleet, window state,

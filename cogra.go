@@ -39,7 +39,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/metrics"
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
@@ -180,28 +179,8 @@ func Compile(q *Query) (*Plan, error) { return core.NewPlan(q) }
 // MustCompile is Compile that panics on error.
 func MustCompile(q *Query) *Plan { return core.MustPlan(q) }
 
-// Engine executes one plan over an in-order event stream. It is the
-// single-query execution primitive under Session; prefer Session for
-// new code (one query is just a fleet of size one).
-type Engine = core.Engine
-
 // Result is one aggregation output (window × group).
 type Result = core.Result
-
-// EngineOption configures an engine.
-type EngineOption = core.Option
-
-// Accountant tracks logical peak memory.
-type Accountant = metrics.Accountant
-
-// NewEngine builds an engine for a compiled plan.
-func NewEngine(p *Plan, opts ...EngineOption) *Engine { return core.NewEngine(p, opts...) }
-
-// WithAccountant wires logical memory accounting into an engine.
-func WithAccountant(a *Accountant) EngineOption { return core.WithAccountant(a) }
-
-// WithResultCallback streams results to fn instead of collecting them.
-func WithResultCallback(fn func(Result)) EngineOption { return core.WithResultCallback(fn) }
 
 // Iterator yields events in stream order.
 type Iterator = stream.Iterator

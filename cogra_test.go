@@ -2,6 +2,7 @@ package cogra_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -20,13 +21,18 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if plan.Granularity != cogra.TypeGrained {
 		t.Fatalf("granularity = %v", plan.Granularity)
 	}
-	eng := cogra.NewEngine(plan)
-	for _, e := range figure2Stream() {
-		if err := eng.Process(e); err != nil {
-			t.Fatal(err)
-		}
+	sess := cogra.NewSession()
+	sub, err := sess.Subscribe(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := eng.Close()
+	if err := sess.PushBatch(figure2Stream()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res := sub.Drain()
 	if len(res) != 1 || res[0].Values[0].Count != 43 {
 		t.Fatalf("results = %v", res)
 	}
@@ -98,6 +104,76 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	if back[1].Num["price"] != 101.5 || back[2].Num["price"] != 7 {
 		t.Errorf("prices lost: %v %v", back[1], back[2])
+	}
+}
+
+// TestCSVWriteReadRoundTrip: whatever WriteCSV writes, ReadCSV reads
+// back as the same events; what it could not, WriteCSV refuses,
+// naming the event's time and the attribute.
+func TestCSVWriteReadRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		events []*cogra.Event
+		err    string // a substring of WriteCSV's error; "" round-trips
+	}{
+		{"mixed schemas", []*cogra.Event{
+			cogra.NewEvent("Accept", 1).WithSym("driver", "d 1"),
+			cogra.NewEvent("Stock", 2).WithSym("company", "IBM").WithNum("price", 101.5).WithNum("volume", 1e-7),
+			cogra.NewEvent("Quote", 2).WithNum("bid:num", 3),
+		}, ""},
+		{"comma in a value", []*cogra.Event{
+			cogra.NewEvent("Stock", 3).WithSym("company", "Acme, Inc."),
+		}, `time 3: symbolic attribute "company"`},
+		{"line break in a value", []*cogra.Event{
+			cogra.NewEvent("Stock", 4).WithSym("company", "IBM"),
+			cogra.NewEvent("Stock", 5).WithSym("company", "two\nlines"),
+		}, `time 5: symbolic attribute "company"`},
+		{"symbolic and numeric under one name", []*cogra.Event{
+			cogra.NewEvent("Stock", 6).WithNum("price", 7),
+			cogra.NewEvent("Quote", 7).WithSym("price", "n/a"),
+		}, `time 7: symbolic attribute "price"`},
+		{"empty value", []*cogra.Event{
+			cogra.NewEvent("Stock", 8).WithSym("company", ""),
+		}, `time 8: symbolic attribute "company"`},
+		{"white space around the last cell", []*cogra.Event{
+			cogra.NewEvent("Stock", 9).WithSym("company", "IBM "),
+		}, `time 9: symbolic attribute "company"`},
+		{"symbolic name of a numeric column", []*cogra.Event{
+			cogra.NewEvent("Stock", 10).WithSym("price:num", "7"),
+		}, `time 10: symbolic attribute "price:num"`},
+		{"comma in a symbolic name", []*cogra.Event{
+			cogra.NewEvent("Stock", 11).WithSym("a,b", "x"),
+		}, `time 11: symbolic attribute "a,b"`},
+		{"comma in a numeric name", []*cogra.Event{
+			cogra.NewEvent("Stock", 12).WithNum("a,b", 1),
+		}, `time 12: numeric attribute "a,b"`},
+		{"comma in the type", []*cogra.Event{
+			cogra.NewEvent("Stock,Quote", 13),
+		}, `time 13: type "Stock,Quote"`},
+		{"white space around the type", []*cogra.Event{
+			cogra.NewEvent("Stock ", 14),
+		}, `time 14: type "Stock "`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			err := cogra.WriteCSV(&buf, c.events)
+			if c.err != "" {
+				if err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Fatalf("WriteCSV error = %v, want one naming %q", err, c.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := cogra.ReadCSV(&buf)
+			if err != nil {
+				t.Fatalf("ReadCSV of WriteCSV's output: %v", err)
+			}
+			if fmt.Sprint(back) != fmt.Sprint(c.events) {
+				t.Errorf("round trip\ngot:  %v\nwant: %v", back, c.events)
+			}
+		})
 	}
 }
 
@@ -174,24 +250,35 @@ func TestMergeStreams(t *testing.T) {
 	}
 }
 
-// TestEngineResultCallbackAndAccounting exercises the remaining
-// public engine options.
+// TestEngineResultCallbackAndAccounting exercises the push egress and
+// the logical memory accounting through a session: a sink receives
+// every result (Drain then has none), and Stats reports the peak bytes
+// the hosted engine charged.
 func TestEngineResultCallbackAndAccounting(t *testing.T) {
 	q := cogra.MustParse(`RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`)
-	var acct cogra.Accountant
 	var got []cogra.Result
-	eng := cogra.NewEngine(cogra.MustCompile(q),
-		cogra.WithAccountant(&acct),
-		cogra.WithResultCallback(func(r cogra.Result) { got = append(got, r) }))
-	eng.Process(cogra.NewEvent("A", 1))
-	eng.Process(cogra.NewEvent("A", 2))
-	if res := eng.Close(); res != nil {
-		t.Errorf("Close returned %v with callback installed", res)
+	sess := cogra.NewSession()
+	sub, err := sess.Subscribe(q, cogra.WithSink(cogra.SinkFunc(func(r cogra.Result) { got = append(got, r) })))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.PushBatch([]*cogra.Event{cogra.NewEvent("A", 1), cogra.NewEvent("A", 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res := sub.Drain(); res != nil {
+		t.Errorf("Drain returned %v with a sink installed", res)
 	}
 	if len(got) != 1 || got[0].Values[0].Count != 3 {
-		t.Errorf("callback results = %v", got)
+		t.Errorf("sink results = %v", got)
 	}
-	if acct.Peak() == 0 {
+	st, err := sess.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PeakBytes == 0 {
 		t.Error("accountant saw nothing")
 	}
 }

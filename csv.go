@@ -22,7 +22,13 @@ import (
 // one file.
 
 // WriteCSV writes events with the union of their attributes as
-// columns. Events must already be in stream order.
+// columns. Events must already be in stream order. It refuses, naming
+// the event's time and the type or attribute, what the format cannot
+// carry verbatim: a type, attribute name or symbolic value holding a
+// comma or a line break or beginning or ending with white space
+// (ReadCSV trims rows), an empty symbolic value (read back as absent), a symbolic
+// attribute named like a numeric column (":num") or like a numeric
+// attribute of the stream (the header has one column per name).
 func WriteCSV(w io.Writer, events []*Event) error {
 	numSet := map[string]bool{}
 	symSet := map[string]bool{}
@@ -30,7 +36,31 @@ func WriteCSV(w io.Writer, events []*Event) error {
 		for k := range e.Num {
 			numSet[k] = true
 		}
-		for k := range e.Sym {
+	}
+	for _, e := range events {
+		if why := csvText(e.Type); why != "" {
+			return fmt.Errorf("cogra: WriteCSV: event at time %d: type %q %s", e.Time, e.Type, why)
+		}
+		for k := range e.Num {
+			if why := csvText(k); why != "" {
+				return fmt.Errorf("cogra: WriteCSV: event at time %d: numeric attribute %q: name %s", e.Time, k, why)
+			}
+		}
+		for k, v := range e.Sym {
+			why := csvText(v)
+			switch {
+			case csvText(k) != "":
+				why = "name " + csvText(k)
+			case strings.HasSuffix(k, ":num"):
+				why = "is named like a numeric column"
+			case numSet[k]:
+				why = "is also a numeric attribute of the stream"
+			case v == "":
+				why = "is empty, which reads back as absent"
+			}
+			if why != "" {
+				return fmt.Errorf("cogra: WriteCSV: event at time %d: symbolic attribute %q %s", e.Time, k, why)
+			}
 			symSet[k] = true
 		}
 	}
@@ -39,9 +69,7 @@ func WriteCSV(w io.Writer, events []*Event) error {
 		numCols = append(numCols, k)
 	}
 	for k := range symSet {
-		if !numSet[k] {
-			symCols = append(symCols, k)
-		}
+		symCols = append(symCols, k)
 	}
 	sort.Strings(numCols)
 	sort.Strings(symCols)
@@ -72,6 +100,19 @@ func WriteCSV(w io.Writer, events []*Event) error {
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
+}
+
+// csvText says why s cannot be written as one cell or header name, or
+// returns "" when it can: cells split at commas, rows at line breaks,
+// and ReadCSV trims the white space around a row.
+func csvText(s string) string {
+	switch {
+	case strings.ContainsAny(s, ",\r\n"):
+		return "holds a comma or a line break"
+	case strings.TrimSpace(s) != s:
+		return "begins or ends with white space"
+	}
+	return ""
 }
 
 // CSVDecoder decodes one stream row at a time against a parsed

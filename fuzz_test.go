@@ -23,7 +23,7 @@ import (
 func fuzzSeedSnapshot(tb testing.TB) []byte {
 	events := sessionTestStream(400)
 	shuffled, slack := shuffleBounded(events, 6, 7)
-	sess := cogra.NewSession(cogra.WithSlack(slack), cogra.WithInternEviction())
+	sess := cogra.NewSession(cogra.WithSlack(slack))
 	if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"])); err != nil {
 		tb.Fatal(err)
 	}

@@ -131,7 +131,9 @@ func ResultCallbackOf(opts []Option) func(Result) {
 // advances (their ids are recycled). Results are identical to an
 // unbounded engine; the difference is purely that InternBytes plateaus
 // at roughly two epochs' worth of distinct slot values instead of
-// growing with the stream's lifetime cardinality.
+// growing with the stream's lifetime cardinality. Every engine a
+// Session hosts evicts; an engine without this option is the unbounded
+// reference the differential tests compare sessions against.
 func WithInternEviction() Option {
 	return func(e *Engine) { e.evict = true }
 }

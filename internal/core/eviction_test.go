@@ -9,16 +9,18 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
+	"repro/internal/snap"
 )
 
 // evictionQuery is a two-alias sequence with binding slots on both
 // aliases: wide enough to exercise value interning, and (with a third
-// slot added) vector interning.
-func evictionQuery(t *testing.T, slots int) *query.Query {
+// slot added) vector interning. Windows are 64 ticks long (one epoch)
+// and start every slide ticks.
+func evictionQuery(t *testing.T, slots int, slide int64) *query.Query {
 	t.Helper()
 	b := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
 		Return(agg.Spec{Func: agg.CountStar}).
-		Within(64, 64)
+		Within(64, slide)
 	eqs := []predicate.Equivalence{
 		{Alias: "A", Attr: "u"}, {Alias: "B", Attr: "u"}, {Alias: "A", Attr: "w"},
 	}
@@ -58,7 +60,7 @@ func rotatingStream(n int, card int) []*event.Event {
 func TestEngineInternEvictionDifferential(t *testing.T) {
 	for _, slots := range []int{2, 3} {
 		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
-			q := evictionQuery(t, slots)
+			q := evictionQuery(t, slots, 64)
 			events := rotatingStream(1200, 3)
 
 			ref := NewEngine(MustPlan(q))
@@ -91,12 +93,76 @@ func TestEngineInternEvictionDifferential(t *testing.T) {
 	}
 }
 
+// TestRestoreUnstampedFrameIntoEvictingEngine: a frame written by an
+// engine without eviction carries no epoch stamps. Restored mid-window
+// into an evicting engine, none of its intern entries may be reclaimed
+// while a window open at the cut still references them. The cut lies in
+// epoch 10 (times 640–703; windows of 64 ticks start every 16); "x" and
+// "v" are not touched again after the cut in that epoch, yet the window
+// [656, 720), open until epoch 11, holds their A trends: reclaimed on
+// entering epoch 11, their ids would go to "z", so A z would extend a
+// trend of another value and A v would miss its own. The suffix crosses
+// three epoch boundaries and must give the undisturbed unbounded
+// engine's results, while "y", last touched in epoch 11, is reclaimed on
+// entering epoch 13.
+func TestRestoreUnstampedFrameIntoEvictingEngine(t *testing.T) {
+	ev := func(typ string, tm int64, u string) *event.Event {
+		return event.New(typ, tm).WithSym("u", u).WithSym("w", "w"+u)
+	}
+	prefix := []*event.Event{ev("A", 660, "x"), ev("A", 661, "v"), ev("A", 662, "y")}
+	suffix := []*event.Event{
+		ev("A", 662, "y"), ev("A", 670, "y"),
+		ev("A", 705, "z"), ev("A", 706, "v"), ev("B", 710, "x"), ev("B", 715, "y"),
+		ev("A", 770, "x"), ev("B", 775, "x"), ev("B", 780, "z"), ev("B", 840, "x"),
+	}
+	feed := func(e *Engine, events []*event.Event) {
+		t.Helper()
+		for _, x := range events {
+			if err := e.Process(x.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, slots := range []int{2, 3} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			q := evictionQuery(t, slots, 16)
+			ref := NewEngine(MustPlan(q))
+			feed(ref, prefix)
+			feed(ref, suffix)
+			want := ref.Close()
+
+			src := NewEngine(MustPlan(q))
+			feed(src, prefix)
+			var w snap.Writer
+			src.Code(snap.Encoder(&w))
+			r := w.Reader()
+			eng := NewEngine(MustPlan(q), WithInternEviction())
+			eng.Code(snap.Decoder(r))
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			feed(eng, suffix)
+			got := eng.Close()
+
+			if len(want) == 0 {
+				t.Fatal("no results; differential test is vacuous")
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("restore into an evicting engine changed results\ngot:  %v\nwant: %v", got, want)
+			}
+			if eng.InternBytes() >= ref.InternBytes() {
+				t.Errorf("eviction reclaimed nothing: unbounded %dB vs evicted %dB", ref.InternBytes(), eng.InternBytes())
+			}
+		})
+	}
+}
+
 // TestEngineInternEvictionPlateau asserts the footprint shape: under
 // rotating key cardinality the evicted engine's InternBytes stops
 // growing after the rotation is in steady state, while the unbounded
 // engine keeps ramping.
 func TestEngineInternEvictionPlateau(t *testing.T) {
-	q := evictionQuery(t, 2)
+	q := evictionQuery(t, 2, 64)
 	events := rotatingStream(4000, 3)
 	eng := NewEngine(MustPlan(q), WithInternEviction())
 	ref := NewEngine(MustPlan(q))

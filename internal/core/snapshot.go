@@ -144,8 +144,9 @@ func codeValue(c *snap.Coder, v *agg.Value) {
 // same plan shape: the id→value slices are taken verbatim (so binding
 // keys stored in the aggregator tables keep decoding to the same
 // values); the maps and the per-epoch candidate buckets are pure
-// bookkeeping and are rebuilt from them.
-func (b *bindings) code(c *snap.Coder) {
+// bookkeeping and are rebuilt from them. cut is the epoch of the
+// snapshotted engine's watermark and seen whether it had one.
+func (b *bindings) code(c *snap.Coder, cut int64, seen bool) {
 	nslots := b.nslots
 	c.Int(&nslots)
 	c.I64(&b.bytes)
@@ -163,8 +164,15 @@ func (b *bindings) code(c *snap.Coder) {
 		if c.Err() != nil {
 			return
 		}
+		if b.evict && b.valEpoch == nil && seen {
+			// The snapshotted engine did not evict: nothing says when its
+			// entries were last touched. Rotate from the cut as an evicting
+			// engine would have, with every entry stamped at the cut's
+			// epoch — no window open at the cut outlives that stamp.
+			b.epoch, b.epochInit = cut, true
+		}
 		live := func(id int) (string, bool) { return b.vals[id], b.vals[id] != "" }
-		b.valIDs, b.valEpoch, b.valBuckets = reindex(c, len(b.vals), live, b.freeVals, b.evict, b.valEpoch)
+		b.valIDs, b.valEpoch, b.valBuckets = reindex(c, len(b.vals), live, b.freeVals, b.evict, b.valEpoch, b.epoch)
 		b.valIDs[""] = 0
 	}
 	if b.nslots <= 2 {
@@ -194,7 +202,7 @@ func (b *bindings) code(c *snap.Coder) {
 		if c.Err() != nil {
 			return
 		}
-		b.vecIDs, b.vecEpoch, b.vecBuckets = reindex(c, nvec, b.vecKey, b.freeVecs, b.evict, b.vecEpoch)
+		b.vecIDs, b.vecEpoch, b.vecBuckets = reindex(c, nvec, b.vecKey, b.freeVecs, b.evict, b.vecEpoch, b.epoch)
 	}
 }
 
@@ -217,15 +225,18 @@ func codeBkey(c *snap.Coder, k *bkey) { c.U64((*uint64)(k)) }
 // key, false for a tombstone; id 0 is reserved and never mapped), the
 // free list's claim to hold exactly tombstones, and the stamps and
 // per-epoch candidate buckets of the restoring engine. A snapshot taken
-// without eviction restores into an evicting engine with zeroed stamps
-// (entries age out normally from here); stamps in the snapshot are
-// dropped when the restored engine does not evict.
-func reindex[ID ~uint32 | ~uint64](c *snap.Coder, n int, key func(id int) (string, bool), free []ID, evict bool, stamps []int64) (ids map[string]ID, _ []int64, buckets map[int64][]ID) {
+// without eviction restores into an evicting engine with every stamp set
+// to epoch (entries age out normally from there); stamps in the snapshot
+// are dropped when the restored engine does not evict.
+func reindex[ID ~uint32 | ~uint64](c *snap.Coder, n int, key func(id int) (string, bool), free []ID, evict bool, stamps []int64, epoch int64) (ids map[string]ID, _ []int64, buckets map[int64][]ID) {
 	ids = map[string]ID{}
 	if !evict {
 		stamps = nil
 	} else if buckets = map[int64][]ID{}; stamps == nil {
 		stamps = make([]int64, n)
+		for i := range stamps {
+			stamps[i] = epoch
+		}
 	}
 	for id := 1; id < n; id++ {
 		k, live := key(id)
@@ -434,7 +445,7 @@ func (e *Engine) Code(c *snap.Coder) {
 	c.I64(&e.eventsIn)
 	c.I64(&e.skipped)
 	snap.Slice(c, &e.results, 16, CodeResult)
-	e.sh.bnd.code(c)
+	e.sh.bnd.code(c, e.mgr.Spec().EpochOf(e.lastTime), e.sawEvent)
 	e.mgr.CodeCursor(c)
 	wids := e.mgr.ActiveWids()
 	nw := len(wids)

@@ -1,9 +1,10 @@
 // Package diff holds the differential-comparison helpers shared by
 // the repo's hand-written differential spine (session, batch-kernel
 // and snapshot tests) and the randomized fuzz runner (internal/fuzz):
-// solo-replay references, result canonicalization, first-divergence
-// byte diffs, the full-window filter for mid-stream joiners and the
-// bounded shuffle that produces slack-repairable disorder.
+// solo-replay and bare-engine references, result canonicalization,
+// first-divergence byte diffs, the full-window filter for mid-stream
+// joiners and the bounded shuffle that produces slack-repairable
+// disorder.
 //
 // The helpers are deliberately test-framework-free (no testing.TB):
 // the fuzz runner calls them from a plain binary and the tests wrap
@@ -17,6 +18,7 @@ import (
 
 	cogra "repro"
 	"repro/internal/agg"
+	"repro/internal/core"
 )
 
 // Canon renders a result slice into the canonical byte string the
@@ -127,6 +129,28 @@ func SoloRun(src string, events []*cogra.Event, opts ...cogra.SessionOption) ([]
 		return nil, err
 	}
 	return sub.Drain(), nil
+}
+
+// EngineRun executes one query on a bare core.Engine — no session,
+// no sharing, no intern eviction — over an in-order event slice, closes
+// it, and returns its results and the engine: the plainest reference a
+// session can be compared against.
+func EngineRun(src string, events []*cogra.Event) ([]cogra.Result, *core.Engine, error) {
+	q, err := cogra.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := core.NewPlan(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng := core.NewEngine(plan)
+	for _, e := range events {
+		if err := eng.Process(e); err != nil {
+			return nil, nil, err
+		}
+	}
+	return eng.Close(), eng, nil
 }
 
 // FullWindowsAfter keeps the results of windows fully covered by an

@@ -96,7 +96,7 @@ func goldenFleet() (*cogra.Session, error) {
 		WHERE [patient] GROUP-BY patient
 		WITHIN 64 SLIDE 32`
 	events := goldenStream(888, 31)
-	sess := cogra.NewSession(cogra.WithWorkers(4), cogra.WithExecutorGroups(2), cogra.WithSharedAggregation())
+	sess := cogra.NewSession(cogra.WithWorkers(4), cogra.WithExecutorGroups(2))
 	if _, err := subscribeAll(sess,
 		"RETURN COUNT(*), SUM(A.v)"+body, "RETURN COUNT(*)"+body, "RETURN AVG(A.v), COUNT(B)"+body); err != nil {
 		return nil, err
@@ -123,7 +123,7 @@ func goldenFleet() (*cogra.Session, error) {
 // one binding: each phase fixes A.x and B.x and varies only C.x, and
 // phases lie further apart than a window.
 func goldenVectors() (*cogra.Session, error) {
-	sess := cogra.NewSession(cogra.WithInternEviction())
+	sess := cogra.NewSession()
 	if _, err := subscribeAll(sess, `
 		RETURN COUNT(*), MAX(A.v)
 		PATTERN SEQ(A+, B, C)
@@ -273,7 +273,7 @@ func goldenHandover() (*cogra.Session, error) {
 		SEMANTICS skip-till-any-match
 		WHERE [patient] GROUP-BY patient
 		WITHIN 64 SLIDE 32`
-	sess := cogra.NewSession(cogra.WithSharedAggregation())
+	sess := cogra.NewSession()
 	if _, err := subscribeAll(sess, "RETURN COUNT(*)"+body); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,8 @@
 // The scenario executor: runs one Scenario under one execution Mode
 // and returns per-subscription canonical results plus the invariant
-// observations (watermark samples, final stats). Every metamorphic
-// oracle is "Execute twice with one axis flipped, compare".
+// observations (watermark samples, final stats). A self-differential
+// oracle is "Execute twice with one axis flipped, compare"; the solo
+// oracle compares one Execute against plain engines.
 package fuzz
 
 import (
@@ -30,12 +31,6 @@ type Mode struct {
 	// a WithSlack session sized to repair the disorder exactly — the
 	// genuinely-disordered sibling of Shuffled.
 	Jittered bool
-	// Shared enables runtime share/unshare decisions
-	// (WithSharedAggregation).
-	Shared bool
-	// Evict enables binding-intern epoch eviction and catalog
-	// compaction.
-	Evict bool
 	// SnapshotAt > 0 snapshots the session after pushing that many
 	// events, restores it from the bytes, and finishes the run on the
 	// restored session.
@@ -57,12 +52,6 @@ func (m Mode) String() string {
 	}
 	if m.Jittered {
 		s += " jittered"
-	}
-	if m.Shared {
-		s += " shared"
-	}
-	if m.Evict {
-		s += " evict"
 	}
 	if m.SnapshotAt > 0 {
 		s += fmt.Sprintf(" snapshot@%d", m.SnapshotAt)
@@ -106,12 +95,6 @@ func (m Mode) options() []cogra.SessionOption {
 	}
 	if m.Groups > 0 {
 		opts = append(opts, cogra.WithExecutorGroups(m.Groups))
-	}
-	if m.Evict {
-		opts = append(opts, cogra.WithInternEviction())
-	}
-	if m.Shared {
-		opts = append(opts, cogra.WithSharedAggregation())
 	}
 	return opts
 }

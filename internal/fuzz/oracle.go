@@ -1,10 +1,12 @@
 // The metamorphic oracle suite. Each oracle checks one correctness
 // property of a scenario: a self-differential (base execution mode vs
-// the same scenario with exactly one mode axis flipped), a baseline
-// differential (COGRA vs the independent reference implementations
-// where the query's shape permits), or an invariant over one run's
-// observations. Oracles are pure: Check re-executes the scenario, so
-// the shrinker can re-ask "does this smaller scenario still fail?".
+// the same scenario with exactly one mode axis flipped), the solo
+// differential (the base-mode session vs one plain engine per
+// subscription), a baseline differential (COGRA vs the independent
+// reference implementations where the query's shape permits), or an
+// invariant over one run's observations. Oracles are pure: Check
+// re-executes the scenario, so the shrinker can re-ask "does this
+// smaller scenario still fail?".
 package fuzz
 
 import (
@@ -114,22 +116,9 @@ func Oracles() []Oracle {
 			Check: checkLate,
 		},
 		{
-			Name: "shared",
-			Doc:  "shared aggregation == per-query execution",
-			Check: func(sc *Scenario) (string, error) {
-				flipped := BaseMode(sc)
-				flipped.Shared = true
-				return selfDiff(sc, flipped)
-			},
-		},
-		{
-			Name: "evict",
-			Doc:  "intern eviction + catalog compaction == unbounded",
-			Check: func(sc *Scenario) (string, error) {
-				flipped := BaseMode(sc)
-				flipped.Evict = true
-				return selfDiff(sc, flipped)
-			},
+			Name:  "solo",
+			Doc:   "session (sharing, eviction, compaction) == one non-evicting engine per subscription",
+			Check: checkSolo,
 		},
 		{
 			Name: "snapshot",
@@ -246,6 +235,33 @@ func selfDiff(sc *Scenario, flipped Mode) (string, error) {
 	for si := range sc.Subs {
 		if d := diff.Compare(got.Results[si], base.Results[si], floatTol); d != "" {
 			return fmt.Sprintf("sub %d: %s != base (%s)\n%s", si, flipped, BaseMode(sc), d), nil
+		}
+	}
+	return "", nil
+}
+
+// checkSolo compares the base-mode session — sharing, intern eviction,
+// catalog compaction, workers and batching, whatever the scenario
+// draws — subscription by subscription against the plainest reference
+// there is: a core.Engine of its own, without eviction, fed the sorted
+// stream. A leaver at l is that engine fed events[:l] and closed; a
+// joiner at j keeps the windows starting after events[j-1].Time, its
+// first fully covered window on.
+func checkSolo(sc *Scenario) (string, error) {
+	got, err := Execute(sc, BaseMode(sc)) // stamps the IDs the engines see
+	if err != nil {
+		return "", err
+	}
+	for si, sub := range sc.Subs {
+		want, _, err := diff.EngineRun(sub.Src, sc.Events[:sub.Leave])
+		if err != nil {
+			return "", fmt.Errorf("sub %d: solo engine: %w", si, err)
+		}
+		if sub.Join > 0 {
+			want = diff.FullWindowsAfter(want, sc.Events[sub.Join-1].Time)
+		}
+		if d := diff.Compare(got.Results[si], want, floatTol); d != "" {
+			return fmt.Sprintf("sub %d: session (%s) != solo engine\n%s", si, BaseMode(sc), d), nil
 		}
 	}
 	return "", nil

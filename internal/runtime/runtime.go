@@ -136,7 +136,6 @@ type Runtime struct {
 
 	// Shared aggregation (sharing.go): groups lists, by plan fingerprint,
 	// the groups a fingerprint-equal subscriber joins.
-	sharedOn       bool
 	groups         map[string]*group
 	shareFlips     int64
 	sharedSavedOps int64
@@ -161,7 +160,7 @@ func New() *Runtime {
 // runtimes may share one catalog — the partition-parallel executor
 // runs one per worker.
 func NewOn(cat *core.Catalog) *Runtime {
-	return &Runtime{cat: cat, res: core.NewResolver(cat)}
+	return &Runtime{cat: cat, res: core.NewResolver(cat), groups: map[string]*group{}}
 }
 
 // Subscribe compiles a query against the runtime's catalog and hosts
@@ -343,7 +342,7 @@ type Stats struct {
 	// replaced, at a window boundary, by one over a grown RETURN union);
 	// SharedSavedOps estimates the per-query event aggregations sharing
 	// absorbed (host events × members served beyond the first). All
-	// zero when shared aggregation is disabled.
+	// zero while no two subscriptions share a fingerprint.
 	SharedGroups   int
 	ShareFlips     int64
 	SharedSavedOps int64

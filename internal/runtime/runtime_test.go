@@ -499,7 +499,6 @@ func countQuery(returns ...agg.Spec) *query.Query {
 func TestGroupLifecycle(t *testing.T) {
 	count, sum := agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}
 	rt := New()
-	rt.EnableSharedAggregation()
 	shape := func(step string, hosts, groups int, flips int64) {
 		t.Helper()
 		if st := rt.Stats(); len(rt.hosts) != hosts || st.SharedGroups != groups || st.ShareFlips != flips {
@@ -570,7 +569,6 @@ func TestGroupLifecycle(t *testing.T) {
 func TestReleasedEnginesAreUnreachable(t *testing.T) {
 	count, sum := agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}
 	rt := New()
-	rt.EnableSharedAggregation()
 	feed := func(typ string, tm int64) {
 		t.Helper()
 		if err := rt.Process(event.New(typ, tm).WithNum("v", 1)); err != nil {
@@ -621,40 +619,6 @@ func TestReleasedEnginesAreUnreachable(t *testing.T) {
 	runtime.KeepAlive(rt)
 	runtime.KeepAlive(first)
 	runtime.KeepAlive(grown)
-}
-
-// TestEnableSharedAggregationLate: sharing enabled on a populated
-// runtime registers the hosted queries' groups, so a later
-// fingerprint-equal subscriber joins the earlier engine.
-func TestEnableSharedAggregationLate(t *testing.T) {
-	rt := New()
-	early, err := rt.Subscribe(countQuery(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Subscribe(countQuery(agg.Spec{Func: agg.CountStar})); err != nil { // sharing off: private
-		t.Fatal(err)
-	}
-	if err := rt.Process(event.New("A", 1).WithNum("v", 4)); err != nil {
-		t.Fatal(err)
-	}
-	rt.EnableSharedAggregation()
-	late, err := rt.Subscribe(countQuery(agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if late.group != early.group || len(rt.hosts) != 2 || rt.Stats().SharedGroups != 1 {
-		t.Fatalf("late subscriber did not join the earliest fingerprint-equal engine: %d hosts, %+v", len(rt.hosts), rt.Stats())
-	}
-	for _, ev := range []*event.Event{event.New("A", 11).WithNum("v", 5), event.New("B", 12)} {
-		if err := rt.Process(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := rt.Close()[late.ID()]
-	if len(out) != 1 || out[0].Wid != 1 || out[0].Values[0].F != 5 {
-		t.Fatalf("late subscriber's results = %v, want window 1 with SUM(A.v)=5", out)
-	}
 }
 
 // TestGroupOfOneEmitsWithoutAllocating pins the price of the ownership

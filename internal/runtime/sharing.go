@@ -6,10 +6,9 @@ package runtime
 // (identical pattern, semantics, predicates, grouping and window —
 // core/sharedagg.go) can be served by one engine over the union of
 // their RETURN lists, which is never more work than one engine each;
-// so with shared aggregation enabled a fingerprint-equal subscriber
-// joins the group registered under its fingerprint, and everywhere
-// else a subscription is a private group of one, viewing its own
-// plan's engine as it is.
+// so a fingerprint-equal subscriber always joins the group registered
+// under its fingerprint, and a subscription with no such group starts
+// a group of one, viewing its own plan's engine as it is.
 //
 // A joiner whose RETURN list the group's newest host already computes
 // attaches a view from its first full window on. Otherwise the group
@@ -33,7 +32,8 @@ import (
 // group owns the engines serving one set of subscriptions.
 type group struct {
 	// key is the fingerprint the group is registered under in
-	// Runtime.groups; empty for a private group.
+	// Runtime.groups; empty when another group of that fingerprint was
+	// registered first.
 	key string
 	// hosts, oldest first. Every member has a view on the last one, which
 	// owns the newest windows; the others are retired and draining.
@@ -60,24 +60,10 @@ type view struct {
 	proj []int
 }
 
-// EnableSharedAggregation lets fingerprint-equal subscribers share a
-// group from now on. Subscriptions already hosted keep their engines;
-// the earliest group of each fingerprint is the one later subscribers
-// join.
-func (rt *Runtime) EnableSharedAggregation() {
-	if rt.sharedOn {
-		return
-	}
-	rt.sharedOn, rt.groups = true, map[string]*group{}
-	for _, h := range rt.hosts {
-		rt.register(h.g, h.plan.Fingerprint())
-	}
-}
-
 // register makes g the group fingerprint-equal subscribers join, unless
-// sharing is off or another group already is.
+// another group already is.
 func (rt *Runtime) register(g *group, key string) {
-	if rt.sharedOn && rt.groups[key] == nil {
+	if rt.groups[key] == nil {
 		g.key, rt.groups[key] = key, g
 	}
 }

@@ -72,10 +72,11 @@ func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan
 			rt.subs = append(rt.subs, s)
 		}
 	}
-	shared := rt.sharedOn
-	if c.Bool(&shared); shared && c.Decoding() {
-		rt.EnableSharedAggregation()
-	}
+	// Always written set. A clear bit marks a frame from a build where
+	// sharing was optional and off: it registered no group, so every
+	// group registers at decode, the first per fingerprint.
+	shared := true
+	c.Bool(&shared)
 	// Hosts in creation order — the order they advance and flush in —
 	// each naming its group by first appearance in that order.
 	var groups []*group
@@ -86,7 +87,7 @@ func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan
 		if !c.Decoding() {
 			h = rt.hosts[i]
 		}
-		rt.codeHost(c, &groups, h, opts)
+		rt.codeHost(c, &groups, h, !shared, opts)
 	}
 	c.I64(&rt.shareFlips)
 	c.I64(&rt.sharedSavedOps)
@@ -101,8 +102,9 @@ func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan
 // group first appears, whether it is registered for joiners), its
 // query, the saved-operations base, the subscriptions it serves and its
 // engine. Decoding recompiles the query and recomputes the projections
-// from the two plans' RETURN lists, which the snapshot pins.
-func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, opts []core.Option) {
+// from the two plans' RETURN lists, which the snapshot pins; unshared
+// (a frame written without sharing) registers every group it can.
+func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, unshared bool, opts []core.Option) {
 	g, q := new(group), query.Query{}
 	if h != nil {
 		g, q = h.g, *h.plan.Query
@@ -134,9 +136,9 @@ func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, opts []cor
 		if c.Check(err == nil, "rebuilding a host: %v", err); err != nil {
 			return
 		}
-		if registered {
+		if registered || unshared {
 			rt.register(g, plan.Fingerprint())
-			c.Check(g.key != "", "a registered group without sharing, or two under one fingerprint")
+			c.Check(g.key != "" || !registered, "two groups registered under one fingerprint")
 		}
 		c.Check(len(g.hosts) == 0 || g.newest().plan.Fingerprint() == plan.Fingerprint(), "a group's hosts differ in fingerprint")
 		h = rt.newHost(g, plan, opts)

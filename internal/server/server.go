@@ -24,7 +24,7 @@ type Config struct {
 	// across tenants; a tenant always stays on one shard.
 	Shards int
 	// SessionOptions configure every freshly created tenant session
-	// (workers, slack, eviction, ... — typically from sessionflags).
+	// (workers, groups, slack, ... — typically from sessionflags).
 	SessionOptions []cogra.SessionOption
 	// RestoreOptions configure sessions restored from CheckpointDir at
 	// boot (sessionflags.RestoreOptions: explicit topology flags

@@ -1,9 +1,8 @@
 // Package sessionflags is the one place the session-option command
 // line is defined: cograql and cograd both serve a cogra.Session, so
 // they share the flags that shape one (-workers, -groups, -slack,
-// -late-reject, -max-reorder-depth, -reorder-reject, -evict,
-// -shared), their
-// help strings, their cross-flag validation and their translation into
+// -late-reject, -max-reorder-depth, -reorder-reject), their help
+// strings, their cross-flag validation and their translation into
 // []cogra.SessionOption. A binary registers the set on its FlagSet,
 // parses, validates, and asks for the options:
 //
@@ -42,11 +41,6 @@ type Flags struct {
 	// RejectOverrun fails with backpressure at the depth cap instead of
 	// shedding the buffer's oldest events.
 	RejectOverrun bool
-	// Evict bounds binding-intern memory via window-expiry epochs.
-	Evict bool
-	// Shared serves fingerprint-equal queries from one host engine per
-	// sharing group.
-	Shared bool
 
 	fs *flag.FlagSet // nil when the struct was filled by hand
 }
@@ -61,8 +55,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.RejectLate, "late-reject", false, "fail on events beyond -slack instead of dropping them")
 	fs.IntVar(&f.MaxDepth, "max-reorder-depth", 0, "cap the -slack reorder buffer at this many events (0: unbounded)")
 	fs.BoolVar(&f.RejectOverrun, "reorder-reject", false, "fail with backpressure when the capped reorder buffer is full, instead of shedding its oldest events")
-	fs.BoolVar(&f.Evict, "evict", false, "bound binding-intern memory: reclaim slot values once no open window references them")
-	fs.BoolVar(&f.Shared, "shared", false, "share trend aggregation across queries that differ only in RETURN: fingerprint-equal queries form a sharing group whose host engine computes the union of their aggregation specs once per trend; a later query that adds an aggregate hands the group over to a wider host at the next window boundary (results are byte-identical to per-query execution)")
 	return f
 }
 
@@ -137,12 +129,6 @@ func (f *Flags) options(restoring bool) ([]cogra.SessionOption, error) {
 				opts = append(opts, cogra.WithDepthPolicy(cogra.Reject))
 			}
 		}
-	}
-	if f.Evict {
-		opts = append(opts, cogra.WithInternEviction())
-	}
-	if f.Shared {
-		opts = append(opts, cogra.WithSharedAggregation())
 	}
 	return opts, nil
 }

@@ -41,9 +41,7 @@ func TestOptionCounts(t *testing.T) {
 		{[]string{"-slack", "5", "-late-reject"}, 2},
 		{[]string{"-slack", "5", "-max-reorder-depth", "8"}, 2},
 		{[]string{"-slack", "5", "-max-reorder-depth", "8", "-reorder-reject"}, 3},
-		{[]string{"-evict"}, 1},
-		{[]string{"-shared"}, 1},
-		{[]string{"-workers", "4", "-groups", "2", "-slack", "1", "-evict", "-shared"}, 5},
+		{[]string{"-workers", "4", "-groups", "2", "-slack", "1"}, 3},
 	}
 	for _, c := range cases {
 		f := parse(t, c.args...)

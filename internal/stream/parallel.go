@@ -71,6 +71,11 @@ const routeBatchSize = 256
 // is the worker's batch), and a subscription's callback is installed
 // in its engine, so results stream inside the ProcessBatch that closes
 // their window.
+//
+// Every worker runtime owns its own sharing groups (internal/runtime).
+// Workers lag the router by different amounts, so a group's host
+// handover may land on different window boundaries across workers;
+// handovers are invisible in the results either way.
 type MultiExecutor struct {
 	cat        *core.Catalog
 	engOpts    []core.Option // applied to every hosted engine (e.g. intern eviction)
@@ -95,11 +100,8 @@ type MultiExecutor struct {
 	sawEvent    bool
 	skipped     int64
 	retiredPeak int64 // summed peaks of retired fallback workers
-	// shared marks that every worker runtime (including ones started
-	// later) runs with shared aggregation enabled; retiredFlips and
-	// retiredSaved keep the sharing counters of retired fallback workers,
-	// mirroring retiredPeak.
-	shared       bool
+	// retiredFlips and retiredSaved keep the sharing counters of retired
+	// fallback workers, mirroring retiredPeak.
 	retiredFlips int64
 	retiredSaved int64
 	closed       bool
@@ -167,7 +169,6 @@ const (
 	ctlUnsubscribe
 	ctlDrain
 	ctlStats
-	ctlShare
 )
 
 // ctlMsg asks a worker to change or report its hosted state at the
@@ -233,11 +234,6 @@ func (m *MultiExecutor) start(n int) {
 // starts its goroutine.
 func (m *MultiExecutor) newWorker() *mworker {
 	w := &mworker{pool: &m.pool, rt: runtime.NewOn(m.cat), engOpts: m.engOpts}
-	if m.shared {
-		// Enabled before the goroutine starts, so the worker never
-		// observes the runtime changing under it.
-		w.rt.EnableSharedAggregation()
-	}
 	if !m.inThread {
 		w.start()
 	}
@@ -290,25 +286,6 @@ func (w *mworker) join() {
 func (w *mworker) hostOpts() []core.Option {
 	opts := make([]core.Option, 0, len(w.engOpts)+2) // room for a subscriber's callback
 	return append(append(opts, w.engOpts...), core.WithAccountant(&w.acct))
-}
-
-// EnableSharedAggregation lets fingerprint-equal plans share engines
-// in every worker runtime — current and future (lazily started executor
-// groups inherit the setting). Queries hosted earlier keep their
-// engines, and later fingerprint-equal subscribers join them. Workers
-// lag the router by different amounts, so a host handover may land on
-// different window boundaries across workers; per-worker results are
-// byte-identical to an unshared run, and the Close-time merge is
-// unchanged.
-func (m *MultiExecutor) EnableSharedAggregation() {
-	if m.shared || m.closed {
-		return
-	}
-	m.shared = true
-	m.flushPending()
-	for _, w := range m.allWorkers() {
-		w.ask(ctlMsg{op: ctlShare})
-	}
 }
 
 // shutdown stops every worker and waits; used when a restore fails
@@ -815,8 +792,6 @@ func (w *mworker) handleCtl(c ctlMsg) ctlReply {
 			rep.results, rep.err = c.wsub.Unsubscribe()
 		case ctlDrain:
 			rep.results = c.wsub.Drain()
-		case ctlShare:
-			w.rt.EnableSharedAggregation()
 		}
 	}
 	return rep

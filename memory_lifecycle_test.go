@@ -1,8 +1,8 @@
 package cogra_test
 
 // Tests for the bounded-state session: binding-intern epoch rotation
-// (WithInternEviction), catalog id-space compaction at unsubscribe,
-// the depth-capped reorder buffer (WithMaxReorderDepth with the
+// (every session engine evicts), catalog id-space compaction at
+// unsubscribe, the depth-capped reorder buffer (WithMaxReorderDepth with the
 // ShedOldest/Reject policies and the ErrBackpressure sentinel), and
 // the concurrency contract of Session.Stats.
 
@@ -94,11 +94,11 @@ func lifecycleQueries() map[string]string {
 }
 
 // TestSessionMemoryLifecycleDifferential is the acceptance check of
-// the bounded-state session: a WithSlack + WithInternEviction +
-// depth-capped session fed a shuffled rotating-cardinality stream is
-// byte-identical to an unbounded in-order session, across all
-// granularities and both session modes, while BindingInternBytes and
-// ReorderDepth stay bounded.
+// the bounded-state session: a WithSlack + depth-capped session (whose
+// engines evict binding interns) fed a shuffled rotating-cardinality
+// stream is byte-identical to a bare core.Engine without eviction fed
+// the sorted stream, across all granularities and both session modes,
+// while BindingInternBytes and ReorderDepth stay bounded.
 func TestSessionMemoryLifecycleDifferential(t *testing.T) {
 	events := lifecycleStream(4000)
 	shuffled, slack := shuffleBounded(events, 6, 7)
@@ -109,12 +109,11 @@ func TestSessionMemoryLifecycleDifferential(t *testing.T) {
 	for mode, opts := range sessionModes() {
 		for name, src := range lifecycleQueries() {
 			t.Run(mode+"/"+name, func(t *testing.T) {
-				want := soloRun(t, src, events)
+				want, ref := engineRun(t, src, events)
 
 				sess := cogra.NewSession(append(opts[:len(opts):len(opts)],
 					cogra.WithSlack(slack),
-					cogra.WithMaxReorderDepth(maxDepth),
-					cogra.WithInternEviction())...)
+					cogra.WithMaxReorderDepth(maxDepth))...)
 				sub, err := sess.Subscribe(cogra.MustParse(src))
 				if err != nil {
 					t.Fatal(err)
@@ -158,29 +157,13 @@ func TestSessionMemoryLifecycleDifferential(t *testing.T) {
 				// session's peak for slot-carrying queries, or the bound
 				// proves nothing. (Pattern granularity has no slots — both
 				// sides stay at zero.)
-				ref := cogra.NewSession(opts...)
-				refSub, err := ref.Subscribe(cogra.MustParse(src))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.PushBatch(events); err != nil {
-					t.Fatal(err)
-				}
-				rst, err := ref.Stats()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.Close(); err != nil {
-					t.Fatal(err)
-				}
-				refSub.Drain()
 				if strings.Contains(name, "slots") {
 					if peakIntern == 0 {
 						t.Error("no intern footprint tracked for a slot query")
 					}
-					if rst.BindingInternBytes < 3*peakIntern {
-						t.Errorf("unbounded run (%dB) did not ramp past bounded peak (%dB); plateau vacuous",
-							rst.BindingInternBytes, peakIntern)
+					if ref.InternBytes() < 3*peakIntern {
+						t.Errorf("unbounded engine (%dB) did not ramp past bounded peak (%dB); plateau vacuous",
+							ref.InternBytes(), peakIntern)
 					}
 				}
 			})
@@ -195,7 +178,7 @@ func TestSessionMemoryLifecycleDifferential(t *testing.T) {
 func TestSessionInternPlateau(t *testing.T) {
 	events := lifecycleStream(8000)
 	src := lifecycleQueries()["type-slots"]
-	sess := cogra.NewSession(cogra.WithSlack(4), cogra.WithInternEviction())
+	sess := cogra.NewSession(cogra.WithSlack(4))
 	if _, err := sess.Subscribe(cogra.MustParse(src)); err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +608,7 @@ func TestSessionStatsConcurrentWithPush(t *testing.T) {
 	for mode, opts := range sessionModes() {
 		t.Run(mode, func(t *testing.T) {
 			sess := cogra.NewSession(append(opts[:len(opts):len(opts)],
-				cogra.WithSlack(slack), cogra.WithInternEviction())...)
+				cogra.WithSlack(slack))...)
 			sub, err := sess.Subscribe(cogra.MustParse(lifecycleQueries()["type-slots"]))
 			if err != nil {
 				t.Fatal(err)

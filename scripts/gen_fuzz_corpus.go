@@ -23,7 +23,11 @@
 // engines and the sharing-group mode machine) — real version skew,
 // which Restore must refuse with ErrBadSnapshot. seed_v4_skew is the
 // regenerated companion: this build's payload under the version word
-// of the format before it.
+// of the format before it. testdata/golden/v5-parent is not written
+// either: the six goldens as the last build with optional sharing and
+// intern eviction wrote them (this layout, with those config bits and
+// the group registration bits clear), which Restore must still accept
+// (TestSharedAggregationAddedAtRestore).
 package main
 
 import (
@@ -132,7 +136,7 @@ func seedSnapshot() ([]byte, error) {
 			WITHIN 64 SLIDE 64`,
 	}
 	shuffled, slack := shuffleBounded(seedStream(400), 6, 7)
-	sess := cogra.NewSession(cogra.WithSlack(slack), cogra.WithInternEviction())
+	sess := cogra.NewSession(cogra.WithSlack(slack))
 	for _, name := range []string{"type", "pattern"} {
 		if _, err := sess.Subscribe(cogra.MustParse(queries[name])); err != nil {
 			return nil, fmt.Errorf("subscribe %s: %w", name, err)

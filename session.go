@@ -61,10 +61,25 @@ package cogra
 // Memory is bounded end to end on a long-lived session: WithSlack's
 // reorder buffer can be capped (WithMaxReorderDepth, shedding or
 // rejecting at the cap), the binding intern tables of hosted engines
-// can rotate in window-expiry epochs (WithInternEviction), and the
-// catalog retires type/attr ids no hosted query references anymore
-// (automatic at unsubscribe), so subscribe/unsubscribe churn and
-// high-cardinality keys no longer grow state without bound.
+// rotate in window-expiry epochs (entries are reclaimed once no open
+// window can reference them), and the catalog retires type/attr ids no
+// hosted query references anymore (at unsubscribe), so
+// subscribe/unsubscribe churn and high-cardinality keys do not grow
+// state without bound.
+//
+// Queries that differ only in what they report — same PATTERN,
+// SEMANTICS, WHERE, GROUP BY and WITHIN clause — share one host engine
+// computing the union of their RETURN lists, and each query's results
+// are projected out of the union at emission (whole-query sharing in
+// the direction of the Hamlet report, "To Share, or not to Share" in
+// PAPERS.md). Equivalence is a compile-time property and one union
+// engine is never more work than one engine per query, so there is no
+// runtime decision to make: a later subscriber the host already covers
+// attaches from its first full window on, and one that adds an
+// aggregate hands the group over to a host over the grown union at that
+// window boundary. Results are byte-identical to one engine per query;
+// Stats reports the live groups, the handovers and the saved work
+// (SharedGroups, ShareFlips, SharedSavedOps).
 //
 // A Session is single-threaded like the engines it hosts: all methods
 // (including Subscribe/Unsubscribe) must be called from the event
@@ -98,8 +113,6 @@ type sessionCfg struct {
 	late     LatePolicy
 	maxDepth int
 	depth    DepthPolicy
-	evict    bool
-	shared   bool
 }
 
 // WithWorkers runs the session partition-parallel on n workers (n > 1;
@@ -195,43 +208,11 @@ func WithDepthPolicy(p DepthPolicy) SessionOption {
 	return func(c *sessionCfg) { c.depth = p }
 }
 
-// WithInternEviction bounds the binding-intern tables of every hosted
-// engine: intern liveness is tied to window expiry (entries rotate in
-// Within-length epochs and are reclaimed once no open window can
-// reference them), so Stats().BindingInternBytes plateaus under
-// rotating key cardinality instead of growing with the stream's
-// lifetime cardinality. Results are byte-identical to an unbounded
-// session.
-func WithInternEviction() SessionOption {
-	return func(c *sessionCfg) { c.evict = true }
-}
+// Deprecated: every session evicts binding interns; this does nothing.
+func WithInternEviction() SessionOption { return func(*sessionCfg) {} }
 
-// WithSharedAggregation lets the session share aggregation work
-// across queries that differ only in what they report (whole-query
-// sharing in the direction of Poppe et al., "To Share, or not to Share
-// Online Event Trend Aggregation Over Bursty Event Streams" — the
-// Hamlet report in PAPERS.md). Queries whose plans are
-// sharing-equivalent — same PATTERN, SEMANTICS, WHERE, GROUP BY and
-// WITHIN clause; only their RETURN lists differ — are served by ONE
-// host engine computing the union of their aggregation specs, and each
-// query's results are projected out of the union at emission, so the
-// per-event matching and aggregation work is paid once for the whole
-// group instead of once per query.
-//
-// Equivalence is a compile-time property and one union engine is never
-// more work than one engine per query, so there is no runtime decision
-// to revisit: a later subscriber the host already covers attaches from
-// its first full window on, and one that adds an aggregate hands the
-// group over to a host over the grown union at that window boundary.
-// Results stay byte-identical to an unshared session throughout. The
-// option may be added at Restore: queries of the snapshot keep their
-// engines and later sharing-equivalent subscribers join them. Stats
-// reports the live group count, the handovers and the saved work
-// (SharedGroups, ShareFlips, SharedSavedOps). In parallel sessions
-// every worker owns its own groups.
-func WithSharedAggregation() SessionOption {
-	return func(c *sessionCfg) { c.shared = true }
-}
+// Deprecated: every session shares aggregation; this does nothing.
+func WithSharedAggregation() SessionOption { return func(*sessionCfg) {} }
 
 // Session hosts a dynamic fleet of queries over one event stream.
 type Session struct {
@@ -293,25 +274,19 @@ func newReorderer(cfg sessionCfg) *stream.Reorderer {
 	return ro
 }
 
-// engineOpts are the session-wide policies every hosted engine runs
-// with.
-func (cfg sessionCfg) engineOpts() []core.Option {
-	if cfg.evict {
-		return []core.Option{core.WithInternEviction()}
-	}
-	return nil
-}
+// engineOpts are the policies every hosted engine runs with: binding
+// interns rotate in window-expiry epochs, so their memory is bounded by
+// the open windows, not by the stream's lifetime cardinality. Results
+// are byte-identical to an unbounded engine's.
+func engineOpts() []core.Option { return []core.Option{core.WithInternEviction()} }
 
 // newExecutor builds the empty executor a configuration asks for:
 // workers <= 1 with groups <= 1 is the in-thread worker, anything wider
 // runs on goroutines.
 func newExecutor(cat *core.Catalog, cfg sessionCfg) *stream.MultiExecutor {
-	mx := stream.NewMultiExecutorOn(cat, cfg.workers, cfg.engineOpts()...)
+	mx := stream.NewMultiExecutorOn(cat, cfg.workers, engineOpts()...)
 	if cfg.groups > 1 {
 		mx.SetExecutorGroups(cfg.groups)
-	}
-	if cfg.shared {
-		mx.EnableSharedAggregation()
 	}
 	return mx
 }
@@ -691,8 +666,7 @@ type SessionStats struct {
 	// engines (summed across workers).
 	PeakBytes int64
 	// SharedGroups counts the sharing groups whose host engine serves
-	// more than one query (WithSharedAggregation sessions; summed across
-	// workers). ShareFlips counts host handovers over the session's
+	// more than one query (summed across workers). ShareFlips counts host handovers over the session's
 	// lifetime — a group's engine replaced, at a window boundary, by one
 	// over a grown RETURN union — and SharedSavedOps estimates the
 	// per-event aggregation passes sharing saved: host events times the

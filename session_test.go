@@ -13,9 +13,11 @@ package cogra_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	cogra "repro"
+	"repro/internal/core"
 	"repro/internal/fuzz/diff"
 )
 
@@ -107,6 +109,47 @@ func soloRun(t *testing.T, src string, events []*cogra.Event) []cogra.Result {
 		t.Fatal(err)
 	}
 	return rs
+}
+
+// engineRun executes one query on a bare, non-evicting core.Engine
+// over a slice of the stream — the unbounded reference — and returns
+// its results and the engine (diff.EngineRun with the error lifted to
+// t.Fatal).
+func engineRun(t *testing.T, src string, events []*cogra.Event) ([]cogra.Result, *core.Engine) {
+	t.Helper()
+	rs, eng, err := diff.EngineRun(src, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, eng
+}
+
+// rotateWards is the eviction rows' stream: the session test stream
+// with every ward value renamed per 64-tick frame, so a value bound in a
+// binding slot is never seen again once its frame has passed.
+func rotateWards(events []*cogra.Event) []*cogra.Event {
+	out := make([]*cogra.Event, len(events))
+	for i, e := range events {
+		out[i] = e.Clone().WithSym("ward", fmt.Sprintf("%s-%d", e.Sym["ward"], e.Time/64))
+	}
+	return out
+}
+
+// wardSlot is the eviction rows' query: under skip-till-any-match, the
+// only semantics that takes an alias-scoped equivalence, it also binds
+// the ward of the query's first alias, so over rotateWards the
+// session's binding interns are reclaimed and their ids recycled while
+// the stream runs. A pattern-grained query keeps no slot; eviction has
+// nothing to do there.
+func wardSlot(src string) string {
+	if !strings.Contains(src, "skip-till-any-match") {
+		return src
+	}
+	alias := "M"
+	if strings.Contains(src, "SEQ(A+") {
+		alias = "A"
+	}
+	return strings.Replace(src, "WHERE [patient]", "WHERE [patient] AND ["+alias+".ward]", 1)
 }
 
 // fullWindowsAfter keeps the results of windows fully covered by an

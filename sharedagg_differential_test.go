@@ -5,15 +5,18 @@ package cogra_test
 // internal/runtime), extending the repo's differential spine:
 //
 //   - a fleet of sharing-equivalent queries (same PATTERN, SEMANTICS,
-//     WHERE, GROUP-BY and WITHIN — only RETURN differs) produces
-//     byte-identical results with WithSharedAggregation on and off,
-//     across all three granularities × {inline, 4 workers} × the
-//     lifecycle variants of TestSharedAggregationDifferential: intern
-//     eviction, a snapshot cut with live groups, churn that retires the
-//     group's last member, a late joiner the live host does not cover
-//     (a handover at the next window boundary), a member leaving and a
+//     WHERE, GROUP-BY and WITHIN — only RETURN differs), which a
+//     session always folds into one sharing group, produces
+//     byte-identical results to one session per query under the same
+//     schedule, across all three granularities × {inline, 4 workers} ×
+//     the lifecycle variants of TestSharedAggregationDifferential: a
+//     snapshot cut with live groups, churn that retires the group's
+//     last member, a late joiner the live host does not cover (a
+//     handover at the next window boundary), a member leaving and a
 //     snapshot cut while both hosts of that handover are live, and
-//     membership 2 → 1 → 2;
+//     membership 2 → 1 → 2 — and, with a binding slot over values that
+//     age out, to one non-evicting core.Engine per query over the whole
+//     stream (the evict variant);
 //   - the stream's phase structure (dense burst → sparse idle → dense
 //     burst) places those membership changes where they bite: a
 //     handover taken in a dense phase keeps its retired host live for
@@ -123,12 +126,15 @@ func sharedPhaseStream(n int) []*cogra.Event {
 // sharedSchedule is one lifecycle variant: fleet members subscribe up
 // front unless join names the event index they arrive at, leave names
 // the index a member unsubscribes at, and cutAt >= 0 snapshots,
-// discards and restores the session there.
+// discards and restores the session there. An evict variant runs the
+// fleet with a binding slot over values that age out (wardSlot,
+// rotateWards) and compares it against one non-evicting core.Engine per
+// query instead of one session per query.
 type sharedSchedule struct {
-	opts  []cogra.SessionOption
 	cutAt int
 	join  map[int]int
 	leave map[int]int
+	evict bool
 }
 
 // quietBoundary returns the first event index >= lo whose predecessor's
@@ -148,12 +154,15 @@ func quietBoundary(t *testing.T, events []*cogra.Event, lo int) int {
 
 // sharedDiffRun drives one scenario: the fleet plus an unrelated
 // control query subscribe, the stream flows in batches that stop at
-// every scheduled index, and the schedule applies. Returns per-query
-// results (fleet order, control last), the stats probed at the end of
-// the first dense phase, and the final stats.
-func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, events []*cogra.Event, sched sharedSchedule) ([][]cogra.Result, cogra.SessionStats, cogra.SessionStats) {
+// every scheduled index, and the schedule applies. With only >= 0 the
+// session hosts that one query (fleet index, or len(fleet) for the
+// control) under its part of the schedule: the per-query reference.
+// Returns per-query results (fleet order, control last), the stats
+// probed at the end of the first dense phase, and the final stats.
+func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, events []*cogra.Event, sched sharedSchedule, only int) ([][]cogra.Result, cogra.SessionStats, cogra.SessionStats) {
 	t.Helper()
 	n := len(fleet)
+	hosted := func(i int) bool { return only < 0 || i == only }
 	sess := cogra.NewSession(opts...)
 	subs := make([]*cogra.Subscription, n+1)
 	results := make([][]cogra.Result, n+1)
@@ -174,11 +183,13 @@ func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, eve
 		stops = append(stops, at)
 	}
 	for i, src := range fleet {
-		if !late[i] {
+		if !late[i] && hosted(i) {
 			subscribe(i, src)
 		}
 	}
-	subscribe(n, sessionTestQueries()["contiguous"])
+	if hosted(n) {
+		subscribe(n, sessionTestQueries()["contiguous"])
+	}
 	var mid cogra.SessionStats
 	var err error
 	for i := 0; i < len(events); {
@@ -197,10 +208,10 @@ func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, eve
 				t.Fatal(err)
 			}
 		}
-		if fi, ok := sched.join[i]; ok {
+		if fi, ok := sched.join[i]; ok && hosted(fi) {
 			subscribe(fi, fleet[fi])
 		}
-		if fi, ok := sched.leave[i]; ok {
+		if fi, ok := sched.leave[i]; ok && hosted(fi) {
 			results[fi] = subs[fi].Unsubscribe()
 			if err := subs[fi].Err(); err != nil {
 				t.Fatal(err)
@@ -254,19 +265,22 @@ func sharedDiffRun(t *testing.T, opts []cogra.SessionOption, fleet []string, eve
 	return results, mid, final
 }
 
-// TestSharedAggregationDifferential pins the tentpole invariant:
-// WithSharedAggregation never changes results — only which engine
-// computes them. Every (granularity × session mode × lifecycle variant)
-// cell compares the shared run against the unshared run query by query,
-// and checks the shared run actually shared (the differential is not
-// vacuous) via the sharing counters.
+// TestSharedAggregationDifferential pins the sharing invariant: sharing
+// never changes results — only which engine computes them. Every
+// (granularity × session mode × lifecycle variant) cell compares the
+// fleet's session, which shares, against one session per query under
+// the same mode, schedule and cut (a session hosting one query shares
+// with nobody) — or, in the evict variant, against one non-evicting
+// core.Engine per query — and checks the fleet's session actually
+// shared (the differential is not vacuous) via the sharing counters.
 func TestSharedAggregationDifferential(t *testing.T) {
 	events := sharedPhaseStream(3000)
 	// A handover in the second dense phase whose retired host is still
 	// live six events on, and one in the sparse phase.
 	dense := quietBoundary(t, events, 2000)
+	rotated := rotateWards(events)
 	variants := map[string]sharedSchedule{
-		"evict":    {opts: []cogra.SessionOption{cogra.WithInternEviction()}, cutAt: -1},
+		"evict":    {cutAt: -1, evict: true},
 		"snapshot": {cutAt: 1873}, // groups are live
 		// The group shrinks member by member and retires with the last.
 		"churn": {cutAt: -1, leave: map[int]int{2048: 1, 2304: 2, 2560: 0}},
@@ -284,16 +298,31 @@ func TestSharedAggregationDifferential(t *testing.T) {
 		for vname, v := range variants {
 			for gname, fleet := range sharedFleetQueries() {
 				t.Run(mode+"/"+vname+"/"+gname, func(t *testing.T) {
-					base := append(mopts[:len(mopts):len(mopts)], v.opts...)
-					want, _, _ := sharedDiffRun(t, base, fleet, events, v)
-					shared := append(base[:len(base):len(base)], cogra.WithSharedAggregation())
-					got, mid, final := sharedDiffRun(t, shared, fleet, events, v)
-					for qi := range want {
-						if len(want[qi]) == 0 {
+					fleet, events := fleet, events
+					if v.evict {
+						fleet, events = nil, rotated
+						for _, src := range sharedFleetQueries()[gname] {
+							fleet = append(fleet, wardSlot(src))
+						}
+					}
+					got, mid, final := sharedDiffRun(t, mopts, fleet, events, v, -1)
+					for qi := range got {
+						var want []cogra.Result
+						if v.evict {
+							src := sessionTestQueries()["contiguous"] // the control, last
+							if qi < len(fleet) {
+								src = fleet[qi]
+							}
+							want, _ = engineRun(t, src, events)
+						} else {
+							solo, _, _ := sharedDiffRun(t, mopts, fleet, events, v, qi)
+							want = solo[qi]
+						}
+						if len(want) == 0 {
 							t.Errorf("query %d: no results; differential test is vacuous", qi)
 						}
-						if !diff.Equal(got[qi], want[qi]) {
-							t.Errorf("query %d: shared run diverges from unshared\n%s", qi, diff.Diff(got[qi], want[qi]))
+						if !diff.Equal(got[qi], want) {
+							t.Errorf("query %d: shared run diverges from its per-query reference\n%s", qi, diff.Diff(got[qi], want))
 						}
 					}
 					if mid.SharedGroups < 1 {
@@ -311,59 +340,103 @@ func TestSharedAggregationDifferential(t *testing.T) {
 	}
 }
 
-// TestSharedAggregationAddedAtRestore: sharing switched on over a
-// populated session — WithSharedAggregation added at Restore —
-// registers the engines the snapshot's queries already run on, so a
-// later fingerprint-equal subscriber joins the earlier one's group
-// instead of silently staying private; results equal the run restored
-// without the option.
+// TestSharedAggregationAddedAtRestore: frames written before sharing
+// and eviction were unconditional — the goldens of the last build that
+// had both as options, committed verbatim under
+// testdata/golden/v5-parent — restore with both on. Each frame
+// restores, takes a second subscription of its first active query, and
+// runs a suffix. Every subscription's results must equal those of the
+// same scenario's frame as this build writes it (testdata/golden: the
+// same layout with the config and registration bits set); the second
+// subscription must join the restored query's group (SharedGroups >= 1)
+// and report the first one's results from its first full window on.
+// The subtests group the frames by topology.
 func TestSharedAggregationAddedAtRestore(t *testing.T) {
-	events := sharedPhaseStream(1500)
-	fleet := sharedFleetQueries()["type"]
-	run := func(t *testing.T, mopts []cogra.SessionOption, added ...cogra.SessionOption) ([2][]cogra.Result, cogra.SessionStats) {
-		sess := cogra.NewSession(mopts...)
-		if _, err := sess.Subscribe(cogra.MustParse(fleet[0])); err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.PushBatch(events[:600]); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sess.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
-		sess, err := cogra.Restore(&buf, added...)
+	frames := map[string][]string{
+		"inline":   {"detached", "handover", "mixed", "unconstrained", "vectors"},
+		"workers4": {"fleet"},
+	}
+	type outcome struct {
+		results   [][]cogra.Result // by subscription id; the second subscription last
+		first     int              // id of the first active subscription
+		joined    cogra.SessionStats
+		watermark int64
+	}
+	run := func(t *testing.T, frame []byte, parallel bool) outcome {
+		t.Helper()
+		sess, err := cogra.Restore(bytes.NewReader(frame))
 		if err != nil {
-			t.Fatal(err)
-		}
-		late, err := sess.Subscribe(cogra.MustParse(fleet[1])) // COUNT(*): the earlier engine computes it
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.PushBatch(events[600:]); err != nil {
 			t.Fatal(err)
 		}
 		st, err := sess.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if (st.Workers > 1) != parallel {
+			t.Fatalf("frame restores to %d workers: filed under the wrong topology", st.Workers)
+		}
+		out := outcome{first: -1, watermark: st.Watermark}
+		for _, sub := range sess.Subscriptions() {
+			if sub.Active() {
+				out.first = sub.ID()
+				break
+			}
+		}
+		if out.first < 0 {
+			t.Fatal("frame has no active subscription")
+		}
+		src := sess.Subscriptions()[out.first].Plan().Query.String()
+		if _, err := sess.Subscribe(cogra.MustParse(src)); err != nil {
+			t.Fatal(err)
+		}
+		if out.joined, err = sess.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		// The session test mix after the cut, with C for X and an x value,
+		// so the three-slot SEQ(A+, B, C) of the vectors frame matches too.
+		suffix := sessionTestStream(600)
+		for i, e := range suffix {
+			e.Time += st.Watermark + 1
+			e.WithSym("x", fmt.Sprintf("x%d", i%3))
+			if e.Type == "X" {
+				e.Type = "C"
+			}
+		}
+		if err := sess.PushBatch(suffix); err != nil {
+			t.Fatal(err)
+		}
 		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return [2][]cogra.Result{sess.Subscriptions()[0].Drain(), late.Drain()}, st
+		for _, sub := range sess.Subscriptions() {
+			out.results = append(out.results, sub.Drain())
+		}
+		return out
 	}
-	for mode, mopts := range sessionModes() {
+	for mode, names := range frames {
 		t.Run(mode, func(t *testing.T) {
-			want, _ := run(t, mopts)
-			got, st := run(t, mopts, cogra.WithSharedAggregation())
-			for qi := range want {
-				if len(want[qi]) == 0 || !diff.Equal(got[qi], want[qi]) {
-					t.Errorf("query %d: sharing added at restore diverges (or the run is vacuous)\n%s", qi, diff.Diff(got[qi], want[qi]))
+			for _, name := range names {
+				got := run(t, readGolden(t, "v5-parent/"+name), mode != "inline")
+				want := run(t, readGolden(t, name), mode != "inline")
+				if got.joined.SharedGroups < 1 {
+					t.Errorf("%s: the second subscription did not join the restored group: %+v", name, got.joined)
 				}
-			}
-			if st.SharedGroups < 1 || st.SharedSavedOps < 1 {
-				t.Errorf("the later subscriber did not join the restored query's group: %+v", st)
+				if len(got.results) != len(want.results) {
+					t.Fatalf("%s: %d subscriptions, want %d", name, len(got.results), len(want.results))
+				}
+				for id := range want.results {
+					if !diff.Equal(got.results[id], want.results[id]) {
+						t.Errorf("%s: subscription %d: the parent's frame diverges from this build's\n%s",
+							name, id, diff.Diff(got.results[id], want.results[id]))
+					}
+				}
+				second := got.results[len(got.results)-1]
+				if len(second) == 0 {
+					t.Errorf("%s: the second subscription reported nothing; the test is vacuous", name)
+				}
+				if later := fullWindowsAfter(got.results[got.first], got.watermark); !diff.Equal(second, later) {
+					t.Errorf("%s: the second subscription diverges from the first's full windows\n%s", name, diff.Diff(second, later))
+				}
 			}
 		})
 	}

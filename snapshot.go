@@ -5,7 +5,7 @@ package cogra
 // the restored session is indistinguishable going forward — pushing
 // the same suffix of the stream into the restored session produces
 // byte-identical results and continuous Stats counters, under every
-// granularity, worker configuration, slack buffer and eviction policy.
+// granularity, worker configuration and slack buffer.
 //
 // The cut is consistent by construction. Snapshot first runs the
 // executor's control-plane barrier (Sync): when it returns, every
@@ -194,17 +194,10 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 			s.subs[id].msub = msub
 		}
 	} else {
-		if s.mx = stream.RestoreMultiExecutor(s.cat, c, plans, s.cfg.engineOpts()...); s.mx == nil {
+		if s.mx = stream.RestoreMultiExecutor(s.cat, c, plans, engineOpts()...); s.mx == nil {
 			return nil
 		}
 		c.End(topology)
-		if s.cfg.shared {
-			// Re-arm the executor-level flag so lazily started executor
-			// groups inherit sharing (and future subscribers may share when
-			// WithSharedAggregation was added at restore time); worker
-			// runtimes restored with sharing already on are left untouched.
-			s.mx.EnableSharedAggregation()
-		}
 		// Each surviving plan was recompiled into its own *Plan above, so
 		// the pointer identifies the executor subscription hosting it.
 		byPlan := map[*Plan]*stream.Sub{}
@@ -233,8 +226,12 @@ func (cfg *sessionCfg) code(c *snap.Coder) {
 	snap.Enum(c, &cfg.late, RejectLate, "session late policy")
 	c.Int(&cfg.maxDepth)
 	snap.Enum(c, &cfg.depth, Reject, "session depth policy")
-	c.Bool(&cfg.evict)
-	c.Bool(&cfg.shared)
+	// Intern eviction and shared aggregation, once options: written set,
+	// ignored when read (a frame written with either off restores with
+	// both on, as every session runs).
+	evict, shared := true, true
+	c.Bool(&evict)
+	c.Bool(&shared)
 	c.Check(cfg.workers >= 0 && cfg.workers <= stream.MaxSnapshotWorkers, "session worker count %d", cfg.workers)
 	c.Check(cfg.groups >= 0 && cfg.groups <= stream.MaxSnapshotWorkers, "session executor group count %d", cfg.groups)
 }

@@ -4,9 +4,12 @@ package cogra_test
 // event k, restoring it, and pushing the remaining suffix must be
 // byte-identical to the undisturbed run — results AND Stats counters —
 // across all three granularities, inline and 4-worker sessions, and
-// the slack, intern-eviction and catalog-compaction variants. This
-// extends the repo's differential spine (solo run == session run ==
-// parallel run) with: restore == undisturbed run.
+// the slack, catalog-compaction and after-close variants; the
+// eviction variant binds a slot over values that age out (wardSlot,
+// rotateWards) and also holds the restored run's results to a bare
+// core.Engine that never evicts. This extends the repo's differential
+// spine (solo run == session run == parallel run) with: restore ==
+// undisturbed run.
 
 import (
 	"bytes"
@@ -130,22 +133,31 @@ func TestSessionSnapshotRestoreDifferential(t *testing.T) {
 		events  []*cogra.Event
 		churnAt int
 		snapAt  int
+		evict   bool // wardSlot over rotateWards; results must also equal a non-evicting engine's
 	}{
-		"plain":      {nil, base, -1, mid},
-		"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1, mid},
-		"eviction":   {[]cogra.SessionOption{cogra.WithInternEviction()}, base, -1, mid},
-		"compaction": {nil, base, len(base) / 4, mid},
-		"afterclose": {nil, base, -1, afterClose},
+		"plain":      {nil, base, -1, mid, false},
+		"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1, mid, false},
+		"eviction":   {nil, rotateWards(base), -1, mid, true},
+		"compaction": {nil, base, len(base) / 4, mid, false},
+		"afterclose": {nil, base, -1, afterClose, false},
 	}
 	for mode, mopts := range sessionModes() {
 		for vname, v := range variants {
 			for qname, src := range sessionTestQueries() {
 				t.Run(mode+"/"+vname+"/"+qname, func(t *testing.T) {
+					if v.evict {
+						src = wardSlot(src)
+					}
 					opts := append(mopts[:len(mopts):len(mopts)], v.opts...)
 					want, wantStats, _ := snapRun(t, opts, src, v.events, -1, v.churnAt)
 					got, gotStats, _ := snapRun(t, opts, src, v.events, v.snapAt, v.churnAt)
 					if !diff.Equal(got, want) {
 						t.Errorf("restored run diverges from undisturbed run\n%s", diff.Diff(got, want))
+					}
+					if v.evict {
+						if ref, _ := engineRun(t, src, v.events); !diff.Equal(got, ref) {
+							t.Errorf("restored run diverges from a non-evicting engine\n%s", diff.Diff(got, ref))
+						}
 					}
 					if len(want) == 0 {
 						t.Error("no results; differential test is vacuous")

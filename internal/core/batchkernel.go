@@ -144,6 +144,7 @@ func (e *Engine) ProcessResolvedRun(run *ResolvedRun) error {
 			return err
 		}
 	}
+	e.rv.ev = nil
 	return nil
 }
 
@@ -180,5 +181,6 @@ func (e *Engine) processRunSinglePart(run *ResolvedRun, stride int) error {
 		e.runParts[i] = nil
 	}
 	e.runParts = e.runParts[:0]
+	e.rv.ev = nil
 	return nil
 }

@@ -407,7 +407,6 @@ func (v *catalogView) resolveInto(rv *resolvedVals, ev *event.Event) {
 		rv.sym = make([]string, n)
 		rv.has = make([]uint8, n)
 	}
-	rv.ev = ev
 	for i, name := range v.attrNames {
 		if v.attrDead != nil && v.attrDead[i] {
 			rv.num[i], rv.sym[i], rv.has[i] = 0, "", 0

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"repro/internal/agg"
 	"repro/internal/event"
@@ -895,5 +896,46 @@ func TestMinLengthExcludesShortTrends(t *testing.T) {
 	qn := query.MustParse(`RETURN COUNT(*) PATTERN A+ MIN-LENGTH 3 SEMANTICS next WITHIN 100 SLIDE 100`)
 	if _, err := NewPlan(qn); err == nil {
 		t.Error("MIN-LENGTH under NEXT accepted by the planner")
+	}
+}
+
+// TestEngineReleasesProcessedEvent: once the call that processed an
+// event returns, the engine keeps no pointer to it. The events of a
+// decoded batch share one arena, so one kept pointer pins the batch.
+// Every entry point is checked: Process, ProcessResolved and both
+// loops of ProcessResolvedRun (a partitioned and an unpartitioned plan).
+func TestEngineReleasesProcessedEvent(t *testing.T) {
+	for _, where := range []string{"WHERE [k] GROUP-BY k ", ""} {
+		plan := MustPlan(query.MustParse(`RETURN COUNT(*) PATTERN SEQ(A+, B) ` + where + `WITHIN 100 SLIDE 100`))
+		eng := NewEngine(plan)
+		res := NewResolver(plan.Catalog())
+		tid, _ := plan.Catalog().TypeID("A")
+		var run ResolvedRun
+		entries := []struct {
+			name    string
+			process func(ev *event.Event) error
+		}{
+			{"Process", eng.Process},
+			{"ProcessResolved", func(ev *event.Event) error {
+				return eng.ProcessResolved(ev, res, res.Resolve(ev))
+			}},
+			{"ProcessResolvedRun", func(ev *event.Event) error {
+				res.ResolveRun(&run, []*event.Event{ev}, tid, plan.ReferencedAttrIDs())
+				defer func() { run.Events = nil }() // the caller's borrow ends, as in the runtime
+				return eng.ProcessResolvedRun(&run)
+			}},
+		}
+		for i, entry := range entries {
+			ev := event.New("A", int64(i+1)).WithSym("k", "g")
+			kept := weak.Make(ev)
+			if err := entry.process(ev); err != nil {
+				t.Fatal(err)
+			}
+			ev = nil
+			runtime.GC()
+			if kept.Value() != nil {
+				t.Errorf("%q: %s keeps the processed event alive", where, entry.name)
+			}
+		}
 	}
 }

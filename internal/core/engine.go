@@ -249,7 +249,9 @@ func (e *Engine) Process(ev *event.Event) error {
 	// Resolve the event once: every predicate evaluation, binding-slot
 	// read and partition-key byte below is array indexing on this view.
 	e.plan.resolveInto(&e.rv, ev)
-	return e.processResolved(ev)
+	err := e.processResolved(ev)
+	e.rv.ev = nil
+	return err
 }
 
 // admitEvent is the shared admission prologue of Process and
@@ -317,7 +319,9 @@ func (e *Engine) ProcessResolved(ev *event.Event, r *Resolver, tid int32) error 
 	e.rv.num, e.rv.sym, e.rv.has = r.rv.num, r.rv.sym, r.rv.has
 	e.rv.tp = e.plan.typePlanAt(tid)
 	e.rv.specIDs = e.plan.specIDs
-	return e.processResolved(ev)
+	err := e.processResolved(ev)
+	e.rv.ev = nil
+	return err
 }
 
 // processResolved runs the per-event path after resolution: partition

@@ -29,6 +29,9 @@ const (
 // engine is reused across events; aggregators copy out what they
 // retain (stored-event left operands, binding-slot values).
 type resolvedVals struct {
+	// ev is the event an engine is processing, cleared when the call
+	// returns: a decoded batch's events share one arena, and a pointer
+	// kept to the last of them would pin the whole batch.
 	ev *event.Event
 	tp *typePlan // compiled entry for ev.Type; nil for irrelevant types
 
@@ -461,6 +464,7 @@ func (p *Plan) resolveInto(rv *resolvedVals, ev *event.Event) {
 	if !ok {
 		tid = -1
 	}
+	rv.ev = ev
 	rv.tp = p.typePlanAt(tid)
 	rv.specIDs = p.specIDs
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -241,11 +242,16 @@ func TestMultiTenantChurn(t *testing.T) {
 // handler is safe to share: the churn test above drives it through a
 // real httptest server; this one hits the raw handler from several
 // goroutines without a network in between, which the race detector
-// sees with less noise.
+// sees with less noise. Every goroutine also posts JSON batches to one
+// shared tenant, whose Decoder interns what the others decode and whose
+// shard reads the maps it hands out.
 func TestChurnHandlerConcurrency(t *testing.T) {
 	srv, err := New(Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, werr := srv.Subscribe("shared", testQuery, false); werr != nil {
+		t.Fatal(werr)
 	}
 	h := srv.Handler()
 	var wg sync.WaitGroup
@@ -272,8 +278,20 @@ func TestChurnHandlerConcurrency(t *testing.T) {
 					t.Errorf("metrics: %d", rec.Code)
 					return
 				}
+				// One time stamp for every shared event, so the posts may
+				// land in any order; the sections repeat across goroutines.
+				body := fmt.Sprintf(`{"events":[{"time":1,"type":"A","sym":{"k":"g%d"},"num":{"x":%d}}]}`, j%3, i)
+				rec = httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/shared/events", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("json ingest: %d %s", rec.Code, rec.Body)
+					return
+				}
 			}
 		}(i)
 	}
 	wg.Wait()
+	if n := srv.ingested.Load(); n != 4*(500+10) {
+		t.Errorf("ingested %d events, want %d", n, 4*(500+10))
+	}
 }

@@ -24,19 +24,6 @@ type WireEvent struct {
 	Num  map[string]float64 `json:"num,omitempty"`
 }
 
-// Event converts the wire form into an engine event.
-func (w *WireEvent) Event() *cogra.Event {
-	e := cogra.NewEvent(w.Type, w.Time)
-	e.ID = w.ID
-	for k, v := range w.Sym {
-		e.WithSym(k, v)
-	}
-	for k, v := range w.Num {
-		e.WithNum(k, v)
-	}
-	return e
-}
-
 // ToWireEvent converts an engine event into its wire form.
 func ToWireEvent(e *cogra.Event) WireEvent {
 	return WireEvent{Time: e.Time, Type: e.Type, ID: e.ID, Sym: e.Sym, Num: e.Num}
@@ -81,11 +68,11 @@ func ToWireResult(r cogra.Result) WireResult {
 	return out
 }
 
-// Framed-TCP bulk-ingest codec. HTTP+JSON is the management surface;
-// high-volume producers use a persistent TCP connection carrying
-// length-prefixed binary frames, which skips per-request HTTP and JSON
-// costs (the ≤25%-overhead ingest path the benchmarks gate). Layout,
-// all little-endian:
+// Framed-TCP bulk-ingest codec. Bulk producers use a persistent TCP
+// connection carrying length-prefixed binary frames, which skips the
+// per-request HTTP cost and JSON's text (the ≤25%-overhead ingest path
+// the benchmarks gate); both syntaxes decode through one Decoder.
+// Layout, all little-endian:
 //
 //	frame   := u32 payloadLen | payload           (len caps at 64 MiB)
 //	request := 'I' | str8 tenant | u32 n | event*n
@@ -221,19 +208,26 @@ func (r *frameReader) str16b() []byte { return r.bytes(int(r.u16())) }
 // stream stops interning instead of growing without bound.
 const maxInternEntries = 1 << 16
 
-// Decoder decodes ingest frames for one connection. It interns the
-// low-cardinality data every event repeats — type names, attribute
-// keys, symbol values, and whole attribute maps keyed by their wire
-// bytes — so a long-lived bulk connection allocates almost nothing
-// after warm-up (map lookups keyed by string(bytes) do not allocate on
-// a hit). Interned attribute maps are SHARED across decoded events;
-// that is safe because the engine treats event attributes as immutable
-// once pushed — nothing downstream of PushBatch writes to Sym or Num.
-// The zero value works.
+// Decoder decodes ingest requests for one source: binary frames for a
+// TCP connection (DecodeIngest), JSON bodies for a tenant's HTTP route
+// (DecodeJSONIngest). It interns the low-cardinality data every event
+// repeats — type names, attribute keys, symbol values, and whole
+// attribute maps keyed by their encoded bytes — so a long-lived source
+// allocates almost nothing after warm-up (map lookups keyed by
+// string(bytes) do not allocate on a hit). Interned attribute maps are
+// SHARED across decoded events; that is safe because the engine treats
+// event attributes as immutable once pushed — nothing downstream of
+// PushBatch writes to Sym or Num. The zero value works.
 type Decoder struct {
 	intern    map[string]string
 	symIntern map[string]map[string]string
 	numIntern map[string]map[string]float64
+	// JSON sections have tables of their own, so no JSON text can ever
+	// hit a map interned from frame bytes or the reverse. jsonHeld
+	// estimates the bytes the JSON path put in the tables (jsonSpend).
+	jsonSymIntern map[string]map[string]string
+	jsonNumIntern map[string]map[string]float64
+	jsonHeld      int
 }
 
 func (d *Decoder) str(b []byte) string {

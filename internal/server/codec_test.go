@@ -91,6 +91,56 @@ func TestCodecMalformed(t *testing.T) {
 	}
 }
 
+// FuzzFrameDecode: a warm Decoder fed a damaged ingest payload never
+// panics, and whatever it accepts re-encodes (AppendIngest) and decodes
+// again to equal events. The seeds are TestCodecMalformed's cases plus
+// every single-byte damage of a valid payload: each byte flipped, and
+// the payload cut before it.
+func FuzzFrameDecode(f *testing.F) {
+	good, err := AppendIngest(nil, "t", codecStream())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte{})
+	f.Add([]byte{'X', 0})
+	f.Add(append(append([]byte{}, good...), 0xFF))
+	f.Add(binary.LittleEndian.AppendUint32([]byte{opIngest, 1, 't'}, 1<<30))
+	for i := range good {
+		damaged := append([]byte{}, good...)
+		damaged[i] ^= 0xFF
+		f.Add(damaged)
+		f.Add(good[:i])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var d Decoder
+		if _, _, err := d.DecodeIngest(good); err != nil {
+			t.Fatal(err)
+		}
+		tenant, events, err := d.DecodeIngest(payload)
+		if err != nil {
+			if !errors.Is(err, ErrFrame) {
+				t.Fatalf("untyped decode error %v", err)
+			}
+			return
+		}
+		again, err := AppendIngest(nil, tenant, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenant2, events2, err := DecodeIngest(again)
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		if tenant2 != tenant {
+			t.Fatalf("tenant %q re-decodes as %q", tenant, tenant2)
+		}
+		if diff := eventsDiff(events2, events); diff != "" {
+			t.Fatal(diff)
+		}
+	})
+}
+
 func TestFrameReadWrite(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{9}, 70000)}

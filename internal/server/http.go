@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,11 +28,6 @@ import (
 // maxBodyBytes bounds request bodies; a batch larger than this belongs
 // on the framed-TCP path anyway.
 const maxBodyBytes = 64 << 20
-
-// ingestRequest is the batch-ingest body.
-type ingestRequest struct {
-	Events []WireEvent `json:"events"`
-}
 
 // subscribeRequest is the query-subscribe body.
 type subscribeRequest struct {
@@ -67,9 +64,52 @@ func writeWireError(w http.ResponseWriter, werr *WireError) {
 	writeJSON(w, HTTPStatus(werr.Code), werr)
 }
 
+// tooLarge names the cap a refused request body exceeds.
+var tooLarge = fmt.Sprintf("bad request body: larger than the %d MiB cap", maxBodyBytes>>20)
+
+// bodyReserve is the most readBody sets aside before bytes arrive: a
+// declared Content-Length is only a claim, so memory follows what the
+// client actually sends.
+const bodyReserve = 256 << 10
+
+// readBody reads a whole request body into one buffer, which a body
+// that keeps its Content-Length and fits in bodyReserve fills in one
+// allocation. A body over maxBodyBytes is refused, never truncated.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, *WireError) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, &WireError{Code: CodeBadRequest, Message: tooLarge}
+	}
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength+1, bodyReserve) // +1: room to read EOF
+	}
+	body := make([]byte, 0, size)
+	src := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	for {
+		n, err := src.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return nil, &WireError{Code: CodeBadRequest, Message: tooLarge}
+		}
+		if err != nil {
+			return nil, &WireError{Code: CodeBadRequest, Message: "bad request body: " + err.Error()}
+		}
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)] // let append pick the growth
+		}
+	}
+}
+
 // decodeBody strictly decodes a JSON request body into v.
-func decodeBody(r *http.Request, v any) *WireError {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *WireError {
+	body, werr := readBody(w, r)
+	if werr != nil {
+		return werr
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return &WireError{Code: CodeBadRequest, Message: "bad request body: " + err.Error()}
@@ -78,16 +118,18 @@ func decodeBody(r *http.Request, v any) *WireError {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	if werr := decodeBody(r, &req); werr != nil {
+	body, werr := readBody(w, r)
+	if werr != nil {
 		writeWireError(w, werr)
 		return
 	}
-	events := make([]*cogra.Event, len(req.Events))
-	for i := range req.Events {
-		events[i] = req.Events[i].Event()
+	name := r.PathValue("tenant")
+	events, err := s.decodeJSONIngest(name, body)
+	if err != nil {
+		writeWireError(w, &WireError{Code: CodeBadRequest, Message: err.Error()})
+		return
 	}
-	accepted, werr := s.Ingest(r.PathValue("tenant"), events)
+	accepted, werr := s.Ingest(name, events)
 	if werr != nil {
 		writeWireError(w, werr)
 		return
@@ -95,9 +137,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted})
 }
 
+// decodeJSONIngest decodes through the tenant's own Decoder: cograd and
+// embedders each run their own http.Server, so the tenant, not the
+// connection, is what a body's attribute maps repeat across. A tenant
+// not yet registered borrows a fresh Decoder, so a body that fails to
+// decode never registers one; Ingest does, once a batch is accepted.
+func (s *Server) decodeJSONIngest(name string, body []byte) ([]*cogra.Event, error) {
+	t := s.tenant(name, false)
+	if t == nil {
+		return new(Decoder).DecodeJSONIngest(body)
+	}
+	t.jsonMu.Lock()
+	defer t.jsonMu.Unlock()
+	return t.jsonDec.DecodeJSONIngest(body)
+}
+
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req subscribeRequest
-	if werr := decodeBody(r, &req); werr != nil {
+	if werr := decodeBody(w, r, &req); werr != nil {
 		writeWireError(w, werr)
 		return
 	}

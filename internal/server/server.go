@@ -222,6 +222,12 @@ type tenant struct {
 
 	bucket tokenBucket
 
+	// jsonDec decodes the tenant's HTTP ingest bodies. It holds only its
+	// intern tables (built on first use), which persist across requests
+	// the way a TCP connection's Decoder persists across frames.
+	jsonMu  sync.Mutex
+	jsonDec Decoder
+
 	// Scrape-to-scrape ingest-rate scratch, owned by /metrics.
 	rateMu     sync.Mutex
 	rateEvents int64

@@ -12,8 +12,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	cogra "repro"
 )
@@ -376,6 +378,120 @@ func TestServerErrorCodes(t *testing.T) {
 	}
 	if err := c.closeTenant("acme"); !errors.Is(err, cogra.ErrClosed) {
 		t.Fatalf("double close: %v, want ErrClosed", err)
+	}
+}
+
+// TestHTTPIngestRejects: every malformed ingest body answers 400
+// bad_request, ingests nothing and registers no tenant — including
+// trailing bytes, which the encoding/json route silently dropped, and a
+// body over the cap, which it truncated — and the tenant's next valid
+// push still lands.
+func TestHTTPIngestRejects(t *testing.T) {
+	srv, c, ts := newTestServer(t, Config{})
+	valid := `{"events":[{"time":1,"type":"A","sym":{"k":"g"}}]}`
+	bodies := map[string]string{
+		"bad syntax":         `{"events":[{"time":1,}]}`,
+		"truncated":          `{"events":[{"time":1}`,
+		"empty":              ``,
+		"unknown field":      `{"events":[{"time":1,"tenant":"x"}]}`,
+		"unknown top field":  `{"events":[],"more":1}`,
+		"fractional time":    `{"events":[{"time":1.5}]}`,
+		"exponent time":      `{"events":[{"time":1e3}]}`,
+		"overflowing time":   `{"events":[{"time":9223372036854775808}]}`,
+		"trailing bytes":     valid + ` garbage`,
+		"two batches":        valid + valid,
+		"events not array":   `{"events":{"time":1}}`,
+		"event not object":   `{"events":[1]}`,
+		"body not object":    `[` + valid + `]`,
+		"sym value number":   `{"events":[{"sym":{"k":1}}]}`,
+		"num value string":   `{"events":[{"num":{"x":"1"}}]}`,
+		"invalid escape":     `{"events":[{"type":"\q"}]}`,
+		"control in string":  "{\"events\":[{\"type\":\"a\nb\"}]}",
+		"float out of range": `{"events":[{"num":{"x":1e999}}]}`,
+	}
+	wantBadRequest := func(name string, status int, raw []byte) {
+		t.Helper()
+		var werr WireError
+		if status != http.StatusBadRequest || json.Unmarshal(raw, &werr) != nil || werr.Code != CodeBadRequest {
+			t.Errorf("%s: http %d %s, want 400 %s", name, status, raw, CodeBadRequest)
+		}
+	}
+	for name, body := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/acme/events", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		wantBadRequest(name, resp.StatusCode, raw)
+	}
+	// A declared length over the cap is refused before a byte is read,
+	// on both routes that take a body, naming the cap.
+	for _, path := range []string{"/v1/acme/events", "/v1/acme/queries"} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(valid))
+		req.ContentLength = maxBodyBytes + 1
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		wantBadRequest(path+" over the cap", rec.Code, rec.Body.Bytes())
+		if !strings.Contains(rec.Body.String(), "64 MiB") {
+			t.Errorf("%s over the cap: %s does not name the 64 MiB cap", path, rec.Body)
+		}
+	}
+	if n := srv.ingested.Load(); n != 0 {
+		t.Fatalf("rejected bodies ingested %d events", n)
+	}
+	if names := srv.tenantNames(); len(names) != 0 {
+		t.Fatalf("rejected bodies registered tenants %q", names)
+	}
+	// The next valid push lands, with a length and without one.
+	if n, err := c.push("acme", synthStream(3, 1)); err != nil || n != 3 {
+		t.Fatalf("valid push after rejections: (%d, %v)", n, err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/acme/events", "application/json", io.MultiReader(strings.NewReader(
+		`{"events":[{"time":10,"type":"A"}]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(bytes.TrimSpace(raw)) != `{"accepted":1}` {
+		t.Fatalf("chunked push: http %d %s", resp.StatusCode, raw)
+	}
+	if n := srv.ingested.Load(); n != 4 {
+		t.Fatalf("ingested %d events, want 4", n)
+	}
+}
+
+// allocatedBytes reports what f allocates on the heap.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestIngestBodyAllocatesWhatArrives: a body declaring the whole 64 MiB
+// cap but ending after a few bytes is rejected having reserved no more
+// than bodyReserve — memory follows the bytes sent, not the header.
+func TestIngestBodyAllocatesWhatArrives(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	rec := httptest.NewRecorder()
+	got := allocatedBytes(func() {
+		req := httptest.NewRequest("POST", "/v1/acme/events", io.MultiReader(
+			strings.NewReader(`{"events":[`), iotest.ErrReader(io.ErrUnexpectedEOF)))
+		req.ContentLength = maxBodyBytes
+		h.ServeHTTP(rec, req)
+	})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unexpected EOF") {
+		t.Fatalf("short body: http %d %s", rec.Code, rec.Body)
+	}
+	if got > 2*bodyReserve {
+		t.Errorf("a short body declaring %d bytes allocated %d bytes, want at most %d", maxBodyBytes, got, 2*bodyReserve)
 	}
 }
 

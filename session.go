@@ -819,7 +819,7 @@ func (sub *Subscription) Unsubscribe() []Result {
 		sub.err = err
 	}
 	sub.active = false
-	return append(sub.takePending(), out...)
+	return sub.withPending(out)
 }
 
 // Drain returns the results whose windows have closed since the last
@@ -856,11 +856,20 @@ func (sub *Subscription) Drain() []Result {
 		// hand over what the healthy ones reported and record the error.
 		sub.err = err
 	}
-	return append(sub.takePending(), out...)
+	return sub.withPending(out)
 }
 
 func (sub *Subscription) takePending() []Result {
 	out := sub.pending
 	sub.pending = nil
 	return out
+}
+
+// withPending prepends the pending results to out, which the executor
+// has handed over: with nothing pending, out is returned as is.
+func (sub *Subscription) withPending(out []Result) []Result {
+	if len(sub.pending) == 0 {
+		return out
+	}
+	return append(sub.takePending(), out...)
 }

@@ -499,6 +499,41 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestSessionDrainHandsOverWithoutCopying: with nothing pending, Drain
+// returns the slice the executor handed over instead of copying it. A
+// push that closes one window and the Drain that collects its result
+// allocate twice: the result's rows and the buffer holding it (a copy
+// in Drain made it three).
+func TestSessionDrainHandsOverWithoutCopying(t *testing.T) {
+	sess := cogra.NewSession()
+	sub, err := sess.Subscribe(cogra.MustParse(`RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, runs = 50, 100
+	events := make([]*cogra.Event, warm+runs+1)
+	for i := range events {
+		events[i] = cogra.NewEvent("A", int64(10*i))
+		events[i].ID = int64(i + 1)
+	}
+	next := 0
+	pushDrain := func() {
+		if err := sess.Push(events[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if next > 1 && len(sub.Drain()) != 1 {
+			t.Fatal("a push past a window boundary drained no result")
+		}
+	}
+	for next < warm {
+		pushDrain()
+	}
+	if got := testing.AllocsPerRun(runs-1, pushDrain); got != 2 {
+		t.Errorf("push + Drain of one closed window: %v allocations, want 2", got)
+	}
+}
+
 // TestSessionUnsubscribeFromCallbackIsRetriable: an Unsubscribe issued
 // inside a sink is rejected (Push is mid-dispatch) but must leave the
 // subscription active, so deferring it until Push returns — as the

@@ -64,40 +64,7 @@ func (r *Runner) Run(events []*event.Event) ([]core.Result, error) {
 	if err := r.Capabilities().Supports(r.plan); err != nil {
 		return nil, err
 	}
-	budget := metrics.NewBudget(r.BudgetUnits)
-	acct := r.Acct
-	if acct == nil {
-		acct = &metrics.Accountant{}
-	}
-	var out []core.Result
-	subs := baselines.SplitSubstreams(r.plan, events)
-	i := 0
-	for i < len(subs) {
-		j := i
-		collector := baselines.NewGroupCollector(r.plan)
-		// Prefix counters of every sub-stream of a window are live
-		// simultaneously until the window closes, as in a streaming
-		// execution.
-		var releases []func()
-		releaseAll := func() {
-			for _, rel := range releases {
-				rel()
-			}
-		}
-		for j < len(subs) && subs[j].Wid == subs[i].Wid {
-			rel, err := r.evalSubstream(subs[j], collector, budget, acct)
-			releases = append(releases, rel)
-			if err != nil {
-				releaseAll()
-				return nil, err
-			}
-			j++
-		}
-		out = append(out, collector.Results(subs[i].Wid, subs[i].Start, subs[i].End)...)
-		releaseAll()
-		i = j
-	}
-	return out, nil
+	return baselines.RunWindows(r.plan, events, r.BudgetUnits, r.Acct, r.evalSubstream)
 }
 
 // evalSubstream runs the flattened query workload over one sub-stream;
@@ -288,7 +255,7 @@ func (r *Runner) evalWithSlots(sub baselines.Substream, collector *baselines.Gro
 						continue
 					}
 					node := specs.Extend(specs.Zero(), alias, e, 1)
-					pend = append(pend, staged{q: ref.q, pos: 0, key: bindingKey(b),
+					pend = append(pend, staged{q: ref.q, pos: 0, key: b.Key(),
 						e: &prefixEntry{binding: b, node: node}})
 					continue
 				}
@@ -301,7 +268,7 @@ func (r *Runner) evalWithSlots(sub baselines.Substream, collector *baselines.Gro
 						continue
 					}
 					node := specs.Extend(prev.node, alias, e, 0)
-					pend = append(pend, staged{q: ref.q, pos: ref.pos, key: bindingKey(nb),
+					pend = append(pend, staged{q: ref.q, pos: ref.pos, key: nb.Key(),
 						e: &prefixEntry{binding: nb, node: node}})
 				}
 			}
@@ -315,15 +282,4 @@ func (r *Runner) evalWithSlots(sub baselines.Substream, collector *baselines.Gro
 		}
 	}
 	return release, nil
-}
-
-func bindingKey(b baselines.Binding) string {
-	out := ""
-	for i, v := range b {
-		if i > 0 {
-			out += "\x00"
-		}
-		out += v
-	}
-	return out
 }

@@ -5,7 +5,7 @@
 // A-Seq [33], and an industrial-streaming-style engine modelled on
 // Flink [2]. Each lives in its own sub-package and implements Runner.
 //
-// The scaffolding — window routing, stream partitioning, equivalence
+// The scaffolding — the window loop, stream partitioning, equivalence
 // bindings, result assembly — is shared so that every approach
 // evaluates exactly the same sub-streams and reports results in the
 // same shape as the COGRA engine, making cross-validation exact. The
@@ -20,6 +20,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/metrics"
 	"repro/internal/pattern"
 	"repro/internal/query"
 )
@@ -145,6 +146,47 @@ func SplitSubstreams(plan *core.Plan, events []*event.Event) []Substream {
 	return out
 }
 
+// EvalFunc evaluates one sub-stream into its window's collector. The
+// state it builds stays accounted until its window closes, when the
+// returned release frees it; release is called on error too.
+type EvalFunc func(sub Substream, collector *GroupCollector, budget *metrics.Budget, acct *metrics.Accountant) (release func(), err error)
+
+// RunWindows is the window loop every approach's Run shares: it
+// splits the stream into sub-streams, evaluates each window's
+// sub-streams into one collector — their state live simultaneously, as
+// in a streaming execution — and releases them when the window closes.
+// budgetUnits 0 means unlimited; a nil acct accounts into a scratch one.
+func RunWindows(plan *core.Plan, events []*event.Event, budgetUnits int64, acct *metrics.Accountant, eval EvalFunc) ([]core.Result, error) {
+	budget := metrics.NewBudget(budgetUnits)
+	if acct == nil {
+		acct = &metrics.Accountant{}
+	}
+	var out []core.Result
+	subs := SplitSubstreams(plan, events)
+	for i := 0; i < len(subs); {
+		collector := NewGroupCollector(plan)
+		var releases []func()
+		releaseAll := func() {
+			for _, rel := range releases {
+				rel()
+			}
+		}
+		j := i
+		for ; j < len(subs) && subs[j].Wid == subs[i].Wid; j++ {
+			rel, err := eval(subs[j], collector, budget, acct)
+			releases = append(releases, rel)
+			if err != nil {
+				releaseAll()
+				return nil, err
+			}
+		}
+		out = append(out, collector.Results(subs[i].Wid, subs[i].Start, subs[i].End)...)
+		releaseAll()
+		i = j
+	}
+	return out, nil
+}
+
 // Binding tracks equivalence-slot values while a baseline builds a
 // trend; the zero-length binding is used when the plan has no slots.
 type Binding []string
@@ -154,6 +196,9 @@ func NewBinding(plan *core.Plan) Binding { return make(Binding, len(plan.Slots))
 
 // Clone copies the binding.
 func (b Binding) Clone() Binding { return append(Binding(nil), b...) }
+
+// Key is the binding as a map key: its values joined by NUL.
+func (b Binding) Key() string { return strings.Join(b, "\x00") }
 
 // Bind applies the equivalence slots an event matched under alias must
 // satisfy. It returns the (possibly new) binding and whether the event

@@ -66,39 +66,9 @@ func (r *Runner) Run(events []*event.Event) ([]core.Result, error) {
 	if err := r.Capabilities().Supports(r.plan); err != nil {
 		return nil, err
 	}
-	budget := metrics.NewBudget(r.BudgetUnits)
-	acct := r.Acct
-	if acct == nil {
-		acct = &metrics.Accountant{}
-	}
-	var out []core.Result
-	subs := baselines.SplitSubstreams(r.plan, events)
-	i := 0
-	for i < len(subs) {
-		j := i
-		collector := baselines.NewGroupCollector(r.plan)
-		// The materialised matches of every sub-stream of one window
-		// stay buffered until the window closes — the two-step cost.
-		var releases []func()
-		releaseAll := func() {
-			for _, rel := range releases {
-				rel()
-			}
-		}
-		for j < len(subs) && subs[j].Wid == subs[i].Wid {
-			rel, err := r.evalSubstream(subs[j], collector, budget, acct)
-			releases = append(releases, rel)
-			if err != nil {
-				releaseAll()
-				return nil, err
-			}
-			j++
-		}
-		out = append(out, collector.Results(subs[i].Wid, subs[i].Start, subs[i].End)...)
-		releaseAll()
-		i = j
-	}
-	return out, nil
+	// The materialised matches of every sub-stream of one window stay
+	// buffered until the window closes — the two-step cost.
+	return baselines.RunWindows(r.plan, events, r.BudgetUnits, r.Acct, r.evalSubstream)
 }
 
 // evalSubstream runs the flattened workload on one sub-stream:

@@ -9,6 +9,8 @@
 package greta
 
 import (
+	"slices"
+
 	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -54,39 +56,7 @@ func (r *Runner) Run(events []*event.Event) ([]core.Result, error) {
 	if err := r.Capabilities().Supports(r.plan); err != nil {
 		return nil, err
 	}
-	budget := metrics.NewBudget(r.BudgetUnits)
-	acct := r.Acct
-	if acct == nil {
-		acct = &metrics.Accountant{}
-	}
-	var out []core.Result
-	subs := baselines.SplitSubstreams(r.plan, events)
-	i := 0
-	for i < len(subs) {
-		j := i
-		collector := baselines.NewGroupCollector(r.plan)
-		// Like the streaming engine, the graphs of every sub-stream of
-		// one window are live simultaneously until the window closes.
-		var releases []func()
-		releaseAll := func() {
-			for _, rel := range releases {
-				rel()
-			}
-		}
-		for j < len(subs) && subs[j].Wid == subs[i].Wid {
-			rel, err := r.evalSubstream(subs[j], collector, budget, acct)
-			releases = append(releases, rel)
-			if err != nil {
-				releaseAll()
-				return nil, err
-			}
-			j++
-		}
-		out = append(out, collector.Results(subs[i].Wid, subs[i].Start, subs[i].End)...)
-		releaseAll()
-		i = j
-	}
-	return out, nil
+	return baselines.RunWindows(r.plan, events, r.BudgetUnits, r.Acct, r.evalSubstream)
 }
 
 // evalSubstream builds the GRETA graph of one sub-stream and collects
@@ -122,7 +92,7 @@ func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.Gro
 				if g.ev.Time >= e.Time {
 					break // graph is in arrival order
 				}
-				if !contains(plan.FSA.Pred[alias], g.alias) {
+				if !slices.Contains(plan.FSA.Pred[alias], g.alias) {
 					continue
 				}
 				if !baselines.AdjacentOK(plan, fires, g.alias, g.ev, alias, e) {
@@ -132,7 +102,7 @@ func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.Gro
 				if !ok {
 					continue
 				}
-				key := bindingKey(nb)
+				key := nb.Key()
 				dst, ok := contrib[key]
 				if !ok {
 					dst = &ext{binding: nb, node: specs.Zero()}
@@ -140,7 +110,7 @@ func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.Gro
 				}
 				specs.Merge(&dst.node, g.node)
 			}
-			startKey := bindingKey(binding0)
+			startKey := binding0.Key()
 			if plan.FSA.IsStart(alias) {
 				if _, ok := contrib[startKey]; !ok {
 					contrib[startKey] = &ext{binding: binding0, node: specs.Zero()}
@@ -167,24 +137,4 @@ func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.Gro
 		}
 	}
 	return release, nil
-}
-
-func bindingKey(b baselines.Binding) string {
-	out := ""
-	for i, v := range b {
-		if i > 0 {
-			out += "\x00"
-		}
-		out += v
-	}
-	return out
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

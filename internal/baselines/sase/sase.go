@@ -14,6 +14,8 @@
 package sase
 
 import (
+	"slices"
+
 	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -57,40 +59,7 @@ func (r *Runner) Capabilities() baselines.Capabilities {
 
 // Run implements baselines.Runner: two-step evaluation per sub-stream.
 func (r *Runner) Run(events []*event.Event) ([]core.Result, error) {
-	budget := metrics.NewBudget(r.BudgetUnits)
-	acct := r.Acct
-	if acct == nil {
-		acct = &metrics.Accountant{}
-	}
-	var out []core.Result
-	subs := baselines.SplitSubstreams(r.plan, events)
-	i := 0
-	for i < len(subs) {
-		// All partitions of one window are aggregated together; their
-		// stacks and pointers stay live until the window closes, as in
-		// a streaming execution.
-		j := i
-		collector := baselines.NewGroupCollector(r.plan)
-		var releases []func()
-		releaseAll := func() {
-			for _, rel := range releases {
-				rel()
-			}
-		}
-		for j < len(subs) && subs[j].Wid == subs[i].Wid {
-			rel, err := r.evalSubstream(subs[j], collector, budget, acct)
-			releases = append(releases, rel)
-			if err != nil {
-				releaseAll()
-				return nil, err
-			}
-			j++
-		}
-		out = append(out, collector.Results(subs[i].Wid, subs[i].Start, subs[i].End)...)
-		releaseAll()
-		i = j
-	}
-	return out, nil
+	return baselines.RunWindows(r.plan, events, r.BudgetUnits, r.Acct, r.evalSubstream)
 }
 
 // evalSubstream constructs all trends of one sub-stream and folds each
@@ -208,7 +177,7 @@ func enumerateAny(plan *core.Plan, events []*event.Event, budget *metrics.Budget
 			if events[p.idx].Time >= events[q.idx].Time {
 				continue
 			}
-			if !contains(plan.FSA.Succ[p.alias], q.alias) {
+			if !slices.Contains(plan.FSA.Succ[p.alias], q.alias) {
 				continue
 			}
 			if !baselines.AdjacentOK(plan, fires, p.alias, events[p.idx], q.alias, events[q.idx]) {
@@ -293,7 +262,7 @@ func enumerateChain(plan *core.Plan, events []*event.Event, budget *metrics.Budg
 			adjacent := false
 			if last >= 0 {
 				lastNode := chain[last]
-				if contains(plan.FSA.Pred[alias], lastNode.alias) &&
+				if slices.Contains(plan.FSA.Pred[alias], lastNode.alias) &&
 					baselines.AdjacentOK(plan, fires, lastNode.alias, events[lastNode.idx], alias, e) {
 					adjacent = true
 				}
@@ -341,13 +310,4 @@ func enumerateChain(plan *core.Plan, events []*event.Event, budget *metrics.Budg
 		}
 	}
 	return chainBytes, nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

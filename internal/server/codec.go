@@ -99,7 +99,7 @@ const (
 // it is beyond recovery and must be closed.
 var ErrFrame = fmt.Errorf("cograd: malformed frame")
 
-// appendStr16 appends a u16-length-prefixed string (caps at 64 KiB).
+// appendStr16 appends a u16-length-prefixed string, cut to 65,535 bytes.
 func appendStr16(b []byte, s string) []byte {
 	if len(s) > math.MaxUint16 {
 		s = s[:math.MaxUint16]
@@ -108,7 +108,9 @@ func appendStr16(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// AppendIngest encodes an ingest request for tenant into b.
+// AppendIngest encodes an ingest request for tenant into b. An event a
+// frame cannot carry — a string over 65,535 bytes, more than 65,535 sym
+// or num attributes — is refused, never cut.
 func AppendIngest(b []byte, tenant string, events []*cogra.Event) ([]byte, error) {
 	if len(tenant) > math.MaxUint8 {
 		return nil, fmt.Errorf("cograd: tenant name %d bytes long (max 255)", len(tenant))
@@ -117,18 +119,33 @@ func AppendIngest(b []byte, tenant string, events []*cogra.Event) ([]byte, error
 	b = append(b, tenant...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(events)))
 	for _, e := range events {
+		if len(e.Sym) > math.MaxUint16 || len(e.Num) > math.MaxUint16 {
+			return nil, fmt.Errorf("cograd: event at time %d: %d sym and %d num attributes (max %d each)",
+				e.Time, len(e.Sym), len(e.Num), math.MaxUint16)
+		}
+		longest, field := len(e.Type), "type"
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.Time))
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.ID))
 		b = appendStr16(b, e.Type)
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(e.Sym)))
 		for k, v := range e.Sym {
+			if n := max(len(k), len(v)); n > longest {
+				longest, field = n, "sym"
+			}
 			b = appendStr16(b, k)
 			b = appendStr16(b, v)
 		}
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(e.Num)))
 		for k, v := range e.Num {
+			if len(k) > longest {
+				longest, field = len(k), "num"
+			}
 			b = appendStr16(b, k)
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		if longest > math.MaxUint16 {
+			return nil, fmt.Errorf("cograd: event at time %d: a %s string is %d bytes long (max %d)",
+				e.Time, field, longest, math.MaxUint16)
 		}
 	}
 	return b, nil
@@ -204,10 +221,6 @@ func (r *frameReader) str16() string { return string(r.bytes(int(r.u16()))) }
 // until the payload buffer is reused.
 func (r *frameReader) str16b() []byte { return r.bytes(int(r.u16())) }
 
-// maxInternEntries caps a connection's intern table; a high-cardinality
-// stream stops interning instead of growing without bound.
-const maxInternEntries = 1 << 16
-
 // Decoder decodes ingest requests for one source: binary frames for a
 // TCP connection (DecodeIngest), JSON bodies for a tenant's HTTP route
 // (DecodeJSONIngest). It interns the low-cardinality data every event
@@ -218,144 +231,173 @@ const maxInternEntries = 1 << 16
 // SHARED across decoded events; that is safe because the engine treats
 // event attributes as immutable once pushed — nothing downstream of
 // PushBatch writes to Sym or Num. The zero value works.
+//
+// Strings have one table; sections have one per syntax and kind, so no
+// JSON text can ever hit a map interned from frame bytes or the reverse.
 type Decoder struct {
-	intern    map[string]string
-	symIntern map[string]map[string]string
-	numIntern map[string]map[string]float64
-	// JSON sections have tables of their own, so no JSON text can ever
-	// hit a map interned from frame bytes or the reverse. jsonHeld
-	// estimates the bytes the JSON path put in the tables (jsonSpend).
-	jsonSymIntern map[string]map[string]string
-	jsonNumIntern map[string]map[string]float64
-	jsonHeld      int
+	strs              internTable[string]
+	frameSym, jsonSym internTable[map[string]string]
+	frameNum, jsonNum internTable[map[string]float64]
+	young             int // estimated bytes of the five young generations
+}
+
+// A Decoder lives as long as its source, so its tables are bounded in
+// bytes by what recent requests used: nothing longer than maxInternKey
+// is interned, and once the young generations' estimate passes
+// internBudget every table swaps — old is dropped, young becomes old.
+// A Decoder therefore holds at most two budgets, and a working set
+// under one never swaps. Maps already handed out stay valid; they are
+// only no longer shared.
+const (
+	maxInternKey = 1 << 10
+	internBudget = 4 << 20
+	// What a table slot or a map entry costs beyond the bytes of its
+	// key, and what an attribute map costs before its first entry
+	// (header and first slot group), both rounded up from Go 1.24's maps.
+	internSlotBytes = 80
+	internMapBytes  = 320
+)
+
+// internTable is one of a Decoder's intern tables, in two generations.
+// young is keyed as it fills; at a swap its entries are re-keyed into
+// old once, so that each carries its key and a hit in old re-enters
+// young without allocating the key again.
+type internTable[V any] struct {
+	young map[string]V
+	old   map[string]keyed[V]
+}
+
+type keyed[V any] struct {
+	key string
+	val V
+}
+
+// get returns the value interned under key, promoting a hit in old.
+func (t *internTable[V]) get(d *Decoder, key []byte) (V, bool) {
+	if v, ok := t.young[string(key)]; ok {
+		return v, true
+	}
+	e, ok := t.old[string(key)]
+	if ok {
+		t.put(d, e.key, e.val)
+	}
+	return e.val, ok
+}
+
+// put interns v under key in young and charges it to the budget.
+func (t *internTable[V]) put(d *Decoder, key string, v V) {
+	if t.young == nil {
+		t.young = make(map[string]V, 64)
+	}
+	t.young[key] = v
+	if d.young += internCost(key, v); d.young > internBudget {
+		d.strs.swap()
+		d.frameSym.swap()
+		d.frameNum.swap()
+		d.jsonSym.swap()
+		d.jsonNum.swap()
+		d.young = 0
+	}
+}
+
+func (t *internTable[V]) swap() {
+	t.old = make(map[string]keyed[V], len(t.young))
+	for k, v := range t.young {
+		t.old[k] = keyed[V]{k, v}
+	}
+	t.young = nil
+}
+
+// internCost estimates what an entry holds: its key and a slot, and for
+// a section also its map and the map's strings, which are no longer
+// than the key and may be in no string table — so the key counts twice.
+func internCost(key string, v any) int {
+	entries := 0
+	switch m := v.(type) {
+	case string:
+		return len(key) + internSlotBytes
+	case map[string]string:
+		entries = len(m)
+	case map[string]float64:
+		entries = len(m)
+	}
+	return 2*len(key) + internMapBytes + internSlotBytes*(1+entries)
 }
 
 func (d *Decoder) str(b []byte) string {
-	if d == nil {
+	if len(b) > maxInternKey {
 		return string(b)
 	}
-	if s, ok := d.intern[string(b)]; ok {
+	if s, ok := d.strs.get(d, b); ok {
 		return s
 	}
 	s := string(b)
-	if d.intern == nil {
-		d.intern = make(map[string]string, 64)
-	}
-	if len(d.intern) < maxInternEntries {
-		d.intern[s] = s
-	}
+	d.strs.put(d, s, s)
 	return s
 }
 
-// section walks past n str16-framed fields (pairs count as two) and
-// returns the raw bytes from start through the current offset — the
-// intern key for a whole attribute section.
-func (r *frameReader) section(start, nFields int) []byte {
-	for j := 0; j < nFields && !r.bad; j++ {
-		r.bytes(int(r.u16()))
-	}
-	if r.bad {
-		return nil
-	}
-	return r.buf[start:r.off]
-}
-
-// symMap decodes one event's symbolic-attribute section, returning an
-// interned (shared, read-only) map when the same section bytes were
-// seen before on this connection.
-func (d *Decoder) symMap(r *frameReader) map[string]string {
-	start := r.off
-	ns := int(r.u16())
-	if ns == 0 || r.bad {
-		return nil
-	}
-	if d == nil {
-		m := make(map[string]string, ns)
-		for j := 0; j < ns && !r.bad; j++ {
-			k := string(r.str16b())
-			m[k] = string(r.str16b())
-		}
-		return m
-	}
-	sect := r.section(start, 2*ns)
-	if r.bad {
-		return nil
-	}
-	if m, ok := d.symIntern[string(sect)]; ok {
-		return m
-	}
-	rr := frameReader{buf: sect, off: 2}
-	m := make(map[string]string, ns)
-	for j := 0; j < ns; j++ {
-		k := d.str(rr.str16b())
-		m[k] = d.str(rr.str16b())
-	}
-	if d.symIntern == nil {
-		d.symIntern = make(map[string]map[string]string, 64)
-	}
-	if len(d.symIntern) < maxInternEntries {
-		d.symIntern[string(sect)] = m
-	}
-	return m
-}
-
-// numMap decodes one event's numeric-attribute section; same sharing
-// contract as symMap. Numeric sections repeat less often (float values
-// vary), so the table caps the same way and misses just build fresh.
-func (d *Decoder) numMap(r *frameReader) map[string]float64 {
-	start := r.off
-	nn := int(r.u16())
-	if nn == 0 || r.bad {
-		return nil
-	}
-	if d == nil {
-		m := make(map[string]float64, nn)
-		for j := 0; j < nn && !r.bad; j++ {
-			k := string(r.str16b())
-			m[k] = math.Float64frombits(r.u64())
-		}
-		return m
-	}
-	sect := r.sectionF64(start, nn)
-	if r.bad {
-		return nil
-	}
-	if m, ok := d.numIntern[string(sect)]; ok {
-		return m
-	}
-	rr := frameReader{buf: sect, off: 2}
-	m := make(map[string]float64, nn)
-	for j := 0; j < nn; j++ {
-		k := d.str(rr.str16b())
-		m[k] = math.Float64frombits(rr.u64())
-	}
-	if d.numIntern == nil {
-		d.numIntern = make(map[string]map[string]float64, 64)
-	}
-	if len(d.numIntern) < maxInternEntries {
-		d.numIntern[string(sect)] = m
-	}
-	return m
-}
-
-// sectionF64 walks past n (str16 key, f64 value) pairs and returns the
-// raw bytes from start through the current offset.
-func (r *frameReader) sectionF64(start, n int) []byte {
+// section walks past n attributes — a str16 key, then a str16 value or,
+// when f64, an f64 — and returns the raw bytes from start through the
+// current offset: the intern key for a whole attribute section.
+func (r *frameReader) section(start, n int, f64 bool) []byte {
 	for j := 0; j < n && !r.bad; j++ {
 		r.bytes(int(r.u16()))
-		r.u64()
+		if f64 {
+			r.bytes(8)
+		} else {
+			r.bytes(int(r.u16()))
+		}
 	}
 	if r.bad {
 		return nil
 	}
 	return r.buf[start:r.off]
+}
+
+// frameSection decodes one event's sym or num section, returning the map
+// interned in t under the section's bytes when this Decoder saw them
+// recently, else a fresh one, which it interns.
+func frameSection[V string | float64](d *Decoder, r *frameReader, t *internTable[map[string]V]) map[string]V {
+	start := r.off
+	n := int(r.u16())
+	if n == 0 || r.bad {
+		return nil
+	}
+	var v V
+	_, f64 := any(&v).(*float64)
+	sect := r.section(start, n, f64)
+	if r.bad {
+		return nil
+	}
+	intern := len(sect) <= maxInternKey
+	if intern {
+		if m, ok := t.get(d, sect); ok {
+			return m
+		}
+	}
+	rr := frameReader{buf: sect, off: 2}
+	m := make(map[string]V, n)
+	for range n {
+		k := d.str(rr.str16b())
+		switch p := any(&v).(type) {
+		case *string:
+			*p = d.str(rr.str16b())
+		case *float64:
+			*p = math.Float64frombits(rr.u64())
+		}
+		m[k] = v
+	}
+	if intern {
+		t.put(d, string(sect), m)
+	}
+	return m
 }
 
 // DecodeIngest decodes an ingest request payload (without the frame
-// length prefix) with a fresh, intern-less decoder. Hot callers (the
-// TCP connection loop) hold a Decoder instead.
+// length prefix) with a fresh Decoder. Hot callers (the TCP connection
+// loop) hold a Decoder instead.
 func DecodeIngest(payload []byte) (tenant string, events []*cogra.Event, err error) {
-	return (*Decoder)(nil).DecodeIngest(payload)
+	return new(Decoder).DecodeIngest(payload)
 }
 
 // DecodeIngest decodes an ingest request payload. It returns ErrFrame
@@ -385,8 +427,8 @@ func (d *Decoder) DecodeIngest(payload []byte) (tenant string, events []*cogra.E
 		e.Time = int64(r.u64())
 		e.ID = int64(r.u64())
 		e.Type = d.str(r.str16b())
-		e.Sym = d.symMap(&r)
-		e.Num = d.numMap(&r)
+		e.Sym = frameSection(d, &r, &d.frameSym)
+		e.Num = frameSection(d, &r, &d.frameNum)
 		events = append(events, e)
 	}
 	if r.bad || r.off != len(payload) {

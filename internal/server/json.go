@@ -474,11 +474,11 @@ func (d *Decoder) jsonEvent(r *jsonReader, e *cogra.Event) {
 				e.Num = nil
 			}
 		case f == fieldType && c == '"':
-			e.Type = d.jsonStr(r.str())
+			e.Type = d.str(r.str())
 		case f == fieldSym && c == '{':
-			e.Sym = merge(r, e.Sym, jsonSection(d, r, &d.jsonSymIntern))
+			e.Sym = merge(r, e.Sym, jsonSection(d, r, &d.jsonSym))
 		case f == fieldNum && c == '{':
-			e.Num = merge(r, e.Num, jsonSection(d, r, &d.jsonNumIntern))
+			e.Num = merge(r, e.Num, jsonSection(d, r, &d.jsonNum))
 		default:
 			r.fail("wrong type for " + eventFields[f])
 		}
@@ -508,49 +508,12 @@ func merge[V any](r *jsonReader, dst, src map[string]V) map[string]V {
 	return dst
 }
 
-// A tenant's JSON tables live as long as the tenant, not a connection,
-// so they are bounded in bytes: a string or section longer than
-// maxJSONInternKey decodes uninterned, and once what the tables hold
-// passes maxJSONInternBytes they are dropped and interning starts over.
-// Maps already handed out stay valid; they are only no longer shared.
-const (
-	maxJSONInternKey   = 1 << 10
-	maxJSONInternBytes = 4 << 20
-	// What a table slot or a map entry costs beyond the bytes of its
-	// key, and what an attribute map costs before its first entry
-	// (header and first slot group), both rounded up from Go 1.24's maps.
-	internSlotBytes = 80
-	internMapBytes  = 320
-)
-
-// jsonSpend charges n bytes to the JSON tables, dropping them once they
-// pass maxJSONInternBytes. A Decoder serves one source, so a tenant's
-// string table holds only what its JSON bodies put there.
-func (d *Decoder) jsonSpend(n int) {
-	if d.jsonHeld += n; d.jsonHeld > maxJSONInternBytes {
-		d.intern, d.jsonSymIntern, d.jsonNumIntern, d.jsonHeld = nil, nil, nil, 0
-	}
-}
-
-// jsonStr is str under the JSON budget.
-func (d *Decoder) jsonStr(b []byte) string {
-	if len(b) > maxJSONInternKey {
-		return string(b)
-	}
-	had := len(d.intern)
-	s := d.str(b)
-	if len(d.intern) > had {
-		d.jsonSpend(len(s) + internSlotBytes)
-	}
-	return s
-}
-
-// jsonSection decodes one "sym" or "num" object, interned in table by
-// its raw bytes the way symMap interns a frame section.
-func jsonSection[V string | float64](d *Decoder, r *jsonReader, table *map[string]map[string]V) map[string]V {
+// jsonSection decodes one "sym" or "num" object, interned in t by its
+// raw bytes the way frameSection interns a frame section.
+func jsonSection[V string | float64](d *Decoder, r *jsonReader, t *internTable[map[string]V]) map[string]V {
 	start := r.off
-	if end := r.objectEnd(maxJSONInternKey); end > 0 {
-		if m, ok := (*table)[string(r.buf[start:end])]; ok {
+	if end := r.objectEnd(maxInternKey); end > 0 {
+		if m, ok := t.get(d, r.buf[start:end]); ok {
 			r.off = end
 			return m
 		}
@@ -558,7 +521,7 @@ func jsonSection[V string | float64](d *Decoder, r *jsonReader, table *map[strin
 	var m map[string]V
 	r.off++
 	for first := true; r.more('}', &first); {
-		k := d.jsonStr(r.key())
+		k := d.str(r.key())
 		var v V
 		switch p := any(&v).(type) {
 		case *string:
@@ -571,16 +534,9 @@ func jsonSection[V string | float64](d *Decoder, r *jsonReader, table *map[strin
 		}
 		m[k] = v
 	}
-	if r.err != "" || r.off-start > maxJSONInternKey {
-		return m
+	if r.err == "" && r.off-start <= maxInternKey {
+		t.put(d, string(r.buf[start:r.off]), m)
 	}
-	if *table == nil {
-		*table = make(map[string]map[string]V, 64)
-	}
-	// The key's bytes count twice: once for the key, once for the map's
-	// strings, which are no longer than it and may be in no string table.
-	(*table)[string(r.buf[start:r.off])] = m
-	d.jsonSpend(2*(r.off-start) + internMapBytes + internSlotBytes*(1+len(m)))
 	return m
 }
 
@@ -588,7 +544,7 @@ func jsonSection[V string | float64](d *Decoder, r *jsonReader, table *map[strin
 func (d *Decoder) symValue(r *jsonReader) string {
 	switch r.peek() {
 	case '"':
-		return d.jsonStr(r.str())
+		return d.str(r.str())
 	case 'n':
 		r.null()
 	default:

@@ -1,7 +1,7 @@
 package cogra_test
 
-// Differential tests for the columnar batch kernels and the routed
-// executor groups, extending the repo's differential spine:
+// Differential tests for the columnar batch kernels and the fallback
+// worker, extending the repo's differential spine:
 //
 //   - batch execution (PushBatch, type-partitioned runs through the
 //     run kernels) is byte-identical to event-at-a-time Push across
@@ -12,14 +12,12 @@ package cogra_test
 //     and straddle window boundaries, and — with a binding slot over
 //     values that age out, which session engines evict — equal to a
 //     bare core.Engine without eviction fed one event at a time;
-//   - a k-group session produces byte-identical results to the
-//     single-group default (groups are full-stream workers — routing
-//     subscribers across more of them cannot change results), and the
-//     group fleet grows by partition-key signature and retires with
-//     its last subscriber;
+//   - late joiners that break worker-locality run on one full-stream
+//     fallback worker, byte-identical to an inline session, and the
+//     fallback retires with its last subscriber;
 //   - snapshot/restore across a mid-batch cut — between two batches
 //     that split an equal-time, same-type run — is byte-identical to
-//     the undisturbed run, with the executor-group topology restored.
+//     the undisturbed run, with the fallback worker restored.
 //
 // Runs under -race in CI like the rest of the spine.
 
@@ -226,12 +224,10 @@ func TestSessionBatchKernelDifferential(t *testing.T) {
 	}
 }
 
-// groupQueries returns the mid-stream subscribers of the executor
-// group tests: two ward-partitioned queries (one partition-key
-// signature, so one group hosts both) and one unpartitioned global
-// query (its own signature). Subscribed after routing froze on
-// patient, none covers the routing attributes, so all fall back to
-// executor groups.
+// groupQueries returns the mid-stream subscribers of the fallback
+// tests: two ward-partitioned queries and one unpartitioned global
+// query. Subscribed after routing froze on patient, none covers the
+// routing attributes, so all join the one fallback worker.
 func groupQueries() map[string]string {
 	return map[string]string{
 		"ward-seq": `
@@ -255,7 +251,7 @@ func groupQueries() map[string]string {
 	}
 }
 
-// groupRun drives one executor-group scenario: a patient-partitioned
+// groupRun drives one fallback-worker scenario: a patient-partitioned
 // resident freezes the routing over a prefix, the group queries join
 // mid-stream, half the stream flows, one ward query leaves, the rest
 // flows. Returns every subscriber's results plus the group counts
@@ -310,37 +306,29 @@ func groupRun(t *testing.T, opts []cogra.SessionOption, events []*cogra.Event) (
 	return results, midGroups, finalGroups
 }
 
-// TestExecutorGroupsDifferential pins group routing: the same churn
-// schedule on an inline session, a 4-worker single-group session and a
-// 4-worker 3-group session produces byte-identical results for every
-// subscriber; the 3-group fleet clusters the ward queries into one
-// group and the global query into another, and every group retires
-// with its last subscriber.
+// TestExecutorGroupsDifferential pins fallback routing: the same churn
+// schedule on an inline session and a 4-worker session produces
+// byte-identical results for every subscriber; the 4-worker session
+// hosts every late joiner on one fallback worker, which retires with
+// its last subscriber.
 func TestExecutorGroupsDifferential(t *testing.T) {
 	events := runShapedStream(2400)
 	inline, _, _ := groupRun(t, nil, events)
-	single, sMid, sFinal := groupRun(t, []cogra.SessionOption{cogra.WithWorkers(4)}, events)
-	routed, rMid, rFinal := groupRun(t, []cogra.SessionOption{cogra.WithWorkers(4), cogra.WithExecutorGroups(3)}, events)
+	routed, mid, final := groupRun(t, []cogra.SessionOption{cogra.WithWorkers(4)}, events)
 
 	for name := range inline {
 		if len(inline[name]) == 0 {
 			t.Errorf("%s: no results; differential test is vacuous", name)
 		}
-		if !diff.Equal(single[name], inline[name]) {
-			t.Errorf("%s: single-group diverges from inline\n%s", name, diff.Diff(single[name], inline[name]))
-		}
-		if !diff.Equal(routed[name], single[name]) {
-			t.Errorf("%s: 3-group diverges from single-group\n%s", name, diff.Diff(routed[name], single[name]))
+		if !diff.Equal(routed[name], inline[name]) {
+			t.Errorf("%s: 4-worker session diverges from inline\n%s", name, diff.Diff(routed[name], inline[name]))
 		}
 	}
-	if sMid != 1 {
-		t.Errorf("single-group session hosts %d groups mid-stream, want 1", sMid)
+	if mid != 1 {
+		t.Errorf("4-worker session hosts %d executor groups mid-stream, want 1", mid)
 	}
-	if rMid != 2 {
-		t.Errorf("3-group session hosts %d groups mid-stream, want 2 (ward signature + global signature)", rMid)
-	}
-	if sFinal != 0 || rFinal != 0 {
-		t.Errorf("groups outlive their subscribers: single %d, routed %d, want 0", sFinal, rFinal)
+	if final != 0 {
+		t.Errorf("the fallback worker outlives its subscribers: %d executor groups, want 0", final)
 	}
 }
 
@@ -351,7 +339,7 @@ func TestExecutorGroupsDifferential(t *testing.T) {
 // subscriber's results plus the final stats rendering.
 func groupSnapRun(t *testing.T, events []*cogra.Event, cutAt int) (map[string][]cogra.Result, string) {
 	t.Helper()
-	sess := cogra.NewSession(cogra.WithWorkers(4), cogra.WithExecutorGroups(3))
+	sess := cogra.NewSession(cogra.WithWorkers(4))
 	names := []string{"resident", "ward-seq", "ward-trend", "global"}
 	ids := map[string]int{}
 	subs := map[string]*cogra.Subscription{}
@@ -388,8 +376,8 @@ func groupSnapRun(t *testing.T, events []*cogra.Event, cutAt int) (map[string][]
 			if err != nil {
 				t.Fatal(err)
 			}
-			if before.ExecutorGroups != 2 {
-				t.Fatalf("snapshot cut sees %d executor groups, want 2", before.ExecutorGroups)
+			if before.ExecutorGroups != 1 {
+				t.Fatalf("snapshot cut sees %d executor groups, want 1", before.ExecutorGroups)
 			}
 			sess.Close() // the original "crashes"; discard its tail
 			if sess, err = cogra.Restore(bytes.NewReader(buf.Bytes())); err != nil {
@@ -426,10 +414,10 @@ func groupSnapRun(t *testing.T, events []*cogra.Event, cutAt int) (map[string][]
 }
 
 // TestSnapshotRestoreExecutorGroups pins checkpoint/restore for the
-// group topology across a mid-batch cut: the cut lands inside an
+// fallback topology across a mid-batch cut: the cut lands inside an
 // equal-time, same-type run (splitting it between two batches), the
-// restored session rebuilds both executor groups, and results AND
-// final stats equal the undisturbed run byte-for-byte.
+// restored session rebuilds the fallback worker, and results AND final
+// stats equal the undisturbed run byte-for-byte.
 func TestSnapshotRestoreExecutorGroups(t *testing.T) {
 	events := runShapedStream(2400)
 	cutAt := -1

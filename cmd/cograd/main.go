@@ -11,7 +11,7 @@
 //	       -checkpoint-dir /var/lib/cograd \
 //	       -slack 100
 //
-// Session flags (-workers, -groups, -slack, ...) apply to every tenant
+// Session flags (-workers, -slack, ...) apply to every tenant
 // session the daemon creates; they are the same flags cograql takes.
 package main
 

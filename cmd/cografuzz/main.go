@@ -4,9 +4,9 @@
 // templates and replays each one through a metamorphic oracle suite —
 // COGRA vs the independent baselines, and the engine against itself
 // with one execution-mode axis flipped at a time (batch kernels,
-// workers, slack reordering, eviction, executor groups, snapshot/
-// restore, the cograd server). Failures are shrunk by delta debugging
-// and written as self-contained repro files.
+// workers, slack reordering, eviction, snapshot/restore, the cograd
+// server). Failures are shrunk by delta debugging and written as
+// self-contained repro files.
 //
 //	cografuzz -seed 1 -n 200 -out testdata/repros   # deterministic batch
 //	cografuzz -budget 75s                           # CI smoke

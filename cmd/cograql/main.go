@@ -187,10 +187,10 @@ func run(cfg runCfg) error {
 	}
 
 	// The shared helper validates the cross-flag rules and builds the
-	// session options; when restoring, an explicitly given -workers or
-	// -groups overrides the checkpoint's topology (allowed only before
-	// the stream's first event froze partition routing), while an
-	// omitted flag lets the checkpoint decide.
+	// session options; when restoring, an explicitly given -workers
+	// overrides the checkpoint's topology (allowed only before the
+	// stream's first event froze partition routing), while an omitted
+	// flag lets the checkpoint decide.
 	var opts []cogra.SessionOption
 	var err error
 	if cfg.restore != "" {

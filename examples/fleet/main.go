@@ -21,7 +21,7 @@
 //   - one that adds an aggregate makes the group hand over, at the next
 //     window boundary, to a host over the grown union (a handover);
 //   - an incident query keyed by ward joins after routing froze on
-//     patient, so it runs on an executor group: a full-stream worker
+//     patient, so it runs on the fallback worker: a full-stream worker
 //     that sees every event in order, retired with its last subscriber;
 //   - a dashboard leaves, taking its open windows with it.
 //
@@ -47,7 +47,7 @@ const trend = `
 	WITHIN 60 SLIDE 60`
 
 func main() {
-	sess := cogra.NewSession(cogra.WithWorkers(4), cogra.WithExecutorGroups(2))
+	sess := cogra.NewSession(cogra.WithWorkers(4))
 	subs := map[string]*cogra.Subscription{}
 	subscribe := func(name, src string) {
 		sub, err := sess.Subscribe(cogra.MustParse(src))
@@ -102,13 +102,13 @@ func main() {
 				WHERE [ward] AND M.rate < NEXT(M).rate
 				GROUP-BY ward
 				WITHIN 60 SLIDE 60`)
-			report(sess, "t=350  incident query by ward: routing froze on patient, so an executor group")
+			report(sess, "t=350  incident query by ward: routing froze on patient, so the fallback worker")
 		case 450:
 			left = subs["count+sum"].Unsubscribe()
 			for _, r := range subs["incident"].Unsubscribe() {
 				fmt.Printf("  incident  %v\n", r)
 			}
-			report(sess, "t=450  count+sum leaves with its open windows; the incident closes and its group retires")
+			report(sess, "t=450  count+sum leaves with its open windows; the incident closes and the fallback worker retires")
 		}
 	}
 	if err := sess.Close(); err != nil {

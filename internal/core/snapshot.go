@@ -196,7 +196,7 @@ func (b *bindings) code(c *snap.Coder, cut int64, seen bool) {
 		c.Check(nvec > 0 && b.vecs[0] != nil, "binding vector 0 (all-unbound) is missing")
 		for _, vec := range b.vecs {
 			for _, v := range vec {
-				c.Check(int(v) < len(b.vals), "binding vector references an unknown value id")
+				c.Check(uint64(v) < uint64(len(b.vals)), "binding vector references an unknown value id")
 			}
 		}
 		if c.Err() != nil {
@@ -281,7 +281,7 @@ func (b *bindings) validKey(key bkey) bool {
 	}
 	if b.nslots <= 2 {
 		for i := 0; i < b.nslots; i++ {
-			if int(uint32(key>>(uint(i)*32))) >= len(b.vals) {
+			if uint64(uint32(key>>(uint(i)*32))) >= uint64(len(b.vals)) {
 				return false
 			}
 		}

@@ -88,7 +88,7 @@ func subscribeAll(sess *cogra.Session, srcs ...string) ([]*cogra.Subscription, e
 // RETURN-variants on one host over their union (the second variant is
 // covered by the first, the third grows the union before any event, so
 // the first host is rebuilt in place), and a late joiner partitioned by
-// another attribute, which lands on an executor group.
+// another attribute, which lands on the fallback worker.
 func goldenFleet() (*cogra.Session, error) {
 	const body = `
 		PATTERN (SEQ(A+, B))+
@@ -96,7 +96,7 @@ func goldenFleet() (*cogra.Session, error) {
 		WHERE [patient] GROUP-BY patient
 		WITHIN 64 SLIDE 32`
 	events := goldenStream(888, 31)
-	sess := cogra.NewSession(cogra.WithWorkers(4), cogra.WithExecutorGroups(2))
+	sess := cogra.NewSession(cogra.WithWorkers(4))
 	if _, err := subscribeAll(sess,
 		"RETURN COUNT(*), SUM(A.v)"+body, "RETURN COUNT(*)"+body, "RETURN AVG(A.v), COUNT(B)"+body); err != nil {
 		return nil, err

@@ -20,7 +20,6 @@ import (
 // exactly the mode's knobs, and BaseMode(sc) builds the reference.
 type Mode struct {
 	Workers   int
-	Groups    int
 	BatchSize int
 	// Shuffled pushes the events in bounded-shuffle order (block and
 	// seed from the scenario) on a WithSlack session sized to repair
@@ -42,11 +41,11 @@ type Mode struct {
 
 // BaseMode is the scenario's reference execution mode.
 func BaseMode(sc *Scenario) Mode {
-	return Mode{Workers: sc.Workers, Groups: sc.Groups, BatchSize: sc.BatchSize}
+	return Mode{Workers: sc.Workers, BatchSize: sc.BatchSize}
 }
 
 func (m Mode) String() string {
-	s := fmt.Sprintf("workers=%d groups=%d batch=%d", m.Workers, m.Groups, m.BatchSize)
+	s := fmt.Sprintf("workers=%d batch=%d", m.Workers, m.BatchSize)
 	if m.Shuffled {
 		s += " shuffled"
 	}
@@ -92,9 +91,6 @@ func (m Mode) options() []cogra.SessionOption {
 	var opts []cogra.SessionOption
 	if m.Workers > 0 {
 		opts = append(opts, cogra.WithWorkers(m.Workers))
-	}
-	if m.Groups > 0 {
-		opts = append(opts, cogra.WithExecutorGroups(m.Groups))
 	}
 	return opts
 }

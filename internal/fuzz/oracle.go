@@ -63,25 +63,9 @@ func Oracles() []Oracle {
 			Check: func(sc *Scenario) (string, error) {
 				flipped := BaseMode(sc)
 				if flipped.Workers > 0 {
-					flipped.Workers, flipped.Groups = 0, 0
+					flipped.Workers = 0
 				} else {
 					flipped.Workers = 4
-				}
-				return selfDiff(sc, flipped)
-			},
-		},
-		{
-			Name: "groups",
-			Doc:  "k executor groups == single group",
-			Check: func(sc *Scenario) (string, error) {
-				if sc.Workers == 0 {
-					return "", nil // groups require a parallel session
-				}
-				flipped := BaseMode(sc)
-				if flipped.Groups > 0 {
-					flipped.Groups = 0
-				} else {
-					flipped.Groups = 3
 				}
 				return selfDiff(sc, flipped)
 			},

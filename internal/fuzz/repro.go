@@ -10,7 +10,7 @@
 //	oracle slack
 //	template transit
 //	seed 0x1f2e3d4c
-//	config workers=4 groups=0 batch=64 shuffleblock=8 shuffleseed=97 snapat=-1
+//	config workers=4 batch=64 shuffleblock=8 shuffleseed=97 snapat=-1
 //	sub join=0 leave=128
 //		RETURN COUNT(*)
 //		PATTERN SEQ(Board+, Ride)
@@ -63,8 +63,8 @@ func WriteRepro(w io.Writer, r *Repro) error {
 		fmt.Fprintf(bw, "template %s\n", sc.Template)
 	}
 	fmt.Fprintf(bw, "seed %#x\n", sc.Seed)
-	fmt.Fprintf(bw, "config workers=%d groups=%d batch=%d shuffleblock=%d shuffleseed=%d snapat=%d jitter=%d\n",
-		sc.Workers, sc.Groups, sc.BatchSize, sc.ShuffleBlock, sc.ShuffleSeed, sc.SnapshotAt, sc.Jitter)
+	fmt.Fprintf(bw, "config workers=%d batch=%d shuffleblock=%d shuffleseed=%d snapat=%d jitter=%d\n",
+		sc.Workers, sc.BatchSize, sc.ShuffleBlock, sc.ShuffleSeed, sc.SnapshotAt, sc.Jitter)
 	for _, sub := range sc.Subs {
 		fmt.Fprintf(bw, "sub join=%d leave=%d\n", sub.Join, sub.Leave)
 		for _, line := range strings.Split(strings.TrimRight(sub.Src, "\n"), "\n") {
@@ -196,7 +196,8 @@ func parseConfig(s string, sc *Scenario) error {
 		case "workers":
 			sc.Workers = int(n)
 		case "groups":
-			sc.Groups = int(n)
+			// The executor-group cap of files written before it was
+			// removed; every session now runs at most one fallback worker.
 		case "batch":
 			sc.BatchSize = int(n)
 		case "shuffleblock":

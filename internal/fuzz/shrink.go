@@ -232,14 +232,13 @@ func shrinkChurn(cur **Scenario, try func(*Scenario) bool) {
 }
 
 // shrinkKnobs zeroes one config knob at a time. A knob the failing
-// oracle needs (e.g. workers for the groups oracle) survives because
+// oracle needs (e.g. jitter for the jitter oracle) survives because
 // the zeroed candidate no longer fails — Check returns "" on an
 // inapplicable scenario.
 func shrinkKnobs(cur **Scenario, try func(*Scenario) bool) {
 	knobs := []func(*Scenario){
 		func(sc *Scenario) { sc.SnapshotAt = -1 },
-		func(sc *Scenario) { sc.Groups = 0 },
-		func(sc *Scenario) { sc.Workers, sc.Groups = 0, 0 },
+		func(sc *Scenario) { sc.Workers = 0 },
 		func(sc *Scenario) { sc.BatchSize = 0 },
 		func(sc *Scenario) { sc.Jitter = 0 },
 	}

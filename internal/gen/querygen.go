@@ -211,7 +211,7 @@ func randomQueryOnce(rng *rand.Rand, s QuerySchema) (*query.Query, error) {
 	// Equivalence + grouping. The first key is the preferred partition
 	// attribute: drawing it most of the time keeps parallel sessions
 	// routable, while the occasional secondary key produces the
-	// locality-breaking queries executor groups exist for.
+	// locality-breaking queries the fallback worker exists for.
 	equivShape := rng.Intn(4)
 	if equivShape == 3 && sem == query.Cont {
 		// Alias-scoped equivalence is rejected under contiguous

@@ -414,12 +414,14 @@ func (d *Decoder) DecodeIngest(payload []byte) (tenant string, events []*cogra.E
 		return "", nil, fmt.Errorf("%w: unknown op", ErrFrame)
 	}
 	tenant = r.str8()
-	n := int(r.u32())
 	// An event encodes to >= 22 bytes; a count field promising more
 	// events than the payload could hold is structurally impossible.
-	if n > len(payload)/22+1 {
-		return "", nil, fmt.Errorf("%w: event count %d exceeds payload capacity", ErrFrame, n)
+	// Compared unsigned: on a 32-bit build int(count) can go negative.
+	count := r.u32()
+	if uint64(count) > uint64(len(payload)/22+1) {
+		return "", nil, fmt.Errorf("%w: event count %d exceeds payload capacity", ErrFrame, count)
 	}
+	n := int(count)
 	arena := make([]cogra.Event, n)
 	events = make([]*cogra.Event, 0, n)
 	for i := 0; i < n && !r.bad; i++ {
@@ -457,11 +459,11 @@ func DecodeReply(payload []byte) (int, error) {
 	r := frameReader{buf: payload}
 	switch r.u8() {
 	case opOK:
-		n := int(r.u32())
-		if r.bad || r.off != len(payload) {
+		n := r.u32()
+		if r.bad || r.off != len(payload) || n > math.MaxInt32 {
 			return 0, ErrFrame
 		}
-		return n, nil
+		return int(n), nil
 	case opErr:
 		w := &WireError{Code: r.str8(), Message: r.str16()}
 		if r.bad || r.off != len(payload) {

@@ -24,7 +24,7 @@ type Config struct {
 	// across tenants; a tenant always stays on one shard.
 	Shards int
 	// SessionOptions configure every freshly created tenant session
-	// (workers, groups, slack, ... — typically from sessionflags).
+	// (workers, slack, ... — typically from sessionflags).
 	SessionOptions []cogra.SessionOption
 	// RestoreOptions configure sessions restored from CheckpointDir at
 	// boot (sessionflags.RestoreOptions: explicit topology flags
@@ -101,7 +101,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) shardFor(name string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	return s.shards[int(h.Sum32())%len(s.shards)]
+	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // tenant returns the tenant record, creating it when create is set.

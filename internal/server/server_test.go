@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"net"
@@ -708,5 +709,35 @@ func TestServerDrainRefusals(t *testing.T) {
 	}
 	if !srv.Draining() {
 		t.Fatal("Draining() = false after Drain")
+	}
+}
+
+// TestShardForStaysInRange: FNV-1a hashes of tenant names reach 2^31
+// and above ("tenant-a" hashes to 2,469,604,731), where a hash
+// converted to int before the modulo goes negative on a 32-bit build.
+// Every such name must land on a shard of the pool, at the index the
+// unsigned hash picks on any build.
+func TestShardForStaysInRange(t *testing.T) {
+	for _, shards := range []int{1, 3, 4, 7} {
+		srv, err := New(Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		high := 0
+		for i := range 256 {
+			name := fmt.Sprintf("tenant-%c", 'a'+i%26) + strings.Repeat("x", i/26)
+			h := fnv.New32a()
+			h.Write([]byte(name))
+			if h.Sum32() < 1<<31 {
+				continue
+			}
+			high++
+			if got, want := srv.shardFor(name).id, int(uint64(h.Sum32())%uint64(shards)); got != want {
+				t.Errorf("%d shards: %q (hash %d) lands on shard %d, want %d", shards, name, h.Sum32(), got, want)
+			}
+		}
+		if high == 0 {
+			t.Fatal("no name hashes to 2^31 or above; the test is vacuous")
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package sessionflags is the one place the session-option command
 // line is defined: cograql and cograd both serve a cogra.Session, so
-// they share the flags that shape one (-workers, -groups, -slack,
-// -late-reject, -max-reorder-depth, -reorder-reject), their help
+// they share the flags that shape one (-workers, -slack, -late-reject,
+// -max-reorder-depth, -reorder-reject), their help
 // strings, their cross-flag validation and their translation into
 // []cogra.SessionOption. A binary registers the set on its FlagSet,
 // parses, validates, and asks for the options:
@@ -29,8 +29,6 @@ import (
 type Flags struct {
 	// Workers is the partition-parallel worker count (<= 1: inline).
 	Workers int
-	// Groups caps the independently-routed executor groups (<= 1: one).
-	Groups int
 	// Slack accepts events up to this many time units out of order;
 	// negative means "no reorder buffer, require in-order input".
 	Slack int64
@@ -50,7 +48,6 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{fs: fs}
 	fs.IntVar(&f.Workers, "workers", 1, "partition-parallel workers per session")
-	fs.IntVar(&f.Groups, "groups", 1, "cap on independently-routed executor groups: full-stream workers hosting queries subscribed mid-stream whose partition keys do not cover the frozen routing attributes; such queries cluster by partition-key signature (same signature, same group; a new signature starts a group while under the cap, then joins the least-loaded one) and an empty group retires when its last query unsubscribes")
 	fs.Int64Var(&f.Slack, "slack", -1, "accept events up to this many time units out of order (-1: require in-order input)")
 	fs.BoolVar(&f.RejectLate, "late-reject", false, "fail on events beyond -slack instead of dropping them")
 	fs.IntVar(&f.MaxDepth, "max-reorder-depth", 0, "cap the -slack reorder buffer at this many events (0: unbounded)")
@@ -60,7 +57,7 @@ func Register(fs *flag.FlagSet) *Flags {
 
 // WasSet reports whether the named flag was given explicitly on the
 // command line (false for hand-filled structs). Restoring binaries use
-// it to decide whether an explicit -workers/-groups overrides the
+// it to decide whether an explicit -workers overrides the
 // checkpoint's own topology.
 func (f *Flags) WasSet(name string) bool {
 	if f.fs == nil {
@@ -78,9 +75,6 @@ func (f *Flags) WasSet(name string) bool {
 // Validate applies the cross-flag rules shared by every session-serving
 // binary: silently-ignored combinations are refused, not dropped.
 func (f *Flags) Validate() error {
-	if f.Groups < 0 {
-		return fmt.Errorf("-groups must be at least 1, got %d", f.Groups)
-	}
 	if f.MaxDepth < 0 {
 		return fmt.Errorf("-max-reorder-depth must be non-negative (0: unbounded), got %d", f.MaxDepth)
 	}
@@ -99,7 +93,7 @@ func (f *Flags) Options() ([]cogra.SessionOption, error) {
 }
 
 // RestoreOptions is Options for a binary resuming from a checkpoint:
-// an explicitly given -workers/-groups is included even at its default
+// an explicitly given -workers is included even at its default
 // value, so it overrides the checkpoint's own topology (allowed only
 // while no event had been ingested); an omitted flag lets the
 // checkpoint decide.
@@ -114,9 +108,6 @@ func (f *Flags) options(restoring bool) ([]cogra.SessionOption, error) {
 	var opts []cogra.SessionOption
 	if f.Workers > 1 || (restoring && f.WasSet("workers")) {
 		opts = append(opts, cogra.WithWorkers(f.Workers))
-	}
-	if f.Groups > 1 || (restoring && f.WasSet("groups")) {
-		opts = append(opts, cogra.WithExecutorGroups(f.Groups))
 	}
 	if f.Slack >= 0 {
 		opts = append(opts, cogra.WithSlack(f.Slack))

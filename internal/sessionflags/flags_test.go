@@ -36,12 +36,11 @@ func TestOptionCounts(t *testing.T) {
 		want int
 	}{
 		{[]string{"-workers", "4"}, 1},
-		{[]string{"-groups", "2"}, 1},
 		{[]string{"-slack", "0"}, 1},
 		{[]string{"-slack", "5", "-late-reject"}, 2},
 		{[]string{"-slack", "5", "-max-reorder-depth", "8"}, 2},
 		{[]string{"-slack", "5", "-max-reorder-depth", "8", "-reorder-reject"}, 3},
-		{[]string{"-workers", "4", "-groups", "2", "-slack", "1"}, 3},
+		{[]string{"-workers", "4", "-slack", "1"}, 2},
 	}
 	for _, c := range cases {
 		f := parse(t, c.args...)
@@ -62,7 +61,6 @@ func TestCrossFlagValidation(t *testing.T) {
 		{"-reorder-reject"},
 		{"-slack", "5", "-reorder-reject"}, // reject without a depth cap
 		{"-max-reorder-depth", "-1", "-slack", "1"},
-		{"-groups", "-2"},
 	}
 	for _, args := range cases {
 		f := parse(t, args...)
@@ -99,9 +97,9 @@ func TestRestoreOptionsIncludeExplicitTopology(t *testing.T) {
 }
 
 func TestWasSet(t *testing.T) {
-	f := parse(t, "-groups", "2")
-	if !f.WasSet("groups") || f.WasSet("workers") {
-		t.Fatalf("WasSet(groups)=%v WasSet(workers)=%v, want true false", f.WasSet("groups"), f.WasSet("workers"))
+	f := parse(t, "-slack", "2")
+	if !f.WasSet("slack") || f.WasSet("workers") {
+		t.Fatalf("WasSet(slack)=%v WasSet(workers)=%v, want true false", f.WasSet("slack"), f.WasSet("workers"))
 	}
 	var hand Flags // hand-filled structs never report flags as set
 	if hand.WasSet("workers") {

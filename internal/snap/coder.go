@@ -132,7 +132,7 @@ func (c *Coder) Bool(p *bool) {
 // Str codes a length-prefixed string.
 func (c *Coder) Str(p *string) {
 	if c.r != nil {
-		*p = string(c.r.take(int(c.r.U32())))
+		*p = string(c.r.take(c.r.Count(1)))
 	} else {
 		c.w.U32(uint32(len(*p)))
 		c.w.b = append(c.w.b, *p...)
@@ -178,7 +178,7 @@ func Slice[S ~[]T, T any](c *Coder, xs *S, elemMin int, each func(*Coder, *T)) {
 func Array[S ~[]T, T any](c *Coder, xs *S, n, elemMin int, each func(*Coder, *T)) {
 	if c.r != nil {
 		*xs = nil
-		if n == 0 || c.r.err != nil || !c.r.fits(n, elemMin) {
+		if n == 0 || c.r.err != nil || !c.r.fits(uint64(n), elemMin) {
 			return
 		}
 		*xs = make(S, n)
@@ -217,11 +217,12 @@ func MapKeys[K cmp.Ordered, V any](c *Coder, m *map[K]V, elemMin int) (keys []K,
 // insists the section was consumed exactly.
 func (c *Coder) Begin() int {
 	if c.r != nil {
-		n := int(c.r.U32())
-		if c.r.err == nil && n > c.r.Rem() {
+		n := c.r.U32()
+		if c.r.err == nil && uint64(n) > uint64(c.r.Rem()) {
 			c.r.fail("section of %d bytes exceeds %d remaining bytes", n, c.r.Rem())
+			return c.r.off
 		}
-		return c.r.off + n
+		return c.r.off + int(n)
 	}
 	c.w.U32(0)
 	return len(c.w.b)

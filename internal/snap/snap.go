@@ -170,20 +170,22 @@ func (r *Reader) U64() uint64 {
 // only ever allocated when at least n*elemMin bytes are actually
 // present.
 func (r *Reader) Count(elemMin int) int {
-	n := int(r.U32())
-	if r.err != nil || !r.fits(n, elemMin) {
+	n := r.U32()
+	if r.err != nil || !r.fits(uint64(n), elemMin) {
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 // fits reports whether n elements of at least elemMin bytes each can
-// still follow, failing the reader when they cannot.
-func (r *Reader) fits(n, elemMin int) bool {
+// still follow, failing the reader when they cannot. n is unsigned and
+// never multiplied, so neither a u32 count nor a negative int (which
+// converts huge) can wrap past the check on a 32-bit build.
+func (r *Reader) fits(n uint64, elemMin int) bool {
 	if elemMin < 1 {
 		elemMin = 1
 	}
-	if n < 0 || n*elemMin > r.Rem() {
+	if n > uint64(r.Rem()/elemMin) {
 		r.fail("collection of %d elements (min %d bytes each) exceeds %d remaining bytes", n, elemMin, r.Rem())
 		return false
 	}

@@ -41,17 +41,13 @@ const routeBatchSize = 256
 // (worker state depends on it); a late plan whose partition keys still
 // cover the routing attributes joins every partition worker, and a
 // late plan that breaks worker-locality (its key set does not cover
-// the routing attributes) falls back to an executor group: a lazily
-// started extra worker that receives every event in order and hosts
-// locality-breaking subscribers. Up to k such groups run side by side
-// (SetExecutorGroups); fallback plans are clustered onto groups by
-// compatible partition attributes — same partition-key signature, same
-// group, so plans that window the stream identically share one resolve
-// pass, while incompatible fleets spread across groups and execute in
-// parallel. The fallback preserves correctness for everyone at the
-// cost of streaming each event once per group in addition to its
-// partition worker. A group whose last subscriber leaves is retired at
-// the next membership change or Sync barrier, so a shrunk fleet stops
+// the routing attributes) joins the fallback worker (the executor
+// group Stats counts): one lazily started extra worker that receives
+// every event in order and hosts every locality-breaking subscriber.
+// The fallback preserves correctness for everyone at the cost of
+// streaming each event twice, once to its partition worker and once to
+// the fallback. The fallback retires with its last subscriber, at the
+// next membership change or Sync barrier, so a shrunk fleet stops
 // paying duplicate event delivery.
 //
 // Routing degenerates to a single worker when the hosted plans share
@@ -63,14 +59,14 @@ const routeBatchSize = 256
 // into a reused buffer, hashed with an inlined FNV-1a loop, and events
 // travel in pooled batches instead of one channel send per event.
 //
-// One worker with no executor groups is the in-thread case — the inline
-// session. It is the same worker running the same runtime and the same
-// control plane, but its messages are handled on the caller's
-// goroutine: there is nothing to route to, so no routing attributes
-// are computed, no event is skipped or re-batched (the caller's slice
-// is the worker's batch), and a subscription's callback is installed
-// in its engine, so results stream inside the ProcessBatch that closes
-// their window.
+// One worker is the in-thread case — the inline session. It is the
+// same worker running the same runtime and the same control plane, but
+// its messages are handled on the caller's goroutine: there is nothing
+// to route to, so no routing attributes are computed, no event is
+// skipped or re-batched (the caller's slice is the worker's batch), no
+// fallback worker is ever needed, and a subscription's callback is
+// installed in its engine, so results stream inside the ProcessBatch
+// that closes their window.
 //
 // Every worker runtime owns its own sharing groups (internal/runtime).
 // Workers lag the router by different amounts, so a group's host
@@ -82,24 +78,21 @@ type MultiExecutor struct {
 	inThread   bool          // one worker, run on the caller's goroutine
 	routeAttrs []string
 	workers    []*mworker
-	// Executor groups: lazily created full-stream workers hosting the
-	// locality-breaking subscribers, clustered by partition-key
-	// signature (groupSigs, parallel to groups). maxGroups caps how many
-	// run side by side; empty groups are retired at membership changes
-	// and Sync barriers.
-	groups      []*mworker
-	groupSigs   []string
-	groupPend   []*[]*event.Event
-	maxGroups   int
-	pending     []*[]*event.Event // per-worker batch under construction
-	keyBuf      []byte
-	pool        sync.Pool
-	subs        []*Sub // every subscription ever, indexed by id
-	seq         int64
-	lastTime    int64
-	sawEvent    bool
-	skipped     int64
-	retiredPeak int64 // summed peaks of retired fallback workers
+	// fallback is the full-stream worker hosting the locality-breaking
+	// subscribers (nil while none runs), fallbackPend its batch under
+	// construction; it retires at a membership change or Sync barrier
+	// once its last subscriber left.
+	fallback     *mworker
+	fallbackPend *[]*event.Event
+	pending      []*[]*event.Event // per-worker batch under construction
+	keyBuf       []byte
+	pool         sync.Pool
+	subs         []*Sub // every subscription ever, indexed by id
+	seq          int64
+	lastTime     int64
+	sawEvent     bool
+	skipped      int64
+	retiredPeak  int64 // summed peaks of retired fallback workers
 	// retiredFlips and retiredSaved keep the sharing counters of retired
 	// fallback workers, mirroring retiredPeak.
 	retiredFlips int64
@@ -210,16 +203,16 @@ type ctlReply struct {
 // (each worker adds its own accountant after them), so session-wide
 // engine policies like core.WithInternEviction reach every worker.
 func NewMultiExecutorOn(cat *core.Catalog, n int, engOpts ...core.Option) *MultiExecutor {
-	m := &MultiExecutor{cat: cat, engOpts: engOpts, maxGroups: 1}
+	m := &MultiExecutor{cat: cat, engOpts: engOpts}
 	m.start(max(n, 1))
 	return m
 }
 
 // start builds the n partition workers of an executor that has its
-// catalog, engine options and group cap — the tail of construction,
-// shared with snapshot restore, which learns n from the frame.
+// catalog and engine options — the tail of construction, shared with
+// snapshot restore, which learns n from the frame.
 func (m *MultiExecutor) start(n int) {
-	m.inThread = n == 1 && m.maxGroups <= 1
+	m.inThread = n == 1
 	m.pool.New = func() any {
 		b := make([]*event.Event, 0, routeBatchSize)
 		return &b
@@ -300,32 +293,12 @@ func (m *MultiExecutor) shutdown() {
 	}
 }
 
-// SetExecutorGroups caps how many executor groups may run side by
-// side (k >= 1; the default is 1, the single-fallback-worker
-// behaviour). Groups start lazily when a locality-breaking plan
-// subscribes, so raising the cap takes effect for future subscribes;
-// lowering it never disturbs groups already hosting subscribers —
-// they shrink only by retirement when their last subscriber leaves.
-// Groups execute beside the partition workers, so k > 1 on a
-// one-worker executor that hosts nothing yet moves that worker off the
-// caller's goroutine; once a plan is subscribed the shape stays.
-func (m *MultiExecutor) SetExecutorGroups(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.maxGroups = k
-	if k > 1 && m.inThread && len(m.subs) == 0 {
-		m.inThread = false
-		m.workers[0].start()
-	}
-}
-
-// allWorkers returns the partition workers plus the executor groups.
+// allWorkers returns the partition workers plus the fallback worker.
 func (m *MultiExecutor) allWorkers() []*mworker {
-	if len(m.groups) == 0 {
+	if m.fallback == nil {
 		return m.workers
 	}
-	return append(append([]*mworker(nil), m.workers...), m.groups...)
+	return append(append([]*mworker(nil), m.workers...), m.fallback)
 }
 
 // activePlans returns the plans of the active subscriptions.
@@ -357,10 +330,10 @@ func WithCallback(fn func(core.Result)) SubscribeOpt {
 }
 
 // StrictRouting rejects the subscription with ErrFrozenRouting instead
-// of falling back to an executor group when the routing is frozen and
+// of hosting it on the fallback worker when the routing is frozen and
 // the plan's partition keys do not cover the routing attributes. The
 // fallback preserves correctness but streams every event to the
-// hosting group in addition to its partition worker; strict callers
+// fallback worker in addition to its partition worker; strict callers
 // prefer the explicit error.
 func StrictRouting() SubscribeOpt {
 	return func(o *subOpts) { o.strict = true }
@@ -372,11 +345,11 @@ func StrictRouting() SubscribeOpt {
 // attributes are recomputed over the new fleet; mid-stream the routing
 // is frozen, and the plan either joins every partition worker (its
 // partition keys cover the routing attributes — sub-streams stay
-// worker-local) or falls back to an executor group clustered by its
-// partition-key signature (rejected with ErrFrozenRouting under
-// StrictRouting). The subscription takes effect at one consistent
-// stream position on every worker: after every event routed so far,
-// before any event routed later.
+// worker-local) or joins the fallback worker, starting it if none runs
+// (rejected with ErrFrozenRouting under StrictRouting). The
+// subscription takes effect at one consistent stream position on every
+// worker: after every event routed so far, before any event routed
+// later.
 func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*Sub, error) {
 	if m.closed {
 		return nil, fmt.Errorf("stream: Subscribe after Close: %w", core.ErrClosed)
@@ -400,7 +373,10 @@ func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*S
 			return nil, fmt.Errorf("stream: partition keys %v do not cover the frozen routing attributes %v: %w",
 				plan.StreamKeys, m.routeAttrs, core.ErrFrozenRouting)
 		}
-		hosts = []*mworker{m.groupFor(plan)}
+		if m.fallback == nil {
+			m.fallback = m.newWorker()
+		}
+		hosts = []*mworker{m.fallback}
 	}
 	m.flushPending()
 	sub := &Sub{m: m, id: len(m.subs), plan: plan, cb: o.cb, active: true, hosts: hosts}
@@ -435,50 +411,6 @@ func (m *MultiExecutor) reroute(joining *core.Plan) {
 	if len(plans) > 0 {
 		m.routeAttrs = sharedRouteAttrs(plans)
 	}
-}
-
-// groupSig is a plan's clustering signature: its partition attributes,
-// sorted and NUL-joined. Two plans with the same signature window the
-// stream into the same sub-stream universe, so hosting them on one
-// group shares the resolve pass and dispatch index.
-func groupSig(plan *core.Plan) string {
-	keys := append([]string(nil), plan.StreamKeys...)
-	sort.Strings(keys)
-	return strings.Join(keys, "\x00")
-}
-
-// groupFor picks (or starts) the executor group hosting a
-// locality-breaking plan: an existing group with the same
-// partition-key signature if one runs, a fresh group while the cap
-// (SetExecutorGroups) has headroom, and otherwise the least-loaded
-// group by active subscriber count.
-func (m *MultiExecutor) groupFor(plan *core.Plan) *mworker {
-	sig := groupSig(plan)
-	for gi, g := range m.groups {
-		if m.groupSigs[gi] == sig {
-			return g
-		}
-	}
-	if len(m.groups) < m.maxGroups {
-		g := m.newWorker()
-		m.groups = append(m.groups, g)
-		m.groupSigs = append(m.groupSigs, sig)
-		m.groupPend = append(m.groupPend, nil)
-		return g
-	}
-	best, bestLoad := m.groups[0], int(^uint(0)>>1)
-	for _, g := range m.groups {
-		load := 0
-		for _, s := range m.subs {
-			if s.active && len(s.hosts) == 1 && s.hosts[0] == g {
-				load++
-			}
-		}
-		if load < bestLoad {
-			best, bestLoad = g, load
-		}
-	}
-	return best
 }
 
 // attrsCovered reports whether every routing attribute appears in the
@@ -527,7 +459,7 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 		// that the intersection spans fewer plans.
 		m.reroute(nil)
 	}
-	if err := m.retireIdleGroups(); err != nil && firstErr == nil {
+	if err := m.retireIdleFallback(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	// Even on a partial failure the healthy workers' engines have been
@@ -562,48 +494,34 @@ func (s *Sub) deliver(merged []core.Result) []core.Result {
 	return nil
 }
 
-// retireIdleGroups shuts down every executor group with no active
-// subscription left — the shrink half of group rebalancing, run at
-// membership changes and Sync barriers — so a long-lived stream stops
-// paying the duplicate event delivery after a group's last subscriber
-// leaves. A later locality-breaking subscribe starts a fresh group,
-// aligned to the watermark like any late joiner. The caller must have
-// flushed pending batches (any partial group batch was handed over).
-func (m *MultiExecutor) retireIdleGroups() error {
-	var firstErr error
-	kept := 0
-	for gi, g := range m.groups {
-		busy := false
-		for _, s := range m.subs {
-			if s.active && len(s.hosts) == 1 && s.hosts[0] == g {
-				busy = true
-				break
-			}
-		}
-		if busy {
-			m.groups[kept] = g
-			m.groupSigs[kept] = m.groupSigs[gi]
-			m.groupPend[kept] = m.groupPend[gi]
-			kept++
-			continue
-		}
-		g.stop()
-		g.join()
-		// Peak memory is a high-water mark over the whole run: keep the
-		// retired worker's contribution so the reported fleet peak stays
-		// monotone. The sharing counters are lifetime totals too.
-		m.retiredPeak += g.acct.Peak()
-		rs := g.rt.Stats()
-		m.retiredFlips += rs.ShareFlips
-		m.retiredSaved += rs.SharedSavedOps
-		if g.err != nil && firstErr == nil {
-			firstErr = g.err
+// retireIdleFallback shuts the fallback worker down once no active
+// subscription is left on it — run at membership changes and Sync
+// barriers — so a long-lived stream stops paying the duplicate event
+// delivery after its last subscriber leaves. A later locality-breaking
+// subscribe starts a fresh fallback, aligned to the watermark like any
+// late joiner. The caller must have flushed pending batches (any
+// partial fallback batch was handed over).
+func (m *MultiExecutor) retireIdleFallback() error {
+	fb := m.fallback
+	if fb == nil {
+		return nil
+	}
+	for _, s := range m.subs {
+		if s.active && s.hosts[0] == fb {
+			return nil
 		}
 	}
-	m.groups = m.groups[:kept]
-	m.groupSigs = m.groupSigs[:kept]
-	m.groupPend = m.groupPend[:kept]
-	return firstErr
+	m.fallback = nil
+	fb.stop()
+	fb.join()
+	// Peak memory is a high-water mark over the whole run: keep the
+	// retired worker's contribution so the reported fleet peak stays
+	// monotone. The sharing counters are lifetime totals too.
+	m.retiredPeak += fb.acct.Peak()
+	rs := fb.rt.Stats()
+	m.retiredFlips += rs.ShareFlips
+	m.retiredSaved += rs.SharedSavedOps
+	return fb.err
 }
 
 // drain implements Sub.Drain.
@@ -633,8 +551,8 @@ func (m *MultiExecutor) drain(sub *Sub) ([]core.Result, error) {
 // worker at the current stream position.
 type Stats struct {
 	// Queries is the number of active subscriptions; Workers counts the
-	// running workers (including the executor groups); Groups counts
-	// the running executor groups alone.
+	// running workers (including the fallback worker); Groups is 1
+	// while the fallback worker runs, else 0.
 	Queries int
 	Workers int
 	Groups  int
@@ -665,10 +583,11 @@ type Stats struct {
 // Stats gathers the executor-wide statistics: each worker reports at
 // its current position after receiving everything routed so far.
 func (m *MultiExecutor) Stats() (Stats, error) {
+	workers := m.allWorkers()
 	st := Stats{
 		Queries:        len(m.activePlans()),
-		Workers:        len(m.allWorkers()),
-		Groups:         len(m.groups),
+		Workers:        len(workers),
+		Groups:         len(workers) - len(m.workers),
 		Events:         m.seq,
 		Skipped:        m.skipped,
 		InternedTypes:  m.cat.NumTypes(),
@@ -681,7 +600,7 @@ func (m *MultiExecutor) Stats() (Stats, error) {
 	if !m.closed {
 		m.flushPending()
 	}
-	for _, w := range m.allWorkers() {
+	for _, w := range workers {
 		var rep ctlReply
 		if m.closed {
 			// The workers have exited (Close waited on them), so their
@@ -822,11 +741,11 @@ func fnv1a(b []byte) uint32 {
 
 // ProcessBatch ingests a pre-sorted batch — the one ingest path (a
 // single event is a batch of one). Every event goes to its partition's
-// worker and additionally to every running executor group. Events
+// worker and additionally to the fallback worker when one runs. Events
 // missing a shared routing attribute are counted and skipped for the
 // partition workers — such an event lacks part of every routed plan's
 // partition key, so no routed engine would admit it to a sub-stream —
-// but they still reach the executor groups, whose queries route on
+// but they still reach the fallback worker, whose queries route on
 // nothing. Events travel in pooled batches; control-plane calls and
 // Close flush any partial one, and a worker's failure surfaces there.
 // The in-thread worker takes the caller's slice as is and reports its
@@ -848,7 +767,7 @@ func (p *MultiExecutor) ProcessBatch(events []*event.Event) error {
 	return nil
 }
 
-// route sends one event to its partition worker and the groups.
+// route sends one event to its partition worker and the fallback.
 func (p *MultiExecutor) route(e *event.Event) {
 	p.seq++
 	if e.ID == 0 {
@@ -875,8 +794,8 @@ func (p *MultiExecutor) route(e *event.Event) {
 	if routed {
 		p.append(p.workers[wi], &p.pending[wi], e)
 	}
-	for gi, g := range p.groups {
-		p.append(g, &p.groupPend[gi], e)
+	if p.fallback != nil {
+		p.append(p.fallback, &p.fallbackPend, e)
 	}
 }
 
@@ -905,11 +824,9 @@ func (p *MultiExecutor) flushPending() {
 			p.pending[i] = nil
 		}
 	}
-	for gi, g := range p.groups {
-		if batch := p.groupPend[gi]; batch != nil && len(*batch) > 0 {
-			g.in <- wmsg{batch: batch}
-			p.groupPend[gi] = nil
-		}
+	if batch := p.fallbackPend; batch != nil && len(*batch) > 0 {
+		p.fallback.in <- wmsg{batch: batch}
+		p.fallbackPend = nil
 	}
 }
 
@@ -918,15 +835,15 @@ func (p *MultiExecutor) flushPending() {
 // barrier. RunContext uses it when its context is cancelled, so the
 // workers' state reflects exactly the pushed prefix before the caller
 // regains control (Drain and Stats then observe a consistent cut).
-// The barrier is also the group-rebalance point: executor groups whose
-// last subscriber left since the previous barrier are retired here, so
-// a shrunk fleet stops paying their duplicate event delivery.
+// The barrier is also a retirement point: a fallback worker whose last
+// subscriber left since the previous barrier is retired here, so a
+// shrunk fleet stops paying its duplicate event delivery.
 func (p *MultiExecutor) Sync() error {
 	if p.closed {
 		return fmt.Errorf("stream: Sync after Close: %w", core.ErrClosed)
 	}
 	p.flushPending()
-	if err := p.retireIdleGroups(); err != nil {
+	if err := p.retireIdleFallback(); err != nil {
 		return err
 	}
 	for _, w := range p.allWorkers() {

@@ -20,9 +20,8 @@ import (
 	"repro/internal/snap"
 )
 
-// MaxSnapshotWorkers bounds the worker and executor-group counts read
-// from a snapshot, so a corrupt header cannot spawn an absurd goroutine
-// fleet.
+// MaxSnapshotWorkers bounds the worker count read from a snapshot, so
+// a corrupt header cannot spawn an absurd goroutine fleet.
 const MaxSnapshotWorkers = 4096
 
 // CodeEvent lists one event's fields in wire order, attributes by
@@ -98,12 +97,22 @@ func (r *Reorderer) Code(c *snap.Coder) {
 // indexes, the worker fleet starts once the header is validated, and
 // each worker's runtime is loaded before any message is sent on its
 // channel, so the handoff is race-free.
+//
+// The group cap and the group list are layout left from builds that ran
+// several fallback workers: written as a cap of 1 and zero or one empty
+// signature, range-checked and otherwise ignored when read. A frame
+// listing more than one group, or a group beside a single partition
+// worker, came from such a build and is refused.
 func (m *MultiExecutor) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan) {
 	if m.closed {
 		c.Fail(fmt.Errorf("stream: Snapshot after Close: %w", core.ErrClosed))
 		return
 	}
-	nw, maxGroups := uint32(len(m.workers)), uint32(m.maxGroups)
+	nw, groupCap := uint32(len(m.workers)), uint32(1)
+	var groupSigs []string
+	if m.fallback != nil {
+		groupSigs = []string{""}
+	}
 	c.U32(&nw)
 	snap.Slice(c, &m.routeAttrs, 4, (*snap.Coder).Str)
 	c.I64(&m.seq)
@@ -111,21 +120,24 @@ func (m *MultiExecutor) Code(c *snap.Coder, planIdx map[int]int32, plans []*core
 	c.Bool(&m.sawEvent)
 	c.I64(&m.skipped)
 	c.I64(&m.retiredPeak)
-	c.U32(&maxGroups)
-	snap.Slice(c, &m.groupSigs, 4, (*snap.Coder).Str)
+	c.U32(&groupCap)
+	snap.Slice(c, &groupSigs, 4, (*snap.Coder).Str)
 	if c.Decoding() {
 		c.Check(nw >= 1 && nw <= MaxSnapshotWorkers, "executor worker count %d", nw)
-		c.Check(maxGroups >= 1 && maxGroups <= MaxSnapshotWorkers, "executor group cap %d", maxGroups)
-		c.Check(len(m.groupSigs) <= int(maxGroups), "%d executor groups over a cap of %d", len(m.groupSigs), maxGroups)
-		c.Check(len(m.groupSigs) == 0 || nw > 1 || maxGroups > 1, "%d executor groups beside an in-thread worker", len(m.groupSigs))
+		c.Check(groupCap >= 1 && groupCap <= MaxSnapshotWorkers, "executor group cap %d", groupCap)
+		c.Check(len(groupSigs) <= 1, "%d executor groups, this build runs at most one", len(groupSigs))
+		c.Check(len(groupSigs) == 0 || nw > 1, "%d executor groups beside a single partition worker", len(groupSigs))
 		if c.Err() != nil {
 			return
 		}
-		m.maxGroups = int(maxGroups)
 		m.start(int(nw))
-		for range m.groupSigs {
-			m.groups = append(m.groups, m.newWorker())
-			m.groupPend = append(m.groupPend, nil)
+		if m.inThread {
+			// A one-worker frame written under a group cap above one ran
+			// its worker on a goroutine and routed; in-thread routes nothing.
+			m.routeAttrs = nil
+		}
+		if len(groupSigs) == 1 {
+			m.fallback = m.newWorker()
 		}
 	}
 	for _, wk := range m.allWorkers() {
@@ -151,10 +163,11 @@ func (m *MultiExecutor) Code(c *snap.Coder, planIdx map[int]int32, plans []*core
 		if !s.active {
 			continue
 		}
-		// Hosted on every partition worker (1) or on one executor group (2).
+		// Hosted on every partition worker (1) or on the fallback worker
+		// (2, always executor group 0).
 		kind, gi := uint8(1), uint32(0)
-		if g := m.groupIndex(s.hosts); g >= 0 {
-			kind, gi = 2, uint32(g)
+		if !c.Decoding() && m.fallback != nil && s.hosts[0] == m.fallback {
+			kind = 2
 		}
 		if c.U8(&kind); kind == 2 {
 			c.U32(&gi)
@@ -165,19 +178,19 @@ func (m *MultiExecutor) Code(c *snap.Coder, planIdx map[int]int32, plans []*core
 		}
 		snap.Slice(c, &wsubIDs, 8, (*snap.Coder).Int)
 		if c.Decoding() {
-			m.relink(c, s, kind, int(gi), wsubIDs)
+			m.relink(c, s, kind, gi, wsubIDs)
 		}
 	}
 }
 
 // relink resolves a decoded subscription's hosts and per-worker
 // subscriptions against the restored workers.
-func (m *MultiExecutor) relink(c *snap.Coder, s *Sub, kind uint8, gi int, wsubIDs []int) {
+func (m *MultiExecutor) relink(c *snap.Coder, s *Sub, kind uint8, gi uint32, wsubIDs []int) {
 	switch {
 	case kind == 1:
 		s.hosts = m.workers
-	case kind == 2 && gi < len(m.groups):
-		s.hosts = []*mworker{m.groups[gi]}
+	case kind == 2 && gi == 0 && m.fallback != nil:
+		s.hosts = []*mworker{m.fallback}
 	default:
 		c.Check(false, "subscription %d host kind %d, executor group %d", s.id, kind, gi)
 	}
@@ -234,21 +247,6 @@ func RestoreMultiExecutor(cat *core.Catalog, c *snap.Coder, plans []*core.Plan, 
 		return nil
 	}
 	return m
-}
-
-// groupIndex returns the index of the executor group a single-host
-// subscription is hosted on, or -1 when the hosts are the partition
-// workers.
-func (m *MultiExecutor) groupIndex(hosts []*mworker) int {
-	if len(hosts) != 1 {
-		return -1
-	}
-	for gi, g := range m.groups {
-		if g == hosts[0] {
-			return gi
-		}
-	}
-	return -1
 }
 
 // Subs returns every subscription the executor ever hosted, indexed

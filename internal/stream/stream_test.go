@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -590,24 +591,31 @@ func TestMultiExecutorLocalityFallback(t *testing.T) {
 
 // TestRestoreRejectsGroupsBesideInThreadWorker: a frame claiming an
 // executor group next to the in-thread worker describes a shape no
-// executor can have (nothing feeds such a group); it must fail as a bad
-// snapshot rather than build a worker that is never started.
+// executor can have (nothing feeds such a group), and one claiming two
+// groups a shape only builds with a group cap above one could write;
+// both must fail as a bad snapshot naming the count rather than build
+// workers this executor cannot run.
 func TestRestoreRejectsGroupsBesideInThreadWorker(t *testing.T) {
-	var w snap.Writer
-	enc := snap.Encoder(&w)
-	one, none, sig := uint32(1), int64(0), "ward"
-	enc.U32(&one)  // workers
-	w.U32(0)       // routing attributes
-	enc.I64(&none) // seq
-	enc.I64(&none) // lastTime
-	w.U8(0)        // sawEvent
-	enc.I64(&none) // skipped
-	enc.I64(&none) // retired peak
-	enc.U32(&one)  // group cap
-	enc.U32(&one)  // running groups
-	enc.Str(&sig)
-	dec := snap.Decoder(w.Reader())
-	if m := RestoreMultiExecutor(core.NewCatalog(), dec, nil); m != nil || !errors.Is(dec.Err(), snap.ErrBadSnapshot) {
-		t.Errorf("groups beside an in-thread worker: executor %v, error %v, want ErrBadSnapshot", m, dec.Err())
+	for _, tc := range []struct{ workers, groups uint32 }{{1, 1}, {4, 2}} {
+		var w snap.Writer
+		enc := snap.Encoder(&w)
+		none, sig, groupCap := int64(0), "ward", uint32(2)
+		enc.U32(&tc.workers)
+		w.U32(0)       // routing attributes
+		enc.I64(&none) // seq
+		enc.I64(&none) // lastTime
+		w.U8(0)        // sawEvent
+		enc.I64(&none) // skipped
+		enc.I64(&none) // retired peak
+		enc.U32(&groupCap)
+		enc.U32(&tc.groups) // running groups
+		for range tc.groups {
+			enc.Str(&sig)
+		}
+		dec := snap.Decoder(w.Reader())
+		m := RestoreMultiExecutor(core.NewCatalog(), dec, nil)
+		if m != nil || !errors.Is(dec.Err(), snap.ErrBadSnapshot) || !strings.Contains(dec.Err().Error(), fmt.Sprintf("%d executor groups", tc.groups)) {
+			t.Errorf("%d groups beside %d workers: executor %v, error %v, want ErrBadSnapshot naming the count", tc.groups, tc.workers, m, dec.Err())
+		}
 	}
 }

@@ -27,7 +27,12 @@
 // either: the six goldens as the last build with optional sharing and
 // intern eviction wrote them (this layout, with those config bits and
 // the group registration bits clear), which Restore must still accept
-// (TestSharedAggregationAddedAtRestore).
+// (TestSharedAggregationAddedAtRestore). Nor is
+// testdata/golden/v5-groups: two frames the last build with an
+// executor-group cap wrote — one with two groups running, which Restore
+// must refuse (TestRestoreRefusesTwoExecutorGroups), and a one-worker
+// session under a cap of 2, which restores in-thread
+// (TestRestoreOneWorkerFrameUnderGroupCap).
 package main
 
 import (

@@ -107,7 +107,6 @@ type SessionOption func(*sessionCfg)
 
 type sessionCfg struct {
 	workers  int
-	groups   int
 	slack    int64
 	reorder  bool
 	late     LatePolicy
@@ -121,21 +120,6 @@ type sessionCfg struct {
 // see MultiExecutor for the routing and fallback rules.
 func WithWorkers(n int) SessionOption {
 	return func(c *sessionCfg) { c.workers = n }
-}
-
-// WithExecutorGroups lets up to k executor groups run side by side
-// (k > 1; the default is one). Executor groups host the queries that
-// cannot be partition-routed — the fleet shares no partition
-// attribute with them, or they subscribed after routing froze — and
-// each group receives the full stream in order. Queries are clustered
-// onto groups by compatible partition attributes: same partition-key
-// signature, same group (they share one resolve pass); incompatible
-// queries spread across groups and execute in parallel, up to k. A
-// group whose last subscriber unsubscribes is retired at the next
-// membership change or Sync barrier. With k > 1 the session runs in
-// parallel mode even when WithWorkers was not given.
-func WithExecutorGroups(k int) SessionOption {
-	return func(c *sessionCfg) { c.groups = k }
 }
 
 // WithSlack accepts bounded-disorder sources: a K-slack buffer in
@@ -230,7 +214,7 @@ type Session struct {
 
 	cfg    sessionCfg // resolved construction options, for Snapshot
 	cat    *core.Catalog
-	mx     *stream.MultiExecutor // in-thread worker, or workers/groups on goroutines
+	mx     *stream.MultiExecutor // in-thread worker, or workers on goroutines
 	ro     *stream.Reorderer     // nil without WithSlack
 	roPeak int
 	roSeq  int64 // arrival order stamped onto ID-0 events before buffering
@@ -250,7 +234,7 @@ func NewSession(opts ...SessionOption) *Session {
 		opt(&cfg)
 	}
 	s := &Session{cfg: cfg, cat: core.NewCatalog(), ro: newReorderer(cfg)}
-	s.mx = newExecutor(s.cat, cfg)
+	s.mx = stream.NewMultiExecutorOn(s.cat, cfg.workers, engineOpts()...)
 	return s
 }
 
@@ -279,17 +263,6 @@ func newReorderer(cfg sessionCfg) *stream.Reorderer {
 // the open windows, not by the stream's lifetime cardinality. Results
 // are byte-identical to an unbounded engine's.
 func engineOpts() []core.Option { return []core.Option{core.WithInternEviction()} }
-
-// newExecutor builds the empty executor a configuration asks for:
-// workers <= 1 with groups <= 1 is the in-thread worker, anything wider
-// runs on goroutines.
-func newExecutor(cat *core.Catalog, cfg sessionCfg) *stream.MultiExecutor {
-	mx := stream.NewMultiExecutorOn(cat, cfg.workers, engineOpts()...)
-	if cfg.groups > 1 {
-		mx.SetExecutorGroups(cfg.groups)
-	}
-	return mx
-}
 
 // Catalog returns the session's shared catalog, for compiling plans
 // with CompileIn ahead of SubscribePlan.
@@ -420,29 +393,24 @@ func guardSink(sub *Subscription, fn func(Result)) func(Result) {
 }
 
 // Push ingests the next stream event for every subscribed query — the
-// primary single-event entry point. Without WithSlack, events must
-// arrive in non-decreasing time-stamp order and an out-of-order event
-// fails with ErrLateEvent; with WithSlack, events are re-ordered
-// within the slack and stragglers beyond it follow the late policy.
+// primary single-event entry point, a PushBatch of one. Without
+// WithSlack, events must arrive in non-decreasing time-stamp order and
+// an out-of-order event fails with ErrLateEvent; with WithSlack, events
+// are re-ordered within the slack and stragglers beyond it follow the
+// late policy.
 func (s *Session) Push(e *Event) error {
+	// Checked before s.one is written: a Push from inside a sink must
+	// not overwrite the outer Push's batch.
 	if s.dispatching {
-		return fmt.Errorf("cogra: Push from within a result sink; defer it until the outer Push returns")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("cogra: Push after Close: %w", ErrClosed)
-	}
-	s.dispatching = true
-	defer func() { s.dispatching = false }()
-	if s.ro != nil {
-		return s.offer(e)
+		return errPushInSink
 	}
 	s.one[0] = e
-	err := s.dispatchBatch(s.one[:])
+	err := s.PushBatch(s.one[:])
 	s.one[0] = nil
 	return err
 }
+
+var errPushInSink = errors.New("cogra: Push from within a result sink; defer it until the outer Push returns")
 
 // PushBatch ingests a batch of events in arrival order — the primary
 // bulk entry point; the batch flows natively down the stack (one
@@ -452,7 +420,7 @@ func (s *Session) Push(e *Event) error {
 // offending event, everything before it has been ingested.
 func (s *Session) PushBatch(events []*Event) error {
 	if s.dispatching {
-		return fmt.Errorf("cogra: Push from within a result sink; defer it until the outer Push returns")
+		return errPushInSink
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -616,9 +584,9 @@ func (s *Session) Close() error {
 // SessionStats summarises a session's hosted state.
 type SessionStats struct {
 	// Queries is the number of active subscriptions; Workers the
-	// worker count (1 for the default in-thread session; running
-	// executor groups count too). ExecutorGroups counts the running
-	// executor groups alone (0 while none hosts a subscriber).
+	// worker count (1 for the default in-thread session; a running
+	// fallback worker counts too). ExecutorGroups is 1 while the
+	// fallback worker runs and 0 while none hosts a subscriber.
 	Queries        int
 	Workers        int
 	ExecutorGroups int

@@ -578,3 +578,45 @@ func TestSessionUnsubscribeFromCallbackIsRetriable(t *testing.T) {
 		t.Errorf("queries after deferred unsubscribe = %d, want 0", st.Queries)
 	}
 }
+
+// TestSessionPushFromSinkIsRejected: a Push issued inside a sink fails
+// before it touches the session, so the outer Push's batch of one is
+// not overwritten: every query sees exactly the pushed stream.
+func TestSessionPushFromSinkIsRejected(t *testing.T) {
+	const src = `RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`
+	run := func(reenter bool) ([]cogra.Result, error) {
+		sess := cogra.NewSession()
+		var inner error
+		if _, err := sess.Subscribe(cogra.MustParse(src), cogra.WithSink(cogra.SinkFunc(func(cogra.Result) {
+			if reenter {
+				inner = sess.Push(cogra.NewEvent("A", 100))
+			}
+		}))); err != nil {
+			t.Fatal(err)
+		}
+		watched, err := sess.Subscribe(cogra.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tm := range []int64{1, 2, 15, 16, 31} {
+			if err := sess.Push(cogra.NewEvent("A", tm)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return watched.Drain(), inner
+	}
+	want, _ := run(false)
+	got, inner := run(true)
+	if inner == nil {
+		t.Error("Push from inside a sink was accepted")
+	}
+	if len(want) == 0 {
+		t.Fatal("no results; test is vacuous")
+	}
+	if !diff.Equal(got, want) {
+		t.Errorf("a rejected inner Push changed what the fleet saw\n%s", diff.Diff(got, want))
+	}
+}

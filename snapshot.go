@@ -173,16 +173,16 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 	if c.Err() != nil {
 		return nil
 	}
-	if width(s.cfg.workers) != width(orig.workers) || width(s.cfg.groups) != width(orig.groups) {
+	if width(s.cfg.workers) != width(orig.workers) {
 		if s.saw {
-			return fmt.Errorf("cogra: restore with %d workers / %d groups from a %d-worker / %d-group snapshot after events flowed (routing is frozen): %w",
-				width(s.cfg.workers), width(s.cfg.groups), width(orig.workers), width(orig.groups), ErrFrozenRouting)
+			return fmt.Errorf("cogra: restore with %d workers from a %d-worker snapshot after events flowed (routing is frozen): %w",
+				width(s.cfg.workers), width(orig.workers), ErrFrozenRouting)
 		}
 		// Event-free snapshot: the topology holds only fresh construction
 		// state, so skip it and re-subscribe the surviving plans against a
 		// fresh executor of the requested width.
 		c.Skip(topology)
-		s.mx = newExecutor(s.cat, s.cfg)
+		s.mx = stream.NewMultiExecutorOn(s.cat, s.cfg.workers, engineOpts()...)
 		for id, plan := range plans {
 			if plan == nil {
 				continue
@@ -220,7 +220,11 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 // code lists the construction options in wire order.
 func (cfg *sessionCfg) code(c *snap.Coder) {
 	c.Int(&cfg.workers)
-	c.Int(&cfg.groups)
+	// The executor-group cap, once an option: written 0, range-checked
+	// and ignored when read (every session runs at most one fallback
+	// worker).
+	groups := 0
+	c.Int(&groups)
 	c.I64(&cfg.slack)
 	c.Bool(&cfg.reorder)
 	snap.Enum(c, &cfg.late, RejectLate, "session late policy")
@@ -233,12 +237,11 @@ func (cfg *sessionCfg) code(c *snap.Coder) {
 	c.Bool(&evict)
 	c.Bool(&shared)
 	c.Check(cfg.workers >= 0 && cfg.workers <= stream.MaxSnapshotWorkers, "session worker count %d", cfg.workers)
-	c.Check(cfg.groups >= 0 && cfg.groups <= stream.MaxSnapshotWorkers, "session executor group count %d", cfg.groups)
+	c.Check(groups >= 0 && groups <= stream.MaxSnapshotWorkers, "session executor group count %d", groups)
 }
 
-// width is the worker (or executor-group) count a configured value
-// stands for: anything below 2 is the one in-thread worker (or the
-// single fallback group).
+// width is the worker count a configured value stands for: anything
+// below 2 is the one in-thread worker.
 func width(n int) int { return max(n, 1) }
 
 // Subscriptions returns the session's subscription handles, active and

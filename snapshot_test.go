@@ -393,6 +393,51 @@ func TestRestoreRefusesV4Frame(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesTwoExecutorGroups: a frame an earlier build wrote
+// under an executor-group cap above one, with two groups running at its
+// cut (testdata/golden/v5-groups, which regeneration never writes).
+// Every session now runs at most one fallback worker, so the frame is
+// refused as a bad snapshot that names the group count.
+func TestRestoreRefusesTwoExecutorGroups(t *testing.T) {
+	_, err := cogra.Restore(bytes.NewReader(readGolden(t, "v5-groups/two-groups")))
+	if !errors.Is(err, cogra.ErrBadSnapshot) || !strings.Contains(err.Error(), "2 executor groups") {
+		t.Errorf("Restore of a two-group frame: %v, want ErrBadSnapshot naming 2 executor groups", err)
+	}
+}
+
+// TestRestoreOneWorkerFrameUnderGroupCap: a one-worker session with an
+// executor-group cap above one ran its worker on a goroutine and routed
+// by patient (testdata/golden/v5-groups/one-worker, cut after 800
+// events by the last build with the cap). It restores to the in-thread
+// worker, which routes nothing, so a late joiner keyed by ward still
+// sees every event: its results equal a solo run over the suffix.
+func TestRestoreOneWorkerFrameUnderGroupCap(t *testing.T) {
+	events := runShapedStream(2400)
+	sess, err := cogra.Restore(bytes.NewReader(readGolden(t, "v5-groups/one-worker")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := groupQueries()["ward-seq"]
+	late, err := sess.Subscribe(cogra.MustParse(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.PushBatch(events[800:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := late.Drain()
+	want := fullWindowsAfter(soloRun(t, src, events[800:]), events[799].Time)
+	if len(want) == 0 {
+		t.Fatal("no results; test is vacuous")
+	}
+	if !diff.Equal(got, want) {
+		t.Errorf("late joiner on the restored one-worker session diverges from a suffix solo run\n%s", diff.Diff(got, want))
+	}
+}
+
 // TestRestoreThenSubscribe: a restored session keeps full dynamic
 // membership — a query subscribed AFTER restore behaves exactly like
 // one subscribed mid-stream in the undisturbed run.

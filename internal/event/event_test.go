@@ -140,41 +140,3 @@ func TestSchemaValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestSchemaCSVRoundTrip(t *testing.T) {
-	s := NewSchema("Stock", "company", "sector", "#price", "#volume")
-	e := New("Stock", 99).WithNum("price", 12.25).WithNum("volume", 300).
-		WithSym("company", "IBM").WithSym("sector", "tech")
-	row := s.MarshalCSV(e)
-	back, err := s.UnmarshalCSV(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Time != 99 || back.Type != "Stock" ||
-		back.Num["price"] != 12.25 || back.Num["volume"] != 300 ||
-		back.Sym["company"] != "IBM" || back.Sym["sector"] != "tech" {
-		t.Errorf("round trip lost data: %v -> %q -> %v", e, row, back)
-	}
-	if err := s.Validate(back); err != nil {
-		t.Errorf("round-tripped event invalid: %v", err)
-	}
-}
-
-func TestSchemaCSVErrors(t *testing.T) {
-	s := NewSchema("Stock", "company", "#price")
-	for _, row := range []string{
-		"", "1,Stock", "x,Stock,IBM,3", "1,Stock,IBM,notanumber", "1,Stock,IBM,3,extra",
-	} {
-		if _, err := s.UnmarshalCSV(row); err == nil {
-			t.Errorf("row %q: expected error", row)
-		}
-	}
-}
-
-func TestSchemaHeaderMatchesColumns(t *testing.T) {
-	s := NewSchema("M", "patient", "#rate", "activity")
-	h := s.MarshalCSVHeader()
-	if h != "time,type,activity,patient,rate" {
-		t.Errorf("header = %q", h)
-	}
-}

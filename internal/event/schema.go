@@ -2,8 +2,6 @@ package event
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -18,8 +16,8 @@ const (
 )
 
 // Schema describes one event type: its name and attribute kinds.
-// Schemas are used by the generators, the CSV codec and the query
-// compiler's attribute validation.
+// The generators (internal/gen) describe their datasets with schemas,
+// and Validate checks an event against one.
 type Schema struct {
 	// Type is the event type name this schema describes.
 	Type string
@@ -72,63 +70,4 @@ func (s *Schema) Validate(e *Event) error {
 		}
 	}
 	return nil
-}
-
-// AttrNames returns attribute names in sorted order.
-func (s *Schema) AttrNames() []string {
-	names := make([]string, 0, len(s.Attrs))
-	for n := range s.Attrs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// MarshalCSVHeader returns the CSV header row for this schema:
-// time,type,<attrs sorted>.
-func (s *Schema) MarshalCSVHeader() string {
-	cols := append([]string{"time", "type"}, s.AttrNames()...)
-	return strings.Join(cols, ",")
-}
-
-// MarshalCSV renders e as a CSV row matching MarshalCSVHeader.
-func (s *Schema) MarshalCSV(e *Event) string {
-	cols := make([]string, 0, 2+len(s.Attrs))
-	cols = append(cols, strconv.FormatInt(e.Time, 10), e.Type)
-	for _, name := range s.AttrNames() {
-		if s.Attrs[name] == NumAttrKind {
-			cols = append(cols, strconv.FormatFloat(e.Num[name], 'g', -1, 64))
-		} else {
-			cols = append(cols, e.Sym[name])
-		}
-	}
-	return strings.Join(cols, ",")
-}
-
-// UnmarshalCSV parses a CSV row produced by MarshalCSV.
-func (s *Schema) UnmarshalCSV(row string) (*Event, error) {
-	cols := strings.Split(row, ",")
-	names := s.AttrNames()
-	if len(cols) != 2+len(names) {
-		return nil, fmt.Errorf("schema %s: expected %d columns, got %d in %q",
-			s.Type, 2+len(names), len(cols), row)
-	}
-	t, err := strconv.ParseInt(cols[0], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("schema %s: bad time %q: %w", s.Type, cols[0], err)
-	}
-	e := New(cols[1], t)
-	for i, name := range names {
-		raw := cols[2+i]
-		if s.Attrs[name] == NumAttrKind {
-			v, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return nil, fmt.Errorf("schema %s: bad numeric %s=%q: %w", s.Type, name, raw, err)
-			}
-			e.WithNum(name, v)
-		} else {
-			e.WithSym(name, raw)
-		}
-	}
-	return e, nil
 }

@@ -28,6 +28,7 @@ func GoldenFrames() []GoldenFrame {
 		{"detached", goldenDetached},
 		{"unconstrained", goldenUnconstrained},
 		{"handover", goldenHandover},
+		{"retired", goldenRetired},
 	}
 }
 
@@ -295,4 +296,58 @@ func goldenHandover() (*cogra.Session, error) {
 		}
 	}
 	return sess, nil
+}
+
+// goldenRetired: two workers partitioned by patient, hosting two
+// subscriptions made from one SubscribePlan(p) — one plan table entry
+// referenced twice — and a fallback worker that came and went. Two
+// RETURN-variants keyed by ward join the fallback mid-stream, the
+// second through one handover; once both leave, the fallback retires,
+// so only the executor's retired counters remember that handover and
+// the operations the group saved.
+func goldenRetired() (*cogra.Session, error) {
+	const ward = `
+		PATTERN M+
+		SEMANTICS skip-till-next-match
+		WHERE [ward] GROUP-BY ward
+		WITHIN 64 SLIDE 32`
+	events := goldenStream(900, 37)
+	sess := cogra.NewSession(cogra.WithWorkers(2))
+	p, err := cogra.CompileIn(sess.Catalog(), cogra.MustParse(`
+		RETURN COUNT(*), SUM(A.v)
+		PATTERN (SEQ(A+, B))+
+		SEMANTICS skip-till-any-match
+		WHERE [patient] GROUP-BY patient
+		WITHIN 64 SLIDE 32`))
+	if err != nil {
+		return nil, err
+	}
+	for range 2 {
+		if _, err := sess.SubscribePlan(p); err != nil {
+			return nil, err
+		}
+	}
+	if err := sess.PushBatch(events[:300]); err != nil {
+		return nil, err
+	}
+	guests, err := subscribeAll(sess, "RETURN COUNT(*)"+ward)
+	if err != nil {
+		return nil, err
+	}
+	if err := sess.PushBatch(events[300:450]); err != nil {
+		return nil, err
+	}
+	joiner, err := subscribeAll(sess, "RETURN COUNT(*), MIN(M.rate)"+ward)
+	if err != nil {
+		return nil, err
+	}
+	if err := sess.PushBatch(events[450:750]); err != nil {
+		return nil, err
+	}
+	for _, sub := range append(guests, joiner...) {
+		if sub.Unsubscribe(); sub.Err() != nil {
+			return nil, sub.Err()
+		}
+	}
+	return sess, sess.PushBatch(events[750:])
 }

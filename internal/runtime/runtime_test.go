@@ -14,6 +14,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
+	"repro/internal/snap"
 )
 
 // testRand is a tiny deterministic xorshift.
@@ -638,5 +639,100 @@ func TestGroupOfOneEmitsWithoutAllocating(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("the subscription's callback never fired")
+	}
+}
+
+// TestRestoreKeepsPlanIdentity: the plan table codes each distinct plan
+// once, so a restored runtime runs the plans the live one ran, shared
+// where they were shared — a group of one on its subscription's own
+// plan, two subscriptions of one plan on one entry, a handover's host
+// on its union. Unsubscribing every member afterwards leaves the
+// restored catalog as it leaves the live one: retain and release stay
+// balanced.
+func TestRestoreKeepsPlanIdentity(t *testing.T) {
+	count, sum := agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}
+	rt := New()
+	p, err := core.NewPlanIn(rt.cat, countQuery(count))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := rt.SubscribePlan(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range testQueries()[1:3] {
+		if _, err := rt.Subscribe(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range mixedStream(300) {
+		if err := rt.Process(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A joiner the host does not cover: the cut falls while the retired
+	// host and its successor over the union both run.
+	if _, err := rt.Subscribe(countQuery(count, sum)); err != nil {
+		t.Fatal(err)
+	}
+	var plans []*core.Plan
+	idx := map[*core.Plan]int32{}
+	for _, s := range rt.subs {
+		plans = append(plans, s.plan)
+	}
+	for _, p := range append(plans, rt.HostPlans()...) {
+		if _, ok := idx[p]; !ok {
+			idx[p] = int32(len(idx))
+		}
+	}
+	plans = make([]*core.Plan, len(idx))
+	for p, i := range idx {
+		plans[i] = p
+	}
+	var w snap.Writer
+	enc := snap.Encoder(&w)
+	rt.cat.Code(enc)
+	rt.Code(enc, idx, plans, rt.nextID, nil)
+	if enc.Err() != nil {
+		t.Fatal(enc.Err())
+	}
+	back, dec := NewOn(core.NewCatalog()), snap.Decoder(w.Reader())
+	back.cat.Code(dec)
+	table := make([]*core.Plan, len(plans))
+	for i, p := range plans {
+		if table[i], err = core.NewPlanIn(back.cat, p.Query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if back.Code(dec, nil, table, rt.nextID, nil); dec.Err() != nil {
+		t.Fatal(dec.Err())
+	}
+	identity := func(rt *Runtime) (shape []bool) {
+		for _, h := range rt.hosts {
+			for _, v := range h.views {
+				shape = append(shape, h.plan == v.sub.plan)
+			}
+		}
+		for _, s := range rt.subs {
+			for _, o := range rt.subs {
+				shape = append(shape, s.plan == o.plan)
+			}
+		}
+		return shape
+	}
+	if live, restored := fmt.Sprint(identity(rt)), fmt.Sprint(identity(back)); live != restored || len(rt.hosts) != 4 {
+		t.Fatalf("plan identity across restore: live %s, restored %s (%d hosts, want 4)", live, restored, len(rt.hosts))
+	}
+	symbols := func(rt *Runtime) [4]int {
+		for len(rt.subs) > 0 {
+			if _, err := rt.subs[0].Unsubscribe(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return [4]int{rt.cat.NumTypes(), rt.cat.NumAttrs(), rt.cat.NumTypeSlots(), rt.cat.NumAttrSlots()}
+	}
+	if live, restored := symbols(rt), symbols(back); live != restored {
+		t.Errorf("catalog after every member left: live %v, restored %v", live, restored)
 	}
 }

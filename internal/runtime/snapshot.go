@@ -2,81 +2,60 @@ package runtime
 
 // Checkpoint codec for the single-threaded runtime: stream position,
 // every subscription with its undelivered results, and every host with
-// its engine state. Subscribers' plans are NOT serialized here — the
-// session layer snapshots queries and recompiles them against the
-// restored catalog; this codec records only which plan index each
-// subscription uses. A host's query is: it may be a union no
-// subscriber wrote, or outlive the member it was compiled for.
+// its engine state. Plans are NOT serialized here — the session layer
+// codes each distinct plan once, in a table ahead of the topology, and
+// compiles each entry once at restore; subscriptions and hosts write an
+// index into that table.
 
 import (
 	"fmt"
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/query"
 	"repro/internal/snap"
 )
 
-// Code lists the runtime's execution state in wire order. The two
-// directions bring different context. Encoding, planIdx maps a
-// subscription id to the index of its plan in the session-level plan
-// table (keyed by id rather than plan pointer because one plan can
-// legitimately host several subscriptions). Decoding — into a fresh
-// runtime on the restored catalog — plans holds the recompiled plans
-// under those indexes and opts are the engine options of every host the
-// runtime rebuilds (session-wide accounting and eviction; no result
+// Code lists the runtime's execution state in wire order. Encoding, idx
+// maps every plan a subscription or host runs to its index in the
+// session's plan table. Decoding — into a fresh runtime on the restored
+// catalog — plans holds the table's compiled entries, made counts the
+// subscriptions the executor ever made (the bound on the ids this
+// runtime handed out), and opts are the engine options of every host
+// the runtime rebuilds (session-wide accounting and eviction; no result
 // callback: sinks are not data, so restored subscriptions collect).
 // The catalog reference counts are rebuilt by re-retaining each hosted
 // plan, mirroring live subscribe.
-func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan, opts []core.Option) {
+func (rt *Runtime) Code(c *snap.Coder, idx map[*core.Plan]int32, plans []*core.Plan, made int, opts []core.Option) {
 	c.I64(&rt.lastTime)
 	c.Bool(&rt.sawEvent)
 	c.I64(&rt.seq)
 	c.Int(&rt.nextID)
-	if c.Decoding() && (c.Err() != nil || rt.nextID < 0 || rt.nextID > len(plans)) {
+	if c.Decoding() && (c.Err() != nil || rt.nextID < 0 || rt.nextID > made) {
 		// Every id the runtime ever handed out belongs to a subscription
-		// the session ever made, and Close sizes its result table by it.
-		c.Check(false, "runtime numbered %d subscriptions of the %d ever made", rt.nextID, len(plans))
+		// the executor made, and Close sizes its result table by it.
+		c.Check(false, "runtime numbered %d subscriptions of the %d ever made", rt.nextID, made)
 		rt.nextID = 0
 		return
 	}
 	n := len(rt.subs)
 	c.Len(&n, 24)
 	for i := 0; i < n && c.Err() == nil; i++ {
-		var s *Subscription
-		var pi int32
-		if c.Decoding() {
-			s = &Subscription{rt: rt, active: true}
-		} else {
+		s := &Subscription{rt: rt, active: true}
+		if !c.Decoding() {
 			s = rt.subs[i]
-			idx, ok := planIdx[s.id]
-			if pi = idx; !ok {
-				c.Fail(fmt.Errorf("runtime snapshot: subscription %d has no plan index", s.id))
-			}
 		}
 		c.Int(&s.id)
-		c.I32(&pi)
+		rt.codePlan(c, &s.plan, idx, plans)
 		c.I64(&s.from)
 		snap.Slice(c, &s.buf, 32, core.CodeResult)
 		if c.Decoding() {
 			c.Check(s.id >= 0 && s.id < rt.nextID && rt.Lookup(s.id) == nil, "runtime subscription id %d out of range or repeated", s.id)
-			c.Check(pi >= 0 && int(pi) < len(plans) && plans[pi] != nil, "runtime subscription %d references plan %d of %d", s.id, pi, len(plans))
 			if c.Err() != nil {
 				return
 			}
-			// The plan was recompiled against this very catalog moments
-			// ago; a failed retain means the snapshot is inconsistent.
-			s.plan = plans[pi]
-			err := rt.cat.Retain(s.plan)
-			c.Check(err == nil, "retaining plan for subscription %d: %v", s.id, err)
 			rt.subs = append(rt.subs, s)
 		}
 	}
-	// Always written set. A clear bit marks a frame from a build where
-	// sharing was optional and off: it registered no group, so every
-	// group registers at decode, the first per fingerprint.
-	shared := true
-	c.Bool(&shared)
 	// Hosts in creation order — the order they advance and flush in —
 	// each naming its group by first appearance in that order.
 	var groups []*group
@@ -87,7 +66,7 @@ func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan
 		if !c.Decoding() {
 			h = rt.hosts[i]
 		}
-		rt.codeHost(c, &groups, h, !shared, opts)
+		rt.codeHost(c, &groups, h, idx, plans, opts)
 	}
 	c.I64(&rt.shareFlips)
 	c.I64(&rt.sharedSavedOps)
@@ -98,16 +77,35 @@ func (rt *Runtime) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan
 	}
 }
 
+// codePlan codes a reference to a plan table entry. Decoding retains
+// the entry for one more hosting, as live subscribe does; the table was
+// compiled against this very catalog moments ago, so a failed retain
+// means the snapshot is inconsistent.
+func (rt *Runtime) codePlan(c *snap.Coder, p **core.Plan, idx map[*core.Plan]int32, plans []*core.Plan) {
+	pi, ok := idx[*p] // decoding: no index, and nothing to look up
+	if !ok && !c.Decoding() {
+		c.Fail(fmt.Errorf("runtime snapshot: a hosted plan is missing from the plan table"))
+	}
+	c.I32(&pi)
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	if c.Check(pi >= 0 && int(pi) < len(plans), "plan %d of a %d-entry table", pi, len(plans)); c.Err() == nil {
+		*p = plans[pi]
+		err := rt.cat.Retain(*p)
+		c.Check(err == nil, "retaining plan %d: %v", pi, err)
+	}
+}
+
 // codeHost lists one host in wire order: its group (and, where the
-// group first appears, whether it is registered for joiners), its
-// query, the saved-operations base, the subscriptions it serves and its
-// engine. Decoding recompiles the query and recomputes the projections
-// from the two plans' RETURN lists, which the snapshot pins; unshared
-// (a frame written without sharing) registers every group it can.
-func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, unshared bool, opts []core.Option) {
-	g, q := new(group), query.Query{}
+// group first appears, whether it is registered for joiners), its plan,
+// the subscriptions it serves, the saved-operations base and its
+// engine. Decoding recomputes the projections from the two plans'
+// RETURN lists, which the plan table pins.
+func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, idx map[*core.Plan]int32, plans []*core.Plan, opts []core.Option) {
+	g, plan := new(group), (*core.Plan)(nil)
 	if h != nil {
-		g, q = h.g, *h.plan.Query
+		g, plan = h.g, h.plan
 	}
 	gi := slices.Index(*groups, g)
 	if gi < 0 {
@@ -125,20 +123,13 @@ func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, unshared b
 		*groups = append(*groups, g)
 		c.Bool(&registered)
 	}
-	if q.Code(c); c.Decoding() {
+	if rt.codePlan(c, &plan, idx, plans); c.Decoding() {
 		if c.Err() != nil {
 			return
 		}
-		plan, err := core.NewPlanIn(rt.cat, &q)
-		if err == nil {
-			err = rt.cat.Retain(plan)
-		}
-		if c.Check(err == nil, "rebuilding a host: %v", err); err != nil {
-			return
-		}
-		if registered || unshared {
+		if registered {
 			rt.register(g, plan.Fingerprint())
-			c.Check(g.key != "" || !registered, "two groups registered under one fingerprint")
+			c.Check(g.key != "", "two groups registered under one fingerprint")
 		}
 		c.Check(len(g.hosts) == 0 || g.newest().plan.Fingerprint() == plan.Fingerprint(), "a group's hosts differ in fingerprint")
 		h = rt.newHost(g, plan, opts)
@@ -161,6 +152,16 @@ func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, unshared b
 	}
 	c.I64(&h.base)
 	h.eng.Code(c)
+}
+
+// HostPlans returns the plan of every host, in creation order — with
+// the subscriptions' plans, what a snapshot's plan table must hold.
+func (rt *Runtime) HostPlans() []*core.Plan {
+	out := make([]*core.Plan, len(rt.hosts))
+	for i, h := range rt.hosts {
+		out[i] = h.plan
+	}
+	return out
 }
 
 // Lookup returns the live subscription with the given id, or nil.

@@ -33,8 +33,10 @@ const Magic = "COGRASNP"
 // runtime codec; version 4 dropped the inline-session topology (every
 // session now nests one executor blob); version 5 replaced the runtime
 // codec's per-subscription engines and sharing-group mode machine with
-// per-host sections (a subscription no longer owns an engine).
-const Version uint32 = 5
+// per-host sections (a subscription no longer owns an engine); version
+// 6 codes each distinct plan once, in a table subscriptions and hosts
+// index into, and dropped the fields of deleted options.
+const Version uint32 = 6
 
 // Writer accumulates a snapshot payload in memory.
 type Writer struct {

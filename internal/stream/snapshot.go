@@ -89,54 +89,39 @@ func (r *Reorderer) Code(c *snap.Coder) {
 // Code lists the executor's routing state, every worker's hosted
 // runtime and the subscription topology in wire order. Encoding — after
 // Sync() with no concurrent Process, so the workers are parked and
-// their state is safe to read from this goroutine — planIdx maps an
-// executor subscription id to the index of its plan in the session-
-// level plan table (active subscriptions only). Decoding fills an
-// executor that has only its catalog and engine options
-// (RestoreMultiExecutor): plans holds the recompiled plans under those
-// indexes, the worker fleet starts once the header is validated, and
-// each worker's runtime is loaded before any message is sent on its
-// channel, so the handoff is race-free.
-//
-// The group cap and the group list are layout left from builds that ran
-// several fallback workers: written as a cap of 1 and zero or one empty
-// signature, range-checked and otherwise ignored when read. A frame
-// listing more than one group, or a group beside a single partition
-// worker, came from such a build and is refused.
-func (m *MultiExecutor) Code(c *snap.Coder, planIdx map[int]int32, plans []*core.Plan) {
+// their state is safe to read from this goroutine — idx maps every plan
+// the topology runs to its index in the session's plan table. Decoding
+// fills an executor that has only its catalog and engine options
+// (RestoreMultiExecutor): plans holds the table's compiled entries, the
+// worker fleet starts once the header is validated, and each worker's
+// runtime is loaded before any message is sent on its channel, so the
+// handoff is race-free.
+func (m *MultiExecutor) Code(c *snap.Coder, idx map[*core.Plan]int32, plans []*core.Plan) {
 	if m.closed {
 		c.Fail(fmt.Errorf("stream: Snapshot after Close: %w", core.ErrClosed))
 		return
 	}
-	nw, groupCap := uint32(len(m.workers)), uint32(1)
-	var groupSigs []string
-	if m.fallback != nil {
-		groupSigs = []string{""}
-	}
+	nw, fallback, ns := uint32(len(m.workers)), m.fallback != nil, len(m.subs)
 	c.U32(&nw)
+	c.Bool(&fallback)
 	snap.Slice(c, &m.routeAttrs, 4, (*snap.Coder).Str)
 	c.I64(&m.seq)
 	c.I64(&m.lastTime)
 	c.Bool(&m.sawEvent)
 	c.I64(&m.skipped)
 	c.I64(&m.retiredPeak)
-	c.U32(&groupCap)
-	snap.Slice(c, &groupSigs, 4, (*snap.Coder).Str)
+	c.I64(&m.retiredFlips)
+	c.I64(&m.retiredSaved)
+	c.Len(&ns, 1)
 	if c.Decoding() {
 		c.Check(nw >= 1 && nw <= MaxSnapshotWorkers, "executor worker count %d", nw)
-		c.Check(groupCap >= 1 && groupCap <= MaxSnapshotWorkers, "executor group cap %d", groupCap)
-		c.Check(len(groupSigs) <= 1, "%d executor groups, this build runs at most one", len(groupSigs))
-		c.Check(len(groupSigs) == 0 || nw > 1, "%d executor groups beside a single partition worker", len(groupSigs))
+		// The in-thread worker routes nothing and never needs a fallback.
+		c.Check(nw > 1 || (len(m.routeAttrs) == 0 && !fallback), "routing state beside a single in-thread worker")
 		if c.Err() != nil {
 			return
 		}
 		m.start(int(nw))
-		if m.inThread {
-			// A one-worker frame written under a group cap above one ran
-			// its worker on a goroutine and routed; in-thread routes nothing.
-			m.routeAttrs = nil
-		}
-		if len(groupSigs) == 1 {
+		if fallback {
 			m.fallback = m.newWorker()
 		}
 	}
@@ -144,7 +129,7 @@ func (m *MultiExecutor) Code(c *snap.Coder, planIdx map[int]int32, plans []*core
 		if wk.err != nil {
 			c.Fail(fmt.Errorf("stream: Snapshot with failed worker: %w", wk.err))
 		}
-		wk.rt.Code(c, m.planIdxOn(c, wk, planIdx), plans, wk.hostOpts())
+		wk.rt.Code(c, idx, plans, ns, wk.hostOpts())
 		cur, peak := wk.acct.Current(), wk.acct.Peak()
 		c.I64(&cur)
 		c.I64(&peak)
@@ -152,8 +137,6 @@ func (m *MultiExecutor) Code(c *snap.Coder, planIdx map[int]int32, plans []*core
 			wk.acct.Restore(cur, peak)
 		}
 	}
-	ns := len(m.subs)
-	c.Len(&ns, 1)
 	for id := 0; id < ns && c.Err() == nil; id++ {
 		if c.Decoding() {
 			m.subs = append(m.subs, &Sub{m: m, id: id})
@@ -163,36 +146,26 @@ func (m *MultiExecutor) Code(c *snap.Coder, planIdx map[int]int32, plans []*core
 		if !s.active {
 			continue
 		}
-		// Hosted on every partition worker (1) or on the fallback worker
-		// (2, always executor group 0).
-		kind, gi := uint8(1), uint32(0)
-		if !c.Decoding() && m.fallback != nil && s.hosts[0] == m.fallback {
-			kind = 2
-		}
-		if c.U8(&kind); kind == 2 {
-			c.U32(&gi)
-		}
 		wsubIDs := make([]int, len(s.wsubs))
 		for i, ws := range s.wsubs {
 			wsubIDs[i] = ws.ID()
 		}
 		snap.Slice(c, &wsubIDs, 8, (*snap.Coder).Int)
 		if c.Decoding() {
-			m.relink(c, s, kind, gi, wsubIDs)
+			m.relink(c, s, wsubIDs)
 		}
 	}
 }
 
 // relink resolves a decoded subscription's hosts and per-worker
-// subscriptions against the restored workers.
-func (m *MultiExecutor) relink(c *snap.Coder, s *Sub, kind uint8, gi uint32, wsubIDs []int) {
-	switch {
-	case kind == 1:
-		s.hosts = m.workers
-	case kind == 2 && gi == 0 && m.fallback != nil:
+// subscriptions against the restored workers. A subscription lists one
+// worker subscription per host: one on every partition worker, or,
+// when the partition workers are at least two, a single one on the
+// fallback worker.
+func (m *MultiExecutor) relink(c *snap.Coder, s *Sub, wsubIDs []int) {
+	s.hosts = m.workers
+	if len(wsubIDs) == 1 && m.fallback != nil {
 		s.hosts = []*mworker{m.fallback}
-	default:
-		c.Check(false, "subscription %d host kind %d, executor group %d", s.id, kind, gi)
 	}
 	c.Check(len(wsubIDs) == len(s.hosts), "subscription %d lists %d worker subscriptions for %d hosts", s.id, len(wsubIDs), len(s.hosts))
 	if c.Err() != nil {
@@ -210,33 +183,18 @@ func (m *MultiExecutor) relink(c *snap.Coder, s *Sub, kind uint8, gi uint32, wsu
 	}
 }
 
-// planIdxOn re-keys the plan index table for one worker's runtime: by
-// the worker-local subscription ids, which diverge from executor ids on
-// a full-stream worker. Nil while decoding.
-func (m *MultiExecutor) planIdxOn(c *snap.Coder, wk *mworker, planIdx map[int]int32) map[int]int32 {
-	if c.Decoding() {
-		return nil
+// HostPlans returns the plan of every host on every worker — with the
+// subscriptions' plans, what a snapshot's plan table must hold.
+func (m *MultiExecutor) HostPlans() []*core.Plan {
+	var out []*core.Plan
+	for _, wk := range m.allWorkers() {
+		out = append(out, wk.rt.HostPlans()...)
 	}
-	byWsub := map[int]int32{}
-	for _, s := range m.subs {
-		if !s.active {
-			continue
-		}
-		pi, ok := planIdx[s.id]
-		if !ok {
-			c.Fail(fmt.Errorf("stream: snapshot: subscription %d has no plan index", s.id))
-		}
-		for i, h := range s.hosts {
-			if h == wk {
-				byWsub[s.wsubs[i].ID()] = pi
-			}
-		}
-	}
-	return byWsub
+	return out
 }
 
 // RestoreMultiExecutor rebuilds an executor from c on a restored
-// catalog. plans holds the recompiled plans indexed as when encoding;
+// catalog. plans holds the plan table's compiled entries;
 // engOpts are the session-wide engine options (each worker adds its own
 // accountant, as in live subscribe). A failure is the Coder's Err; no
 // worker is left running.

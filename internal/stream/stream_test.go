@@ -589,33 +589,33 @@ func TestMultiExecutorLocalityFallback(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsGroupsBesideInThreadWorker: a frame claiming an
-// executor group next to the in-thread worker describes a shape no
-// executor can have (nothing feeds such a group), and one claiming two
-// groups a shape only builds with a group cap above one could write;
-// both must fail as a bad snapshot naming the count rather than build
-// workers this executor cannot run.
+// TestRestoreRejectsGroupsBesideInThreadWorker: a frame claiming a
+// fallback worker (the executor group) or routing attributes next to
+// the in-thread worker describes a shape no executor can have — nothing
+// routes, so nothing would feed the fallback — and must fail as a bad
+// snapshot rather than build workers this executor cannot run.
 func TestRestoreRejectsGroupsBesideInThreadWorker(t *testing.T) {
-	for _, tc := range []struct{ workers, groups uint32 }{{1, 1}, {4, 2}} {
+	for _, tc := range []struct {
+		fallback bool
+		route    []string
+	}{{true, nil}, {false, []string{"ward"}}} {
 		var w snap.Writer
 		enc := snap.Encoder(&w)
-		none, sig, groupCap := int64(0), "ward", uint32(2)
-		enc.U32(&tc.workers)
-		w.U32(0)       // routing attributes
+		one, none, subs := uint32(1), int64(0), 0
+		enc.U32(&one)
+		enc.Bool(&tc.fallback)
+		snap.Slice(enc, &tc.route, 4, (*snap.Coder).Str)
 		enc.I64(&none) // seq
 		enc.I64(&none) // lastTime
 		w.U8(0)        // sawEvent
-		enc.I64(&none) // skipped
-		enc.I64(&none) // retired peak
-		enc.U32(&groupCap)
-		enc.U32(&tc.groups) // running groups
-		for range tc.groups {
-			enc.Str(&sig)
+		for range 4 {  // skipped, then the retired peak, handovers and saved operations
+			enc.I64(&none)
 		}
+		enc.Len(&subs, 1)
 		dec := snap.Decoder(w.Reader())
 		m := RestoreMultiExecutor(core.NewCatalog(), dec, nil)
-		if m != nil || !errors.Is(dec.Err(), snap.ErrBadSnapshot) || !strings.Contains(dec.Err().Error(), fmt.Sprintf("%d executor groups", tc.groups)) {
-			t.Errorf("%d groups beside %d workers: executor %v, error %v, want ErrBadSnapshot naming the count", tc.groups, tc.workers, m, dec.Err())
+		if m != nil || !errors.Is(dec.Err(), snap.ErrBadSnapshot) || !strings.Contains(dec.Err().Error(), "single in-thread worker") {
+			t.Errorf("fallback %v, routing %v beside the in-thread worker: executor %v, error %v, want ErrBadSnapshot", tc.fallback, tc.route, m, dec.Err())
 		}
 	}
 }

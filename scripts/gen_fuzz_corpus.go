@@ -16,23 +16,16 @@
 //
 //	go run scripts/gen_fuzz_corpus.go
 //
-// seed_v3_inline and seed_v4_fleet in the same directory are NOT
-// regenerated: they are frames as the last format-v3 and format-v4
-// builds wrote them (v3: this seed session, whose inline topology had
-// its own section; v4: the fleet golden frame, with per-subscription
-// engines and the sharing-group mode machine) — real version skew,
-// which Restore must refuse with ErrBadSnapshot. seed_v4_skew is the
-// regenerated companion: this build's payload under the version word
-// of the format before it. testdata/golden/v5-parent is not written
-// either: the six goldens as the last build with optional sharing and
-// intern eviction wrote them (this layout, with those config bits and
-// the group registration bits clear), which Restore must still accept
-// (TestSharedAggregationAddedAtRestore). Nor is
-// testdata/golden/v5-groups: two frames the last build with an
-// executor-group cap wrote — one with two groups running, which Restore
-// must refuse (TestRestoreRefusesTwoExecutorGroups), and a one-worker
-// session under a cap of 2, which restores in-thread
-// (TestRestoreOneWorkerFrameUnderGroupCap).
+// seed_v3_inline, seed_v4_fleet and seed_v5_fleet in the same
+// directory are NOT regenerated: they are frames as the last format-v3,
+// v4 and v5 builds wrote them (v3: this seed session, whose inline
+// topology had its own section; v4: the fleet golden frame, with
+// per-subscription engines and the sharing-group mode machine; v5: the
+// fleet golden frame, each query coded per subscription and again per
+// host, beside the fields of options since deleted) — real version
+// skew, which Restore must refuse with ErrBadSnapshot. seed_v4_skew is
+// the regenerated companion: this build's payload under the version
+// word of an older format.
 package main
 
 import (
@@ -211,7 +204,7 @@ func main() {
 	skewed := append([]byte(nil), valid...)
 	skewed[8] = 0xff // version word
 	prior := append([]byte(nil), valid...)
-	prior[8] = 4 // the version word of the format before this one
+	prior[8] = 4 // the version word of an older format
 	oversized := append([]byte(nil), valid...)
 	for i := 12; i < 20; i++ {
 		oversized[i] = 0xff // declared payload length far beyond the data

@@ -340,102 +340,72 @@ func TestSharedAggregationDifferential(t *testing.T) {
 	}
 }
 
-// TestSharedAggregationAddedAtRestore: frames written before sharing
-// and eviction were unconditional — the goldens of the last build that
-// had both as options, committed verbatim under
-// testdata/golden/v5-parent — restore with both on. Each frame
-// restores, takes a second subscription of its first active query, and
-// runs a suffix. Every subscription's results must equal those of the
-// same scenario's frame as this build writes it (testdata/golden: the
-// same layout with the config and registration bits set); the second
+// TestSharedAggregationAddedAtRestore: a restored group takes joiners
+// as a live one does. Each golden frame restores, takes a second
+// subscription of its first active query, and runs a suffix. The second
 // subscription must join the restored query's group (SharedGroups >= 1)
 // and report the first one's results from its first full window on.
 // The subtests group the frames by topology.
 func TestSharedAggregationAddedAtRestore(t *testing.T) {
 	frames := map[string][]string{
 		"inline":   {"detached", "handover", "mixed", "unconstrained", "vectors"},
+		"workers2": {"retired"},
 		"workers4": {"fleet"},
-	}
-	type outcome struct {
-		results   [][]cogra.Result // by subscription id; the second subscription last
-		first     int              // id of the first active subscription
-		joined    cogra.SessionStats
-		watermark int64
-	}
-	run := func(t *testing.T, frame []byte, parallel bool) outcome {
-		t.Helper()
-		sess, err := cogra.Restore(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := sess.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (st.Workers > 1) != parallel {
-			t.Fatalf("frame restores to %d workers: filed under the wrong topology", st.Workers)
-		}
-		out := outcome{first: -1, watermark: st.Watermark}
-		for _, sub := range sess.Subscriptions() {
-			if sub.Active() {
-				out.first = sub.ID()
-				break
-			}
-		}
-		if out.first < 0 {
-			t.Fatal("frame has no active subscription")
-		}
-		src := sess.Subscriptions()[out.first].Plan().Query.String()
-		if _, err := sess.Subscribe(cogra.MustParse(src)); err != nil {
-			t.Fatal(err)
-		}
-		if out.joined, err = sess.Stats(); err != nil {
-			t.Fatal(err)
-		}
-		// The session test mix after the cut, with C for X and an x value,
-		// so the three-slot SEQ(A+, B, C) of the vectors frame matches too.
-		suffix := sessionTestStream(600)
-		for i, e := range suffix {
-			e.Time += st.Watermark + 1
-			e.WithSym("x", fmt.Sprintf("x%d", i%3))
-			if e.Type == "X" {
-				e.Type = "C"
-			}
-		}
-		if err := sess.PushBatch(suffix); err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, sub := range sess.Subscriptions() {
-			out.results = append(out.results, sub.Drain())
-		}
-		return out
 	}
 	for mode, names := range frames {
 		t.Run(mode, func(t *testing.T) {
 			for _, name := range names {
-				got := run(t, readGolden(t, "v5-parent/"+name), mode != "inline")
-				want := run(t, readGolden(t, name), mode != "inline")
-				if got.joined.SharedGroups < 1 {
-					t.Errorf("%s: the second subscription did not join the restored group: %+v", name, got.joined)
+				sess, err := cogra.Restore(bytes.NewReader(readGolden(t, name)))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(got.results) != len(want.results) {
-					t.Fatalf("%s: %d subscriptions, want %d", name, len(got.results), len(want.results))
+				st, err := sess.Stats()
+				if err != nil {
+					t.Fatal(err)
 				}
-				for id := range want.results {
-					if !diff.Equal(got.results[id], want.results[id]) {
-						t.Errorf("%s: subscription %d: the parent's frame diverges from this build's\n%s",
-							name, id, diff.Diff(got.results[id], want.results[id]))
+				if (st.Workers > 1) != (mode != "inline") {
+					t.Fatalf("%s restores to %d workers: filed under the wrong topology", name, st.Workers)
+				}
+				var first *cogra.Subscription
+				for _, sub := range sess.Subscriptions() {
+					if sub.Active() {
+						first = sub
+						break
 					}
 				}
-				second := got.results[len(got.results)-1]
-				if len(second) == 0 {
+				if first == nil {
+					t.Fatalf("%s has no active subscription", name)
+				}
+				second, err := sess.Subscribe(cogra.MustParse(first.Plan().Query.String()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if joined, err := sess.Stats(); err != nil || joined.SharedGroups < 1 {
+					t.Errorf("%s: the second subscription did not join the restored group: %+v, %v", name, joined, err)
+				}
+				// The session test mix after the cut, with C for X and an x
+				// value, so the three-slot SEQ(A+, B, C) of the vectors frame
+				// matches too.
+				suffix := sessionTestStream(600)
+				for i, e := range suffix {
+					e.Time += st.Watermark + 1
+					e.WithSym("x", fmt.Sprintf("x%d", i%3))
+					if e.Type == "X" {
+						e.Type = "C"
+					}
+				}
+				if err := sess.PushBatch(suffix); err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+				got := second.Drain()
+				if len(got) == 0 {
 					t.Errorf("%s: the second subscription reported nothing; the test is vacuous", name)
 				}
-				if later := fullWindowsAfter(got.results[got.first], got.watermark); !diff.Equal(second, later) {
-					t.Errorf("%s: the second subscription diverges from the first's full windows\n%s", name, diff.Diff(second, later))
+				if want := fullWindowsAfter(first.Drain(), st.Watermark); !diff.Equal(got, want) {
+					t.Errorf("%s: the second subscription diverges from the first's full windows\n%s", name, diff.Diff(got, want))
 				}
 			}
 		})

@@ -101,11 +101,12 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 }
 
 // code lists the session's fields in wire order: configuration, ingest
-// position, the reorder buffer, the catalog, every subscription (its
-// query when active, its undelivered results either way) and the
-// execution topology. Decoding fills an empty Session, applying opts on
-// top of the decoded configuration; the error it returns is one that is
-// not the snapshot's fault (the sticky decode error stays in c).
+// position, the reorder buffer, the catalog, the plan table, every
+// subscription (its executor subscription and plan when active, its
+// undelivered results either way) and the execution topology. Decoding
+// fills an empty Session, applying opts on top of the decoded
+// configuration; the error it returns is one that is not the snapshot's
+// fault (the sticky decode error stays in c).
 func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 	orig := s.cfg
 	orig.code(c)
@@ -130,34 +131,32 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 		s.ro.Code(c)
 	}
 	s.cat.Code(c)
-	// Recompiling the surviving queries below re-interns their symbols
-	// (hitting the restored ids) but also republishes the catalog,
-	// advancing the epoch; remember the snapshot's marks and re-pin
-	// them once the topology is rebuilt, so diagnostics stay continuous.
+	// Compiling the plan table below re-interns its symbols (hitting the
+	// restored ids) but also republishes the catalog, advancing the
+	// epoch; remember the snapshot's marks and re-pin them once the
+	// topology is rebuilt, so diagnostics stay continuous.
 	epochMark, compMark := s.cat.Epoch(), s.cat.Compactions()
+	plans, idx := s.codePlans(c)
 	n := len(s.subs)
 	c.Len(&n, 5)
-	// The session's plan table is indexed by its own subscription ids;
-	// the executor numbers only the plans it hosts (the two diverge once
-	// a restore re-subscribed a fleet with detached members).
-	planIdx, plans := map[int]int32{}, make([]*Plan, n)
+	eids := make([]int, n)
 	for id := 0; id < n && c.Err() == nil; id++ {
 		if c.Decoding() {
 			s.subs = append(s.subs, &Subscription{sess: s, id: id})
 		}
 		sub := s.subs[id]
-		c.Bool(&sub.active)
-		if sub.active && c.Decoding() {
-			var q query.Query
-			if q.Code(c); c.Err() != nil {
-				break
+		if c.Bool(&sub.active); sub.active {
+			// The executor id relinks it to the restored topology; the plan
+			// index re-subscribes it when a reshaped restore skips that.
+			var pi int32
+			if !c.Decoding() {
+				eids[id], pi = sub.msub.ID(), idx[sub.plan]
 			}
-			plan, err := core.NewPlanIn(s.cat, &q)
-			c.Check(err == nil, "recompiling query %d: %v", id, err)
-			sub.plan, plans[id] = plan, plan
-		} else if sub.active {
-			sub.plan.Query.Code(c)
-			planIdx[sub.msub.ID()] = int32(id)
+			c.Int(&eids[id])
+			c.I32(&pi)
+			if c.Check(pi >= 0 && int(pi) < len(plans), "subscription %d runs plan %d of %d", id, pi, len(plans)); c.Err() == nil {
+				sub.plan = plans[pi]
+			}
 		}
 		snap.Slice(c, &sub.pending, 32, core.CodeResult)
 	}
@@ -166,7 +165,7 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 	// an event-free snapshot) can skip it wholesale.
 	topology := c.Begin()
 	if !c.Decoding() {
-		s.mx.Code(c, planIdx, nil)
+		s.mx.Code(c, idx, plans)
 		c.End(topology)
 		return nil
 	}
@@ -183,61 +182,89 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 		// fresh executor of the requested width.
 		c.Skip(topology)
 		s.mx = stream.NewMultiExecutorOn(s.cat, s.cfg.workers, engineOpts()...)
-		for id, plan := range plans {
-			if plan == nil {
-				continue
+		for _, sub := range s.subs {
+			if sub.active {
+				msub, err := s.mx.SubscribePlan(sub.plan)
+				if err != nil {
+					return err
+				}
+				sub.msub = msub
 			}
-			msub, err := s.mx.SubscribePlan(plan)
-			if err != nil {
-				return err
-			}
-			s.subs[id].msub = msub
 		}
 	} else {
 		if s.mx = stream.RestoreMultiExecutor(s.cat, c, plans, engineOpts()...); s.mx == nil {
 			return nil
 		}
 		c.End(topology)
-		// Each surviving plan was recompiled into its own *Plan above, so
-		// the pointer identifies the executor subscription hosting it.
-		byPlan := map[*Plan]*stream.Sub{}
-		for _, msub := range s.mx.Subs() {
-			if msub.Active() {
-				byPlan[msub.Plan()] = msub
+		// The session and its executor number subscriptions in one order,
+		// so the active ones pair up at increasing executor ids.
+		msubs, prev := s.mx.Subs(), -1
+		for id, sub := range s.subs {
+			if eid := eids[id]; sub.active && c.Err() == nil {
+				ok := eid > prev && eid < len(msubs) && msubs[eid].Active() && msubs[eid].Plan() == sub.plan
+				if c.Check(ok, "subscription %d names executor subscription %d: out of order, unknown, detached or running another plan", id, eid); ok {
+					sub.msub, prev = msubs[eid], eid
+				}
 			}
 		}
-		for id, plan := range plans {
-			if plan != nil {
-				s.subs[id].msub = byPlan[plan]
-				c.Check(byPlan[plan] != nil, "subscription %d missing from the executor topology", id)
-			}
-		}
+	}
+	// A table entry no hosting retained (a group's union whose hosts a
+	// reshaped restore did not rebuild) gives its unreferenced symbols
+	// back; entries in use keep theirs.
+	for _, plan := range plans {
+		s.cat.DiscardPlan(plan)
 	}
 	s.cat.ResetEpoch(epochMark, compMark)
 	return nil
 }
 
+// codePlans lists the plan table: every distinct plan the topology runs
+// — the active subscriptions' and every host's — once, ahead of the
+// subscriptions and hosts that index into it. Encoding returns the
+// table with its index; decoding compiles each entry once against the
+// restored catalog.
+func (s *Session) codePlans(c *snap.Coder) ([]*Plan, map[*Plan]int32) {
+	var plans []*Plan
+	idx := map[*Plan]int32{}
+	if !c.Decoding() {
+		add := func(p *Plan) {
+			if _, ok := idx[p]; !ok {
+				idx[p] = int32(len(plans))
+				plans = append(plans, p)
+			}
+		}
+		for _, sub := range s.subs {
+			if sub.active {
+				add(sub.plan)
+			}
+		}
+		for _, p := range s.mx.HostPlans() {
+			add(p)
+		}
+	}
+	snap.Slice(c, &plans, 40, func(c *snap.Coder, p **Plan) {
+		var q query.Query
+		if !c.Decoding() {
+			q = *(*p).Query
+		}
+		if q.Code(c); c.Decoding() && c.Err() == nil {
+			plan, err := core.NewPlanIn(s.cat, &q)
+			c.Check(err == nil, "compiling plan table entry: %v", err)
+			*p = plan
+		}
+	})
+	return plans, idx
+}
+
 // code lists the construction options in wire order.
 func (cfg *sessionCfg) code(c *snap.Coder) {
 	c.Int(&cfg.workers)
-	// The executor-group cap, once an option: written 0, range-checked
-	// and ignored when read (every session runs at most one fallback
-	// worker).
-	groups := 0
-	c.Int(&groups)
 	c.I64(&cfg.slack)
 	c.Bool(&cfg.reorder)
 	snap.Enum(c, &cfg.late, RejectLate, "session late policy")
 	c.Int(&cfg.maxDepth)
 	snap.Enum(c, &cfg.depth, Reject, "session depth policy")
-	// Intern eviction and shared aggregation, once options: written set,
-	// ignored when read (a frame written with either off restores with
-	// both on, as every session runs).
-	evict, shared := true, true
-	c.Bool(&evict)
-	c.Bool(&shared)
 	c.Check(cfg.workers >= 0 && cfg.workers <= stream.MaxSnapshotWorkers, "session worker count %d", cfg.workers)
-	c.Check(groups >= 0 && groups <= stream.MaxSnapshotWorkers, "session executor group count %d", groups)
 }
 
 // width is the worker count a configured value stands for: anything

@@ -329,7 +329,8 @@ func TestSnapshotGoldenFrames(t *testing.T) {
 			}
 			switch { // the sections these frames are committed for
 			case g.Name == "fleet" && (st.Workers != 5 || st.ExecutorGroups != 1 || st.SharedGroups == 0),
-				g.Name == "handover" && (st.SharedGroups != 1 || st.ShareFlips != 1):
+				g.Name == "handover" && (st.SharedGroups != 1 || st.ShareFlips != 1),
+				g.Name == "retired" && (st.Workers != 2 || st.ExecutorGroups != 0 || st.SharedGroups != 2 || st.ShareFlips != 1):
 				t.Fatalf("%s scenario is vacuous: %+v", g.Name, st)
 			}
 			var built bytes.Buffer
@@ -353,6 +354,103 @@ func TestSnapshotGoldenFrames(t *testing.T) {
 			if !bytes.Equal(again.Bytes(), golden) {
 				t.Errorf("restored golden frame re-encodes differently: %s",
 					diff.FirstByteDiff(again.String(), string(golden)))
+			}
+		})
+	}
+}
+
+// TestRestoreKeepsRetiredSharingCounters: a retired fallback worker's
+// handover and saved operations live on only in the executor's retired
+// counters (the retired golden scenario), and the session's sharing
+// Stats read the same on both sides of a snapshot and restore.
+func TestRestoreKeepsRetiredSharingCounters(t *testing.T) {
+	var build func() (*cogra.Session, error)
+	for _, g := range diff.GoldenFrames() {
+		if g.Name == "retired" {
+			build = g.Build
+		}
+	}
+	sess, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sess.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sess.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	if before.ExecutorGroups != 0 || before.ShareFlips == 0 {
+		t.Fatalf("the fallback worker did not hand over and retire: %+v", before)
+	}
+	restored, err := cogra.Restore(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	after, err := restored.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.ShareFlips != before.ShareFlips || after.SharedSavedOps != before.SharedSavedOps {
+		t.Errorf("sharing counters across the cut: handovers %d -> %d, saved operations %d -> %d",
+			before.ShareFlips, after.ShareFlips, before.SharedSavedOps, after.SharedSavedOps)
+	}
+}
+
+// TestRestoreBalancesPlanTable: every golden scenario, live and
+// restored from its own frame, shares plans between the same
+// subscriptions (two made from one SubscribePlan stay on one plan), and
+// once every query unsubscribed both catalogs hold the same symbols in
+// the same slots: the table's entries are retained and released as
+// live hosting does.
+func TestRestoreBalancesPlanTable(t *testing.T) {
+	for _, g := range diff.GoldenFrames() {
+		t.Run(g.Name, func(t *testing.T) {
+			live, err := g.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := live.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := cogra.Restore(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shape := func(sess *cogra.Session) (string, [4]int) {
+				var shared []bool
+				subs := sess.Subscriptions()
+				for _, a := range subs {
+					for _, b := range subs {
+						shared = append(shared, a.Active() && b.Active() && a.Plan() == b.Plan())
+					}
+				}
+				for _, sub := range subs {
+					if sub.Active() {
+						if sub.Unsubscribe(); sub.Err() != nil {
+							t.Fatal(sub.Err())
+						}
+					}
+				}
+				st, err := sess.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess.Close()
+				return fmt.Sprint(shared), [4]int{st.InternedTypes, st.InternedAttrs, st.InternedTypeSlots, st.InternedAttrSlots}
+			}
+			livePlans, liveSyms := shape(live)
+			gotPlans, gotSyms := shape(restored)
+			if gotPlans != livePlans {
+				t.Errorf("plans shared between subscriptions: restored %s, live %s", gotPlans, livePlans)
+			}
+			if gotSyms != liveSyms {
+				t.Errorf("catalog after every query left (types, attributes, type slots, attribute slots): restored %v, live %v", gotSyms, liveSyms)
 			}
 		})
 	}
@@ -393,48 +491,13 @@ func TestRestoreRefusesV4Frame(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesTwoExecutorGroups: a frame an earlier build wrote
-// under an executor-group cap above one, with two groups running at its
-// cut (testdata/golden/v5-groups, which regeneration never writes).
-// Every session now runs at most one fallback worker, so the frame is
-// refused as a bad snapshot that names the group count.
-func TestRestoreRefusesTwoExecutorGroups(t *testing.T) {
-	_, err := cogra.Restore(bytes.NewReader(readGolden(t, "v5-groups/two-groups")))
-	if !errors.Is(err, cogra.ErrBadSnapshot) || !strings.Contains(err.Error(), "2 executor groups") {
-		t.Errorf("Restore of a two-group frame: %v, want ErrBadSnapshot naming 2 executor groups", err)
-	}
-}
-
-// TestRestoreOneWorkerFrameUnderGroupCap: a one-worker session with an
-// executor-group cap above one ran its worker on a goroutine and routed
-// by patient (testdata/golden/v5-groups/one-worker, cut after 800
-// events by the last build with the cap). It restores to the in-thread
-// worker, which routes nothing, so a late joiner keyed by ward still
-// sees every event: its results equal a solo run over the suffix.
-func TestRestoreOneWorkerFrameUnderGroupCap(t *testing.T) {
-	events := runShapedStream(2400)
-	sess, err := cogra.Restore(bytes.NewReader(readGolden(t, "v5-groups/one-worker")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := groupQueries()["ward-seq"]
-	late, err := sess.Subscribe(cogra.MustParse(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.PushBatch(events[800:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := late.Drain()
-	want := fullWindowsAfter(soloRun(t, src, events[800:]), events[799].Time)
-	if len(want) == 0 {
-		t.Fatal("no results; test is vacuous")
-	}
-	if !diff.Equal(got, want) {
-		t.Errorf("late joiner on the restored one-worker session diverges from a suffix solo run\n%s", diff.Diff(got, want))
+// TestRestoreRefusesV5Frame: the fleet golden frame as the last
+// format-v5 build wrote it — every query coded once per subscription
+// and again per host, beside the fields of options that build no longer
+// had. This build reads one plan table and refuses the frame.
+func TestRestoreRefusesV5Frame(t *testing.T) {
+	if err := restoreCorpusFrame(t, "seed_v5_fleet"); !errors.Is(err, cogra.ErrBadSnapshot) {
+		t.Errorf("Restore of a v5 frame: %v, want ErrBadSnapshot", err)
 	}
 }
 

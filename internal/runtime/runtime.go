@@ -55,13 +55,16 @@ import (
 // compute its windows, the first window it reports, and where its
 // results go.
 type Subscription struct {
-	id     int
-	plan   *core.Plan
-	rt     *Runtime
-	group  *group
-	from   int64
-	sink   func(core.Result) // nil: results collect in buf
-	buf    []core.Result
+	id    int
+	plan  *core.Plan
+	rt    *Runtime
+	group *group
+	from  int64
+	sink  func(core.Result) // nil: results collect in buf
+	buf   []core.Result
+	// last is the length of the buffer the previous Drain handed over:
+	// the next buffer starts at that capacity instead of regrowing.
+	last   int
 	active bool
 }
 
@@ -78,7 +81,7 @@ func (s *Subscription) Plan() *core.Plan { return s.plan }
 // watermark passes them.
 func (s *Subscription) Drain() []core.Result {
 	out := s.buf
-	s.buf = nil
+	s.buf, s.last = nil, len(out)
 	return out
 }
 
@@ -99,9 +102,12 @@ func (s *Subscription) Unsubscribe() ([]core.Result, error) {
 func (s *Subscription) deliver(r core.Result) {
 	if s.sink != nil {
 		s.sink(r)
-	} else {
-		s.buf = append(s.buf, r)
+		return
 	}
+	if s.buf == nil && s.last > 0 {
+		s.buf = make([]core.Result, 0, s.last)
+	}
+	s.buf = append(s.buf, r)
 }
 
 // Runtime hosts any number of compiled plans over one catalog and

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // ErrBadSnapshot is wrapped by every decode failure: truncation,
@@ -42,6 +43,12 @@ const Version uint32 = 6
 type Writer struct {
 	b []byte
 }
+
+// Grow reserves room for n more payload bytes.
+func (w *Writer) Grow(n int) { w.b = slices.Grow(w.b, n) }
+
+// Len returns the payload bytes written so far.
+func (w *Writer) Len() int { return len(w.b) }
 
 func (w *Writer) U8(v uint8)   { w.b = append(w.b, v) }
 func (w *Writer) U32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
@@ -103,10 +110,19 @@ func Open(r io.Reader) (*Reader, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadSnapshot, n)
 	}
-	// Read payload + CRC without trusting n for a single allocation:
-	// io.ReadAll of a LimitReader grows the buffer only as bytes arrive,
-	// so a huge declared length over a short stream fails cheaply.
-	body, err := io.ReadAll(io.LimitReader(r, int64(n)+4))
+	// Read payload + CRC in one allocation only when r vouches that the
+	// bytes are already there (a *bytes.Reader or *bytes.Buffer reports
+	// them through Len). Otherwise do not trust n: io.ReadAll of a
+	// LimitReader grows the buffer only as bytes arrive, so a huge
+	// declared length over a short stream fails cheaply.
+	var body []byte
+	var err error
+	if lr, ok := r.(interface{ Len() int }); ok && lr.Len() >= 0 && uint64(lr.Len()) >= n+4 {
+		body = make([]byte, n+4)
+		_, err = io.ReadFull(r, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r, int64(n)+4))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading payload: %v", ErrBadSnapshot, err)
 	}

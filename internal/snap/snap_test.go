@@ -2,7 +2,9 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -281,5 +283,45 @@ func TestFrameOpen(t *testing.T) {
 		if _, err := Open(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: %v, want ErrBadSnapshot", name, err)
 		}
+	}
+}
+
+// TestOpenSizesThePayloadOnce: over a reader that reports its remaining
+// bytes (Len, as *bytes.Reader does), Open reads a 1 MiB payload in one
+// allocation instead of regrowing a buffer as bytes arrive; a reader
+// that does not report them still gets the growing read. A header that
+// declares more than the reader holds takes the growing read too, so it
+// allocates no more than the bytes present.
+func TestOpenSizesThePayloadOnce(t *testing.T) {
+	var w Writer
+	big := string(make([]byte, 1<<20))
+	Encoder(&w).Str(&big)
+	var frame bytes.Buffer
+	if err := w.Frame(&frame); err != nil {
+		t.Fatal(err)
+	}
+	good := frame.Bytes()
+	open := func(r io.Reader) {
+		if _, err := Open(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sized := testing.AllocsPerRun(10, func() { open(bytes.NewReader(good)) })
+	grown := testing.AllocsPerRun(10, func() { open(struct{ io.Reader }{bytes.NewReader(good)}) })
+	if sized > 4 || grown <= sized {
+		t.Errorf("Open of a 1 MiB payload: %v allocations over a sized reader, %v over an unsized one; want ≤ 4 and fewer than unsized", sized, grown)
+	}
+
+	lying := append([]byte(nil), good[:len(good)/2]...)
+	binary.LittleEndian.PutUint64(lying[len(Magic)+4:], 1<<31) // 2 GiB declared, 0.5 MiB present
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Open(bytes.NewReader(lying))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("a length beyond the data: %v, want ErrBadSnapshot", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("a 2 GiB declared length over %d bytes allocated %d bytes", len(lying), got)
 	}
 }

@@ -1,8 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -29,12 +30,12 @@ const routeBatchSize = 256
 // run would. Per-query results are merged and re-ordered on Close.
 //
 // The query population is dynamic. SubscribePlan and Sub.Unsubscribe
-// may be called at any stream position; membership changes travel to
-// the workers over the same channels as the events (a control-plane
-// message ordered after every event routed so far), so all workers
-// apply them at one consistent stream prefix. A mid-stream subscriber
-// is aligned to the router's watermark and reports results from the
-// first fully covered window.
+// may be called at any stream position; a membership change parks its
+// workers with a sync sent over the same channels as the events
+// (ordered after every event routed so far) and applies the change in
+// place, so all workers apply it at one consistent stream prefix. A
+// mid-stream subscriber is aligned to the router's watermark and
+// reports results from the first fully covered window.
 //
 // Routing attributes are recomputed freely while no event has been
 // routed. Once the stream is running the routing function is frozen
@@ -61,7 +62,7 @@ const routeBatchSize = 256
 //
 // One worker is the in-thread case — the inline session. It is the
 // same worker running the same runtime and the same control plane, but
-// its messages are handled on the caller's goroutine: there is nothing
+// on the caller's goroutine, so it is always parked: there is nothing
 // to route to, so no routing attributes are computed, no event is
 // skipped or re-batched (the caller's slice is the worker's batch), no
 // fallback worker is ever needed, and a subscription's callback is
@@ -72,6 +73,19 @@ const routeBatchSize = 256
 // Workers lag the router by different amounts, so a group's host
 // handover may land on different window boundaries across workers;
 // handovers are invisible in the results either way.
+//
+// The control plane rests on one rule: a worker that has replied and
+// been sent nothing since is parked. Its reply — a receive on its own
+// reply channel — orders everything the worker wrote before everything
+// the caller reads next, and the caller's next send orders the
+// caller's writes before the worker's next reads. So membership
+// changes, drains and statistics first park the workers they touch
+// (park: one no-op sync per worker that received anything since its
+// last reply, all sends before all receives) and then act on those
+// workers' runtimes in place, on the caller's goroutine; a worker
+// already parked costs no round trip. The executor is driven from one
+// goroutine at a time (the session's lock), so each worker needs only
+// the one reply channel.
 type MultiExecutor struct {
 	cat        *core.Catalog
 	engOpts    []core.Option // applied to every hosted engine (e.g. intern eviction)
@@ -130,62 +144,33 @@ func (s *Sub) Unsubscribe() ([]core.Result, error) { return s.m.unsubscribe(s) }
 // Drain returns the results whose windows have closed since the last
 // Drain, merged across workers and ordered by window then group, and
 // clears them from the workers (delivered to the callback instead when
-// one is installed). Workers at different stream positions may close
-// windows at different times, so consecutive drains of a parallel run
-// are each internally ordered but may interleave across calls.
+// one is installed). Drain is a barrier: each hosting worker is parked
+// after every event routed so far (see the MultiExecutor comment) and
+// its buffered results are taken in place, so a second Drain at the
+// same stream position costs no round trip. Workers at different
+// stream positions may close windows at different times, so
+// consecutive drains of a parallel run are each internally ordered but
+// may interleave across calls.
 func (s *Sub) Drain() ([]core.Result, error) { return s.m.drain(s) }
 
 type mworker struct {
-	in      chan wmsg // nil: in-thread — ask and stop act on the caller's goroutine
-	done    chan struct{}
-	pool    *sync.Pool
-	rt      *runtime.Runtime
-	engOpts []core.Option
+	// in carries event batches; a nil batch is a sync, which the worker
+	// answers on reply. in is nil for the in-thread worker: it is always
+	// parked, and stop acts on the caller's goroutine.
+	in    chan *[]*event.Event
+	reply chan struct{}
+	done  chan struct{}
+	// sent counts the messages sent on in, acked what sent read at the
+	// worker's last reply: while they are equal the worker is parked.
+	sent, acked int64
+	pool        *sync.Pool
+	rt          *runtime.Runtime
+	engOpts     []core.Option
 	// acct is shared by every query the worker hosts (they run on one
 	// goroutine), so the worker peak is a true simultaneous footprint.
 	acct    metrics.Accountant
 	results [][]core.Result
 	err     error
-}
-
-// wmsg is one unit of worker input: an event batch, or a control-plane
-// message ordered against the batches on the same channel.
-type wmsg struct {
-	batch *[]*event.Event
-	ctl   *ctlMsg
-}
-
-type ctlOp int
-
-const (
-	ctlSubscribe ctlOp = iota
-	ctlUnsubscribe
-	ctlDrain
-	ctlStats
-)
-
-// ctlMsg asks a worker to change or report its hosted state at the
-// current position of its input channel. The worker always replies
-// exactly once (see ask).
-type ctlMsg struct {
-	op       ctlOp
-	plan     *core.Plan
-	cb       func(core.Result)
-	align    int64
-	hasAlign bool
-	wsub     *runtime.Subscription
-	reply    chan ctlReply
-}
-
-type ctlReply struct {
-	wsub         *runtime.Subscription
-	results      []core.Result
-	intern       int64
-	peak         int64
-	sharedGroups int
-	shareFlips   int64
-	sharedSaved  int64
-	err          error
 }
 
 // NewMultiExecutorOn starts an EMPTY executor with n workers (n >= 1)
@@ -238,22 +223,42 @@ func (m *MultiExecutor) newWorker() *mworker {
 func (w *mworker) start() {
 	// 16 batches in flight let the router run ahead of a worker busy
 	// closing windows without growing the backlog past ~4K events.
-	w.in = make(chan wmsg, 16)
+	w.in = make(chan *[]*event.Event, 16)
+	w.reply = make(chan struct{}, 1)
 	w.done = make(chan struct{})
 	go w.run()
 }
 
-// ask has the worker apply one control-plane message — ordered after
-// everything sent to it so far — and returns its reply. The in-thread
-// worker applies it right here.
-func (w *mworker) ask(c ctlMsg) ctlReply {
-	if w.in == nil {
-		return w.handleCtl(c)
+// send hands the worker one message: a batch, or a sync (nil).
+func (w *mworker) send(batch *[]*event.Event) {
+	w.in <- batch
+	w.sent++
+}
+
+// park brings every worker in ws to rest after everything sent to it
+// so far: one sync to each worker that received anything since its
+// last reply — all sends first, so the workers catch up side by side,
+// then all receives. Afterwards their state is the caller's to read
+// and write until the next send. A parked worker (and the in-thread
+// one) costs nothing.
+func park(ws []*mworker) {
+	for _, w := range ws {
+		if w.sent != w.acked {
+			w.send(nil)
+		}
 	}
-	queued := c // only the queued copy escapes: the in-thread call allocates nothing
-	queued.reply = make(chan ctlReply, 1)
-	w.in <- wmsg{ctl: &queued}
-	return <-queued.reply
+	for _, w := range ws {
+		if w.sent != w.acked {
+			w.await()
+		}
+	}
+}
+
+// await takes the worker's reply to the sync sent last: the worker is
+// parked from here on.
+func (w *mworker) await() {
+	<-w.reply
+	w.acked = w.sent
 }
 
 // stop ends the worker's input: it flushes its open windows — on its
@@ -379,20 +384,42 @@ func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*S
 		hosts = []*mworker{m.fallback}
 	}
 	m.flushPending()
+	park(hosts)
 	sub := &Sub{m: m, id: len(m.subs), plan: plan, cb: o.cb, active: true, hosts: hosts}
 	for _, w := range hosts {
-		rep := w.ask(ctlMsg{op: ctlSubscribe, plan: plan, cb: o.cb, align: m.lastTime, hasAlign: m.sawEvent})
-		if rep.err != nil {
+		wsub, err := w.subscribe(plan, o.cb, m.lastTime, m.sawEvent)
+		if err != nil {
 			// Roll back the workers that already subscribed.
-			for i, prev := range sub.hosts[:len(sub.wsubs)] {
-				prev.ask(ctlMsg{op: ctlUnsubscribe, wsub: sub.wsubs[i]})
+			for _, prev := range sub.wsubs {
+				prev.Unsubscribe()
 			}
-			return nil, rep.err
+			return nil, err
 		}
-		sub.wsubs = append(sub.wsubs, rep.wsub)
+		sub.wsubs = append(sub.wsubs, wsub)
 	}
 	m.subs = append(m.subs, sub)
 	return sub, nil
+}
+
+// subscribe hosts plan on the parked worker's runtime, aligned to the
+// router's watermark t once events have flowed. A worker in error
+// state refuses: the stream is already broken and Close will surface
+// the error.
+func (w *mworker) subscribe(plan *core.Plan, cb func(core.Result), t int64, aligned bool) (*runtime.Subscription, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	opts := w.hostOpts()
+	if cb != nil && w.in == nil {
+		// In-thread engines run on the caller's goroutine, so they stream
+		// straight into the callback; a worker goroutine's results wait
+		// for the executor to gather them.
+		opts = append(opts, core.WithResultCallback(cb))
+	}
+	if aligned {
+		return w.rt.SubscribePlanFrom(plan, t, opts...)
+	}
+	return w.rt.SubscribePlan(plan, opts...)
 }
 
 // reroute recomputes the routing attributes over the active fleet plus
@@ -442,17 +469,18 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	}
 	sub.active = false
 	m.flushPending()
+	park(sub.hosts)
 	var merged []core.Result
 	var firstErr error
 	for i, w := range sub.hosts {
-		rep := w.ask(ctlMsg{op: ctlUnsubscribe, wsub: sub.wsubs[i]})
-		if rep.err != nil {
+		results, err := w.unsubscribe(sub.wsubs[i])
+		if err != nil {
 			if firstErr == nil {
-				firstErr = rep.err
+				firstErr = err
 			}
 			continue
 		}
-		merged = adopt(merged, rep.results)
+		merged = adopt(merged, results)
 	}
 	if !m.sawEvent {
 		// No event routed yet: the routing attributes may re-expand now
@@ -466,6 +494,15 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	// flushed and released; return what they reported alongside the
 	// error rather than destroying it.
 	return sub.deliver(merged), firstErr
+}
+
+// unsubscribe detaches wsub from the parked worker's runtime; a worker
+// in error state refuses, as subscribe does.
+func (w *mworker) unsubscribe(wsub *runtime.Subscription) ([]core.Result, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	return wsub.Unsubscribe()
 }
 
 // adopt appends one host's results — handed over for good — to those
@@ -533,14 +570,17 @@ func (m *MultiExecutor) drain(sub *Sub) ([]core.Result, error) {
 		return nil, fmt.Errorf("stream: query %d already unsubscribed: %w", sub.id, core.ErrNotHosted)
 	}
 	m.flushPending()
+	park(sub.hosts)
 	var merged []core.Result
 	var firstErr error
 	for i, w := range sub.hosts {
-		rep := w.ask(ctlMsg{op: ctlDrain, wsub: sub.wsubs[i]})
-		if rep.err != nil && firstErr == nil {
-			firstErr = rep.err
+		if w.err != nil {
+			if firstErr == nil {
+				firstErr = w.err
+			}
+			continue
 		}
-		merged = adopt(merged, rep.results)
+		merged = adopt(merged, sub.wsubs[i].Drain())
 	}
 	// Drained results are destructively taken from the worker engines;
 	// hand them over even when one worker reported an error.
@@ -597,24 +637,22 @@ func (m *MultiExecutor) Stats() (Stats, error) {
 		ShareFlips:     m.retiredFlips,
 		SharedSavedOps: m.retiredSaved,
 	}
+	// After Close the workers have exited (Close waited on them), so
+	// their state is safe to read as is; the engines still hold their
+	// intern tables, so the footprint stays comparable to a live run.
+	// A worker in error state still reports: a caller polling PeakBytes
+	// after a failure gets the accumulated peak, not a silent zero.
 	if !m.closed {
 		m.flushPending()
+		park(workers)
 	}
 	for _, w := range workers {
-		var rep ctlReply
-		if m.closed {
-			// The workers have exited (Close waited on them), so their
-			// state is safe to read directly; the engines still hold their
-			// intern tables, so the footprint stays comparable to a live run.
-			rep = w.report()
-		} else if rep = w.ask(ctlMsg{op: ctlStats}); rep.err != nil {
-			return st, rep.err
-		}
-		st.BindingInternBytes += rep.intern
-		st.PeakBytes += rep.peak
-		st.SharedGroups += rep.sharedGroups
-		st.ShareFlips += rep.shareFlips
-		st.SharedSavedOps += rep.sharedSaved
+		rs := w.rt.Stats()
+		st.BindingInternBytes += rs.BindingInternBytes
+		st.PeakBytes += w.acct.Peak()
+		st.SharedGroups += rs.SharedGroups
+		st.ShareFlips += rs.ShareFlips
+		st.SharedSavedOps += rs.SharedSavedOps
 	}
 	return st, nil
 }
@@ -648,83 +686,34 @@ func sharedRouteAttrs(plans []*core.Plan) []string {
 
 func (w *mworker) run() {
 	defer close(w.done)
-	for msg := range w.in {
-		w.handle(msg)
+	for batch := range w.in {
+		if batch == nil {
+			// A sync: reply, and touch nothing until the next message.
+			w.reply <- struct{}{}
+			continue
+		}
+		w.process(batch)
 	}
 	w.finish()
 }
 
-// handle applies one queued message: a control-plane request, or a
-// pooled event batch.
-func (w *mworker) handle(msg wmsg) {
-	if msg.ctl != nil {
-		msg.ctl.reply <- w.handleCtl(*msg.ctl)
-		return
-	}
+// process applies one pooled event batch.
+func (w *mworker) process(batch *[]*event.Event) {
 	if w.err == nil {
 		// The batch is the unit of execution, not just of transport:
 		// the runtime chunks it into equal-time, type-partitioned runs
 		// for the columnar kernels (Runtime.ProcessBatch). On failure
 		// the remaining input is drained without processing.
-		w.err = w.rt.ProcessBatch(*msg.batch)
+		w.err = w.rt.ProcessBatch(*batch)
 	}
-	*msg.batch = (*msg.batch)[:0]
-	w.pool.Put(msg.batch)
+	*batch = (*batch)[:0]
+	w.pool.Put(batch)
 }
 
 // finish flushes every open window once the input has ended.
 func (w *mworker) finish() {
 	if w.err == nil {
 		w.results = w.rt.Close()
-	}
-}
-
-// handleCtl applies one control-plane message where the worker runs
-// (the runtime is single-threaded). A worker in error state refuses
-// membership changes — the stream is already broken and Close will
-// surface the error.
-func (w *mworker) handleCtl(c ctlMsg) ctlReply {
-	var rep ctlReply
-	if c.op == ctlStats {
-		// Stats stay readable even in error state: a caller polling
-		// PeakBytes after a worker failure gets the accumulated peak,
-		// not a silent zero (Close surfaces the error itself).
-		rep = w.report()
-	} else if w.err != nil {
-		rep.err = w.err
-	} else {
-		switch c.op {
-		case ctlSubscribe:
-			opts := w.hostOpts()
-			if c.cb != nil && w.in == nil {
-				// In-thread engines run on the caller's goroutine, so they
-				// stream straight into the callback; a worker goroutine's
-				// results wait for the executor to gather them.
-				opts = append(opts, core.WithResultCallback(c.cb))
-			}
-			if c.hasAlign {
-				rep.wsub, rep.err = w.rt.SubscribePlanFrom(c.plan, c.align, opts...)
-			} else {
-				rep.wsub, rep.err = w.rt.SubscribePlan(c.plan, opts...)
-			}
-		case ctlUnsubscribe:
-			rep.results, rep.err = c.wsub.Unsubscribe()
-		case ctlDrain:
-			rep.results = c.wsub.Drain()
-		}
-	}
-	return rep
-}
-
-// report reads the worker's share of the executor statistics.
-func (w *mworker) report() ctlReply {
-	rs := w.rt.Stats()
-	return ctlReply{
-		intern:       rs.BindingInternBytes,
-		peak:         w.acct.Peak(),
-		sharedGroups: rs.SharedGroups,
-		shareFlips:   rs.ShareFlips,
-		sharedSaved:  rs.SharedSavedOps,
 	}
 }
 
@@ -809,23 +798,22 @@ func (p *MultiExecutor) append(w *mworker, slot **[]*event.Event, e *event.Event
 	}
 	*batch = append(*batch, e)
 	if len(*batch) >= routeBatchSize {
-		w.in <- wmsg{batch: batch}
+		w.send(batch)
 		*slot = nil
 	}
 }
 
-// flushPending hands every partial batch to its worker, so a
-// control-plane message sent next is ordered after every event routed
-// so far.
+// flushPending hands every partial batch to its worker, so a sync
+// sent next is ordered after every event routed so far.
 func (p *MultiExecutor) flushPending() {
 	for i, w := range p.workers {
 		if batch := p.pending[i]; batch != nil && len(*batch) > 0 {
-			w.in <- wmsg{batch: batch}
+			w.send(batch)
 			p.pending[i] = nil
 		}
 	}
 	if batch := p.fallbackPend; batch != nil && len(*batch) > 0 {
-		p.fallback.in <- wmsg{batch: batch}
+		p.fallback.send(batch)
 		p.fallbackPend = nil
 	}
 }
@@ -846,11 +834,7 @@ func (p *MultiExecutor) Sync() error {
 	if err := p.retireIdleFallback(); err != nil {
 		return err
 	}
-	for _, w := range p.allWorkers() {
-		if rep := w.ask(ctlMsg{op: ctlStats}); rep.err != nil {
-			return rep.err
-		}
-	}
+	park(p.allWorkers())
 	return nil
 }
 
@@ -899,16 +883,10 @@ func (p *MultiExecutor) Close() ([][]core.Result, error) {
 // group) — those are disjoint trend sets, folded back into the single
 // result a solo engine would have emitted (agg.MergeValues).
 func sortResults(out []core.Result) []core.Result {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Wid != out[j].Wid {
-			return out[i].Wid < out[j].Wid
-		}
-		return strings.Join(out[i].Group, "\x00") < strings.Join(out[j].Group, "\x00")
-	})
+	slices.SortFunc(out, cmpResults)
 	w := 0
 	for i := range out {
-		if w > 0 && out[w-1].Wid == out[i].Wid &&
-			strings.Join(out[w-1].Group, "\x00") == strings.Join(out[i].Group, "\x00") {
+		if w > 0 && cmpResults(out[w-1], out[i]) == 0 {
 			agg.MergeValues(out[w-1].Values, out[i].Values)
 			continue
 		}
@@ -916,4 +894,14 @@ func sortResults(out []core.Result) []core.Result {
 		w++
 	}
 	return out[:w]
+}
+
+// cmpResults orders results by window, then by group tuple as its
+// NUL-joined string. A one-attribute group joins to its only value, so
+// the usual tuple builds nothing.
+func cmpResults(a, b core.Result) int {
+	if a.Wid != b.Wid {
+		return cmp.Compare(a.Wid, b.Wid)
+	}
+	return strings.Compare(strings.Join(a.Group, "\x00"), strings.Join(b.Group, "\x00"))
 }

@@ -225,6 +225,9 @@ type Session struct {
 	one    [1]*Event // Push's batch of one
 	subs   []*Subscription
 	closed bool
+	// snapLen is the payload length of the last Snapshot, which the next
+	// one reserves up front.
+	snapLen int
 }
 
 // NewSession returns an empty session over a fresh catalog.

@@ -61,11 +61,13 @@ func (s *Session) Snapshot(w io.Writer) error {
 		return err
 	}
 	var sw snap.Writer
+	sw.Grow(s.snapLen)
 	c := snap.Encoder(&sw)
 	s.code(c, nil)
 	if err := c.Err(); err != nil {
 		return err
 	}
+	s.snapLen = sw.Len()
 	return sw.Frame(w)
 }
 
@@ -87,7 +89,9 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, c := &Session{}, snap.Decoder(rd)
+	// The restored frame is the session's previous one: its next
+	// Snapshot reserves that much.
+	s, c := &Session{snapLen: rd.Rem()}, snap.Decoder(rd)
 	if err = s.code(c, opts); err == nil {
 		err = rd.Close() // the sticky decode error, or trailing bytes
 	}

@@ -77,9 +77,9 @@ func (s Spec) String() string {
 	case CountStar:
 		return "COUNT(*)"
 	case CountType:
-		return fmt.Sprintf("COUNT(%s)", s.Alias)
+		return "COUNT(" + s.Alias + ")"
 	default:
-		return fmt.Sprintf("%s(%s.%s)", s.Func, s.Alias, s.Attr)
+		return s.Func.String() + "(" + s.Alias + "." + s.Attr + ")"
 	}
 }
 

@@ -101,10 +101,10 @@ type Plan struct {
 	// negGuard maps a (predecessor alias, successor alias) pair to the
 	// negation constraint guarding it, if any.
 	negGuard map[[2]string]int
-	// fingerprint is the sharing-equivalence key (sharedagg.go):
-	// everything except the RETURN clause, rendered canonically. Plans
-	// with equal fingerprints may be served by one shared engine.
-	fingerprint string
+	// text is the query's canonical text and fingerprint its sharing
+	// key, the text without the RETURN line (sharedagg.go); both are
+	// empty for a query with no text.
+	text, fingerprint string
 
 	// Compiled interning state (symbols.go), built once by compile():
 	// dense ids for aliases and — in the shared catalog — event types
@@ -159,7 +159,10 @@ func NewPlanIn(cat *Catalog, q *query.Query) (*Plan, error) {
 		Specs:       q.Returns,
 		Where:       q.Where,
 		negGuard:    map[[2]string]int{},
-		fingerprint: sharedFingerprint(q),
+	}
+	if q.Opaque() == nil {
+		p.text = q.String()
+		p.fingerprint = p.text[strings.Index(p.text, "\nPATTERN ")+1:]
 	}
 	p.EventGrained = q.Where.EventGrainedAliases(fsa)
 	if p.Granularity != MixedGrained {

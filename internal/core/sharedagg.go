@@ -16,44 +16,28 @@
 package core
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/agg"
 	"repro/internal/query"
 )
 
-// sharedFingerprint renders the sharing-equivalence key of a query:
-// its normalised text WITHOUT the RETURN clause. Everything rendered
-// here feeds aggregation state (pattern/semantics/predicates pick the
-// trends, GROUP-BY shapes Result.Group, WITHIN/SLIDE shapes window
-// ids); everything omitted (Returns, ReturnKeys) only selects which
-// columns of the union a member reports.
-func sharedFingerprint(q *query.Query) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "PATTERN %s", q.Pattern)
-	fmt.Fprintf(&b, "\nSEMANTICS %s", q.Semantics)
-	if q.Where != nil && q.Where.String() != "true" {
-		fmt.Fprintf(&b, "\nWHERE %s", q.Where)
-	}
-	if len(q.GroupBy) > 0 {
-		keys := make([]string, len(q.GroupBy))
-		for i, k := range q.GroupBy {
-			keys[i] = k.String()
-		}
-		fmt.Fprintf(&b, "\nGROUP-BY %s", strings.Join(keys, ", "))
-	}
-	fmt.Fprintf(&b, "\nWITHIN %d SLIDE %d", q.Window.Within, q.Window.Slide)
-	return b.String()
-}
-
 // Fingerprint returns the plan's sharing-equivalence key, computed at
-// compile time. Plans with equal fingerprints detect identical trends
-// over identical sub-streams and windows and differ at most in which
-// aggregates they report — the precondition for registering them
-// against one shared aggregation node.
+// compile time: the query's text (Text) without its RETURN line.
+// Everything it holds feeds aggregation state (pattern, semantics and
+// predicates pick the trends, GROUP-BY shapes Result.Group, WITHIN and
+// SLIDE shape window ids); the RETURN line only selects which columns
+// of the union a member reports. Plans with equal fingerprints detect
+// identical trends over identical sub-streams and windows — the
+// precondition for registering them against one shared aggregation
+// node. A plan with no text has an empty fingerprint and shares with
+// nobody.
 func (p *Plan) Fingerprint() string { return p.fingerprint }
+
+// Text returns the query's canonical text (query.Query.String),
+// rendered once at compile time; Parse of it compiles to this plan's
+// query again. It is empty when the query has none (query.Query.Opaque).
+func (p *Plan) Text() string { return p.text }
 
 // ProjectSpecs maps a member's RETURN columns onto a host's: proj[i] is
 // the host column holding the member's i-th value. ok is false when

@@ -84,22 +84,15 @@ func anyAttrOf(rv *resolvedVals, id int32) any {
 	return nil
 }
 
-// Value-kind of a compiled local predicate constant.
-const (
-	localNum uint8 = iota
-	localStr
-	localGeneric
-)
-
 // localCheck is one compiled local predicate applying to an alias:
-// resolved-attr ◦ constant.
+// resolved-attr ◦ constant, the constant a number (isNum) or a string
+// (query.Validate admits no other).
 type localCheck struct {
-	attr    int32
-	op      predicate.Op
-	kind    uint8
-	num     float64
-	str     string
-	generic any // only for exotic constant types (kind == localGeneric)
+	attr  int32
+	op    predicate.Op
+	isNum bool
+	num   float64
+	str   string
 }
 
 // eval mirrors predicate.Local.Eval over the resolved view: the
@@ -107,25 +100,17 @@ type localCheck struct {
 // fails, and kind-mismatched operands compare unequal.
 func (c *localCheck) eval(rv *resolvedVals) bool {
 	h := rv.has[c.attr]
-	if h&hasNum != 0 {
-		switch c.kind {
-		case localNum:
-			return predicate.CompareFloats(rv.num[c.attr], c.num, c.op)
-		case localStr:
+	switch {
+	case h&hasNum != 0:
+		if !c.isNum {
 			return c.op == predicate.Ne
-		default:
-			return predicate.Compare(rv.num[c.attr], c.generic, c.op)
 		}
-	}
-	if h&hasSymRaw != 0 {
-		switch c.kind {
-		case localStr:
-			return predicate.CompareStrings(rv.sym[c.attr], c.str, c.op)
-		case localNum:
+		return predicate.CompareFloats(rv.num[c.attr], c.num, c.op)
+	case h&hasSymRaw != 0:
+		if c.isNum {
 			return c.op == predicate.Ne
-		default:
-			return predicate.Compare(rv.sym[c.attr], c.generic, c.op)
 		}
+		return predicate.CompareStrings(rv.sym[c.attr], c.str, c.op)
 	}
 	return false
 }
@@ -410,13 +395,9 @@ func (p *Plan) compileLocals(alias string) []localCheck {
 			continue
 		}
 		c := localCheck{attr: p.internAttr(l.Attr, false), op: l.Op}
-		switch v := l.Value.(type) {
-		case float64:
-			c.kind, c.num = localNum, v
-		case string:
-			c.kind, c.str = localStr, v
-		default:
-			c.kind, c.generic = localGeneric, l.Value
+		c.num, c.isNum = l.Value.(float64)
+		if !c.isNum {
+			c.str = l.Value.(string)
 		}
 		out = append(out, c)
 	}

@@ -29,6 +29,7 @@ func GoldenFrames() []GoldenFrame {
 		{"unconstrained", goldenUnconstrained},
 		{"handover", goldenHandover},
 		{"retired", goldenRetired},
+		{"literals", goldenLiterals},
 	}
 }
 
@@ -350,4 +351,32 @@ func goldenRetired() (*cogra.Session, error) {
 		}
 	}
 	return sess, sess.PushBatch(events[750:])
+}
+
+// goldenLiterals: plan table entries whose texts hold every literal
+// form — a number, a negative number, one in exponent form, a string
+// with both quote characters and a backslash — and two queries that
+// differ only in whether a literal is the number 5 or the string "5".
+// Those two compute different trends, so they run in two groups of one
+// (Stats().SharedGroups stays 0) although a display rendering writes
+// both literals as 5.
+func goldenLiterals() (*cogra.Session, error) {
+	const pair = `
+		RETURN COUNT(*), SUM(A.v)
+		PATTERN SEQ(A+, B)
+		SEMANTICS skip-till-any-match
+		WHERE [patient] AND A.v != %s AND B.v > -2
+		GROUP-BY patient
+		WITHIN 64 SLIDE 32`
+	sess := cogra.NewSession()
+	if _, err := subscribeAll(sess, fmt.Sprintf(pair, "5"), fmt.Sprintf(pair, "'5'"), `
+		RETURN COUNT(*), MAX(M.rate)
+		PATTERN M+
+		SEMANTICS skip-till-next-match
+		WHERE [ward] AND M.rate < 1e+06 AND M.x != "q\"'\\"
+		GROUP-BY ward
+		WITHIN 96 SLIDE 48`); err != nil {
+		return nil, err
+	}
+	return sess, sess.PushBatch(goldenStream(400, 38))
 }

@@ -219,13 +219,21 @@ func HasKleene(p Node) bool {
 	}
 }
 
+// MaxDepth bounds how deep a pattern nests: Validate refuses a deeper
+// one, and the query parser stops there, so no pattern drives unbounded
+// recursion.
+const MaxDepth = 1000
+
 // Validate checks the structural assumptions of §2.1: aliases unique,
 // SEQ/OR non-empty, negation only directly inside SEQ and not at the
-// borders of the whole pattern.
+// borders of the whole pattern, and nesting at most MaxDepth deep.
 func Validate(p Node) error {
 	seen := map[string]bool{}
-	var walk func(n Node, inSeq bool) error
-	walk = func(n Node, inSeq bool) error {
+	var walk func(n Node, inSeq bool, depth int) error
+	walk = func(n Node, inSeq bool, depth int) error {
+		if depth > MaxDepth {
+			return fmt.Errorf("pattern: nesting exceeds %d levels", MaxDepth)
+		}
 		switch v := n.(type) {
 		case *TypeNode:
 			if v.EventType == "" {
@@ -244,7 +252,7 @@ func Validate(p Node) error {
 				return fmt.Errorf("pattern: empty SEQ")
 			}
 			for _, c := range v.Parts {
-				if err := walk(c, true); err != nil {
+				if err := walk(c, true, depth+1); err != nil {
 					return err
 				}
 			}
@@ -254,7 +262,7 @@ func Validate(p Node) error {
 				return fmt.Errorf("pattern: empty OR")
 			}
 			for _, c := range v.Parts {
-				if err := walk(c, false); err != nil {
+				if err := walk(c, false, depth+1); err != nil {
 					return err
 				}
 			}
@@ -263,18 +271,18 @@ func Validate(p Node) error {
 			if !inSeq {
 				return fmt.Errorf("pattern: NOT may only appear inside SEQ")
 			}
-			return walk(v.Sub, false)
+			return walk(v.Sub, false, depth+1)
 		case *PlusNode:
-			return walk(v.Sub, false)
+			return walk(v.Sub, false, depth+1)
 		case *StarNode:
-			return walk(v.Sub, false)
+			return walk(v.Sub, false, depth+1)
 		case *OptNode:
-			return walk(v.Sub, false)
+			return walk(v.Sub, false, depth+1)
 		default:
 			return fmt.Errorf("pattern: unknown node %T", n)
 		}
 	}
-	return walk(p, false)
+	return walk(p, false, 0)
 }
 
 // Desugar rewrites Kleene star and optional operators away (§8):

@@ -14,6 +14,7 @@ package predicate
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -129,14 +130,24 @@ type Local struct {
 	Value any // float64 or string
 }
 
-// String renders the predicate in query syntax.
+// String renders the predicate in query syntax: a string value
+// double-quoted with Go escapes, a number in the shortest form that
+// reads back to it.
 func (p Local) String() string {
-	v := fmt.Sprintf("%v", p.Value)
+	var v string
+	switch x := p.Value.(type) {
+	case float64:
+		v = strconv.FormatFloat(x, 'g', -1, 64)
+	case string:
+		v = strconv.Quote(x)
+	default:
+		v = fmt.Sprint(x)
+	}
 	target := p.Attr
 	if p.Alias != "" {
 		target = p.Alias + "." + p.Attr
 	}
-	return fmt.Sprintf("%s %s %s", target, p.Op, v)
+	return target + " " + p.Op.String() + " " + v
 }
 
 // Eval reports whether the event (matched under the given alias)

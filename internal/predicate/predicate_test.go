@@ -261,7 +261,7 @@ func TestSetStringAndClone(t *testing.T) {
 		Equivalences: []Equivalence{{Attr: "patient"}},
 		Adjacents:    []Adjacent{{Left: "M", LeftAttr: "rate", Op: Lt, Right: "M", RightAttr: "rate"}},
 	}
-	want := "[patient] AND M.activity = passive AND M.rate < NEXT(M).rate"
+	want := `[patient] AND M.activity = "passive" AND M.rate < NEXT(M).rate`
 	if got := s.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}

@@ -8,10 +8,17 @@
 //	WHERE     [patient] AND M.rate < NEXT(M).rate AND M.activity = passive
 //	GROUP-BY  patient
 //	WITHIN    10 minutes SLIDE 30 seconds
+//
+// A constant is a number (-2, 3.5, 1e+06), a string in single quotes
+// (taken verbatim) or double quotes (Go escapes), or a bare identifier
+// standing for the string it spells. Query.String writes every query
+// in one canonical text that Parse reads back to the same query.
 package query
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/agg"
@@ -100,38 +107,78 @@ type Query struct {
 	Window window.Spec
 }
 
-// String renders the query back into (normalised) query syntax.
+// String renders the query as its canonical text: different queries
+// render differently, and Parse(q.String()) gives q back for every
+// query Validate accepts, unless an adjacent predicate compares through
+// a function (see Opaque), which the text can only name. The text
+// without its RETURN line is the sharing fingerprint of the compiled
+// plan, and the text is what a snapshot records of a query.
 func (q *Query) String() string {
 	var b strings.Builder
+	b.Grow(192) // most queries fit: one allocation
 	b.WriteString("RETURN ")
-	var items []string
-	for _, k := range q.ReturnKeys {
-		items = append(items, k.String())
-	}
-	for _, s := range q.Returns {
-		items = append(items, s.String())
-	}
-	b.WriteString(strings.Join(items, ", "))
-	fmt.Fprintf(&b, "\nPATTERN %s", q.Pattern)
-	fmt.Fprintf(&b, "\nSEMANTICS %s", q.Semantics)
-	if q.Where != nil && q.Where.String() != "true" {
-		fmt.Fprintf(&b, "\nWHERE %s", q.Where)
-	}
-	if len(q.GroupBy) > 0 {
-		keys := make([]string, len(q.GroupBy))
-		for i, k := range q.GroupBy {
-			keys[i] = k.String()
+	for i, k := range q.ReturnKeys {
+		if i > 0 {
+			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "\nGROUP-BY %s", strings.Join(keys, ", "))
+		b.WriteString(k.String())
 	}
-	fmt.Fprintf(&b, "\nWITHIN %d SLIDE %d", q.Window.Within, q.Window.Slide)
+	for i, s := range q.Returns {
+		if i > 0 || len(q.ReturnKeys) > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(s.String())
+	}
+	b.WriteString("\nPATTERN ")
+	b.WriteString(q.Pattern.String())
+	b.WriteString("\nSEMANTICS ")
+	b.WriteString(q.Semantics.String())
+	if q.Where != nil {
+		if w := q.Where.String(); w != "true" {
+			b.WriteString("\nWHERE ")
+			b.WriteString(w)
+		}
+	}
+	for i, k := range q.GroupBy {
+		if i == 0 {
+			b.WriteString("\nGROUP-BY ")
+		} else {
+			b.WriteString(", ")
+		}
+		b.WriteString(k.String())
+	}
+	var num [20]byte
+	b.WriteString("\nWITHIN ")
+	b.Write(strconv.AppendInt(num[:0], q.Window.Within, 10))
+	b.WriteString(" SLIDE ")
+	b.Write(strconv.AppendInt(num[:0], q.Window.Slide, 10))
 	return b.String()
+}
+
+// Opaque reports why q has no query text: an adjacent predicate that
+// compares through a function (NumFn or Fn). It is nil for a query
+// String renders in full.
+func (q *Query) Opaque() error {
+	if q.Where == nil {
+		return nil
+	}
+	for _, p := range q.Where.Adjacents {
+		if p.NumFn != nil || p.Fn != nil {
+			return fmt.Errorf("adjacent predicate %s.%s carries an opaque comparison function", p.Left, p.LeftAttr)
+		}
+	}
+	return nil
 }
 
 // Validate performs the static checks shared by all execution
 // strategies: well-formed pattern, aggregates referencing pattern
 // aliases, group keys consistent with equivalence predicates, and a
-// valid window.
+// valid window. It also refuses what no query text can write, so that
+// String renders every valid query in full: names that do not lex as
+// one identifier (or, for pattern types and aliases, read as a
+// keyword), a pattern nested deeper than the parser follows, a local
+// predicate without an event type or whose value is neither a finite
+// float64 nor a string, and operators or semantics out of range.
 func (q *Query) Validate() error {
 	if q.Pattern == nil {
 		return fmt.Errorf("query: missing PATTERN clause")
@@ -139,37 +186,71 @@ func (q *Query) Validate() error {
 	if err := pattern.Validate(q.Pattern); err != nil {
 		return err
 	}
+	if q.Semantics < Any || q.Semantics > Cont {
+		return fmt.Errorf("query: unknown semantics %d", q.Semantics)
+	}
 	if err := q.Returns.Validate(); err != nil {
 		return err
 	}
 	if err := q.Window.Validate(); err != nil {
 		return err
 	}
-	aliases := map[string]bool{}
-	for _, a := range pattern.Aliases(q.Pattern) {
-		aliases[a] = true
+	aliases := pattern.AliasTypes(q.Pattern) // alias → event type
+	for a, typ := range aliases {
+		if !isIdent(a) || reserved(a) || !isIdent(typ) || reserved(typ) {
+			return fmt.Errorf("query: pattern type %q or alias %q is not an identifier or is a keyword", typ, a)
+		}
 	}
 	for _, s := range q.Returns {
-		if s.Alias != "" && !aliases[s.Alias] {
+		if s.Alias != "" && aliases[s.Alias] == "" {
 			return fmt.Errorf("query: aggregate %s references unknown event type %q", s, s.Alias)
+		}
+		if s.Attr != "" && !isIdent(s.Attr) {
+			return fmt.Errorf("query: aggregate attribute %q is not an identifier", s.Attr)
 		}
 	}
 	if q.Where == nil {
 		q.Where = &predicate.Set{}
 	}
 	for _, p := range q.Where.Locals {
-		if p.Alias != "" && !aliases[p.Alias] {
+		if aliases[p.Alias] == "" {
 			return fmt.Errorf("query: predicate %s references unknown event type %q", p, p.Alias)
+		}
+		if err := validateOp(p.Op, p.Attr); err != nil {
+			return err
+		}
+		switch v := p.Value.(type) {
+		case float64:
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("query: predicate %s compares with a non-finite number", p)
+			}
+		case string:
+		default:
+			return fmt.Errorf("query: predicate %s compares with a %T, not a float64 or a string", p, p.Value)
 		}
 	}
 	for _, p := range q.Where.Equivalences {
-		if p.Alias != "" && !aliases[p.Alias] {
+		if p.Alias != "" && aliases[p.Alias] == "" {
 			return fmt.Errorf("query: predicate %s references unknown event type %q", p, p.Alias)
+		}
+		if !isIdent(p.Attr) {
+			return fmt.Errorf("query: attribute %q is not an identifier", p.Attr)
 		}
 	}
 	for _, p := range q.Where.Adjacents {
-		if !aliases[p.Left] || !aliases[p.Right] {
+		if aliases[p.Left] == "" || aliases[p.Right] == "" {
 			return fmt.Errorf("query: predicate %s references unknown event type", p)
+		}
+		if err := validateOp(p.Op, p.LeftAttr); err != nil {
+			return err
+		}
+		if !isIdent(p.RightAttr) {
+			return fmt.Errorf("query: attribute %q is not an identifier", p.RightAttr)
+		}
+	}
+	for _, k := range q.GroupBy {
+		if !isIdent(k.Attr) {
+			return fmt.Errorf("query: GROUP-BY attribute %q is not an identifier", k.Attr)
 		}
 	}
 	// Alias-scoped grouping needs the matching equivalence predicate:
@@ -179,7 +260,7 @@ func (q *Query) Validate() error {
 		if g.Alias == "" {
 			continue
 		}
-		if !aliases[g.Alias] {
+		if aliases[g.Alias] == "" {
 			return fmt.Errorf("query: GROUP-BY %s references unknown event type %q", g, g.Alias)
 		}
 		found := false
@@ -207,11 +288,21 @@ func (q *Query) Validate() error {
 	return nil
 }
 
+// validateOp checks a predicate's operator and attribute name.
+func validateOp(op predicate.Op, attr string) error {
+	if op < predicate.Lt || op > predicate.Ne {
+		return fmt.Errorf("query: unknown comparison operator %d", op)
+	}
+	if !isIdent(attr) {
+		return fmt.Errorf("query: attribute %q is not an identifier", attr)
+	}
+	return nil
+}
+
 // Builder provides fluent programmatic query construction, mirroring
 // the text syntax clause for clause.
 type Builder struct {
-	q   Query
-	err error
+	q Query
 }
 
 // NewBuilder starts a query for the given pattern.
@@ -269,9 +360,6 @@ func (b *Builder) Within(within, slide int64) *Builder {
 
 // Build validates and returns the query.
 func (b *Builder) Build() (*Query, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
 	q := b.q // copy
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/agg"
@@ -16,12 +18,12 @@ import (
 // and GROUP-BY are optional (SEMANTICS defaults to skip-till-any-match,
 // the semantics every evaluated system supports, §9.1).
 func Parse(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: lexer{src: src}}
+	p.tok = p.lx.scan()
 	q, err := p.parseQuery()
+	if p.lx.err != nil { // it ended the token stream early
+		return nil, p.lx.err
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -41,12 +43,12 @@ func MustParse(src string) *Query {
 }
 
 type parser struct {
-	toks []token
-	i    int
+	lx  lexer
+	tok token // the current token
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() token  { return p.tok }
+func (p *parser) next() token { t := p.tok; p.tok = p.lx.scan(); return t }
 
 func (p *parser) expect(kind tokKind, what string) (token, error) {
 	t := p.next()
@@ -64,16 +66,36 @@ func (p *parser) expectKeyword(kw string) error {
 	return nil
 }
 
+// clauseKeywords each start a clause, ending the one before.
+var clauseKeywords = [...]string{"PATTERN", "SEMANTICS", "WHERE", "GROUP-BY", "WITHIN", "SLIDE", "RETURN", "MIN-LENGTH"}
+
 // atClauseKeyword reports whether the current token starts a new
 // clause, ending the previous variable-length clause.
 func (p *parser) atClauseKeyword() bool {
 	t := p.cur()
-	for _, kw := range []string{"PATTERN", "SEMANTICS", "WHERE", "GROUP-BY", "WITHIN", "SLIDE", "RETURN", "MIN-LENGTH"} {
+	for _, kw := range clauseKeywords {
 		if isKeyword(t, kw) {
 			return true
 		}
 	}
 	return t.kind == tokEOF
+}
+
+// reserved reports whether a pattern type or alias would read as a
+// keyword where the text writes it: a clause keyword, a pattern
+// operator, or NEXT in a predicate.
+func reserved(name string) bool {
+	for _, kw := range clauseKeywords {
+		if strings.EqualFold(name, kw) {
+			return true
+		}
+	}
+	for _, kw := range [...]string{"SEQ", "OR", "NOT", "NEXT"} {
+		if strings.EqualFold(name, kw) {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *parser) parseQuery() (*Query, error) {
@@ -87,20 +109,22 @@ func (p *parser) parseQuery() (*Query, error) {
 	if err := p.expectKeyword("PATTERN"); err != nil {
 		return nil, err
 	}
-	pat, err := p.parsePattern()
+	pat, err := p.parsePatternTerm(false, 0)
 	if err != nil {
 		return nil, err
 	}
 	// Optional minimal trend length (§8): PATTERN A+ MIN-LENGTH 3
-	// excludes too-short trends by unrolling the Kleene plus.
+	// excludes too-short trends by unrolling the Kleene plus, into as
+	// many SEQ parts — bounded like nesting, so a short text cannot
+	// build a huge pattern.
 	if isKeyword(p.cur(), "MIN-LENGTH") {
 		p.next()
 		t, err := p.expect(tokNumber, "minimal trend length")
 		if err != nil {
 			return nil, err
 		}
-		if t.num != float64(int64(t.num)) || t.num < 1 {
-			return nil, fmt.Errorf("query: MIN-LENGTH must be a positive integer, got %v", t.num)
+		if t.num != float64(int64(t.num)) || t.num < 1 || t.num > pattern.MaxDepth {
+			return nil, fmt.Errorf("query: MIN-LENGTH must be an integer from 1 to %d, got %v", pattern.MaxDepth, t.num)
 		}
 		pat, err = pattern.UnrollMinLength(pat, int(t.num))
 		if err != nil {
@@ -243,20 +267,18 @@ func (p *parser) parseReturnItem(q *Query) error {
 
 // ---- PATTERN clause ----
 
-// parsePattern parses one pattern expression.
-func (p *parser) parsePattern() (pattern.Node, error) {
-	return p.parsePatternTerm(false)
-}
-
-// parsePatternTerm parses a pattern term; allowNot permits a NOT(...)
-// node (only legal directly inside SEQ).
-func (p *parser) parsePatternTerm(allowNot bool) (pattern.Node, error) {
+// parsePatternTerm parses a pattern term nested depth terms deep;
+// allowNot permits a NOT(...) node (only legal directly inside SEQ).
+func (p *parser) parsePatternTerm(allowNot bool, depth int) (pattern.Node, error) {
 	t := p.cur()
+	if depth > pattern.MaxDepth {
+		return nil, fmt.Errorf("query: pattern nesting exceeds %d levels at offset %d", pattern.MaxDepth, t.pos)
+	}
 	var node pattern.Node
 	switch {
 	case t.kind == tokLParen:
 		p.next()
-		inner, err := p.parsePatternTerm(false)
+		inner, err := p.parsePatternTerm(false, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +293,7 @@ func (p *parser) parsePatternTerm(allowNot bool) (pattern.Node, error) {
 		}
 		var parts []pattern.Node
 		for {
-			part, err := p.parsePatternTerm(true)
+			part, err := p.parsePatternTerm(true, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -292,7 +314,7 @@ func (p *parser) parsePatternTerm(allowNot bool) (pattern.Node, error) {
 		}
 		var parts []pattern.Node
 		for {
-			part, err := p.parsePatternTerm(false)
+			part, err := p.parsePatternTerm(false, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -314,7 +336,7 @@ func (p *parser) parsePatternTerm(allowNot bool) (pattern.Node, error) {
 		if _, err := p.expect(tokLParen, "( after NOT"); err != nil {
 			return nil, err
 		}
-		inner, err := p.parsePatternTerm(false)
+		inner, err := p.parsePatternTerm(false, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -564,27 +586,35 @@ func (p *parser) parseGroupKey() (GroupKey, error) {
 
 // parseDuration parses "<number> [unit]" where unit is seconds,
 // minutes or hours (singular accepted); a bare number is stream ticks
-// (= seconds).
+// (= seconds). An integer literal is read exactly, whatever its size.
 func (p *parser) parseDuration() (int64, error) {
 	t, err := p.expect(tokNumber, "duration")
 	if err != nil {
 		return 0, err
 	}
-	if t.num != float64(int64(t.num)) || t.num <= 0 {
-		return 0, fmt.Errorf("query: duration must be a positive integer, got %v", t.num)
+	n, err := strconv.ParseInt(t.text, 10, 64)
+	if err != nil && t.num == math.Trunc(t.num) && t.num < math.MaxInt64 {
+		n, err = int64(t.num), nil // 10.0, 1e+06
 	}
-	n := int64(t.num)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("query: duration must be a positive integer, got %s", t.text)
+	}
 	if u := p.cur(); u.kind == tokIdent {
+		scale := int64(1)
 		switch strings.ToLower(u.text) {
 		case "second", "seconds", "sec", "s":
-			p.next()
 		case "minute", "minutes", "min", "m":
-			p.next()
-			n *= 60
+			scale = 60
 		case "hour", "hours", "h":
-			p.next()
-			n *= 3600
+			scale = 3600
+		default:
+			return n, nil
 		}
+		p.next()
+		if n > math.MaxInt64/scale {
+			return 0, fmt.Errorf("query: duration %s %s overflows", t.text, u.text)
+		}
+		n *= scale
 	}
 	return n, nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -220,15 +221,110 @@ func TestLexerErrors(t *testing.T) {
 	}
 }
 
+// TestQueryStringRoundTrips: String is the one text of a query —
+// Parse gives back the same query for parsed queries, whatever their
+// clause order, literal spelling or MIN-LENGTH, and for Builder ones —
+// and queries that differ only in a literal's type render apart.
 func TestQueryStringRoundTrips(t *testing.T) {
-	for _, src := range []string{q1Text, q2Text, q3Text} {
-		q := MustParse(src)
-		q2, err := Parse(q.String())
+	var queries []*Query
+	for _, src := range []string{
+		q1Text, q2Text, q3Text,
+		`RETURN COUNT(*) PATTERN M+ MIN-LENGTH 3 WITHIN 1 hour SLIDE 9223372036854775807`,
+		`RETURN COUNT(*), k PATTERN SEQ(A, NOT(N), (B C)?, D*) WHERE [k] AND 100 < A.x AND A.y <= -2 AND D.z != 1e+06 AND C.w > 1.5e-07 GROUP-BY k WITHIN 10 SLIDE 10`,
+		`RETURN COUNT(*) PATTERN OR(A, B)+ WHERE A.s = 'it"s' AND B.s = "it's \\ \"q\" \n é" AND A.x > B.y WITHIN 10 SLIDE 10`,
+		`RETURN COUNT(*) PATTERN A+ WHERE A.v = 5 WITHIN 10 SLIDE 10`,
+		`RETURN COUNT(*) PATTERN A+ WHERE A.v = '5' WITHIN 10 SLIDE 10`,
+		`RETURN COUNT(*) PATTERN A AND+ WHERE AND.x > 0 AND AND.s = "" WITHIN 10 SLIDE 10`,
+	} {
+		queries = append(queries, MustParse(src))
+	}
+	queries = append(queries,
+		NewBuilder(pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "Stock")), pattern.Opt(pattern.Seq(pattern.Type("B"), pattern.Plus(pattern.Type("C")))))).
+			Return(agg.Spec{Func: agg.Sum, Alias: "Stock", Attr: "price"}).
+			WhereLocal(predicate.Local{Alias: "Stock", Attr: "price", Op: predicate.Ge, Value: math.Copysign(0, -1)}).
+			WhereLocal(predicate.Local{Alias: "B", Attr: "tag", Op: predicate.Ne, Value: "\x00\xff"}).
+			WhereAdjacent(predicate.Adjacent{Left: "Stock", LeftAttr: "price", Op: predicate.Lt, Right: "C", RightAttr: "price"}).
+			Within(1<<62+1, 3).MustBuild(),
+		NewBuilder(pattern.Plus(pattern.Plus(pattern.Seq(pattern.Type("A"))))).
+			Return(agg.Spec{Func: agg.CountType, Alias: "A"}).Semantics(Cont).Within(4, 2).MustBuild(),
+	)
+	for _, q := range queries {
+		text := q.String()
+		back, err := Parse(text)
 		if err != nil {
-			t.Fatalf("re-parse of %q failed: %v", q.String(), err)
+			t.Fatalf("re-parse of %q failed: %v", text, err)
 		}
-		if q2.String() != q.String() {
-			t.Errorf("round trip changed query:\n%s\nvs\n%s", q.String(), q2.String())
+		if !reflect.DeepEqual(back, q) {
+			t.Errorf("round trip changed the query:\n%s\nvs\n%s", text, back.String())
+		}
+	}
+	if a, b := queries[6].String(), queries[7].String(); a == b {
+		t.Errorf("the number 5 and the string \"5\" render alike: %q", a)
+	}
+}
+
+// TestParseNestingBound: the parser follows 1000 levels of pattern
+// nesting and refuses the 1001st, without lexing the rest of the input.
+func TestParseNestingBound(t *testing.T) {
+	nested := func(levels int) string {
+		return "RETURN COUNT(*) PATTERN " + strings.Repeat("(", levels) + "A" + strings.Repeat(")", levels) + "+ WITHIN 10 SLIDE 10"
+	}
+	if _, err := Parse(nested(1000)); err != nil {
+		t.Errorf("1000 levels: %v", err)
+	}
+	seqs := "RETURN COUNT(*) PATTERN " + strings.Repeat("SEQ(", 1000) + "A" + strings.Repeat(")", 1000) + " WITHIN 10 SLIDE 10"
+	if _, err := Parse(seqs); err != nil {
+		t.Errorf("1000 nested SEQs: %v", err)
+	}
+	for _, levels := range []int{1001, 1 << 22} {
+		if _, err := Parse(nested(levels)); err == nil || !strings.Contains(err.Error(), "nesting exceeds 1000") {
+			t.Errorf("%d levels: %v, want the nesting bound", levels, err)
+		}
+	}
+}
+
+// TestValidateRefusesWhatNoTextWrites: a Builder query that no query
+// text can write fails Validate, so String renders every valid query
+// in full.
+func TestValidateRefusesWhatNoTextWrites(t *testing.T) {
+	deep := pattern.Node(pattern.Type("A"))
+	for range 1001 {
+		deep = pattern.Plus(deep)
+	}
+	local := func(alias, attr string, v any) *Builder {
+		return NewBuilder(pattern.Plus(pattern.Type("A"))).Return(agg.Spec{Func: agg.CountStar}).Within(10, 10).
+			WhereLocal(predicate.Local{Alias: alias, Attr: attr, Op: predicate.Eq, Value: v})
+	}
+	leaf := func(typ, alias string) *Builder {
+		return NewBuilder(pattern.Plus(pattern.TypeAs(typ, alias))).Return(agg.Spec{Func: agg.CountStar}).Within(10, 10)
+	}
+	plain := func() *Builder { return leaf("A", "A") }
+	for name, b := range map[string]*Builder{
+		"int value":               local("A", "v", 5),
+		"bool value":              local("A", "v", true),
+		"NaN":                     local("A", "v", math.NaN()),
+		"infinity":                local("A", "v", math.Inf(-1)),
+		"local without type":      local("", "v", 5.0),
+		"attr with a space":       local("A", "a b", 5.0),
+		"empty attr":              local("A", "", 5.0),
+		"attr ending in -":        local("A", "x-", 5.0),
+		"attr with a digit first": local("A", "1x", 5.0),
+		"type with a dot":         leaf("A.b", "A"),
+		"alias with a space":      leaf("A", "my alias"),
+		"type keyword":            leaf("seq", "A"),
+		"alias keyword":           leaf("A", "Where"),
+		"alias NEXT":              leaf("A", "next"),
+		"too deep":                NewBuilder(deep).Return(agg.Spec{Func: agg.CountStar}).Within(10, 10),
+		"equivalence attr":        plain().WhereEquiv(predicate.Equivalence{Attr: "a.b"}),
+		"group-by attr":           plain().GroupBy(GroupKey{Attr: "a b"}),
+		"aggregate attr":          plain().Return(agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v)"}),
+		"adjacent attr":           plain().WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "v", Right: "A", RightAttr: "v w"}),
+		"adjacent op":             plain().WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "v", Op: 9, Right: "A", RightAttr: "v"}),
+		"local op":                plain().WhereLocal(predicate.Local{Alias: "A", Attr: "v", Op: -1, Value: 1.0}),
+		"semantics":               plain().Semantics(7),
+	} {
+		if q, err := b.Build(); err == nil {
+			t.Errorf("%s: Validate accepted %q", name, q.String())
 		}
 	}
 }

@@ -33,7 +33,7 @@ import (
 type group struct {
 	// key is the fingerprint the group is registered under in
 	// Runtime.groups; empty when another group of that fingerprint was
-	// registered first.
+	// registered first, or when its plan has no fingerprint.
 	key string
 	// hosts, oldest first. Every member has a view on the last one, which
 	// owns the newest windows; the others are retired and draining.
@@ -61,9 +61,10 @@ type view struct {
 }
 
 // register makes g the group fingerprint-equal subscribers join, unless
-// another group already is.
+// another group already is. A plan with no text has the empty
+// fingerprint, under which no group registers, so no plan joins one.
 func (rt *Runtime) register(g *group, key string) {
-	if rt.groups[key] == nil {
+	if key != "" && rt.groups[key] == nil {
 		g.key, rt.groups[key] = key, g
 	}
 }

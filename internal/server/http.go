@@ -174,8 +174,8 @@ func (s *Server) handleListQueries(w http.ResponseWriter, r *http.Request) {
 	}
 	queries := []wireQuery{}
 	if t != nil {
-		for _, st := range activeSubs(t) {
-			queries = append(queries, wireQuery{ID: st.id, Query: st.query})
+		for _, sub := range activeSubs(t) {
+			queries = append(queries, wireQuery{ID: sub.ID(), Query: sub.Plan().Text()})
 		}
 	}
 	// Map iteration shuffled them; serve in id order.

@@ -211,7 +211,7 @@ type tenant struct {
 
 	mu     sync.RWMutex
 	sess   *cogra.Session
-	subs   map[int]*subState
+	subs   map[int]*cogra.Subscription
 	closed bool
 
 	// pulse is closed and replaced whenever results may have become
@@ -235,15 +235,7 @@ type tenant struct {
 }
 
 func newTenant(name string) *tenant {
-	return &tenant{name: name, subs: make(map[int]*subState), pulse: make(chan struct{})}
-}
-
-// subState is one hosted subscription: the handle plus the query text
-// it was created from (reported on the list endpoint).
-type subState struct {
-	id    int
-	sub   *cogra.Subscription
-	query string
+	return &tenant{name: name, subs: make(map[int]*cogra.Subscription), pulse: make(chan struct{})}
 }
 
 func (t *tenant) bump() {
@@ -421,7 +413,7 @@ func (s *Server) Subscribe(tenantName, queryText string, strict bool) (int, *Wir
 		}
 		id = sub.ID()
 		t.mu.Lock()
-		t.subs[id] = &subState{id: id, sub: sub, query: queryText}
+		t.subs[id] = sub
 		t.mu.Unlock()
 	})
 	if derr != nil {
@@ -435,12 +427,12 @@ func (s *Server) Subscribe(tenantName, queryText string, strict bool) (int, *Wir
 
 // activeSubs snapshots a tenant's live subscriptions. Shard goroutine
 // or metrics (read lock).
-func activeSubs(t *tenant) []*subState {
+func activeSubs(t *tenant) []*cogra.Subscription {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]*subState, 0, len(t.subs))
-	for _, st := range t.subs {
-		out = append(out, st)
+	out := make([]*cogra.Subscription, 0, len(t.subs))
+	for _, sub := range t.subs {
+		out = append(out, sub)
 	}
 	return out
 }
@@ -456,21 +448,21 @@ func (s *Server) Unsubscribe(tenantName string, id int) ([]cogra.Result, *WireEr
 	var out []cogra.Result
 	derr := s.shardFor(tenantName).do(func() {
 		t.mu.RLock()
-		st := t.subs[id]
+		sub := t.subs[id]
 		t.mu.RUnlock()
-		if st == nil {
+		if sub == nil {
 			werr = &WireError{Code: CodeNotHosted, Message: fmt.Sprintf("tenant %q hosts no query %d", tenantName, id)}
 			return
 		}
-		if !st.sub.Active() {
+		if !sub.Active() {
 			// Already detached by a session Close: nothing to flush,
 			// just hand over the buffered results and forget the id.
-			out = st.sub.Drain()
+			out = sub.Drain()
 		} else {
-			out = st.sub.Unsubscribe()
-			if st.sub.Active() {
+			out = sub.Unsubscribe()
+			if sub.Active() {
 				// The detach itself was rejected; the subscription stays.
-				werr = EncodeError(st.sub.Err())
+				werr = EncodeError(sub.Err())
 				return
 			}
 		}
@@ -499,19 +491,19 @@ func (s *Server) Results(tenantName string, id int) (out []cogra.Result, done bo
 	}
 	derr := s.shardFor(tenantName).do(func() {
 		t.mu.RLock()
-		st := t.subs[id]
+		sub := t.subs[id]
 		closed := t.closed
 		t.mu.RUnlock()
-		if st == nil {
+		if sub == nil {
 			werr = &WireError{Code: CodeNotHosted, Message: fmt.Sprintf("tenant %q hosts no query %d", tenantName, id)}
 			return
 		}
-		out = st.sub.Drain()
-		if err := st.sub.Err(); err != nil && len(out) == 0 {
+		out = sub.Drain()
+		if err := sub.Err(); err != nil && len(out) == 0 {
 			werr = EncodeError(err)
 			return
 		}
-		done = closed || !st.sub.Active()
+		done = closed || !sub.Active()
 	})
 	if derr != nil {
 		return nil, true, &WireError{Code: CodeDraining, Message: derr.Error()}
@@ -649,7 +641,7 @@ func (s *Server) restoreAll() error {
 			t.sess = sess
 			for _, sub := range sess.Subscriptions() {
 				if sub.Active() {
-					t.subs[sub.ID()] = &subState{id: sub.ID(), sub: sub, query: sub.Plan().Query.String()}
+					t.subs[sub.ID()] = sub
 				}
 			}
 			t.mu.Unlock()

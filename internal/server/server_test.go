@@ -245,6 +245,10 @@ func TestServerDrainRestoreDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := listQueries(t, c1, "acme")
+	if len(live) != 1 {
+		t.Fatalf("live listing: %+v, want query %d", live, id)
+	}
 	if _, err := c1.push("acme", events[:300]); err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +276,17 @@ func TestServerDrainRestoreDifferential(t *testing.T) {
 
 	srv2, c2, _ := newTestServer(t, Config{Shards: 3, CheckpointDir: dir})
 	defer srv2.Drain()
-	// A restored subscription has no source text: the listing renders
-	// the plan's query, which must parse back to itself.
-	var listed struct {
-		Queries []struct {
-			ID    int    `json:"id"`
-			Query string `json:"query"`
-		} `json:"queries"`
+	// The listing renders the plan's query text, so a query lists the
+	// same text in both server lives, and that text parses back to
+	// itself.
+	restored := listQueries(t, c2, "acme")
+	if len(restored) != 1 || restored[0].ID != id {
+		t.Fatalf("restored listing: %+v, want query %d", restored, id)
 	}
-	if err := c2.do("GET", "/v1/acme/queries", nil, &listed); err != nil {
-		t.Fatal(err)
+	if restored[0] != live[0] {
+		t.Errorf("query %d lists %q after the restart, %q before", id, restored[0].Query, live[0].Query)
 	}
-	if len(listed.Queries) != 1 || listed.Queries[0].ID != id {
-		t.Fatalf("restored listing: %+v, want query %d", listed.Queries, id)
-	}
-	text := listed.Queries[0].Query
+	text := restored[0].Query
 	if q, err := cogra.Parse(text); err != nil {
 		t.Fatalf("restored query lists unparseable text %q: %v", text, err)
 	} else if q.String() != text {
@@ -306,6 +306,48 @@ func TestServerDrainRestoreDifferential(t *testing.T) {
 	if got.String() != want {
 		t.Errorf("results across drain+restore differ from one solo run\nserved:\n%s\nsolo:\n%s", got.String(), want)
 	}
+}
+
+// TestSubscribeRefusesDeepNesting: a query nested far past the
+// parser's bound — a request body of parentheses, well under the body
+// cap — is a 400, and the server keeps serving.
+func TestSubscribeRefusesDeepNesting(t *testing.T) {
+	_, c, ts := newTestServer(t, Config{})
+	const levels = 1 << 20
+	deep := "RETURN COUNT(*) PATTERN " + strings.Repeat("(", levels) + "A" + strings.Repeat(")", levels) + "+ WITHIN 10 SLIDE 10"
+	var werr *WireError
+	if _, err := c.subscribe("acme", deep); !errors.As(err, &werr) || werr.Code != CodeBadRequest {
+		t.Fatalf("deeply nested query: %v, want a %s wire error", err, CodeBadRequest)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refusal: http %d", resp.StatusCode)
+	}
+	if _, err := c.subscribe("acme", testQuery); err != nil {
+		t.Fatalf("subscribe after the refusal: %v", err)
+	}
+}
+
+// listedQuery is one entry of a tenant's query listing.
+type listedQuery struct {
+	ID    int    `json:"id"`
+	Query string `json:"query"`
+}
+
+// listQueries fetches a tenant's query listing.
+func listQueries(t *testing.T, c *testClient, tenant string) []listedQuery {
+	t.Helper()
+	var listed struct {
+		Queries []listedQuery `json:"queries"`
+	}
+	if err := c.do("GET", "/v1/"+tenant+"/queries", nil, &listed); err != nil {
+		t.Fatal(err)
+	}
+	return listed.Queries
 }
 
 // TestServerQuotas: every server-side quota rejects with the

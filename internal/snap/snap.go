@@ -36,8 +36,10 @@ const Magic = "COGRASNP"
 // codec's per-subscription engines and sharing-group mode machine with
 // per-host sections (a subscription no longer owns an engine); version
 // 6 codes each distinct plan once, in a table subscriptions and hosts
-// index into, and dropped the fields of deleted options.
-const Version uint32 = 6
+// index into, and dropped the fields of deleted options; version 7
+// writes each plan table entry as its query text (query.Query.String),
+// which restore parses and compiles like a new subscription.
+const Version uint32 = 7
 
 // Writer accumulates a snapshot payload in memory.
 type Writer struct {

@@ -16,14 +16,16 @@
 //
 //	go run scripts/gen_fuzz_corpus.go
 //
-// seed_v3_inline, seed_v4_fleet and seed_v5_fleet in the same
-// directory are NOT regenerated: they are frames as the last format-v3,
-// v4 and v5 builds wrote them (v3: this seed session, whose inline
-// topology had its own section; v4: the fleet golden frame, with
-// per-subscription engines and the sharing-group mode machine; v5: the
-// fleet golden frame, each query coded per subscription and again per
-// host, beside the fields of options since deleted) — real version
-// skew, which Restore must refuse with ErrBadSnapshot. seed_v4_skew is
+// seed_v3_inline, seed_v4_fleet, seed_v5_fleet and seed_v6_fleet in
+// the same directory are NOT regenerated: they are frames as the last
+// format-v3, v4, v5 and v6 builds wrote them (v3: this seed session,
+// whose inline topology had its own section; v4: the fleet golden
+// frame, with per-subscription engines and the sharing-group mode
+// machine; v5: the fleet golden frame, each query coded per
+// subscription and again per host, beside the fields of options since
+// deleted; v6: the fleet golden frame, each plan coded by structure
+// rather than as query text) — real version skew, which Restore must
+// refuse with ErrBadSnapshot. seed_v4_skew is
 // the regenerated companion: this build's payload under the version
 // word of an older format.
 package main

@@ -6,7 +6,9 @@
 # the tenant and drain the rest — then require part1+part2 to be
 # byte-identical to an embedded cograql run over the whole stream. The
 # network service must add zero result drift: not across tenants, not
-# across a restart. Run from the repo root.
+# across a restart. Before any of that, a query nested thousands of
+# levels deep must be refused with a 400 while the server stays up.
+# Run from the repo root.
 set -euo pipefail
 
 DIR=$(mktemp -d)
@@ -41,6 +43,22 @@ start_server() {
 }
 
 start_server
+# A pattern nested past the parser's bound is a bad request, not a
+# crash.
+LEVELS=4096
+DEEP="RETURN COUNT(*) PATTERN $(printf '%*s' "$LEVELS" '' | tr ' ' '(')Stock$(printf '%*s' "$LEVELS" '' | tr ' ' ')')+ WITHIN 10 SLIDE 10"
+CODE=$(curl -s -o "$DIR/deep.out" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  --data-binary "{\"query\": \"$DEEP\"}" "$ADDR/v1/smoke/queries")
+[ "$CODE" = 400 ] || {
+  echo "server_smoke: a query nested $LEVELS levels deep got http $CODE, want 400" >&2
+  cat "$DIR/deep.out" "$DIR/cograd.log" >&2
+  exit 1
+}
+curl -sf "$ADDR/healthz" > /dev/null || {
+  echo "server_smoke: cograd is not healthy after the deeply nested query" >&2
+  cat "$DIR/cograd.log" >&2
+  exit 1
+}
 ID=$("$DIR/client" -addr "$ADDR" -tenant smoke -mode subscribe -query "$Q")
 "$DIR/client" -addr "$ADDR" -tenant smoke -mode push -input "$DIR/stream.csv" -to "$CUT"
 "$DIR/client" -addr "$ADDR" -tenant smoke -mode drain -id "$ID" > "$DIR/part1.out"

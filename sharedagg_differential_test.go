@@ -35,7 +35,12 @@ import (
 	"testing"
 
 	cogra "repro"
+	"repro/internal/agg"
+	"repro/internal/core"
 	"repro/internal/fuzz/diff"
+	"repro/internal/pattern"
+	"repro/internal/predicate"
+	"repro/internal/query"
 )
 
 // sharedFleetQueries returns, per granularity, three RETURN-variants
@@ -337,6 +342,80 @@ func TestSharedAggregationDifferential(t *testing.T) {
 				})
 			}
 		}
+		for name, pair := range collidingPairs() {
+			t.Run(mode+"/colliding/"+name, func(t *testing.T) {
+				sess := cogra.NewSession(mopts...)
+				subs := make([]*cogra.Subscription, len(pair))
+				for i, q := range pair {
+					var err error
+					if subs[i], err = sess.Subscribe(q()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sess.PushBatch(events); err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+				var wants [][]cogra.Result
+				for i, q := range pair {
+					plan, err := core.NewPlan(q())
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng := core.NewEngine(plan)
+					for _, e := range events {
+						if err := eng.Process(e); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want := eng.Close()
+					if got := subs[i].Drain(); !diff.Equal(got, want) {
+						t.Errorf("query %d: the session's results differ from its solo engine's\n%s", i, diff.Diff(got, want))
+					}
+					wants = append(wants, want)
+				}
+				if len(wants[0]) == 0 || diff.Equal(wants[0], wants[1]) {
+					t.Error("the pair's solo results are empty or equal; the test is vacuous")
+				}
+			})
+		}
+	}
+}
+
+// collidingPairs returns pairs of different queries that a display
+// rendering of the query writes alike — a literal that is the number 5
+// or the string "5", and adjacent predicates comparing through two
+// different functions — as constructors, since a session validates the
+// query it subscribes.
+func collidingPairs() map[string][2]func() *cogra.Query {
+	const literal = `
+		RETURN COUNT(*)
+		PATTERN SEQ(A+, B)
+		SEMANTICS skip-till-any-match
+		WHERE [patient] AND A.v = %s
+		GROUP-BY patient
+		WITHIN 64 SLIDE 32`
+	parsed := func(lit string) func() *cogra.Query {
+		return func() *cogra.Query { return cogra.MustParse(fmt.Sprintf(literal, lit)) }
+	}
+	rate := func(fn func(prev, next float64) bool) func() *cogra.Query {
+		return func() *cogra.Query {
+			return query.NewBuilder(pattern.Plus(pattern.Type("M"))).
+				Return(agg.Spec{Func: agg.CountStar}).
+				WhereEquiv(predicate.Equivalence{Attr: "patient"}).
+				WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Right: "M", RightAttr: "rate", NumFn: fn}).
+				GroupBy(query.GroupKey{Attr: "patient"}).
+				Within(64, 64).MustBuild()
+		}
+	}
+	return map[string][2]func() *cogra.Query{
+		"literal": {parsed("5"), parsed("'5'")},
+		"numfn": {
+			rate(func(prev, next float64) bool { return prev < next }),
+			rate(func(prev, next float64) bool { return prev > next }),
+		},
 	}
 }
 
@@ -348,7 +427,7 @@ func TestSharedAggregationDifferential(t *testing.T) {
 // The subtests group the frames by topology.
 func TestSharedAggregationAddedAtRestore(t *testing.T) {
 	frames := map[string][]string{
-		"inline":   {"detached", "handover", "mixed", "unconstrained", "vectors"},
+		"inline":   {"detached", "handover", "literals", "mixed", "unconstrained", "vectors"},
 		"workers2": {"retired"},
 		"workers4": {"fleet"},
 	}

@@ -225,8 +225,9 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 // codePlans lists the plan table: every distinct plan the topology runs
 // — the active subscriptions' and every host's — once, ahead of the
 // subscriptions and hosts that index into it. Encoding returns the
-// table with its index; decoding compiles each entry once against the
-// restored catalog.
+// table with its index. Each entry is the plan's query text; decoding
+// parses and compiles it once against the restored catalog, the path
+// Subscribe takes.
 func (s *Session) codePlans(c *snap.Coder) ([]*Plan, map[*Plan]int32) {
 	var plans []*Plan
 	idx := map[*Plan]int32{}
@@ -247,14 +248,18 @@ func (s *Session) codePlans(c *snap.Coder) ([]*Plan, map[*Plan]int32) {
 		}
 	}
 	snap.Slice(c, &plans, 40, func(c *snap.Coder, p **Plan) {
-		var q query.Query
+		var text string
 		if !c.Decoding() {
-			q = *(*p).Query
+			if text = (*p).Text(); text == "" {
+				c.Fail(fmt.Errorf("snapshot query: %v and cannot be checkpointed", (*p).Query.Opaque()))
+			}
 		}
-		if q.Code(c); c.Decoding() && c.Err() == nil {
-			plan, err := core.NewPlanIn(s.cat, &q)
+		if c.Str(&text); c.Decoding() && c.Err() == nil {
+			q, err := query.Parse(text)
+			if err == nil {
+				*p, err = core.NewPlanIn(s.cat, q)
+			}
 			c.Check(err == nil, "compiling plan table entry: %v", err)
-			*p = plan
 		}
 	})
 	return plans, idx

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -330,7 +331,8 @@ func TestSnapshotGoldenFrames(t *testing.T) {
 			switch { // the sections these frames are committed for
 			case g.Name == "fleet" && (st.Workers != 5 || st.ExecutorGroups != 1 || st.SharedGroups == 0),
 				g.Name == "handover" && (st.SharedGroups != 1 || st.ShareFlips != 1),
-				g.Name == "retired" && (st.Workers != 2 || st.ExecutorGroups != 0 || st.SharedGroups != 2 || st.ShareFlips != 1):
+				g.Name == "retired" && (st.Workers != 2 || st.ExecutorGroups != 0 || st.SharedGroups != 2 || st.ShareFlips != 1),
+				g.Name == "literals" && st.SharedGroups != 0:
 				t.Fatalf("%s scenario is vacuous: %+v", g.Name, st)
 			}
 			var built bytes.Buffer
@@ -498,6 +500,35 @@ func TestRestoreRefusesV4Frame(t *testing.T) {
 func TestRestoreRefusesV5Frame(t *testing.T) {
 	if err := restoreCorpusFrame(t, "seed_v5_fleet"); !errors.Is(err, cogra.ErrBadSnapshot) {
 		t.Errorf("Restore of a v5 frame: %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestRestoreRefusesV6Frame: the fleet golden frame as the last
+// format-v6 build wrote it — each plan table entry coded by structure,
+// where this build reads the query's text.
+func TestRestoreRefusesV6Frame(t *testing.T) {
+	if err := restoreCorpusFrame(t, "seed_v6_fleet"); !errors.Is(err, cogra.ErrBadSnapshot) {
+		t.Errorf("Restore of a v6 frame: %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestSnapshotRefusesOpaquePlan: a query whose adjacent predicate
+// compares through a function has no text, so its plan has no text and
+// no fingerprint, and Snapshot refuses the session rather than write a
+// plan table entry no restore could read.
+func TestSnapshotRefusesOpaquePlan(t *testing.T) {
+	sess := cogra.NewSession()
+	defer sess.Close()
+	sub, err := sess.Subscribe(collidingPairs()["numfn"][0]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := sub.Plan(); p.Text() != "" || p.Fingerprint() != "" {
+		t.Errorf("opaque plan has text %q and fingerprint %q", p.Text(), p.Fingerprint())
+	}
+	err = sess.Snapshot(io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "opaque comparison function and cannot be checkpointed") {
+		t.Errorf("Snapshot of an opaque plan: %v", err)
 	}
 }
 

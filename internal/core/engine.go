@@ -375,9 +375,7 @@ func (e *Engine) ProcessAll(events []*event.Event) error {
 // fall only into suppressed windows).
 func (e *Engine) AlignTo(t int64) {
 	e.mgr.SkipBefore(e.mgr.Spec().FirstFullWindow(t))
-	if !e.sawEvent || t > e.lastTime {
-		e.lastTime, e.sawEvent = t, true
-	}
+	e.lastTime, e.sawEvent = t, true
 }
 
 // RetireFrom caps the engine at window boundary wid: windows >= wid

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/agg"
@@ -134,10 +135,10 @@ func TestRestoreUnstampedFrameIntoEvictingEngine(t *testing.T) {
 			src := NewEngine(MustPlan(q))
 			feed(src, prefix)
 			var w snap.Writer
-			src.Code(snap.Encoder(&w))
+			src.Code(snap.Encoder(&w), math.MaxInt64)
 			r := w.Reader()
 			eng := NewEngine(MustPlan(q), WithInternEviction())
-			eng.Code(snap.Decoder(r))
+			eng.Code(snap.Decoder(r), math.MaxInt64)
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
 			}

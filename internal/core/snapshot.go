@@ -437,10 +437,13 @@ func (g *patternGrained) code(c *snap.Coder) {
 // window id and partition key. Encoding, the engine must be quiescent
 // (no Process in flight); decoding loads a freshly built engine for the
 // same (recompiled) plan — the caller restores the engine's accountant
-// afterwards, overwriting the accounting churn of state loading.
-func (e *Engine) Code(c *snap.Coder) {
+// afterwards, overwriting the accounting churn of state loading — and
+// an engine whose clock passes ceil (math.MinInt64 when the engine's
+// owner has seen no event) fails the frame.
+func (e *Engine) Code(c *snap.Coder, ceil int64) {
 	c.I64(&e.lastTime)
 	c.Bool(&e.sawEvent)
+	c.Check(!e.sawEvent || e.lastTime <= ceil, "an engine clock is ahead of its owner's watermark")
 	c.I64(&e.seq)
 	c.I64(&e.eventsIn)
 	c.I64(&e.skipped)

@@ -153,7 +153,8 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 	// open windows); subscriptions resident at end of stream are
 	// flushed by Close and collected via Drain — the solo-run
 	// convention, and the only correct one under slack, where
-	// Close also drains the reorder buffer first.
+	// Close also drains the reorder buffer first. Results concatenate
+	// every drain, one at each watermark sample included.
 	unsubscribeAt := func(pos int) error {
 		for si := range sc.Subs {
 			if sc.Subs[si].Leave != pos || pos == n {
@@ -163,7 +164,7 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 			if sub == nil {
 				continue
 			}
-			results[si] = sub.Unsubscribe()
+			results[si] = append(results[si], sub.Unsubscribe()...)
 			if err := sub.Err(); err != nil {
 				return fmt.Errorf("fuzz: sub %d unsubscribe: %w", si, err)
 			}
@@ -176,14 +177,24 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 	if sample < 1 {
 		sample = 1
 	}
+	drainLive := func() error {
+		for si, sub := range live {
+			results[si] = append(results[si], sub.Drain()...)
+			if err := sub.Err(); err != nil {
+				return fmt.Errorf("fuzz: sub %d drain: %w", si, err)
+			}
+		}
+		return nil
+	}
 	takeSample := func(pushed int) error {
 		st, err := sess.Stats()
 		if err != nil {
 			return fmt.Errorf("fuzz: stats after %d events: %w", pushed, err)
 		}
+		out.Stats, out.HasStats = st, true
 		out.Watermarks = append(out.Watermarks,
 			WatermarkSample{AfterEvents: pushed, Watermark: st.Watermark, Valid: st.WatermarkValid})
-		return nil
+		return drainLive()
 	}
 
 	pos := 0
@@ -258,21 +269,14 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 			sess = restored
 		}
 	}
-	st, err := sess.Stats()
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: final stats: %w", err)
+	if err := takeSample(n); err != nil {
+		return nil, err
 	}
-	out.Stats, out.HasStats = st, true
-	out.Watermarks = append(out.Watermarks,
-		WatermarkSample{AfterEvents: n, Watermark: st.Watermark, Valid: st.WatermarkValid})
 	if err := sess.Close(); err != nil {
 		return nil, fmt.Errorf("fuzz: close: %w", err)
 	}
-	for si, sub := range live {
-		results[si] = sub.Drain()
-		if err := sub.Err(); err != nil {
-			return nil, fmt.Errorf("fuzz: sub %d drain: %w", si, err)
-		}
+	if err := drainLive(); err != nil {
+		return nil, err
 	}
 	for si := range sc.Subs {
 		out.PerSub[si] = diff.Canon(results[si])

@@ -193,28 +193,9 @@ func (rt *Runtime) Subscribe(q *query.Query, opts ...core.Option) (*Subscription
 
 // SubscribePlan hosts an already-compiled plan. The plan must have
 // been compiled against the runtime's catalog. Mid-stream, the
-// subscription is aligned to the runtime's own watermark; use
-// SubscribePlanFrom when a global stream position is known upstream
-// (the partition-parallel executor's workers lag the router).
+// subscription is aligned to the runtime's watermark: results start
+// from the first window fully after it.
 func (rt *Runtime) SubscribePlan(plan *core.Plan, opts ...core.Option) (*Subscription, error) {
-	return rt.subscribeAt(plan, rt.lastTime, rt.sawEvent, opts)
-}
-
-// SubscribePlanFrom is SubscribePlan aligning the subscription to
-// watermark t: the stream may already have advanced to time t even if
-// this runtime has not seen an event that recent (its partition was
-// quiet). Results start from the first window fully after t.
-func (rt *Runtime) SubscribePlanFrom(plan *core.Plan, t int64, opts ...core.Option) (*Subscription, error) {
-	if rt.sawEvent && rt.lastTime > t {
-		t = rt.lastTime
-	}
-	return rt.subscribeAt(plan, t, true, opts)
-}
-
-// subscribeAt hosts plan aligned to watermark t; aligned is false when
-// the stream has not started, so there is nothing to align to and
-// every window is fully observable.
-func (rt *Runtime) subscribeAt(plan *core.Plan, t int64, aligned bool, opts []core.Option) (*Subscription, error) {
 	if rt.closed {
 		return nil, fmt.Errorf("runtime: Subscribe after Close: %w", core.ErrClosed)
 	}
@@ -231,10 +212,10 @@ func (rt *Runtime) subscribeAt(plan *core.Plan, t int64, aligned bool, opts []co
 		return nil, err
 	}
 	s := &Subscription{id: rt.nextID, plan: plan, rt: rt, sink: core.ResultCallbackOf(opts), active: true}
-	if aligned {
-		s.from = plan.Query.Window.FirstFullWindow(t)
+	if rt.sawEvent {
+		s.from = plan.Query.Window.FirstFullWindow(rt.lastTime)
 	}
-	if err := rt.join(s, t, aligned, opts); err != nil {
+	if err := rt.join(s, opts); err != nil {
 		rt.cat.Release(plan)
 		return nil, err
 	}
@@ -573,6 +554,17 @@ func (rt *Runtime) advanceAll(t int64) error {
 		rt.release((*host).drained)
 	}
 	return nil
+}
+
+// AdvanceTo moves the watermark to t as an event at t would: every
+// window complete at t closes and emits, and events at t are still
+// accepted. A runtime already at or past t is left as it is.
+func (rt *Runtime) AdvanceTo(t int64) error {
+	if rt.sawEvent && t <= rt.lastTime {
+		return nil
+	}
+	rt.lastTime, rt.sawEvent = t, true
+	return rt.advanceAll(t)
 }
 
 // lateEventErr builds the out-of-order rejection — the cold path of

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"weak"
@@ -693,7 +694,7 @@ func TestRestoreKeepsPlanIdentity(t *testing.T) {
 	var w snap.Writer
 	enc := snap.Encoder(&w)
 	rt.cat.Code(enc)
-	rt.Code(enc, idx, plans, rt.nextID, nil)
+	rt.Code(enc, idx, plans, rt.nextID, math.MaxInt64, nil)
 	if enc.Err() != nil {
 		t.Fatal(enc.Err())
 	}
@@ -705,7 +706,7 @@ func TestRestoreKeepsPlanIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if back.Code(dec, nil, table, rt.nextID, nil); dec.Err() != nil {
+	if back.Code(dec, nil, table, rt.nextID, math.MaxInt64, nil); dec.Err() != nil {
 		t.Fatal(dec.Err())
 	}
 	identity := func(rt *Runtime) (shape []bool) {

@@ -23,6 +23,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -69,12 +70,16 @@ func (rt *Runtime) register(g *group, key string) {
 	}
 }
 
-// newHost builds a host of g over plan (already retained): opts are the
-// engine options of the subscriber it is built for (accounting,
-// eviction); its results go to the group.
+// newHost builds a host of g over plan (already retained), aligned to
+// the runtime's watermark once events flowed (a restore decodes over
+// it): opts are the engine options of the subscriber it is built for
+// (accounting, eviction); its results go to the group.
 func (rt *Runtime) newHost(g *group, plan *core.Plan, opts []core.Option) *host {
 	h := &host{g: g, plan: plan}
 	h.eng = core.NewEngine(plan, append(opts[:len(opts):len(opts)], core.WithResultCallback(h.emit))...)
+	if rt.sawEvent {
+		h.eng.AlignTo(rt.lastTime)
+	}
 	g.hosts = append(g.hosts, h)
 	rt.hosts = append(rt.hosts, h)
 	rt.index(h)
@@ -124,12 +129,11 @@ func (h *host) settle(rt *Runtime) {
 
 func (h *host) drained() bool { return h.eng.Drained() }
 
-// join places a new subscription, aligned to watermark t unless the
-// stream has not started: in the group registered under its
+// join places a new subscription: in the group registered under its
 // fingerprint — on the newest host when that computes its RETURN list,
 // else through a handover — or in a new group of one over its own plan.
-func (rt *Runtime) join(s *Subscription, t int64, aligned bool, opts []core.Option) error {
-	if g := rt.groups[s.plan.Fingerprint()]; g != nil && (g.newest().attach(rt, s) || rt.handover(g, s, t, aligned, opts)) {
+func (rt *Runtime) join(s *Subscription, opts []core.Option) error {
+	if g := rt.groups[s.plan.Fingerprint()]; g != nil && (g.newest().attach(rt, s) || rt.handover(g, s, opts)) {
 		s.group = g
 		return nil
 	}
@@ -140,9 +144,6 @@ func (rt *Runtime) join(s *Subscription, t int64, aligned bool, opts []core.Opti
 	rt.register(s.group, s.plan.Fingerprint())
 	h := rt.newHost(s.group, s.plan, opts)
 	h.attach(rt, s)
-	if aligned {
-		h.eng.AlignTo(t)
-	}
 	return nil
 }
 
@@ -150,7 +151,7 @@ func (rt *Runtime) join(s *Subscription, t int64, aligned bool, opts []core.Opti
 // columns, serving every member and s from s's first window on, and
 // retires the current one there. False when the union plan does not
 // compile although every member did on its own: s cannot join g.
-func (rt *Runtime) handover(g *group, s *Subscription, t int64, aligned bool, opts []core.Option) bool {
+func (rt *Runtime) handover(g *group, s *Subscription, opts []core.Option) bool {
 	cur := g.newest()
 	plan, err := core.NewPlanIn(rt.cat, core.UnionQuery(cur.plan.Query, s.plan.Specs))
 	if err != nil {
@@ -165,9 +166,6 @@ func (rt *Runtime) handover(g *group, s *Subscription, t int64, aligned bool, op
 		next.attach(rt, v.sub)
 	}
 	next.attach(rt, s)
-	if aligned {
-		next.eng.AlignTo(t)
-	}
 	rt.shareFlips++
 	// Before the first event, and when cur itself only started at this
 	// boundary, cur owns nothing and goes at once.
@@ -200,9 +198,9 @@ func (rt *Runtime) leave(s *Subscription) error {
 			continue
 		}
 		var w snap.Writer
-		h.eng.Code(snap.Encoder(&w))
+		h.eng.Code(snap.Encoder(&w), math.MaxInt64)
 		clone, dec := core.NewEngine(h.plan), snap.Decoder(w.Reader())
-		clone.Code(dec)
+		clone.Code(dec, math.MaxInt64)
 		if err := dec.Err(); err != nil {
 			return fmt.Errorf("runtime: cloning shared host for unsubscribe: %v", err)
 		}

@@ -23,11 +23,16 @@ import (
 // runtime handed out), and opts are the engine options of every host
 // the runtime rebuilds (session-wide accounting and eviction; no result
 // callback: sinks are not data, so restored subscriptions collect).
-// The catalog reference counts are rebuilt by re-retaining each hosted
-// plan, mirroring live subscribe.
-func (rt *Runtime) Code(c *snap.Coder, idx map[*core.Plan]int32, plans []*core.Plan, made int, opts []core.Option) {
+// A runtime or host engine whose clock passes ceil, the owner's
+// watermark (math.MinInt64 before its first event), fails the frame:
+// an engine may stand past its runtime (an older build aligned a late
+// joiner on a quiet worker to the owner's watermark), never past the
+// owner. The catalog reference counts are rebuilt by re-retaining each
+// hosted plan, mirroring live subscribe.
+func (rt *Runtime) Code(c *snap.Coder, idx map[*core.Plan]int32, plans []*core.Plan, made int, ceil int64, opts []core.Option) {
 	c.I64(&rt.lastTime)
 	c.Bool(&rt.sawEvent)
+	c.Check(!rt.sawEvent || rt.lastTime <= ceil, "a runtime clock is ahead of its owner's watermark")
 	c.I64(&rt.seq)
 	c.Int(&rt.nextID)
 	if c.Decoding() && (c.Err() != nil || rt.nextID < 0 || rt.nextID > made) {
@@ -66,7 +71,7 @@ func (rt *Runtime) Code(c *snap.Coder, idx map[*core.Plan]int32, plans []*core.P
 		if !c.Decoding() {
 			h = rt.hosts[i]
 		}
-		rt.codeHost(c, &groups, h, idx, plans, opts)
+		rt.codeHost(c, &groups, h, idx, plans, ceil, opts)
 	}
 	c.I64(&rt.shareFlips)
 	c.I64(&rt.sharedSavedOps)
@@ -100,9 +105,9 @@ func (rt *Runtime) codePlan(c *snap.Coder, p **core.Plan, idx map[*core.Plan]int
 // codeHost lists one host in wire order: its group (and, where the
 // group first appears, whether it is registered for joiners), its plan,
 // the subscriptions it serves, the saved-operations base and its
-// engine. Decoding recomputes the projections from the two plans'
-// RETURN lists, which the plan table pins.
-func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, idx map[*core.Plan]int32, plans []*core.Plan, opts []core.Option) {
+// engine, whose clock ceil bounds. Decoding recomputes the projections
+// from the two plans' RETURN lists, which the plan table pins.
+func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, idx map[*core.Plan]int32, plans []*core.Plan, ceil int64, opts []core.Option) {
 	g, plan := new(group), (*core.Plan)(nil)
 	if h != nil {
 		g, plan = h.g, h.plan
@@ -151,7 +156,7 @@ func (rt *Runtime) codeHost(c *snap.Coder, groups *[]*group, h *host, idx map[*c
 		}
 	}
 	c.I64(&h.base)
-	h.eng.Code(c)
+	h.eng.Code(c, ceil)
 }
 
 // HostPlans returns the plan of every host, in creation order — with

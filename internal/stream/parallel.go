@@ -34,7 +34,7 @@ const routeBatchSize = 256
 // workers with a sync sent over the same channels as the events
 // (ordered after every event routed so far) and applies the change in
 // place, so all workers apply it at one consistent stream prefix. A
-// mid-stream subscriber is aligned to the router's watermark and
+// mid-stream subscriber is aligned to the executor's watermark and
 // reports results from the first fully covered window.
 //
 // Routing attributes are recomputed freely while no event has been
@@ -70,22 +70,19 @@ const routeBatchSize = 256
 // that closes their window.
 //
 // Every worker runtime owns its own sharing groups (internal/runtime).
-// Workers lag the router by different amounts, so a group's host
-// handover may land on different window boundaries across workers;
-// handovers are invisible in the results either way.
 //
 // The control plane rests on one rule: a worker that has replied and
-// been sent nothing since is parked. Its reply — a receive on its own
-// reply channel — orders everything the worker wrote before everything
-// the caller reads next, and the caller's next send orders the
-// caller's writes before the worker's next reads. So membership
-// changes, drains and statistics first park the workers they touch
-// (park: one no-op sync per worker that received anything since its
-// last reply, all sends before all receives) and then act on those
+// been sent nothing since is parked, and stands at the executor's
+// watermark. Its reply — a receive on its own reply channel — orders
+// everything the worker wrote before everything the caller reads next,
+// and the caller's next send orders the caller's writes before the
+// worker's next reads. So membership changes, drains and statistics
+// first park the workers they touch (see park) and then act on those
 // workers' runtimes in place, on the caller's goroutine; a worker
-// already parked costs no round trip. The executor is driven from one
-// goroutine at a time (the session's lock), so each worker needs only
-// the one reply channel.
+// already parked costs nothing. A drain thus holds exactly what the
+// inline session's drain holds at the same stream position. The
+// executor is driven from one goroutine at a time (the session's
+// lock), so each worker needs only the one reply channel.
 type MultiExecutor struct {
 	cat        *core.Catalog
 	engOpts    []core.Option // applied to every hosted engine (e.g. intern eviction)
@@ -145,12 +142,10 @@ func (s *Sub) Unsubscribe() ([]core.Result, error) { return s.m.unsubscribe(s) }
 // Drain, merged across workers and ordered by window then group, and
 // clears them from the workers (delivered to the callback instead when
 // one is installed). Drain is a barrier: each hosting worker is parked
-// after every event routed so far (see the MultiExecutor comment) and
-// its buffered results are taken in place, so a second Drain at the
-// same stream position costs no round trip. Workers at different
-// stream positions may close windows at different times, so
-// consecutive drains of a parallel run are each internally ordered but
-// may interleave across calls.
+// at the executor's watermark (see the MultiExecutor comment) and its
+// buffered results are taken in place, so a drain returns what the
+// inline drain returns at the same stream position, and a second Drain
+// there costs no round trip.
 func (s *Sub) Drain() ([]core.Result, error) { return s.m.drain(s) }
 
 type mworker struct {
@@ -236,12 +231,12 @@ func (w *mworker) send(batch *[]*event.Event) {
 }
 
 // park brings every worker in ws to rest after everything sent to it
-// so far: one sync to each worker that received anything since its
-// last reply — all sends first, so the workers catch up side by side,
-// then all receives. Afterwards their state is the caller's to read
-// and write until the next send. A parked worker (and the in-thread
-// one) costs nothing.
-func park(ws []*mworker) {
+// so far — one sync to each worker that received anything since its
+// last reply, all sends first, so the workers catch up side by side,
+// then all receives — and advances each runtime to the executor's
+// watermark. Afterwards their state is the caller's to read and write
+// until the next send. A worker already parked there costs nothing.
+func (m *MultiExecutor) park(ws []*mworker) {
 	for _, w := range ws {
 		if w.sent != w.acked {
 			w.send(nil)
@@ -250,6 +245,9 @@ func park(ws []*mworker) {
 	for _, w := range ws {
 		if w.sent != w.acked {
 			w.await()
+		}
+		if m.sawEvent && w.err == nil {
+			w.err = w.rt.AdvanceTo(m.lastTime)
 		}
 	}
 }
@@ -384,10 +382,10 @@ func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*S
 		hosts = []*mworker{m.fallback}
 	}
 	m.flushPending()
-	park(hosts)
+	m.park(hosts)
 	sub := &Sub{m: m, id: len(m.subs), plan: plan, cb: o.cb, active: true, hosts: hosts}
 	for _, w := range hosts {
-		wsub, err := w.subscribe(plan, o.cb, m.lastTime, m.sawEvent)
+		wsub, err := w.subscribe(plan, o.cb)
 		if err != nil {
 			// Roll back the workers that already subscribed.
 			for _, prev := range sub.wsubs {
@@ -401,11 +399,11 @@ func (m *MultiExecutor) SubscribePlan(plan *core.Plan, opts ...SubscribeOpt) (*S
 	return sub, nil
 }
 
-// subscribe hosts plan on the parked worker's runtime, aligned to the
-// router's watermark t once events have flowed. A worker in error
-// state refuses: the stream is already broken and Close will surface
-// the error.
-func (w *mworker) subscribe(plan *core.Plan, cb func(core.Result), t int64, aligned bool) (*runtime.Subscription, error) {
+// subscribe hosts plan on the parked worker's runtime, aligned to its
+// watermark — the executor's, once events have flowed. A worker in
+// error state refuses: the stream is already broken and Close will
+// surface the error.
+func (w *mworker) subscribe(plan *core.Plan, cb func(core.Result)) (*runtime.Subscription, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -415,9 +413,6 @@ func (w *mworker) subscribe(plan *core.Plan, cb func(core.Result), t int64, alig
 		// straight into the callback; a worker goroutine's results wait
 		// for the executor to gather them.
 		opts = append(opts, core.WithResultCallback(cb))
-	}
-	if aligned {
-		return w.rt.SubscribePlanFrom(plan, t, opts...)
 	}
 	return w.rt.SubscribePlan(plan, opts...)
 }
@@ -469,11 +464,16 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	}
 	sub.active = false
 	m.flushPending()
-	park(sub.hosts)
+	m.park(sub.hosts)
 	var merged []core.Result
 	var firstErr error
 	for i, w := range sub.hosts {
-		results, err := w.unsubscribe(sub.wsubs[i])
+		// A worker in error state refuses, as subscribe does.
+		err := w.err
+		var results []core.Result
+		if err == nil {
+			results, err = sub.wsubs[i].Unsubscribe()
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -494,15 +494,6 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	// flushed and released; return what they reported alongside the
 	// error rather than destroying it.
 	return sub.deliver(merged), firstErr
-}
-
-// unsubscribe detaches wsub from the parked worker's runtime; a worker
-// in error state refuses, as subscribe does.
-func (w *mworker) unsubscribe(wsub *runtime.Subscription) ([]core.Result, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	return wsub.Unsubscribe()
 }
 
 // adopt appends one host's results — handed over for good — to those
@@ -535,9 +526,9 @@ func (s *Sub) deliver(merged []core.Result) []core.Result {
 // subscription is left on it — run at membership changes and Sync
 // barriers — so a long-lived stream stops paying the duplicate event
 // delivery after its last subscriber leaves. A later locality-breaking
-// subscribe starts a fresh fallback, aligned to the watermark like any
-// late joiner. The caller must have flushed pending batches (any
-// partial fallback batch was handed over).
+// subscribe starts a fresh fallback, which the park before its first
+// subscriber advances to the watermark. The caller must have flushed
+// pending batches (any partial fallback batch was handed over).
 func (m *MultiExecutor) retireIdleFallback() error {
 	fb := m.fallback
 	if fb == nil {
@@ -570,7 +561,7 @@ func (m *MultiExecutor) drain(sub *Sub) ([]core.Result, error) {
 		return nil, fmt.Errorf("stream: query %d already unsubscribed: %w", sub.id, core.ErrNotHosted)
 	}
 	m.flushPending()
-	park(sub.hosts)
+	m.park(sub.hosts)
 	var merged []core.Result
 	var firstErr error
 	for i, w := range sub.hosts {
@@ -644,7 +635,7 @@ func (m *MultiExecutor) Stats() (Stats, error) {
 	// after a failure gets the accumulated peak, not a silent zero.
 	if !m.closed {
 		m.flushPending()
-		park(workers)
+		m.park(workers)
 	}
 	for _, w := range workers {
 		rs := w.rt.Stats()
@@ -834,7 +825,7 @@ func (p *MultiExecutor) Sync() error {
 	if err := p.retireIdleFallback(); err != nil {
 		return err
 	}
-	park(p.allWorkers())
+	p.park(p.allWorkers())
 	return nil
 }
 

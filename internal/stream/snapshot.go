@@ -14,6 +14,7 @@ package stream
 import (
 	"container/heap"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/event"
@@ -125,11 +126,17 @@ func (m *MultiExecutor) Code(c *snap.Coder, idx map[*core.Plan]int32, plans []*c
 			m.fallback = m.newWorker()
 		}
 	}
+	ceil := int64(math.MinInt64)
+	if m.sawEvent {
+		ceil = m.lastTime
+	}
 	for _, wk := range m.allWorkers() {
 		if wk.err != nil {
 			c.Fail(fmt.Errorf("stream: Snapshot with failed worker: %w", wk.err))
 		}
-		wk.rt.Code(c, idx, plans, ns, wk.hostOpts())
+		// A park advances each worker to the executor's watermark, which
+		// a worker standing past it would refuse.
+		wk.rt.Code(c, idx, plans, ns, ceil, wk.hostOpts())
 		cur, peak := wk.acct.Current(), wk.acct.Peak()
 		c.I64(&cur)
 		c.I64(&peak)

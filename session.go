@@ -740,10 +740,8 @@ func (sub *Subscription) Err() error { return sub.err }
 //	    handle(r)
 //	}
 //
-// Empty when a sink streams the results instead. With worker
-// goroutines each iterator's results are ordered by window then group, but a
-// lagging worker's windows may surface in a later call (exactly like
-// Drain).
+// Empty when a sink streams the results instead. Each iterator's
+// results are ordered by window then group, exactly like Drain.
 func (sub *Subscription) Results() iter.Seq[Result] {
 	return func(yield func(Result) bool) {
 		buf := sub.Drain()
@@ -797,9 +795,9 @@ func (sub *Subscription) Unsubscribe() []Result {
 // Drain (all remaining results once the session is closed) and clears
 // them; nil when a sink streams results instead. On a partial
 // worker failure it returns what the healthy workers reported and
-// records the error (Err). With worker goroutines each Drain is
-// internally ordered by window then group, but windows from a lagging
-// worker may appear in a later Drain.
+// records the error (Err). Each Drain is ordered by window then group,
+// and with worker goroutines it holds exactly what an inline session's
+// Drain holds at the same stream position.
 func (sub *Subscription) Drain() []Result {
 	s := sub.sess
 	if s.dispatching {

@@ -512,6 +512,135 @@ func TestRestoreRefusesV6Frame(t *testing.T) {
 	}
 }
 
+// TestRestoreLaggingV7Frames: the fleet and retired golden frames, and
+// quiet.snap (quietWorkerSession), as the last build whose workers
+// lagged the executor's watermark wrote them (testdata/golden/v7-lagging,
+// never regenerated). Their workers stand at their own last events and
+// some of their engines at a late joiner's alignment point — in quiet,
+// past the clock of a runtime that never saw an event, yet not past
+// the executor's. The layout is today's, so they restore, and once
+// restored they drain, take a suffix and close exactly like the
+// undisturbed scenario: the first park advances each worker to the
+// executor's watermark.
+func TestRestoreLaggingV7Frames(t *testing.T) {
+	builds := map[string]func() (*cogra.Session, error){"quiet": quietWorkerSession}
+	for _, g := range diff.GoldenFrames() {
+		if g.Name == "fleet" || g.Name == "retired" {
+			builds[g.Name] = g.Build
+		}
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			old, err := os.ReadFile("testdata/golden/v7-lagging/" + name + ".snap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != "quiet" && bytes.Equal(old, readGolden(t, name)) {
+				t.Fatal("the lagging frame equals today's: the test is vacuous")
+			}
+			restored, err := cogra.Restore(bytes.NewReader(old))
+			if err != nil {
+				t.Fatalf("a lagging v7 frame does not restore: %v", err)
+			}
+			live, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := live.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(sess *cogra.Session) [][]cogra.Result {
+				suffix := runShapedStream(900)
+				for i, e := range suffix {
+					e.Time += st.Watermark + 1
+					e.ID = int64(100_000 + i)
+				}
+				var drains [][]cogra.Result
+				drainAll := func() {
+					for _, sub := range sess.Subscriptions() {
+						if sub.Active() {
+							drains = append(drains, sub.Drain())
+						}
+					}
+				}
+				for lo := 0; lo < len(suffix); lo += 300 {
+					drainAll()
+					if err := sess.PushBatch(suffix[lo : lo+300]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+				drainAll()
+				return drains
+			}
+			want, got := run(live), run(restored)
+			if len(got) != len(want) {
+				t.Fatalf("%d drains after the restore, %d undisturbed", len(got), len(want))
+			}
+			results := 0
+			for i := range want {
+				if !diff.Equal(got[i], want[i]) {
+					t.Fatalf("drain %d diverges from the undisturbed run\n%s", i, diff.Diff(got[i], want[i]))
+				}
+				results += len(want[i])
+			}
+			if results == 0 {
+				t.Fatal("no results after the cut: the test is vacuous")
+			}
+		})
+	}
+}
+
+// quietWorkerSession is the scenario of testdata/golden/v7-lagging/
+// quiet.snap: 4 workers, a patient-partitioned query, 200 events of
+// one patient, so three workers never see an event, then a late joiner.
+func quietWorkerSession() (*cogra.Session, error) {
+	sess := cogra.NewSession(cogra.WithWorkers(4))
+	q := sessionTestQueries()
+	if _, err := sess.Subscribe(cogra.MustParse(q["type"])); err != nil {
+		return nil, err
+	}
+	var evs []*cogra.Event
+	for i := int64(1); i <= 200; i++ {
+		ty := "A"
+		if i%3 == 0 {
+			ty = "B"
+		}
+		ev := cogra.NewEvent(ty, i).WithSym("patient", "p0").WithSym("ward", "w0").WithNum("v", float64(i))
+		ev.ID = i
+		evs = append(evs, ev)
+	}
+	if err := sess.PushBatch(evs); err != nil {
+		return nil, err
+	}
+	_, err := sess.Subscribe(cogra.MustParse(q["mixed"]))
+	return sess, err
+}
+
+// TestRestoreRefusesWatermarkInversion: a worker runtime or an engine
+// standing past the executor's watermark would refuse the first park's
+// advance, so decoding refuses the frame. The damage is one byte of the
+// lagging retired frame's payload, the checksum fixed up: byte 3 of the
+// first worker's clock, and byte 3 of an engine's clock, each set to 1
+// (2^24 ahead).
+func TestRestoreRefusesWatermarkInversion(t *testing.T) {
+	frame, err := os.ReadFile("testdata/golden/v7-lagging/retired.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := frame[20 : len(frame)-4]
+	for _, at := range []int{381, 7847} {
+		damaged := append([]byte(nil), payload...)
+		damaged[at] = 0x01
+		if _, err := cogra.Restore(bytes.NewReader(reframe(damaged))); !errors.Is(err, cogra.ErrBadSnapshot) {
+			t.Errorf("a clock set 2^24 ahead at payload offset %d: Restore returned %v, want ErrBadSnapshot", at, err)
+		}
+	}
+}
+
 // TestSnapshotRefusesOpaquePlan: a query whose adjacent predicate
 // compares through a function has no text, so its plan has no text and
 // no fingerprint, and Snapshot refuses the session rather than write a

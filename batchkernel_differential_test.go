@@ -3,13 +3,14 @@ package cogra_test
 // Differential tests for the columnar batch kernels and the fallback
 // worker, extending the repo's differential spine:
 //
-//   - batch execution (PushBatch, type-partitioned runs through the
-//     run kernels) is byte-identical to event-at-a-time Push across
-//     all three granularities (plus the contiguous wants-all path and
-//     the Figure 2 plan whose alias A has both a stored and a table
+//   - batch execution (PushBatch, arrival-order runs through the run
+//     kernels) is byte-identical to event-at-a-time Push across all
+//     three granularities (plus the contiguous wants-all path and the
+//     Figure 2 plan whose alias A has both a stored and a table
 //     predecessor) × {inline, 4 workers} × {slack, catalog compaction},
 //     on a run-shaped stream whose type runs carry equal-timestamp ties
-//     and straddle window boundaries, and — with a binding slot over
+//     and straddle window boundaries and on a stream whose equal-time
+//     groups interleave types, and — with a binding slot over
 //     values that age out, which session engines evict — equal to a
 //     bare core.Engine without eviction fed one event at a time;
 //   - late joiners that break worker-locality run on one full-stream
@@ -35,9 +36,9 @@ import (
 // runs: bursts of 3–8 events of one type, with timestamps that tie
 // within a burst (dense equal-time runs), advance, or jump far enough
 // mid-burst to cross window boundaries. This is the adversarial shape
-// for the batch kernels — dispatch buckets consecutive same-type
-// events into runs, so the bursts produce long runs that the ties and
-// jumps then split across equal-time groups and window flushes.
+// for the batch kernels — dispatch cuts consecutive same-type events
+// into runs, so the bursts produce long runs that the ties and jumps
+// then split across equal-time groups and window flushes.
 func runShapedStream(n int) []*cogra.Event {
 	rng := rand.New(rand.NewSource(41))
 	rates := [3]float64{60, 70, 80}
@@ -45,27 +46,11 @@ func runShapedStream(n int) []*cogra.Event {
 	tm := int64(0)
 	for len(out) < n {
 		p := rng.Intn(3)
-		patient := fmt.Sprintf("p%d", p)
 		kind := rng.Intn(10)
 		burst := 3 + rng.Intn(6)
 		for j := 0; j < burst && len(out) < n; j++ {
 			ward := fmt.Sprintf("w%d", rng.Intn(2))
-			var ev *cogra.Event
-			switch {
-			case kind < 3:
-				ev = cogra.NewEvent("A", tm).WithSym("patient", patient).
-					WithSym("ward", ward).WithNum("v", float64(rng.Intn(100)))
-			case kind < 5:
-				ev = cogra.NewEvent("B", tm).WithSym("patient", patient).
-					WithSym("ward", ward).WithNum("v", float64(rng.Intn(100)))
-			case kind < 8:
-				rates[p] += float64(rng.Intn(7)) - 3
-				ev = cogra.NewEvent("M", tm).WithSym("patient", patient).
-					WithSym("ward", ward).WithNum("rate", rates[p])
-			default:
-				ev = cogra.NewEvent("X", tm).WithSym("patient", patient).
-					WithSym("ward", ward).WithNum("noise", 1)
-			}
+			ev := kindEvent(rng, &rates, kind, p, ward, tm)
 			ev.ID = int64(len(out) + 1)
 			out = append(out, ev)
 			switch rng.Intn(8) {
@@ -78,6 +63,86 @@ func runShapedStream(n int) []*cogra.Event {
 		}
 	}
 	return out
+}
+
+// kindEvent draws one event of the session test stream for patient p
+// at time tm: kind 0–2 an A, 3–4 a B, 5–7 an M stepping p's rate, 8–9
+// an X no query names.
+func kindEvent(rng *rand.Rand, rates *[3]float64, kind, p int, ward string, tm int64) *cogra.Event {
+	patient := fmt.Sprintf("p%d", p)
+	switch {
+	case kind < 3:
+		return cogra.NewEvent("A", tm).WithSym("patient", patient).
+			WithSym("ward", ward).WithNum("v", float64(rng.Intn(100)))
+	case kind < 5:
+		return cogra.NewEvent("B", tm).WithSym("patient", patient).
+			WithSym("ward", ward).WithNum("v", float64(rng.Intn(100)))
+	case kind < 8:
+		rates[p] += float64(rng.Intn(7)) - 3
+		return cogra.NewEvent("M", tm).WithSym("patient", patient).
+			WithSym("ward", ward).WithNum("rate", rates[p])
+	default:
+		return cogra.NewEvent("X", tm).WithSym("patient", patient).
+			WithSym("ward", ward).WithNum("noise", 1)
+	}
+}
+
+// interleavedStream emits the session test stream with its types
+// interleaved inside each time stamp: groups of 3–9 equal-time events
+// whose types are drawn independently, so a group reads like
+// A B A M A X and one type's events are split into several runs by
+// another type's. Time advances by one between groups or jumps across
+// a window boundary. Dispatch hands every engine its runs in arrival
+// order, and on this shape that order is no grouping by type:
+// next-match and contiguous plans depend on it, and the staged commit
+// of the any-match kernels must keep it invisible to them.
+func interleavedStream(n int) []*cogra.Event {
+	rng := rand.New(rand.NewSource(43))
+	rates := [3]float64{60, 70, 80}
+	out := make([]*cogra.Event, 0, n)
+	tm := int64(0)
+	for len(out) < n {
+		size := 3 + rng.Intn(7)
+		for j := 0; j < size && len(out) < n; j++ {
+			p, kind := rng.Intn(3), rng.Intn(10)
+			ev := kindEvent(rng, &rates, kind, p, fmt.Sprintf("w%d", rng.Intn(2)), tm)
+			ev.ID = int64(len(out) + 1)
+			out = append(out, ev)
+		}
+		if rng.Intn(8) == 7 {
+			tm += 20 + int64(rng.Intn(60)) // jump across a window boundary
+		} else {
+			tm++
+		}
+	}
+	return out
+}
+
+// assertSplitsTypes fails unless some equal-time group carries one
+// type in two or more runs separated by another type: the one shape on
+// which arrival order differs from every grouping by type.
+func assertSplitsTypes(t *testing.T, events []*cogra.Event) {
+	t.Helper()
+	splits := 0
+	for i := 0; i < len(events); {
+		j := i
+		seen := map[string]bool{}
+		split := false
+		for ; j < len(events) && events[j].Time == events[i].Time; j++ {
+			if j > i && events[j].Type == events[j-1].Type {
+				continue
+			}
+			split = split || seen[events[j].Type]
+			seen[events[j].Type] = true
+		}
+		if split {
+			splits++
+		}
+		i = j
+	}
+	if splits == 0 {
+		t.Fatal("no equal-time group splits a type across runs; interleaving coverage is vacuous")
+	}
 }
 
 // assertRunShaped fails unless the stream actually carries the shapes
@@ -175,50 +240,55 @@ const figure2Mixed = `
 
 // TestSessionBatchKernelDifferential pins the run kernels: batch
 // execution equals event-at-a-time for every granularity × session
-// mode × bounded-state variant, on the run-shaped stream. The eviction
-// variant binds a slot over values that age out (wardSlot, rotateWards),
-// and its event-at-a-time side is the unbounded reference: a bare
-// core.Engine that never evicts.
+// mode × bounded-state variant, on the run-shaped stream and on the
+// interleaved one. The eviction variant binds a slot over values that
+// age out (wardSlot, rotateWards), and its event-at-a-time side is the
+// unbounded reference: a bare core.Engine that never evicts.
 func TestSessionBatchKernelDifferential(t *testing.T) {
-	base := runShapedStream(3000)
-	assertRunShaped(t, base)
+	runs, interleaved := runShapedStream(3000), interleavedStream(3000)
+	assertRunShaped(t, runs)
+	assertSplitsTypes(t, interleaved)
 	queries := sessionTestQueries()
 	queries["figure2-mixed"] = figure2Mixed
-	shuffled, slack := shuffleBounded(base, 6, 7)
-	if slack == 0 {
-		t.Fatal("shuffle produced no disorder; slack variant is vacuous")
-	}
-	variants := map[string]struct {
-		opts    []cogra.SessionOption
-		events  []*cogra.Event
-		churnAt int
-		evict   bool // wardSlot over rotateWards, against a non-evicting engine
-	}{
-		"plain":      {nil, base, -1, false},
-		"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1, false},
-		"eviction":   {nil, rotateWards(base), -1, true},
-		"compaction": {nil, base, 1024, false},
-	}
-	for mode, mopts := range sessionModes() {
-		for vname, v := range variants {
-			for qname, src := range queries {
-				t.Run(mode+"/"+vname+"/"+qname, func(t *testing.T) {
-					opts := append(mopts[:len(mopts):len(mopts)], v.opts...)
-					var want []cogra.Result
-					if v.evict {
-						src = wardSlot(src)
-						want, _ = engineRun(t, src, v.events)
-					} else {
-						want = kernelRun(t, opts, src, v.events, false, v.churnAt)
-					}
-					got := kernelRun(t, opts, src, v.events, true, v.churnAt)
-					if !diff.Equal(got, want) {
-						t.Errorf("batch kernels diverge from event-at-a-time\n%s", diff.Diff(got, want))
-					}
-					if len(want) == 0 {
-						t.Error("no results; differential test is vacuous")
-					}
-				})
+	// The run-shaped rows keep their names; the interleaved ones are
+	// prefixed.
+	for prefix, base := range map[string][]*cogra.Event{"": runs, "interleaved/": interleaved} {
+		shuffled, slack := shuffleBounded(base, 6, 7)
+		if slack == 0 {
+			t.Fatal("shuffle produced no disorder; slack variant is vacuous")
+		}
+		variants := map[string]struct {
+			opts    []cogra.SessionOption
+			events  []*cogra.Event
+			churnAt int
+			evict   bool // wardSlot over rotateWards, against a non-evicting engine
+		}{
+			"plain":      {nil, base, -1, false},
+			"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1, false},
+			"eviction":   {nil, rotateWards(base), -1, true},
+			"compaction": {nil, base, 1024, false},
+		}
+		for mode, mopts := range sessionModes() {
+			for vname, v := range variants {
+				for qname, src := range queries {
+					t.Run(prefix+mode+"/"+vname+"/"+qname, func(t *testing.T) {
+						opts := append(mopts[:len(mopts):len(mopts)], v.opts...)
+						var want []cogra.Result
+						if v.evict {
+							src = wardSlot(src)
+							want, _ = engineRun(t, src, v.events)
+						} else {
+							want = kernelRun(t, opts, src, v.events, false, v.churnAt)
+						}
+						got := kernelRun(t, opts, src, v.events, true, v.churnAt)
+						if !diff.Equal(got, want) {
+							t.Errorf("batch kernels diverge from event-at-a-time\n%s", diff.Diff(got, want))
+						}
+						if len(want) == 0 {
+							t.Error("no results; differential test is vacuous")
+						}
+					})
+				}
 			}
 		}
 	}

@@ -7,39 +7,34 @@ import (
 // Batch kernels: the execution-side counterpart of batch-first ingest.
 //
 // The multi-query runtime splits each batch into equal-timestamp
-// groups and buckets every group by interned type id (stable order
-// within a bucket). One bucket is one *run*: a maximal same-time,
-// same-type sequence the runtime resolves once into a struct-of-arrays
-// view (ResolvedRun) and hands to every interested engine in one call
-// (ProcessResolvedRun). The per-event costs the event-at-a-time path
-// pays — subscription-index lookup, dispatch-table (typePlan) and spec
-// projection install, watermark check — collapse to once per run, and
-// resolution probes only the attributes some hosted plan actually
-// reads instead of the catalog's whole attribute space.
+// groups and every group into runs: maximal stretches of consecutive
+// same-type events, in arrival order (the Hamlet report's bursts). It
+// resolves each run once into a struct-of-arrays view (ResolvedRun)
+// and hands it to every interested engine in one call
+// (ProcessResolvedRun). The per-event costs of event-at-a-time
+// execution — subscription-index lookup, dispatch-table (typePlan) and
+// spec projection install, watermark check — collapse to once per run,
+// and resolution probes only the attributes some hosted plan reads
+// instead of the catalog's whole attribute space. Every engine sees its
+// events in arrival order, which pattern-grained and contiguous plans
+// need (their el chain keeps the last matched event); type- and
+// mixed-grained plans stage the contributions of a time stamp and
+// commit at the next time advance (§8, Definition 7), so for them
+// equal-time order is invisible either way.
 //
 // The aggregation kernels are unchanged: they consume the same
 // resolvedVals slot views, but for a run those views are consecutive
 // stride-wide slices of three contiguous columns (num/sym/has), so the
 // inner aggregation loops walk linear memory instead of chasing one
 // heap object per event.
-//
-// Only run-safe plans take this path. Within one timestamp COGRA's
-// stream-transaction discipline stages every contribution and commits
-// at the next time advance, and a predecessor must be strictly earlier
-// (Definition 7), so type- and mixed-grained execution is independent
-// of processing order among equal-time events — bucketing by type is
-// result-identical. Pattern-grained plans are the exception: their
-// single el chain keeps the LAST matched event in arrival order, so
-// the runtime feeds them (and contiguous-semantics plans, which
-// observe every event) through the per-event path in arrival order.
 
 // ResolvedRun is the resolved view of one run: same-time, same-type
 // events in arrival order, slot values laid out struct-of-arrays. Row
 // i (event i's view) is the half-open stride slice [i*stride,
 // (i+1)*stride) of each column. Only the attribute ids requested at
 // ResolveRun time hold live values; every other slot is stale — safe
-// because the runtime requests the union of all attributes the run's
-// subscribed plans reference.
+// because the runtime requests the union of all attributes the plans
+// it hands the run to reference.
 type ResolvedRun struct {
 	// Events is the run in arrival order — borrowed from the caller,
 	// valid until the next ResolveRun.

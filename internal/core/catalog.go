@@ -449,6 +449,9 @@ func NewResolver(cat *Catalog) *Resolver {
 // Resolve computes the union resolved view of ev, valid until the next
 // call. Engines consume it through Engine.ProcessResolved. It returns
 // the catalog id of ev's type (-1 when no plan references the type).
+// No runtime calls it — the multi-query runtime resolves runs with
+// ResolveRun; it remains for benchmarks/cograperf until that harness
+// moves to the run-shaped body.
 func (r *Resolver) Resolve(ev *event.Event) int32 {
 	v := r.cat.view.Load()
 	v.resolveInto(&r.rv, ev)

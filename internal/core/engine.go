@@ -302,12 +302,14 @@ func (e *Engine) staleWatermarkErr(t int64) error {
 	return fmt.Errorf("core: watermark %d behind time %d: %w", t, e.lastTime, ErrLateEvent)
 }
 
-// ProcessResolved consumes an event resolved by a shared Resolver over
-// the plan's catalog: the per-query continuation of the runtime's
-// resolve-once path. tid is the event's catalog type id (-1 for types
+// ProcessResolved consumes an event resolved by Resolver.Resolve over
+// the plan's catalog. tid is the event's catalog type id (-1 for types
 // unknown to the catalog). The caller is responsible for watermark
 // ordering across queries (AdvanceWatermark); like Process, the event
-// must not be older than anything this engine has seen.
+// must not be older than anything this engine has seen. No runtime
+// calls it — the multi-query runtime hands runs to ProcessResolvedRun;
+// it remains for benchmarks/cograperf until that harness moves to the
+// run-shaped body.
 func (e *Engine) ProcessResolved(ev *event.Event, r *Resolver, tid int32) error {
 	if err := e.admitEvent(ev.Time); err != nil {
 		return err

@@ -288,10 +288,12 @@ func (p *Plan) ReferencedAttrIDs() []int32 {
 // commits at the next time advance (the stream-transaction discipline
 // of §8), and a predecessor must be STRICTLY earlier (Definition 7),
 // so any processing order among equal-time events yields identical
-// results — a multi-query runtime may bucket such events by type.
-// Pattern granularity is the exception: its single el chain retains
-// the last matched event in arrival order (Algorithm 3), so it must
-// observe its events exactly as they arrived.
+// results. Pattern granularity is the exception: its single el chain
+// retains the last matched event in arrival order (Algorithm 3), so it
+// must observe its events exactly as they arrived. No runtime calls
+// it — the multi-query runtime hands every engine its events in
+// arrival order; it remains for benchmarks/cograperf until that
+// harness moves to the run-shaped body.
 func (p *Plan) OrderSensitive() bool { return p.Granularity == PatternGrained }
 
 // WantsAllEvents reports whether the plan's engine must observe every

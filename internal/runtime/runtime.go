@@ -10,9 +10,10 @@
 //
 //   - Shared resolution. All hosted plans are compiled against one
 //     core.Catalog, so they agree on dense type/attribute ids, and each
-//     incoming event is resolved ONCE into a union attribute view
-//     (core.Resolver). Every interested engine receives the same
-//     resolved slots by reference.
+//     run of consecutive same-type events is resolved ONCE into a view
+//     of the attributes its engines read (core.Resolver.ResolveRun).
+//     Every interested engine receives the same resolved slots by
+//     reference.
 //
 //   - Per-type subscription index. Each plan declares the event types
 //     it reacts to (pattern types plus negated types); the runtime
@@ -92,7 +93,7 @@ func (s *Subscription) Active() bool { return s.active }
 // stream position: its remaining open windows are flushed (returned,
 // or delivered to the subscription's result callback) and its symbol
 // references are dropped; engines only it used are released with their
-// binding intern memory. The rest of the fleet is untouched.
+// binding intern memory. The rest of the fleet runs on as before.
 // Unsubscribing twice or after Close is an error.
 func (s *Subscription) Unsubscribe() ([]core.Result, error) {
 	return s.rt.unsubscribe(s)
@@ -121,17 +122,16 @@ type Runtime struct {
 	hosts  []*host         // live engines, in creation order
 	nextID int
 	// The per-type dispatch index, rebuilt on membership change: for
-	// catalog type id tid, runByType[tid] lists the run-safe hosts
-	// reacting to it (execution independent of equal-time arrival order
-	// — see Plan.OrderSensitive), seqByType[tid] the order-sensitive
-	// rest, and neededAttrs[tid] the union of every attribute id the
-	// run-safe ones read, which restricts batch resolution to the slots
+	// catalog type id tid, byType[tid] lists the hosts reacting to it
+	// and neededAttrs[tid] the union of every attribute id they or the
+	// wantsAll hosts read, which restricts run resolution to the slots
 	// some hosted plan needs. wantsAll lists contiguous-semantics hosts,
-	// which must observe every event.
+	// which must observe every event; otherAttrs is what they read, the
+	// attributes resolved for a type no other host names.
 	wantsAll    []*host
-	runByType   [][]*host
-	seqByType   [][]*host
+	byType      [][]*host
 	neededAttrs [][]int32
+	otherAttrs  []int32
 
 	lastTime    int64
 	sawEvent    bool
@@ -146,14 +146,9 @@ type Runtime struct {
 	shareFlips     int64
 	sharedSavedOps int64
 
-	// Batch scratch, reused across chunks so the steady-state batch
-	// path does not allocate: per-event type ids, the per-type run
-	// buckets with their first-touch order, and the shared resolved-run
-	// view.
-	tids    []int32
-	buckets [][]*event.Event
-	touched []int32
-	run     core.ResolvedRun
+	// The resolved-run view, reused across runs so the steady-state
+	// batch path does not allocate.
+	run core.ResolvedRun
 }
 
 // New returns an empty runtime over a fresh catalog.
@@ -224,26 +219,25 @@ func (rt *Runtime) SubscribePlan(plan *core.Plan, opts ...core.Option) (*Subscri
 	return s, nil
 }
 
-// index registers a host in the per-type dispatch index (run-safe vs
-// order-sensitive, plus the needed-attribute union).
+// index registers a host in the per-type dispatch index and its
+// attributes in the needed-attribute unions.
 func (rt *Runtime) index(h *host) {
+	attrs := h.plan.ReferencedAttrIDs()
 	if h.plan.WantsAllEvents() {
 		rt.wantsAll = append(rt.wantsAll, h)
+		rt.otherAttrs = mergeAttrIDs(rt.otherAttrs, attrs)
+		for tid := range rt.neededAttrs {
+			rt.neededAttrs[tid] = mergeAttrIDs(rt.neededAttrs[tid], attrs)
+		}
 		return
 	}
-	ordered := h.plan.OrderSensitive()
 	for _, tid := range h.plan.SubscribedTypeIDs() {
-		for int(tid) >= len(rt.runByType) {
-			rt.runByType = append(rt.runByType, nil)
-			rt.seqByType = append(rt.seqByType, nil)
-			rt.neededAttrs = append(rt.neededAttrs, nil)
+		for int(tid) >= len(rt.byType) {
+			rt.byType = append(rt.byType, nil)
+			rt.neededAttrs = append(rt.neededAttrs, slices.Clone(rt.otherAttrs))
 		}
-		if ordered {
-			rt.seqByType[tid] = append(rt.seqByType[tid], h)
-		} else {
-			rt.runByType[tid] = append(rt.runByType[tid], h)
-			rt.neededAttrs[tid] = mergeAttrIDs(rt.neededAttrs[tid], h.plan.ReferencedAttrIDs())
-		}
+		rt.byType[tid] = append(rt.byType[tid], h)
+		rt.neededAttrs[tid] = mergeAttrIDs(rt.neededAttrs[tid], attrs)
 	}
 }
 
@@ -277,12 +271,11 @@ func mergeAttrIDs(dst []int32, add []int32) []int32 {
 // the membership-change slow path; the per-event path never pays for
 // it.
 func (rt *Runtime) rebuildIndex() {
-	for i := range rt.runByType {
-		rt.runByType[i] = nil
-		rt.seqByType[i] = nil
+	for i := range rt.byType {
+		rt.byType[i] = nil
 		rt.neededAttrs[i] = nil
 	}
-	rt.wantsAll = nil
+	rt.wantsAll, rt.otherAttrs = nil, nil
 	for _, h := range rt.hosts {
 		rt.index(h)
 	}
@@ -366,22 +359,16 @@ func (rt *Runtime) Process(ev *event.Event) error {
 	return err
 }
 
-// runChunkSize bounds how many events one run-building pass buckets at
-// a time, keeping the scratch arrays cache-resident; it matches the
-// parallel router's batch granularity.
-const runChunkSize = 256
-
 // ProcessBatch consumes a pre-sorted batch — the one ingest path. The
-// batch is the unit of execution, not just of transport: each
-// 256-event chunk is order-validated and arrival-stamped in one
-// prescan, split into equal-timestamp groups (one watermark pass
-// each), and every group is bucketed by interned type id into runs. A
-// run is resolved once into a struct-of-arrays view restricted to the
-// attributes its subscribed plans read, and executed with one hoisted
-// per-run prologue per engine (Engine.ProcessResolvedRun).
-// Order-sensitive queries (pattern granularity, contiguous semantics)
-// observe their events one by one in arrival order
-// (Engine.ProcessResolved) — results are byte-identical however the
+// batch is the unit of execution, not just of transport: one prescan
+// validates the order and stamps arrival ids, the in-order prefix is
+// split into equal-timestamp groups (one watermark pass each), and
+// every group into runs — maximal stretches of consecutive same-type
+// events. A run is resolved once into a struct-of-arrays view
+// restricted to the attributes its hosts read, and handed in arrival
+// order to every host of its type, then to the contiguous-semantics
+// hosts, with one hoisted per-run prologue per engine
+// (Engine.ProcessResolvedRun) — results are byte-identical however the
 // stream is cut into batches. On an out-of-order event the in-order
 // prefix is ingested and the error names the first offender.
 func (rt *Runtime) ProcessBatch(events []*event.Event) error {
@@ -390,25 +377,9 @@ func (rt *Runtime) ProcessBatch(events []*event.Event) error {
 	}
 	rt.dispatching = true
 	defer func() { rt.dispatching = false }()
-	for start := 0; start < len(events); start += runChunkSize {
-		end := start + runChunkSize
-		if end > len(events) {
-			end = len(events)
-		}
-		if err := rt.dispatchChunk(events[start:end]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dispatchChunk runs one chunk through the batch kernels: prescan
-// (order validation + arrival-order id assignment), then group-by-time
-// dispatch of the in-order prefix.
-func (rt *Runtime) dispatchChunk(chunk []*event.Event) error {
-	good := len(chunk)
+	good := len(events)
 	last, saw := rt.lastTime, rt.sawEvent
-	for i, ev := range chunk {
+	for i, ev := range events {
 		if saw && ev.Time < last {
 			good = i
 			break
@@ -419,28 +390,24 @@ func (rt *Runtime) dispatchChunk(chunk []*event.Event) error {
 			ev.ID = rt.seq
 		}
 	}
-	prefix := chunk[:good]
-	for i := 0; i < len(prefix); {
+	for i := 0; i < good; {
 		j := i + 1
-		t := prefix[i].Time
-		for j < len(prefix) && prefix[j].Time == t {
+		for j < good && events[j].Time == events[i].Time {
 			j++
 		}
-		if err := rt.dispatchGroup(prefix[i:j]); err != nil {
+		if err := rt.dispatchGroup(events[i:j]); err != nil {
 			return err
 		}
 		i = j
 	}
-	if good < len(chunk) {
-		return rt.lateEventErr(chunk[good].Time)
+	if good < len(events) {
+		return rt.lateEventErr(events[good].Time)
 	}
 	return nil
 }
 
 // dispatchGroup executes one equal-timestamp group: one watermark pass
-// across the fleet, then type-bucketed runs for the run-safe hosts and
-// an arrival-order pass for the order-sensitive ones. Within one timestamp the staged-commit discipline makes the
-// split order-invariant (see Plan.OrderSensitive).
+// across the fleet, then its runs in arrival order.
 func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 	t := group[0].Time
 	if !rt.sawEvent || t != rt.lastTime {
@@ -449,88 +416,41 @@ func (rt *Runtime) dispatchGroup(group []*event.Event) error {
 		}
 	}
 	rt.lastTime, rt.sawEvent = t, true
+	var err error
+	for i := 0; i < len(group) && err == nil; {
+		j := i + 1
+		for j < len(group) && group[j].Type == group[i].Type {
+			j++
+		}
+		err = rt.dispatchRun(group[i:j])
+		i = j
+	}
+	rt.run.Events = nil // the view must not retain the caller's events
+	return err
+}
 
-	// Bucket by type id, preserving arrival order within each run and
-	// first-touch order across runs. The type-id probe is the only
-	// per-event map lookup left on this path.
-	if cap(rt.tids) < len(group) {
-		rt.tids = make([]int32, len(group))
+// dispatchRun resolves one run and hands it to every host of its type,
+// then to the wantsAll hosts. The type-id probe is the only map lookup
+// left per run.
+func (rt *Runtime) dispatchRun(run []*event.Event) error {
+	tid, _ := rt.cat.TypeID(run[0].Type)
+	var hosts []*host
+	attrs := rt.otherAttrs
+	if tid >= 0 && int(tid) < len(rt.byType) {
+		hosts, attrs = rt.byType[tid], rt.neededAttrs[tid]
 	}
-	tids := rt.tids[:len(group)]
-	needSeq := len(rt.wantsAll) > 0
-	for i, ev := range group {
-		tid := int32(-1)
-		if id, ok := rt.cat.TypeID(ev.Type); ok {
-			tid = id
-		}
-		tids[i] = tid
-		if tid < 0 || int(tid) >= len(rt.runByType) {
-			continue
-		}
-		if len(rt.seqByType[tid]) > 0 {
-			needSeq = true
-		}
-		if len(rt.runByType[tid]) == 0 {
-			continue
-		}
-		for len(rt.buckets) < len(rt.runByType) {
-			rt.buckets = append(rt.buckets, nil)
-		}
-		if len(rt.buckets[tid]) == 0 {
-			rt.touched = append(rt.touched, tid)
-		}
-		rt.buckets[tid] = append(rt.buckets[tid], ev)
-	}
-
-	// Run pass: resolve once per run, one hoisted prologue per engine.
-	var firstErr error
-	for _, tid := range rt.touched {
-		bucket := rt.buckets[tid]
-		if firstErr == nil {
-			rt.res.ResolveRun(&rt.run, bucket, tid, rt.neededAttrs[tid])
-			for _, h := range rt.runByType[tid] {
-				if err := h.eng.ProcessResolvedRun(&rt.run); err != nil {
-					firstErr = err
-					break
-				}
-			}
-		}
-		// Scrub the bucket even on the error path so a later group
-		// never inherits stale events (or retains their memory).
-		for k := range bucket {
-			bucket[k] = nil
-		}
-		rt.buckets[tid] = bucket[:0]
-	}
-	rt.touched = rt.touched[:0]
-	rt.run.Events = nil
-	if firstErr != nil {
-		return firstErr
-	}
-	if !needSeq {
+	if len(hosts) == 0 && len(rt.wantsAll) == 0 {
 		return nil
 	}
-
-	// Arrival-order pass for pattern-grained and contiguous-semantics
-	// queries, which are sensitive to equal-time arrival order.
-	for i, ev := range group {
-		var interested []*host
-		if tid := tids[i]; tid >= 0 && int(tid) < len(rt.seqByType) {
-			interested = rt.seqByType[tid]
+	rt.res.ResolveRun(&rt.run, run, tid, attrs)
+	for _, h := range hosts {
+		if err := h.eng.ProcessResolvedRun(&rt.run); err != nil {
+			return err
 		}
-		if len(interested) == 0 && len(rt.wantsAll) == 0 {
-			continue
-		}
-		tid := rt.res.Resolve(ev)
-		for _, h := range interested {
-			if err := h.eng.ProcessResolved(ev, rt.res, tid); err != nil {
-				return err
-			}
-		}
-		for _, h := range rt.wantsAll {
-			if err := h.eng.ProcessResolved(ev, rt.res, tid); err != nil {
-				return err
-			}
+	}
+	for _, h := range rt.wantsAll {
+		if err := h.eng.ProcessResolvedRun(&rt.run); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -568,7 +488,7 @@ func (rt *Runtime) AdvanceTo(t int64) error {
 }
 
 // lateEventErr builds the out-of-order rejection — the cold path of
-// dispatchChunk.
+// ProcessBatch.
 func (rt *Runtime) lateEventErr(t int64) error {
 	return fmt.Errorf("runtime: out-of-order event at time %d after %d: %w", t, rt.lastTime, core.ErrLateEvent)
 }

@@ -643,6 +643,58 @@ func TestGroupOfOneEmitsWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestRuntimeDispatchAllocatesNothing pins the one dispatch pass: on a
+// warm runtime hosting a type-grained, a grouped mixed-grained, a
+// next-match and a contiguous query, equal-time groups whose types
+// interleave — A split into three runs, an X no query names between
+// them — split, resolve and reach every host without allocating, at
+// each new time stamp inside one window.
+func TestRuntimeDispatchAllocatesNothing(t *testing.T) {
+	qs := testQueries()
+	rt := New()
+	for _, q := range []*query.Query{qs[0], qs[2], qs[3], qs[4]} {
+		if _, err := rt.Subscribe(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := func(p string) *event.Event {
+		return event.New("Measurement", 0).WithSym("patient", p).WithNum("rate", 0)
+	}
+	a := func(acct string) *event.Event {
+		return event.New("A", 0).WithSym("acct", acct).WithNum("v", 1)
+	}
+	group := []*event.Event{
+		a("acct-0"), m("p0"), a("acct-1"), a("acct-2"),
+		event.New("X", 0).WithNum("noise", 1),
+		m("p1"), m("p0"), a("acct-0"),
+		event.New("B", 0).WithSym("acct", "acct-1").WithNum("v", 2),
+	}
+	feed := func(ts int64) {
+		for i, ev := range group {
+			ev.Time, ev.ID = ts, 0
+			if ev.Type == "Measurement" {
+				ev.Num["rate"] = float64((ts + int64(i)) % 5)
+			}
+		}
+		if err := rt.ProcessBatch(group); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Turn a window generation over, then open the windows the
+	// measurement stays inside: none of the queries' windows closes in
+	// [192, 224).
+	for ts := int64(0); ts <= 192; ts++ {
+		feed(ts)
+	}
+	ts := int64(192)
+	if n := testing.AllocsPerRun(20, func() { ts++; feed(ts) }); n != 0 {
+		t.Errorf("dispatching an interleaved group costs %v allocations, want 0", n)
+	}
+	if ts >= 224 {
+		t.Fatalf("the measurement left its window (time %d)", ts)
+	}
+}
+
 // TestRestoreKeepsPlanIdentity: the plan table codes each distinct plan
 // once, so a restored runtime runs the plans the live one ran, shared
 // where they were shared — a group of one on its subscription's own

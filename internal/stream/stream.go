@@ -2,7 +2,7 @@
 // ("Parallel Processing"): ordered event sources, k-way merging of
 // per-source ordered feeds, and a partition-parallel executor that
 // runs one COGRA engine per sub-stream (simultaneous events reach it
-// as Runtime.dispatchChunk's equal-time groups), since
+// as Runtime.ProcessBatch's equal-time groups), since
 // equivalence predicates and the GROUP-BY clause partition the stream
 // into sub-streams that are processed independently.
 package stream

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Benchmark smoke: run the repo's one perf gate (benchmarks/cograperf,
-# BENCHMARK.json) briefly on three workloads, and fail when a run does
+# BENCHMARK.json) briefly on four workloads, and fail when a run does
 # (ops_failed != 0 exits non-zero) or when its allocs_per_event reads
 # above the workload's limit. That metric is a count — it repeats to
 # < 1 % on any runner — so this is not a timing gate: the timings the
@@ -21,6 +21,13 @@
 #                                  over 2 workers (≈ 2.45; 3.03 while each
 #                                  Drain paid a control round trip per
 #                                  worker and regrew its result buffers).
+#   burst_kernel        LIMIT 0.015 the only workload whose pattern-grained
+#                                  and contiguous queries reach the run
+#                                  kernels: dispatch hands each run of
+#                                  consecutive same-type events to every
+#                                  engine without allocating (≈ 0.0114;
+#                                  one allocation per run would read
+#                                  ≈ 0.018).
 #
 # Run from the repo root.
 set -euo pipefail
@@ -45,3 +52,4 @@ smoke() {
 smoke steady_fleet 3
 smoke served_tenants 0.5
 smoke durable_disordered 2.8
+smoke burst_kernel 0.015

@@ -226,13 +226,27 @@ func kernelRun(t *testing.T, opts []cogra.SessionOption, src string, events []*c
 // predicate on A only: alias A then has a stored predecessor (A, in Te)
 // AND a table predecessor (B, in Tt), so within an equal-time run of A's
 // the kernel serves the B part from the per-time-stamp memo and scans
-// the stored A's per event on top of it. Every side of this differential
-// runs that same kernel, so it pins that batching, worker count and the
+// the stored A's per event on top of it. B's stored A's pass no adjacent
+// check, so a run of B's reads them from the memo too; only A's
+// self-edge is scanned per event. Every side of this differential runs
+// that same kernel, so it pins that batching, worker count and the
 // bounded-state variants do not change what the memo serves; that the
-// memo serves the right sums is core's TestRunMemoSurvivesStoredScan.
+// memo serves the right sums is core's TestRunMemoSurvivesStoredScan and
+// TestRunMemoServesStoredPredecessors.
 const figure2Mixed = `
 	RETURN COUNT(*), SUM(A.v)
 	PATTERN (SEQ(A+, B))+
+	SEMANTICS skip-till-any-match
+	WHERE [patient] AND A.v < NEXT(A).v
+	GROUP-BY patient
+	WITHIN 64 SLIDE 32`
+
+// figure2Negated puts a negation guard on the stored edge A -> B, which
+// has no adjacent check: the memo folds the stored A's an M has not
+// blocked once per run of B's.
+const figure2Negated = `
+	RETURN COUNT(*), SUM(A.v), MIN(A.v)
+	PATTERN SEQ(A+, NOT(M), B)
 	SEMANTICS skip-till-any-match
 	WHERE [patient] AND A.v < NEXT(A).v
 	GROUP-BY patient
@@ -250,6 +264,7 @@ func TestSessionBatchKernelDifferential(t *testing.T) {
 	assertSplitsTypes(t, interleaved)
 	queries := sessionTestQueries()
 	queries["figure2-mixed"] = figure2Mixed
+	queries["figure2-negated"] = figure2Negated
 	// The run-shaped rows keep their names; the interleaved ones are
 	// prefixed.
 	for prefix, base := range map[string][]*cogra.Event{"": runs, "interleaved/": interleaved} {

@@ -41,7 +41,8 @@ type Config struct {
 	// flattened workload finite at bench scale (see EXPERIMENTS.md).
 	FlattenCap int
 	// Verify cross-checks every completed run against COGRA's
-	// results and reports mismatches (slower; on by default).
+	// results, and the ablation's mixed plan against its type plan; a
+	// mismatch fails the experiment (slower; on by default).
 	Verify bool
 }
 
@@ -185,11 +186,12 @@ func (c Config) factories() map[string]runnerFactory {
 	}
 }
 
-// sweep measures the given approaches at one sweep point and verifies
-// agreement against COGRA where configured.
-func (c Config) sweep(plan *core.Plan, events []*event.Event, approaches []string, warn io.Writer) Row {
+// sweep measures the given approaches at sweep point x. Where
+// configured it verifies every completed run against COGRA's results
+// and reports the first disagreement as an error.
+func (c Config) sweep(plan *core.Plan, events []*event.Event, approaches []string, x string) (Row, error) {
 	facts := c.factories()
-	row := Row{Runs: map[string]metrics.Run{}}
+	row := Row{X: x, Runs: map[string]metrics.Run{}}
 	var ref []core.Result
 	for _, name := range approaches {
 		run, results := measure(name, facts[name], plan, events)
@@ -206,10 +208,10 @@ func (c Config) sweep(plan *core.Plan, events []*event.Event, approaches []strin
 		capped := (name == ApproachASeq || name == ApproachFlink) &&
 			c.FlattenCap > 0 && c.FlattenCap < len(events)
 		if c.Verify && !capped && ref != nil && !resultsEqual(ref, results) {
-			fmt.Fprintf(warn, "  WARNING: %s disagrees with COGRA at this point\n", name)
+			return row, fmt.Errorf("%s disagrees with COGRA at sweep point %s", name, x)
 		}
 	}
-	return row
+	return row, nil
 }
 
 func resultsEqual(a, b []core.Result) bool {

@@ -318,6 +318,106 @@ func TestRunMemoSurvivesStoredScan(t *testing.T) {
 	}
 }
 
+// TestRunMemoServesStoredPredecessors pins the stored part of the run
+// memo: the stored entries of an alias's event-grained predecessors up
+// to its first edge with an adjacent check are summed once per time
+// stamp, not once per event. The white-box poke overwrites one stored
+// count in the middle of an equal-time run: a predecessor the memo
+// serves keeps its old sum for the rest of the run, one scanned per
+// event shows the new count at the next event. Every other expected
+// count and SUM is derived by hand from Definition 7, not from another
+// run of the kernel.
+func TestRunMemoServesStoredPredecessors(t *testing.T) {
+	type ev struct {
+		typ string
+		at  int64
+		x   float64
+	}
+	// run feeds events through a fresh aggregator of src and, right
+	// after event pokeAfter, sets the count of the stored entry
+	// stored[alias][idx] to 100.
+	run := func(src string, events []ev, pokeAfter int, alias string, idx int) (*Plan, *mixedGrained) {
+		t.Helper()
+		plan := MustPlan(query.MustParse(src))
+		mg := newMixedGrained(plan, testShared(plan))
+		var rv resolvedVals
+		for i, e := range events {
+			plan.resolveInto(&rv, event.New(e.typ, e.at).WithNum("x", e.x))
+			mg.Process(&rv)
+			if i == pokeAfter {
+				mg.te.stored[plan.aliasIDs[alias]][idx].node.Count = 100
+			}
+		}
+		mg.flush()
+		return plan, mg
+	}
+	storedCounts := func(plan *Plan, mg *mixedGrained, alias string) (out []uint64) {
+		for _, se := range mg.te.stored[plan.aliasIDs[alias]] {
+			out = append(out, se.node.Count)
+		}
+		return out
+	}
+
+	t.Run("adjacency-free edge", func(t *testing.T) {
+		plan, mg := run(`RETURN COUNT(*), SUM(A.x) PATTERN SEQ(A+, B)
+			WHERE A.x < NEXT(A).x WITHIN 100 SLIDE 100`, []ev{
+			{"A", 1, 1}, // {a1}: count 1, SUM 1
+			{"A", 2, 3}, // {a2}, {a1,a2}: count 2, SUM 3 + 4 = 7
+			{"A", 3, 2}, // {a3}, {a1,a3} (3 < 2 fails for a2): count 2 — stored at 3, invisible to the B's
+			{"B", 3, 0}, // a1 + a2: count 3, SUM 8; then a1's count is overwritten
+			{"B", 3, 0}, // from the memo: 3, SUM 8 (a rescan would read 100 + 2)
+			{"B", 3, 0}, // 3, SUM 8
+		}, 3, "A", 0)
+		if got, want := storedCounts(plan, mg, "A"), []uint64{100, 2, 2}; !slices.Equal(got, want) {
+			t.Errorf("stored A counts = %v, want %v", got, want)
+		}
+		b := mg.tables[plan.aliasIDs["B"]].entries[0].node
+		if b.Count != 9 || b.Aux[1].F != 24 {
+			t.Errorf("B table: count %d, SUM(A.x) %v; want 9, 24", b.Count, b.Aux[1].F)
+		}
+	})
+
+	t.Run("negation-guarded edge", func(t *testing.T) {
+		plan, mg := run(`RETURN COUNT(*), SUM(A.x) PATTERN SEQ(A+, NOT(C), B)
+			WHERE A.x < NEXT(A).x WITHIN 100 SLIDE 100`, []ev{
+			{"A", 1, 1}, // {a1}: count 1, SUM 1
+			{"C", 2, 0}, // strictly between a1 and every later B: blocks a1 -> B
+			{"A", 3, 3}, // {a3}, {a1,a3} (A -> A is unguarded): count 2, SUM 3 + 4 = 7
+			{"C", 4, 0}, // at the B's time stamp: blocks nothing
+			{"B", 4, 0}, // a3 only: count 2, SUM 7; then a3's count is overwritten
+			{"B", 4, 0}, // from the memo: 2, SUM 7
+			{"B", 4, 0}, // 2, SUM 7
+		}, 4, "A", 1)
+		if got, want := storedCounts(plan, mg, "A"), []uint64{1, 100}; !slices.Equal(got, want) {
+			t.Errorf("stored A counts = %v, want %v", got, want)
+		}
+		b := mg.tables[plan.aliasIDs["B"]].entries[0].node
+		if b.Count != 6 || b.Aux[1].F != 21 {
+			t.Errorf("B table: count %d, SUM(A.x) %v; want 6, 21", b.Count, b.Aux[1].F)
+		}
+	})
+
+	t.Run("edge after an adjacency check", func(t *testing.T) {
+		src := `RETURN COUNT(*), SUM(A.x) PATTERN (SEQ(A+, C+))+
+			WHERE A.x < NEXT(A).x AND C.x < NEXT(C).x WITHIN 100 SLIDE 100`
+		plan := MustPlan(query.MustParse(src))
+		a, c := plan.aliasIDs["A"], plan.aliasIDs["C"]
+		preds := plan.typePlanAt(plan.cat.typeIDs["A"]).aliases[0].preds
+		if len(preds) != 2 || preds[0].id != a || len(preds[0].adj) == 0 || preds[1].id != c || len(preds[1].adj) != 0 {
+			t.Fatalf("A's predecessor edges are not [A (checked), C (unchecked)]; the case is vacuous")
+		}
+		plan, mg := run(src, []ev{
+			{"A", 1, 1}, // {a1}: count 1
+			{"C", 2, 1}, // {a1,c2}: count 1
+			{"A", 3, 5}, // {a3}, {a1,a3}, {a1,c2,a3}: count 3; then c2's count is overwritten
+			{"A", 3, 0}, // a1 fails 1 < 0; c2 scanned again: 100 + start = 101
+		}, 2, "C", 0)
+		if got, want := storedCounts(plan, mg, "A"), []uint64{1, 3, 101}; !slices.Equal(got, want) {
+			t.Errorf("stored A counts = %v, want %v", got, want)
+		}
+	})
+}
+
 // TestReleaseDisownsRunMemo pins the recycling hazard of runMemo.claim,
 // which identifies the memo's owner by pointer and time stamp: an
 // aggregator released without a flush — a window the manager dropped —

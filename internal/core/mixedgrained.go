@@ -95,22 +95,28 @@ type storedEntry struct {
 }
 
 // runMemo memoizes, per alias id, the merged committed contribution of
-// the alias's predecessor Tt tables. Staged updates commit only at
-// flush (the stream-transaction discipline), so the committed tables —
-// main and shadow — are frozen for the duration of one time stamp: the
-// sum computed for the first event of an equal-time run of a type is
-// valid for every follower, and the per-event table iteration collapses
-// to a copy. Stored predecessors are not memoized — which of them an
-// event continues depends on the event's own attribute values — and are
-// scanned per event on top of the memoized sum, into the scan node. The
-// scratch is owned by the Engine, not the sub-aggregator (kernelShared).
-// Entries are valid only while one aggregator keeps processing one time
-// stamp — any other claimant, a time advance, a flush of the owner
-// (which commits staged updates into the memoized tables) or its
-// release invalidates them wholesale. The owner is identified by
-// pointer, and aggregators are recycled: a released owner may be
-// reopened for another partition at the very same time stamp, so every
-// path that retires an aggregator must disown the memo.
+// the alias's predecessor Tt tables followed by the stored entries of
+// its event-grained predecessors up to the first edge with an adjacent
+// check (aliasPlan.scanFrom). Staged updates commit only at flush (the
+// stream-transaction discipline), so the committed tables — main and
+// shadow — are frozen for the duration of one time stamp; entries stored
+// at the current time stamp are invisible to it, and a negation guard
+// blocks only on fires strictly between two times, none of which can
+// arrive inside it. The sum computed for the first event of an
+// equal-time run of a type is therefore valid for every follower, and
+// the per-event predecessor iteration collapses to a copy. Only the
+// stored predecessors from the first adjacent check on are scanned per
+// event — which of them an event continues depends on the event's own
+// attribute values — on top of the memoized sum, into the scan node;
+// merging in the order of one full scan keeps float sums bit-identical.
+// The scratch is owned by the Engine, not the sub-aggregator
+// (kernelShared). Entries are valid only while one aggregator keeps
+// processing one time stamp — any other claimant, a time advance, a
+// flush of the owner (which commits staged updates into the memoized
+// tables) or its release invalidates them wholesale. The owner is
+// identified by pointer, and aggregators are recycled: a released owner
+// may be reopened for another partition at the very same time stamp, so
+// every path that retires an aggregator must disown the memo.
 type runMemo struct {
 	owner *mixedGrained
 	time  int64
@@ -283,9 +289,11 @@ func (t *mixedGrained) Process(rv *resolvedVals) {
 
 // processFast is Process's inner loop for plans without equivalence
 // slots: the single empty-key binding is accumulated in a reused node.
-// The Tt part of the predecessor sum is memoized per time stamp
-// (runMemo) so equal-time runs of a type pay the predecessor-table
-// iteration once; stored predecessors are merged on top per event.
+// The predecessor sum is memoized per time stamp (runMemo), so an
+// equal-time run of a type pays the predecessor-table iteration, and
+// the scan of the stored predecessors before its first adjacent check,
+// once; only the stored predecessors from that check on are merged on
+// top per event.
 //
 // An event that starts nothing is skipped exactly when no predecessor
 // entry contributes — the same rule the contribution table gives the
@@ -312,38 +320,18 @@ func (t *mixedGrained) processFast(ap *aliasPlan, rv *resolvedVals) {
 				}
 			}
 		}
+		if t.te != nil {
+			if _, stored := t.foldStored(sum, false, ap.preds[:ap.scanFrom], rv, nil); stored {
+				state = runSumFound
+			}
+		}
 		m.state[ap.id] = state
 	}
 	found := state == runSumFound
 	if t.te != nil {
-		now := rv.ev.Time
-		for pi := range ap.preds {
-			edge := &ap.preds[pi]
-			if !edge.eventGrained {
-				continue
-			}
-			stored := t.te.stored[edge.id]
-			for i := range stored {
-				se := &stored[i]
-				if se.time >= now {
-					break // stored in arrival order
-				}
-				if edge.guard != 0 && t.te.fires.blockedBetween(int(edge.guard-1), se.time, now) {
-					continue
-				}
-				if !evalAdjacent(edge.adj, se.left, rv) {
-					continue
-				}
-				if sum != &m.scan {
-					// The memo entry must survive this event: stored
-					// predecessors are merged into a copy of it.
-					m.scan.Count, m.scan.Aux = sum.Count, append(m.scan.Aux[:0], sum.Aux...)
-					sum = &m.scan
-				}
-				specs.Merge(sum, se.node)
-				found = true
-			}
-		}
+		// The memo entry must survive this event: stored predecessors
+		// are merged into a copy of it.
+		sum, found = t.foldStored(sum, found, ap.preds[ap.scanFrom:], rv, &m.scan)
 	}
 	if !found && !ap.isStart {
 		return // no predecessor aggregates and nothing started
@@ -357,6 +345,43 @@ func (t *mixedGrained) processFast(ap *aliasPlan, rv *resolvedVals) {
 	} else {
 		specs.ExtendInto(stageUpdate(&t.staged, ap.id, 0), *sum, ap.specMatch, rv, started)
 	}
+}
+
+// foldStored merges into sum the stored entries of the event-grained
+// edges among preds that precede the current time stamp, pass the
+// edge's negation guard and satisfy its adjacent checks, in edge and
+// arrival order; it returns the node merged into and whether any entry
+// contributed. With a non-nil scratch the first contributing entry
+// copies sum into scratch and the merges go there, leaving sum as it
+// was.
+func (t *mixedGrained) foldStored(sum *agg.Node, found bool, preds []predEdge, rv *resolvedVals, scratch *agg.Node) (*agg.Node, bool) {
+	specs, now := t.plan.Specs, t.curTime
+	for pi := range preds {
+		edge := &preds[pi]
+		if !edge.eventGrained {
+			continue
+		}
+		stored := t.te.stored[edge.id]
+		for i := range stored {
+			se := &stored[i]
+			if se.time >= now {
+				break // stored in arrival order
+			}
+			if edge.guard != 0 && t.te.fires.blockedBetween(int(edge.guard-1), se.time, now) {
+				continue
+			}
+			if !evalAdjacent(edge.adj, se.left, rv) {
+				continue
+			}
+			if scratch != nil && sum != scratch {
+				scratch.Count, scratch.Aux = sum.Count, append(scratch.Aux[:0], sum.Aux...)
+				sum = scratch
+			}
+			specs.Merge(sum, se.node)
+			found = true
+		}
+	}
+	return sum, found
 }
 
 // store retains one Te event, in arrival order, with the aggregate of

@@ -63,7 +63,7 @@ func sortBindingResults(out []bindingResult) {
 type kernelShared struct {
 	acct accountant
 	bnd  *bindings
-	// memo holds the Tt predecessor sums of the current equal-time run
+	// memo holds the predecessor sums of the current equal-time run
 	// (runMemo); only the no-equivalence fast path reads it.
 	memo runMemo
 	// contrib accumulates the per-binding contribution of the event

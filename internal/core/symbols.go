@@ -210,6 +210,12 @@ type aliasPlan struct {
 	predIdx      []int32 // predIdx[aliasID]: index into preds, -1 if not a predecessor
 	slots        []slotRef
 	specMatch    []bool // specMatch[i]: does spec i target this alias
+	// scanFrom is the index of the first edge in preds with an adjacent
+	// check (len(preds) if none). The stored predecessors of the edges
+	// before it are read the same by every event of a time stamp, so the
+	// fast path folds them into the run memo; only those from here on are
+	// scanned per event.
+	scanFrom int
 }
 
 // negCheck is one negation constraint fired by an event type.
@@ -372,6 +378,13 @@ func (p *Plan) compileAlias(alias string, leftPos map[int32]int) aliasPlan {
 			})
 		}
 		ap.preds = append(ap.preds, edge)
+	}
+	ap.scanFrom = len(ap.preds)
+	for pi := range ap.preds {
+		if len(ap.preds[pi].adj) > 0 {
+			ap.scanFrom = pi
+			break
+		}
 	}
 	for i, s := range p.Slots {
 		if s.Alias == alias {

@@ -145,9 +145,9 @@ func (e *Engine) ProcessResolvedRun(run *ResolvedRun) error {
 
 // processRunSinglePart is ProcessResolvedRun's loop for plans without
 // stream partition keys: every event of the run lands in the single ""
-// partition of each open window, so the partition probe — a map lookup
-// per event per window on the general path — is hoisted to one per run
-// and window. Call order into the aggregators matches the general path
+// partition of each open window, so the partition slot — a lookup per
+// event per window on the general path — is hoisted to one per run and
+// window. Call order into the aggregators matches the general path
 // exactly (events outer, windows inner).
 func (e *Engine) processRunSinglePart(run *ResolvedRun, stride int) error {
 	if !e.statesValid || e.statesTime != run.Time {
@@ -156,7 +156,7 @@ func (e *Engine) processRunSinglePart(run *ResolvedRun, stride int) error {
 	}
 	e.runParts = e.runParts[:0]
 	for _, ws := range e.states {
-		e.runParts = append(e.runParts, e.partOf(ws, nil))
+		e.runParts = append(e.runParts, e.slot(ws, 0))
 	}
 	e.eventsIn += int64(len(run.Events))
 	off := 0

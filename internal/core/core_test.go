@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
+	"repro/internal/snap"
 )
 
 // figure2Pattern is P = (SEQ(A+, B))+ from Figure 2.
@@ -1037,5 +1041,261 @@ func TestEngineReleasesProcessedEvent(t *testing.T) {
 				t.Errorf("%q: %s keeps the processed event alive", where, entry.name)
 			}
 		}
+	}
+}
+
+// rendered is results as Result.String lines, for comparing with rows
+// derived by hand.
+func rendered(results []Result) []string {
+	out := make([]string, len(results))
+	for i, r := range results {
+		out[i] = r.String()
+	}
+	return out
+}
+
+// checkRows feeds (time, key attributes) events of type A to a fresh
+// engine of src and compares its rows with want.
+func checkRows(t *testing.T, src string, events []*event.Event, want []string) *Engine {
+	t.Helper()
+	eng := NewEngine(MustPlan(query.MustParse(src)))
+	if err := eng.ProcessAll(events); err != nil {
+		t.Fatal(err)
+	}
+	if got := rendered(eng.Close()); !slices.Equal(got, want) {
+		t.Errorf("%s:\ngot  %q\nwant %q", src, got, want)
+	}
+	return eng
+}
+
+// keyed builds an A event at tm carrying the attribute pairs kv.
+func keyed(tm int64, kv ...string) *event.Event {
+	ev := event.New("A", tm)
+	for i := 0; i < len(kv); i += 2 {
+		ev = ev.WithSym(kv[i], kv[i+1])
+	}
+	return ev
+}
+
+// TestPartitionIDsReusedInKeyOrder: the partition ids of keys no window
+// opened through a whole generation are freed and taken by new keys,
+// one sorting before and one after the key that survived, and the
+// window that reuses them reports in key order. Each count is 2^n - 1
+// for n events of one key in one window (A+ under skip-till-any-match).
+func TestPartitionIDsReusedInKeyOrder(t *testing.T) {
+	src := `RETURN key, COUNT(*) PATTERN A+ SEMANTICS skip-till-any-match
+		WHERE [key] GROUP-BY key WITHIN 4 SLIDE 4`
+	eng := NewEngine(MustPlan(query.MustParse(src)))
+	// Window 1 holds m3 alone; closing it frees m1 and m2, which no window
+	// opened since window 0, for z and a in window 2.
+	for _, ev := range []*event.Event{
+		keyed(0, "key", "m1"), keyed(1, "key", "m2"), keyed(2, "key", "m1"),
+		keyed(4, "key", "m3"),
+		keyed(8, "key", "z"), keyed(9, "key", "a"), keyed(10, "key", "m3"), keyed(11, "key", "a"),
+	} {
+		if err := eng.Process(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, live := len(eng.parts.parts), eng.parts.live; n != 3 || live != 3 {
+		t.Errorf("%d partition ids for %d live keys, want 3 and 3: a and z took the ids m1 and m2 left", n, live)
+	}
+	want := []string{
+		"window [0,4) group=(m1): COUNT(*)=3",
+		"window [0,4) group=(m2): COUNT(*)=1",
+		"window [4,8) group=(m3): COUNT(*)=1",
+		"window [8,12) group=(a): COUNT(*)=3",
+		"window [8,12) group=(m3): COUNT(*)=1",
+		"window [8,12) group=(z): COUNT(*)=1",
+	}
+	if got := rendered(eng.Close()); !slices.Equal(got, want) {
+		t.Errorf("got  %q\nwant %q", got, want)
+	}
+}
+
+// TestPartitionKeyShapes: the empty value is a key like any other (a
+// missing attribute is not), composite keys whose values are prefixes
+// of one another stay apart, and a sliding query's overlapping windows
+// each report exactly the keys they saw.
+func TestPartitionKeyShapes(t *testing.T) {
+	eng := checkRows(t, `RETURN key, COUNT(*) PATTERN A+ WHERE [key] GROUP-BY key WITHIN 10 SLIDE 10`,
+		[]*event.Event{keyed(1, "key", ""), keyed(2, "key", "b"), keyed(3, "key", ""), keyed(4)},
+		[]string{
+			"window [0,10) group=(): COUNT(*)=3",
+			"window [0,10) group=(b): COUNT(*)=1",
+		})
+	if eng.EventsSkipped() != 1 {
+		t.Errorf("%d events skipped, want the one without the key attribute", eng.EventsSkipped())
+	}
+
+	// "ab"+"c" and "a"+"bc" spell one string without the separator.
+	composite := []*event.Event{
+		keyed(1, "a", "ab", "b", "c"), keyed(2, "a", "a", "b", "bc"), keyed(3, "a", "a", "b", "b"),
+		keyed(4, "a", "a", "b", "bc"), keyed(5, "a", "", "b", "abc"), keyed(6, "a", "abc", "b", ""),
+	}
+	eng = checkRows(t, `RETURN a, b, COUNT(*) PATTERN A+ WHERE [a] AND [b] GROUP-BY a, b WITHIN 10 SLIDE 10`,
+		composite, []string{
+			"window [0,10) group=(,abc): COUNT(*)=1",
+			"window [0,10) group=(a,b): COUNT(*)=1",
+			"window [0,10) group=(a,bc): COUNT(*)=3",
+			"window [0,10) group=(ab,c): COUNT(*)=1",
+			"window [0,10) group=(abc,): COUNT(*)=1",
+		})
+	if n := eng.parts.live; n != 5 {
+		t.Errorf("%d composite keys numbered, want 5", n)
+	}
+	checkRows(t, `RETURN a, COUNT(*) PATTERN A+ WHERE [a] AND [b] GROUP-BY a WITHIN 10 SLIDE 10`,
+		composite, []string{
+			"window [0,10) group=(): COUNT(*)=1",
+			"window [0,10) group=(a): COUNT(*)=4",
+			"window [0,10) group=(ab): COUNT(*)=1",
+			"window [0,10) group=(abc): COUNT(*)=1",
+		})
+
+	// Windows [0,4), [2,6), [4,8), [6,10): k1 is in the first two, k4 in
+	// the last three, k2 in the first three.
+	checkRows(t, `RETURN key, COUNT(*) PATTERN A+ WHERE [key] GROUP-BY key WITHIN 4 SLIDE 2`,
+		[]*event.Event{
+			keyed(0, "key", "k1"), keyed(1, "key", "k2"), keyed(2, "key", "k1"), keyed(3, "key", "k3"),
+			keyed(4, "key", "k2"), keyed(5, "key", "k4"), keyed(6, "key", "k4"),
+		},
+		[]string{
+			"window [0,4) group=(k1): COUNT(*)=3",
+			"window [0,4) group=(k2): COUNT(*)=1",
+			"window [0,4) group=(k3): COUNT(*)=1",
+			"window [2,6) group=(k1): COUNT(*)=1",
+			"window [2,6) group=(k2): COUNT(*)=1",
+			"window [2,6) group=(k3): COUNT(*)=1",
+			"window [2,6) group=(k4): COUNT(*)=1",
+			"window [4,8) group=(k2): COUNT(*)=1",
+			"window [4,8) group=(k4): COUNT(*)=3",
+			"window [6,10) group=(k4): COUNT(*)=1",
+		})
+}
+
+// TestSnapshotIgnoresPartitionIDs: a frame lists partitions by key, so
+// it does not depend on how the engine numbered them. Two engines whose
+// prefixes leave different ids free — six keys against one — code the
+// same open windows into the same bytes once the prefix windows have
+// closed, and an engine restored from the frame, whose ids are numbered
+// afresh in frame order, keeps writing the same frames and rows as the
+// original through further reuse.
+func TestSnapshotIgnoresPartitionIDs(t *testing.T) {
+	src := `RETURN key, COUNT(*), SUM(A.v) PATTERN A+ WHERE [key] GROUP-BY key WITHIN 4 SLIDE 2`
+	var rows [2][]string
+	newEngine := func(i int) *Engine {
+		return NewEngine(MustPlan(query.MustParse(src)), WithResultCallback(func(r Result) { rows[i] = append(rows[i], r.String()) }))
+	}
+	feed := func(e *Engine, from, to int64, key func(tm int64) string) {
+		t.Helper()
+		for tm := from; tm < to; tm++ {
+			if err := e.Process(keyed(tm, "key", key(tm)).WithNum("v", float64(tm))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	frame := func(e *Engine) []byte {
+		var w snap.Writer
+		e.Code(snap.Encoder(&w), math.MaxInt64)
+		var b bytes.Buffer
+		if err := w.Frame(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	churn := func(tm int64) string { return fmt.Sprintf("c%d", (tm*7)%11) }
+	a, b := newEngine(0), newEngine(1)
+	feed(a, 0, 6, func(tm int64) string { return fmt.Sprintf("p%d", tm) })
+	feed(b, 0, 6, func(int64) string { return "q" })
+	feed(a, 6, 31, churn)
+	feed(b, 6, 31, churn)
+	renumbered := false
+	for _, pid := range a.parts.order {
+		key := a.parts.parts[pid].key
+		_, other := b.parts.find(key)
+		renumbered = renumbered || other != pid
+	}
+	if len(a.parts.parts) >= 6+11 || !renumbered {
+		t.Fatalf("%d partition ids for 17 keys, numbered alike in both engines: the check is vacuous", len(a.parts.parts))
+	}
+	if fa, fb := frame(a), frame(b); !bytes.Equal(fa, fb) {
+		t.Fatalf("frames differ with the partition numbering:\n%x\n%x", fa, fb)
+	}
+
+	var w snap.Writer
+	a.Code(snap.Encoder(&w), math.MaxInt64)
+	r := w.Reader()
+	restored := newEngine(1)
+	restored.Code(snap.Decoder(r), math.MaxInt64)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rows = [2][]string{}
+	for _, tm := range []int64{31, 40, 57} {
+		feed(a, tm, tm+9, churn)
+		feed(restored, tm, tm+9, churn)
+		if fa, fr := frame(a), frame(restored); !bytes.Equal(fa, fr) {
+			t.Fatalf("at %d: the restored engine's frame differs from the original's", tm+9)
+		}
+	}
+	a.Close()
+	restored.Close()
+	if len(rows[0]) == 0 || !slices.Equal(rows[0], rows[1]) {
+		t.Errorf("rows after restore:\noriginal %q\nrestored %q", rows[0], rows[1])
+	}
+}
+
+// TestPartDictIndexMatchesMap drives the dictionary's open-addressing
+// index through random numbering and freeing — long probe runs, holes
+// shifted back across the table's wrap, growth and compaction — and
+// checks every key against a Go map after each step.
+func TestPartDictIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var d partDict
+	want := map[string]int32{}
+	check := func(step int) {
+		t.Helper()
+		if d.live != len(want) {
+			t.Fatalf("step %d: %d live ids, want %d", step, d.live, len(want))
+		}
+		for key, pid := range want {
+			if _, got := d.find(key); got != pid {
+				t.Fatalf("step %d: key %q has id %d, want %d", step, key, got, pid)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			key := fmt.Sprint("absent", rng.Intn(100))
+			if _, got := d.find(key); got >= 0 {
+				t.Fatalf("step %d: absent key %q has id %d", step, key, got)
+			}
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		switch key := fmt.Sprint(rng.Intn(300)); {
+		case rng.Intn(3) > 0 || len(want) == 0:
+			pid := d.id(key)
+			if old, ok := want[key]; ok && old != pid {
+				t.Fatalf("step %d: key %q renumbered %d -> %d while live", step, key, old, pid)
+			}
+			want[key] = pid
+		default:
+			for key, pid := range want { // free a random live key, as sweep does
+				d.merge()
+				d.order = slices.DeleteFunc(d.order, func(p int32) bool { return p == pid })
+				d.unindex(key)
+				d.parts[pid] = partEntry{}
+				d.free = append(d.free, pid)
+				delete(want, key)
+				break
+			}
+		}
+		if step%500 == 499 {
+			d.merge()
+			remap := d.compact()
+			for key, pid := range want {
+				want[key] = remap[pid]
+			}
+		}
+		check(step)
 	}
 }

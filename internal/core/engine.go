@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/agg"
 	"repro/internal/event"
@@ -38,13 +39,14 @@ func (r Result) String() string {
 }
 
 // winState is the per-window execution state: one sub-aggregator per
-// stream partition key (§7: windows, single-event predicates and
-// grouping partition the stream into sub-streams). States are recycled
-// (Engine.openWindow) with their map emptied, not dropped.
+// stream partition (§7: windows, single-event predicates and grouping
+// partition the stream into sub-streams), in a slot array indexed by the
+// engine's partition ids (partDict). States are recycled
+// (Engine.openWindow) with every slot emptied, not dropped.
 type winState struct {
-	wid   int64
-	parts map[string]subAggregator
-	grown int // the most partitions the map has held: what its buckets are sized for
+	wid  int64
+	sas  []subAggregator // by partition id; len == cap, unopened slots nil
+	open int             // the slots set
 }
 
 // Engine executes one compiled plan over an in-order event stream.
@@ -57,10 +59,10 @@ type Engine struct {
 	mgr  *window.Manager[*winState]
 
 	// Per-event scratch, reused so the steady-state Process path does
-	// not allocate: the resolved attribute view, the partition-key
-	// bytes and the window-state slice. The window-state slice is
-	// cached per time stamp: a run of equal-time events reuses the
-	// states computed for the first of the run (the window set is a
+	// not allocate: the resolved attribute view, the composite
+	// partition-key bytes and the window-state slice. The window-state
+	// slice is cached per time stamp: a run of equal-time events reuses
+	// the states computed for the first of the run (the window set is a
 	// function of time alone), skipping the watermark check and the
 	// window-manager lookup for every follower.
 	rv          resolvedVals
@@ -74,6 +76,9 @@ type Engine struct {
 	// window close works from (emit).
 	sh      kernelShared
 	closing emitScratch
+	// parts numbers the partitions of the open windows: an event resolves
+	// its key to an id once, whatever the number of windows it falls in.
+	parts partDict
 	// aggs and wins pool the sub-aggregators and window states of closed
 	// windows: state per (window, group) is a constant-size aggregate, so
 	// what one window released the next one reopens, and window turnover
@@ -155,7 +160,7 @@ func NewEngine(p *Plan, opts ...Option) *Engine {
 func (e *Engine) openWindow(wid int64) *winState {
 	ws, ok := e.wins.pop()
 	if !ok {
-		ws = &winState{parts: map[string]subAggregator{}}
+		ws = &winState{}
 	}
 	ws.wid = wid
 	return ws
@@ -213,23 +218,72 @@ func (p *pool[T]) trim() {
 	p.low = len(p.free)
 }
 
-// partOf returns the sub-aggregator of the current event's partition in
-// ws, opening the partition when the window has not seen key yet. The
-// map keeps a string, and a single-attribute key — the common case — is
-// spelled by the event's own attribute value (strings are immutable, and
-// bindings keep slot values the same way), so only a composite key has
-// to be built.
-func (e *Engine) partOf(ws *winState, key []byte) subAggregator {
-	sa, ok := ws.parts[string(key)]
+// partID resolves the current event's partition key to its id, numbering
+// a key the engine does not hold. A single-attribute key — the common
+// case — is spelled by the event's own attribute value (strings are
+// immutable, and bindings keep slot values the same way), so only a
+// composite key is built, once per dictionary entry. ok is false when the
+// event lacks a partition attribute.
+func (e *Engine) partID() (pid int32, ok bool) {
+	switch ids := e.plan.streamKeyIDs; len(ids) {
+	case 0:
+		return 0, true
+	case 1:
+		if e.rv.has[ids[0]]&hasSymVal == 0 {
+			return 0, false
+		}
+		return e.parts.id(e.rv.sym[ids[0]]), true
+	}
+	keyBuf, ok := e.plan.appendStreamKey(e.keyBuf[:0], &e.rv)
+	e.keyBuf = keyBuf
 	if !ok {
-		sa = e.openSubAggregator()
-		if ids := e.plan.streamKeyIDs; len(ids) == 1 {
-			ws.parts[e.rv.sym[ids[0]]] = sa
-		} else {
-			ws.parts[string(key)] = sa
+		return 0, false
+	}
+	// The probe reads the scratch bytes in place; a new key is copied.
+	key := unsafe.String(unsafe.SliceData(keyBuf), len(keyBuf))
+	cell, pid := e.parts.find(key)
+	if pid < 0 {
+		pid = e.parts.add(strings.Clone(key), cell)
+	}
+	return pid, true
+}
+
+// slot returns the sub-aggregator of partition pid in ws, opening the
+// partition when the window has not seen it yet.
+func (e *Engine) slot(ws *winState, pid int32) subAggregator {
+	if int(pid) < len(ws.sas) {
+		if sa := ws.sas[pid]; sa != nil {
+			return sa
 		}
 	}
+	sa := e.openSubAggregator()
+	e.install(ws, pid, sa)
 	return sa
+}
+
+// install sets the empty slot pid of ws. A slot array too short for pid
+// grows to the dictionary's ids at once (dictStart of them at least,
+// for a plan with partition attributes).
+func (e *Engine) install(ws *winState, pid int32, sa subAggregator) {
+	if int(pid) >= len(ws.sas) {
+		need := max(int(pid)+1, len(e.parts.parts), min(cap(e.parts.parts), dictStart))
+		ws.sas = slices.Grow(ws.sas, need-len(ws.sas))
+		ws.sas = ws.sas[:cap(ws.sas)]
+	}
+	ws.sas[pid] = sa
+	ws.open++
+	e.parts.opened(pid, ws.wid)
+}
+
+// partitions returns the ids a window close visits, in key order: the
+// dictionary's live ids, or the one sub-stream of a plan without
+// partition attributes.
+func (e *Engine) partitions() []int32 {
+	if len(e.plan.StreamKeys) == 0 {
+		return pidZero
+	}
+	e.parts.merge()
+	return e.parts.order
 }
 
 // Plan returns the executed plan.
@@ -329,8 +383,7 @@ func (e *Engine) ProcessResolved(ev *event.Event, r *Resolver, tid int32) error 
 // processResolved runs the per-event path after resolution: partition
 // key extraction, window-state lookup and sub-aggregator dispatch.
 func (e *Engine) processResolved(ev *event.Event) error {
-	keyBuf, ok := e.plan.appendStreamKey(e.keyBuf[:0], &e.rv)
-	e.keyBuf = keyBuf
+	pid, ok := e.partID()
 	if !ok {
 		e.skipped++ // no partition attribute: belongs to no sub-stream
 		return nil
@@ -341,7 +394,7 @@ func (e *Engine) processResolved(ev *event.Event) error {
 		e.statesTime, e.statesValid = ev.Time, true
 	}
 	for _, ws := range e.states {
-		e.partOf(ws, keyBuf).Process(&e.rv)
+		e.slot(ws, pid).Process(&e.rv)
 	}
 	return nil
 }
@@ -431,7 +484,8 @@ func (e *Engine) EventsSkipped() int64 { return e.skipped }
 // once as many window ids have closed as are ever open together: trimmed
 // at every close, a pool would shed at each dip of a fluctuating
 // partition count and rebuild at the next rise (+0.7 allocations per
-// event on cograperf's durable_disordered).
+// event on cograperf's durable_disordered). The partition dictionary is
+// swept at the same beat.
 func (e *Engine) emitAll(closed []window.Closed[*winState]) {
 	for _, c := range closed {
 		e.emit(c.Wid, c.State)
@@ -440,14 +494,36 @@ func (e *Engine) emitAll(closed []window.Closed[*winState]) {
 		e.aggs.trim()
 		e.wins.trim()
 		e.trimAt = closed[n-1].Wid + e.mgr.Spec().MaxConcurrent()
+		if e.parts.sweep(closed[n-1].Wid + 1) {
+			e.compactPartitions()
+		}
 	}
 	e.statesValid = false
+}
+
+// compactPartitions rebuilds a dictionary a sweep left sparse and moves
+// the open windows' slots to the new ids; pooled states drop slot arrays
+// sized for the old ones.
+func (e *Engine) compactPartitions() {
+	remap := e.parts.compact()
+	for _, wid := range e.mgr.ActiveWids() {
+		ws, _ := e.mgr.State(wid)
+		sas := make([]subAggregator, len(e.parts.parts))
+		for pid, sa := range ws.sas {
+			if sa != nil {
+				sas[remap[pid]] = sa
+			}
+		}
+		ws.sas = sas
+	}
+	for _, ws := range e.wins.free {
+		ws.sas = nil
+	}
 }
 
 // emitScratch is what emit works from, so that closing a window
 // allocates nothing but the result rows the receiver keeps.
 type emitScratch struct {
-	keys     []string // the window's partition keys, sorted
 	keyParts []string // the current partition key's attribute values
 	rows     []groupRow
 	gk       []byte    // the rows' group keys, back to back
@@ -474,20 +550,22 @@ func (e *Engine) emit(wid int64, ws *winState) {
 	start, end := e.plan.Query.Window.Bounds(wid)
 	specs, sc, width := e.plan.Specs, &e.closing, len(e.plan.groupRefs)
 
-	keys := sc.keys[:0]
-	for key := range ws.parts {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-
 	// One row per (partition, binding), in partition-key then binding
 	// order; the aggregates are copied out, so a partition is released
 	// as soon as it has reported.
 	rows, gk, groups, aux := sc.rows[:0], sc.gk[:0], sc.groups[:0], sc.aux[:0]
-	for _, pk := range keys {
-		part := ws.parts[pk]
+	for _, pid := range e.partitions() {
+		if ws.open == 0 {
+			break
+		}
+		if int(pid) >= len(ws.sas) || ws.sas[pid] == nil {
+			continue
+		}
+		part := ws.sas[pid]
+		ws.sas[pid] = nil
+		ws.open--
 		if width > 0 {
-			sc.keyParts = e.plan.appendKeyParts(sc.keyParts[:0], pk)
+			sc.keyParts = e.plan.appendKeyParts(sc.keyParts[:0], e.parts.key(pid))
 		}
 		for _, br := range part.Results() {
 			row := groupRow{gkOff: int32(len(gk)), group: int32(len(groups)), aux: int32(len(aux)), count: br.node.Count}
@@ -543,19 +621,14 @@ func (e *Engine) emit(wid int64, ws *winState) {
 		}
 	}
 	// The scratch keeps the storage this window used and no string of it.
-	clear(keys)
 	clear(groups)
-	sc.keys, sc.rows, sc.gk, sc.groups, sc.aux = shed(keys), shed(rows), shed(gk), shed(groups), shed(aux)
+	sc.rows, sc.gk, sc.groups, sc.aux = shed(rows), shed(gk), shed(groups), shed(aux)
 
-	// The state is pooled with its map emptied — unless the map is sized
-	// for a spike: buckets never shrink, so a state whose window held less
-	// than a quarter of what the map once did is left to the GC.
-	n := len(ws.parts)
-	if n < ws.grown/4 {
+	// The state is pooled with every slot emptied — unless its slot array
+	// is sized for ids a compacted dictionary has since given back.
+	if cap(ws.sas) > 4*max(len(e.parts.parts), dictStart) {
 		return
 	}
-	clear(ws.parts)
-	ws.grown = max(ws.grown, n)
 	poisonWindow(ws)
 	e.wins.push(ws)
 }

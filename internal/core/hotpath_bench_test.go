@@ -124,6 +124,42 @@ func BenchmarkEngineProcessMixedAdjacent(b *testing.B) {
 	benchEngine(b, mixedAdjacentQuery(false, 512), measureBenchStream(4096))
 }
 
+// BenchmarkSlidingPartitions prices partition bookkeeping against window
+// overlap: one grouped plan over 256 keys, each event in w/s = 1, 4 or
+// 16 windows. An event resolves its partition id once, whatever the
+// overlap, and each of its windows indexes a slot by it; a close walks
+// the dictionary's key order. ns/event is what one event costs.
+func BenchmarkSlidingPartitions(b *testing.B) {
+	r := benchRand(5)
+	events := make([]*event.Event, 1<<15)
+	for i := range events {
+		typ := "A"
+		if i%4 == 3 {
+			typ = "B"
+		}
+		events[i] = event.New(typ, int64(i/4)).
+			WithSym("key", fmt.Sprintf("k%d", r.next()%256)).
+			WithNum("v", float64(r.next()%1000))
+	}
+	for _, overlap := range []int64{1, 4, 16} {
+		b.Run(fmt.Sprintf("w/s=%d", overlap), func(b *testing.B) {
+			plan := MustPlan(query.MustParse(fmt.Sprintf(`RETURN key, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B)
+				WHERE [key] GROUP-BY key WITHIN 256 SLIDE %d`, 256/overlap)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng := NewEngine(plan, WithResultCallback(func(Result) {}))
+				if err := eng.ProcessAll(events); err != nil {
+					b.Fatal(err)
+				}
+				eng.Close()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+		})
+	}
+}
+
 // BenchmarkEngineProcessMixedAdjacentSlots combines stored-event scans
 // with alias-scoped binding keys.
 func BenchmarkEngineProcessMixedAdjacentSlots(b *testing.B) {
@@ -233,7 +269,7 @@ func TestMixedAdjacentAllocs(t *testing.T) {
 		want float64
 	}{
 		{"MixedAdjacent", mixedAdjacentQuery(false, 512), 187},
-		{"MixedAdjacentSlots", mixedAdjacentQuery(true, 512), 97},
+		{"MixedAdjacentSlots", mixedAdjacentQuery(true, 512), 95},
 		{"MixedAdjacentArena", mixedAdjacentQuery(false, 64), 263},
 	} {
 		plan := MustPlan(tc.q)
@@ -372,33 +408,41 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	// rows the receiver keeps — one Values and one Group backing array per
 	// closed window, counted at the callback and subtracted. One case per
 	// plan shape: the slot-less fast path over grouped partitions, the
-	// binding-key path with stored (Te) events, and the Algorithm 3 kernel.
+	// binding-key path with stored (Te) events, and the Algorithm 3 kernel;
+	// and overlapping windows whose keys churn, so each generation's sweep
+	// frees partition ids the next one reuses for other keys.
+	cycle := func(i int) string { return fmt.Sprintf("k%d", i%16%3) }
+	churn := func(i int) string { return fmt.Sprintf("c%d", (i/16*5+i%16)%48) }
 	for _, tc := range []struct {
 		name, query string
 		want        Granularity
+		key         func(i int) string
 	}{
 		{"type", `RETURN key, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B)
-			WHERE [key] GROUP-BY key WITHIN 16 SLIDE 16`, TypeGrained},
+			WHERE [key] GROUP-BY key WITHIN 16 SLIDE 16`, TypeGrained, cycle},
 		{"mixed-slots", `RETURN A.key, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B)
-			WHERE [A.key] AND [B.key] AND A.v < NEXT(A).v GROUP-BY A.key WITHIN 16 SLIDE 16`, MixedGrained},
+			WHERE [A.key] AND [B.key] AND A.v < NEXT(A).v GROUP-BY A.key WITHIN 16 SLIDE 16`, MixedGrained, cycle},
 		{"pattern", `RETURN key, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS skip-till-next-match
-			WHERE [key] AND A.v < NEXT(A).v GROUP-BY key WITHIN 16 SLIDE 16`, PatternGrained},
+			WHERE [key] AND A.v < NEXT(A).v GROUP-BY key WITHIN 16 SLIDE 16`, PatternGrained, cycle},
+		{"sliding-churn", `RETURN key, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B)
+			WHERE [key] GROUP-BY key WITHIN 16 SLIDE 4`, TypeGrained, churn},
 	} {
 		plan := MustPlan(query.MustParse(tc.query))
 		if plan.Granularity != tc.want {
 			t.Fatalf("turnover/%s: granularity = %v, want %v", tc.name, plan.Granularity, tc.want)
 		}
-		const runs, perWindow = 50, 16
-		// Identical windows, one per AllocsPerRun call (plus its warm-up
-		// call, two to warm the pools, one to close the last).
-		events := make([]*event.Event, 0, (runs+4)*perWindow)
+		const runs, perWindow, warm = 50, 16, 8
+		// Sixteen ticks per AllocsPerRun call (plus its warm-up call, warm
+		// to warm the pools and the partition dictionary through a few
+		// generations, one to close the last window).
+		events := make([]*event.Event, 0, (runs+warm+2)*perWindow)
 		for i := 0; i < cap(events); i++ {
 			typ, at := "A", i%perWindow
 			if at%4 == 3 {
 				typ = "B"
 			}
 			events = append(events, event.New(typ, int64(i)).
-				WithSym("key", fmt.Sprintf("k%d", at%3)).WithNum("v", float64(at*7%5)))
+				WithSym("key", tc.key(i)).WithNum("v", float64(at*7%5)))
 		}
 		var rowArrays, lastWid int64
 		lastWid = -1
@@ -417,8 +461,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 			}
 			next += perWindow
 		}
-		window()
-		window()
+		for range warm {
+			window()
+		}
 		rowArrays = 0
 		allocs := testing.AllocsPerRun(runs, window)
 		if rowArrays == 0 {
@@ -426,6 +471,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		}
 		if beyond := allocs - float64(rowArrays)/(runs+1); beyond != 0 {
 			t.Errorf("turnover/%s: %v allocations per window beyond its result rows", tc.name, beyond)
+		}
+		if ids := len(eng.parts.parts); tc.name == "sliding-churn" && ids >= 48 {
+			t.Errorf("turnover/%s: %d partition ids for 48 keys; no id was reused", tc.name, ids)
 		}
 	}
 }

@@ -3,7 +3,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/agg"
 )
@@ -17,9 +19,10 @@ import (
 // 0xDEAD…, binding keys no intern table holds, a time stamp from before
 // any stream — and every differential still has to match byte for byte;
 // a path that reads recycled state without initialising it first turns
-// into a wrong result or an index panic instead of a heisenbug. Without
-// the tag the two hooks below are empty (poison_off.go) and the build
-// carries none of this.
+// into a wrong result or an index panic instead of a heisenbug. The same
+// goes for a swept partition id, and a window state pooled with a slot
+// still set panics. Without the tag the hooks below are empty
+// (poison_off.go) and the build carries none of this.
 
 const (
 	poisonCount      = 0xDEADDEADDEADDEAD
@@ -70,8 +73,21 @@ func (n *negFires) poison() {
 	}
 }
 
-// poisonWindow scribbles over a window state about to be pooled.
-func poisonWindow(ws *winState) { ws.wid = poisonTime }
+// poisonWindow scribbles over a window state about to be pooled, whose
+// slots its close must all have emptied: a slot left set is a partition
+// the close did not report, and the state's next window would inherit it.
+func poisonWindow(ws *winState) {
+	if ws.open != 0 || slices.ContainsFunc(ws.sas, func(sa subAggregator) bool { return sa != nil }) {
+		panic(fmt.Sprintf("core: window %d pooled with %d partitions open", ws.wid, ws.open))
+	}
+	ws.wid = poisonTime
+}
+
+// poisonPartition scribbles over a swept partition id: its key and its
+// last opening window, which nothing reads before the id is renumbered.
+func poisonPartition(p *partEntry) {
+	p.key, p.last = poisonAttr.sym, poisonTime
+}
 
 // poisonAggregator scribbles over what a released aggregator keeps for
 // its next sub-stream.

@@ -8,3 +8,5 @@ package core
 func poisonWindow(*winState) {}
 
 func poisonAggregator(subAggregator) {}
+
+func poisonPartition(*partEntry) {}

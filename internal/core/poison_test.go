@@ -45,4 +45,19 @@ func TestPoisonIsLive(t *testing.T) {
 	if scribbled == 0 {
 		t.Error("the pooled aggregator recycles no table entry; the check is vacuous")
 	}
+
+	// A swept partition id: k is opened in window 0 only, and the close
+	// of window 1 ends the generation that did not reopen it.
+	swept := NewEngine(MustPlan(query.MustParse(`RETURN key, COUNT(*) PATTERN A+ WHERE [key] GROUP-BY key WITHIN 4 SLIDE 4`)))
+	for i, key := range []string{"k", "j", "j"} {
+		if err := swept.Process(event.New("A", int64(4*i)).WithSym("key", key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(swept.parts.free) != 1 {
+		t.Fatalf("%d partition ids freed, want 1", len(swept.parts.free))
+	}
+	if p := swept.parts.parts[swept.parts.free[0]]; p.key != poisonAttr.sym || p.last != poisonTime {
+		t.Errorf("swept partition id keeps {key %q, last %d}, want the sentinels", p.key, p.last)
+	}
 }

@@ -431,6 +431,23 @@ func (g *patternGrained) code(c *snap.Coder) {
 
 // --- engine ---
 
+// restorePartition installs a decoded partition in ws, numbering its key
+// as a live one would be; false when ws holds the key already or the
+// plan has no partition attributes and the key is not "".
+func (e *Engine) restorePartition(ws *winState, key string, sa subAggregator) bool {
+	var pid int32
+	if len(e.plan.StreamKeys) > 0 {
+		pid = e.parts.id(key)
+	} else if key != "" {
+		return false
+	}
+	if int(pid) < len(ws.sas) && ws.sas[pid] != nil {
+		return false
+	}
+	e.install(ws, pid, sa)
+	return true
+}
+
 // Code lists the engine's complete execution state in wire order:
 // stream position, counters, the undelivered result buffer, the binding
 // intern tables, and every open window's sub-aggregators by ascending
@@ -461,21 +478,27 @@ func (e *Engine) Code(c *snap.Coder, ceil int64) {
 			ws, _ = e.mgr.State(wids[i])
 		}
 		c.I64(&ws.wid)
-		keys, np := snap.MapKeys(c, &ws.parts, 8)
+		np := ws.open
+		c.Len(&np, 8)
+		if c.Decoding() {
+			ws.sas = make([]subAggregator, len(e.parts.parts)+np) // every id this window's keys can take
+		}
+		walk, at := e.partitions(), 0 // encoding: the set slots in key order
 		for j := 0; j < np && c.Err() == nil; j++ {
 			var pk string
 			var sa subAggregator
 			if c.Decoding() {
 				sa = e.openSubAggregator()
 			} else {
-				pk, sa = keys[j], ws.parts[keys[j]]
+				for ; int(walk[at]) >= len(ws.sas) || ws.sas[walk[at]] == nil; at++ {
+				}
+				pk, sa = e.parts.key(walk[at]), ws.sas[walk[at]]
+				at++
 			}
 			c.Str(&pk)
 			sa.code(c)
 			if c.Decoding() {
-				_, dup := ws.parts[pk]
-				c.Check(!dup, "window repeats a partition key")
-				ws.parts[pk] = sa
+				c.Check(e.restorePartition(ws, pk, sa), "window repeats a partition key or holds one its plan has not")
 			}
 		}
 		if c.Decoding() && c.Err() == nil {

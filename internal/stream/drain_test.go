@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
@@ -241,11 +243,17 @@ func TestParkAllocatesNothing(t *testing.T) {
 	}
 }
 
-// sortResultsJoined is sortResults as it was written first: sort.Slice
-// over groups compared as NUL-joined strings. It stays here as the
-// reference the reflection-free version must reproduce exactly.
+// sortResultsJoined is the gather as it was written first: the hosts'
+// results concatenated, sorted by sort.Slice over groups compared as
+// NUL-joined strings, and equal (window, group) rows folded. It stays
+// here as the reference mergeResults must reproduce.
 func sortResultsJoined(out []core.Result) []core.Result {
-	sortJoined(out)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Wid != out[j].Wid {
+			return out[i].Wid < out[j].Wid
+		}
+		return strings.Join(out[i].Group, "\x00") < strings.Join(out[j].Group, "\x00")
+	})
 	w := 0
 	for i := range out {
 		if w > 0 && out[w-1].Wid == out[i].Wid &&
@@ -259,79 +267,182 @@ func sortResultsJoined(out []core.Result) []core.Result {
 	return out[:w]
 }
 
-// sortJoined is the reference's sort step.
-func sortJoined(out []core.Result) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Wid != out[j].Wid {
-			return out[i].Wid < out[j].Wid
-		}
-		return strings.Join(out[i].Group, "\x00") < strings.Join(out[j].Group, "\x00")
-	})
-}
+// groupAlphabet holds prefixes of one another, the empty string and
+// values containing NUL, so distinct tuples can join to one string.
+var groupAlphabet = []string{"", "a", "b", "ab", "a\x00", "\x00", "a\x00b", "\x00\x00", "b\x00a"}
 
-// randomGroup draws a group tuple of 0–3 values from an alphabet of
-// prefixes, empty strings and values containing NUL, so distinct tuples
-// can join to one string.
-func randomGroup(rng *rand.Rand) []string {
-	alphabet := []string{"", "a", "b", "ab", "a\x00", "\x00", "a\x00b", "\x00\x00", "b\x00a"}
-	g := make([]string, rng.Intn(4))
+// randomGroup draws a group tuple of width values from groupAlphabet.
+func randomGroup(rng *rand.Rand, width int) []string {
+	g := make([]string, width)
 	for i := range g {
-		g[i] = alphabet[rng.Intn(len(alphabet))]
+		g[i] = groupAlphabet[rng.Intn(len(groupAlphabet))]
 	}
 	return g
 }
 
-// TestSortResultsMatchesJoinedReference: on random inputs with ties,
-// multi-attribute groups and values containing NUL, sortResults makes
-// the same permutation as the reference — so equal (window, group)
-// partials reach agg.MergeValues in the same order — and returns the
-// same results. Start tags each input with its position; it takes no
-// part in the order.
+// TestSortResultsMatchesJoinedReference: the gather's comparator orders
+// group tuples as their NUL-joined strings do, without allocating, and
+// the k-way merge of per-host lists, each in (window, group) order,
+// returns what sorting their concatenation and folding equal rows
+// returns. Values are whole numbers, so the fold's order cannot show.
 func TestSortResultsMatchesJoinedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	for iter := 0; iter < 20000; iter++ {
+		width := rng.Intn(4)
+		a := core.Result{Group: randomGroup(rng, width)}
+		b := core.Result{Group: randomGroup(rng, width)}
+		if iter%2 == 1 { // widths differ too
+			b.Group = randomGroup(rng, rng.Intn(4))
+		}
+		if got, want := cmpResults(a, b), strings.Compare(strings.Join(a.Group, "\x00"), strings.Join(b.Group, "\x00")); got != want {
+			t.Fatalf("cmpResults(%q, %q) = %d, strings.Join says %d", a.Group, b.Group, got, want)
+		}
+	}
+	wide := core.Result{Group: []string{"a", "b", "ab"}}
+	wider := core.Result{Group: []string{"a", "b", "ab", ""}}
+	if n := testing.AllocsPerRun(100, func() { cmpResults(wide, wider) }); n != 0 {
+		t.Errorf("cmpResults allocates %v per compare of three-attribute groups", n)
+	}
+
 	for iter := 0; iter < 2000; iter++ {
-		n := rng.Intn(80)
-		if iter%50 == 0 {
-			n = 300 + rng.Intn(300) // past the insertion-sort cutoff into pdqsort proper
-		}
-		in := make([]core.Result, n)
-		for i := range in {
-			in[i] = core.Result{
-				Wid:   int64(rng.Intn(4)),
-				Start: int64(i),
-				Group: randomGroup(rng),
-				Values: []agg.Value{
-					{Spec: agg.Spec{Func: agg.CountStar}, Count: uint64(rng.Intn(5))},
-					{Spec: agg.Spec{Func: agg.Sum}, F: rng.NormFloat64() * 1e6},
-				},
+		hosts := 1 + rng.Intn(4)
+		parts := make([][]core.Result, hosts)
+		var all []core.Result
+		for h := range parts {
+			n := rng.Intn(40)
+			if iter%50 == 0 {
+				n = 300 + rng.Intn(300)
+			}
+			width := 1 + rng.Intn(3)
+			for i := 0; i < n; i++ {
+				parts[h] = append(parts[h], core.Result{
+					Wid:   int64(rng.Intn(4)),
+					Group: randomGroup(rng, width),
+					Values: []agg.Value{
+						{Spec: agg.Spec{Func: agg.CountStar}, Count: uint64(rng.Intn(5))},
+						{Spec: agg.Spec{Func: agg.Sum}, F: float64(rng.Intn(1000)), Valid: true},
+					},
+				})
+			}
+			parts[h] = sortResultsJoined(parts[h]) // a host's list: ordered, one row per (window, group)
+			for _, r := range parts[h] {
+				r.Values = slices.Clone(r.Values)
+				all = append(all, r)
 			}
 		}
-		clone := func() []core.Result {
-			out := make([]core.Result, len(in))
-			for i, r := range in {
-				r.Values = append([]agg.Value(nil), r.Values...)
-				out[i] = r
-			}
-			return out
-		}
-		sorted, ref := clone(), clone()
-		slices.SortFunc(sorted, cmpResults)
-		sortJoined(ref)
-		for i := range ref {
-			if sorted[i].Start != ref[i].Start {
-				t.Fatalf("iteration %d: permutation differs at %d: input %d, reference input %d", iter, i, sorted[i].Start, ref[i].Start)
-			}
-		}
-		got, want := sortResults(clone()), sortResultsJoined(clone())
+		want := sortResultsJoined(all)
+		got := mergeResults(parts)
 		if len(got) != len(want) {
 			t.Fatalf("iteration %d: %d results, reference %d", iter, len(got), len(want))
 		}
 		for i := range want {
 			g, w := got[i], want[i]
-			if g.Start != w.Start || g.Wid != w.Wid || strings.Join(g.Group, "\x00") != strings.Join(w.Group, "\x00") ||
+			if g.Wid != w.Wid || strings.Join(g.Group, "\x00") != strings.Join(w.Group, "\x00") ||
 				g.Values[0].Count != w.Values[0].Count || g.Values[1].F != w.Values[1].F {
 				t.Fatalf("iteration %d: result %d = %+v, reference %+v", iter, i, g, w)
 			}
+		}
+	}
+}
+
+// TestWorkerDrainsAreOrdered holds every worker's drain to what the
+// k-way gather (mergeResults) relies on: within one host, results come
+// in strict (window, group) order. The fleet, stream and batch cuts take
+// the shapes of the root package's drain differential — all three
+// granularities, sliding windows, a query whose groups span workers, a
+// late joiner on the fallback worker, equal-time runs and jumps across
+// window boundaries, drains after batches of 1–600 events.
+func TestWorkerDrainsAreOrdered(t *testing.T) {
+	fleet := []string{
+		`RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ SEMANTICS skip-till-any-match
+			WHERE [patient] GROUP-BY patient WITHIN 64 SLIDE 32`,
+		`RETURN COUNT(*), MAX(M.rate) PATTERN M+ SEMANTICS skip-till-any-match
+			WHERE [patient] AND M.rate < NEXT(M).rate GROUP-BY patient WITHIN 64 SLIDE 64`,
+		`RETURN COUNT(*) PATTERN M+ SEMANTICS skip-till-next-match
+			WHERE [patient] AND M.rate <= NEXT(M).rate GROUP-BY patient WITHIN 96 SLIDE 48`,
+		`RETURN COUNT(*) PATTERN M+ SEMANTICS contiguous WHERE [patient] GROUP-BY patient WITHIN 64 SLIDE 64`,
+		`RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ SEMANTICS skip-till-any-match
+			WHERE [patient] AND [ward] GROUP-BY ward WITHIN 64 SLIDE 32`,
+	}
+	const lateJoiner = `RETURN COUNT(*), MAX(M.rate) PATTERN M+ SEMANTICS skip-till-any-match
+		WHERE [ward] AND M.rate < NEXT(M).rate GROUP-BY ward WITHIN 64 SLIDE 64`
+
+	rng := rand.New(rand.NewSource(41))
+	var events []*event.Event
+	rates := [3]float64{60, 70, 80}
+	for tm := int64(0); len(events) < 4000; {
+		p := rng.Intn(3)
+		typ := []string{"A", "A", "A", "B", "B", "M", "M", "M", "X", "X"}[rng.Intn(10)]
+		for j := 3 + rng.Intn(6); j > 0; j-- {
+			rates[p] += float64(rng.Intn(7)) - 3
+			events = append(events, event.New(typ, tm).WithSym("patient", fmt.Sprintf("p%d", p)).
+				WithSym("ward", fmt.Sprintf("w%d", rng.Intn(2))).
+				WithNum("v", float64(rng.Intn(100))).WithNum("rate", rates[p]))
+			switch rng.Intn(8) {
+			case 0, 1, 2, 3: // a tie: the run grows within one time stamp
+			case 7:
+				tm += 20 + int64(rng.Intn(60)) // a jump across a window boundary
+			default:
+				tm++
+			}
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		cat := core.NewCatalog()
+		var plans []*core.Plan
+		for _, src := range fleet {
+			plan, err := core.NewPlanIn(cat, query.MustParse(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, plan)
+		}
+		m, subs := startExecutor(t, workers, plans...)
+		spans := 0
+		for lo, b := 0, 0; lo < len(events); b++ {
+			if b == 3 {
+				plan, err := core.NewPlanIn(cat, query.MustParse(lateJoiner))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub, err := m.SubscribePlan(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs = append(subs, sub)
+			}
+			hi := min(lo+1+rng.Intn(600), len(events))
+			if err := m.ProcessBatch(events[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+			for qi, sub := range subs {
+				parts, err := m.drainHosts(sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lists := 0
+				for h, part := range parts {
+					if len(part) > 0 {
+						lists++
+					}
+					for i := 1; i < len(part); i++ {
+						if cmpResults(part[i-1], part[i]) >= 0 {
+							t.Fatalf("%d workers, query %d, host %d: drain out of (window, group) order: %v then %v", workers, qi, h, part[i-1], part[i])
+						}
+					}
+				}
+				if lists > 1 {
+					spans++
+				}
+				sub.deliver(parts)
+			}
+		}
+		if _, err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if spans == 0 {
+			t.Errorf("%d workers: no drain gathered from more than one host; the check is vacuous", workers)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -27,7 +26,8 @@ const routeBatchSize = 256
 // every plan's partition key, all events of any plan's sub-stream land
 // on the same worker in order — no cross-worker coordination is
 // needed, and each hosted engine sees exactly the sub-streams a solo
-// run would. Per-query results are merged and re-ordered on Close.
+// run would. Per-query results are merged from the workers' ordered
+// drains (mergeResults).
 //
 // The query population is dynamic. SubscribePlan and Sub.Unsubscribe
 // may be called at any stream position; a membership change parks its
@@ -121,6 +121,7 @@ type Sub struct {
 	active bool
 	hosts  []*mworker
 	wsubs  []*runtime.Subscription // parallel to hosts
+	parts  [][]core.Result         // the hosts' results on their way to deliver
 }
 
 // ID returns the subscription's id: 0-based, in subscribe order.
@@ -465,7 +466,7 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	sub.active = false
 	m.flushPending()
 	m.park(sub.hosts)
-	var merged []core.Result
+	parts := sub.parts[:0]
 	var firstErr error
 	for i, w := range sub.hosts {
 		// A worker in error state refuses, as subscribe does.
@@ -480,7 +481,7 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 			}
 			continue
 		}
-		merged = adopt(merged, results)
+		parts = append(parts, results)
 	}
 	if !m.sawEvent {
 		// No event routed yet: the routing attributes may re-expand now
@@ -493,26 +494,17 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	// Even on a partial failure the healthy workers' engines have been
 	// flushed and released; return what they reported alongside the
 	// error rather than destroying it.
-	return sub.deliver(merged), firstErr
+	return sub.deliver(parts), firstErr
 }
 
-// adopt appends one host's results — handed over for good — to those
-// gathered so far; the first host's slice is taken as is, so a
-// one-host subscription never copies.
-func adopt(merged, results []core.Result) []core.Result {
-	if merged == nil {
-		return results
-	}
-	return append(merged, results...)
-}
-
-// deliver puts one subscription's gathered per-host results into the
-// order a single engine emits them (one host already has it) and hands
-// them to the callback when one is installed, else back to the caller.
-func (s *Sub) deliver(merged []core.Result) []core.Result {
-	if len(s.hosts) > 1 {
-		merged = sortResults(merged)
-	}
+// deliver merges one subscription's per-host results — handed over for
+// good — into the order a single engine emits them and hands them to the
+// callback when one is installed, else back to the caller. parts' own
+// storage is kept for the next gather.
+func (s *Sub) deliver(parts [][]core.Result) []core.Result {
+	merged := mergeResults(parts)
+	clear(parts)
+	s.parts = parts[:0]
 	if s.cb == nil {
 		return merged
 	}
@@ -560,9 +552,18 @@ func (m *MultiExecutor) drain(sub *Sub) ([]core.Result, error) {
 	if !sub.active {
 		return nil, fmt.Errorf("stream: query %d already unsubscribed: %w", sub.id, core.ErrNotHosted)
 	}
+	// Drained results are destructively taken from the worker engines;
+	// hand them over even when one worker reported an error.
+	parts, err := m.drainHosts(sub)
+	return sub.deliver(parts), err
+}
+
+// drainHosts parks sub's hosts at the executor's watermark and takes
+// each one's closed results, in host order.
+func (m *MultiExecutor) drainHosts(sub *Sub) ([][]core.Result, error) {
 	m.flushPending()
 	m.park(sub.hosts)
-	var merged []core.Result
+	parts := sub.parts[:0]
 	var firstErr error
 	for i, w := range sub.hosts {
 		if w.err != nil {
@@ -571,11 +572,9 @@ func (m *MultiExecutor) drain(sub *Sub) ([]core.Result, error) {
 			}
 			continue
 		}
-		merged = adopt(merged, sub.wsubs[i].Drain())
+		parts = append(parts, sub.wsubs[i].Drain())
 	}
-	// Drained results are destructively taken from the worker engines;
-	// hand them over even when one worker reported an error.
-	return sub.deliver(merged), firstErr
+	return parts, firstErr
 }
 
 // Stats is the executor's aggregate hosted state, gathered from every
@@ -858,41 +857,108 @@ func (p *MultiExecutor) Close() ([][]core.Result, error) {
 			continue
 		}
 		sub.active = false
-		var merged []core.Result
+		parts := sub.parts[:0]
 		for i, w := range sub.hosts {
-			merged = adopt(merged, w.results[sub.wsubs[i].ID()])
+			parts = append(parts, w.results[sub.wsubs[i].ID()])
 		}
-		out[sub.id] = sub.deliver(merged)
+		out[sub.id] = sub.deliver(parts)
 	}
 	return out, nil
 }
 
-// sortResults orders merged per-worker results by window then group,
-// the order a single engine emits, and coalesces duplicates: when a
+// mergeResults merges per-host results into the order a single engine
+// emits — by window, then group — and coalesces duplicates: when a
 // window's partition classes were routed to different workers, each
-// worker reports its own partial aggregate for the same (window,
-// group) — those are disjoint trend sets, folded back into the single
-// result a solo engine would have emitted (agg.MergeValues).
-func sortResults(out []core.Result) []core.Result {
-	slices.SortFunc(out, cmpResults)
-	w := 0
-	for i := range out {
-		if w > 0 && cmpResults(out[w-1], out[i]) == 0 {
-			agg.MergeValues(out[w-1].Values, out[i].Values)
+// worker reports its own partial aggregate for the same (window, group);
+// those are disjoint trend sets, folded back into the single result a
+// solo engine would have emitted (agg.MergeValues). Each host's results
+// are in that order already — an engine emits so, and
+// TestWorkerDrainsAreOrdered holds every worker's drain to it — so this
+// is a k-way merge of the hosts' heads; a lone non-empty list is
+// returned as is, uncopied. parts' entries are consumed.
+func mergeResults(parts [][]core.Result) []core.Result {
+	total, lists := 0, 0
+	var only []core.Result
+	for _, p := range parts {
+		if len(p) > 0 {
+			total, lists, only = total+len(p), lists+1, p
+		}
+	}
+	if lists < 2 {
+		return only
+	}
+	out := make([]core.Result, 0, total)
+	for {
+		best := -1
+		for i, p := range parts {
+			if len(p) > 0 && (best < 0 || cmpResults(p[0], parts[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		r := parts[best][0]
+		parts[best] = parts[best][1:]
+		if n := len(out); n > 0 && cmpResults(out[n-1], r) == 0 {
+			agg.MergeValues(out[n-1].Values, r.Values)
 			continue
 		}
-		out[w] = out[i]
-		w++
+		out = append(out, r)
 	}
-	return out[:w]
 }
 
 // cmpResults orders results by window, then by group tuple as its
-// NUL-joined string. A one-attribute group joins to its only value, so
-// the usual tuple builds nothing.
+// NUL-joined string (strings.Join(Group, "\x00")) orders, without
+// building the string.
 func cmpResults(a, b core.Result) int {
 	if a.Wid != b.Wid {
 		return cmp.Compare(a.Wid, b.Wid)
 	}
-	return strings.Compare(strings.Join(a.Group, "\x00"), strings.Join(b.Group, "\x00"))
+	if len(a.Group) == 1 && len(b.Group) == 1 {
+		return strings.Compare(a.Group[0], b.Group[0])
+	}
+	x, y := joinedCursor{parts: a.Group}, joinedCursor{parts: b.Group}
+	for {
+		okx, oky := x.fill(), y.fill()
+		if !okx || !oky {
+			switch {
+			case okx:
+				return 1
+			case oky:
+				return -1
+			}
+			return 0
+		}
+		n := min(len(x.rest), len(y.rest))
+		if c := strings.Compare(x.rest[:n], y.rest[:n]); c != 0 {
+			return c
+		}
+		x.rest, y.rest = x.rest[n:], y.rest[n:]
+	}
+}
+
+// joinedCursor reads a tuple as its NUL-joined string, a segment — a
+// value, or the separator before the next one — at a time.
+type joinedCursor struct {
+	parts []string
+	next  int    // the next segment: even is value next/2, odd a separator
+	rest  string // the unread bytes of the current segment
+}
+
+// fill loads the next non-empty segment once the current one is read;
+// false at the end of the string.
+func (c *joinedCursor) fill() bool {
+	for c.rest == "" {
+		if c.next >= 2*len(c.parts)-1 {
+			return false
+		}
+		if c.next%2 == 0 {
+			c.rest = c.parts[c.next/2]
+		} else {
+			c.rest = "\x00"
+		}
+		c.next++
+	}
+	return true
 }

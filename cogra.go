@@ -42,7 +42,6 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
-	"repro/internal/stream"
 )
 
 // Event is a typed, time-stamped message on the input stream.
@@ -181,17 +180,6 @@ func MustCompile(q *Query) *Plan { return core.MustPlan(q) }
 
 // Result is one aggregation output (window × group).
 type Result = core.Result
-
-// Iterator yields events in stream order.
-type Iterator = stream.Iterator
-
-// FromSlice wraps a pre-sorted event slice as an Iterator.
-func FromSlice(events []*Event) Iterator { return stream.FromSlice(events) }
-
-// MergeStreams merges per-source ordered feeds into one ordered
-// stream (§2.1: producers emit in order, the consumer needs a single
-// ordered stream).
-func MergeStreams(srcs ...Iterator) Iterator { return stream.Merge(srcs...) }
 
 // Catalog is the shared symbol table a set of plans is compiled
 // against: plans compiled in one catalog agree on dense type and

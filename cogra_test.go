@@ -232,24 +232,6 @@ func TestQ1Q2Q3Compile(t *testing.T) {
 	}
 }
 
-// TestMergeStreams exercises the k-way merge through the public API.
-func TestMergeStreams(t *testing.T) {
-	s1 := cogra.FromSlice([]*cogra.Event{cogra.NewEvent("A", 1), cogra.NewEvent("A", 5)})
-	s2 := cogra.FromSlice([]*cogra.Event{cogra.NewEvent("B", 3)})
-	m := cogra.MergeStreams(s1, s2)
-	var times []int64
-	for {
-		e, ok := m.Next()
-		if !ok {
-			break
-		}
-		times = append(times, e.Time)
-	}
-	if len(times) != 3 || times[0] != 1 || times[1] != 3 || times[2] != 5 {
-		t.Errorf("merged times = %v", times)
-	}
-}
-
 // TestEngineResultCallbackAndAccounting exercises the push egress and
 // the logical memory accounting through a session: a sink receives
 // every result (Drain then has none), and Stats reports the peak bytes

@@ -4,7 +4,8 @@ import (
 	"repro/internal/event"
 )
 
-// Batch kernels: the execution-side counterpart of batch-first ingest.
+// Batch kernels: the execution-side counterpart of batch-first ingest,
+// and the engine's only way in.
 //
 // The multi-query runtime splits each batch into equal-timestamp
 // groups and every group into runs: maximal stretches of consecutive
@@ -22,11 +23,14 @@ import (
 // commit at the next time advance (§8, Definition 7), so for them
 // equal-time order is invisible either way.
 //
-// The aggregation kernels are unchanged: they consume the same
-// resolvedVals slot views, but for a run those views are consecutive
-// stride-wide slices of three contiguous columns (num/sym/has), so the
-// inner aggregation loops walk linear memory instead of chasing one
-// heap object per event.
+// The engine has one per-event loop, ProcessResolvedRun (for a plan
+// without partition attributes it takes the processRunSinglePart
+// branch), and events are resolved only by ResolveRun. A lone event is
+// a run of one: Engine.Process resolves it over its plan's own
+// attributes, and ProcessResolved borrows a Resolver's view of it. The kernels read
+// each event as a resolvedVals slot view, a stride-wide slice of three
+// contiguous columns (num/sym/has), so the inner aggregation loops walk
+// linear memory instead of chasing one heap object per event.
 
 // ResolvedRun is the resolved view of one run: same-time, same-type
 // events in arrival order, slot values laid out struct-of-arrays. Row
@@ -107,14 +111,12 @@ func (r *Resolver) ResolveRun(run *ResolvedRun, events []*event.Event, tid int32
 	}
 }
 
-// ProcessResolvedRun consumes one resolved run: the batch-kernel
-// sibling of ProcessResolved. The admission check, the dispatch-table
-// lookup (typePlanAt) and the spec projection install are hoisted out
-// of the event loop — consecutive same-type events no longer re-read
-// the subscription index entry — and each event's slot view is a
-// stride slice into the run's contiguous columns. The caller is
-// responsible for watermark ordering across queries, exactly as with
-// ProcessResolved.
+// ProcessResolvedRun consumes one resolved run; it is the engine's one
+// way in. The admission check, the dispatch-table lookup (typePlanAt)
+// and the spec projection install are hoisted out of the event loop,
+// and each event's slot view is a stride slice into the run's
+// contiguous columns. The caller is responsible for watermark ordering
+// across queries (AdvanceWatermark).
 func (e *Engine) ProcessResolvedRun(run *ResolvedRun) error {
 	if len(run.Events) == 0 {
 		return nil
@@ -124,58 +126,57 @@ func (e *Engine) ProcessResolvedRun(run *ResolvedRun) error {
 	}
 	e.rv.tp = e.plan.typePlanAt(run.Tid)
 	e.rv.specIDs = e.plan.specIDs
-	stride := run.stride
-	if len(e.plan.StreamKeys) == 0 {
-		return e.processRunSinglePart(run, stride)
+	if len(e.plan.streamKeyIDs) == 0 {
+		return e.processRunSinglePart(run)
 	}
-	off := 0
+	stride, off := run.stride, 0
 	for _, ev := range run.Events {
 		e.rv.ev = ev
 		e.rv.num = run.num[off : off+stride]
 		e.rv.sym = run.sym[off : off+stride]
 		e.rv.has = run.has[off : off+stride]
 		off += stride
-		if err := e.processResolved(ev); err != nil {
-			return err
+		pid, ok := e.partID()
+		if !ok {
+			e.skipped++ // no partition attribute: belongs to no sub-stream
+			continue
+		}
+		e.eventsIn++
+		// A keyless event opens no window, so the states are looked up
+		// at the run's first keyed event.
+		for _, ws := range e.statesAt(run.Time) {
+			e.slot(ws, pid).Process(&e.rv)
 		}
 	}
 	e.rv.ev = nil
 	return nil
 }
 
-// processRunSinglePart is ProcessResolvedRun's loop for plans without
-// stream partition keys: every event of the run lands in the single ""
-// partition of each open window, so the partition slot — a lookup per
-// event per window on the general path — is hoisted to one per run and
-// window. Call order into the aggregators matches the general path
-// exactly (events outer, windows inner).
-func (e *Engine) processRunSinglePart(run *ResolvedRun, stride int) error {
-	if !e.statesValid || e.statesTime != run.Time {
-		e.states = e.mgr.AppendStatesFor(e.states[:0], run.Time)
-		e.statesTime, e.statesValid = run.Time, true
-	}
-	e.runParts = e.runParts[:0]
-	for _, ws := range e.states {
-		e.runParts = append(e.runParts, e.slot(ws, 0))
-	}
+// processRunSinglePart is ProcessResolvedRun's branch for plans without
+// partition attributes: their one sub-stream, id 0, has its slot in
+// each window looked up once per run, not per event. Events stay outer,
+// windows inner, as on the keyed path. Folded into the keyed loop,
+// cograperf's burst_kernel read ≈ 6 % more CPU per event, and written
+// inline in ProcessResolvedRun ≈ 0.5 % more (docs/perf-history.md).
+func (e *Engine) processRunSinglePart(run *ResolvedRun) error {
 	e.eventsIn += int64(len(run.Events))
-	off := 0
+	parts := e.runParts[:0]
+	for _, ws := range e.statesAt(run.Time) {
+		parts = append(parts, e.slot(ws, 0))
+	}
+	stride, off := run.stride, 0
 	for _, ev := range run.Events {
 		e.rv.ev = ev
 		e.rv.num = run.num[off : off+stride]
 		e.rv.sym = run.sym[off : off+stride]
 		e.rv.has = run.has[off : off+stride]
 		off += stride
-		for _, part := range e.runParts {
-			part.Process(&e.rv)
+		for _, sa := range parts {
+			sa.Process(&e.rv)
 		}
 	}
-	// Drop the borrowed aggregator pointers so a closed window's state
-	// is collectable before the next single-part run.
-	for i := range e.runParts {
-		e.runParts[i] = nil
-	}
-	e.runParts = e.runParts[:0]
+	clear(parts) // a closed window's aggregators must not outlive it here
+	e.runParts = parts[:0]
 	e.rv.ev = nil
 	return nil
 }

@@ -59,7 +59,7 @@ type catalogView struct {
 	attrDead  []bool
 	// No typeDead here: readers reach types only through the typeIDs
 	// map, which already omits retired names, so views never need to
-	// skip dead type slots the way resolveInto skips dead attr slots.
+	// skip dead type slots the way ResolveRun skips dead attr slots.
 	typeIDs   map[string]int32
 	typeNames []string
 	liveAttrs int
@@ -391,54 +391,23 @@ func (c *Catalog) NumTypeSlots() int { return len(c.view.Load().typeNames) }
 // NumAttrSlots is NumTypeSlots for the attribute id space.
 func (c *Catalog) NumAttrSlots() int { return len(c.view.Load().attrNames) }
 
-// resolveInto computes the union resolved view of ev under the given
-// epoch: one probe pass over every live interned attribute, after
-// which all predicate, binding and partition-key reads of every plan
-// in the catalog are array indexing. Retired (tombstoned) slots are
-// cleared and skipped. It fills only the value arrays; the caller
-// installs the plan-specific dispatch entry (rv.tp) and spec
-// projection.
-func (v *catalogView) resolveInto(rv *resolvedVals, ev *event.Event) {
-	n := len(v.attrNames)
-	if cap(rv.num) >= n {
-		rv.num, rv.sym, rv.has = rv.num[:n], rv.sym[:n], rv.has[:n]
-	} else {
-		rv.num = make([]float64, n)
-		rv.sym = make([]string, n)
-		rv.has = make([]uint8, n)
-	}
-	for i, name := range v.attrNames {
-		if v.attrDead != nil && v.attrDead[i] {
-			rv.num[i], rv.sym[i], rv.has[i] = 0, "", 0
-			continue
-		}
-		var h uint8
-		var nv float64
-		var sv string
-		if val, ok := ev.Num[name]; ok {
-			nv, h = val, hasNum
-		}
-		if s, ok := ev.Sym[name]; ok {
-			sv = s
-			h |= hasSymRaw | hasSymVal
-		} else if h&hasNum != 0 && v.symNeeded[i] {
-			sv = event.FormatNum(nv)
-			h |= hasSymVal
-		}
-		rv.num[i], rv.sym[i], rv.has[i] = nv, sv, h
-	}
-}
-
 // Resolver resolves events once against a catalog on behalf of every
-// plan compiled in it. One instance per single-threaded execution
-// context (a multi-query runtime, a worker); the resolved arrays are
-// reused across events and shared by reference with the hosted
-// engines, so resolution cost is paid once per event, not per query.
-// Each Resolve loads the catalog's current epoch, so plans compiled
-// mid-stream are covered from the next event on.
+// plan compiled in it (ResolveRun). One instance per single-threaded
+// execution context (a multi-query runtime, a worker, an engine); the
+// resolved columns are reused across runs and shared by reference with
+// the engines the run is handed to, so resolution cost is paid once
+// per event, not per query. Each resolve loads the catalog's current
+// epoch, so plans compiled mid-stream are covered from the next run
+// on.
 type Resolver struct {
 	cat *Catalog
-	rv  resolvedVals
+	// run is a run of one (Resolve; an engine's Process) over the event
+	// in one, which holds it for the length of a call only, so no
+	// pointer to it outlives the call. all lists every attribute slot of
+	// the catalog, what Resolve resolves.
+	run ResolvedRun
+	one [1]*event.Event
+	all []int32
 }
 
 // NewResolver builds a resolver over a catalog.
@@ -446,18 +415,19 @@ func NewResolver(cat *Catalog) *Resolver {
 	return &Resolver{cat: cat}
 }
 
-// Resolve computes the union resolved view of ev, valid until the next
-// call. Engines consume it through Engine.ProcessResolved. It returns
-// the catalog id of ev's type (-1 when no plan references the type).
-// No runtime calls it — the multi-query runtime resolves runs with
-// ResolveRun; it remains for benchmarks/cograperf until that harness
-// moves to the run-shaped body.
+// Resolve computes the union resolved view of ev — a run of one over
+// every attribute slot of the catalog — valid until the next call.
+// Engines consume it through Engine.ProcessResolved. It returns the
+// catalog id of ev's type (-1 when no plan references the type). No
+// runtime calls it; it remains for benchmarks/cograperf until that
+// harness moves to the run-shaped body.
 func (r *Resolver) Resolve(ev *event.Event) int32 {
-	v := r.cat.view.Load()
-	v.resolveInto(&r.rv, ev)
-	id, ok := v.typeIDs[ev.Type]
-	if !ok {
-		return -1
+	tid, _ := r.cat.TypeID(ev.Type)
+	for len(r.all) < r.cat.NumAttrSlots() {
+		r.all = append(r.all, int32(len(r.all)))
 	}
-	return id
+	r.one[0] = ev
+	r.ResolveRun(&r.run, r.one[:], tid, r.all)
+	r.one[0] = nil
+	return tid
 }

@@ -45,6 +45,16 @@ func testShared(p *Plan) *kernelShared {
 	return &kernelShared{acct: nopAccountant{}, bnd: newBindings(p.Slots, nopAccountant{}, false)}
 }
 
+// resolveView fills rv with ev's slot view the way Engine.Process does:
+// a run of one through ResolveRun over the plan's own attributes, with
+// the plan's dispatch entry and spec projection installed.
+func resolveView(plan *Plan, rv *resolvedVals, ev *event.Event) {
+	tid, _ := plan.cat.TypeID(ev.Type)
+	var run ResolvedRun
+	NewResolver(plan.cat).ResolveRun(&run, []*event.Event{ev}, tid, plan.ReferencedAttrIDs())
+	*rv = resolvedVals{ev: ev, tp: plan.typePlanAt(tid), num: run.num, sym: run.sym, has: run.has, specIDs: plan.specIDs}
+}
+
 func countQuery(sem query.Semantics) *query.Query {
 	return query.NewBuilder(figure2Pattern()).
 		Return(agg.Spec{Func: agg.CountStar}).
@@ -95,7 +105,7 @@ func TestPaperTable5Intermediates(t *testing.T) {
 	wantB := map[int64]uint64{2: 1, 6: 11, 8: 43}
 	var rv resolvedVals
 	for _, e := range figure2Stream() {
-		plan.resolveInto(&rv, e)
+		resolveView(plan, &rv, e)
 		tg.Process(&rv)
 		tg.flush() // commit so the tables are observable
 		if want, ok := wantA[e.Time]; ok {
@@ -246,7 +256,7 @@ func TestZeroSumPredecessorStillExtends(t *testing.T) {
 		mg := newMixedGrained(plan, testShared(plan))
 		var rv resolvedVals
 		feed := func(typ string, at int64) {
-			plan.resolveInto(&rv, event.New(typ, at).WithNum("t", float64(at)))
+			resolveView(plan, &rv, event.New(typ, at).WithNum("t", float64(at)))
 			mg.Process(&rv)
 		}
 		recordedB := func() (out []agg.Node) {
@@ -306,7 +316,7 @@ func TestRunMemoSurvivesStoredScan(t *testing.T) {
 		{"A", 3, 5}, // 3 again
 		{"B", 4, 0}, // all four a's: 1 + 3 + 2 + 3 = 9
 	} {
-		plan.resolveInto(&rv, event.New(e.typ, e.at).WithNum("x", e.x))
+		resolveView(plan, &rv, event.New(e.typ, e.at).WithNum("x", e.x))
 		mg.Process(&rv)
 	}
 	mg.flush()
@@ -346,7 +356,7 @@ func TestRunMemoServesStoredPredecessors(t *testing.T) {
 		mg := newMixedGrained(plan, testShared(plan))
 		var rv resolvedVals
 		for i, e := range events {
-			plan.resolveInto(&rv, event.New(e.typ, e.at).WithNum("x", e.x))
+			resolveView(plan, &rv, event.New(e.typ, e.at).WithNum("x", e.x))
 			mg.Process(&rv)
 			if i == pokeAfter {
 				mg.te.stored[plan.aliasIDs[alias]][idx].node.Count = 100
@@ -436,7 +446,7 @@ func TestReleaseDisownsRunMemo(t *testing.T) {
 	mg := eng.openSubAggregator().(*mixedGrained)
 	var rv resolvedVals
 	feed := func(at int64) {
-		plan.resolveInto(&rv, event.New("A", at))
+		resolveView(plan, &rv, event.New("A", at))
 		mg.Process(&rv)
 	}
 	feed(1)
@@ -1006,8 +1016,10 @@ func TestMinLengthExcludesShortTrends(t *testing.T) {
 // TestEngineReleasesProcessedEvent: once the call that processed an
 // event returns, the engine keeps no pointer to it. The events of a
 // decoded batch share one arena, so one kept pointer pins the batch.
-// Every entry point is checked: Process, ProcessResolved and both
-// loops of ProcessResolvedRun (a partitioned and an unpartitioned plan).
+// Every entry point is checked, on a partitioned and an unpartitioned
+// plan: ProcessResolvedRun, and the two runs of one over it — Process
+// (the engine's own resolver and run) and ProcessResolved (a
+// Resolver's).
 func TestEngineReleasesProcessedEvent(t *testing.T) {
 	for _, where := range []string{"WHERE [k] GROUP-BY k ", ""} {
 		plan := MustPlan(query.MustParse(`RETURN COUNT(*) PATTERN SEQ(A+, B) ` + where + `WITHIN 100 SLIDE 100`))
@@ -1040,6 +1052,72 @@ func TestEngineReleasesProcessedEvent(t *testing.T) {
 			if kept.Value() != nil {
 				t.Errorf("%q: %s keeps the processed event alive", where, entry.name)
 			}
+		}
+	}
+}
+
+// TestEngineCatalogGrowsMidStream: a bare engine resolves only its own
+// plan's attributes, into columns as wide as its catalog. A second plan
+// compiled into that catalog — new types, new attributes, and a
+// symbolic read of an attribute the first plan reads numerically —
+// widens the stride between two calls: before the first event, inside
+// a window, and right before the event that closes one. The engine's
+// rows must equal, row for row, those of the same query over a private
+// catalog.
+func TestEngineCatalogGrowsMidStream(t *testing.T) {
+	const first = `RETURN COUNT(*), SUM(A.v), MAX(B.v) PATTERN SEQ(A+, B) WHERE [k] AND A.v < NEXT(A).v GROUP-BY k WITHIN 8 SLIDE 4`
+	const second = `RETURN COUNT(*), SUM(X.w) PATTERN SEQ(X+, Y) WHERE [v] AND [X.z] AND X.w > 1 WITHIN 6 SLIDE 3`
+	rng := rand.New(rand.NewSource(7))
+	var events []*event.Event
+	for tm := int64(0); tm < 40; tm++ {
+		for range 1 + rng.Intn(3) {
+			typ := []string{"A", "A", "B", "X", "Y"}[rng.Intn(5)]
+			events = append(events, event.New(typ, tm).
+				WithSym("k", fmt.Sprintf("k%d", rng.Intn(3))).
+				WithNum("v", float64(rng.Intn(9))).
+				WithNum("w", float64(rng.Intn(4))).
+				WithSym("z", fmt.Sprintf("z%d", rng.Intn(2))))
+		}
+	}
+	run := func(eng *Engine, growAt int, grow func()) []string {
+		for i, ev := range events {
+			if i == growAt {
+				grow()
+			}
+			if err := eng.Process(ev.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rendered(eng.Close())
+	}
+	want := run(NewEngine(MustPlan(query.MustParse(first))), -1, nil)
+	if len(want) == 0 {
+		t.Fatal("reference engine reported nothing")
+	}
+	firstOf := func(tm int64) int {
+		return slices.IndexFunc(events, func(ev *event.Event) bool { return ev.Time == tm })
+	}
+	for name, at := range map[string]int{
+		"before the first event": 0,
+		"inside a window":        firstOf(5) + 1,
+		"at a window boundary":   firstOf(8),
+	} {
+		cat := NewCatalog()
+		plan, err := NewPlanIn(cat, query.MustParse(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := cat.NumAttrSlots()
+		got := run(NewEngine(plan), at, func() {
+			if _, err := NewPlanIn(cat, query.MustParse(second)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if cat.NumAttrSlots() <= stride {
+			t.Fatalf("%s: the second plan did not widen the catalog (%d attribute slots)", name, stride)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: rows over the growing catalog differ from a private catalog's\n got: %q\nwant: %q", name, got, want)
 		}
 	}
 }

@@ -58,13 +58,10 @@ type Engine struct {
 	plan *Plan
 	mgr  *window.Manager[*winState]
 
-	// Per-event scratch, reused so the steady-state Process path does
-	// not allocate: the resolved attribute view, the composite
-	// partition-key bytes and the window-state slice. The window-state
-	// slice is cached per time stamp: a run of equal-time events reuses
-	// the states computed for the first of the run (the window set is a
-	// function of time alone), skipping the watermark check and the
-	// window-manager lookup for every follower.
+	// Per-event scratch, reused so the steady-state path does not
+	// allocate: the resolved attribute view, the composite
+	// partition-key bytes and the window-state slice, cached per time
+	// stamp (statesAt).
 	rv          resolvedVals
 	keyBuf      []byte
 	states      []*winState
@@ -89,8 +86,8 @@ type Engine struct {
 	aggs   pool[subAggregator]
 	wins   pool[*winState]
 	trimAt int64 // the window id whose close ends the pools' generation
-	// runParts is processRunSinglePart's reusable per-run view of the
-	// open windows' "" partitions.
+	// runParts is processRunSinglePart's per-run list of the open
+	// windows' partition-0 aggregators.
 	runParts []subAggregator
 
 	lastTime int64
@@ -102,6 +99,11 @@ type Engine struct {
 
 	results  []Result
 	onResult func(Result)
+
+	// solo resolves the lone events Process takes, each a run of one;
+	// it is made at the first call, since the engines a runtime hosts
+	// only ever take whole runs.
+	solo *Resolver
 }
 
 // Option configures an Engine.
@@ -248,6 +250,17 @@ func (e *Engine) partID() (pid int32, ok bool) {
 	return pid, true
 }
 
+// statesAt returns the states of the windows containing t, creating
+// missing ones. They are looked up once per time stamp: the window set
+// is a function of time alone.
+func (e *Engine) statesAt(t int64) []*winState {
+	if !e.statesValid || e.statesTime != t {
+		e.states = e.mgr.AppendStatesFor(e.states[:0], t)
+		e.statesTime, e.statesValid = t, true
+	}
+	return e.states
+}
+
 // slot returns the sub-aggregator of partition pid in ws, opening the
 // partition when the window has not seen it yet.
 func (e *Engine) slot(ws *winState, pid int32) subAggregator {
@@ -291,29 +304,36 @@ func (e *Engine) Plan() *Plan { return e.plan }
 
 // Process consumes the next event. Events must arrive in
 // non-decreasing time-stamp order (the stream scheduler of §8
-// guarantees this); an out-of-order event is rejected.
+// guarantees this); an out-of-order event is rejected, before it is
+// stamped, so the stamp sequence a snapshot carries counts admitted
+// events only. The event is a run of one: resolved over the plan's own
+// attributes and executed by ProcessResolvedRun.
 func (e *Engine) Process(ev *event.Event) error {
-	if err := e.admitEvent(ev.Time); err != nil {
-		return err
+	if e.sawEvent && ev.Time < e.lastTime {
+		return e.lateEventErr(ev.Time)
 	}
 	e.seq++
 	if ev.ID == 0 {
 		ev.ID = e.seq
 	}
-	// Resolve the event once: every predicate evaluation, binding-slot
-	// read and partition-key byte below is array indexing on this view.
-	e.plan.resolveInto(&e.rv, ev)
-	err := e.processResolved(ev)
-	e.rv.ev = nil
+	if e.solo == nil {
+		e.solo = NewResolver(e.plan.cat)
+	}
+	r := e.solo
+	tid, _ := e.plan.cat.TypeID(ev.Type)
+	r.one[0] = ev
+	r.ResolveRun(&r.run, r.one[:], tid, e.plan.attrIDs)
+	err := e.ProcessResolvedRun(&r.run)
+	r.one[0] = nil
 	return err
 }
 
-// admitEvent is the shared admission prologue of Process and
-// ProcessResolved: reject time regressions, advance the watermark on
-// time change (hoisted out of equal-time runs — a repeated time stamp
-// cannot close anything new), and record the new stream time. Error
-// construction lives out of line (lateEventErr) so this stays within
-// the inlining budget — it runs once per event on the hot path.
+// admitEvent is the admission prologue of ProcessResolvedRun: reject
+// time regressions, advance the watermark on time change (a repeated
+// time stamp cannot close anything new), and record the new stream
+// time. Error construction lives out of line (lateEventErr) so this
+// stays within the inlining budget — it runs once per run on the hot
+// path.
 func (e *Engine) admitEvent(t int64) error {
 	if e.sawEvent && t < e.lastTime {
 		return e.lateEventErr(t)
@@ -357,46 +377,18 @@ func (e *Engine) staleWatermarkErr(t int64) error {
 }
 
 // ProcessResolved consumes an event resolved by Resolver.Resolve over
-// the plan's catalog. tid is the event's catalog type id (-1 for types
-// unknown to the catalog). The caller is responsible for watermark
-// ordering across queries (AdvanceWatermark); like Process, the event
-// must not be older than anything this engine has seen. No runtime
-// calls it — the multi-query runtime hands runs to ProcessResolvedRun;
+// the plan's catalog, as a run of one over the resolver's view. tid is
+// the event's catalog type id (-1 for types unknown to the catalog).
+// The caller is responsible for watermark ordering across queries
+// (AdvanceWatermark), as with ProcessResolvedRun. No runtime calls it;
 // it remains for benchmarks/cograperf until that harness moves to the
 // run-shaped body.
 func (e *Engine) ProcessResolved(ev *event.Event, r *Resolver, tid int32) error {
-	if err := e.admitEvent(ev.Time); err != nil {
-		return err
-	}
-	// Borrow the resolver's union view (slice headers only): the
-	// engine reads it strictly before the next Resolve, and stored
-	// state copies out what it retains.
-	e.rv.ev = ev
-	e.rv.num, e.rv.sym, e.rv.has = r.rv.num, r.rv.sym, r.rv.has
-	e.rv.tp = e.plan.typePlanAt(tid)
-	e.rv.specIDs = e.plan.specIDs
-	err := e.processResolved(ev)
-	e.rv.ev = nil
+	r.one[0] = ev
+	r.run.Time, r.run.Tid = ev.Time, tid
+	err := e.ProcessResolvedRun(&r.run)
+	r.one[0] = nil
 	return err
-}
-
-// processResolved runs the per-event path after resolution: partition
-// key extraction, window-state lookup and sub-aggregator dispatch.
-func (e *Engine) processResolved(ev *event.Event) error {
-	pid, ok := e.partID()
-	if !ok {
-		e.skipped++ // no partition attribute: belongs to no sub-stream
-		return nil
-	}
-	e.eventsIn++
-	if !e.statesValid || e.statesTime != ev.Time {
-		e.states = e.mgr.AppendStatesFor(e.states[:0], ev.Time)
-		e.statesTime, e.statesValid = ev.Time, true
-	}
-	for _, ws := range e.states {
-		e.slot(ws, pid).Process(&e.rv)
-	}
-	return nil
 }
 
 // advanceTo closes and emits the windows complete at watermark t and

@@ -375,10 +375,13 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		MustBuild()
 	plan := MustPlan(q)
 	ev := event.New("Measurement", 1).WithSym("patient", "p1").WithNum("rate", 60)
-	var rv resolvedVals
-	plan.resolveInto(&rv, ev) // warm the scratch buffers
-	if n := testing.AllocsPerRun(1000, func() { plan.resolveInto(&rv, ev) }); n != 0 {
-		t.Errorf("resolveInto allocates %v/op", n)
+	res := NewResolver(plan.Catalog())
+	tid, _ := plan.Catalog().TypeID(ev.Type)
+	one := []*event.Event{ev}
+	var run ResolvedRun
+	res.ResolveRun(&run, one, tid, plan.ReferencedAttrIDs()) // warm the run's columns
+	if n := testing.AllocsPerRun(1000, func() { res.ResolveRun(&run, one, tid, plan.ReferencedAttrIDs()) }); n != 0 {
+		t.Errorf("ResolveRun allocates %v/op", n)
 	}
 
 	// Typed NumFn adjacent predicates evaluate without boxing; the
@@ -392,9 +395,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		MustBuild()
 	plann := MustPlan(qn)
 	var rvn resolvedVals
-	plann.resolveInto(&rvn, event.New("Measurement", 1).WithNum("rate", 60))
+	resolveView(plann, &rvn, event.New("Measurement", 1).WithNum("rate", 60))
 	left := plann.copyLeftVals(nil, &rvn) // stored predecessor: rate=60
-	plann.resolveInto(&rvn, event.New("Measurement", 2).WithNum("rate", 61))
+	resolveView(plann, &rvn, event.New("Measurement", 2).WithNum("rate", 61))
 	edge := &rvn.tp.aliases[0].preds[0]
 	if !evalAdjacent(edge.adj, left, &rvn) {
 		t.Fatal("NumFn adjacent check rejected an increasing pair")
@@ -555,8 +558,9 @@ func BenchmarkBindingIntern(b *testing.B) {
 	}
 }
 
-// BenchmarkResolveView measures per-event resolved-view construction —
-// the one probe pass that replaces all downstream map lookups.
+// BenchmarkResolveView measures a lone event's resolved-view
+// construction (a run of one through ResolveRun) — the one probe pass
+// that replaces all downstream map lookups.
 func BenchmarkResolveView(b *testing.B) {
 	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
 		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Avg, Alias: "M", Attr: "rate"}).
@@ -568,11 +572,14 @@ func BenchmarkResolveView(b *testing.B) {
 		MustBuild()
 	plan := MustPlan(q)
 	ev := event.New("Measurement", 1).WithSym("patient", "p1").WithNum("rate", 60)
-	var rv resolvedVals
-	plan.resolveInto(&rv, ev) // warm the scratch buffers
+	res := NewResolver(plan.Catalog())
+	tid, _ := plan.Catalog().TypeID(ev.Type)
+	one := []*event.Event{ev}
+	var run ResolvedRun
+	res.ResolveRun(&run, one, tid, plan.ReferencedAttrIDs()) // warm the run's columns
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		plan.resolveInto(&rv, ev)
+		res.ResolveRun(&run, one, tid, plan.ReferencedAttrIDs())
 	}
 }
 

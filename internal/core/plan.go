@@ -124,7 +124,8 @@ type Plan struct {
 	adjLeft          []int32
 	endAliasIDs      []int32
 	eventGrainedByID []bool
-	tableCells       []bool // which cells of mixedGrained.tables the plan uses
+	tableCells       []bool  // which cells of mixedGrained.tables the plan uses
+	attrIDs          []int32 // the ids of attrSyms: what the plan reads
 }
 
 // NewPlan runs the static query analyzer: pattern analysis (§3.1),
@@ -270,17 +271,12 @@ func (p *Plan) SubscribedTypeIDs() []int32 { return p.typeIDs }
 
 // ReferencedAttrIDs returns the catalog ids of every attribute the
 // plan reads anywhere — local and adjacent predicates, binding slots,
-// partition keys, group keys and aggregation operands. The multi-query
-// runtime unions these per subscribed type so batch resolution
-// (Resolver.ResolveRun) fills only slots some hosted plan needs. The
-// ids are unique but unordered.
-func (p *Plan) ReferencedAttrIDs() []int32 {
-	ids := make([]int32, len(p.attrSyms))
-	for i, s := range p.attrSyms {
-		ids[i] = s.id
-	}
-	return ids
-}
+// partition keys, group keys and aggregation operands. Resolving these
+// (Resolver.ResolveRun) is all an engine of the plan needs; the
+// multi-query runtime unions them per subscribed type. The ids are
+// unique but unordered, and the slice is the plan's own: read it, never
+// write it.
+func (p *Plan) ReferencedAttrIDs() []int32 { return p.attrIDs }
 
 // OrderSensitive reports whether the plan's execution depends on the
 // arrival order of equal-timestamp events. Type- and mixed-grained

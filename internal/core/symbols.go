@@ -337,6 +337,10 @@ func (p *Plan) compile() {
 		tp := typePlanOf(leaf.EventType)
 		tp.negs = append(tp.negs, negCheck{ci: ci, locals: p.compileLocals(leaf.Alias)})
 	}
+	p.attrIDs = make([]int32, len(p.attrSyms))
+	for i, s := range p.attrSyms {
+		p.attrIDs[i] = s.id
+	}
 }
 
 // compileAlias builds the dispatch entry of one alias.
@@ -443,24 +447,6 @@ func (p *Plan) internAttr(name string, symNeeded bool) int32 {
 	}
 	p.attrSyms = append(p.attrSyms, symRef{id: id, name: name, sym: symNeeded})
 	return id
-}
-
-// resolveInto computes the resolved view of ev: one probe pass over
-// the catalog's interned attributes (catalog.go), after which all
-// predicate, binding and partition-key reads are array indexing. The
-// type dispatch entry and spec projection are the plan's own. The
-// catalog view is loaded once, so the tid and the value arrays agree
-// on one epoch.
-func (p *Plan) resolveInto(rv *resolvedVals, ev *event.Event) {
-	v := p.cat.view.Load()
-	v.resolveInto(rv, ev)
-	tid, ok := v.typeIDs[ev.Type]
-	if !ok {
-		tid = -1
-	}
-	rv.ev = ev
-	rv.tp = p.typePlanAt(tid)
-	rv.specIDs = p.specIDs
 }
 
 // appendStreamKey appends the partition key of a resolved event:

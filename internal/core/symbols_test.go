@@ -106,7 +106,7 @@ func TestAppendStreamKeyMatchesStreamKeyOf(t *testing.T) {
 		}
 		// The engine-internal resolved-view builder must produce the
 		// same bytes, or router and engine would disagree on routing.
-		plan.resolveInto(&rv, ev)
+		resolveView(plan, &rv, ev)
 		rbuf, rok := plan.appendStreamKey(nil, &rv)
 		if rok != wantOK || (rok && string(rbuf) != want) {
 			t.Errorf("%v: resolved appendStreamKey = %q, %v; want %q, %v", ev, rbuf, rok, want, wantOK)
@@ -126,7 +126,7 @@ func TestResolvedViewSemantics(t *testing.T) {
 	plan := MustPlan(q)
 	var rv resolvedVals
 	// Numeric patient: the slot reads the formatted fallback value.
-	plan.resolveInto(&rv, event.New("M", 1).WithNum("patient", 7).WithNum("rate", 61.5))
+	resolveView(plan, &rv, event.New("M", 1).WithNum("patient", 7).WithNum("rate", 61.5))
 	pid := plan.cat.attrIDs["patient"]
 	if rv.has[pid]&hasSymVal == 0 || rv.sym[pid] != "7" {
 		t.Errorf("numeric patient resolved to %q (has=%b)", rv.sym[pid], rv.has[pid])
@@ -142,14 +142,14 @@ func TestResolvedViewSemantics(t *testing.T) {
 		t.Error("COUNT(*) spec reported an attribute value")
 	}
 	// Absent attributes resolve to no presence bits.
-	plan.resolveInto(&rv, event.New("M", 2))
+	resolveView(plan, &rv, event.New("M", 2))
 	if rv.has[pid] != 0 {
 		t.Errorf("absent attribute has bits %b", rv.has[pid])
 	}
 	if rv.tp == nil {
 		t.Error("typePlan missing for pattern type")
 	}
-	plan.resolveInto(&rv, event.New("X", 3))
+	resolveView(plan, &rv, event.New("X", 3))
 	if rv.tp != nil {
 		t.Error("typePlan present for irrelevant type")
 	}

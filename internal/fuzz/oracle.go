@@ -2,11 +2,11 @@
 // property of a scenario: a self-differential (base execution mode vs
 // the same scenario with exactly one mode axis flipped), the solo
 // differential (the base-mode session vs one plain engine per
-// subscription), a baseline differential (COGRA vs the independent
-// reference implementations where the query's shape permits), or an
-// invariant over one run's observations. Oracles are pure: Check
-// re-executes the scenario, so the shrinker can re-ask "does this
-// smaller scenario still fail?".
+// subscription) or a baseline differential (COGRA vs the independent
+// reference implementations where the query's shape permits). The
+// oracles that make a base-mode run also check its invariants
+// (checkInvariants). Oracles are pure: Check re-executes the scenario,
+// so the shrinker can re-ask "does this smaller scenario still fail?".
 package fuzz
 
 import (
@@ -130,59 +130,6 @@ func Oracles() []Oracle {
 			Doc:   "COGRA == SASE/GRETA/A-Seq/Flink solo references (small scenarios)",
 			Check: checkBaselines,
 		},
-		{
-			Name: "watermark",
-			Doc:  "Stats().Watermark is monotone along the run",
-			Check: func(sc *Scenario) (string, error) {
-				out, err := Execute(sc, BaseMode(sc))
-				if err != nil {
-					return "", err
-				}
-				var last WatermarkSample
-				haveLast := false
-				for _, s := range out.Watermarks {
-					if haveLast && last.Valid && (!s.Valid || s.Watermark < last.Watermark) {
-						return fmt.Sprintf("watermark regressed: %d after %d events, then %d (valid=%v) after %d events",
-							last.Watermark, last.AfterEvents, s.Watermark, s.Valid, s.AfterEvents), nil
-					}
-					if s.Valid {
-						last, haveLast = s, true
-					}
-				}
-				return "", nil
-			},
-		},
-		{
-			Name: "stats",
-			Doc:  "Stats() accounting: Events == pushed, Queries == resident fleet",
-			Check: func(sc *Scenario) (string, error) {
-				out, err := Execute(sc, BaseMode(sc))
-				if err != nil {
-					return "", err
-				}
-				if !out.HasStats {
-					return "", nil
-				}
-				n := len(sc.Events)
-				if out.Stats.Events != int64(n) {
-					return fmt.Sprintf("Stats().Events = %d, want %d (events pushed)", out.Stats.Events, n), nil
-				}
-				resident := 0
-				for _, s := range sc.Subs {
-					if s.Leave == n {
-						resident++
-					}
-				}
-				if out.Stats.Queries != resident {
-					return fmt.Sprintf("Stats().Queries = %d, want %d (resident subscriptions)", out.Stats.Queries, resident), nil
-				}
-				if resident == 0 && out.Stats.BindingInternBytes != 0 {
-					return fmt.Sprintf("Stats().BindingInternBytes = %d after every subscription unsubscribed, want 0",
-						out.Stats.BindingInternBytes), nil
-				}
-				return "", nil
-			},
-		},
 	}
 }
 
@@ -206,11 +153,15 @@ func OracleByName(name string) *Oracle {
 const floatTol = 1e-9
 
 // selfDiff runs the scenario under its base mode and under the
-// flipped mode and compares every subscription's results.
+// flipped mode, checks the base run's invariants and compares every
+// subscription's results.
 func selfDiff(sc *Scenario, flipped Mode) (string, error) {
 	base, err := Execute(sc, BaseMode(sc))
 	if err != nil {
 		return "", err
+	}
+	if m := checkInvariants(sc, base); m != "" {
+		return m, nil
 	}
 	got, err := Execute(sc, flipped)
 	if err != nil {
@@ -224,6 +175,47 @@ func selfDiff(sc *Scenario, flipped Mode) (string, error) {
 	return "", nil
 }
 
+// checkInvariants checks what one base-mode run must show whatever it
+// is compared with: Stats().Watermark is monotone along the run, and
+// the final Stats() counts every pushed event, exactly the resident
+// subscriptions and, once none is resident, no intern bytes. Every
+// oracle that makes a base run (selfDiff, checkSolo) reports a
+// violation as its own mismatch.
+func checkInvariants(sc *Scenario, out *RunOutput) string {
+	var last WatermarkSample
+	haveLast := false
+	for _, s := range out.Watermarks {
+		if haveLast && last.Valid && (!s.Valid || s.Watermark < last.Watermark) {
+			return fmt.Sprintf("watermark regressed: %d after %d events, then %d (valid=%v) after %d events",
+				last.Watermark, last.AfterEvents, s.Watermark, s.Valid, s.AfterEvents)
+		}
+		if s.Valid {
+			last, haveLast = s, true
+		}
+	}
+	if !out.HasStats {
+		return ""
+	}
+	n := len(sc.Events)
+	if out.Stats.Events != int64(n) {
+		return fmt.Sprintf("Stats().Events = %d, want %d (events pushed)", out.Stats.Events, n)
+	}
+	resident := 0
+	for _, s := range sc.Subs {
+		if s.Leave == n {
+			resident++
+		}
+	}
+	if out.Stats.Queries != resident {
+		return fmt.Sprintf("Stats().Queries = %d, want %d (resident subscriptions)", out.Stats.Queries, resident)
+	}
+	if resident == 0 && out.Stats.BindingInternBytes != 0 {
+		return fmt.Sprintf("Stats().BindingInternBytes = %d after every subscription unsubscribed, want 0",
+			out.Stats.BindingInternBytes)
+	}
+	return ""
+}
+
 // checkSolo compares the base-mode session — sharing, intern eviction,
 // catalog compaction, workers and batching, whatever the scenario
 // draws — subscription by subscription against the plainest reference
@@ -235,6 +227,9 @@ func checkSolo(sc *Scenario) (string, error) {
 	got, err := Execute(sc, BaseMode(sc)) // stamps the IDs the engines see
 	if err != nil {
 		return "", err
+	}
+	if m := checkInvariants(sc, got); m != "" {
+		return m, nil
 	}
 	for si, sub := range sc.Subs {
 		want, _, err := diff.EngineRun(sub.Src, sc.Events[:sub.Leave])

@@ -547,12 +547,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain gracefully stops the server: new work is refused with
 // CodeDraining, every queued shard operation completes (the consistent
-// cut — in-flight batches land fully before the cut, like RunContext's
-// cancellation barrier), and, when a checkpoint directory is
-// configured, every open tenant session is snapshotted into it
-// atomically. Result watchers are woken so streams can end. Drain does
-// not close un-checkpointed sessions' windows: a drain is a pause, not
-// an end of stream, and a restore resumes mid-window byte-identically.
+// cut — in-flight batches land fully before the cut), and, when a
+// checkpoint directory is configured, every open tenant session is
+// snapshotted into it atomically. Result watchers are woken so streams
+// can end. Drain does not close un-checkpointed sessions' windows: a
+// drain is a pause, not an end of stream, and a restore resumes
+// mid-window byte-identically.
 func (s *Server) Drain() error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil

@@ -1,3 +1,10 @@
+// Package stream provides the stream-processing substrate of §8
+// ("Parallel Processing"): bounded-disorder repair in front of the
+// watermark (Reorderer) and a partition-parallel executor that runs
+// one COGRA engine per sub-stream (simultaneous events reach it as
+// Runtime.ProcessBatch's equal-time groups), since equivalence
+// predicates and the GROUP-BY clause partition the stream into
+// sub-streams that are processed independently.
 package stream
 
 import (
@@ -810,9 +817,8 @@ func (p *MultiExecutor) flushPending() {
 
 // Sync flushes every partial batch to its worker and waits until all
 // workers have consumed everything routed so far — a control-plane
-// barrier. RunContext uses it when its context is cancelled, so the
-// workers' state reflects exactly the pushed prefix before the caller
-// regains control (Drain and Stats then observe a consistent cut).
+// barrier. Session.Snapshot takes it before encoding, so the workers'
+// state reflects exactly the pushed prefix (a consistent cut).
 // The barrier is also a retirement point: a fallback worker whose last
 // subscriber left since the previous barrier is retired here, so a
 // shrunk fleet stops paying its duplicate event delivery.

@@ -16,88 +16,6 @@ import (
 	"repro/internal/snap"
 )
 
-func TestSliceIterator(t *testing.T) {
-	evs := []*event.Event{event.New("A", 1), event.New("A", 2)}
-	it := FromSlice(evs)
-	for i := 0; i < 2; i++ {
-		e, ok := it.Next()
-		if !ok || e != evs[i] {
-			t.Fatalf("pos %d: %v, %v", i, e, ok)
-		}
-	}
-	if _, ok := it.Next(); ok {
-		t.Error("iterator not exhausted")
-	}
-}
-
-func TestMergeOrdersAcrossSources(t *testing.T) {
-	s1 := FromSlice([]*event.Event{
-		{Time: 1, ID: 1, Type: "A"}, {Time: 4, ID: 4, Type: "A"}, {Time: 9, ID: 9, Type: "A"},
-	})
-	s2 := FromSlice([]*event.Event{
-		{Time: 2, ID: 2, Type: "B"}, {Time: 4, ID: 5, Type: "B"},
-	})
-	s3 := FromSlice(nil)
-	m := Merge(s1, s2, s3)
-	var times []int64
-	var last *event.Event
-	for {
-		e, ok := m.Next()
-		if !ok {
-			break
-		}
-		if last != nil && e.Before(last) {
-			t.Fatalf("out of order: %v after %v", e, last)
-		}
-		last = e
-		times = append(times, e.Time)
-	}
-	want := []int64{1, 2, 4, 4, 9}
-	if len(times) != len(want) {
-		t.Fatalf("times = %v", times)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("times = %v, want %v", times, want)
-		}
-	}
-}
-
-func TestMergeRandomisedProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 50; iter++ {
-		var srcs []Iterator
-		total := 0
-		for s := 0; s < 1+rng.Intn(4); s++ {
-			var evs []*event.Event
-			tm := int64(0)
-			for i := 0; i < rng.Intn(20); i++ {
-				tm += int64(rng.Intn(3))
-				evs = append(evs, &event.Event{Time: tm, ID: int64(iter*1000 + s*100 + i)})
-			}
-			total += len(evs)
-			srcs = append(srcs, FromSlice(evs))
-		}
-		m := Merge(srcs...)
-		count := 0
-		var last *event.Event
-		for {
-			e, ok := m.Next()
-			if !ok {
-				break
-			}
-			if last != nil && e.Time < last.Time {
-				t.Fatalf("iter %d: out of order", iter)
-			}
-			last = e
-			count++
-		}
-		if count != total {
-			t.Fatalf("iter %d: merged %d of %d events", iter, count, total)
-		}
-	}
-}
-
 // parallelQuery is a partitioned q1-style query.
 func parallelQuery() *query.Query {
 	return query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).

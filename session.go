@@ -92,7 +92,6 @@ package cogra
 // it after Push returns.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"iter"
@@ -508,43 +507,6 @@ func (s *Session) dispatchBatch(events []*Event) error {
 	}
 	s.last, s.saw = last, saw
 	return s.mx.ProcessBatch(events)
-}
-
-// Run consumes an entire ordered source.
-func (s *Session) Run(src Iterator) error {
-	return s.RunContext(context.Background(), src)
-}
-
-// RunContext consumes a source until it is exhausted or ctx is
-// cancelled. Cancellation is observed between events — a source
-// blocked inside Next delays it until Next returns, so a live source
-// should make Next return promptly (poll with a timeout, or close the
-// feed). On cancellation the session stops pulling from src, waits
-// until the workers have consumed everything already pushed (so Stats
-// and Drain observe a consistent cut), and returns the context error;
-// the session stays usable — push more, subscribe, or Close.
-func (s *Session) RunContext(ctx context.Context, src Iterator) error {
-	done := ctx.Done()
-	for {
-		select {
-		case <-done:
-			s.mu.Lock()
-			err := s.mx.Sync()
-			s.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			return ctx.Err()
-		default:
-		}
-		e, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if err := s.Push(e); err != nil {
-			return err
-		}
-	}
 }
 
 // Close ends the stream: the slack buffer (if any) is flushed, and

@@ -6,7 +6,6 @@ package cogra_test
 // context cancellation.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -526,71 +525,4 @@ func TestSessionStrictRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// cancellingSource yields events and cancels a context after a fixed
-// number of Next calls — a source that goes quiet mid-stream.
-type cancellingSource struct {
-	events   []*cogra.Event
-	pos      int
-	cancelAt int
-	cancel   context.CancelFunc
-}
-
-func (s *cancellingSource) Next() (*cogra.Event, bool) {
-	if s.pos == s.cancelAt {
-		s.cancel()
-	}
-	if s.pos >= len(s.events) {
-		return nil, false
-	}
-	e := s.events[s.pos]
-	s.pos++
-	return e, true
-}
-
-// TestSessionRunContext: cancellation stops the run with the context's
-// error at a consistent position; the session remains usable and a
-// subsequent run completes the stream with the results of an
-// uninterrupted run.
-func TestSessionRunContext(t *testing.T) {
-	events := sessionTestStream(2000)
-	src := sessionTestQueries()["type"]
-	want := soloRun(t, src, events)
-	for mode, opts := range sessionModes() {
-		t.Run(mode, func(t *testing.T) {
-			sess := cogra.NewSession(opts...)
-			sub, err := sess.Subscribe(cogra.MustParse(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			srcIter := &cancellingSource{events: events, cancelAt: len(events) / 2, cancel: cancel}
-			if err := sess.RunContext(ctx, srcIter); !errors.Is(err, context.Canceled) {
-				t.Fatalf("RunContext err = %v, want context.Canceled", err)
-			}
-			if srcIter.pos >= len(events) {
-				t.Fatal("source fully consumed despite cancellation")
-			}
-			// Stats after cancellation observe the synced prefix.
-			st, err := sess.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Events == 0 || st.Events >= int64(len(events)) {
-				t.Errorf("events after cancel = %d", st.Events)
-			}
-			// Resume with a fresh context and finish the stream.
-			if err := sess.RunContext(context.Background(), cogra.FromSlice(events[srcIter.pos:])); err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sub.Drain(); fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-				t.Errorf("cancel+resume diverges from uninterrupted run\ngot:  %v\nwant: %v", got, want)
-			}
-		})
-	}
 }

@@ -1,15 +1,27 @@
 // Command cograd serves cogra sessions to many tenants over the
 // network: HTTP+JSON for ingest, subscribe and streaming results, a
-// framed-TCP path for bulk ingest, Prometheus metrics on /metrics, and
-// graceful drain — SIGTERM checkpoints every tenant session into
-// -checkpoint-dir (when set) and a restarted cograd resumes them
-// byte-identically, mid-window.
+// framed-TCP path for bulk ingest, and Prometheus metrics on /metrics.
+// It is the repository's one live server; cograql is the one-pass CSV
+// evaluator.
 //
 // Usage:
 //
 //	cograd -addr :8080 -tcp-addr :8081 -shards 4 \
-//	       -checkpoint-dir /var/lib/cograd \
+//	       -checkpoint-dir /var/lib/cograd -checkpoint-every 100000 \
 //	       -slack 100
+//
+// Durability: with -checkpoint-dir, a SIGTERM drains — every tenant
+// session is checkpointed there, atomically — and a restarted cograd
+// restores every tenant it finds, resuming byte-identically mid-window.
+// -checkpoint-every n also checkpoints a tenant whenever an ingest
+// request takes its accepted-event count across a multiple of n,
+// before the request is acknowledged, so a SIGKILL loses at most the
+// events acknowledged since then; a client re-sends that suffix. Each
+// checkpoint is logged as "tenant %q checkpointed to <file> @ <n>
+// events", n counting from the session's creation or restore. A stale
+// <file>.tmp left by a crash mid-write is never restored from. Results
+// a client drained after the last checkpoint come back after a crash.
+// The package comment of internal/server documents the wire surface.
 //
 // Session flags (-workers, -slack, ...) apply to every tenant
 // session the daemon creates; they are the same flags cograql takes.
@@ -38,6 +50,7 @@ func main() {
 		tcpAddr    = flag.String("tcp-addr", "", "framed-TCP bulk-ingest listen address (empty: disabled)")
 		shards     = flag.Int("shards", 4, "session-shard pool size (tenants hash across shards)")
 		ckptDir    = flag.String("checkpoint-dir", "", "snapshot tenants here on drain, restore on boot (empty: disabled)")
+		ckptEvery  = flag.Int("checkpoint-every", 0, "also snapshot a tenant after every N accepted events (requires -checkpoint-dir; 0: on drain only)")
 		maxBatch   = flag.Int("max-batch", 0, "max events per ingest request (0: unlimited)")
 		maxQueries = flag.Int("max-queries", 0, "max active queries per tenant (0: unlimited)")
 		ingestRate = flag.Float64("ingest-rate", 0, "per-tenant ingest quota in events/s (0: unlimited)")
@@ -45,13 +58,13 @@ func main() {
 	sf := sessionflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*addr, *tcpAddr, *shards, *ckptDir, *maxBatch, *maxQueries, *ingestRate, sf); err != nil {
+	if err := run(*addr, *tcpAddr, *shards, *ckptDir, *ckptEvery, *maxBatch, *maxQueries, *ingestRate, sf); err != nil {
 		fmt.Fprintln(os.Stderr, "cograd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, tcpAddr string, shards int, ckptDir string, maxBatch, maxQueries int, ingestRate float64, sf *sessionflags.Flags) error {
+func run(addr, tcpAddr string, shards int, ckptDir string, ckptEvery, maxBatch, maxQueries int, ingestRate float64, sf *sessionflags.Flags) error {
 	opts, err := sf.Options()
 	if err != nil {
 		return err
@@ -65,6 +78,7 @@ func run(addr, tcpAddr string, shards int, ckptDir string, maxBatch, maxQueries 
 		SessionOptions:      opts,
 		RestoreOptions:      ropts,
 		CheckpointDir:       ckptDir,
+		CheckpointEvery:     ckptEvery,
 		MaxBatch:            maxBatch,
 		MaxQueriesPerTenant: maxQueries,
 		IngestRate:          ingestRate,

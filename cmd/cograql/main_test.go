@@ -104,33 +104,6 @@ func TestRunWithSlack(t *testing.T) {
 	}
 }
 
-// TestRunFollow: control lines interleaved with CSV rows hot-add and
-// hot-remove queries while the stream runs, for both session modes.
-func TestRunFollow(t *testing.T) {
-	feed := `time,type,k,x:num
-1,A,g,1
-+query RETURN COUNT(*) PATTERN A+ WHERE [k] GROUP-BY k WITHIN 10 SLIDE 10
-2,A,g,2
-3,B,g,3
--query 1
-+query garbage that does not parse
--query 99
-12,A,g,4
-13,B,g,5
-`
-	in := writeFile(t, "feed.txt", feed)
-	base := inline(`RETURN COUNT(*) PATTERN SEQ(A+, B) WHERE [k] GROUP-BY k WITHIN 10 SLIDE 10`)
-	for _, workers := range []int{1, 3} {
-		if err := run(runCfg{sources: base, input: in, session: sessionflags.Flags{Workers: workers}, follow: true, stats: true}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-	}
-	// A follow session may start with an empty fleet.
-	if err := run(runCfg{input: in, session: sessionflags.Flags{Workers: 1}, follow: true}); err != nil {
-		t.Fatalf("empty fleet: %v", err)
-	}
-}
-
 // TestSourceFlagPreservesOrder: interleaved -file and -query flags
 // keep command-line order, so [qN] labels match what the user wrote.
 func TestSourceFlagPreservesOrder(t *testing.T) {
@@ -177,8 +150,5 @@ func TestRunErrors(t *testing.T) {
 	bad := writeFile(t, "bad.csv", "not,a,valid,header\n")
 	if err := run(runCfg{sources: inline(`RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`), input: bad, session: sessionflags.Flags{Workers: 1}}); err == nil {
 		t.Error("bad CSV accepted")
-	}
-	if err := run(runCfg{sources: inline(`RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10`), input: bad, session: sessionflags.Flags{Workers: 1}, follow: true}); err == nil {
-		t.Error("bad header accepted in follow mode")
 	}
 }

@@ -115,75 +115,9 @@ func csvText(s string) string {
 	return ""
 }
 
-// CSVDecoder decodes one stream row at a time against a parsed
-// header, for callers that consume lines as they arrive (cograql
-// -follow tails a live feed) instead of slurping a whole file;
-// ReadCSV is built on it.
-type CSVDecoder struct {
-	cols []csvCol
-	line int
-}
-
-type csvCol struct {
-	name    string
-	numeric bool
-}
-
-// NewCSVDecoder parses a header line ("time,type,company,price:num").
-func NewCSVDecoder(header string) (*CSVDecoder, error) {
-	names := strings.Split(strings.TrimSpace(header), ",")
-	if len(names) < 2 || names[0] != "time" || names[1] != "type" {
-		return nil, fmt.Errorf("cogra: CSV header must start with time,type; got %q", header)
-	}
-	d := &CSVDecoder{cols: make([]csvCol, 0, len(names)-2), line: 1}
-	for _, h := range names[2:] {
-		if name, ok := strings.CutSuffix(h, ":num"); ok {
-			d.cols = append(d.cols, csvCol{name: name, numeric: true})
-		} else {
-			d.cols = append(d.cols, csvCol{name: h})
-		}
-	}
-	return d, nil
-}
-
-// Decode parses one data row into an event; blank rows decode to
-// (nil, nil). Errors cite the 1-based line number, counting the
-// header and every row this decoder has seen.
-func (d *CSVDecoder) Decode(row string) (*Event, error) {
-	d.line++
-	row = strings.TrimSpace(row)
-	if row == "" {
-		return nil, nil
-	}
-	cells := strings.Split(row, ",")
-	if len(cells) != 2+len(d.cols) {
-		return nil, fmt.Errorf("cogra: line %d: %d cells, want %d", d.line, len(cells), 2+len(d.cols))
-	}
-	tm, err := strconv.ParseInt(cells[0], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("cogra: line %d: bad time %q: %w", d.line, cells[0], err)
-	}
-	e := event.New(cells[1], tm)
-	for i, c := range d.cols {
-		cell := cells[2+i]
-		if cell == "" {
-			continue
-		}
-		if c.numeric {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cogra: line %d: bad numeric %s=%q: %w", d.line, c.name, cell, err)
-			}
-			e.WithNum(c.name, v)
-		} else {
-			e.WithSym(c.name, cell)
-		}
-	}
-	return e, nil
-}
-
 // ReadCSV parses a stream written by WriteCSV (or hand-authored in the
-// same format) and returns the events in file order.
+// same format) and returns the events in file order. Blank rows are
+// skipped; errors cite the 1-based line number, header included.
 func ReadCSV(r io.Reader) ([]*Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -193,22 +127,66 @@ func ReadCSV(r io.Reader) ([]*Event, error) {
 		}
 		return nil, fmt.Errorf("cogra: empty CSV input")
 	}
-	dec, err := NewCSVDecoder(sc.Text())
-	if err != nil {
-		return nil, err
+	header := sc.Text()
+	names := strings.Split(strings.TrimSpace(header), ",")
+	if len(names) < 2 || names[0] != "time" || names[1] != "type" {
+		return nil, fmt.Errorf("cogra: CSV header must start with time,type; got %q", header)
+	}
+	cols := make([]csvCol, 0, len(names)-2)
+	for _, h := range names[2:] {
+		name, numeric := strings.CutSuffix(h, ":num")
+		cols = append(cols, csvCol{name: name, numeric: numeric})
 	}
 	var out []*Event
-	for sc.Scan() {
-		e, err := dec.Decode(sc.Text())
+	for line := 2; sc.Scan(); line++ {
+		row := strings.TrimSpace(sc.Text())
+		if row == "" {
+			continue
+		}
+		e, err := decodeCSVRow(row, cols)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cogra: line %d: %w", line, err)
 		}
-		if e != nil {
-			out = append(out, e)
-		}
+		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// csvCol is one attribute column of a CSV header.
+type csvCol struct {
+	name    string
+	numeric bool
+}
+
+// decodeCSVRow parses one non-blank data row against the header's
+// attribute columns.
+func decodeCSVRow(row string, cols []csvCol) (*Event, error) {
+	cells := strings.Split(row, ",")
+	if len(cells) != 2+len(cols) {
+		return nil, fmt.Errorf("%d cells, want %d", len(cells), 2+len(cols))
+	}
+	tm, err := strconv.ParseInt(cells[0], 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("bad time %q: %w", cells[0], err)
+	}
+	e := event.New(cells[1], tm)
+	for i, c := range cols {
+		cell := cells[2+i]
+		if cell == "" {
+			continue
+		}
+		if !c.numeric {
+			e.WithSym(c.name, cell)
+			continue
+		}
+		v, err := strconv.ParseFloat(cell, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad numeric %s=%q: %w", c.name, cell, err)
+		}
+		e.WithNum(c.name, v)
+	}
+	return e, nil
 }

@@ -14,7 +14,7 @@
 // With no -input, the client pushes the paper's Figure 2 stream.
 //
 // -mode splits the flow into phases for scripting (the CI server smoke
-// drives a checkpoint/restart cycle this way):
+// drives a SIGTERM restart and a SIGKILL recovery this way):
 //
 //	-mode subscribe          print the new query id on stdout
 //	-mode push -from N -to M push events[N:M) of the input

@@ -8,6 +8,8 @@ package fuzz
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"strings"
 
 	cogra "repro"
 	"repro/internal/fuzz/diff"
@@ -287,10 +289,32 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 
 // executeServer replays the scenario against an in-process cograd
 // server hosting one tenant on one shard, configured with the mode's
-// session options — the "served == embedded" oracle body.
+// session options — the "served == embedded" oracle body. The server
+// checkpoints the tenant on a cadence drawn from the scenario (its
+// snapshot position, else half the stream), so the run passes
+// mid-stream checkpoints, each a read-only barrier; a checkpoint that
+// fails fails the run.
 func executeServer(sc *Scenario, m Mode) (*RunOutput, error) {
 	n := len(sc.Events)
-	srv, err := server.New(server.Config{Shards: 1, SessionOptions: m.options()})
+	every := sc.SnapshotAt
+	if every <= 0 || every >= n {
+		every = max(1, n/2)
+	}
+	dir, err := os.MkdirTemp("", "cografuzz-ck")
+	if err != nil {
+		return nil, fmt.Errorf("fuzz: server: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	var ckptErr error
+	srv, err := server.New(server.Config{Shards: 1, SessionOptions: m.options(),
+		CheckpointDir: dir, CheckpointEvery: every,
+		Logf: func(format string, args ...any) {
+			// Logf runs on the shard goroutine, inside the request the
+			// caller waits for.
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, "checkpoint failed") && ckptErr == nil {
+				ckptErr = fmt.Errorf("fuzz: server %s", line)
+			}
+		}})
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: server: %w", err)
 	}
@@ -353,6 +377,9 @@ func executeServer(sc *Scenario, m Mode) (*RunOutput, error) {
 			}
 			if _, werr := srv.Ingest(tenant, sc.Events[pos:end]); werr != nil {
 				return nil, fmt.Errorf("fuzz: server ingest [%d,%d): %s", pos, end, werr.Message)
+			}
+			if ckptErr != nil {
+				return nil, ckptErr
 			}
 			pos = end
 		}

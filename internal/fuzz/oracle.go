@@ -118,7 +118,7 @@ func Oracles() []Oracle {
 		},
 		{
 			Name: "server",
-			Doc:  "cograd-served tenant == embedded session",
+			Doc:  "cograd-served tenant, checkpointed on a cadence, == embedded session",
 			Check: func(sc *Scenario) (string, error) {
 				flipped := BaseMode(sc)
 				flipped.Server = true

@@ -7,13 +7,11 @@
 // counters for A-Seq, events in stacks plus pointers plus trends for
 // SASE, and trends for Flink. Logical byte accounting reproduces
 // those curves deterministically, independent of the Go runtime's
-// allocator; RuntimeMemSnapshot is also available for physical
-// numbers.
+// allocator.
 package metrics
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -118,14 +116,6 @@ func FormatBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// RuntimeMemSnapshot returns the Go heap in use, for physical
-// cross-checks of the logical accounting.
-func RuntimeMemSnapshot() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
 }
 
 // Budget bounds a run so exponential baselines terminate the way the

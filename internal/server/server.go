@@ -34,6 +34,13 @@ type Config struct {
 	// session into it (one file per tenant, written atomically), and
 	// New restore every tenant found in it.
 	CheckpointDir string
+	// CheckpointEvery > 0 (with CheckpointDir) also snapshots a tenant
+	// whenever an ingest request takes the count of events it has
+	// accepted since its session was created or restored across a
+	// multiple of CheckpointEvery — on the shard goroutine, before the
+	// request is acknowledged. A SIGKILL then loses at most the events
+	// acknowledged since the last such multiple.
+	CheckpointEvery int
 	// MaxBatch caps the events one ingest request may carry
 	// (0: unlimited). Exceeding it is a backpressure rejection.
 	MaxBatch int
@@ -81,6 +88,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	if cfg.CheckpointEvery < 0 || (cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "") {
+		return nil, fmt.Errorf("-checkpoint-every %d needs a positive count and a -checkpoint-dir", cfg.CheckpointEvery)
 	}
 	s := &Server{cfg: cfg, tenants: make(map[string]*tenant), started: time.Now()}
 	s.shards = make([]*shard, cfg.Shards)
@@ -213,6 +223,11 @@ type tenant struct {
 	sess   *cogra.Session
 	subs   map[int]*cogra.Subscription
 	closed bool
+
+	// accepted counts the events acknowledged since the session was
+	// created or restored: the checkpoint cadence's clock. Shard
+	// goroutine only.
+	accepted int64
 
 	// pulse is closed and replaced whenever results may have become
 	// available (ingest, unsubscribe, close), waking streaming result
@@ -368,6 +383,15 @@ func (s *Server) IngestAsync(tenantName string, events []*cogra.Event) <-chan In
 			return
 		}
 		s.ingested.Add(int64(len(events)))
+		before := t.accepted
+		t.accepted += int64(len(events))
+		if n := int64(s.cfg.CheckpointEvery); n > 0 && t.accepted/n != before/n {
+			// The events stay accepted either way; a failed write only
+			// leaves the previous frame as the durable one.
+			if err := s.checkpointTenant(t); err != nil {
+				s.cfg.Logf("cograd: checkpoint failed: %v", err)
+			}
+		}
 		t.bump()
 		rc <- IngestResult{Accepted: len(events)}
 	})
@@ -513,7 +537,8 @@ func (s *Server) Results(tenantName string, id int) (out []cogra.Result, done bo
 
 // CloseTenant ends a tenant's stream: the session flushes its open
 // windows into the subscriptions' buffers (drainable via Results until
-// the server stops) and refuses further events with CodeClosed.
+// the server stops) and refuses further events with CodeClosed. Its
+// checkpoint, if any, is deleted: a restart does not bring it back.
 func (s *Server) CloseTenant(tenantName string) *WireError {
 	t := s.tenant(tenantName, false)
 	if t == nil {
@@ -532,6 +557,13 @@ func (s *Server) CloseTenant(tenantName string) *WireError {
 		t.mu.Lock()
 		t.closed = true
 		t.mu.Unlock()
+		if s.cfg.CheckpointDir != "" {
+			// A closed stream has nothing to resume: its last frame
+			// would bring it back open, at an older position, at boot.
+			if err := os.Remove(s.checkpointFile(t.name)); err != nil && !os.IsNotExist(err) {
+				s.cfg.Logf("cograd: tenant %q: %v", t.name, err)
+			}
+		}
 	})
 	if derr != nil {
 		return &WireError{Code: CodeDraining, Message: derr.Error()}
@@ -590,13 +622,13 @@ func (s *Server) checkpointFile(tenant string) string {
 }
 
 // checkpointTenant snapshots one session atomically: a crash mid-write
-// leaves the previous checkpoint intact.
+// leaves the previous checkpoint intact. Shard goroutine only.
 func (s *Server) checkpointTenant(t *tenant) error {
 	path := s.checkpointFile(t.name)
 	if err := snap.WriteFileAtomic(path, t.sess.Snapshot); err != nil {
 		return fmt.Errorf("checkpoint tenant %q: %w", t.name, err)
 	}
-	s.cfg.Logf("cograd: tenant %q checkpointed to %s", t.name, path)
+	s.cfg.Logf("cograd: tenant %q checkpointed to %s @ %d events", t.name, path, t.accepted)
 	return nil
 }
 

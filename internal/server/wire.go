@@ -4,10 +4,30 @@
 // its tenants (the Session surface is feeding-goroutine-only; the
 // shard goroutine IS that goroutine), and the surface above is
 // HTTP+JSON — batch ingest, dynamic subscribe/unsubscribe, streaming
-// results, Prometheus metrics — plus a framed-TCP path for bulk
-// ingest. Graceful drain snapshots every tenant session to a
-// checkpoint directory and a restarted server resumes them
-// byte-identically.
+// results, Prometheus metrics; the route table heads http.go — plus a
+// framed-TCP path for bulk ingest (codec.go, tcp.go). Both ingest
+// routes decode through one Decoder per source. Each tenant's results
+// are byte-identical to an embedded run of its stream.
+//
+// Every typed session sentinel crosses the wire as one stable code
+// (the table below), and DecodeWireError turns an error body back into
+// an error that errors.Is matches against the same sentinel; server
+// quotas (Config.MaxBatch, IngestRate, MaxQueriesPerTenant) reject with
+// the backpressure code.
+//
+// Durability, with Config.CheckpointDir: Drain refuses new work,
+// completes what is queued and checkpoints every open tenant session
+// (snap.WriteFileAtomic, undrained results included); New restores
+// every <hex tenant>.snap it finds, ignoring the temp files a crash
+// mid-write leaves, and subscriptions keep their ids; CloseTenant
+// deletes the tenant's checkpoint, so a closed stream stays closed. With
+// Config.CheckpointEvery the shard goroutine also checkpoints a tenant
+// before acknowledging a request that took its accepted-event count
+// across a multiple of the cadence, so a kill loses only what was
+// acknowledged after the last checkpoint. A client that re-sends the
+// stream from that position gets the results of a run that never
+// stopped, except that results it drained after the checkpoint come
+// back.
 package server
 
 import (

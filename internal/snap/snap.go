@@ -7,7 +7,35 @@
 // The format is deliberately simple — little-endian fixed-width
 // integers, length-prefixed byte strings — because restore must
 // reproduce executor state bit-for-bit and a self-describing format
-// would only add places for drift to hide.
+// would only add places for drift to hide. A frame is Magic, Version,
+// the payload length, the payload and its CRC-32. Every serialized
+// structure lists its fields once, in wire order, against a Coder:
+// the session header, plan table, subscriptions and topology in the
+// root package's snapshot.go; the executor topology, reorder buffer
+// and events in internal/stream/snapshot.go; the runtime, its sharing
+// groups and plan references in internal/runtime/snapshot.go; the
+// engine and everything it holds in internal/core/snapshot.go; the
+// window cursor in internal/window/snapshot.go; aggregate nodes and
+// specs in internal/agg/snapshot.go.
+//
+// The session codes every distinct compiled plan once, in a table the
+// subscriptions and hosts index into, each entry as the plan's query
+// text: restore parses and compiles it as Subscribe does, so the query
+// parser is the one plan decoder. A plan with no text (an adjacent
+// predicate through a Go function) cannot be snapshotted. Not
+// serialized: whatever the recompiled plan implies, catalog reference
+// counts, value→id maps and eviction buckets (rebuilt from the id→value
+// tables), sharing-group projections, sinks and subscription error
+// states. Frames are byte-deterministic for plans with at most two
+// binding slots; with three or more, interned-vector ids follow Go map
+// iteration, so identical runs can write different frames that restore
+// to the same results.
+//
+// Adding a field: add it to its structure's one field list, bump
+// Version, regenerate the fixtures with `go run
+// scripts/gen_fuzz_corpus.go`, and keep the parent's fleet frame as a
+// seed_v* corpus file with a refusal test beside
+// TestRestoreRefusesV3Frame — restore reads exactly one version.
 package snap
 
 import (

@@ -6,9 +6,12 @@
 # the tenant and drain the rest — then require part1+part2 to be
 # byte-identical to an embedded cograql run over the whole stream. The
 # network service must add zero result drift: not across tenants, not
-# across a restart. Before any of that, a query nested thousands of
-# levels deep must be refused with a 400 while the server stays up.
-# Run from the repo root.
+# across a restart. A second leg SIGKILLs a server that checkpoints on
+# a cadence (-checkpoint-every) right after its checkpoint at the cut,
+# plants a stale temp frame, restarts it and pushes the suffix: the
+# result must again be byte-identical. Before any of that, a query
+# nested thousands of levels deep must be refused with a 400 while the
+# server stays up. Run from the repo root.
 set -euo pipefail
 
 DIR=$(mktemp -d)
@@ -26,23 +29,26 @@ ADDR="http://127.0.0.1:$PORT"
 
 "$DIR/cogragen" -dataset stock -events 3000 > "$DIR/stream.csv"
 
-# Reference: the undisturbed embedded run. cograql's -follow mode tags
-# lines with the query index; the served stream is per-query already.
-"$DIR/cograql" -follow -query "$Q" < "$DIR/stream.csv" | sed 's/^\[q1\] //' > "$DIR/full.out"
+# Reference: the undisturbed embedded run of the one query.
+"$DIR/cograql" -query "$Q" < "$DIR/stream.csv" > "$DIR/full.out"
 
+# start_server LOG FLAGS...: run cograd in the background, logging to
+# $DIR/LOG, and wait until it is healthy.
 start_server() {
-  "$DIR/cograd" -addr "127.0.0.1:$PORT" -checkpoint-dir "$DIR/ck" > "$DIR/cograd.log" 2>&1 &
+  LOG="$DIR/$1"
+  shift
+  "$DIR/cograd" -addr "127.0.0.1:$PORT" "$@" > "$LOG" 2>&1 &
   SRV=$!
   for _ in $(seq 1 300); do
     curl -sf "$ADDR/healthz" > /dev/null 2>&1 && return 0
     sleep 0.1
   done
   echo "server_smoke: cograd never became healthy" >&2
-  cat "$DIR/cograd.log" >&2
+  cat "$LOG" >&2
   exit 1
 }
 
-start_server
+start_server cograd.log -checkpoint-dir "$DIR/ck"
 # A pattern nested past the parser's bound is a bad request, not a
 # crash.
 LEVELS=4096
@@ -51,12 +57,12 @@ CODE=$(curl -s -o "$DIR/deep.out" -w '%{http_code}' -X POST -H 'Content-Type: ap
   --data-binary "{\"query\": \"$DEEP\"}" "$ADDR/v1/smoke/queries")
 [ "$CODE" = 400 ] || {
   echo "server_smoke: a query nested $LEVELS levels deep got http $CODE, want 400" >&2
-  cat "$DIR/deep.out" "$DIR/cograd.log" >&2
+  cat "$DIR/deep.out" "$LOG" >&2
   exit 1
 }
 curl -sf "$ADDR/healthz" > /dev/null || {
   echo "server_smoke: cograd is not healthy after the deeply nested query" >&2
-  cat "$DIR/cograd.log" >&2
+  cat "$LOG" >&2
   exit 1
 }
 ID=$("$DIR/client" -addr "$ADDR" -tenant smoke -mode subscribe -query "$Q")
@@ -68,7 +74,7 @@ ID=$("$DIR/client" -addr "$ADDR" -tenant smoke -mode subscribe -query "$Q")
 kill -TERM "$SRV"
 wait "$SRV" || {
   echo "server_smoke: cograd exited non-zero on SIGTERM" >&2
-  cat "$DIR/cograd.log" >&2
+  cat "$LOG" >&2
   exit 1
 }
 [ -n "$(ls "$DIR/ck" 2>/dev/null)" ] || {
@@ -79,7 +85,7 @@ wait "$SRV" || {
 # Restart from the checkpoint: the subscription keeps its id, the
 # session resumes mid-window, and the stream suffix continues exactly
 # where the prefix left off.
-start_server
+start_server cograd2.log -checkpoint-dir "$DIR/ck"
 "$DIR/client" -addr "$ADDR" -tenant smoke -mode push -input "$DIR/stream.csv" -from "$CUT"
 "$DIR/client" -addr "$ADDR" -tenant smoke -mode close
 "$DIR/client" -addr "$ADDR" -tenant smoke -mode drain -id "$ID" > "$DIR/part2.out"
@@ -91,4 +97,46 @@ diff "$DIR/served.out" "$DIR/full.out" || {
   echo "server_smoke: served results differ from the embedded run" >&2
   exit 1
 }
-echo "server_smoke: PASS (SIGTERM at event $CUT; $(wc -l < "$DIR/full.out") result lines byte-identical across restart)"
+
+# SIGKILL leg. Step "kill at a checkpoint boundary": cograd checkpoints
+# the tenant every CUT accepted events, before it acknowledges the
+# request that reached CUT; once the log names that checkpoint the
+# process is killed outright, with no drain. Nothing is drained from
+# the tenant before the kill: results drained after a checkpoint would
+# come back after a crash, because results are not yet resumable
+# (ROADMAP item 5(c)).
+start_server crash.log -checkpoint-dir "$DIR/ck2" -checkpoint-every "$CUT"
+ID=$("$DIR/client" -addr "$ADDR" -tenant crash -mode subscribe -query "$Q")
+"$DIR/client" -addr "$ADDR" -tenant crash -mode push -input "$DIR/stream.csv" -to "$CUT"
+grep -q "checkpointed to .* @ $CUT events" "$LOG" || {
+  echo "server_smoke: no checkpoint @ $CUT events before the kill" >&2
+  cat "$LOG" >&2
+  exit 1
+}
+kill -9 "$SRV"
+wait "$SRV" 2>/dev/null || true
+
+# Step "a stale temp frame refused": a crash mid-write leaves
+# <frame>.tmp beside the durable frame. cograd must boot on the durable
+# frame and never read the temp file.
+FRAME=$(ls "$DIR"/ck2/*.snap)
+printf 'COGRASNP torn' > "$FRAME.tmp"
+start_server crash2.log -checkpoint-dir "$DIR/ck2" -checkpoint-every "$CUT"
+grep -q "restored from $(basename "$FRAME")\$" "$LOG" || {
+  echo "server_smoke: cograd did not boot on the durable frame" >&2
+  cat "$LOG" >&2
+  exit 1
+}
+
+# Step "restore plus suffix equal to the undisturbed run": the client
+# re-sends everything after the checkpoint.
+"$DIR/client" -addr "$ADDR" -tenant crash -mode push -input "$DIR/stream.csv" -from "$CUT"
+"$DIR/client" -addr "$ADDR" -tenant crash -mode close
+"$DIR/client" -addr "$ADDR" -tenant crash -mode drain -id "$ID" > "$DIR/recovered.out"
+kill -TERM "$SRV"
+wait "$SRV" || true
+diff "$DIR/recovered.out" "$DIR/full.out" || {
+  echo "server_smoke: results recovered after SIGKILL differ from the embedded run" >&2
+  exit 1
+}
+echo "server_smoke: PASS (SIGTERM and SIGKILL at event $CUT; $(wc -l < "$DIR/full.out") result lines byte-identical across each restart)"

@@ -53,3 +53,14 @@ var (
 	// further results are buffered, readable via Results/Drain).
 	ErrSinkPanic = core.ErrSinkPanic
 )
+
+// BatchError is PushBatch's error: the session ingested the batch's
+// first Ingested events, and Err says why it stopped at the next one.
+// It unwraps to Err, so errors.Is matches the sentinels above.
+type BatchError struct {
+	Ingested int
+	Err      error
+}
+
+func (e *BatchError) Error() string { return e.Err.Error() }
+func (e *BatchError) Unwrap() error { return e.Err }

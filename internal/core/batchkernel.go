@@ -58,12 +58,16 @@ func (run *ResolvedRun) Len() int { return len(run.Events) }
 
 // ResolveRun resolves a run of same-time, same-type events into run's
 // struct-of-arrays view, probing only the attribute ids in attrs (the
-// caller's union of every attribute its interested plans read). The
-// fill replicates the per-event union resolve exactly — numeric and
-// symbolic maps probed per attribute, with the numeric fallback
-// materialised for symNeeded attributes — so a run view is
-// byte-identical to the event-at-a-time view on every requested slot.
-// The view is valid until the next ResolveRun call on the same run.
+// caller's union of every attribute its interested plans read). Each
+// attribute probes the numeric map first. A hit on an attribute no
+// plan reads symbolically (not symNeeded) ends there: every reader of
+// such a slot — local and adjacent checks, user predicate functions,
+// aggregate specs — reads it numeric-first, so the symbolic map could
+// change nothing it sees. Otherwise the symbolic map is probed too,
+// with the numeric fallback materialised for a symNeeded attribute the
+// event carries only as a number (partition keys and binding slots,
+// which are always symNeeded, read that). The view is valid until the
+// next ResolveRun call on the same run.
 func (r *Resolver) ResolveRun(run *ResolvedRun, events []*event.Event, tid int32, attrs []int32) {
 	v := r.cat.view.Load()
 	stride := len(v.attrNames)
@@ -97,13 +101,18 @@ func (r *Resolver) ResolveRun(run *ResolvedRun, events []*event.Event, tid int32
 			var sv string
 			if val, ok := ev.Num[name]; ok {
 				nv, h = val, hasNum
-			}
-			if s, ok := ev.Sym[name]; ok {
+				if needSym {
+					if s, ok := ev.Sym[name]; ok {
+						sv = s
+						h |= hasSymRaw | hasSymVal
+					} else {
+						sv = event.FormatNum(nv)
+						h |= hasSymVal
+					}
+				}
+			} else if s, ok := ev.Sym[name]; ok {
 				sv = s
-				h |= hasSymRaw | hasSymVal
-			} else if h&hasNum != 0 && needSym {
-				sv = event.FormatNum(nv)
-				h |= hasSymVal
+				h = hasSymRaw | hasSymVal
 			}
 			run.num[idx], run.sym[idx], run.has[idx] = nv, sv, h
 			idx += stride

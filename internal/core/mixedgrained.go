@@ -183,7 +183,7 @@ func (t *mixedGrained) entryBytes() int64 {
 }
 
 func (t *mixedGrained) storedBytes(rv *resolvedVals) int64 {
-	return rv.ev.FootprintBytes() + t.plan.Specs.FootprintBytes() + 8 + 24
+	return t.plan.eventBytes(rv) + t.plan.Specs.FootprintBytes() + 8 + 24
 }
 
 // Process implements Algorithm 2 lines 5–14 (Algorithm 1 lines 3–8

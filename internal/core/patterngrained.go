@@ -135,7 +135,7 @@ func (g *patternGrained) setEl(rv *resolvedVals, ap *aliasPlan) {
 	g.hasEl = true
 	g.elTime = rv.ev.Time
 	g.elAlias = ap.id
-	g.elFoot = rv.ev.FootprintBytes()
+	g.elFoot = g.plan.eventBytes(rv)
 	g.elLeft = g.plan.copyLeftVals(g.elLeft, rv)
 	g.elNode, g.scratch = g.scratch, g.elNode
 	g.sh.acct.Add(g.elFoot)

@@ -481,3 +481,42 @@ func (p *Plan) copyLeftVals(dst []attrVal, rv *resolvedVals) []attrVal {
 	}
 	return dst
 }
+
+// eventBytes is the event's Event.FootprintBytes, read off the plan's
+// resolved slots: every host resolves all of its plan's attributes for
+// the types it receives. The keys the slots found are a subset of a
+// map's keys, so when their count equals the map's length they are all
+// of it and the slot sums are the map's charge; only a map carrying an
+// attribute the plan does not read is walked. A numeric slot resolved
+// without its symbolic probe (ResolveRun) leaves the Sym count short,
+// which walks Sym: exact either way.
+func (p *Plan) eventBytes(rv *resolvedVals) int64 {
+	ev := rv.ev
+	var nNum, nSym int
+	var numBytes, symBytes int64
+	for i := range p.attrSyms {
+		s := &p.attrSyms[i]
+		h := rv.has[s.id]
+		if h&hasNum != 0 {
+			nNum++
+			numBytes += int64(len(s.name)) + 8
+		}
+		if h&hasSymRaw != 0 {
+			nSym++
+			symBytes += int64(len(s.name)) + int64(len(rv.sym[s.id]))
+		}
+	}
+	if nNum != len(ev.Num) {
+		numBytes = 0
+		for k := range ev.Num {
+			numBytes += int64(len(k)) + 8
+		}
+	}
+	if nSym != len(ev.Sym) {
+		symBytes = 0
+		for k, v := range ev.Sym {
+			symBytes += int64(len(k)) + int64(len(v))
+		}
+	}
+	return 40 + int64(len(ev.Type)) + numBytes + symBytes
+}

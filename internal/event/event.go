@@ -181,7 +181,10 @@ func (e *Event) Clone() *Event {
 // FootprintBytes is the logical memory cost of storing this event,
 // used by the metrics package for hardware-independent peak-memory
 // accounting (paper §9.1). It charges the struct header plus each
-// attribute entry.
+// attribute entry. The baselines call it; COGRA's kernels charge the
+// same bytes with core's Plan.eventBytes, which reads them off the
+// event's resolved attribute slots and walks only a map that carries
+// an attribute the plan does not read.
 func (e *Event) FootprintBytes() int64 {
 	n := int64(40) // header: time, id, type pointer, two map headers
 	n += int64(len(e.Type))

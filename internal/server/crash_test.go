@@ -190,3 +190,38 @@ func TestClosedTenantStaysClosed(t *testing.T) {
 		t.Fatalf("closed tenant after a restart: %v, want %s", werr, CodeNotHosted)
 	}
 }
+
+// TestCadenceCountsRefusedBatchPrefix: a batch refused part-way leaves
+// the session holding the prefix before the offending event, and the
+// cadence's count takes that prefix in, so later checkpoints log the
+// number of events the session holds.
+func TestCadenceCountsRefusedBatchPrefix(t *testing.T) {
+	var log logLines
+	srv, err := New(Config{CheckpointDir: t.TempDir(), CheckpointEvery: 10, Logf: log.logf,
+		SessionOptions: []cogra.SessionOption{cogra.WithSlack(0), cogra.WithLatePolicy(cogra.RejectLate)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	if _, werr := srv.Subscribe("acme", testQuery, false); werr != nil {
+		t.Fatal(werr)
+	}
+	var batch []*cogra.Event
+	for tm := int64(1); tm <= 8; tm++ {
+		batch = append(batch, cogra.NewEvent("A", tm))
+	}
+	batch = append(batch, cogra.NewEvent("A", 0)) // late: the session holds 8
+	if _, werr := srv.Ingest("acme", batch); werr == nil || werr.Code != CodeLateEvent || werr.Accepted != -1 {
+		t.Fatalf("the late batch: %+v, want %s with Accepted -1", werr, CodeLateEvent)
+	}
+	var rest []*cogra.Event
+	for tm := int64(9); tm <= 20; tm++ {
+		rest = append(rest, cogra.NewEvent("A", tm))
+	}
+	if _, werr := srv.Ingest("acme", rest); werr != nil {
+		t.Fatal(werr)
+	}
+	if got := log.positions(); len(got) != 1 || got[0] != 20 {
+		t.Fatalf("checkpoints logged at %v, want [20]", got)
+	}
+}

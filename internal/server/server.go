@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -224,9 +225,9 @@ type tenant struct {
 	subs   map[int]*cogra.Subscription
 	closed bool
 
-	// accepted counts the events acknowledged since the session was
-	// created or restored: the checkpoint cadence's clock. Shard
-	// goroutine only.
+	// accepted counts the events the session ingested since it was
+	// created or restored — a refused batch's ingested prefix too: the
+	// checkpoint cadence's clock. Shard goroutine only.
 	accepted int64
 
 	// pulse is closed and replaced whenever results may have become
@@ -376,15 +377,20 @@ func (s *Server) IngestAsync(tenantName string, events []*cogra.Event) <-chan In
 			rc <- IngestResult{Err: EncodeError(serr)}
 			return
 		}
-		if perr := sess.PushBatch(events); perr != nil {
-			werr := EncodeError(perr)
-			werr.Accepted = -1
-			rc <- IngestResult{Err: werr}
-			return
+		// A batch refused part-way still leaves the session holding
+		// its prefix, which the cadence's count must include.
+		perr := sess.PushBatch(events)
+		took := len(events)
+		if perr != nil {
+			took = 0
+			var be *cogra.BatchError
+			if errors.As(perr, &be) {
+				took = be.Ingested
+			}
 		}
-		s.ingested.Add(int64(len(events)))
+		s.ingested.Add(int64(took))
 		before := t.accepted
-		t.accepted += int64(len(events))
+		t.accepted += int64(took)
 		if n := int64(s.cfg.CheckpointEvery); n > 0 && t.accepted/n != before/n {
 			// The events stay accepted either way; a failed write only
 			// leaves the previous frame as the durable one.
@@ -392,7 +398,15 @@ func (s *Server) IngestAsync(tenantName string, events []*cogra.Event) <-chan In
 				s.cfg.Logf("cograd: checkpoint failed: %v", err)
 			}
 		}
-		t.bump()
+		if took > 0 {
+			t.bump()
+		}
+		if perr != nil {
+			werr := EncodeError(perr)
+			werr.Accepted = -1
+			rc <- IngestResult{Err: werr}
+			return
+		}
 		rc <- IngestResult{Accepted: len(events)}
 	})
 	if err != nil {

@@ -418,8 +418,9 @@ var errPushInSink = errors.New("cogra: Push from within a result sink; defer it 
 // bulk entry point; the batch flows natively down the stack (one
 // dispatch prologue on the in-thread worker, direct appends into the
 // in-flight batches of worker goroutines). The same ordering and
-// slack rules as Push apply; a returned error reports the first
-// offending event, everything before it has been ingested.
+// slack rules as Push apply; an error for an event of the batch is a
+// *BatchError: it reports the first offending event, and that
+// everything before it, Ingested events, has been ingested.
 func (s *Session) PushBatch(events []*Event) error {
 	if s.dispatching {
 		return errPushInSink
@@ -432,11 +433,14 @@ func (s *Session) PushBatch(events []*Event) error {
 	s.dispatching = true
 	defer func() { s.dispatching = false }()
 	if s.ro == nil {
-		return s.dispatchBatch(events)
+		if n, err := s.dispatchBatch(events); err != nil {
+			return &BatchError{Ingested: n, Err: err}
+		}
+		return nil
 	}
-	for _, e := range events {
+	for i, e := range events {
 		if err := s.offer(e); err != nil {
-			return err
+			return &BatchError{Ingested: i, Err: err}
 		}
 	}
 	return nil
@@ -484,29 +488,31 @@ func (s *Session) offer(e *Event) error {
 	if len(out) == 0 {
 		return nil
 	}
-	return s.dispatchBatch(out)
+	_, err = s.dispatchBatch(out)
+	return err
 }
 
-// dispatchBatch hands an in-order batch to the executor. Worker
-// goroutines would only surface an ordering violation at Close, so the
-// session validates the batch HERE, in one scan, to keep Push's
-// synchronous ErrLateEvent contract: on a violation the good prefix is
-// ingested, the error names the first offender, the bad event never
-// reaches a worker and the session stays usable.
-func (s *Session) dispatchBatch(events []*Event) error {
+// dispatchBatch hands an in-order batch to the executor and returns how
+// many of its events it handed over. Worker goroutines would only
+// surface an ordering violation at Close, so the session validates the
+// batch HERE, in one scan, to keep Push's synchronous ErrLateEvent
+// contract: on a violation the good prefix is ingested, the error names
+// the first offender, the bad event never reaches a worker and the
+// session stays usable.
+func (s *Session) dispatchBatch(events []*Event) (int, error) {
 	last, saw := s.last, s.saw
 	for i, e := range events {
 		if saw && e.Time < last {
 			s.last, s.saw = last, saw
 			if err := s.mx.ProcessBatch(events[:i]); err != nil {
-				return err
+				return i, err
 			}
-			return fmt.Errorf("cogra: out-of-order event at time %d after %d: %w", e.Time, last, ErrLateEvent)
+			return i, fmt.Errorf("cogra: out-of-order event at time %d after %d: %w", e.Time, last, ErrLateEvent)
 		}
 		last, saw = e.Time, true
 	}
 	s.last, s.saw = last, saw
-	return s.mx.ProcessBatch(events)
+	return len(events), s.mx.ProcessBatch(events)
 }
 
 // Close ends the stream: the slack buffer (if any) is flushed, and
@@ -526,7 +532,7 @@ func (s *Session) Close() error {
 	defer func() { s.dispatching = false }()
 	if s.ro != nil {
 		if tail := s.ro.Flush(); len(tail) > 0 {
-			if err := s.dispatchBatch(tail); err != nil {
+			if _, err := s.dispatchBatch(tail); err != nil {
 				return err
 			}
 		}

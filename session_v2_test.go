@@ -526,3 +526,25 @@ func TestSessionStrictRouting(t *testing.T) {
 		}
 	})
 }
+
+// TestPushBatchErrorCountsPrefix: a batch refused at its i-th event
+// returns a *BatchError with Ingested i — the prefix the session holds —
+// that still matches the sentinel, with and without a slack buffer.
+func TestPushBatchErrorCountsPrefix(t *testing.T) {
+	for name, opts := range map[string][]cogra.SessionOption{
+		"ordered": nil,
+		"slack":   {cogra.WithSlack(0), cogra.WithLatePolicy(cogra.RejectLate)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sess := cogra.NewSession(opts...)
+			defer sess.Close()
+			batch := []*cogra.Event{cogra.NewEvent("A", 1), cogra.NewEvent("A", 2), cogra.NewEvent("A", 3),
+				cogra.NewEvent("A", 0), cogra.NewEvent("A", 4)}
+			err := sess.PushBatch(batch)
+			var be *cogra.BatchError
+			if !errors.As(err, &be) || be.Ingested != 3 || !errors.Is(err, cogra.ErrLateEvent) {
+				t.Fatalf("PushBatch = %v (%#v), want a BatchError with Ingested 3 wrapping ErrLateEvent", err, be)
+			}
+		})
+	}
+}

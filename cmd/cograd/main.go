@@ -23,8 +23,10 @@
 // a client drained after the last checkpoint come back after a crash.
 // The package comment of internal/server documents the wire surface.
 //
-// Session flags (-workers, -slack, ...) apply to every tenant
-// session the daemon creates; they are the same flags cograql takes.
+// Session flags (-workers, -slack, ...) shape every new tenant session
+// the daemon creates; they are the same flags cograql takes. A tenant
+// restored from -checkpoint-dir keeps the configuration its checkpoint
+// was taken under, whatever the flags of the restarted daemon.
 package main
 
 import (
@@ -69,14 +71,9 @@ func run(addr, tcpAddr string, shards int, ckptDir string, ckptEvery, maxBatch, 
 	if err != nil {
 		return err
 	}
-	ropts, err := sf.RestoreOptions()
-	if err != nil {
-		return err
-	}
 	srv, err := server.New(server.Config{
 		Shards:              shards,
 		SessionOptions:      opts,
-		RestoreOptions:      ropts,
 		CheckpointDir:       ckptDir,
 		CheckpointEvery:     ckptEvery,
 		MaxBatch:            maxBatch,

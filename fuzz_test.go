@@ -1,8 +1,7 @@
 package cogra_test
 
 // FuzzSnapshotDecode: Restore over arbitrary bytes must either succeed
-// or fail with a typed error (ErrBadSnapshot, or ErrFrozenRouting for
-// a worker-count conflict) — never panic, hang, or over-allocate. The
+// or fail with ErrBadSnapshot — never panic, hang, or over-allocate. The
 // committed seed corpus in testdata/fuzz/FuzzSnapshotDecode covers a
 // valid snapshot plus truncated, bit-flipped, version-skewed and
 // oversized-length mutants (regenerate with scripts/gen_fuzz_corpus.go)
@@ -86,7 +85,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sess, err := cogra.Restore(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, cogra.ErrBadSnapshot) && !errors.Is(err, cogra.ErrFrozenRouting) {
+			if !errors.Is(err, cogra.ErrBadSnapshot) {
 				t.Fatalf("Restore returned an untyped error: %v", err)
 			}
 			return

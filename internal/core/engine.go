@@ -95,10 +95,9 @@ type Engine struct {
 	seq      int64
 	eventsIn int64
 	skipped  int64
-	evict    bool
 
-	results  []Result
-	onResult func(Result)
+	engineConfig
+	results []Result
 
 	// solo resolves the lone events Process takes, each a run of one;
 	// it is made at the first call, since the engines a runtime hosts
@@ -106,17 +105,24 @@ type Engine struct {
 	solo *Resolver
 }
 
+// engineConfig is what the options set.
+type engineConfig struct {
+	acct     accountant
+	onResult func(Result)
+	evict    bool
+}
+
 // Option configures an Engine.
-type Option func(*Engine)
+type Option func(*engineConfig)
 
 // WithAccountant wires logical memory accounting.
 func WithAccountant(a *metrics.Accountant) Option {
-	return func(e *Engine) { e.sh.acct = a }
+	return func(c *engineConfig) { c.acct = a }
 }
 
 // WithResultCallback streams results to fn instead of collecting them.
 func WithResultCallback(fn func(Result)) Option {
-	return func(e *Engine) { e.onResult = fn }
+	return func(c *engineConfig) { c.onResult = fn }
 }
 
 // ResultCallbackOf returns the callback opts install (nil: results are
@@ -124,11 +130,11 @@ func WithResultCallback(fn func(Result)) Option {
 // itself — its engines emit to their sharing group, which projects per
 // member — so it has to read it out of the opaque option list.
 func ResultCallbackOf(opts []Option) func(Result) {
-	var probe Engine
+	var c engineConfig
 	for _, opt := range opts {
-		opt(&probe)
+		opt(&c)
 	}
-	return probe.onResult
+	return c.onResult
 }
 
 // WithInternEviction ties the engine's binding-intern tables to window
@@ -142,17 +148,18 @@ func ResultCallbackOf(opts []Option) func(Result) {
 // Session hosts evicts; an engine without this option is the unbounded
 // reference the differential tests compare sessions against.
 func WithInternEviction() Option {
-	return func(e *Engine) { e.evict = true }
+	return func(c *engineConfig) { c.evict = true }
 }
 
 // NewEngine builds an engine for a plan.
 func NewEngine(p *Plan, opts ...Option) *Engine {
 	e := &Engine{plan: p}
-	e.sh.acct = nopAccountant{}
+	e.acct = nopAccountant{}
 	for _, opt := range opts {
-		opt(e)
+		opt(&e.engineConfig)
 	}
-	e.sh.bnd = newBindings(p.Slots, e.sh.acct, e.evict) // after opts: intern tables charge the accountant
+	e.sh.acct = e.acct
+	e.sh.bnd = newBindings(p.Slots, e.acct, e.evict) // after opts: intern tables charge the accountant
 	e.mgr = window.NewManager(p.Query.Window, e.openWindow)
 	return e
 }

@@ -248,7 +248,7 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 			if err := sess.Snapshot(&buf); err != nil {
 				return nil, fmt.Errorf("fuzz: snapshot at %d: %w", pos, err)
 			}
-			restored, err := cogra.Restore(&buf, opts...)
+			restored, err := cogra.Restore(&buf)
 			if err != nil {
 				return nil, fmt.Errorf("fuzz: restore at %d: %w", pos, err)
 			}

@@ -114,7 +114,7 @@ func TestCadenceCheckpointSurvivesKill(t *testing.T) {
 
 			dir := t.TempDir()
 			var log logLines
-			srv, err := New(Config{Shards: 2, SessionOptions: tc.opts, RestoreOptions: tc.opts,
+			srv, err := New(Config{Shards: 2, SessionOptions: tc.opts,
 				CheckpointDir: dir, CheckpointEvery: tc.every, Logf: log.logf})
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +143,7 @@ func TestCadenceCheckpointSurvivesKill(t *testing.T) {
 			}
 			srv.Drain()
 
-			restarted, err := New(Config{Shards: 2, RestoreOptions: tc.opts, CheckpointDir: crashed})
+			restarted, err := New(Config{Shards: 2, CheckpointDir: crashed})
 			if err != nil {
 				t.Fatalf("boot on the durable frame beside a stale temp file: %v", err)
 			}
@@ -223,5 +223,80 @@ func TestCadenceCountsRefusedBatchPrefix(t *testing.T) {
 	}
 	if got := log.positions(); len(got) != 1 || got[0] != 20 {
 		t.Fatalf("checkpoints logged at %v, want [20]", got)
+	}
+}
+
+// TestBootKeepsCheckpointConfig: a checkpoint restores the session it
+// was taken from, whatever the booting server's session options. A
+// tenant checkpointed on 2 workers boots on 2 under a server configured
+// for 1 or for 4, and with the suffix pushed its results equal an
+// undisturbed server's; a tenant created after the boot takes the
+// server's options.
+func TestBootKeepsCheckpointConfig(t *testing.T) {
+	events := synthStream(800, 7)
+	const cut, batch = 400, 100
+	two := []cogra.SessionOption{cogra.WithWorkers(2)}
+	undisturbed, err := New(Config{Shards: 2, SessionOptions: two})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer undisturbed.Drain()
+	want := serveStream(t, undisturbed, 0, true, events, batch)
+	if want == "" {
+		t.Fatal("the undisturbed run emits nothing; the comparison is vacuous")
+	}
+
+	dir := t.TempDir()
+	srv, err := New(Config{Shards: 2, SessionOptions: two, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, werr := srv.Subscribe("acme", testQuery, false)
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	pushBatches(t, srv, events[:cut], batch)
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	frame := hex.EncodeToString([]byte("acme")) + ".snap"
+	raw, err := os.ReadFile(filepath.Join(dir, frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	workersOf := func(srv *Server, tenant string) int {
+		t.Helper()
+		st, ok := srv.tenant(tenant, false).statsSnapshot()
+		if !ok {
+			t.Fatalf("tenant %q has no session", tenant)
+		}
+		return st.Workers
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers %d", workers), func(t *testing.T) {
+			boot := t.TempDir()
+			if err := os.WriteFile(filepath.Join(boot, frame), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			restarted, err := New(Config{Shards: 2, CheckpointDir: boot,
+				SessionOptions: []cogra.SessionOption{cogra.WithWorkers(workers)}})
+			if err != nil {
+				t.Fatalf("boot with %d workers on a 2-worker checkpoint: %v", workers, err)
+			}
+			defer restarted.Drain()
+			if got := workersOf(restarted, "acme"); got != 2 {
+				t.Errorf("restored tenant runs %d workers, its checkpoint 2", got)
+			}
+			if _, werr := restarted.Ingest("globex", events[:1]); werr != nil {
+				t.Fatal(werr)
+			}
+			if got := workersOf(restarted, "globex"); got != workers {
+				t.Errorf("new tenant runs %d workers, the server's options %d", got, workers)
+			}
+			if got := serveStream(t, restarted, id, false, events[cut:], batch); got != want {
+				t.Errorf("restore + suffix differs from the undisturbed run\nrecovered:\n%s\nundisturbed:\n%s", got, want)
+			}
+		})
 	}
 }

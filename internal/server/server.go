@@ -25,12 +25,10 @@ type Config struct {
 	// across tenants; a tenant always stays on one shard.
 	Shards int
 	// SessionOptions configure every freshly created tenant session
-	// (workers, slack, ... — typically from sessionflags).
+	// (workers, slack, ... — typically from sessionflags). A tenant
+	// restored from CheckpointDir keeps the configuration its
+	// checkpoint was taken under.
 	SessionOptions []cogra.SessionOption
-	// RestoreOptions configure sessions restored from CheckpointDir at
-	// boot (sessionflags.RestoreOptions: explicit topology flags
-	// override the checkpoint, omitted ones let it decide).
-	RestoreOptions []cogra.SessionOption
 	// CheckpointDir, when set, makes Drain snapshot every tenant
 	// session into it (one file per tenant, written atomically), and
 	// New restore every tenant found in it.
@@ -49,12 +47,11 @@ type Config struct {
 	// (0: unlimited). Exceeding it is a backpressure rejection.
 	MaxQueriesPerTenant int
 	// IngestRate caps each tenant's sustained ingest in events/second
-	// via a token bucket (0: unlimited); IngestBurst is the bucket
-	// size (0: one second's worth, floor 1024). Beyond the bucket,
-	// ingest is a backpressure rejection — the client backs off and
-	// retries, exactly like a depth-capped reorder buffer.
-	IngestRate  float64
-	IngestBurst float64
+	// via a token bucket (0: unlimited) that holds one second's worth
+	// of events, at least 1024. Beyond the bucket, ingest is a
+	// backpressure rejection — the client backs off and retries,
+	// exactly like a depth-capped reorder buffer.
+	IngestRate float64
 	// Logf receives operational log lines (nil: silent).
 	Logf func(format string, args ...any)
 }
@@ -83,9 +80,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
-	}
-	if cfg.IngestRate > 0 && cfg.IngestBurst <= 0 {
-		cfg.IngestBurst = max(cfg.IngestRate, 1024)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -309,11 +303,13 @@ type tokenBucket struct {
 }
 
 // take refills by elapsed wall time and withdraws n tokens; false
-// means the quota is exhausted and nothing was withdrawn.
-func (b *tokenBucket) take(n int, rate, burst float64, now time.Time) bool {
+// means the quota is exhausted and nothing was withdrawn. The bucket
+// holds one second's worth of events, at least 1024.
+func (b *tokenBucket) take(n int, rate float64, now time.Time) bool {
 	if rate <= 0 {
 		return true
 	}
+	burst := max(rate, 1024)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.last.IsZero() {
@@ -365,7 +361,7 @@ func (s *Server) IngestAsync(tenantName string, events []*cogra.Event) <-chan In
 		return rc
 	}
 	t := s.tenant(tenantName, true)
-	if !t.bucket.take(len(events), s.cfg.IngestRate, s.cfg.IngestBurst, time.Now()) {
+	if !t.bucket.take(len(events), s.cfg.IngestRate, time.Now()) {
 		s.quotaDenied.Add(1)
 		rc <- IngestResult{Err: EncodeError(fmt.Errorf("cograd: tenant %q over its %g events/s ingest quota: %w",
 			tenantName, s.cfg.IngestRate, cogra.ErrBackpressure))}
@@ -678,7 +674,7 @@ func (s *Server) restoreAll() error {
 				return
 			}
 			defer f.Close()
-			sess, err := cogra.Restore(f, s.cfg.RestoreOptions...)
+			sess, err := cogra.Restore(f)
 			if err != nil {
 				rerr = fmt.Errorf("restore tenant %q: %w", tenantName, err)
 				return

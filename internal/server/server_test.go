@@ -363,12 +363,13 @@ func TestServerQuotas(t *testing.T) {
 		}
 	})
 	t.Run("ingest rate", func(t *testing.T) {
-		_, c, _ := newTestServer(t, Config{IngestRate: 1, IngestBurst: 100})
-		if _, err := c.push("acme", synthStream(100, 2)); err != nil {
+		// The bucket holds one second's worth, at least 1024 events.
+		_, c, _ := newTestServer(t, Config{IngestRate: 1})
+		events := synthStream(1025, 2)
+		if _, err := c.push("acme", events[:1024]); err != nil {
 			t.Fatalf("burst: %v", err)
 		}
-		events := synthStream(101, 2)[100:]
-		if _, err := c.push("acme", events); !errors.Is(err, cogra.ErrBackpressure) {
+		if _, err := c.push("acme", events[1024:]); !errors.Is(err, cogra.ErrBackpressure) {
 			t.Fatalf("over quota: %v, want ErrBackpressure", err)
 		}
 	})

@@ -19,7 +19,8 @@
 // completes what is queued and checkpoints every open tenant session
 // (snap.WriteFileAtomic, undrained results included); New restores
 // every <hex tenant>.snap it finds, ignoring the temp files a crash
-// mid-write leaves, and subscriptions keep their ids; CloseTenant
+// mid-write leaves; a restored session keeps its checkpoint's
+// configuration and its subscriptions keep their ids; CloseTenant
 // deletes the tenant's checkpoint, so a closed stream stays closed. With
 // Config.CheckpointEvery the shard goroutine also checkpoints a tenant
 // before acknowledging a request that took its accepted-event count

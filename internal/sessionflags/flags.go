@@ -39,37 +39,18 @@ type Flags struct {
 	// RejectOverrun fails with backpressure at the depth cap instead of
 	// shedding the buffer's oldest events.
 	RejectOverrun bool
-
-	fs *flag.FlagSet // nil when the struct was filled by hand
 }
 
 // Register defines the shared session flags on fs and returns the
 // struct they parse into. Call fs.Parse before reading the fields.
 func Register(fs *flag.FlagSet) *Flags {
-	f := &Flags{fs: fs}
+	f := &Flags{}
 	fs.IntVar(&f.Workers, "workers", 1, "partition-parallel workers per session")
 	fs.Int64Var(&f.Slack, "slack", -1, "accept events up to this many time units out of order (-1: require in-order input)")
 	fs.BoolVar(&f.RejectLate, "late-reject", false, "fail on events beyond -slack instead of dropping them")
 	fs.IntVar(&f.MaxDepth, "max-reorder-depth", 0, "cap the -slack reorder buffer at this many events (0: unbounded)")
 	fs.BoolVar(&f.RejectOverrun, "reorder-reject", false, "fail with backpressure when the capped reorder buffer is full, instead of shedding its oldest events")
 	return f
-}
-
-// WasSet reports whether the named flag was given explicitly on the
-// command line (false for hand-filled structs). Restoring binaries use
-// it to decide whether an explicit -workers overrides the
-// checkpoint's own topology.
-func (f *Flags) WasSet(name string) bool {
-	if f.fs == nil {
-		return false
-	}
-	set := false
-	f.fs.Visit(func(fl *flag.Flag) {
-		if fl.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // Validate applies the cross-flag rules shared by every session-serving
@@ -89,24 +70,11 @@ func (f *Flags) Validate() error {
 
 // Options validates and translates the flags into session options.
 func (f *Flags) Options() ([]cogra.SessionOption, error) {
-	return f.options(false)
-}
-
-// RestoreOptions is Options for a binary resuming from a checkpoint:
-// an explicitly given -workers is included even at its default
-// value, so it overrides the checkpoint's own topology (allowed only
-// while no event had been ingested); an omitted flag lets the
-// checkpoint decide.
-func (f *Flags) RestoreOptions() ([]cogra.SessionOption, error) {
-	return f.options(true)
-}
-
-func (f *Flags) options(restoring bool) ([]cogra.SessionOption, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	var opts []cogra.SessionOption
-	if f.Workers > 1 || (restoring && f.WasSet("workers")) {
+	if f.Workers > 1 {
 		opts = append(opts, cogra.WithWorkers(f.Workers))
 	}
 	if f.Slack >= 0 {

@@ -70,43 +70,6 @@ func TestCrossFlagValidation(t *testing.T) {
 	}
 }
 
-func TestRestoreOptionsIncludeExplicitTopology(t *testing.T) {
-	// -workers 1 is the default value, but GIVEN explicitly it must
-	// reach the restored session so it overrides the checkpoint's
-	// fleet size.
-	f := parse(t, "-workers", "1")
-	opts, err := f.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opts) != 0 {
-		t.Fatalf("fresh session: explicit default -workers produced %d options, want 0", len(opts))
-	}
-	ropts, err := f.RestoreOptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ropts) != 1 {
-		t.Fatalf("restore: explicit -workers 1 produced %d options, want 1", len(ropts))
-	}
-	// Omitted flags stay omitted on restore: the checkpoint decides.
-	f = parse(t)
-	if ropts, err = f.RestoreOptions(); err != nil || len(ropts) != 0 {
-		t.Fatalf("restore with no flags: %d options (err %v), want 0", len(ropts), err)
-	}
-}
-
-func TestWasSet(t *testing.T) {
-	f := parse(t, "-slack", "2")
-	if !f.WasSet("slack") || f.WasSet("workers") {
-		t.Fatalf("WasSet(slack)=%v WasSet(workers)=%v, want true false", f.WasSet("slack"), f.WasSet("workers"))
-	}
-	var hand Flags // hand-filled structs never report flags as set
-	if hand.WasSet("workers") {
-		t.Fatal("zero-value Flags reported a set flag")
-	}
-}
-
 func TestValidationMessagesNameTheFlags(t *testing.T) {
 	f := parse(t, "-late-reject")
 	_, err := f.Options()

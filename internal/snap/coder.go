@@ -212,9 +212,9 @@ func MapKeys[K cmp.Ordered, V any](c *Coder, m *map[K]V, elemMin int) (keys []K,
 	return keys, len(keys)
 }
 
-// Begin opens a length-prefixed section, so a decoder can step over it
-// unread; End closes it with the token Begin returned. Decoding, End
-// insists the section was consumed exactly.
+// Begin opens a length-prefixed section; End closes it with the token
+// Begin returned. Decoding, End insists the section was consumed
+// exactly.
 func (c *Coder) Begin() int {
 	if c.r != nil {
 		n := c.r.U32()
@@ -233,12 +233,5 @@ func (c *Coder) End(sec int) {
 		binary.LittleEndian.PutUint32(c.w.b[sec-4:], uint32(len(c.w.b)-sec))
 	} else if c.r.err == nil && c.r.off != sec {
 		c.r.fail("section ends at offset %d, decoded to %d", sec, c.r.off)
-	}
-}
-
-// Skip steps over the rest of an open section without decoding it.
-func (c *Coder) Skip(sec int) {
-	if c.r != nil && c.r.err == nil {
-		c.r.off = sec
 	}
 }

@@ -213,9 +213,9 @@ func TestCheckAndFailAreDirectional(t *testing.T) {
 	}
 }
 
-// TestSectionSkipAndMismatch: a section can be stepped over unread, and
-// one that decodes to a different length than it declares is corrupt.
-func TestSectionSkipAndMismatch(t *testing.T) {
+// TestSectionMismatch: a section read exactly closes cleanly, and one
+// that decodes to a different length than it declares is corrupt.
+func TestSectionMismatch(t *testing.T) {
 	var w Writer
 	enc := Encoder(&w)
 	inner, after := "inside", uint32(42)
@@ -226,10 +226,13 @@ func TestSectionSkipAndMismatch(t *testing.T) {
 
 	r := w.Reader()
 	dec := Decoder(r)
-	dec.Skip(dec.Begin())
+	sec = dec.Begin()
+	var gotInner string
+	dec.Str(&gotInner)
+	dec.End(sec)
 	var got uint32
-	if dec.U32(&got); got != after || r.Close() != nil {
-		t.Errorf("after Skip: read %d (want %d), close %v", got, after, r.Close())
+	if dec.U32(&got); gotInner != inner || got != after || r.Close() != nil {
+		t.Errorf("read %q then %d (want %q then %d), close %v", gotInner, got, inner, after, r.Close())
 	}
 
 	dec = Decoder(w.Reader())

@@ -2,9 +2,10 @@
 # Server smoke: run cograd, subscribe a query over HTTP, push the first
 # half of a generated stream, drain the results seen so far, SIGTERM
 # the server mid-stream (graceful drain checkpoints every tenant),
-# restart it from the checkpoint directory, push the second half, close
-# the tenant and drain the rest — then require part1+part2 to be
-# byte-identical to an embedded cograql run over the whole stream. The
+# restart it from the checkpoint directory with a different -workers,
+# push the second half, close the tenant and drain the rest — then
+# require part1+part2 to be byte-identical to an embedded cograql run
+# over the whole stream. The
 # network service must add zero result drift: not across tenants, not
 # across a restart. A second leg SIGKILLs a server that checkpoints on
 # a cadence (-checkpoint-every) right after its checkpoint at the cut,
@@ -84,8 +85,10 @@ wait "$SRV" || {
 
 # Restart from the checkpoint: the subscription keeps its id, the
 # session resumes mid-window, and the stream suffix continues exactly
-# where the prefix left off.
-start_server cograd2.log -checkpoint-dir "$DIR/ck"
+# where the prefix left off. The restart asks for 2 workers; the first
+# run had the default 1, and a restored tenant keeps its checkpoint's
+# configuration (the flag shapes only new tenants).
+start_server cograd2.log -checkpoint-dir "$DIR/ck" -workers 2
 "$DIR/client" -addr "$ADDR" -tenant smoke -mode push -input "$DIR/stream.csv" -from "$CUT"
 "$DIR/client" -addr "$ADDR" -tenant smoke -mode close
 "$DIR/client" -addr "$ADDR" -tenant smoke -mode drain -id "$ID" > "$DIR/part2.out"

@@ -160,19 +160,19 @@ func WithLatePolicy(p LatePolicy) SessionOption {
 
 // DepthPolicy selects what a depth-capped slack buffer
 // (WithMaxReorderDepth) does when it is full.
-type DepthPolicy int
+type DepthPolicy = stream.DepthPolicy
 
 const (
 	// ShedOldest force-drains the oldest buffered events to make room —
 	// the serving default: they are dispatched immediately (early, but
 	// in order) and counted in Stats.ReorderShed; later arrivals older
 	// than a shed event are dropped as late.
-	ShedOldest DepthPolicy = iota
+	ShedOldest = stream.ShedOldest
 	// Reject makes Push/PushBatch return an error wrapping
 	// ErrBackpressure when the buffer is full and the offered event
 	// would not release any buffered one; the event is not ingested and
 	// the session remains usable.
-	Reject
+	Reject = stream.Reject
 )
 
 // WithMaxReorderDepth caps the WithSlack reorder buffer at n events
@@ -248,14 +248,7 @@ func newReorderer(cfg sessionCfg) *stream.Reorderer {
 	}
 	ro := stream.NewReorderer(cfg.slack)
 	if cfg.maxDepth > 0 {
-		// Map the public policy to the stream-level one explicitly:
-		// the two enums are declared independently, and a numeric
-		// cast would silently diverge if either was ever reordered.
-		policy := stream.ShedOldest
-		if cfg.depth == Reject {
-			policy = stream.Reject
-		}
-		ro.SetMaxDepth(cfg.maxDepth, policy)
+		ro.SetMaxDepth(cfg.maxDepth, cfg.depth)
 	}
 	return ro
 }

@@ -63,7 +63,7 @@ func (s *Session) Snapshot(w io.Writer) error {
 	var sw snap.Writer
 	sw.Grow(s.snapLen)
 	c := snap.Encoder(&sw)
-	s.code(c, nil)
+	s.code(c)
 	if err := c.Err(); err != nil {
 		return err
 	}
@@ -71,20 +71,18 @@ func (s *Session) Snapshot(w io.Writer) error {
 	return sw.Frame(w)
 }
 
-// Restore rebuilds a session from a Snapshot. The restored session
-// continues exactly where the snapshot was taken: pushing the
-// remaining stream suffix yields byte-identical results, and Stats
-// counters are continuous. Options are applied ON TOP of the
-// snapshot's own configuration; the worker count may only differ from
-// the snapshot's while no event had been ingested yet (the routing
-// function freezes with the first event) — otherwise Restore fails
-// with an error wrapping ErrFrozenRouting.
+// Restore rebuilds a session from a Snapshot. A frame is the whole
+// session: the restored one runs under the configuration the snapshot
+// was taken under — worker count, slack, late policy, reorder depth cap
+// and depth policy — and continues exactly where the snapshot was
+// taken: pushing the remaining stream suffix yields byte-identical
+// results, and Stats counters are continuous.
 //
 // Sinks are not serializable, so restored subscriptions always buffer:
 // re-read results with Subscription.Results or Drain (Session.
 // Subscriptions returns the restored handles, indexed by their
 // original ids).
-func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
+func Restore(r io.Reader) (*Session, error) {
 	rd, err := snap.Open(r)
 	if err != nil {
 		return nil, err
@@ -92,10 +90,8 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	// The restored frame is the session's previous one: its next
 	// Snapshot reserves that much.
 	s, c := &Session{snapLen: rd.Rem()}, snap.Decoder(rd)
-	if err = s.code(c, opts); err == nil {
-		err = rd.Close() // the sticky decode error, or trailing bytes
-	}
-	if err != nil {
+	s.code(c)
+	if err = rd.Close(); err != nil { // the sticky decode error, or trailing bytes
 		if s.mx != nil {
 			s.mx.Close()
 		}
@@ -108,30 +104,20 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 // position, the reorder buffer, the catalog, the plan table, every
 // subscription (its executor subscription and plan when active, its
 // undelivered results either way) and the execution topology. Decoding
-// fills an empty Session, applying opts on top of the decoded
-// configuration; the error it returns is one that is not the snapshot's
-// fault (the sticky decode error stays in c).
-func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
-	orig := s.cfg
-	orig.code(c)
+// fills an empty Session; a decode error stays in c.
+func (s *Session) code(c *snap.Coder) {
+	s.cfg.code(c)
 	if c.Decoding() {
 		if c.Err() != nil {
-			return nil
-		}
-		s.cfg = orig
-		for _, opt := range opts {
-			opt(&s.cfg)
+			return
 		}
 		s.ro, s.cat = newReorderer(s.cfg), core.NewCatalog()
 	}
 	c.Int(&s.roPeak)
 	c.I64(&s.roSeq)
-	// Whether any event reached the executor (saw) also gates restore:
-	// the worker count may only change while it is false, since routing
-	// and worker-local state are frozen by the first dispatched event.
 	c.I64(&s.last)
 	c.Bool(&s.saw)
-	if orig.reorder { // options only ever add WithSlack, so s.ro exists
+	if s.cfg.reorder {
 		s.ro.Code(c)
 	}
 	s.cat.Code(c)
@@ -150,8 +136,8 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 		}
 		sub := s.subs[id]
 		if c.Bool(&sub.active); sub.active {
-			// The executor id relinks it to the restored topology; the plan
-			// index re-subscribes it when a reshaped restore skips that.
+			// The executor id relinks it to the restored topology, which
+			// must run it on the plan its index names.
 			var pi int32
 			if !c.Decoding() {
 				eids[id], pi = sub.msub.ID(), idx[sub.plan]
@@ -164,62 +150,33 @@ func (s *Session) code(c *snap.Coder, opts []SessionOption) error {
 		}
 		snap.Slice(c, &sub.pending, 32, core.CodeResult)
 	}
-	// The execution topology is nested as one length-prefixed section,
-	// so a restore that rebuilds a fresh topology (worker-count change on
-	// an event-free snapshot) can skip it wholesale.
+	// The execution topology is one length-prefixed section, which
+	// decoding must consume exactly.
 	topology := c.Begin()
 	if !c.Decoding() {
 		s.mx.Code(c, idx, plans)
 		c.End(topology)
-		return nil
+		return
 	}
 	if c.Err() != nil {
-		return nil
+		return
 	}
-	if width(s.cfg.workers) != width(orig.workers) {
-		if s.saw {
-			return fmt.Errorf("cogra: restore with %d workers from a %d-worker snapshot after events flowed (routing is frozen): %w",
-				width(s.cfg.workers), width(orig.workers), ErrFrozenRouting)
-		}
-		// Event-free snapshot: the topology holds only fresh construction
-		// state, so skip it and re-subscribe the surviving plans against a
-		// fresh executor of the requested width.
-		c.Skip(topology)
-		s.mx = stream.NewMultiExecutorOn(s.cat, s.cfg.workers, engineOpts()...)
-		for _, sub := range s.subs {
-			if sub.active {
-				msub, err := s.mx.SubscribePlan(sub.plan)
-				if err != nil {
-					return err
-				}
-				sub.msub = msub
+	if s.mx = stream.RestoreMultiExecutor(s.cat, c, plans, engineOpts()...); s.mx == nil {
+		return
+	}
+	c.End(topology)
+	// The session and its executor number subscriptions in one order,
+	// so the active ones pair up at increasing executor ids.
+	msubs, prev := s.mx.Subs(), -1
+	for id, sub := range s.subs {
+		if eid := eids[id]; sub.active && c.Err() == nil {
+			ok := eid > prev && eid < len(msubs) && msubs[eid].Active() && msubs[eid].Plan() == sub.plan
+			if c.Check(ok, "subscription %d names executor subscription %d: out of order, unknown, detached or running another plan", id, eid); ok {
+				sub.msub, prev = msubs[eid], eid
 			}
 		}
-	} else {
-		if s.mx = stream.RestoreMultiExecutor(s.cat, c, plans, engineOpts()...); s.mx == nil {
-			return nil
-		}
-		c.End(topology)
-		// The session and its executor number subscriptions in one order,
-		// so the active ones pair up at increasing executor ids.
-		msubs, prev := s.mx.Subs(), -1
-		for id, sub := range s.subs {
-			if eid := eids[id]; sub.active && c.Err() == nil {
-				ok := eid > prev && eid < len(msubs) && msubs[eid].Active() && msubs[eid].Plan() == sub.plan
-				if c.Check(ok, "subscription %d names executor subscription %d: out of order, unknown, detached or running another plan", id, eid); ok {
-					sub.msub, prev = msubs[eid], eid
-				}
-			}
-		}
-	}
-	// A table entry no hosting retained (a group's union whose hosts a
-	// reshaped restore did not rebuild) gives its unreferenced symbols
-	// back; entries in use keep theirs.
-	for _, plan := range plans {
-		s.cat.DiscardPlan(plan)
 	}
 	s.cat.ResetEpoch(epochMark, compMark)
-	return nil
 }
 
 // codePlans lists the plan table: every distinct plan the topology runs
@@ -275,10 +232,6 @@ func (cfg *sessionCfg) code(c *snap.Coder) {
 	snap.Enum(c, &cfg.depth, Reject, "session depth policy")
 	c.Check(cfg.workers >= 0 && cfg.workers <= stream.MaxSnapshotWorkers, "session worker count %d", cfg.workers)
 }
-
-// width is the worker count a configured value stands for: anything
-// below 2 is the one in-thread worker.
-func width(n int) int { return max(n, 1) }
 
 // Subscriptions returns the session's subscription handles, active and
 // detached, indexed by their ids — the way back to a restored

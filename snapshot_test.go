@@ -204,97 +204,81 @@ func TestSessionSnapshotMidTimestamp(t *testing.T) {
 	}
 }
 
-// TestRestoreWorkerCount: changing the worker count at restore is
-// allowed only while no event has been ingested; afterwards the
-// routing (and the workers' partitioned state) is frozen and Restore
-// fails with ErrFrozenRouting.
-func TestRestoreWorkerCount(t *testing.T) {
-	events := sessionTestStream(1200)
+// TestRestoreKeepsSessionConfig: a frame is the whole session. A
+// session restored from a snapshot runs under the configuration it was
+// taken under — worker count, slack, late policy, depth cap and depth
+// policy — so after the cut every push is accepted, refused as late or
+// refused with backpressure exactly as on the undisturbed session, and
+// the two report the same results and counters.
+func TestRestoreKeepsSessionConfig(t *testing.T) {
+	q := cogra.MustParse(`RETURN COUNT(*) PATTERN SEQ(A+, B) WHERE [k] GROUP-BY k WITHIN 50 SLIDE 50`)
+	ev := func(tm int64) *cogra.Event {
+		return cogra.NewEvent([2]string{"A", "B"}[tm%3/2], tm).WithSym("k", [2]string{"g", "h"}[tm%2])
+	}
+	live := cogra.NewSession(cogra.WithWorkers(2), cogra.WithSlack(5), cogra.WithLatePolicy(cogra.RejectLate),
+		cogra.WithMaxReorderDepth(8), cogra.WithDepthPolicy(cogra.Reject))
+	if _, err := live.Subscribe(q); err != nil {
+		t.Fatal(err)
+	}
+	for tm := int64(1); tm <= 100; tm++ {
+		if err := live.Push(ev(tm)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := live.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := cogra.Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	t.Run("frozen after events", func(t *testing.T) {
-		sess := cogra.NewSession(cogra.WithWorkers(4))
-		if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"])); err != nil {
+	// After the cut: in-slack stragglers until the depth cap refuses
+	// them, one beyond the slack, then an in-order tail.
+	suffix := []int64{97, 98, 99, 96, 97, 98, 99, 90, 101, 96, 110}
+	for tm := int64(111); tm <= 300; tm++ {
+		suffix = append(suffix, tm)
+	}
+	run := func(sess *cogra.Session) (outcomes string, rs []cogra.Result, st cogra.SessionStats) {
+		var late, full int
+		for _, tm := range suffix {
+			err := sess.Push(ev(tm))
+			switch {
+			case err == nil:
+				outcomes += "."
+			case errors.Is(err, cogra.ErrLateEvent):
+				outcomes += "L"
+				late++
+			case errors.Is(err, cogra.ErrBackpressure):
+				outcomes += "B"
+				full++
+			default:
+				t.Fatalf("push %d: %v", tm, err)
+			}
+		}
+		if late == 0 || full == 0 {
+			t.Fatalf("pushes %s refuse %d late and %d at the depth cap: the test is vacuous", outcomes, late, full)
+		}
+		st, err := sess.Stats()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.PushBatch(events[:600]); err != nil {
+		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := sess.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
-		if _, err := cogra.Restore(bytes.NewReader(buf.Bytes()), cogra.WithWorkers(2)); !errors.Is(err, cogra.ErrFrozenRouting) {
-			t.Fatalf("restore with changed workers after events: err = %v, want ErrFrozenRouting", err)
-		}
-		// The unchanged worker count still restores.
-		if _, err := cogra.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("restore with original workers: %v", err)
-		}
-	})
-
-	// An event-free frame may cross between the in-thread worker and
-	// worker goroutines in either direction. The fleet has a detached
-	// member, so the rebuilt executor numbers its subscriptions
-	// differently from the session; a second snapshot of the reshaped
-	// session must still restore.
-	for name, reshape := range map[string]struct {
-		from, to []cogra.SessionOption
-		workers  int
-	}{
-		"free before events/in-thread to workers": {nil, []cogra.SessionOption{cogra.WithWorkers(4)}, 4},
-		"free before events/workers to in-thread": {[]cogra.SessionOption{cogra.WithWorkers(4)}, []cogra.SessionOption{cogra.WithWorkers(1)}, 1},
-	} {
-		t.Run(name, func(t *testing.T) {
-			sess := cogra.NewSession(reshape.from...)
-			gone, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["mixed"]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"])); err != nil {
-				t.Fatal(err)
-			}
-			gone.Unsubscribe()
-			var buf bytes.Buffer
-			if err := sess.Snapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			sess.Close()
-			reshaped, err := cogra.Restore(bytes.NewReader(buf.Bytes()), reshape.to...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf.Reset()
-			if err := reshaped.Snapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			reshaped.Close()
-			restored, err := cogra.Restore(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.PushBatch(events); err != nil {
-				t.Fatal(err)
-			}
-			st, err := restored.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Workers != reshape.workers {
-				t.Errorf("workers after reshape = %d, want %d", st.Workers, reshape.workers)
-			}
-			if err := restored.Close(); err != nil {
-				t.Fatal(err)
-			}
-			got := restored.Subscriptions()[1].Drain()
-			want := soloRun(t, sessionTestQueries()["type"], events)
-			if !diff.Equal(got, want) {
-				t.Errorf("event-free snapshot reshaped diverges from solo run\n%s", diff.Diff(got, want))
-			}
-			if len(want) == 0 {
-				t.Error("no results; test is vacuous")
-			}
-		})
+		return outcomes, sess.Subscriptions()[0].Drain(), st
+	}
+	wantOut, want, wantSt := run(live)
+	gotOut, got, gotSt := run(restored)
+	if gotOut != wantOut {
+		t.Errorf("push outcomes after the cut: restored %s, undisturbed %s", gotOut, wantOut)
+	}
+	if gotSt.Workers != 2 || fmt.Sprintf("%+v", gotSt) != fmt.Sprintf("%+v", wantSt) {
+		t.Errorf("stats after the suffix\nrestored:    %+v\nundisturbed: %+v", gotSt, wantSt)
+	}
+	if len(want) == 0 || !diff.Equal(got, want) {
+		t.Errorf("restored results diverge from the undisturbed run (%d results)\n%s", len(want), diff.Diff(got, want))
 	}
 }
 
@@ -806,7 +790,7 @@ func TestRestoreSurvivesPayloadDamage(t *testing.T) {
 			try := func(what string, at int, damaged []byte) {
 				sess, err := cogra.Restore(bytes.NewReader(reframe(damaged)))
 				if err != nil {
-					if !errors.Is(err, cogra.ErrBadSnapshot) && !errors.Is(err, cogra.ErrFrozenRouting) {
+					if !errors.Is(err, cogra.ErrBadSnapshot) {
 						t.Fatalf("%s at payload offset %d: untyped error %v", what, at, err)
 					}
 					return

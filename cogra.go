@@ -47,17 +47,9 @@ import (
 // Event is a typed, time-stamped message on the input stream.
 type Event = event.Event
 
-// Schema describes one event type's attributes.
-type Schema = event.Schema
-
 // NewEvent constructs an event of the given type and time; attach
 // attributes with WithNum and WithSym.
 func NewEvent(eventType string, time int64) *Event { return event.New(eventType, time) }
-
-// NewSchema builds a schema; prefix numeric attribute names with '#'.
-func NewSchema(eventType string, attrs ...string) *Schema {
-	return event.NewSchema(eventType, attrs...)
-}
 
 // Query is a parsed or built event trend aggregation query
 // (Definition 6 of the paper).

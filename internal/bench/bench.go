@@ -37,8 +37,10 @@ type Config struct {
 	// OnlineBudget is the work budget for GRETA and A-Seq.
 	OnlineBudget int64
 	// FlattenCap bounds Kleene flattening for A-Seq and Flink. The
-	// paper flattens to the longest match length; the cap keeps the
-	// flattened workload finite at bench scale (see EXPERIMENTS.md).
+	// paper flattens to the longest match length, which at bench scale
+	// reaches a whole sub-stream: one flattened sub-query per length
+	// would not finish. The cap keeps the flattened workload finite;
+	// a capped run misses longer trends, so sweep does not verify it.
 	FlattenCap int
 	// Verify cross-checks every completed run against COGRA's
 	// results, and the ablation's mixed plan against its type plan; a

@@ -1,12 +1,36 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/metrics"
 )
+
+// TestFig9SelectivityDerivation: Figure 9's y attribute makes u <= y
+// hold on each swept selectivity's share of adjacent pairs, on a copy
+// of the stream.
+func TestFig9SelectivityDerivation(t *testing.T) {
+	stock := gen.Stock(gen.StockConfig{Seed: 9, Events: 20_001})
+	for _, sel := range fig9Selectivities {
+		events := withSelectivity(stock, sel)
+		pass := 0
+		for i := 1; i < len(events); i++ {
+			if events[i-1].Num["u"] <= events[i].Num["y"] {
+				pass++
+			}
+		}
+		if got := float64(pass) / float64(len(events)-1); math.Abs(got-sel) > 0.02 {
+			t.Errorf("selectivity %g: u <= NEXT.y passes %.4f of pairs", sel, got)
+		}
+	}
+	if _, ok := stock[0].Num["y"]; ok {
+		t.Error("withSelectivity wrote y into the stream it copies")
+	}
+}
 
 func TestTableFormat(t *testing.T) {
 	tbl := &Table{

@@ -166,42 +166,6 @@ func BenchmarkEngineProcessMixedAdjacentSlots(b *testing.B) {
 	benchEngine(b, mixedAdjacentQuery(true, 512), measureBenchStream(4096))
 }
 
-// BenchmarkEngineProcessMixedAdjacentNumFn is the Fig9-style workload
-// with a user-supplied predicate function in its typed float64 form:
-// unlike the untyped Fn variant, operands reach the function unboxed,
-// so the dominant stored-event scan performs no allocations.
-func BenchmarkEngineProcessMixedAdjacentNumFn(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Right: "M", RightAttr: "rate",
-			NumFn: func(prev, next float64) bool { return prev < next }}).
-		GroupBy(query.GroupKey{Attr: "patient"}).
-		Within(512, 512).
-		MustBuild()
-	benchEngine(b, q, measureBenchStream(4096))
-}
-
-// BenchmarkEngineProcessMixedAdjacentAnyFn is the same workload with
-// the untyped Fn fallback, kept as the boxing-cost baseline.
-func BenchmarkEngineProcessMixedAdjacentAnyFn(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Right: "M", RightAttr: "rate",
-			Fn: func(prev, next any) bool {
-				l, lok := prev.(float64)
-				r, rok := next.(float64)
-				return lok && rok && l < r
-			}}).
-		GroupBy(query.GroupKey{Attr: "patient"}).
-		Within(512, 512).
-		MustBuild()
-	benchEngine(b, q, measureBenchStream(4096))
-}
-
 // denseBenchStream is typeBenchStream with runs of equal time stamps:
 // runLen events share each tick, the §8 stream-transaction shape that
 // the hoisted watermark/window-state path exploits.
@@ -384,13 +348,11 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		t.Errorf("ResolveRun allocates %v/op", n)
 	}
 
-	// Typed NumFn adjacent predicates evaluate without boxing; the
-	// untyped Fn fallback is known to allocate (interface contract).
+	// A compiled adjacent-predicate edge evaluates without allocating.
 	qn := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
 		Return(agg.Spec{Func: agg.CountStar}).
 		Semantics(query.Any).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Right: "M", RightAttr: "rate",
-			NumFn: func(prev, next float64) bool { return prev < next }}).
+		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
 		Within(512, 512).
 		MustBuild()
 	plann := MustPlan(qn)
@@ -400,10 +362,10 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	resolveView(plann, &rvn, event.New("Measurement", 2).WithNum("rate", 61))
 	edge := &rvn.tp.aliases[0].preds[0]
 	if !evalAdjacent(edge.adj, left, &rvn) {
-		t.Fatal("NumFn adjacent check rejected an increasing pair")
+		t.Fatal("M.rate < NEXT(M).rate rejected an increasing pair")
 	}
 	if n := testing.AllocsPerRun(1000, func() { evalAdjacent(edge.adj, left, &rvn) }); n != 0 {
-		t.Errorf("NumFn adjacent evaluation allocates %v/op", n)
+		t.Errorf("adjacent evaluation allocates %v/op", n)
 	}
 
 	// Window turnover: on a warm engine, opening a window's partitions,

@@ -102,8 +102,7 @@ type Plan struct {
 	// negation constraint guarding it, if any.
 	negGuard map[[2]string]int
 	// text is the query's canonical text and fingerprint its sharing
-	// key, the text without the RETURN line (sharedagg.go); both are
-	// empty for a query with no text.
+	// key, the text without the RETURN line (sharedagg.go).
 	text, fingerprint string
 
 	// Compiled interning state (symbols.go), built once by compile():
@@ -161,10 +160,8 @@ func NewPlanIn(cat *Catalog, q *query.Query) (*Plan, error) {
 		Where:       q.Where,
 		negGuard:    map[[2]string]int{},
 	}
-	if q.Opaque() == nil {
-		p.text = q.String()
-		p.fingerprint = p.text[strings.Index(p.text, "\nPATTERN ")+1:]
-	}
+	p.text = q.String()
+	p.fingerprint = p.text[strings.Index(p.text, "\nPATTERN ")+1:]
 	p.EventGrained = q.Where.EventGrainedAliases(fsa)
 	if p.Granularity != MixedGrained {
 		p.EventGrained = map[string]bool{}

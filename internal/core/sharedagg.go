@@ -30,13 +30,12 @@ import (
 // of the union a member reports. Plans with equal fingerprints detect
 // identical trends over identical sub-streams and windows — the
 // precondition for registering them against one shared aggregation
-// node. A plan with no text has an empty fingerprint and shares with
-// nobody.
+// node.
 func (p *Plan) Fingerprint() string { return p.fingerprint }
 
 // Text returns the query's canonical text (query.Query.String),
 // rendered once at compile time; Parse of it compiles to this plan's
-// query again. It is empty when the query has none (query.Query.Opaque).
+// query again.
 func (p *Plan) Text() string { return p.text }
 
 // ProjectSpecs maps a member's RETURN columns onto a host's: proj[i] is

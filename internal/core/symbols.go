@@ -60,30 +60,6 @@ type attrVal struct {
 	has uint8
 }
 
-// anyAttr reconstructs the Event.Attr (numeric-first) untyped value,
-// for user-supplied adjacent predicate functions.
-func (v *attrVal) anyAttr() any {
-	if v.has&hasNum != 0 {
-		return v.num
-	}
-	if v.has&hasSymRaw != 0 {
-		return v.sym
-	}
-	return nil
-}
-
-// anyAttrOf is anyAttr over a resolved view slot.
-func anyAttrOf(rv *resolvedVals, id int32) any {
-	h := rv.has[id]
-	if h&hasNum != 0 {
-		return rv.num[id]
-	}
-	if h&hasSymRaw != 0 {
-		return rv.sym[id]
-	}
-	return nil
-}
-
 // localCheck is one compiled local predicate applying to an alias:
 // resolved-attr ◦ constant, the constant a number (isNum) or a string
 // (query.Validate admits no other).
@@ -132,27 +108,12 @@ type adjCheck struct {
 	leftAttr  int32 // attr id of the left operand (for resolved lefts)
 	rightAttr int32
 	op        predicate.Op
-	numFn     func(prev, next float64) bool
-	fn        func(prev, next any) bool
 }
 
 // eval mirrors predicate.Adjacent.Eval: both operands read
 // numeric-first, missing operands fail, mixed kinds compare unequal.
 func (c *adjCheck) eval(left []attrVal, rv *resolvedVals) bool {
 	lv := &left[c.leftPos]
-	if c.numFn != nil {
-		// Typed fast path: numeric operands reach the user predicate
-		// without boxing into `any`, keeping the stored-event scan
-		// allocation-free. Non-numeric operands fail, mirroring NumFn's
-		// contract in predicate.Adjacent.Eval.
-		if lv.has&hasNum == 0 || rv.has[c.rightAttr]&hasNum == 0 {
-			return false
-		}
-		return c.numFn(lv.num, rv.num[c.rightAttr])
-	}
-	if c.fn != nil {
-		return c.fn(lv.anyAttr(), anyAttrOf(rv, c.rightAttr))
-	}
 	rh := rv.has[c.rightAttr]
 	if lv.has&(hasNum|hasSymRaw) == 0 || rh&(hasNum|hasSymRaw) == 0 {
 		return false
@@ -377,8 +338,6 @@ func (p *Plan) compileAlias(alias string, leftPos map[int32]int) aliasPlan {
 				leftAttr:  la,
 				rightAttr: p.cat.attrIDs[a.RightAttr],
 				op:        a.Op,
-				numFn:     a.NumFn,
-				fn:        a.Fn,
 			})
 		}
 		ap.preds = append(ap.preds, edge)

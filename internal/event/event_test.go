@@ -120,23 +120,3 @@ func TestBeforeIsStrictTotalOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSchemaValidate(t *testing.T) {
-	s := NewSchema("Stock", "company", "#price")
-	good := New("Stock", 1).WithNum("price", 3).WithSym("company", "IBM")
-	if err := s.Validate(good); err != nil {
-		t.Errorf("valid event rejected: %v", err)
-	}
-	cases := []*Event{
-		New("Other", 1).WithNum("price", 3).WithSym("company", "IBM"),
-		New("Stock", 1).WithSym("company", "IBM"), // missing price
-		New("Stock", 1).WithNum("price", 3),       // missing company
-		good.Clone().WithNum("extra", 1),          // unknown numeric
-		New("Stock", 1).WithNum("price", 3).WithSym("company", "IBM").WithSym("junk", "x"),
-	}
-	for i, e := range cases {
-		if err := s.Validate(e); err == nil {
-			t.Errorf("case %d: invalid event accepted: %v", i, e)
-		}
-	}
-}

@@ -35,14 +35,9 @@ type StockConfig struct {
 	TicksPerEvent int64
 }
 
-// StockSchema describes the generated events.
-func StockSchema() *event.Schema {
-	return event.NewSchema("Stock", "company", "sector", "#price", "#volume", "#u")
-}
-
 // Stock generates the stock stream: a price random walk per company
-// plus a uniform attribute u in [0,1) that selectivity-controlled
-// predicates hash (Figure 9).
+// plus a uniform attribute u in [0,1), the left operand of Figure 9's
+// selectivity-controlled adjacent predicate.
 func Stock(cfg StockConfig) []*event.Event {
 	if cfg.Companies <= 0 {
 		cfg.Companies = 19
@@ -86,11 +81,6 @@ type ActivityConfig struct {
 	// heart-rate run before a drop (drives the CONT experiments).
 	RunLength     int
 	TicksPerEvent int64
-}
-
-// ActivitySchema describes the generated events.
-func ActivitySchema() *event.Schema {
-	return event.NewSchema("Measurement", "patient", "activity", "#rate")
 }
 
 // Activity generates heart-rate measurements with contiguously
@@ -149,14 +139,6 @@ type TransitConfig struct {
 	TicksPerEvent int64
 }
 
-// TransitSchemas describes the generated events.
-func TransitSchemas() []*event.Schema {
-	return []*event.Schema{
-		event.NewSchema("Board", "passenger", "station", "#wait"),
-		event.NewSchema("Ride", "passenger", "station", "#wait"),
-	}
-}
-
 // Transit generates passenger trips: Board and Ride events with
 // uniformly random waiting times (§9.1).
 func Transit(cfg TransitConfig) []*event.Event {
@@ -198,15 +180,6 @@ type RideshareConfig struct {
 	// NoiseFraction controls interleaved irrelevant events (InTransit,
 	// DropOff) that skip-till-next-match must skip.
 	NoiseFraction float64
-}
-
-// RideshareSchemas describes the generated events.
-func RideshareSchemas() []*event.Schema {
-	var out []*event.Schema
-	for _, t := range []string{"Accept", "Call", "Cancel", "Finish", "InTransit", "DropOff"} {
-		out = append(out, event.NewSchema(t, "driver", "session"))
-	}
-	return out
 }
 
 // Rideshare generates q2-style trips: Accept, one or more (Call,
@@ -254,23 +227,6 @@ func Rideshare(cfg RideshareConfig) []*event.Event {
 		emit("Finish", driver, trip)
 	}
 	return out
-}
-
-// PairHash is the deterministic pair-selectivity device of the
-// Figure 9 experiment: given the uniform u attributes of two events,
-// it returns a pseudo-random uniform value for the pair; the predicate
-// "PairHash(prev, next) < selectivity" then passes the desired
-// fraction of adjacent pairs, independently per pair.
-func PairHash(u1, u2 float64) float64 {
-	x := uint64(u1*1e9) * 0x9E3779B97F4A7C15
-	y := uint64(u2*1e9) * 0xBF58476D1CE4E5B9
-	z := x ^ y
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z%1_000_000) / 1_000_000
 }
 
 func round2(v float64) float64 { return float64(int64(v*100)) / 100 }

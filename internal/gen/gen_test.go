@@ -1,9 +1,43 @@
 package gen
 
 import (
-	"math"
+	"maps"
+	"slices"
 	"testing"
+
+	"repro/internal/event"
 )
+
+// attrs names the attributes one generated event type carries.
+type attrs struct{ num, sym []string }
+
+// The generators' schemas: per event type, exactly these attributes.
+var (
+	stockSchema    = map[string]attrs{"Stock": {num: []string{"price", "u", "volume"}, sym: []string{"company", "sector"}}}
+	activitySchema = map[string]attrs{"Measurement": {num: []string{"rate"}, sym: []string{"activity", "patient"}}}
+	transitSchema  = map[string]attrs{
+		"Board": {num: []string{"wait"}, sym: []string{"passenger", "station"}},
+		"Ride":  {num: []string{"wait"}, sym: []string{"passenger", "station"}},
+	}
+	trip            = attrs{sym: []string{"driver", "session"}}
+	rideshareSchema = map[string]attrs{
+		"Accept": trip, "Call": trip, "Cancel": trip, "Finish": trip, "InTransit": trip, "DropOff": trip,
+	}
+)
+
+// checkSchema fails unless e is of a type in schema and carries
+// exactly that type's attributes.
+func checkSchema(t *testing.T, schema map[string]attrs, e *event.Event) {
+	t.Helper()
+	want, ok := schema[e.Type]
+	if !ok {
+		t.Fatalf("unexpected event type %q", e.Type)
+	}
+	num, sym := slices.Sorted(maps.Keys(e.Num)), slices.Sorted(maps.Keys(e.Sym))
+	if !slices.Equal(num, want.num) || !slices.Equal(sym, want.sym) {
+		t.Fatalf("event %v carries numeric %v and symbolic %v, want %v and %v", e, num, sym, want.num, want.sym)
+	}
+}
 
 func TestStockDeterministicAndValid(t *testing.T) {
 	cfg := StockConfig{Seed: 1, Events: 500}
@@ -11,13 +45,10 @@ func TestStockDeterministicAndValid(t *testing.T) {
 	if len(a) != 500 {
 		t.Fatalf("len = %d", len(a))
 	}
-	schema := StockSchema()
 	companies := map[string]bool{}
 	sectors := map[string]bool{}
 	for i, e := range a {
-		if err := schema.Validate(e); err != nil {
-			t.Fatalf("event %d invalid: %v", i, err)
-		}
+		checkSchema(t, stockSchema, e)
 		if e.String() != b[i].String() {
 			t.Fatal("generator not deterministic")
 		}
@@ -52,13 +83,10 @@ func TestStockDifferentSeedsDiffer(t *testing.T) {
 
 func TestActivityRuns(t *testing.T) {
 	events := Activity(ActivityConfig{Seed: 3, Events: 2000, Persons: 2, RunLength: 6})
-	schema := ActivitySchema()
 	increases, total := 0, 0
 	last := map[string]float64{}
 	for _, e := range events {
-		if err := schema.Validate(e); err != nil {
-			t.Fatal(err)
-		}
+		checkSchema(t, activitySchema, e)
 		p := e.Sym["patient"]
 		if prev, ok := last[p]; ok {
 			total++
@@ -131,35 +159,6 @@ func TestRideshareWellFormedTrips(t *testing.T) {
 	}
 }
 
-func TestPairHashUniformAndDeterministic(t *testing.T) {
-	if PairHash(0.123, 0.456) != PairHash(0.123, 0.456) {
-		t.Fatal("PairHash not deterministic")
-	}
-	// Uniformity: mean of PairHash over stock pairs should be ~0.5.
-	events := Stock(StockConfig{Seed: 7, Events: 2000})
-	var sum float64
-	n := 0
-	for i := 1; i < len(events); i++ {
-		sum += PairHash(events[i-1].Num["u"], events[i].Num["u"])
-		n++
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-0.5) > 0.05 {
-		t.Errorf("PairHash mean = %.3f, want ~0.5", mean)
-	}
-	// Selectivity control: fraction below 0.3 should be ~0.3.
-	below := 0
-	for i := 1; i < len(events); i++ {
-		if PairHash(events[i-1].Num["u"], events[i].Num["u"]) < 0.3 {
-			below++
-		}
-	}
-	frac := float64(below) / float64(n)
-	if math.Abs(frac-0.3) > 0.05 {
-		t.Errorf("selectivity 0.3 delivered %.3f", frac)
-	}
-}
-
 func TestDefaultsApplied(t *testing.T) {
 	if len(Stock(StockConfig{Events: 1})) != 1 {
 		t.Error("stock defaults")
@@ -176,22 +175,10 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestSchemasCoverGeneratedTypes(t *testing.T) {
-	types := map[string]bool{}
-	for _, s := range RideshareSchemas() {
-		types[s.Type] = true
-	}
 	for _, e := range Rideshare(RideshareConfig{Seed: 9, Trips: 20, NoiseFraction: 0.5}) {
-		if !types[e.Type] {
-			t.Fatalf("unschema'd type %q", e.Type)
-		}
-	}
-	ts := map[string]bool{}
-	for _, s := range TransitSchemas() {
-		ts[s.Type] = true
+		checkSchema(t, rideshareSchema, e)
 	}
 	for _, e := range Transit(TransitConfig{Seed: 9, Events: 100}) {
-		if !ts[e.Type] {
-			t.Fatalf("unschema'd transit type %q", e.Type)
-		}
+		checkSchema(t, transitSchema, e)
 	}
 }

@@ -116,7 +116,6 @@ func CompareStrings(l, r string, op Op) bool {
 // lets tests use lightweight fakes.
 type attrGetter interface {
 	Attr(name string) (any, bool)
-	NumAttr(name string) (float64, bool)
 	SymAttr(name string) (string, bool)
 }
 
@@ -202,25 +201,10 @@ type Adjacent struct {
 	Op        Op
 	Right     string
 	RightAttr string
-	// NumFn, if non-nil, replaces the attribute comparison with an
-	// arbitrary check over the numeric attribute values (used by
-	// workload generators to dial predicate selectivity). Operands
-	// reach the function unboxed, so compiled evaluation stays
-	// allocation-free; a pair where either attribute is missing or
-	// non-numeric fails. NumFn takes precedence over Fn.
-	NumFn func(prev, next float64) bool `json:"-"`
-	// Fn, if non-nil, replaces the attribute comparison with an
-	// arbitrary check over untyped operands; it forces the operands to
-	// box into `any` per evaluation, so prefer NumFn for numeric
-	// attributes. Left/Right still scope which pairs it guards.
-	Fn func(prev, next any) bool `json:"-"`
 }
 
 // String renders the predicate in query syntax.
 func (p Adjacent) String() string {
-	if p.NumFn != nil || p.Fn != nil {
-		return fmt.Sprintf("fn(%s, NEXT(%s))", p.Left, p.Right)
-	}
 	return fmt.Sprintf("%s.%s %s NEXT(%s).%s", p.Left, p.LeftAttr, p.Op, p.Right, p.RightAttr)
 }
 
@@ -232,22 +216,6 @@ func (p Adjacent) Guards(predAlias, alias string) bool {
 
 // Eval evaluates the predicate on a concrete adjacent pair.
 func (p Adjacent) Eval(prev, next attrGetter) bool {
-	if p.NumFn != nil {
-		lv, ok := prev.NumAttr(p.LeftAttr)
-		if !ok {
-			return false
-		}
-		rv, ok := next.NumAttr(p.RightAttr)
-		if !ok {
-			return false
-		}
-		return p.NumFn(lv, rv)
-	}
-	if p.Fn != nil {
-		lv, _ := prev.Attr(p.LeftAttr)
-		rv, _ := next.Attr(p.RightAttr)
-		return p.Fn(lv, rv)
-	}
 	lv, ok := prev.Attr(p.LeftAttr)
 	if !ok {
 		return false

@@ -139,49 +139,6 @@ func TestAdjacentPredicate(t *testing.T) {
 	}
 }
 
-func TestAdjacentFn(t *testing.T) {
-	calls := 0
-	p := Adjacent{Left: "A", Right: "B", LeftAttr: "x", RightAttr: "x",
-		Fn: func(prev, next any) bool { calls++; return prev.(float64)+next.(float64) > 5 }}
-	a := event.New("S", 1).WithNum("x", 3)
-	b := event.New("S", 2).WithNum("x", 4)
-	if !p.Eval(a, b) {
-		t.Error("fn predicate rejected")
-	}
-	if calls != 1 {
-		t.Errorf("fn called %d times", calls)
-	}
-}
-
-func TestAdjacentNumFn(t *testing.T) {
-	calls := 0
-	p := Adjacent{Left: "A", Right: "B", LeftAttr: "x", RightAttr: "y",
-		NumFn: func(prev, next float64) bool { calls++; return prev+next > 5 }}
-	a := event.New("S", 1).WithNum("x", 3)
-	b := event.New("S", 2).WithNum("y", 4)
-	if !p.Eval(a, b) {
-		t.Error("numfn predicate rejected")
-	}
-	if calls != 1 {
-		t.Errorf("numfn called %d times", calls)
-	}
-	// A missing or non-numeric operand fails without calling the fn.
-	if p.Eval(event.New("S", 1), b) {
-		t.Error("missing left operand accepted")
-	}
-	if p.Eval(event.New("S", 1).WithSym("x", "3"), b) {
-		t.Error("symbolic left operand accepted")
-	}
-	if calls != 1 {
-		t.Errorf("numfn called %d times on failing operands", calls)
-	}
-	// NumFn takes precedence over Fn.
-	p.Fn = func(prev, next any) bool { t.Error("Fn called despite NumFn"); return false }
-	if !p.Eval(a, b) {
-		t.Error("numfn precedence broken")
-	}
-}
-
 func TestSetEvalLocalAndAdjacent(t *testing.T) {
 	s := &Set{
 		Locals: []Local{

@@ -109,9 +109,7 @@ type Query struct {
 
 // String renders the query as its canonical text: different queries
 // render differently, and Parse(q.String()) gives q back for every
-// query Validate accepts, unless an adjacent predicate compares through
-// a function (see Opaque), which the text can only name. The text
-// without its RETURN line is the sharing fingerprint of the compiled
+// query Validate accepts. The text without its RETURN line is the sharing fingerprint of the compiled
 // plan, and the text is what a snapshot records of a query.
 func (q *Query) String() string {
 	var b strings.Builder
@@ -153,21 +151,6 @@ func (q *Query) String() string {
 	b.WriteString(" SLIDE ")
 	b.Write(strconv.AppendInt(num[:0], q.Window.Slide, 10))
 	return b.String()
-}
-
-// Opaque reports why q has no query text: an adjacent predicate that
-// compares through a function (NumFn or Fn). It is nil for a query
-// String renders in full.
-func (q *Query) Opaque() error {
-	if q.Where == nil {
-		return nil
-	}
-	for _, p := range q.Where.Adjacents {
-		if p.NumFn != nil || p.Fn != nil {
-			return fmt.Errorf("adjacent predicate %s.%s carries an opaque comparison function", p.Left, p.LeftAttr)
-		}
-	}
-	return nil
 }
 
 // Validate performs the static checks shared by all execution

@@ -247,6 +247,14 @@ func TestQueryStringRoundTrips(t *testing.T) {
 			Within(1<<62+1, 3).MustBuild(),
 		NewBuilder(pattern.Plus(pattern.Plus(pattern.Seq(pattern.Type("A"))))).
 			Return(agg.Spec{Func: agg.CountType, Alias: "A"}).Semantics(Cont).Within(4, 2).MustBuild(),
+		// Figure 9's shape: different left and right attributes under <=.
+		NewBuilder(pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "A")), pattern.TypeAs("Stock", "B"))).
+			Return(agg.Spec{Func: agg.CountStar}).
+			WhereEquiv(predicate.Equivalence{Attr: "company"}).
+			WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "u", Op: predicate.Le, Right: "A", RightAttr: "y"}).
+			WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "u", Op: predicate.Le, Right: "B", RightAttr: "y"}).
+			GroupBy(GroupKey{Attr: "company"}).
+			Within(6000, 6000).MustBuild(),
 	)
 	for _, q := range queries {
 		text := q.String()

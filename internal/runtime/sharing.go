@@ -34,7 +34,7 @@ import (
 type group struct {
 	// key is the fingerprint the group is registered under in
 	// Runtime.groups; empty when another group of that fingerprint was
-	// registered first, or when its plan has no fingerprint.
+	// registered first (a joiner whose union plan failed to compile).
 	key string
 	// hosts, oldest first. Every member has a view on the last one, which
 	// owns the newest windows; the others are retired and draining.
@@ -62,10 +62,9 @@ type view struct {
 }
 
 // register makes g the group fingerprint-equal subscribers join, unless
-// another group already is. A plan with no text has the empty
-// fingerprint, under which no group registers, so no plan joins one.
+// another group already is.
 func (rt *Runtime) register(g *group, key string) {
-	if key != "" && rt.groups[key] == nil {
+	if rt.groups[key] == nil {
 		g.key, rt.groups[key] = key, g
 	}
 }

@@ -53,8 +53,8 @@ func (c *Coder) Check(ok bool, format string, args ...any) {
 	}
 }
 
-// Fail records why a structure cannot be encoded (an opaque predicate
-// function, say); first failure wins. It does nothing while decoding.
+// Fail records why a structure cannot be encoded (a closed stream,
+// say); first failure wins. It does nothing while decoding.
 func (c *Coder) Fail(err error) {
 	if c.w != nil && c.err == nil {
 		c.err = err

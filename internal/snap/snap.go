@@ -21,15 +21,14 @@
 // The session codes every distinct compiled plan once, in a table the
 // subscriptions and hosts index into, each entry as the plan's query
 // text: restore parses and compiles it as Subscribe does, so the query
-// parser is the one plan decoder. A plan with no text (an adjacent
-// predicate through a Go function) cannot be snapshotted. Not
-// serialized: whatever the recompiled plan implies, catalog reference
-// counts, value→id maps and eviction buckets (rebuilt from the id→value
-// tables), sharing-group projections, sinks and subscription error
-// states. Frames are byte-deterministic for plans with at most two
-// binding slots; with three or more, interned-vector ids follow Go map
-// iteration, so identical runs can write different frames that restore
-// to the same results.
+// parser is the one plan decoder. Not serialized: whatever the
+// recompiled plan implies, catalog reference counts, value→id maps and
+// eviction buckets (rebuilt from the id→value tables), sharing-group
+// projections, sinks and subscription error states. Frames are
+// byte-deterministic for plans with at most two binding slots; with
+// three or more, interned-vector ids follow Go map iteration, so
+// identical runs can write different frames that restore to the same
+// results.
 //
 // Adding a field: add it to its structure's one field list, bump
 // Version, regenerate the fixtures with `go run

@@ -35,12 +35,8 @@ import (
 	"testing"
 
 	cogra "repro"
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/fuzz/diff"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
-	"repro/internal/query"
 )
 
 // sharedFleetQueries returns, per granularity, three RETURN-variants
@@ -386,8 +382,7 @@ func TestSharedAggregationDifferential(t *testing.T) {
 
 // collidingPairs returns pairs of different queries that a display
 // rendering of the query writes alike — a literal that is the number 5
-// or the string "5", and adjacent predicates comparing through two
-// different functions — as constructors, since a session validates the
+// or the string "5" — as constructors, since a session validates the
 // query it subscribes.
 func collidingPairs() map[string][2]func() *cogra.Query {
 	const literal = `
@@ -400,22 +395,8 @@ func collidingPairs() map[string][2]func() *cogra.Query {
 	parsed := func(lit string) func() *cogra.Query {
 		return func() *cogra.Query { return cogra.MustParse(fmt.Sprintf(literal, lit)) }
 	}
-	rate := func(fn func(prev, next float64) bool) func() *cogra.Query {
-		return func() *cogra.Query {
-			return query.NewBuilder(pattern.Plus(pattern.Type("M"))).
-				Return(agg.Spec{Func: agg.CountStar}).
-				WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-				WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Right: "M", RightAttr: "rate", NumFn: fn}).
-				GroupBy(query.GroupKey{Attr: "patient"}).
-				Within(64, 64).MustBuild()
-		}
-	}
 	return map[string][2]func() *cogra.Query{
 		"literal": {parsed("5"), parsed("'5'")},
-		"numfn": {
-			rate(func(prev, next float64) bool { return prev < next }),
-			rate(func(prev, next float64) bool { return prev > next }),
-		},
 	}
 }
 

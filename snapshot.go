@@ -207,9 +207,7 @@ func (s *Session) codePlans(c *snap.Coder) ([]*Plan, map[*Plan]int32) {
 	snap.Slice(c, &plans, 40, func(c *snap.Coder, p **Plan) {
 		var text string
 		if !c.Decoding() {
-			if text = (*p).Text(); text == "" {
-				c.Fail(fmt.Errorf("snapshot query: %v and cannot be checkpointed", (*p).Query.Opaque()))
-			}
+			text = (*p).Text()
 		}
 		if c.Str(&text); c.Decoding() && c.Err() == nil {
 			q, err := query.Parse(text)

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -622,26 +621,6 @@ func TestRestoreRefusesWatermarkInversion(t *testing.T) {
 		if _, err := cogra.Restore(bytes.NewReader(reframe(damaged))); !errors.Is(err, cogra.ErrBadSnapshot) {
 			t.Errorf("a clock set 2^24 ahead at payload offset %d: Restore returned %v, want ErrBadSnapshot", at, err)
 		}
-	}
-}
-
-// TestSnapshotRefusesOpaquePlan: a query whose adjacent predicate
-// compares through a function has no text, so its plan has no text and
-// no fingerprint, and Snapshot refuses the session rather than write a
-// plan table entry no restore could read.
-func TestSnapshotRefusesOpaquePlan(t *testing.T) {
-	sess := cogra.NewSession()
-	defer sess.Close()
-	sub, err := sess.Subscribe(collidingPairs()["numfn"][0]())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := sub.Plan(); p.Text() != "" || p.Fingerprint() != "" {
-		t.Errorf("opaque plan has text %q and fingerprint %q", p.Text(), p.Fingerprint())
-	}
-	err = sess.Snapshot(io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "opaque comparison function and cannot be checkpointed") {
-		t.Errorf("Snapshot of an opaque plan: %v", err)
 	}
 }
 

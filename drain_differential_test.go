@@ -19,13 +19,12 @@ package cogra_test
 // Runs under -race in CI like the rest of the spine.
 
 import (
-	"cmp"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
 	cogra "repro"
+	"repro/internal/core"
 	"repro/internal/fuzz/diff"
 )
 
@@ -76,7 +75,7 @@ func drainEveryBatchRun(t *testing.T, opts []cogra.SessionOption, events []*cogr
 				t.Fatalf("%s: %v", name, err)
 			}
 			for i := 1; i < len(out); i++ {
-				if cmpResult(out[i-1], out[i]) >= 0 {
+				if core.CompareResults(out[i-1], out[i]) >= 0 {
 					t.Fatalf("%s: a drain is out of window-then-group order or repeats a (window, group): %v then %v", name, out[i-1], out[i])
 				}
 			}
@@ -129,14 +128,6 @@ func drainEveryBatchRun(t *testing.T, opts []cogra.SessionOption, events []*cogr
 	}
 	drainAll()
 	return got
-}
-
-// cmpResult orders results by window, then by group values.
-func cmpResult(a, b cogra.Result) int {
-	if c := cmp.Compare(a.Wid, b.Wid); c != 0 {
-		return c
-	}
-	return slices.Compare(a.Group, b.Group)
 }
 
 // TestDrainEveryBatchDifferential: with 2 and 4 workers, each drain of

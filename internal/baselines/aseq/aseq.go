@@ -167,7 +167,7 @@ func (r *Runner) evalFast(sub baselines.Substream, collector *baselines.GroupCol
 	for _, q := range queries {
 		last := q.prefix[len(q.aliases)-1]
 		if last.Count != 0 {
-			collector.Add(sub.PartKey, baselines.NewBinding(plan), last)
+			collector.Add(sub.Part, baselines.NewBinding(plan), last)
 		}
 	}
 	return release, nil
@@ -278,7 +278,7 @@ func (r *Runner) evalWithSlots(sub baselines.Substream, collector *baselines.Gro
 	for _, q := range queries {
 		last := len(q.aliases) - 1
 		for _, entry := range q.prefix[last] {
-			collector.Add(sub.PartKey, entry.binding, entry.node)
+			collector.Add(sub.Part, entry.binding, entry.node)
 		}
 	}
 	return release, nil

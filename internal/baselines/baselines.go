@@ -10,18 +10,23 @@
 // evaluates exactly the same sub-streams and reports results in the
 // same shape as the COGRA engine, making cross-validation exact. The
 // aggregation algorithms themselves are implemented independently per
-// package.
+// package. Partitions, bindings and groups are keyed here by their
+// value tuples (tupleKey), not by the engine's partition keys, so a key
+// collision in the engine shows as a disagreement.
 package baselines
 
 import (
+	"cmp"
+	"encoding/binary"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
+	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -30,7 +35,7 @@ type Runner interface {
 	// Name identifies the approach in experiment reports.
 	Name() string
 	// Run returns the aggregation results per window and group, in
-	// the same order as core.Engine: by window id, then group key.
+	// the same order as core.Engine: core.CompareResults.
 	// Approaches exceeding their work budget return ErrBudget.
 	Run(events []*event.Event) ([]core.Result, error)
 }
@@ -101,20 +106,32 @@ type CapableRunner interface {
 type Substream struct {
 	Wid        int64
 	Start, End int64
-	PartKey    string
-	Events     []*event.Event
+	// Part holds the partition's values of plan.StreamKeys, in order.
+	Part   []string
+	Events []*event.Event
+}
+
+// tupleKey is a map key for a tuple of values that no other tuple
+// shares: each value is prefixed by its length.
+func tupleKey(vals []string) string {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		b = append(b, v...)
+	}
+	return string(b)
 }
 
 // SplitSubstreams routes a stream into per-window, per-partition
 // sub-streams (§7), identically to the COGRA engine. Events without a
-// partition key are dropped. IDs are assigned in arrival order when
-// absent so tie-breaking matches the engine.
+// partition attribute are dropped. IDs are assigned in arrival order
+// when absent so tie-breaking matches the engine.
 func SplitSubstreams(plan *core.Plan, events []*event.Event) []Substream {
 	type key struct {
 		wid  int64
 		part string
 	}
-	buckets := map[key][]*event.Event{}
+	buckets := map[key]*Substream{}
 	spec := plan.Query.Window
 	var seq int64
 	for _, e := range events {
@@ -122,28 +139,48 @@ func SplitSubstreams(plan *core.Plan, events []*event.Event) []Substream {
 		if e.ID == 0 {
 			e.ID = seq
 		}
-		pk, ok := plan.StreamKeyOf(e)
+		part, ok := partOf(plan, e)
 		if !ok {
 			continue
 		}
+		pk := tupleKey(part)
 		first, last := spec.WindowsOf(e.Time)
 		for wid := first; wid <= last; wid++ {
-			k := key{wid, pk}
-			buckets[k] = append(buckets[k], e)
+			sub := buckets[key{wid, pk}]
+			if sub == nil {
+				start, end := spec.Bounds(wid)
+				sub = &Substream{Wid: wid, Start: start, End: end, Part: part}
+				buckets[key{wid, pk}] = sub
+			}
+			sub.Events = append(sub.Events, e)
 		}
 	}
 	out := make([]Substream, 0, len(buckets))
-	for k, evs := range buckets {
-		start, end := spec.Bounds(k.wid)
-		out = append(out, Substream{Wid: k.wid, Start: start, End: end, PartKey: k.part, Events: evs})
+	for _, sub := range buckets {
+		out = append(out, *sub)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Wid != out[j].Wid {
-			return out[i].Wid < out[j].Wid
+	slices.SortFunc(out, func(a, b Substream) int {
+		if a.Wid != b.Wid {
+			return cmp.Compare(a.Wid, b.Wid)
 		}
-		return out[i].PartKey < out[j].PartKey
+		return slices.Compare(a.Part, b.Part)
 	})
 	return out
+}
+
+// partOf reads an event's partition values, the SymAttr of each
+// plan.StreamKeys attribute; false when one is missing (the event then
+// belongs to no sub-stream and cannot contribute to any trend).
+func partOf(plan *core.Plan, e *event.Event) ([]string, bool) {
+	part := make([]string, len(plan.StreamKeys))
+	for i, attr := range plan.StreamKeys {
+		v, ok := e.SymAttr(attr)
+		if !ok {
+			return nil, false
+		}
+		part[i] = v
+	}
+	return part, true
 }
 
 // EvalFunc evaluates one sub-stream into its window's collector. The
@@ -197,8 +234,8 @@ func NewBinding(plan *core.Plan) Binding { return make(Binding, len(plan.Slots))
 // Clone copies the binding.
 func (b Binding) Clone() Binding { return append(Binding(nil), b...) }
 
-// Key is the binding as a map key: its values joined by NUL.
-func (b Binding) Key() string { return strings.Join(b, "\x00") }
+// Key is the binding as a map key (tupleKey).
+func (b Binding) Key() string { return tupleKey(b) }
 
 // Bind applies the equivalence slots an event matched under alias must
 // satisfy. It returns the (possibly new) binding and whether the event
@@ -233,7 +270,16 @@ func (b Binding) Bind(plan *core.Plan, alias string, e *event.Event) (Binding, b
 // GROUP-BY groups of one window and assembles core.Results.
 type GroupCollector struct {
 	plan   *core.Plan
+	refs   []groupRef
 	groups map[string]*groupAgg
+}
+
+// groupRef is where one GROUP-BY item's value comes from: a bare
+// attribute from the partition, an alias-scoped one from the binding
+// slot of the same equivalence.
+type groupRef struct {
+	fromSlot bool
+	idx      int
 }
 
 type groupAgg struct {
@@ -243,14 +289,30 @@ type groupAgg struct {
 
 // NewGroupCollector builds a collector for one window.
 func NewGroupCollector(plan *core.Plan) *GroupCollector {
-	return &GroupCollector{plan: plan, groups: map[string]*groupAgg{}}
+	g := &GroupCollector{plan: plan, groups: map[string]*groupAgg{}}
+	for _, k := range plan.Query.GroupBy {
+		if k.Alias == "" {
+			g.refs = append(g.refs, groupRef{idx: slices.Index(plan.StreamKeys, k.Attr)})
+			continue
+		}
+		g.refs = append(g.refs, groupRef{fromSlot: true,
+			idx: slices.Index(plan.Slots, predicate.Equivalence{Alias: k.Alias, Attr: k.Attr})})
+	}
+	return g
 }
 
-// Add merges one aggregate node into the group derived from the
-// partition key and binding.
-func (g *GroupCollector) Add(partKey string, binding Binding, node agg.Node) {
-	group := g.plan.GroupOf(partKey, binding)
-	gk := strings.Join(group, "\x00")
+// Add merges one aggregate node into the group of the partition and
+// binding.
+func (g *GroupCollector) Add(part []string, binding Binding, node agg.Node) {
+	var group []string
+	for _, ref := range g.refs {
+		if ref.fromSlot {
+			group = append(group, binding[ref.idx])
+		} else {
+			group = append(group, part[ref.idx])
+		}
+	}
+	gk := tupleKey(group)
 	ga, ok := g.groups[gk]
 	if !ok {
 		ga = &groupAgg{group: group, node: g.plan.Specs.Zero()}
@@ -259,18 +321,11 @@ func (g *GroupCollector) Add(partKey string, binding Binding, node agg.Node) {
 	g.plan.Specs.Merge(&ga.node, node)
 }
 
-// Results emits the window's results sorted by group key, matching
-// the COGRA engine's order. Groups with zero finished trends are
-// omitted.
+// Results emits the window's results in the COGRA engine's order
+// (core.CompareResults). Groups with zero finished trends are omitted.
 func (g *GroupCollector) Results(wid, start, end int64) []core.Result {
-	keys := make([]string, 0, len(g.groups))
-	for k := range g.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]core.Result, 0, len(keys))
-	for _, k := range keys {
-		ga := g.groups[k]
+	out := make([]core.Result, 0, len(g.groups))
+	for _, ga := range g.groups {
 		if ga.node.Count == 0 {
 			continue
 		}
@@ -280,6 +335,7 @@ func (g *GroupCollector) Results(wid, start, end int64) []core.Result {
 			Values: g.plan.Specs.Report(ga.node),
 		})
 	}
+	slices.SortFunc(out, core.CompareResults)
 	return out
 }
 

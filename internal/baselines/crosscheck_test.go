@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
@@ -474,6 +475,69 @@ func TestCrossCheckEmptyStringSlotValue(t *testing.T) {
 		event.New("B", 4),
 	}
 	runAll(t, q, events, "empty-slot-value")
+}
+
+// TestCrossCheckGroupTupleWithNUL holds COGRA, SASE and GRETA to
+// spelled-out rows where partition, binding and GROUP-BY values hold
+// NUL: values that NUL-joined spell one string, or split at the NUL
+// into another tuple, stay apart. A shared tuple encoding would make
+// every approach wrong together, so each is checked against the rows
+// and not only against COGRA.
+func TestCrossCheckGroupTupleWithNUL(t *testing.T) {
+	// A row renders as its quoted group tuple and COUNT(*).
+	rows := func(rs []core.Result) []string {
+		var out []string
+		for _, r := range rs {
+			out = append(out, fmt.Sprintf("%q %d", r.Group, r.Values[0].Count))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		src    string
+		events []*event.Event
+		want   []string
+	}{
+		{
+			name: "partition value",
+			src: `RETURN k, COUNT(*) PATTERN A+ SEMANTICS skip-till-any-match
+				WHERE [k] GROUP-BY k WITHIN 10 SLIDE 10`,
+			events: []*event.Event{
+				event.New("A", 1).WithSym("k", "a\x00b"),
+				event.New("A", 2).WithSym("k", "a\x00c"),
+				event.New("A", 3).WithSym("k", "a"),
+				event.New("A", 4).WithSym("k", "a\x00b"),
+			},
+			want: []string{`["a"] 1`, `["a\x00b"] 3`, `["a\x00c"] 1`},
+		},
+		{
+			name: "slot tuple",
+			src: `RETURN A.b, A.c, COUNT(*) PATTERN A+ SEMANTICS skip-till-any-match
+				WHERE [A.b] AND [A.c] GROUP-BY A.b, A.c WITHIN 10 SLIDE 10`,
+			events: []*event.Event{
+				event.New("A", 1).WithSym("b", "x\x00y").WithSym("c", "z"),
+				event.New("A", 2).WithSym("b", "x").WithSym("c", "y\x00z"),
+				event.New("A", 3).WithSym("b", "x\x00y").WithSym("c", "z"),
+			},
+			want: []string{`["x" "y\x00z"] 1`, `["x\x00y" "z"] 3`},
+		},
+	} {
+		q := query.MustParse(c.src)
+		plan, err := core.NewPlan(q)
+		if err != nil {
+			t.Fatalf("%s: plan: %v", c.name, err)
+		}
+		for _, r := range []baselines.Runner{baselines.NewCogra(plan), sase.New(plan), greta.New(plan)} {
+			got, err := r.Run(cloneEvents(c.events))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", c.name, r.Name(), err)
+			}
+			if g := rows(got); !slices.Equal(g, c.want) {
+				t.Errorf("%s: %s reports %v, want %v", c.name, r.Name(), g, c.want)
+			}
+		}
+		runAll(t, q, c.events, c.name)
+	}
 }
 
 // TestBudgetDNF verifies the DNF mechanism trips for the exponential

@@ -122,7 +122,7 @@ func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.Gro
 		for i, e := range m.events {
 			elems[i] = agg.TrendEvent(m.aliases[i], e)
 		}
-		collector.Add(sub.PartKey, m.binding, plan.Specs.FoldTrend(elems))
+		collector.Add(sub.Part, m.binding, plan.Specs.FoldTrend(elems))
 	}
 	return release, nil
 }

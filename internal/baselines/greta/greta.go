@@ -133,7 +133,7 @@ func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.Gro
 	for gi := range graph {
 		g := &graph[gi]
 		if plan.FSA.IsEnd(g.alias) {
-			collector.Add(sub.PartKey, g.binding, g.node)
+			collector.Add(sub.Part, g.binding, g.node)
 		}
 	}
 	return release, nil

@@ -68,7 +68,7 @@ func (r *Runner) Run(events []*event.Event) ([]core.Result, error) {
 func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.GroupCollector, budget *metrics.Budget, acct *metrics.Accountant) (func(), error) {
 	onTrend := func(tr Trend) bool {
 		node := foldTrend(r.plan.Specs, tr)
-		collector.Add(sub.PartKey, tr.Binding, node)
+		collector.Add(sub.Part, tr.Binding, node)
 		return budget.Spend(int64(len(tr.Events)))
 	}
 	var err error

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -221,7 +222,7 @@ func resultsEqual(a, b []core.Result) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Wid != b[i].Wid || strings.Join(a[i].Group, ",") != strings.Join(b[i].Group, ",") {
+		if a[i].Wid != b[i].Wid || !slices.Equal(a[i].Group, b[i].Group) {
 			return false
 		}
 		if !agg.ApproxEqual(a[i].Values, b[i].Values, 1e-9) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -36,6 +36,17 @@ func (r Result) String() string {
 	}
 	fmt.Fprintf(&b, ": %s", agg.FormatValues(r.Values))
 	return b.String()
+}
+
+// CompareResults is the order results are reported in: by window id,
+// then by GROUP-BY tuple, value by value. An engine emits each window's
+// groups in it and the worker merge gathers hosts' drains by it, so it
+// is the one definition of result order.
+func CompareResults(a, b Result) int {
+	if c := cmp.Compare(a.Wid, b.Wid); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Group, b.Group)
 }
 
 // winState is the per-window execution state: one sub-aggregator per
@@ -525,7 +536,6 @@ func (e *Engine) compactPartitions() {
 type emitScratch struct {
 	keyParts []string // the current partition key's attribute values
 	rows     []groupRow
-	gk       []byte    // the rows' group keys, back to back
 	groups   []string  // the rows' GROUP-BY tuples, back to back
 	aux      []agg.Aux // the rows' auxiliaries, back to back
 	acc      agg.Node  // the group being folded
@@ -534,17 +544,17 @@ type emitScratch struct {
 // groupRow is one (partition, binding) aggregate of a closing window on
 // its way into its GROUP-BY group; the offsets point into emitScratch.
 type groupRow struct {
-	gkOff, gkEnd int32 // group key: the NUL-joined tuple
-	group        int32 // the tuple
-	aux          int32 // the aggregate's auxiliaries
-	count        uint64
+	group int32 // the tuple
+	aux   int32 // the aggregate's auxiliaries
+	count uint64
 }
 
 // emit finalises one closed window: collects per-partition,
 // per-binding aggregates, merges them into GROUP-BY groups, reports
-// them in group-key order and recycles the state. Result rows belong to
-// the receiver; the rows of one window share a backing array per column
-// (cap-limited, so an append never reaches a neighbour).
+// them in tuple order (CompareResults) and recycles the state. Result
+// rows belong to the receiver; the rows of one window share a backing
+// array per column (cap-limited, so an append never reaches a
+// neighbour).
 func (e *Engine) emit(wid int64, ws *winState) {
 	start, end := e.plan.Query.Window.Bounds(wid)
 	specs, sc, width := e.plan.Specs, &e.closing, len(e.plan.groupRefs)
@@ -552,7 +562,7 @@ func (e *Engine) emit(wid int64, ws *winState) {
 	// One row per (partition, binding), in partition-key then binding
 	// order; the aggregates are copied out, so a partition is released
 	// as soon as it has reported.
-	rows, gk, groups, aux := sc.rows[:0], sc.gk[:0], sc.groups[:0], sc.aux[:0]
+	rows, groups, aux := sc.rows[:0], sc.groups[:0], sc.aux[:0]
 	for _, pid := range e.partitions() {
 		if ws.open == 0 {
 			break
@@ -567,28 +577,21 @@ func (e *Engine) emit(wid int64, ws *winState) {
 			sc.keyParts = e.plan.appendKeyParts(sc.keyParts[:0], e.parts.key(pid))
 		}
 		for _, br := range part.Results() {
-			row := groupRow{gkOff: int32(len(gk)), group: int32(len(groups)), aux: int32(len(aux)), count: br.node.Count}
+			row := groupRow{group: int32(len(groups)), aux: int32(len(aux)), count: br.node.Count}
 			groups = e.plan.appendGroup(groups, sc.keyParts, br.vals)
-			for i, v := range groups[row.group:] {
-				if i > 0 {
-					gk = append(gk, 0)
-				}
-				gk = append(gk, v...)
-			}
-			row.gkEnd = int32(len(gk))
 			aux = append(aux, br.node.Aux...)
 			rows = append(rows, row)
 		}
 		e.release(part)
 	}
 
-	// Group: a stable sort by group key keeps the rows of one group in
-	// the order above, which is the order they merge in.
-	key := func(r *groupRow) []byte { return gk[r.gkOff:r.gkEnd] }
-	slices.SortStableFunc(rows, func(a, b groupRow) int { return bytes.Compare(key(&a), key(&b)) })
+	// Group: a stable sort by tuple keeps the rows of one group in the
+	// order above, which is the order they merge in.
+	tuple := func(r *groupRow) []string { return groups[r.group : int(r.group)+width] }
+	slices.SortStableFunc(rows, func(a, b groupRow) int { return slices.Compare(tuple(&a), tuple(&b)) })
 	ngroups := 0
 	for i := range rows {
-		if i == 0 || !bytes.Equal(key(&rows[i]), key(&rows[i-1])) {
+		if i == 0 || !slices.Equal(tuple(&rows[i]), tuple(&rows[i-1])) {
 			ngroups++
 		}
 	}
@@ -601,7 +604,7 @@ func (e *Engine) emit(wid int64, ws *winState) {
 		for i := 0; i < len(rows); {
 			first := &rows[i]
 			specs.ZeroInto(&sc.acc)
-			for ; i < len(rows) && bytes.Equal(key(&rows[i]), key(first)); i++ {
+			for ; i < len(rows) && slices.Equal(tuple(&rows[i]), tuple(first)); i++ {
 				at := int(rows[i].aux)
 				specs.Merge(&sc.acc, agg.Node{Count: rows[i].count, Aux: aux[at : at+len(specs)]})
 			}
@@ -621,7 +624,7 @@ func (e *Engine) emit(wid int64, ws *winState) {
 	}
 	// The scratch keeps the storage this window used and no string of it.
 	clear(groups)
-	sc.rows, sc.gk, sc.groups, sc.aux = shed(rows), shed(gk), shed(groups), shed(aux)
+	sc.rows, sc.groups, sc.aux = shed(rows), shed(groups), shed(aux)
 
 	// The state is pooled with every slot emptied — unless its slot array
 	// is sized for ids a compacted dictionary has since given back.

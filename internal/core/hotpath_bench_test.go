@@ -545,8 +545,9 @@ func BenchmarkResolveView(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamKeyOf measures per-event partition-key extraction.
-func BenchmarkStreamKeyOf(b *testing.B) {
+// BenchmarkAppendEventKey measures per-event partition-key extraction
+// into a reused buffer, as the multi-query router does.
+func BenchmarkAppendEventKey(b *testing.B) {
 	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
 		Return(agg.Spec{Func: agg.CountStar}).
 		Semantics(query.Any).
@@ -556,9 +557,11 @@ func BenchmarkStreamKeyOf(b *testing.B) {
 		MustBuild()
 	plan := MustPlan(q)
 	ev := event.New("Measurement", 1).WithSym("patient", "p1").WithNum("rate", 60)
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := plan.StreamKeyOf(ev); !ok {
+		var ok bool
+		if buf, ok = AppendEventKey(buf[:0], ev, plan.StreamKeys); !ok {
 			b.Fatal("no key")
 		}
 	}

@@ -308,39 +308,14 @@ func (p *Plan) typePlanAt(tid int32) *typePlan {
 	return p.typePlans[tid]
 }
 
-// StreamKeyOf extracts the partition key of an event, or ok=false if
-// the event lacks a partition attribute (it then belongs to no
-// sub-stream and cannot contribute to or invalidate any trend). The
-// baselines share this routing so every approach sees identical
-// sub-streams. It is AppendStreamKey materialised as a string.
-func (p *Plan) StreamKeyOf(e *event.Event) (string, bool) {
-	if len(p.StreamKeys) == 0 {
-		return "", true
-	}
-	buf, ok := p.AppendStreamKey(nil, e)
-	if !ok {
-		return "", false
-	}
-	return string(buf), true
-}
-
-// AppendStreamKey appends the partition key of e to buf and reports
-// whether e carries every partition attribute. This is the canonical
-// event-sourced key builder — the NUL-joined SymAttr values (symbolic
-// value, or the formatted numeric fallback) of the partition
-// attributes — and it does not allocate, so per-event routers can
-// hash or look up the key from a reused buffer. The only other
-// producer of the key bytes is the resolved-view variant in
-// symbols.go, pinned to this format by TestAppendStreamKeyMatches*.
-func (p *Plan) AppendStreamKey(buf []byte, e *event.Event) ([]byte, bool) {
-	return AppendEventKey(buf, e, p.StreamKeys)
-}
-
-// AppendEventKey appends the NUL-joined SymAttr values of attrs to buf
-// and reports whether e carries every attribute. It is the shared
-// key-building primitive: a plan's partition key is AppendEventKey
-// over its StreamKeys, and the multi-query router builds its routing
-// key over the partition attributes common to all hosted plans.
+// AppendEventKey appends the NUL-joined SymAttr values (symbolic value,
+// or the formatted numeric fallback) of attrs to buf and reports
+// whether e carries every attribute. It does not allocate, so the
+// multi-query router builds its routing key over the partition
+// attributes common to all hosted plans from a reused buffer. Over a
+// plan's StreamKeys it spells the engine's partition key, which the
+// resolved-view builder in symbols.go produces (pinned by
+// TestAppendStreamKeyMatchesEventKey).
 func AppendEventKey(buf []byte, e *event.Event, attrs []string) ([]byte, bool) {
 	for i, attr := range attrs {
 		if i > 0 {
@@ -359,20 +334,16 @@ func AppendEventKey(buf []byte, e *event.Event, attrs []string) ([]byte, bool) {
 	return buf, true
 }
 
-// GroupOf materialises the GROUP-BY tuple for a result, given the
-// partition key and the binding.
-func (p *Plan) GroupOf(streamKey string, binding []string) []string {
-	if len(p.groupRefs) == 0 {
-		return nil
-	}
-	return p.appendGroup(make([]string, 0, len(p.groupRefs)), p.appendKeyParts(nil, streamKey), binding)
-}
-
 // appendKeyParts appends the partition attribute values a partition key
-// spells (substrings of it, in StreamKeys order) to dst.
+// spells (substrings of it, in StreamKeys order) to dst. A
+// single-attribute key is its value. A composite key is NUL-joined
+// (appendStreamKey), so a value holding NUL splits wrongly there.
 func (p *Plan) appendKeyParts(dst []string, streamKey string) []string {
-	if len(p.StreamKeys) == 0 {
+	switch len(p.StreamKeys) {
+	case 0:
 		return dst
+	case 1:
+		return append(dst, streamKey)
 	}
 	for {
 		i := strings.IndexByte(streamKey, 0)

@@ -409,7 +409,8 @@ func (p *Plan) internAttr(name string, symNeeded bool) int32 {
 }
 
 // appendStreamKey appends the partition key of a resolved event:
-// the NUL-joined StreamKeys values, identical to StreamKeyOf.
+// the NUL-joined StreamKeys values, identical to AppendEventKey over
+// them.
 func (p *Plan) appendStreamKey(buf []byte, rv *resolvedVals) ([]byte, bool) {
 	for i, id := range p.streamKeyIDs {
 		if rv.has[id]&hasSymVal == 0 {

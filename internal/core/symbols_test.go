@@ -76,9 +76,10 @@ func TestBindingsVectorCombine(t *testing.T) {
 	}
 }
 
-// TestAppendStreamKeyMatchesStreamKeyOf pins the zero-alloc router key
-// to the canonical string form, including the numeric fallback.
-func TestAppendStreamKeyMatchesStreamKeyOf(t *testing.T) {
+// TestAppendStreamKeyMatchesEventKey pins the engine's partition key,
+// built from a resolved view, to AppendEventKey over the plan's
+// StreamKeys (the router's key), including the numeric fallback.
+func TestAppendStreamKeyMatchesEventKey(t *testing.T) {
 	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
 		Return(agg.Spec{Func: agg.CountStar}).
 		Semantics(query.Any).
@@ -94,15 +95,15 @@ func TestAppendStreamKeyMatchesStreamKeyOf(t *testing.T) {
 		event.New("M", 4).WithSym("patient", "p1"), // ward missing
 	}
 	var rv resolvedVals
-	for _, ev := range cases {
-		want, wantOK := plan.StreamKeyOf(ev)
-		buf, ok := plan.AppendStreamKey(nil, ev)
-		if ok != wantOK {
-			t.Errorf("%v: AppendStreamKey ok = %v, want %v", ev, ok, wantOK)
-			continue
+	wants := []string{"p1\x00icu", "7\x00er", "7.5\x00er", ""}
+	for i, ev := range cases {
+		buf, wantOK := AppendEventKey(nil, ev, plan.StreamKeys)
+		want := string(buf)
+		if !wantOK {
+			want = ""
 		}
-		if ok && string(buf) != want {
-			t.Errorf("%v: AppendStreamKey = %q, want %q", ev, buf, want)
+		if want != wants[i] || wantOK != (i < 3) {
+			t.Errorf("%v: AppendEventKey = %q, %v; want %q, %v", ev, want, wantOK, wants[i], i < 3)
 		}
 		// The engine-internal resolved-view builder must produce the
 		// same bytes, or router and engine would disagree on routing.

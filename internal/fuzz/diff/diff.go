@@ -24,15 +24,21 @@ import (
 // Canon renders a result slice into the canonical byte string the
 // differential spine compares: one result per line, window id and
 // bounds, group values and exact (%g round-trips float64) aggregate
-// values. Two runs are considered identical iff their Canon strings
-// are byte-identical.
+// values. Group values are quoted, so a value holding the separator or
+// a newline renders apart from the tuple it would otherwise spell. Two
+// runs are considered identical iff their Canon strings are
+// byte-identical.
 func Canon(results []cogra.Result) string {
 	if len(results) == 0 {
 		return "(none)"
 	}
 	var b strings.Builder
 	for _, r := range results {
-		fmt.Fprintf(&b, "w%d %s\n", r.Wid, r.String())
+		fmt.Fprintf(&b, "w%d window [%d,%d)", r.Wid, r.Start, r.End)
+		if len(r.Group) > 0 {
+			fmt.Fprintf(&b, " group=%q", r.Group)
+		}
+		fmt.Fprintf(&b, ": %s\n", agg.FormatValues(r.Values))
 	}
 	return b.String()
 }

@@ -1,9 +1,11 @@
 package diff
 
 import (
+	"strings"
 	"testing"
 
 	cogra "repro"
+	"repro/internal/agg"
 )
 
 // TestRepairSlackTieInversion pins the fix for a latent bug the
@@ -29,5 +31,34 @@ func TestRepairSlackTieInversion(t *testing.T) {
 	}
 	if got := repairSlack(canonical, []*cogra.Event{a, c, b}); got != 2 {
 		t.Errorf("time inversion: repair slack %d, want 2 (maxSeen 7 - time 5)", got)
+	}
+}
+
+// TestCanonQuotesGroups: Canon quotes each group value, so a value
+// holding the separator does not render as two values, a value holding
+// a newline does not forge a line, and Equal and Diff tell such results
+// apart.
+func TestCanonQuotesGroups(t *testing.T) {
+	count := func(n uint64) []agg.Value { return []agg.Value{{Spec: agg.Spec{Func: agg.CountStar}, Count: n}} }
+	res := func(group ...string) []cogra.Result {
+		return []cogra.Result{{Wid: 1, Start: 10, End: 20, Group: group, Values: count(2)}}
+	}
+	if got, want := Canon(res("a,b", "c")), `w1 window [10,20) group=["a,b" "c"]: COUNT(*)=2`+"\n"; got != want {
+		t.Errorf("Canon = %q, want %q", got, want)
+	}
+	if got, want := Canon([]cogra.Result{{Wid: 0, End: 10, Values: count(3)}}), "w0 window [0,10): COUNT(*)=3\n"; got != want {
+		t.Errorf("Canon without GROUP-BY = %q, want %q", got, want)
+	}
+	for _, pair := range [][2][]cogra.Result{
+		{res("a,b"), res("a", "b")},
+		{res("a\nw1 window [10,20) group=(b)"), res("a")},
+		{res("a\x00b"), res("a", "b")},
+	} {
+		if Equal(pair[0], pair[1]) || Diff(pair[0], pair[1]) == "" {
+			t.Errorf("Canon renders %q and %q alike: %q", pair[0][0].Group, pair[1][0].Group, Canon(pair[0]))
+		}
+		if strings.Count(Canon(pair[0]), "\n") != 1 {
+			t.Errorf("Canon(%q) spans more than one line", pair[0][0].Group)
+		}
 	}
 }

@@ -12,8 +12,7 @@ package fuzz
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	cogra "repro"
 	"repro/internal/baselines"
@@ -394,16 +393,11 @@ func capableRunners(plan *core.Plan) []baselines.CapableRunner {
 	return []baselines.CapableRunner{s, g, a, f}
 }
 
-// canonOrder returns a copy sorted by (window, group) — the canonical
-// emit order; baselines already report in it, but sorting makes the
-// comparison robust to tie order among equal keys.
+// canonOrder returns a copy in the canonical emit order
+// (core.CompareResults); baselines already report in it, but sorting
+// makes the comparison robust to tie order among equal keys.
 func canonOrder(rs []cogra.Result) []cogra.Result {
 	out := append([]cogra.Result(nil), rs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Wid != out[j].Wid {
-			return out[i].Wid < out[j].Wid
-		}
-		return strings.Join(out[i].Group, "\x00") < strings.Join(out[j].Group, "\x00")
-	})
+	slices.SortStableFunc(out, core.CompareResults)
 	return out
 }

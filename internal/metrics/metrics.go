@@ -40,9 +40,6 @@ func (a *Accountant) Current() int64 { return a.cur }
 // Peak returns the maximum logical bytes ever live.
 func (a *Accountant) Peak() int64 { return a.peak }
 
-// Reset clears both counters.
-func (a *Accountant) Reset() { a.cur, a.peak = 0, 0 }
-
 // Timer measures wall-clock latency and derives throughput.
 type Timer struct {
 	start time.Time
@@ -135,9 +132,6 @@ func (b *Budget) Spend(n int64) bool {
 	b.used += n
 	return b.Limit == 0 || b.used <= b.Limit
 }
-
-// Exceeded reports whether the budget was exhausted.
-func (b *Budget) Exceeded() bool { return b.Limit != 0 && b.used > b.Limit }
 
 // Used returns the consumed units.
 func (b *Budget) Used() int64 { return b.used }

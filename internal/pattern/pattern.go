@@ -181,27 +181,6 @@ func Aliases(p Node) []string {
 	return out
 }
 
-// Length returns the pattern length: the number of event types
-// (leaves) in it (Definition 1), negated sub-patterns excluded.
-func Length(p Node) int {
-	n := 0
-	var walk func(Node)
-	walk = func(node Node) {
-		switch v := node.(type) {
-		case *TypeNode:
-			n++
-		case *NotNode:
-			// negated types do not count toward the positive length
-		default:
-			for _, c := range v.children() {
-				walk(c)
-			}
-		}
-	}
-	walk(p)
-	return n
-}
-
 // HasKleene reports whether the pattern contains a Kleene plus or star
 // operator, i.e. whether it is a Kleene pattern (Definition 1) matching
 // trends of unbounded length.

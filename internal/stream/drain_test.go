@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -243,21 +244,20 @@ func TestParkAllocatesNothing(t *testing.T) {
 	}
 }
 
-// sortResultsJoined is the gather as it was written first: the hosts'
-// results concatenated, sorted by sort.Slice over groups compared as
-// NUL-joined strings, and equal (window, group) rows folded. It stays
-// here as the reference mergeResults must reproduce.
-func sortResultsJoined(out []core.Result) []core.Result {
+// sortResultsBy is the gather as it was written first: the hosts'
+// results concatenated, sorted by sort.Slice with groups compared by
+// cmpGroup, and equal (window, group) rows folded. It stays here as the
+// reference mergeResults must reproduce.
+func sortResultsBy(out []core.Result, cmpGroup func(a, b []string) int) []core.Result {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Wid != out[j].Wid {
 			return out[i].Wid < out[j].Wid
 		}
-		return strings.Join(out[i].Group, "\x00") < strings.Join(out[j].Group, "\x00")
+		return cmpGroup(out[i].Group, out[j].Group) < 0
 	})
 	w := 0
 	for i := range out {
-		if w > 0 && out[w-1].Wid == out[i].Wid &&
-			strings.Join(out[w-1].Group, "\x00") == strings.Join(out[i].Group, "\x00") {
+		if w > 0 && out[w-1].Wid == out[i].Wid && cmpGroup(out[w-1].Group, out[i].Group) == 0 {
 			agg.MergeValues(out[w-1].Values, out[i].Values)
 			continue
 		}
@@ -267,77 +267,115 @@ func sortResultsJoined(out []core.Result) []core.Result {
 	return out[:w]
 }
 
-// groupAlphabet holds prefixes of one another, the empty string and
-// values containing NUL, so distinct tuples can join to one string.
-var groupAlphabet = []string{"", "a", "b", "ab", "a\x00", "\x00", "a\x00b", "\x00\x00", "b\x00a"}
+// cmpJoined compares groups as their NUL-joined strings, the order the
+// gather was first written in. It is the tuple order for values
+// without NUL, and merges distinct tuples for values with it.
+func cmpJoined(a, b []string) int {
+	return strings.Compare(strings.Join(a, "\x00"), strings.Join(b, "\x00"))
+}
 
-// randomGroup draws a group tuple of width values from groupAlphabet.
-func randomGroup(rng *rand.Rand, width int) []string {
+// cmpTuples compares groups value by value, a shorter prefix first: the
+// order slices.Compare gives, spelled out.
+func cmpTuples(a, b []string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := strings.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// plainAlphabet holds prefixes of one another and the empty string;
+// nulAlphabet adds values containing NUL, so distinct tuples can join to
+// one string.
+var (
+	plainAlphabet = []string{"", "a", "b", "ab", "ba"}
+	nulAlphabet   = append(slices.Clone(plainAlphabet), "a\x00", "\x00", "a\x00b", "\x00\x00", "b\x00a")
+)
+
+// randomGroup draws a group tuple of width values from alphabet.
+func randomGroup(rng *rand.Rand, alphabet []string, width int) []string {
 	g := make([]string, width)
 	for i := range g {
-		g[i] = groupAlphabet[rng.Intn(len(groupAlphabet))]
+		g[i] = alphabet[rng.Intn(len(alphabet))]
 	}
 	return g
 }
 
-// TestSortResultsMatchesJoinedReference: the gather's comparator orders
-// group tuples as their NUL-joined strings do, without allocating, and
-// the k-way merge of per-host lists, each in (window, group) order,
-// returns what sorting their concatenation and folding equal rows
-// returns. Values are whole numbers, so the fold's order cannot show.
+// TestSortResultsMatchesJoinedReference: core.CompareResults, the
+// gather's comparator, orders group tuples without NUL as their
+// NUL-joined strings do (the order before tuples were compared), and
+// any tuples value by value; it allocates nothing. The k-way merge of
+// per-host lists, each in (window, group) order, returns what sorting
+// their concatenation and folding equal rows returns, under the joined
+// reference for values without NUL and the tuple reference for values
+// with it. Values are whole numbers, so the fold's order cannot show.
 func TestSortResultsMatchesJoinedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for iter := 0; iter < 20000; iter++ {
-		width := rng.Intn(4)
-		a := core.Result{Group: randomGroup(rng, width)}
-		b := core.Result{Group: randomGroup(rng, width)}
-		if iter%2 == 1 { // widths differ too
-			b.Group = randomGroup(rng, rng.Intn(4))
-		}
-		if got, want := cmpResults(a, b), strings.Compare(strings.Join(a.Group, "\x00"), strings.Join(b.Group, "\x00")); got != want {
-			t.Fatalf("cmpResults(%q, %q) = %d, strings.Join says %d", a.Group, b.Group, got, want)
+	// One query's groups share a width; the joined reference sees only
+	// that ([] and [""] both join to "").
+	for _, c := range []struct {
+		name      string
+		alphabet  []string
+		ref       func(a, b []string) int
+		mixWidths bool
+	}{{"joined", plainAlphabet, cmpJoined, false}, {"tuple", nulAlphabet, cmpTuples, true}} {
+		for iter := 0; iter < 20000; iter++ {
+			width := rng.Intn(4)
+			a := core.Result{Group: randomGroup(rng, c.alphabet, width)}
+			b := core.Result{Group: randomGroup(rng, c.alphabet, width)}
+			if c.mixWidths && iter%2 == 1 {
+				b.Group = randomGroup(rng, c.alphabet, rng.Intn(4))
+			}
+			if got, want := core.CompareResults(a, b), c.ref(a.Group, b.Group); got != want {
+				t.Fatalf("CompareResults(%q, %q) = %d, %s reference says %d", a.Group, b.Group, got, c.name, want)
+			}
 		}
 	}
 	wide := core.Result{Group: []string{"a", "b", "ab"}}
 	wider := core.Result{Group: []string{"a", "b", "ab", ""}}
-	if n := testing.AllocsPerRun(100, func() { cmpResults(wide, wider) }); n != 0 {
-		t.Errorf("cmpResults allocates %v per compare of three-attribute groups", n)
+	if n := testing.AllocsPerRun(100, func() { core.CompareResults(wide, wider) }); n != 0 {
+		t.Errorf("CompareResults allocates %v per compare of three-attribute groups", n)
 	}
 
-	for iter := 0; iter < 2000; iter++ {
+	for iter := 0; iter < 4000; iter++ {
+		alphabet, ref := plainAlphabet, cmpJoined
+		if iter%2 == 1 {
+			alphabet, ref = nulAlphabet, cmpTuples
+		}
 		hosts := 1 + rng.Intn(4)
 		parts := make([][]core.Result, hosts)
 		var all []core.Result
 		for h := range parts {
 			n := rng.Intn(40)
-			if iter%50 == 0 {
+			if iter%50 < 2 {
 				n = 300 + rng.Intn(300)
 			}
 			width := 1 + rng.Intn(3)
 			for i := 0; i < n; i++ {
 				parts[h] = append(parts[h], core.Result{
 					Wid:   int64(rng.Intn(4)),
-					Group: randomGroup(rng, width),
+					Group: randomGroup(rng, alphabet, width),
 					Values: []agg.Value{
 						{Spec: agg.Spec{Func: agg.CountStar}, Count: uint64(rng.Intn(5))},
 						{Spec: agg.Spec{Func: agg.Sum}, F: float64(rng.Intn(1000)), Valid: true},
 					},
 				})
 			}
-			parts[h] = sortResultsJoined(parts[h]) // a host's list: ordered, one row per (window, group)
+			parts[h] = sortResultsBy(parts[h], ref) // a host's list: ordered, one row per (window, group)
 			for _, r := range parts[h] {
 				r.Values = slices.Clone(r.Values)
 				all = append(all, r)
 			}
 		}
-		want := sortResultsJoined(all)
+		want := sortResultsBy(all, ref)
 		got := mergeResults(parts)
 		if len(got) != len(want) {
 			t.Fatalf("iteration %d: %d results, reference %d", iter, len(got), len(want))
 		}
 		for i := range want {
 			g, w := got[i], want[i]
-			if g.Wid != w.Wid || strings.Join(g.Group, "\x00") != strings.Join(w.Group, "\x00") ||
+			if g.Wid != w.Wid || !slices.Equal(g.Group, w.Group) ||
 				g.Values[0].Count != w.Values[0].Count || g.Values[1].F != w.Values[1].F {
 				t.Fatalf("iteration %d: result %d = %+v, reference %+v", iter, i, g, w)
 			}
@@ -427,7 +465,7 @@ func TestWorkerDrainsAreOrdered(t *testing.T) {
 						lists++
 					}
 					for i := 1; i < len(part); i++ {
-						if cmpResults(part[i-1], part[i]) >= 0 {
+						if core.CompareResults(part[i-1], part[i]) >= 0 {
 							t.Fatalf("%d workers, query %d, host %d: drain out of (window, group) order: %v then %v", workers, qi, h, part[i-1], part[i])
 						}
 					}

@@ -8,9 +8,7 @@
 package stream
 
 import (
-	"cmp"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/agg"
@@ -873,7 +871,7 @@ func (p *MultiExecutor) Close() ([][]core.Result, error) {
 }
 
 // mergeResults merges per-host results into the order a single engine
-// emits — by window, then group — and coalesces duplicates: when a
+// emits — core.CompareResults: by window, then group tuple — and coalesces duplicates: when a
 // window's partition classes were routed to different workers, each
 // worker reports its own partial aggregate for the same (window, group);
 // those are disjoint trend sets, folded back into the single result a
@@ -897,7 +895,7 @@ func mergeResults(parts [][]core.Result) []core.Result {
 	for {
 		best := -1
 		for i, p := range parts {
-			if len(p) > 0 && (best < 0 || cmpResults(p[0], parts[best][0]) < 0) {
+			if len(p) > 0 && (best < 0 || core.CompareResults(p[0], parts[best][0]) < 0) {
 				best = i
 			}
 		}
@@ -906,65 +904,10 @@ func mergeResults(parts [][]core.Result) []core.Result {
 		}
 		r := parts[best][0]
 		parts[best] = parts[best][1:]
-		if n := len(out); n > 0 && cmpResults(out[n-1], r) == 0 {
+		if n := len(out); n > 0 && core.CompareResults(out[n-1], r) == 0 {
 			agg.MergeValues(out[n-1].Values, r.Values)
 			continue
 		}
 		out = append(out, r)
 	}
-}
-
-// cmpResults orders results by window, then by group tuple as its
-// NUL-joined string (strings.Join(Group, "\x00")) orders, without
-// building the string.
-func cmpResults(a, b core.Result) int {
-	if a.Wid != b.Wid {
-		return cmp.Compare(a.Wid, b.Wid)
-	}
-	if len(a.Group) == 1 && len(b.Group) == 1 {
-		return strings.Compare(a.Group[0], b.Group[0])
-	}
-	x, y := joinedCursor{parts: a.Group}, joinedCursor{parts: b.Group}
-	for {
-		okx, oky := x.fill(), y.fill()
-		if !okx || !oky {
-			switch {
-			case okx:
-				return 1
-			case oky:
-				return -1
-			}
-			return 0
-		}
-		n := min(len(x.rest), len(y.rest))
-		if c := strings.Compare(x.rest[:n], y.rest[:n]); c != 0 {
-			return c
-		}
-		x.rest, y.rest = x.rest[n:], y.rest[n:]
-	}
-}
-
-// joinedCursor reads a tuple as its NUL-joined string, a segment — a
-// value, or the separator before the next one — at a time.
-type joinedCursor struct {
-	parts []string
-	next  int    // the next segment: even is value next/2, odd a separator
-	rest  string // the unread bytes of the current segment
-}
-
-// fill loads the next non-empty segment once the current one is read;
-// false at the end of the string.
-func (c *joinedCursor) fill() bool {
-	for c.rest == "" {
-		if c.next >= 2*len(c.parts)-1 {
-			return false
-		}
-		if c.next%2 == 0 {
-			c.rest = c.parts[c.next/2]
-		} else {
-			c.rest = "\x00"
-		}
-		c.next++
-	}
-	return true
 }

@@ -68,12 +68,8 @@ func table6Stream() []*event.Event {
 }
 
 func figure2Plan(sem query.Semantics) *core.Plan {
-	q := cogra.NewQuery(cogra.Plus(cogra.Seq(cogra.Plus(cogra.Type("A")), cogra.Type("B")))).
-		Return(cogra.CountStar()).
-		Semantics(sem).
-		Within(100, 100).
-		MustBuild()
-	return cogra.MustCompile(q)
+	return cogra.MustCompile(cogra.MustParse(
+		"RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS " + sem.String() + " WITHIN 100 SLIDE 100"))
 }
 
 // BenchmarkTable5TypeGrained micro-benchmarks the type-grained
@@ -85,12 +81,8 @@ func BenchmarkTable5TypeGrained(b *testing.B) {
 // BenchmarkTable6MixedGrained micro-benchmarks the mixed-grained
 // aggregator on the Table 6 worked example.
 func BenchmarkTable6MixedGrained(b *testing.B) {
-	q := cogra.NewQuery(cogra.Plus(cogra.Seq(cogra.Plus(cogra.Type("A")), cogra.Type("B")))).
-		Return(cogra.CountStar()).
-		Semantics(cogra.SkipTillAnyMatch).
-		WhereAdjacent(cogra.AdjacentPredicate{Left: "B", LeftAttr: "w", Op: cogra.Lt, Right: "A", RightAttr: "w"}).
-		Within(100, 100).
-		MustBuild()
+	q := cogra.MustParse(`RETURN COUNT(*) PATTERN (SEQ(A+, B))+
+		WHERE B.w < NEXT(A).w WITHIN 100 SLIDE 100`)
 	runCogra(b, cogra.MustCompile(q), table6Stream())
 }
 
@@ -115,10 +107,8 @@ func BenchmarkTable3TrendEnumeration(b *testing.B) {
 		sem := sem
 		n := 14 // 2^14 trends under ANY, 105 under NEXT
 		b.Run(sem.String(), func(b *testing.B) {
-			q := cogra.NewQuery(cogra.Plus(cogra.Type("A"))).
-				Return(cogra.CountStar()).
-				Semantics(sem).Within(1000, 1000).MustBuild()
-			plan := cogra.MustCompile(q)
+			plan := cogra.MustCompile(cogra.MustParse(
+				"RETURN COUNT(*) PATTERN A+ SEMANTICS " + sem.String() + " WITHIN 1000 SLIDE 1000"))
 			events := mk(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

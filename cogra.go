@@ -36,11 +36,8 @@
 package cogra
 
 import (
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -51,12 +48,9 @@ type Event = event.Event
 // attributes with WithNum and WithSym.
 func NewEvent(eventType string, time int64) *Event { return event.New(eventType, time) }
 
-// Query is a parsed or built event trend aggregation query
-// (Definition 6 of the paper).
+// Query is an event trend aggregation query (Definition 6 of the
+// paper), read from its text by Parse.
 type Query = query.Query
-
-// Builder constructs queries programmatically, clause by clause.
-type Builder = query.Builder
 
 // GroupKey is one GROUP-BY item.
 type GroupKey = query.GroupKey
@@ -82,73 +76,6 @@ func Parse(src string) (*Query, error) { return query.Parse(src) }
 
 // MustParse is Parse that panics on error.
 func MustParse(src string) *Query { return query.MustParse(src) }
-
-// NewQuery starts a programmatic query builder over a pattern.
-func NewQuery(p Pattern) *Builder { return query.NewBuilder(p) }
-
-// Pattern is a Kleene pattern AST node.
-type Pattern = pattern.Node
-
-// Pattern constructors (Definition 1 plus the §8 extensions).
-var (
-	// Type matches one event type (alias defaults to the type name).
-	Type = pattern.Type
-	// TypeAs matches an event type under an explicit alias, e.g.
-	// TypeAs("Stock", "A").
-	TypeAs = pattern.TypeAs
-	// Seq is the event sequence operator SEQ(P1, ..., Pk).
-	Seq = pattern.Seq
-	// Plus is the Kleene plus operator P+.
-	Plus = pattern.Plus
-	// Star is the Kleene star operator P* (§8).
-	Star = pattern.Star
-	// Opt is the optional operator P? (§8).
-	Opt = pattern.Opt
-	// OrPattern is the disjunction operator (§8).
-	OrPattern = pattern.Or
-	// NotPattern marks a negated sub-pattern inside SEQ (§8).
-	NotPattern = pattern.Not
-)
-
-// Aggregation spec constructors for Builder.Return.
-func CountStar() agg.Spec { return agg.Spec{Func: agg.CountStar} }
-
-// CountType counts occurrences of one event type across trends.
-func CountType(alias string) agg.Spec { return agg.Spec{Func: agg.CountType, Alias: alias} }
-
-// Min aggregates the minimum of an attribute over trends.
-func Min(alias, attr string) agg.Spec { return agg.Spec{Func: agg.Min, Alias: alias, Attr: attr} }
-
-// Max aggregates the maximum of an attribute over trends.
-func Max(alias, attr string) agg.Spec { return agg.Spec{Func: agg.Max, Alias: alias, Attr: attr} }
-
-// Sum aggregates the sum of an attribute over trends.
-func Sum(alias, attr string) agg.Spec { return agg.Spec{Func: agg.Sum, Alias: alias, Attr: attr} }
-
-// Avg aggregates the average of an attribute over trends.
-func Avg(alias, attr string) agg.Spec { return agg.Spec{Func: agg.Avg, Alias: alias, Attr: attr} }
-
-// Predicate constructors for the Builder (the parser produces these
-// from WHERE clauses).
-type (
-	// LocalPredicate restricts single events: Alias.Attr ◦ Value.
-	LocalPredicate = predicate.Local
-	// EquivalencePredicate is [attr] / [A.attr].
-	EquivalencePredicate = predicate.Equivalence
-	// AdjacentPredicate relates adjacent trend events, e.g.
-	// M.rate < NEXT(M).rate.
-	AdjacentPredicate = predicate.Adjacent
-)
-
-// Comparison operators for predicates.
-const (
-	Lt = predicate.Lt
-	Le = predicate.Le
-	Gt = predicate.Gt
-	Ge = predicate.Ge
-	Eq = predicate.Eq
-	Ne = predicate.Ne
-)
 
 // Plan is a compiled query: the pattern FSA, the classified
 // predicates and the selected aggregation granularity (Table 4).

@@ -38,21 +38,16 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// TestPublicAPIBuilder builds q3 programmatically and checks the
+// TestPublicAPICompileQ3 compiles the paper's q3 and checks the
 // granularity selector's output.
-func TestPublicAPIBuilder(t *testing.T) {
-	q := cogra.NewQuery(
-		cogra.Seq(cogra.Plus(cogra.TypeAs("Stock", "A")), cogra.Plus(cogra.TypeAs("Stock", "B")))).
-		Return(cogra.Avg("B", "price")).
-		Semantics(cogra.SkipTillAnyMatch).
-		WhereEquiv(cogra.EquivalencePredicate{Alias: "A", Attr: "company"}).
-		WhereEquiv(cogra.EquivalencePredicate{Alias: "B", Attr: "company"}).
-		WhereAdjacent(cogra.AdjacentPredicate{
-			Left: "A", LeftAttr: "price", Op: cogra.Gt, Right: "A", RightAttr: "price"}).
-		GroupBy(cogra.GroupKey{Alias: "A", Attr: "company"}, cogra.GroupKey{Alias: "B", Attr: "company"}).
-		Within(600, 10).
-		MustBuild()
-	plan := cogra.MustCompile(q)
+func TestPublicAPICompileQ3(t *testing.T) {
+	plan := cogra.MustCompile(cogra.MustParse(`
+		RETURN AVG(B.price)
+		PATTERN SEQ(Stock A+, Stock B+)
+		SEMANTICS skip-till-any-match
+		WHERE [A.company] AND [B.company] AND A.price > NEXT(A).price
+		GROUP-BY A.company, B.company
+		WITHIN 600 SLIDE 10`))
 	if plan.Granularity != cogra.MixedGrained {
 		t.Fatalf("granularity = %v, want mixed", plan.Granularity)
 	}
@@ -61,19 +56,17 @@ func TestPublicAPIBuilder(t *testing.T) {
 	}
 }
 
-// TestPublicAPIAggSpecs checks the spec constructors render the
-// RETURN clause of the paper's queries.
+// TestPublicAPIAggSpecs checks that every aggregate of a RETURN
+// clause renders as the paper writes it.
 func TestPublicAPIAggSpecs(t *testing.T) {
-	for want, spec := range map[string]string{
-		"COUNT(*)":    cogra.CountStar().String(),
-		"COUNT(M)":    cogra.CountType("M").String(),
-		"MIN(M.rate)": cogra.Min("M", "rate").String(),
-		"MAX(M.rate)": cogra.Max("M", "rate").String(),
-		"SUM(B.x)":    cogra.Sum("B", "x").String(),
-		"AVG(B.p)":    cogra.Avg("B", "p").String(),
-	} {
-		if want != spec {
-			t.Errorf("spec renders %q, want %q", spec, want)
+	want := []string{"COUNT(*)", "COUNT(M)", "MIN(M.rate)", "MAX(M.rate)", "SUM(M.x)", "AVG(M.p)"}
+	q := cogra.MustParse("RETURN " + strings.Join(want, ", ") + " PATTERN Measurement M+ WITHIN 10 SLIDE 10")
+	if len(q.Returns) != len(want) {
+		t.Fatalf("parsed %d aggregates, want %d", len(q.Returns), len(want))
+	}
+	for i, spec := range q.Returns {
+		if got := spec.String(); got != want[i] {
+			t.Errorf("spec renders %q, want %q", got, want[i])
 		}
 	}
 }

@@ -9,6 +9,9 @@
 //   - Extend (⊗ by one event): given the merged aggregate of all
 //     partial trends a new event e continues, plus the number of fresh
 //     trends e begins, produce the aggregate of all trends ending at e.
+//     ExtendInto is its one implementation: the COGRA kernels call it
+//     with the alias test and the attribute values resolved ahead, and
+//     Extend, which the baselines call, resolves both from the event.
 //
 // Because COUNT, MIN, MAX and SUM are distributive and AVG is
 // algebraic over (SUM, COUNT) [Gray et al. 1997], these two operations
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 )
 
 // Func enumerates the aggregation functions of §2.3.
@@ -198,40 +202,37 @@ type EventView interface {
 //	countE = pred.countE + (alias==E ? count : 0)
 //	min    = alias==E ? min(pred.min, e.attr) : pred.min
 //	sum    = pred.sum + (alias==E ? e.attr * count : 0)
+//
+// It is ExtendInto, the one implementation of ⊗, with the alias test
+// spelled out and attribute values read from e by name.
 func (ss Specs) Extend(pred Node, alias string, e EventView, started uint64) Node {
-	out := ss.Clone(pred)
-	out.Count = pred.Count + started
-	for i, s := range ss {
-		if s.Alias != alias {
-			continue // events of other types only propagate (Table 8)
-		}
-		a := &out.Aux[i]
-		switch s.Func {
-		case CountType:
-			a.N += out.Count
-		case Min:
-			if v, ok := e.NumAttr(s.Attr); ok && (!a.Valid || v < a.F) {
-				a.F, a.Valid = v, true
-			}
-		case Max:
-			if v, ok := e.NumAttr(s.Attr); ok && (!a.Valid || v > a.F) {
-				a.F, a.Valid = v, true
-			}
-		case Sum:
-			if v, ok := e.NumAttr(s.Attr); ok {
-				a.F += v * float64(out.Count)
-				a.Valid = true
-			}
-		case Avg:
-			a.N += out.Count
-			if v, ok := e.NumAttr(s.Attr); ok {
-				a.F += v * float64(out.Count)
-				a.Valid = true
-			}
-		}
+	var buf [8]bool // most RETURN clauses fit: no allocation for the mask
+	match := buf[:0]
+	for _, s := range ss {
+		match = append(match, s.Alias == alias) // events of other types only propagate (Table 8)
 	}
+	src := namedPool.Get().(*namedAttrs)
+	src.ss, src.e = ss, e
+	var out Node
+	ss.ExtendInto(&out, pred, match, src, started)
+	*src = namedAttrs{}
+	namedPool.Put(src)
 	return out
 }
+
+// namedAttrs is the SpecSource of an EventView: spec i's attribute,
+// read by name.
+type namedAttrs struct {
+	ss Specs
+	e  EventView
+}
+
+func (n *namedAttrs) SpecNum(i int) (float64, bool) { return n.e.NumAttr(n.ss[i].Attr) }
+
+// namedPool recycles Extend's sources. A fresh one escapes through the
+// SpecSource interface, which costs an allocation on every call, and
+// the baselines extend once per event and edge.
+var namedPool = sync.Pool{New: func() any { return new(namedAttrs) }}
 
 // SpecSource supplies the aggregated attribute value of spec i for the
 // event being extended, addressed by spec index instead of attribute
@@ -242,12 +243,12 @@ type SpecSource interface {
 	SpecNum(i int) (float64, bool)
 }
 
-// ExtendInto is Extend writing its result into dst, reusing dst's Aux
-// storage when capacity allows, with the alias comparison precomputed:
-// match[i] reports whether spec i targets the matched alias (the
-// s.Alias == alias test of Extend) and e supplies attribute values by
-// spec index. dst must not alias pred. Hot aggregation loops use it to
-// stay allocation-free; the semantics are exactly Extend's.
+// ExtendInto is the ⊗ step (see Extend) writing its result into dst,
+// reusing dst's Aux storage when capacity allows, with the alias
+// comparison precomputed: match[i] reports whether spec i targets the
+// matched alias and e supplies attribute values by spec index. dst
+// must not alias pred. Hot aggregation loops use it to stay
+// allocation-free.
 func (ss Specs) ExtendInto(dst *Node, pred Node, match []bool, e SpecSource, started uint64) {
 	if cap(dst.Aux) >= len(ss) {
 		dst.Aux = dst.Aux[:len(ss)]

@@ -4,25 +4,17 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/metrics"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
-func anyPlan(p pattern.Node, opts ...func(*query.Builder)) *core.Plan {
-	b := query.NewBuilder(p).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(1000, 1000)
-	for _, o := range opts {
-		o(b)
-	}
-	return core.MustPlan(b.MustBuild())
+// anyPlan compiles COUNT(*) over body, the query's PATTERN clause and
+// any WHERE and GROUP-BY clauses, under skip-till-any-match.
+func anyPlan(body string) *core.Plan {
+	return core.MustPlan(query.MustParse("RETURN COUNT(*) " + body + " WITHIN 1000 SLIDE 1000"))
 }
 
 func aEvents(n int) []*event.Event {
@@ -36,7 +28,7 @@ func aEvents(n int) []*event.Event {
 func TestASeqCountsKleeneViaFlattening(t *testing.T) {
 	// A+ over n events: 2^n - 1 trends, summed across the flattened
 	// fixed-length queries (one per length).
-	plan := anyPlan(pattern.Plus(pattern.Type("A")))
+	plan := anyPlan("PATTERN A+")
 	for _, n := range []int{1, 3, 6, 10} {
 		results, err := New(plan).Run(aEvents(n))
 		if err != nil {
@@ -52,7 +44,7 @@ func TestASeqCountsKleeneViaFlattening(t *testing.T) {
 func TestASeqMaxLenCapsTrendLength(t *testing.T) {
 	// With MaxLen 2, only trends of length <= 2 are counted:
 	// n=4 -> 4 singletons + C(4,2)=6 pairs = 10.
-	plan := anyPlan(pattern.Plus(pattern.Type("A")))
+	plan := anyPlan("PATTERN A+")
 	r := New(plan)
 	r.MaxLen = 2
 	results, err := r.Run(aEvents(4))
@@ -66,19 +58,15 @@ func TestASeqMaxLenCapsTrendLength(t *testing.T) {
 
 func TestASeqRejectsUnsupportedFeatures(t *testing.T) {
 	var unsup baselines.ErrUnsupported
-	nextPlan := core.MustPlan(query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Next).Within(10, 10).MustBuild())
+	nextPlan := core.MustPlan(query.MustParse("RETURN COUNT(*) PATTERN A+ SEMANTICS skip-till-next-match WITHIN 10 SLIDE 10"))
 	if _, err := New(nextPlan).Run(nil); !errors.As(err, &unsup) {
 		t.Errorf("NEXT: %v", err)
 	}
-	adjPlan := anyPlan(pattern.Plus(pattern.Type("A")), func(b *query.Builder) {
-		b.WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "x", Op: predicate.Lt, Right: "A", RightAttr: "x"})
-	})
+	adjPlan := anyPlan("PATTERN A+ WHERE A.x < NEXT(A).x")
 	if _, err := New(adjPlan).Run(nil); !errors.As(err, &unsup) {
 		t.Errorf("adjacent predicates: %v", err)
 	}
-	negPlan := anyPlan(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Not(pattern.Type("N")), pattern.Type("B")))
+	negPlan := anyPlan("PATTERN SEQ(A+, NOT(N), B)")
 	if _, err := New(negPlan).Run(nil); !errors.As(err, &unsup) {
 		t.Errorf("negation: %v", err)
 	}
@@ -87,11 +75,7 @@ func TestASeqRejectsUnsupportedFeatures(t *testing.T) {
 func TestASeqSlotPathMatchesFastPathSemantics(t *testing.T) {
 	// The alias-equivalence (slot) path and the fast path must agree
 	// with COGRA; exercised on the shared-type pattern.
-	p := pattern.Seq(pattern.Plus(pattern.TypeAs("S", "A")), pattern.Plus(pattern.TypeAs("S", "B")))
-	slotPlan := anyPlan(p, func(b *query.Builder) {
-		b.WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "c"})
-		b.GroupBy(query.GroupKey{Alias: "A", Attr: "c"})
-	})
+	slotPlan := anyPlan("PATTERN SEQ(S A+, S B+) WHERE [A.c] GROUP-BY A.c")
 	events := []*event.Event{
 		event.New("S", 1).WithSym("c", "x"),
 		event.New("S", 2).WithSym("c", "y"),
@@ -127,7 +111,7 @@ func TestASeqSlotPathMatchesFastPathSemantics(t *testing.T) {
 // memory grows with the number of flattened queries, i.e. with the
 // trend length bound (Figure 8b).
 func TestASeqStateGrowsWithFlattening(t *testing.T) {
-	plan := anyPlan(pattern.Plus(pattern.Type("A")))
+	plan := anyPlan("PATTERN A+")
 	peak := func(maxLen int) int64 {
 		r := New(plan)
 		r.MaxLen = maxLen
@@ -144,7 +128,7 @@ func TestASeqStateGrowsWithFlattening(t *testing.T) {
 }
 
 func TestASeqBudgetDNF(t *testing.T) {
-	plan := anyPlan(pattern.Plus(pattern.Type("A")))
+	plan := anyPlan("PATTERN A+")
 	r := New(plan)
 	r.BudgetUnits = 50
 	_, err := r.Run(aEvents(40))
@@ -155,7 +139,7 @@ func TestASeqBudgetDNF(t *testing.T) {
 }
 
 func TestASeqSimultaneousEventsDoNotChain(t *testing.T) {
-	plan := anyPlan(pattern.Plus(pattern.Type("A")))
+	plan := anyPlan("PATTERN A+")
 	events := []*event.Event{event.New("A", 1), event.New("A", 1)}
 	results, err := New(plan).Run(events)
 	if err != nil {

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/baselines/aseq"
 	"repro/internal/baselines/flinklite"
@@ -21,9 +21,8 @@ import (
 	"repro/internal/baselines/sase"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/fuzz/diff"
 	"repro/internal/gen"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -40,12 +39,7 @@ func figure2Events() []*event.Event {
 }
 
 func figure2Query(sem query.Semantics) *query.Query {
-	return query.NewBuilder(
-		pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(sem).
-		Within(100, 100).
-		MustBuild()
+	return query.MustParse("RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS " + sem.String() + " WITHIN 100 SLIDE 100")
 }
 
 // TestFigure2TrendCounts checks the materialised trend sets of the
@@ -125,7 +119,7 @@ func runAll(t *testing.T, q *query.Query, events []*event.Event, tag string) {
 			t.Errorf("%s: %s: %v", tag, r.Name(), err)
 			continue
 		}
-		if !resultsEqual(ref, got) {
+		if diff.Compare(got, ref, 0) != "" {
 			t.Errorf("%s: %s disagrees with COGRA:\nCOGRA: %v\n%s: %v",
 				tag, r.Name(), fmtResults(ref), r.Name(), fmtResults(got))
 		}
@@ -140,26 +134,6 @@ func cloneEvents(events []*event.Event) []*event.Event {
 		out[i] = c
 	}
 	return out
-}
-
-func resultsEqual(a, b []core.Result) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Wid != b[i].Wid || len(a[i].Group) != len(b[i].Group) {
-			return false
-		}
-		for j := range a[i].Group {
-			if a[i].Group[j] != b[i].Group[j] {
-				return false
-			}
-		}
-		if !agg.Equal(a[i].Values, b[i].Values) {
-			return false
-		}
-	}
-	return true
 }
 
 func fmtResults(rs []core.Result) string {
@@ -184,19 +158,8 @@ func TestCrossCheckFigure2(t *testing.T) {
 // TestCrossCheckAggregateFunctions exercises every aggregation
 // function across approaches.
 func TestCrossCheckAggregateFunctions(t *testing.T) {
-	q := query.NewBuilder(
-		pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
-		Return(
-			agg.Spec{Func: agg.CountStar},
-			agg.Spec{Func: agg.CountType, Alias: "A"},
-			agg.Spec{Func: agg.Min, Alias: "A", Attr: "x"},
-			agg.Spec{Func: agg.Max, Alias: "B", Attr: "x"},
-			agg.Spec{Func: agg.Sum, Alias: "A", Attr: "x"},
-			agg.Spec{Func: agg.Avg, Alias: "B", Attr: "x"},
-		).
-		Semantics(query.Any).
-		Within(100, 100).
-		MustBuild()
+	q := query.MustParse(`RETURN COUNT(*), COUNT(A), MIN(A.x), MAX(B.x), SUM(A.x), AVG(B.x)
+		PATTERN (SEQ(A+, B))+ WITHIN 100 SLIDE 100`)
 	runAll(t, q, figure2Events(), "all-aggs")
 }
 
@@ -221,9 +184,9 @@ func randomStream(rng *rand.Rand, types []string, n int, tieProb float64) []*eve
 
 // queryCase is one randomized query configuration.
 type queryCase struct {
-	name  string
-	mk    func() pattern.Node
-	types []string
+	name    string
+	pattern string
+	types   []string
 	// allowedSems filters semantics (multi-alias patterns cannot run
 	// under NEXT/CONT).
 	sems []query.Semantics
@@ -236,81 +199,63 @@ func patternCases() []queryCase {
 	return []queryCase{
 		{
 			name:      "kleene-single",
-			mk:        func() pattern.Node { return pattern.Plus(pattern.Type("A")) },
+			pattern:   "A+",
 			types:     []string{"A", "C"},
 			sems:      all,
 			predAlias: "A",
 		},
 		{
-			name: "seq-kleene",
-			mk: func() pattern.Node {
-				return pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))
-			},
+			name:      "seq-kleene",
+			pattern:   "SEQ(A+, B)",
 			types:     []string{"A", "B", "C"},
 			sems:      all,
 			predAlias: "A",
 		},
 		{
-			name: "figure2",
-			mk: func() pattern.Node {
-				return pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))
-			},
+			name:      "figure2",
+			pattern:   "(SEQ(A+, B))+",
 			types:     []string{"A", "B", "C"},
 			sems:      all,
 			predAlias: "A",
 		},
 		{
-			name: "nested-kleene",
-			mk: func() pattern.Node {
-				return pattern.Seq(pattern.Type("A"),
-					pattern.Plus(pattern.Seq(pattern.Type("B"), pattern.Type("C"))),
-					pattern.Type("D"))
-			},
+			name:      "nested-kleene",
+			pattern:   "SEQ(A, (SEQ(B, C))+, D)",
 			types:     []string{"A", "B", "C", "D"},
 			sems:      all,
 			predAlias: "B",
 		},
 		{
-			name: "shared-type",
-			mk: func() pattern.Node {
-				return pattern.Seq(pattern.Plus(pattern.TypeAs("S", "A")), pattern.Plus(pattern.TypeAs("S", "B")))
-			},
+			name:      "shared-type",
+			pattern:   "SEQ(S A+, S B+)",
 			types:     []string{"S", "C"},
 			sems:      []query.Semantics{query.Any},
 			predAlias: "A",
 		},
 		{
-			name: "disjunction",
-			mk: func() pattern.Node {
-				return pattern.Or(pattern.Seq(pattern.Type("A"), pattern.Type("B")), pattern.Plus(pattern.Type("C")))
-			},
+			name:      "disjunction",
+			pattern:   "OR(SEQ(A, B), C+)",
 			types:     []string{"A", "B", "C", "D"},
 			sems:      all,
 			predAlias: "C",
 		},
 		{
-			name: "negation",
-			mk: func() pattern.Node {
-				return pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Not(pattern.Type("N")), pattern.Type("B"))
-			},
+			name:      "negation",
+			pattern:   "SEQ(A+, NOT(N), B)",
 			types:     []string{"A", "B", "N", "C"},
 			sems:      all,
 			predAlias: "A",
 		},
 		{
-			name: "star",
-			mk: func() pattern.Node {
-				return pattern.Seq(pattern.Type("A"), pattern.Star(pattern.Type("B")), pattern.Type("C"))
-			},
+			name:      "star",
+			pattern:   "SEQ(A, B*, C)",
 			types:     []string{"A", "B", "C"},
 			sems:      all,
 			predAlias: "B",
 		},
 		{
-			name: "optional",
-			mk: func() pattern.Node {
-				return pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Opt(pattern.Type("B")), pattern.Type("C"))
-			},
+			name:      "optional",
+			pattern:   "SEQ(A+, B?, C)",
 			types:     []string{"A", "B", "C", "D"},
 			sems:      all,
 			predAlias: "A",
@@ -334,45 +279,48 @@ func TestRandomizedCrossCheck(t *testing.T) {
 			sem := pc.sems[rng.Intn(len(pc.sems))]
 			tag := fmt.Sprintf("iter%d/%s/%s", iter, pc.name, sem)
 
-			b := query.NewBuilder(pc.mk()).Semantics(sem)
 			// Aggregates: COUNT(*) always, plus a random extra.
-			b.Return(agg.Spec{Func: agg.CountStar})
+			a := pc.predAlias
+			returns := "COUNT(*)"
 			switch rng.Intn(5) {
 			case 1:
-				b.Return(agg.Spec{Func: agg.CountType, Alias: pc.predAlias})
+				returns += ", COUNT(" + a + ")"
 			case 2:
-				b.Return(agg.Spec{Func: agg.Min, Alias: pc.predAlias, Attr: "x"})
+				returns += ", MIN(" + a + ".x)"
 			case 3:
-				b.Return(agg.Spec{Func: agg.Sum, Alias: pc.predAlias, Attr: "x"})
+				returns += ", SUM(" + a + ".x)"
 			case 4:
-				b.Return(agg.Spec{Func: agg.Avg, Alias: pc.predAlias, Attr: "x"})
+				returns += ", AVG(" + a + ".x)"
 			}
 			// Random predicates.
+			var where, groupBy []string
 			if rng.Intn(3) == 0 {
-				b.WhereLocal(predicate.Local{Alias: pc.predAlias, Attr: "x", Op: predicate.Gt, Value: 1.0})
+				where = append(where, a+".x > 1")
 			}
 			if rng.Intn(3) == 0 {
-				b.WhereAdjacent(predicate.Adjacent{
-					Left: pc.predAlias, LeftAttr: "x", Op: predicate.Le,
-					Right: pc.predAlias, RightAttr: "x",
-				})
+				where = append(where, a+".x <= NEXT("+a+").x")
 			}
 			if rng.Intn(3) == 0 {
-				b.WhereEquiv(predicate.Equivalence{Attr: "k"})
-				b.GroupBy(query.GroupKey{Attr: "k"})
+				where, groupBy = append(where, "[k]"), append(groupBy, "k")
 			}
 			if sem == query.Any && pc.name == "shared-type" && rng.Intn(2) == 0 {
-				b.WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "c"})
-				b.GroupBy(query.GroupKey{Alias: "A", Attr: "c"})
+				where, groupBy = append(where, "[A.c]"), append(groupBy, "A.c")
+			}
+			src := "RETURN " + returns + " PATTERN " + pc.pattern + " SEMANTICS " + sem.String()
+			if len(where) > 0 {
+				src += " WHERE " + strings.Join(where, " AND ")
+			}
+			if len(groupBy) > 0 {
+				src += " GROUP-BY " + strings.Join(groupBy, ", ")
 			}
 			// Random window.
 			windows := [][2]int64{{100, 100}, {10, 5}, {6, 3}, {7, 7}}
 			w := windows[rng.Intn(len(windows))]
-			b.Within(w[0], w[1])
+			src += fmt.Sprintf(" WITHIN %d SLIDE %d", w[0], w[1])
 
-			q, err := b.Build()
+			q, err := query.Parse(src)
 			if err != nil {
-				t.Fatalf("%s: build: %v", tag, err)
+				t.Fatalf("%s: parse: %v", tag, err)
 			}
 			if _, err := core.NewPlan(q); err != nil {
 				continue // combination rejected by the planner (expected)
@@ -386,11 +334,7 @@ func TestRandomizedCrossCheck(t *testing.T) {
 
 // TestCrossCheckSlidingWindows uses overlapping windows specifically.
 func TestCrossCheckSlidingWindows(t *testing.T) {
-	q := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "x"}).
-		Semantics(query.Any).
-		Within(6, 2).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*), SUM(A.x) PATTERN SEQ(A+, B) WITHIN 6 SLIDE 2")
 	rng := rand.New(rand.NewSource(7))
 	events := randomStream(rng, []string{"A", "B"}, 20, 0)
 	runAll(t, q, events, "sliding")
@@ -422,18 +366,8 @@ func TestCrossCheckGrouping(t *testing.T) {
 // predicates, exercising the engine's interned-vector binding keys
 // (more than two slots cannot be packed into one word).
 func TestCrossCheckManySlots(t *testing.T) {
-	q := query.NewBuilder(pattern.Seq(
-		pattern.Plus(pattern.Type("A")),
-		pattern.Plus(pattern.Type("B")),
-		pattern.Plus(pattern.Type("C")))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "B", Attr: "x"}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "c"}).
-		WhereEquiv(predicate.Equivalence{Alias: "B", Attr: "c"}).
-		WhereEquiv(predicate.Equivalence{Alias: "C", Attr: "k"}).
-		GroupBy(query.GroupKey{Alias: "A", Attr: "c"}, query.GroupKey{Alias: "C", Attr: "k"}).
-		Within(20, 10).
-		MustBuild()
+	q := query.MustParse(`RETURN COUNT(*), SUM(B.x) PATTERN SEQ(A+, B+, C+)
+		WHERE [A.c] AND [B.c] AND [C.k] GROUP-BY A.c, C.k WITHIN 20 SLIDE 10`)
 	rng := rand.New(rand.NewSource(3))
 	events := randomStream(rng, []string{"A", "B", "C"}, 14, 0.1)
 	runAll(t, q, events, "many-slots")
@@ -443,14 +377,7 @@ func TestCrossCheckManySlots(t *testing.T) {
 // attribute, exercising the SymAttr numeric-fallback formatting in
 // both the partition keys and the interned binding slots.
 func TestCrossCheckNumericEquivalence(t *testing.T) {
-	q := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "x"}).
-		WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "c"}).
-		GroupBy(query.GroupKey{Attr: "x"}).
-		Within(100, 100).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, B) WHERE [x] AND [A.c] GROUP-BY x WITHIN 100 SLIDE 100")
 	rng := rand.New(rand.NewSource(5))
 	events := randomStream(rng, []string{"A", "B"}, 16, 0.1)
 	runAll(t, q, events, "numeric-equivalence")
@@ -462,12 +389,7 @@ func TestCrossCheckNumericEquivalence(t *testing.T) {
 // empty-valued event cannot extend a binding whose slot is non-empty.
 // The interned binding keys must agree with every baseline here.
 func TestCrossCheckEmptyStringSlotValue(t *testing.T) {
-	q := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "c"}).
-		Within(100, 100).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, B) WHERE [A.c] WITHIN 100 SLIDE 100")
 	events := []*event.Event{
 		event.New("A", 1).WithSym("c", ""),
 		event.New("A", 2).WithSym("c", "x"),
@@ -579,10 +501,7 @@ func TestUnsupportedFeatureErrors(t *testing.T) {
 		t.Errorf("Flink under NEXT: %v", err)
 	}
 	// A-Seq rejects adjacent predicates.
-	qa := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "x", Op: predicate.Lt, Right: "A", RightAttr: "x"}).
-		Within(10, 10).MustBuild()
+	qa := query.MustParse("RETURN COUNT(*) PATTERN A+ WHERE A.x < NEXT(A).x WITHIN 10 SLIDE 10")
 	if _, err := aseq.New(core.MustPlan(qa)).Run(nil); !isUnsupported(err) {
 		t.Errorf("A-Seq with adjacent predicates: %v", err)
 	}
@@ -606,9 +525,7 @@ func TestTable3GrowthClasses(t *testing.T) {
 		return out
 	}
 	count := func(sem query.Semantics, n int) int {
-		q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(sem).Within(1000, 1000).MustBuild()
+		q := query.MustParse("RETURN COUNT(*) PATTERN A+ SEMANTICS " + sem.String() + " WITHIN 1000 SLIDE 1000")
 		trends, err := sase.EnumerateWindow(core.MustPlan(q), mkEvents(n), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -641,11 +558,7 @@ func TestCrossCheckHeavyTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 20; iter++ {
 		for _, sem := range []query.Semantics{query.Any, query.Next, query.Cont} {
-			q := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-				Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Min, Alias: "A", Attr: "x"}).
-				Semantics(sem).
-				Within(8, 4).
-				MustBuild()
+			q := query.MustParse("RETURN COUNT(*), MIN(A.x) PATTERN SEQ(A+, B) SEMANTICS " + sem.String() + " WITHIN 8 SLIDE 4")
 			events := randomStream(rng, []string{"A", "B", "C"}, 12, 0.5)
 			runAll(t, q, events, fmt.Sprintf("ties/iter%d/%s", iter, sem))
 		}
@@ -655,11 +568,7 @@ func TestCrossCheckHeavyTies(t *testing.T) {
 // TestCrossCheckGapWindows uses SLIDE > WITHIN, leaving times covered
 // by no window.
 func TestCrossCheckGapWindows(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(3, 7).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 3 SLIDE 7")
 	rng := rand.New(rand.NewSource(123))
 	events := randomStream(rng, []string{"A"}, 25, 0)
 	runAll(t, q, events, "gap-windows")
@@ -670,17 +579,7 @@ func TestCrossCheckGapWindows(t *testing.T) {
 func TestCrossCheckMultipleNegations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 15; iter++ {
-		p := pattern.Seq(
-			pattern.Plus(pattern.Type("A")),
-			pattern.Not(pattern.Type("N")),
-			pattern.Type("B"),
-			pattern.Not(pattern.Type("M")),
-			pattern.Type("C"))
-		q := query.NewBuilder(p).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Any).
-			Within(100, 100).
-			MustBuild()
+		q := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, NOT(N), B, NOT(M), C) WITHIN 100 SLIDE 100")
 		events := randomStream(rng, []string{"A", "B", "C", "N", "M"}, 12, 0.1)
 		runAll(t, q, events, fmt.Sprintf("multi-neg/iter%d", iter))
 	}

@@ -4,25 +4,21 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/metrics"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
-func plan(sem query.Semantics, p pattern.Node, opts ...func(*query.Builder)) *core.Plan {
-	b := query.NewBuilder(p).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(sem).
-		Within(1000, 1000)
-	for _, o := range opts {
-		o(b)
+// plan compiles COUNT(*) over the pattern pat under sem, with an
+// optional WHERE clause.
+func plan(sem query.Semantics, pat string, where ...string) *core.Plan {
+	src := "RETURN COUNT(*) PATTERN " + pat + " SEMANTICS " + sem.String()
+	if len(where) > 0 {
+		src += " WHERE " + where[0]
 	}
-	return core.MustPlan(b.MustBuild())
+	return core.MustPlan(query.MustParse(src + " WITHIN 1000 SLIDE 1000"))
 }
 
 func seq(types ...string) []*event.Event {
@@ -36,7 +32,7 @@ func seq(types ...string) []*event.Event {
 func TestFlinkAnyCountsViaFlattenedWorkload(t *testing.T) {
 	// A+ over 6 events under ANY: 2^6-1 = 63 sequences across the
 	// flattened queries.
-	results, err := New(plan(query.Any, pattern.Plus(pattern.Type("A")))).
+	results, err := New(plan(query.Any, "A+")).
 		Run(seq("A", "A", "A", "A", "A", "A"))
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +44,7 @@ func TestFlinkAnyCountsViaFlattenedWorkload(t *testing.T) {
 
 func TestFlinkContiguousMatches(t *testing.T) {
 	// SEQ(A+, B) CONT over a a c a b: only (a4, b5) is contiguous.
-	results, err := New(plan(query.Cont, pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
+	results, err := New(plan(query.Cont, "SEQ(A+, B)")).
 		Run(seq("A", "A", "C", "A", "B"))
 	if err != nil {
 		t.Fatal(err)
@@ -60,20 +56,17 @@ func TestFlinkContiguousMatches(t *testing.T) {
 
 func TestFlinkRejectsNextAndNegation(t *testing.T) {
 	var unsup baselines.ErrUnsupported
-	if _, err := New(plan(query.Next, pattern.Plus(pattern.Type("A")))).Run(nil); !errors.As(err, &unsup) {
+	if _, err := New(plan(query.Next, "A+")).Run(nil); !errors.As(err, &unsup) {
 		t.Errorf("NEXT: %v", err)
 	}
-	negP := pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Not(pattern.Type("N")), pattern.Type("B"))
-	if _, err := New(plan(query.Any, negP)).Run(nil); !errors.As(err, &unsup) {
+	if _, err := New(plan(query.Any, "SEQ(A+, NOT(N), B)")).Run(nil); !errors.As(err, &unsup) {
 		t.Errorf("negation: %v", err)
 	}
 }
 
 func TestFlinkAdjacentPredicates(t *testing.T) {
 	// Flink supports predicates on adjacent events (Table 9).
-	p := plan(query.Any, pattern.Plus(pattern.Type("A")), func(b *query.Builder) {
-		b.WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "x", Op: predicate.Lt, Right: "A", RightAttr: "x"})
-	})
+	p := plan(query.Any, "A+", "A.x < NEXT(A).x")
 	events := []*event.Event{
 		event.New("A", 1).WithNum("x", 1),
 		event.New("A", 2).WithNum("x", 3),
@@ -93,7 +86,7 @@ func TestFlinkAdjacentPredicates(t *testing.T) {
 // count (Figure 7b's exponential memory curve).
 func TestFlinkMaterialisesMatches(t *testing.T) {
 	peak := func(n int) int64 {
-		r := New(plan(query.Any, pattern.Plus(pattern.Type("A"))))
+		r := New(plan(query.Any, "A+"))
 		var acct metrics.Accountant
 		r.Acct = &acct
 		var events []*event.Event
@@ -112,7 +105,7 @@ func TestFlinkMaterialisesMatches(t *testing.T) {
 }
 
 func TestFlinkBudgetDNF(t *testing.T) {
-	r := New(plan(query.Any, pattern.Plus(pattern.Type("A"))))
+	r := New(plan(query.Any, "A+"))
 	r.BudgetUnits = 100
 	var events []*event.Event
 	for i := 1; i <= 25; i++ {
@@ -126,15 +119,13 @@ func TestFlinkBudgetDNF(t *testing.T) {
 }
 
 func TestLongestCandidateRun(t *testing.T) {
-	p := plan(query.Cont, pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))
+	p := plan(query.Cont, "SEQ(A+, B)")
 	events := seq("A", "A", "C", "A", "A", "A", "B")
 	if got := longestCandidateRun(p, events); got != 4 {
 		t.Errorf("longestCandidateRun = %d, want 4 (a4 a5 a6 b7)", got)
 	}
 	// Adjacent predicates shorten the bound.
-	pp := plan(query.Cont, pattern.Plus(pattern.Type("A")), func(b *query.Builder) {
-		b.WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "x", Op: predicate.Lt, Right: "A", RightAttr: "x"})
-	})
+	pp := plan(query.Cont, "A+", "A.x < NEXT(A).x")
 	evs := []*event.Event{
 		event.New("A", 1).WithNum("x", 1),
 		event.New("A", 2).WithNum("x", 2),
@@ -152,7 +143,7 @@ func TestLongestCandidateRun(t *testing.T) {
 }
 
 func TestFlinkCapLimitsMatchLength(t *testing.T) {
-	r := New(plan(query.Any, pattern.Plus(pattern.Type("A"))))
+	r := New(plan(query.Any, "A+"))
 	r.MaxLen = 2
 	results, err := r.Run(seq("A", "A", "A", "A"))
 	if err != nil {

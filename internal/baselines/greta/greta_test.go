@@ -2,25 +2,18 @@ package greta
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/metrics"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
 func figure2Plan() *core.Plan {
-	q := query.NewBuilder(
-		pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(100, 100).MustBuild()
-	return core.MustPlan(q)
+	return core.MustPlan(query.MustParse("RETURN COUNT(*) PATTERN (SEQ(A+, B))+ WITHIN 100 SLIDE 100"))
 }
 
 func figure2Events() []*event.Event {
@@ -46,10 +39,7 @@ func TestGretaFigure2Count(t *testing.T) {
 }
 
 func TestGretaRejectsOtherSemantics(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Next).
-		Within(10, 10).MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN A+ SEMANTICS skip-till-next-match WITHIN 10 SLIDE 10")
 	_, err := New(core.MustPlan(q)).Run(nil)
 	var unsup baselines.ErrUnsupported
 	if !errors.As(err, &unsup) {
@@ -60,11 +50,7 @@ func TestGretaRejectsOtherSemantics(t *testing.T) {
 func TestGretaSupportsAdjacentPredicates(t *testing.T) {
 	// Unlike A-Seq, GRETA evaluates predicates on adjacent events
 	// (Table 9): A+ with increasing x over 1,3,2 -> 5 trends.
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "x", Op: predicate.Lt, Right: "A", RightAttr: "x"}).
-		Within(10, 10).MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN A+ WHERE A.x < NEXT(A).x WITHIN 10 SLIDE 10")
 	events := []*event.Event{
 		event.New("A", 1).WithNum("x", 1),
 		event.New("A", 2).WithNum("x", 3),
@@ -94,10 +80,7 @@ func TestGretaBudgetDNF(t *testing.T) {
 // the stream (Figures 8b, 10b), unlike COGRA's constant state.
 func TestGretaMemoryGrowsWithEvents(t *testing.T) {
 	peak := func(n int) int64 {
-		q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Any).
-			Within(int64(n), int64(n)).MustBuild()
+		q := query.MustParse(fmt.Sprintf("RETURN COUNT(*) PATTERN A+ WITHIN %d SLIDE %[1]d", n))
 		var events []*event.Event
 		for i := 0; i < n; i++ {
 			events = append(events, event.New("A", int64(i)))

@@ -5,25 +5,21 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/metrics"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
-func planFor(sem query.Semantics, p pattern.Node, opts ...func(*query.Builder)) *core.Plan {
-	b := query.NewBuilder(p).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(sem).
-		Within(1000, 1000)
-	for _, o := range opts {
-		o(b)
+// planFor compiles COUNT(*) over the pattern pat under sem, with an
+// optional WHERE clause.
+func planFor(sem query.Semantics, pat string, where ...string) *core.Plan {
+	src := "RETURN COUNT(*) PATTERN " + pat + " SEMANTICS " + sem.String()
+	if len(where) > 0 {
+		src += " WHERE " + where[0]
 	}
-	return core.MustPlan(b.MustBuild())
+	return core.MustPlan(query.MustParse(src + " WITHIN 1000 SLIDE 1000"))
 }
 
 func evs(specs ...string) []*event.Event {
@@ -52,7 +48,7 @@ func fmtInt(v int64) string {
 
 func TestEnumerateAnySimple(t *testing.T) {
 	// SEQ(A+, B) over a1 a2 b3: A-subsets {a1},{a2},{a1,a2} each with b3.
-	plan := planFor(query.Any, pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))
+	plan := planFor(query.Any, "SEQ(A+, B)")
 	trends, err := EnumerateWindow(plan, evs("A", "A", "B"), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +71,7 @@ func TestEnumerateAnySimple(t *testing.T) {
 func TestEnumerateNextChainBreak(t *testing.T) {
 	// SEQ(A+, B) NEXT over a1 b2 a3 b4: the b2 finishes the first
 	// chain, a3 restarts; (a1, b4) must not appear.
-	plan := planFor(query.Next, pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))
+	plan := planFor(query.Next, "SEQ(A+, B)")
 	trends, err := EnumerateWindow(plan, evs("A", "B", "A", "B"), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +90,7 @@ func TestEnumerateNextChainBreak(t *testing.T) {
 func TestEnumerateContRequiresImmediateAdjacency(t *testing.T) {
 	// A+ CONT over a1 a2 c3 a4: c3 resets, so {a1,a2,a4} style trends
 	// are impossible; trends are a1, a2, a1a2, a4.
-	plan := planFor(query.Cont, pattern.Plus(pattern.Type("A")))
+	plan := planFor(query.Cont, "A+")
 	trends, err := EnumerateWindow(plan, evs("A", "A", "C", "A"), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +102,7 @@ func TestEnumerateContRequiresImmediateAdjacency(t *testing.T) {
 
 func TestEnumerateRespectsAdjacentPredicates(t *testing.T) {
 	// A+ ANY with increasing x: values 1,3,2 -> {1},{3},{2},{1,3},{1,2}.
-	plan := planFor(query.Any, pattern.Plus(pattern.Type("A")), func(b *query.Builder) {
-		b.WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "x", Op: predicate.Lt, Right: "A", RightAttr: "x"})
-	})
+	plan := planFor(query.Any, "A+", "A.x < NEXT(A).x")
 	events := []*event.Event{
 		event.New("A", 1).WithNum("x", 1),
 		event.New("A", 2).WithNum("x", 3),
@@ -125,10 +119,7 @@ func TestEnumerateRespectsAdjacentPredicates(t *testing.T) {
 
 func TestEnumerateBindings(t *testing.T) {
 	// SEQ(S A+, S B+) with [A.c]: A-events must share c.
-	p := pattern.Seq(pattern.Plus(pattern.TypeAs("S", "A")), pattern.Plus(pattern.TypeAs("S", "B")))
-	plan := planFor(query.Any, p, func(b *query.Builder) {
-		b.WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "c"})
-	})
+	plan := planFor(query.Any, "SEQ(S A+, S B+)", "[A.c]")
 	events := []*event.Event{
 		event.New("S", 1).WithSym("c", "x"),
 		event.New("S", 2).WithSym("c", "y"),
@@ -152,7 +143,7 @@ func TestEnumerateBindings(t *testing.T) {
 }
 
 func TestBudgetTripsMidEnumeration(t *testing.T) {
-	plan := planFor(query.Any, pattern.Plus(pattern.Type("A")))
+	plan := planFor(query.Any, "A+")
 	var events []*event.Event
 	for i := 1; i <= 30; i++ {
 		events = append(events, event.New("A", int64(i)))
@@ -165,7 +156,7 @@ func TestBudgetTripsMidEnumeration(t *testing.T) {
 }
 
 func TestRunnerMemoryReturnsToZero(t *testing.T) {
-	plan := planFor(query.Any, pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))
+	plan := planFor(query.Any, "SEQ(A+, B)")
 	r := New(plan)
 	var acct metrics.Accountant
 	r.Acct = &acct
@@ -181,11 +172,7 @@ func TestRunnerMemoryReturnsToZero(t *testing.T) {
 }
 
 func TestRunnerMultiWindow(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(2, 2).MustBuild()
-	plan := core.MustPlan(q)
+	plan := core.MustPlan(query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 2 SLIDE 2"))
 	r := New(plan)
 	results, err := r.Run([]*event.Event{
 		event.New("A", 0), event.New("A", 1), // window 0: 3 trends
@@ -200,8 +187,7 @@ func TestRunnerMultiWindow(t *testing.T) {
 }
 
 func TestNegationBlocksPairs(t *testing.T) {
-	p := pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Not(pattern.Type("N")), pattern.Type("B"))
-	plan := planFor(query.Any, p)
+	plan := planFor(query.Any, "SEQ(A+, NOT(N), B)")
 	events := []*event.Event{
 		event.New("A", 1), event.New("N", 2), event.New("A", 3), event.New("B", 4),
 	}

@@ -15,9 +15,7 @@ import (
 	"testing"
 
 	cogra "repro"
-	"repro/internal/agg"
 	"repro/internal/event"
-	"repro/internal/pattern"
 	"repro/internal/query"
 )
 
@@ -52,14 +50,7 @@ func batchKernelStream(n, runLen int) []*event.Event {
 func batchKernelQueries() []*query.Query {
 	out := make([]*query.Query, sharedBenchQueryCount)
 	for i := range out {
-		a := fmt.Sprintf("S%d", i)
-		b := fmt.Sprintf("S%d", (i+1)%8)
-		out[i] = query.NewBuilder(
-			pattern.Seq(pattern.Plus(pattern.TypeAs(a, "A")), pattern.TypeAs(b, "B"))).
-			Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}).
-			Semantics(query.Any).
-			Within(256, 256).
-			MustBuild()
+		out[i] = query.MustParse(fmt.Sprintf("RETURN COUNT(*), SUM(A.v) PATTERN SEQ(S%d A+, S%d B) WITHIN 256 SLIDE 256", i, (i+1)%8))
 	}
 	return out
 }

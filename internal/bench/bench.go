@@ -15,15 +15,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/fuzz/diff"
 	"repro/internal/metrics"
 )
 
@@ -210,26 +209,11 @@ func (c Config) sweep(plan *core.Plan, events []*event.Event, approaches []strin
 		// cap, so A-Seq and Flink are only verified when uncapped.
 		capped := (name == ApproachASeq || name == ApproachFlink) &&
 			c.FlattenCap > 0 && c.FlattenCap < len(events)
-		if c.Verify && !capped && ref != nil && !resultsEqual(ref, results) {
+		if c.Verify && !capped && ref != nil && diff.Compare(results, ref, diff.FloatTol) != "" {
 			return row, fmt.Errorf("%s disagrees with COGRA at sweep point %s", name, x)
 		}
 	}
 	return row, nil
-}
-
-func resultsEqual(a, b []core.Result) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Wid != b[i].Wid || !slices.Equal(a[i].Group, b[i].Group) {
-			return false
-		}
-		if !agg.ApproxEqual(a[i].Values, b[i].Values, 1e-9) {
-			return false
-		}
-	}
-	return true
 }
 
 // Experiment is one reproducible experiment of §9.

@@ -6,24 +6,32 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/fuzz/diff"
 	"repro/internal/gen"
 	"repro/internal/metrics"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
 // all approaches in column order; unsupported combinations render n/s.
 var allApproaches = []string{ApproachCogra, ApproachGreta, ApproachASeq, ApproachSase, ApproachFlink}
 
-// tumblingQuery gives every sweep point exactly one full window so
+// tumbling parses a figure's query text with its window filled in as
+// WITHIN n SLIDE n: every sweep point gets exactly one full window, so
 // "events per window" is the swept quantity, like the paper's x-axes.
-func tumbling(q *query.Builder, n int) *query.Builder {
-	return q.Within(int64(n), int64(n))
+func tumbling(text string, n int) *query.Query {
+	return query.MustParse(fmt.Sprintf(text, n))
 }
+
+// fig5Query is q1's shape: contiguously increasing heart rate per
+// patient.
+const fig5Query = `RETURN COUNT(*), MAX(M.rate)
+PATTERN (Measurement M)+
+SEMANTICS contiguous
+WHERE [patient] AND M.rate < NEXT(M).rate
+GROUP-BY patient
+WITHIN %[1]d SLIDE %[1]d`
 
 // Fig5 — contiguous semantics on the physical-activity stream:
 // q1-style contiguously increasing heart rate per patient. Two-step
@@ -38,14 +46,7 @@ func Fig5(cfg Config, out io.Writer) error {
 	for _, base := range []int{1000, 5000, 20000, 50000, 100000} {
 		n := cfg.scaled(base)
 		events := gen.Activity(gen.ActivityConfig{Seed: 5, Events: n, RunLength: 6})
-		q := tumbling(query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-			Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Max, Alias: "M", Attr: "rate"}).
-			Semantics(query.Cont).
-			WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-			WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-			GroupBy(query.GroupKey{Attr: "patient"}), n).
-			MustBuild()
-		plan, err := core.NewPlan(q)
+		plan, err := core.NewPlan(tumbling(fig5Query, n))
 		if err != nil {
 			return err
 		}
@@ -58,6 +59,14 @@ func Fig5(cfg Config, out io.Writer) error {
 	fmt.Fprint(out, table.Format())
 	return nil
 }
+
+// fig6Query counts Kleene trips per passenger.
+const fig6Query = `RETURN COUNT(*)
+PATTERN (SEQ((Board B)+, Ride R))+
+SEMANTICS skip-till-next-match
+WHERE [passenger]
+GROUP-BY passenger
+WITHIN %[1]d SLIDE %[1]d`
 
 // Fig6 — skip-till-next-match on the public-transportation stream:
 // Kleene trips per passenger. The number of NEXT trends is polynomial
@@ -72,14 +81,7 @@ func Fig6(cfg Config, out io.Writer) error {
 	for _, base := range []int{1000, 5000, 20000, 50000, 100000} {
 		n := cfg.scaled(base)
 		events := gen.Transit(gen.TransitConfig{Seed: 6, Events: n, Passengers: 30})
-		q := tumbling(query.NewBuilder(
-			pattern.Plus(pattern.Seq(pattern.Plus(pattern.TypeAs("Board", "B")), pattern.TypeAs("Ride", "R")))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Next).
-			WhereEquiv(predicate.Equivalence{Attr: "passenger"}).
-			GroupBy(query.GroupKey{Attr: "passenger"}), n).
-			MustBuild()
-		plan, err := core.NewPlan(q)
+		plan, err := core.NewPlan(tumbling(fig6Query, n))
 		if err != nil {
 			return err
 		}
@@ -95,15 +97,12 @@ func Fig6(cfg Config, out io.Writer) error {
 
 // fig7Query is the q3-shaped stock query without predicates on
 // adjacent events: COGRA runs it type-grained.
-func fig7Query(n int) *query.Query {
-	return tumbling(query.NewBuilder(
-		pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "A")), pattern.Plus(pattern.TypeAs("Stock", "B")))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Avg, Alias: "B", Attr: "price"}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "company"}).
-		GroupBy(query.GroupKey{Attr: "company"}), n).
-		MustBuild()
-}
+const fig7Query = `RETURN COUNT(*), AVG(B.price)
+PATTERN SEQ((Stock A)+, (Stock B)+)
+SEMANTICS skip-till-any-match
+WHERE [company]
+GROUP-BY company
+WITHIN %[1]d SLIDE %[1]d`
 
 // Fig7 — skip-till-any-match on the stock stream, all approaches: the
 // number of trends grows exponentially (Table 3), so the two-step
@@ -118,7 +117,7 @@ func Fig7(cfg Config, out io.Writer) error {
 	for _, base := range []int{200, 500, 1000, 5000, 20000} {
 		n := cfg.scaled(base)
 		events := gen.Stock(gen.StockConfig{Seed: 7, Events: n})
-		plan, err := core.NewPlan(fig7Query(n))
+		plan, err := core.NewPlan(tumbling(fig7Query, n))
 		if err != nil {
 			return err
 		}
@@ -145,7 +144,7 @@ func Fig8(cfg Config, out io.Writer) error {
 	for _, base := range []int{10000, 50000, 100000, 200000} {
 		n := cfg.scaled(base)
 		events := gen.Stock(gen.StockConfig{Seed: 8, Events: n})
-		plan, err := core.NewPlan(fig7Query(n))
+		plan, err := core.NewPlan(tumbling(fig7Query, n))
 		if err != nil {
 			return err
 		}
@@ -185,16 +184,7 @@ func Fig9(cfg Config, out io.Writer) error {
 		// pairs whose predecessor is an A, so Te = {A} (Theorem 5.1):
 		// COGRA stores A-events but keeps B at type granularity — the
 		// mixed-vs-event comparison of §9.3.
-		q := tumbling(query.NewBuilder(
-			pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "A")), pattern.TypeAs("Stock", "B"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Any).
-			WhereEquiv(predicate.Equivalence{Attr: "company"}).
-			WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "u", Op: predicate.Le, Right: "A", RightAttr: "y"}).
-			WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "u", Op: predicate.Le, Right: "B", RightAttr: "y"}).
-			GroupBy(query.GroupKey{Attr: "company"}), n).
-			MustBuild()
-		plan, err := core.NewPlan(q)
+		plan, err := core.NewPlan(tumbling(fig9Query, n))
 		if err != nil {
 			return err
 		}
@@ -210,6 +200,15 @@ func Fig9(cfg Config, out io.Writer) error {
 	fmt.Fprint(out, table.Format())
 	return nil
 }
+
+// fig9Query guards every adjacency of SEQ(A+, B) with the swept
+// selectivity.
+const fig9Query = `RETURN COUNT(*)
+PATTERN SEQ((Stock A)+, Stock B)
+SEMANTICS skip-till-any-match
+WHERE [company] AND A.u <= NEXT(A).y AND A.u <= NEXT(B).y
+GROUP-BY company
+WITHIN %[1]d SLIDE %[1]d`
 
 // fig9Selectivities are Figure 9's sweep points.
 var fig9Selectivities = []float64{0.001, 0.01, 0.1, 0.5, 0.9}
@@ -229,6 +228,14 @@ func withSelectivity(events []*event.Event, sel float64) []*event.Event {
 	return out
 }
 
+// fig10Query averages the boarding wait of each passenger's trips.
+const fig10Query = `RETURN COUNT(*), AVG(B.wait)
+PATTERN SEQ((Board B)+, Ride R)
+SEMANTICS skip-till-any-match
+WHERE [passenger]
+GROUP-BY passenger
+WITHIN %[1]d SLIDE %[1]d`
+
 // Fig10 — number of trend groups on the public-transportation stream:
 // grouping partitions the stream, so more groups mean smaller
 // sub-streams. The two-step approaches only terminate once the
@@ -242,14 +249,7 @@ func Fig10(cfg Config, out io.Writer) error {
 	n := cfg.scaled(400)
 	for _, groups := range []int{5, 10, 15, 20, 25, 30} {
 		events := gen.Transit(gen.TransitConfig{Seed: 10, Events: n, Passengers: groups})
-		q := tumbling(query.NewBuilder(
-			pattern.Seq(pattern.Plus(pattern.TypeAs("Board", "B")), pattern.TypeAs("Ride", "R"))).
-			Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Avg, Alias: "B", Attr: "wait"}).
-			Semantics(query.Any).
-			WhereEquiv(predicate.Equivalence{Attr: "passenger"}).
-			GroupBy(query.GroupKey{Attr: "passenger"}), n).
-			MustBuild()
-		plan, err := core.NewPlan(q)
+		plan, err := core.NewPlan(tumbling(fig10Query, n))
 		if err != nil {
 			return err
 		}
@@ -322,6 +322,24 @@ func Table9(cfg Config, out io.Writer) error {
 	return nil
 }
 
+// The ablation's query, type-grained as written; ablationMixedQuery
+// adds an adjacent predicate that every pair of a company's sub-stream
+// passes, which forces the mixed granularity.
+const (
+	ablationTypeQuery = `RETURN COUNT(*)
+PATTERN SEQ((Stock A)+, (Stock B)+)
+SEMANTICS skip-till-any-match
+WHERE [company]
+GROUP-BY company
+WITHIN %[1]d SLIDE %[1]d`
+	ablationMixedQuery = `RETURN COUNT(*)
+PATTERN SEQ((Stock A)+, (Stock B)+)
+SEMANTICS skip-till-any-match
+WHERE [company] AND A.company = NEXT(B).company
+GROUP-BY company
+WITHIN %[1]d SLIDE %[1]d`
+)
+
 // Ablation — the granularity design choice of §3.3 isolated on one
 // query and stream: the same skip-till-any-match query executed with
 // type-grained aggregates (COGRA's choice), mixed-grained aggregates
@@ -336,21 +354,11 @@ func Ablation(cfg Config, out io.Writer) error {
 	for _, base := range []int{5000, 20000, 50000} {
 		n := cfg.scaled(base)
 		events := gen.Stock(gen.StockConfig{Seed: 11, Events: n})
-		mkBuilder := func() *query.Builder {
-			return tumbling(query.NewBuilder(
-				pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "A")), pattern.Plus(pattern.TypeAs("Stock", "B")))).
-				Return(agg.Spec{Func: agg.CountStar}).
-				Semantics(query.Any).
-				WhereEquiv(predicate.Equivalence{Attr: "company"}).
-				GroupBy(query.GroupKey{Attr: "company"}), n)
-		}
-		typePlan, err := core.NewPlan(mkBuilder().MustBuild())
+		typePlan, err := core.NewPlan(tumbling(ablationTypeQuery, n))
 		if err != nil {
 			return err
 		}
-		mixedPlan, err := core.NewPlan(mkBuilder().
-			WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "company", Op: predicate.Eq, Right: "B", RightAttr: "company"}).
-			MustBuild())
+		mixedPlan, err := core.NewPlan(tumbling(ablationMixedQuery, n))
 		if err != nil {
 			return err
 		}
@@ -367,7 +375,7 @@ func Ablation(cfg Config, out io.Writer) error {
 		// mixed plan's one adjacent predicate accepts every pair and both
 		// plans define the same trends; COUNT-only results make the
 		// comparison exact.
-		if cfg.Verify && typeRun.Err == nil && mixedRun.Err == nil && !resultsEqual(typeResults, mixedResults) {
+		if cfg.Verify && typeRun.Err == nil && mixedRun.Err == nil && diff.Compare(mixedResults, typeResults, diff.FloatTol) != "" {
 			return fmt.Errorf("ablation: mixed granularity disagrees with type granularity at %d events", n)
 		}
 		run, _ := measure("event", facts[ApproachGreta], typePlan, events)

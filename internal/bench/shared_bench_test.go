@@ -12,11 +12,8 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/runtime"
 )
@@ -63,25 +60,22 @@ func sharedBenchStream(n int) []*event.Event {
 func sharedBenchQueries() []*query.Query {
 	out := make([]*query.Query, sharedBenchQueryCount)
 	for i := range out {
-		a := fmt.Sprintf("S%d", i)
-		b := fmt.Sprintf("S%d", (i+1)%8)
-		out[i] = query.NewBuilder(
-			pattern.Seq(pattern.Plus(pattern.TypeAs(a, "A")), pattern.TypeAs(b, "B"))).
-			Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}).
-			Semantics(query.Any).
-			WhereEquiv(predicate.Equivalence{Attr: "key"}).
-			GroupBy(query.GroupKey{Attr: "key"}).
-			Within(256, 256).
-			MustBuild()
+		out[i] = query.MustParse(fmt.Sprintf(`RETURN COUNT(*), SUM(A.v) PATTERN SEQ(S%d A+, S%d B)
+			WHERE [key] GROUP-BY key WITHIN 256 SLIDE 256`, i, (i+1)%8))
 	}
 	return out
 }
 
 // runShared executes the fleet on one shared runtime.
 func runShared(events []*event.Event, queries []*query.Query) ([][]core.Result, error) {
-	rt := runtime.New()
+	cat := core.NewCatalog()
+	rt := runtime.NewOn(cat)
 	for _, q := range queries {
-		if _, err := rt.Subscribe(q); err != nil {
+		plan, err := core.NewPlanIn(cat, q)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := rt.SubscribePlan(plan); err != nil {
 			return nil, err
 		}
 	}

@@ -61,13 +61,13 @@ func (run *ResolvedRun) Len() int { return len(run.Events) }
 // caller's union of every attribute its interested plans read). Each
 // attribute probes the numeric map first. A hit on an attribute no
 // plan reads symbolically (not symNeeded) ends there: every reader of
-// such a slot — local and adjacent checks, user predicate functions,
-// aggregate specs — reads it numeric-first, so the symbolic map could
-// change nothing it sees. Otherwise the symbolic map is probed too,
-// with the numeric fallback materialised for a symNeeded attribute the
-// event carries only as a number (partition keys and binding slots,
-// which are always symNeeded, read that). The view is valid until the
-// next ResolveRun call on the same run.
+// such a slot — local and adjacent checks and aggregate specs — reads
+// it numeric-first, so the symbolic map could change nothing it sees.
+// Otherwise the symbolic map is probed too, with the numeric fallback
+// materialised for a symNeeded attribute the event carries only as a
+// number (partition keys and binding slots, which are always
+// symNeeded, read that). The view is valid until the next ResolveRun
+// call on the same run.
 func (r *Resolver) ResolveRun(run *ResolvedRun, events []*event.Event, tid int32, attrs []int32) {
 	v := r.cat.view.Load()
 	stride := len(v.attrNames)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/snap"
 )
@@ -56,11 +55,7 @@ func resolveView(plan *Plan, rv *resolvedVals, ev *event.Event) {
 }
 
 func countQuery(sem query.Semantics) *query.Query {
-	return query.NewBuilder(figure2Pattern()).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(sem).
-		Within(100, 100).
-		MustBuild()
+	return query.MustParse("RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS " + sem.String() + " WITHIN 100 SLIDE 100")
 }
 
 func runCount(t *testing.T, q *query.Query, events []*event.Event) uint64 {
@@ -239,19 +234,15 @@ func TestPoolsGiveBackASpike(t *testing.T) {
 // design, agg.TestCountWrapsModulo64), which no event stream of testable
 // length reaches — so the committed entry is overwritten in place.
 func TestZeroSumPredecessorStillExtends(t *testing.T) {
-	seqAB := pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))
 	for _, tc := range []struct {
 		name string
-		q    *query.Query
+		q    string
 	}{
-		{"Te empty", query.NewBuilder(seqAB).Return(agg.Spec{Func: agg.CountStar}).Within(100, 100).MustBuild()},
+		{"Te empty", "RETURN COUNT(*) PATTERN SEQ(A+, B) WITHIN 100 SLIDE 100"},
 		// B (Te) follows A (Tt): the zero entry reaches a stored event.
-		{"Te = {B}", query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Plus(pattern.Type("B")))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			WhereAdjacent(predicate.Adjacent{Left: "B", LeftAttr: "t", Op: predicate.Lt, Right: "B", RightAttr: "t"}).
-			Within(100, 100).MustBuild()},
+		{"Te = {B}", "RETURN COUNT(*) PATTERN SEQ(A+, B+) WHERE B.t < NEXT(B).t WITHIN 100 SLIDE 100"},
 	} {
-		plan := MustPlan(tc.q)
+		plan := MustPlan(query.MustParse(tc.q))
 		a, b := plan.aliasIDs["A"], plan.aliasIDs["B"]
 		mg := newMixedGrained(plan, testShared(plan))
 		var rv resolvedVals
@@ -293,11 +284,7 @@ func TestZeroSumPredecessorStillExtends(t *testing.T) {
 // are derived by hand from Definition 7, not from another run of the
 // kernel.
 func TestRunMemoSurvivesStoredScan(t *testing.T) {
-	plan := MustPlan(query.NewBuilder(figure2Pattern()).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "x", Op: predicate.Lt, Right: "A", RightAttr: "x"}).
-		Within(100, 100).MustBuild())
+	plan := MustPlan(query.MustParse("RETURN COUNT(*) PATTERN (SEQ(A+, B))+ WHERE A.x < NEXT(A).x WITHIN 100 SLIDE 100"))
 	a, b := plan.aliasIDs["A"], plan.aliasIDs["B"]
 	if !plan.eventGrainedByID[a] || plan.eventGrainedByID[b] {
 		t.Fatalf("event-grained set = %v, want {A}", plan.EventGrained)
@@ -439,8 +426,7 @@ func TestRunMemoServesStoredPredecessors(t *testing.T) {
 // same pointer at the same time, and must not find the predecessor sums
 // of the partition it served before.
 func TestReleaseDisownsRunMemo(t *testing.T) {
-	plan := MustPlan(query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).Within(100, 100).MustBuild())
+	plan := MustPlan(query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, B) WITHIN 100 SLIDE 100"))
 	a := plan.aliasIDs["A"]
 	eng := NewEngine(plan)
 	mg := eng.openSubAggregator().(*mixedGrained)
@@ -490,12 +476,7 @@ func table6Stream() []*event.Event {
 // predicates restrict the adjacency between b's and a's; a7 is
 // adjacent to b2 but not b6. Final count 33.
 func TestPaperTable6(t *testing.T) {
-	q := query.NewBuilder(figure2Pattern()).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereAdjacent(predicate.Adjacent{Left: "B", LeftAttr: "w", Op: predicate.Lt, Right: "A", RightAttr: "w"}).
-		Within(100, 100).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN (SEQ(A+, B))+ WHERE B.w < NEXT(A).w WITHIN 100 SLIDE 100")
 	plan := MustPlan(q)
 	if plan.Granularity != MixedGrained {
 		t.Fatalf("granularity = %v, want mixed", plan.Granularity)
@@ -513,12 +494,7 @@ func TestPaperTable6(t *testing.T) {
 // it must be rejected exactly like an out-of-order event, not silently
 // dropped into already-closed windows.
 func TestAdvanceWatermarkRecordsFloor(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(10, 10).
-		MustBuild()
-	plan := MustPlan(q)
+	plan := MustPlan(query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10"))
 	eng := NewEngine(plan)
 	res := NewResolver(plan.Catalog())
 	if err := eng.AdvanceWatermark(20); err != nil {
@@ -577,26 +553,17 @@ func TestGranularitySelection(t *testing.T) {
 
 func TestPlanRejections(t *testing.T) {
 	// Alias-scoped equivalence under pattern granularity.
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("S", "A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Next).
-		WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "c"}).
-		Within(10, 10).MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN (S A)+ SEMANTICS skip-till-next-match WHERE [A.c] WITHIN 10 SLIDE 10")
 	if _, err := NewPlan(q); err == nil {
 		t.Error("alias equivalence under NEXT accepted")
 	}
 	// Event type matching several pattern types under NEXT.
-	q2 := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.TypeAs("S", "A")), pattern.Plus(pattern.TypeAs("S", "B")))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Cont).
-		Within(10, 10).MustBuild()
+	q2 := query.MustParse("RETURN COUNT(*) PATTERN SEQ(S A+, S B+) SEMANTICS contiguous WITHIN 10 SLIDE 10")
 	if _, err := NewPlan(q2); err == nil {
 		t.Error("ambiguous event type under CONT accepted")
 	}
 	// Composite negated sub-pattern.
-	q3 := query.NewBuilder(pattern.Seq(pattern.Type("A"), pattern.Not(pattern.Seq(pattern.Type("N"), pattern.Type("M"))), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Within(10, 10).MustBuild()
+	q3 := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A, NOT(SEQ(N, M)), B) WITHIN 10 SLIDE 10")
 	if _, err := NewPlan(q3); err == nil {
 		t.Error("composite negation accepted")
 	}
@@ -606,18 +573,8 @@ func TestAggregatesMinMaxSumAvg(t *testing.T) {
 	// Pattern M+ under ANY over rates 60, 62, 61: trends are all
 	// non-empty ordered subsets: {60},{62},{61},{60,62},{60,61},
 	// {62,61},{60,62,61} -> 7 trends.
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-		Return(
-			agg.Spec{Func: agg.CountStar},
-			agg.Spec{Func: agg.CountType, Alias: "M"},
-			agg.Spec{Func: agg.Min, Alias: "M", Attr: "rate"},
-			agg.Spec{Func: agg.Max, Alias: "M", Attr: "rate"},
-			agg.Spec{Func: agg.Sum, Alias: "M", Attr: "rate"},
-			agg.Spec{Func: agg.Avg, Alias: "M", Attr: "rate"},
-		).
-		Semantics(query.Any).
-		Within(100, 100).
-		MustBuild()
+	q := query.MustParse(`RETURN COUNT(*), COUNT(M), MIN(M.rate), MAX(M.rate), SUM(M.rate), AVG(M.rate)
+		PATTERN M+ WITHIN 100 SLIDE 100`)
 	events := []*event.Event{
 		event.New("M", 1).WithNum("rate", 60),
 		event.New("M", 2).WithNum("rate", 62),
@@ -654,9 +611,7 @@ func TestAggregatesMinMaxSumAvg(t *testing.T) {
 func TestSlidingWindowsSeparateState(t *testing.T) {
 	// WITHIN 4 SLIDE 2 over A+ (ANY): events at t=1 (win 0), t=3
 	// (wins 0,1), t=5 (wins 1,2).
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Within(4, 2).MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 4 SLIDE 2")
 	eng := NewEngine(MustPlan(q))
 	for _, tm := range []int64{1, 3, 5} {
 		if err := eng.Process(event.New("A", tm)); err != nil {
@@ -678,9 +633,7 @@ func TestSlidingWindowsSeparateState(t *testing.T) {
 }
 
 func TestWindowsEmittedIncrementallyOnWatermark(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Within(2, 2).MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 2 SLIDE 2")
 	var emitted []Result
 	eng := NewEngine(MustPlan(q), WithResultCallback(func(r Result) { emitted = append(emitted, r) }))
 	eng.Process(event.New("A", 0))
@@ -790,9 +743,7 @@ func TestOutOfOrderRejected(t *testing.T) {
 func TestSimultaneousEventsAreNotAdjacent(t *testing.T) {
 	// Two A's at the same time under ANY: each starts a trend, neither
 	// extends the other (Definition 7: ep.time < e.time).
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Within(10, 10).MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10")
 	eng := NewEngine(MustPlan(q))
 	eng.Process(event.New("A", 1))
 	eng.Process(event.New("A", 1))
@@ -821,12 +772,7 @@ func TestEventsWithoutPartitionKeySkipped(t *testing.T) {
 
 func negQuery(sem query.Semantics) *query.Query {
 	// SEQ(A+, NOT(N), B): no N between the last a and the b.
-	b := query.NewBuilder(pattern.Seq(
-		pattern.Plus(pattern.Type("A")), pattern.Not(pattern.Type("N")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(sem).
-		Within(100, 100)
-	return b.MustBuild()
+	return query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, NOT(N), B) SEMANTICS " + sem.String() + " WITHIN 100 SLIDE 100")
 }
 
 func negStream() []*event.Event {
@@ -848,13 +794,7 @@ func TestNegationTypeGrained(t *testing.T) {
 }
 
 func TestNegationMixedGrained(t *testing.T) {
-	q := query.NewBuilder(pattern.Seq(
-		pattern.Plus(pattern.Type("A")), pattern.Not(pattern.Type("N")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "t", Op: predicate.Lt, Right: "B", RightAttr: "t"}).
-		Within(100, 100).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, NOT(N), B) WHERE A.t < NEXT(B).t WITHIN 100 SLIDE 100")
 	plan := MustPlan(q)
 	if plan.Granularity != MixedGrained || !plan.EventGrained["A"] {
 		t.Fatalf("plan = %v", plan)
@@ -900,10 +840,7 @@ func TestAccountantReturnsToZero(t *testing.T) {
 
 func TestMixedGrainedAccountantReturnsToZero(t *testing.T) {
 	var acct metrics.Accountant
-	q := query.NewBuilder(figure2Pattern()).
-		Return(agg.Spec{Func: agg.CountStar}).
-		WhereAdjacent(predicate.Adjacent{Left: "B", LeftAttr: "t", Op: predicate.Lt, Right: "A", RightAttr: "t"}).
-		Within(100, 100).MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN (SEQ(A+, B))+ WHERE B.t < NEXT(A).t WITHIN 100 SLIDE 100")
 	eng := NewEngine(MustPlan(q), WithAccountant(&acct))
 	if err := eng.ProcessAll(figure2Stream()); err != nil {
 		t.Fatal(err)
@@ -916,10 +853,7 @@ func TestMixedGrainedAccountantReturnsToZero(t *testing.T) {
 
 func TestPatternGrainedStartBreaksChainUnderNext(t *testing.T) {
 	// SEQ(A+, B) under NEXT: a1 b2 a3 b4 -> (a1,b2) and (a3,b4).
-	q := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Next).
-		Within(100, 100).MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS skip-till-next-match WITHIN 100 SLIDE 100")
 	events := []*event.Event{
 		event.New("A", 1), event.New("B", 2), event.New("A", 3), event.New("B", 4),
 	}

@@ -3,11 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/event"
-	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/snap"
@@ -19,16 +18,11 @@ import (
 // and start every slide ticks.
 func evictionQuery(t *testing.T, slots int, slide int64) *query.Query {
 	t.Helper()
-	b := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Within(64, slide)
-	eqs := []predicate.Equivalence{
-		{Alias: "A", Attr: "u"}, {Alias: "B", Attr: "u"}, {Alias: "A", Attr: "w"},
+	where := ""
+	if slots > 0 {
+		where = "WHERE " + strings.Join([]string{"[A.u]", "[B.u]", "[A.w]"}[:slots], " AND ")
 	}
-	for i := 0; i < slots; i++ {
-		b = b.WhereEquiv(eqs[i])
-	}
-	return b.MustBuild()
+	return query.MustParse(fmt.Sprintf("RETURN COUNT(*) PATTERN SEQ(A+, B) %s WITHIN 64 SLIDE %d", where, slide))
 }
 
 // rotatingStream emits A/B pairs whose slot values rotate with stream

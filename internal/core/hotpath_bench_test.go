@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/event"
-	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
 )
@@ -82,23 +80,14 @@ func benchEngine(b *testing.B, q *query.Query, events []*event.Event) {
 // BenchmarkEngineProcessTypeGrained is the no-equivalence fast path:
 // one aggregate per pattern type, no binding slots, no partitions.
 func BenchmarkEngineProcessTypeGrained(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}).
-		Semantics(query.Any).
-		Within(1024, 1024).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ WITHIN 1024 SLIDE 1024")
 	benchEngine(b, q, typeBenchStream(4096))
 }
 
 // BenchmarkEngineProcessTypeGrainedSlots adds an alias-scoped
 // equivalence predicate, exercising binding-key combine per event.
 func BenchmarkEngineProcessTypeGrainedSlots(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "acct"}).
-		Within(1024, 1024).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ WHERE [A.acct] WITHIN 1024 SLIDE 1024")
 	benchEngine(b, q, typeBenchStream(4096))
 }
 
@@ -107,17 +96,11 @@ func BenchmarkEngineProcessTypeGrainedSlots(b *testing.B) {
 // each stored predecessor. aliasScoped swaps the stream-partitioning
 // [patient] + GROUP-BY for an alias-scoped [M.patient] binding slot.
 func mixedAdjacentQuery(aliasScoped bool, within int64) *query.Query {
-	b := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-		Within(within, within)
+	partition := "[patient] AND M.rate < NEXT(M).rate GROUP-BY patient"
 	if aliasScoped {
-		b = b.WhereEquiv(predicate.Equivalence{Alias: "M", Attr: "patient"})
-	} else {
-		b = b.WhereEquiv(predicate.Equivalence{Attr: "patient"}).GroupBy(query.GroupKey{Attr: "patient"})
+		partition = "[M.patient] AND M.rate < NEXT(M).rate"
 	}
-	return b.MustBuild()
+	return query.MustParse(fmt.Sprintf("RETURN COUNT(*) PATTERN Measurement M+ WHERE %s WITHIN %d SLIDE %[2]d", partition, within))
 }
 
 func BenchmarkEngineProcessMixedAdjacent(b *testing.B) {
@@ -181,25 +164,15 @@ func denseBenchStream(n, runLen int) []*event.Event {
 // fast path: with 16 events per tick the watermark check and the
 // window-state lookup run once per tick instead of once per event.
 func BenchmarkEngineProcessDenseTimestamps(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}).
-		Semantics(query.Any).
-		Within(64, 64).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ WITHIN 64 SLIDE 64")
 	benchEngine(b, q, denseBenchStream(4096, 16))
 }
 
 // BenchmarkEngineProcessPatternGrained is the O(1)-state contiguous
 // path with an adjacent predicate and stream partitioning.
 func BenchmarkEngineProcessPatternGrained(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Cont).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-		GroupBy(query.GroupKey{Attr: "patient"}).
-		Within(512, 512).
-		MustBuild()
+	q := query.MustParse(`RETURN COUNT(*) PATTERN Measurement M+ SEMANTICS contiguous
+		WHERE [patient] AND M.rate < NEXT(M).rate GROUP-BY patient WITHIN 512 SLIDE 512`)
 	benchEngine(b, q, measureBenchStream(4096))
 }
 
@@ -257,11 +230,7 @@ func TestMixedAdjacentAllocs(t *testing.T) {
 // per run, so re-introducing a per-event subscription-index read
 // shows up directly as lost events/s here.
 func BenchmarkEngineProcessRunKernel(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}).
-		Semantics(query.Any).
-		Within(64, 64).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ WITHIN 64 SLIDE 64")
 	plan := MustPlan(q)
 	events := denseBenchStream(4096, 16)
 	// Pre-bucket the stream into runs (same time, same type, arrival
@@ -331,12 +300,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		t.Errorf("vector combine allocates %v/op", n)
 	}
 
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Avg, Alias: "M", Attr: "rate"}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		Within(512, 512).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*), AVG(M.rate) PATTERN Measurement M+ WHERE [patient] WITHIN 512 SLIDE 512")
 	plan := MustPlan(q)
 	ev := event.New("Measurement", 1).WithSym("patient", "p1").WithNum("rate", 60)
 	res := NewResolver(plan.Catalog())
@@ -349,12 +313,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}
 
 	// A compiled adjacent-predicate edge evaluates without allocating.
-	qn := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-		Within(512, 512).
-		MustBuild()
+	qn := query.MustParse("RETURN COUNT(*) PATTERN Measurement M+ WHERE M.rate < NEXT(M).rate WITHIN 512 SLIDE 512")
 	plann := MustPlan(qn)
 	var rvn resolvedVals
 	resolveView(plann, &rvn, event.New("Measurement", 1).WithNum("rate", 60))
@@ -524,14 +483,8 @@ func BenchmarkBindingIntern(b *testing.B) {
 // construction (a run of one through ResolveRun) — the one probe pass
 // that replaces all downstream map lookups.
 func BenchmarkResolveView(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Avg, Alias: "M", Attr: "rate"}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-		GroupBy(query.GroupKey{Attr: "patient"}).
-		Within(512, 512).
-		MustBuild()
+	q := query.MustParse(`RETURN COUNT(*), AVG(M.rate) PATTERN Measurement M+
+		WHERE [patient] AND M.rate < NEXT(M).rate GROUP-BY patient WITHIN 512 SLIDE 512`)
 	plan := MustPlan(q)
 	ev := event.New("Measurement", 1).WithSym("patient", "p1").WithNum("rate", 60)
 	res := NewResolver(plan.Catalog())
@@ -548,13 +501,7 @@ func BenchmarkResolveView(b *testing.B) {
 // BenchmarkAppendEventKey measures per-event partition-key extraction
 // into a reused buffer, as the multi-query router does.
 func BenchmarkAppendEventKey(b *testing.B) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		GroupBy(query.GroupKey{Attr: "patient"}).
-		Within(512, 512).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN Measurement M+ WHERE [patient] GROUP-BY patient WITHIN 512 SLIDE 512")
 	plan := MustPlan(q)
 	ev := event.New("Measurement", 1).WithSym("patient", "p1").WithNum("rate", 60)
 	var buf []byte

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/runtime"
@@ -50,10 +51,10 @@ func TestEventBytesMatchesFootprintInRuntime(t *testing.T) {
 			rt := hostAll(t, cat, []core.Option{core.WithAccountant(&acct)}, plan, wide)
 			walk := hostAll(t, cat, []core.Option{core.WithAccountant(&walkAcct)}, core.WalkCharged(plan), wide)
 			for i, ev := range core.EventBytesStream() {
-				if err := rt.Process(ev.Clone()); err != nil {
+				if err := rt.ProcessBatch([]*event.Event{ev.Clone()}); err != nil {
 					t.Fatal(err)
 				}
-				if err := walk.Process(ev.Clone()); err != nil {
+				if err := walk.ProcessBatch([]*event.Event{ev.Clone()}); err != nil {
 					t.Fatal(err)
 				}
 				if acct.Current() != walkAcct.Current() || acct.Peak() != walkAcct.Peak() {
@@ -95,7 +96,7 @@ func TestDualKindAttributeAcrossPlans(t *testing.T) {
 	}
 	rt := hostAll(t, cat, nil, plans...)
 	for _, ev := range core.DualKindStream() {
-		if err := rt.Process(ev.Clone()); err != nil {
+		if err := rt.ProcessBatch([]*event.Event{ev.Clone()}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,9 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/event"
-	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
 )
@@ -80,13 +78,7 @@ func TestBindingsVectorCombine(t *testing.T) {
 // built from a resolved view, to AppendEventKey over the plan's
 // StreamKeys (the router's key), including the numeric fallback.
 func TestAppendStreamKeyMatchesEventKey(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		WhereEquiv(predicate.Equivalence{Attr: "ward"}).
-		Within(10, 10).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN M+ WHERE [patient] AND [ward] WITHIN 10 SLIDE 10")
 	plan := MustPlan(q)
 	cases := []*event.Event{
 		event.New("M", 1).WithSym("patient", "p1").WithSym("ward", "icu"),
@@ -118,12 +110,7 @@ func TestAppendStreamKeyMatchesEventKey(t *testing.T) {
 // TestResolvedViewSemantics pins the resolved view to the Event
 // accessor semantics: numeric-first Attr, SymAttr fallback formatting.
 func TestResolvedViewSemantics(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Max, Alias: "M", Attr: "rate"}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Alias: "M", Attr: "patient"}).
-		Within(10, 10).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*), MAX(M.rate) PATTERN M+ WHERE [M.patient] WITHIN 10 SLIDE 10")
 	plan := MustPlan(q)
 	var rv resolvedVals
 	// Numeric patient: the slot reads the formatted fallback value.

@@ -47,6 +47,15 @@ func Canon(results []cogra.Result) string {
 // Canon.
 func Equal(a, b []cogra.Result) bool { return Canon(a) == Canon(b) }
 
+// FloatTol is the relative tolerance on SUM/AVG in every differential
+// comparison, the fuzz oracles' and cograbench's cross-check alike: a
+// solo engine folds a window's partition classes into the aggregate in
+// sorted key order while parallel workers (and the independent
+// baselines) accumulate in their own orders, so the last ULP
+// legitimately differs. Counts, windows and groups always compare
+// exactly.
+const FloatTol = 1e-9
+
 // Compare compares two result lists structurally: length, window
 // identity, group values and counts exactly; float aggregates with
 // relative tolerance relTol (0 compares exactly). A non-zero tolerance
@@ -183,7 +192,7 @@ func ShuffleBounded(events []*cogra.Event, block int, seed int64) ([]*cogra.Even
 	for i := 0; i+block-1 < len(out); i += block {
 		// Fisher-Yates within the block.
 		for a := block - 1; a > 0; a-- {
-			b := int(rng.next() % uint64(a+1))
+			b := int(rng.Next() % uint64(a+1))
 			out[i+a], out[i+b] = out[i+b], out[i+a]
 		}
 	}
@@ -208,7 +217,7 @@ func JitterOrder(events []*cogra.Event, jitter int64, seed int64) ([]*cogra.Even
 		rng := newSplitMix(uint64(seed))
 		arrival := make(map[*cogra.Event]int64, len(out))
 		for _, e := range out {
-			arrival[e] = e.Time + int64(rng.next()%uint64(jitter+1))
+			arrival[e] = e.Time + int64(rng.Next()%uint64(jitter+1))
 		}
 		sort.SliceStable(out, func(i, j int) bool { return arrival[out[i]] < arrival[out[j]] })
 	}
@@ -244,16 +253,18 @@ func repairSlack(canonical, permuted []*cogra.Event) int64 {
 	return slack
 }
 
-// splitMix is a tiny deterministic PRNG (splitmix64) so the shuffle
-// does not depend on math/rand's generator remaining stable across Go
-// releases — repro files pin shuffle seeds forever.
-type splitMix struct{ state uint64 }
+// SplitMix is splitmix64, a tiny deterministic PRNG: the shuffles here
+// and the fuzzer's scenario seeds must not depend on math/rand's
+// generator staying stable across Go releases, because repro files pin
+// those seeds forever.
+type SplitMix struct{ State uint64 }
 
-func newSplitMix(seed uint64) *splitMix { return &splitMix{state: seed ^ 0x9E3779B97F4A7C15} }
+func newSplitMix(seed uint64) *SplitMix { return &SplitMix{State: seed ^ 0x9E3779B97F4A7C15} }
 
-func (s *splitMix) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
+// Next advances the state and returns its next value.
+func (s *SplitMix) Next() uint64 {
+	s.State += 0x9E3779B97F4A7C15
+	z := s.State
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

@@ -143,14 +143,6 @@ func OracleByName(name string) *Oracle {
 	return nil
 }
 
-// floatTol is the relative tolerance on SUM/AVG in every differential
-// comparison: a solo engine folds a window's partition classes into
-// the aggregate in sorted key order while parallel workers (and the
-// independent baselines) accumulate in their own orders, so the last
-// ULP legitimately differs. Counts, windows and groups always compare
-// exactly.
-const floatTol = 1e-9
-
 // selfDiff runs the scenario under its base mode and under the
 // flipped mode, checks the base run's invariants and compares every
 // subscription's results.
@@ -167,7 +159,7 @@ func selfDiff(sc *Scenario, flipped Mode) (string, error) {
 		return "", fmt.Errorf("flipped mode (%s): %w", flipped, err)
 	}
 	for si := range sc.Subs {
-		if d := diff.Compare(got.Results[si], base.Results[si], floatTol); d != "" {
+		if d := diff.Compare(got.Results[si], base.Results[si], diff.FloatTol); d != "" {
 			return fmt.Sprintf("sub %d: %s != base (%s)\n%s", si, flipped, BaseMode(sc), d), nil
 		}
 	}
@@ -238,7 +230,7 @@ func checkSolo(sc *Scenario) (string, error) {
 		if sub.Join > 0 {
 			want = diff.FullWindowsAfter(want, sc.Events[sub.Join-1].Time)
 		}
-		if d := diff.Compare(got.Results[si], want, floatTol); d != "" {
+		if d := diff.Compare(got.Results[si], want, diff.FloatTol); d != "" {
 			return fmt.Sprintf("sub %d: session (%s) != solo engine\n%s", si, BaseMode(sc), d), nil
 		}
 	}
@@ -292,7 +284,7 @@ func checkLate(sc *Scenario) (string, error) {
 			gotStats.LateDropped, dropped, short), nil
 	}
 	for si := range sc.Subs {
-		if d := diff.Compare(got[si], want[si], floatTol); d != "" {
+		if d := diff.Compare(got[si], want[si], diff.FloatTol); d != "" {
 			return fmt.Sprintf("sub %d: slack-%d DropLate run != survivor replay\n%s", si, short, d), nil
 		}
 	}
@@ -373,7 +365,7 @@ func checkBaselines(sc *Scenario) (string, error) {
 				}
 				return "", fmt.Errorf("sub %d: %s: %w", si, r.Name(), err)
 			}
-			if d := diff.Compare(canonOrder(got), canonOrder(ref), floatTol); d != "" {
+			if d := diff.Compare(canonOrder(got), canonOrder(ref), diff.FloatTol); d != "" {
 				return fmt.Sprintf("sub %d: %s disagrees with COGRA\n%s", si, r.Name(), d), nil
 			}
 		}

@@ -17,6 +17,7 @@ import (
 
 	cogra "repro"
 	"repro/internal/agg"
+	"repro/internal/fuzz/diff"
 	"repro/internal/gen"
 	"repro/internal/pattern"
 	"repro/internal/query"
@@ -223,25 +224,11 @@ func returnVariant(src string) string {
 // ScenarioSeed derives scenario index i's seed from the base seed via
 // one splitmix64 step, so neighbouring indices get decorrelated
 // streams and any scenario can be regenerated from (baseSeed, i)
-// alone.
+// alone. Scenario drawing itself may use math/rand: repro files store
+// the drawn scenario, never the draw.
 func ScenarioSeed(baseSeed uint64, i int) uint64 {
-	s := splitMix{state: baseSeed + uint64(i)*0x9E3779B97F4A7C15}
-	return s.next()
-}
-
-// splitMix is splitmix64 (same constants as internal/fuzz/diff): the
-// generator must not depend on math/rand staying stable across Go
-// releases for anything pinned in repro files. Scenario *drawing* may
-// still use math/rand — repro files store the drawn scenario, never
-// the draw.
-type splitMix struct{ state uint64 }
-
-func (s *splitMix) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	s := diff.SplitMix{State: baseSeed + uint64(i)*0x9E3779B97F4A7C15}
+	return s.Next()
 }
 
 // Generate draws scenario i of the base seed's deterministic sequence.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/predicate"
 	"repro/internal/query"
+	"repro/internal/window"
 )
 
 // NumAttr describes one numeric attribute and the value range local
@@ -151,24 +152,24 @@ func randomQueryOnce(rng *rand.Rand, s QuerySchema) (*query.Query, error) {
 	if shape.anyOnly {
 		sem = query.Any
 	}
-	b := query.NewBuilder(p).Semantics(sem)
+	q := &query.Query{Pattern: p, Semantics: sem, Where: &predicate.Set{}}
 
 	aliases := pattern.Aliases(p)
 	// Positive (non-negated) aliases carry aggregates and predicates.
 	posAliases := positiveAliases(p, aliases)
 
 	// Aggregates: COUNT(*) always, plus up to two random extras.
-	b.Return(agg.Spec{Func: agg.CountStar})
+	q.Returns = append(q.Returns, agg.Spec{Func: agg.CountStar})
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		alias := posAliases[rng.Intn(len(posAliases))]
 		nums := s.Nums[typeOfAlias(p, alias)]
 		if len(nums) == 0 || rng.Intn(4) == 0 {
-			b.Return(agg.Spec{Func: agg.CountType, Alias: alias})
+			q.Returns = append(q.Returns, agg.Spec{Func: agg.CountType, Alias: alias})
 			continue
 		}
 		attr := nums[rng.Intn(len(nums))]
 		funcs := []agg.Func{agg.Min, agg.Max, agg.Sum, agg.Avg}
-		b.Return(agg.Spec{Func: funcs[rng.Intn(len(funcs))], Alias: alias, Attr: attr.Name})
+		q.Returns = append(q.Returns, agg.Spec{Func: funcs[rng.Intn(len(funcs))], Alias: alias, Attr: attr.Name})
 	}
 
 	// Local predicates: numeric range or symbolic equality.
@@ -179,7 +180,7 @@ func randomQueryOnce(rng *rand.Rand, s QuerySchema) (*query.Query, error) {
 			attr := nums[rng.Intn(len(nums))]
 			ops := []predicate.Op{predicate.Lt, predicate.Le, predicate.Gt, predicate.Ge}
 			v := attr.Lo + float64(rng.Intn(101))/100*(attr.Hi-attr.Lo)
-			b.WhereLocal(predicate.Local{Alias: alias, Attr: attr.Name,
+			q.Where.Locals = append(q.Where.Locals, predicate.Local{Alias: alias, Attr: attr.Name,
 				Op: ops[rng.Intn(len(ops))], Value: roundTo(v, 100)})
 		} else if syms := s.Syms[typ]; len(syms) > 0 {
 			attr := syms[rng.Intn(len(syms))]
@@ -187,7 +188,7 @@ func randomQueryOnce(rng *rand.Rand, s QuerySchema) (*query.Query, error) {
 			if rng.Intn(3) == 0 {
 				op = predicate.Ne
 			}
-			b.WhereLocal(predicate.Local{Alias: alias, Attr: attr.Name,
+			q.Where.Locals = append(q.Where.Locals, predicate.Local{Alias: alias, Attr: attr.Name,
 				Op: op, Value: attr.Values[rng.Intn(len(attr.Values))]})
 		}
 	}
@@ -200,7 +201,7 @@ func randomQueryOnce(rng *rand.Rand, s QuerySchema) (*query.Query, error) {
 		if nums := s.Nums[typeOfAlias(p, alias)]; len(nums) > 0 {
 			attr := nums[rng.Intn(len(nums))]
 			ops := []predicate.Op{predicate.Lt, predicate.Le, predicate.Gt, predicate.Ge}
-			b.WhereAdjacent(predicate.Adjacent{
+			q.Where.Adjacents = append(q.Where.Adjacents, predicate.Adjacent{
 				Left: alias, LeftAttr: attr.Name,
 				Op:    ops[rng.Intn(len(ops))],
 				Right: alias, RightAttr: attr.Name,
@@ -225,27 +226,30 @@ func randomQueryOnce(rng *rand.Rand, s QuerySchema) (*query.Query, error) {
 		if len(s.Keys) > 1 && rng.Intn(4) == 0 {
 			key = s.Keys[1+rng.Intn(len(s.Keys)-1)]
 		}
-		b.WhereEquiv(predicate.Equivalence{Attr: key})
+		q.Where.Equivalences = append(q.Where.Equivalences, predicate.Equivalence{Attr: key})
 		if rng.Intn(2) == 0 {
-			b.GroupBy(query.GroupKey{Attr: key})
+			q.GroupBy = append(q.GroupBy, query.GroupKey{Attr: key})
 		}
 	case 3: // alias-scoped equivalence (+ paired grouping)
 		alias := posAliases[rng.Intn(len(posAliases))]
 		key := s.Keys[rng.Intn(len(s.Keys))]
-		b.WhereEquiv(predicate.Equivalence{Alias: alias, Attr: key})
+		q.Where.Equivalences = append(q.Where.Equivalences, predicate.Equivalence{Alias: alias, Attr: key})
 		if rng.Intn(2) == 0 {
-			b.GroupBy(query.GroupKey{Alias: alias, Attr: key})
+			q.GroupBy = append(q.GroupBy, query.GroupKey{Alias: alias, Attr: key})
 		}
 		// An alias-scoped slot alone leaves the stream unpartitioned;
 		// usually add the bare key too so the sub-streams stay small.
 		if rng.Intn(3) > 0 {
-			b.WhereEquiv(predicate.Equivalence{Attr: s.Keys[0]})
+			q.Where.Equivalences = append(q.Where.Equivalences, predicate.Equivalence{Attr: s.Keys[0]})
 		}
 	}
 
 	w := s.Windows[rng.Intn(len(s.Windows))]
-	b.Within(w[0], w[1])
-	return b.Build()
+	q.Window = window.Spec{Within: w[0], Slide: w[1]}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // drawDistinct draws n distinct elements of xs, order of first draw.

@@ -200,36 +200,11 @@ func (f *FSA) IsStart(alias string) bool { return f.Start[alias] }
 // IsEnd reports whether alias is an end type of the pattern.
 func (f *FSA) IsEnd(alias string) bool { return f.End[alias] }
 
-// Mid returns the middle types mid(P): aliases that are neither start
-// nor end types.
-func (f *FSA) Mid() []string {
-	var mids []string
-	for _, a := range f.Aliases {
-		if !f.Start[a] && !f.End[a] {
-			mids = append(mids, a)
-		}
-	}
-	return mids
-}
-
 // StartAliases returns the start types, sorted.
 func (f *FSA) StartAliases() []string { return sortedKeys(f.Start) }
 
 // EndAliases returns the end types, sorted.
 func (f *FSA) EndAliases() []string { return sortedKeys(f.End) }
-
-// Edges returns all transitions as sorted "from->to" strings; used in
-// tests and debug output.
-func (f *FSA) Edges() []string {
-	var out []string
-	for from, tos := range f.Succ {
-		for _, to := range tos {
-			out = append(out, from+"->"+to)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // AliasesForType returns the aliases that match events of the given
 // stream type.

@@ -22,7 +22,6 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -443,12 +442,4 @@ func AliasTypes(p Node) map[string]string {
 	}
 	walk(p)
 	return m
-}
-
-// SortedAliases returns the aliases sorted lexicographically; useful
-// for deterministic iteration in tests and reports.
-func SortedAliases(p Node) []string {
-	a := Aliases(p)
-	sort.Strings(a)
-	return a
 }

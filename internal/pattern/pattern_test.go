@@ -25,9 +25,6 @@ func TestFigure4FSA(t *testing.T) {
 	if got := f.PredTypes("B"); !reflect.DeepEqual(got, []string{"A"}) {
 		t.Errorf("predTypes(B) = %v, want [A]", got)
 	}
-	if mids := f.Mid(); len(mids) != 0 {
-		t.Errorf("mid = %v, want empty", mids)
-	}
 }
 
 func TestQ2PatternFSA(t *testing.T) {
@@ -54,9 +51,6 @@ func TestQ2PatternFSA(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("predTypes(%s) = %v, want %v", alias, got, want)
 		}
-	}
-	if got := f.Mid(); !reflect.DeepEqual(got, []string{"Call", "Cancel"}) {
-		t.Errorf("mid = %v, want [Call Cancel]", got)
 	}
 }
 
@@ -295,9 +289,6 @@ func TestAliasesOrder(t *testing.T) {
 	if got := Aliases(p); !reflect.DeepEqual(got, []string{"B", "A", "C"}) {
 		t.Errorf("Aliases = %v", got)
 	}
-	if got := SortedAliases(p); !reflect.DeepEqual(got, []string{"A", "B", "C"}) {
-		t.Errorf("SortedAliases = %v", got)
-	}
 }
 
 func TestDisjunctionFSA(t *testing.T) {
@@ -325,12 +316,5 @@ func TestFSAStringIsInformative(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Errorf("FSA.String() = %q missing %q", s, frag)
 		}
-	}
-}
-
-func TestEdges(t *testing.T) {
-	f := MustCompile(figure4Pattern())
-	if got := f.Edges(); !reflect.DeepEqual(got, []string{"A->A", "A->B", "B->A"}) {
-		t.Errorf("Edges = %v", got)
 	}
 }

@@ -180,11 +180,6 @@ func (p Equivalence) String() string {
 	return "[" + p.Alias + "." + p.Attr + "]"
 }
 
-// AppliesTo reports whether events matched under alias are constrained.
-func (p Equivalence) AppliesTo(alias string) bool {
-	return p.Alias == "" || p.Alias == alias
-}
-
 // Key returns the partition value the event contributes under this
 // predicate, and whether the event carries the attribute.
 func (p Equivalence) Key(e attrGetter) (string, bool) {
@@ -296,18 +291,6 @@ func (s *Set) EventGrainedAliases(fsa predTyper) map[string]bool {
 			if predOfRight == p.Left {
 				out[p.Left] = true
 			}
-		}
-	}
-	return out
-}
-
-// EquivalencesFor returns the equivalence predicates constraining an
-// alias, in declaration order.
-func (s *Set) EquivalencesFor(alias string) []Equivalence {
-	var out []Equivalence
-	for _, p := range s.Equivalences {
-		if p.AppliesTo(alias) {
-			out = append(out, p)
 		}
 	}
 	return out

@@ -105,12 +105,6 @@ func TestLocalNumeric(t *testing.T) {
 func TestEquivalence(t *testing.T) {
 	global := Equivalence{Attr: "patient"}
 	scoped := Equivalence{Alias: "A", Attr: "company"}
-	if !global.AppliesTo("M") || !global.AppliesTo("X") {
-		t.Error("global equivalence should apply to all aliases")
-	}
-	if !scoped.AppliesTo("A") || scoped.AppliesTo("B") {
-		t.Error("scoped equivalence alias handling wrong")
-	}
 	e := event.New("Stock", 1).WithSym("company", "IBM").WithNum("patient", 7)
 	if k, ok := scoped.Key(e); !ok || k != "IBM" {
 		t.Errorf("Key = %q, %v", k, ok)
@@ -197,18 +191,6 @@ func TestEventGrainedAliases(t *testing.T) {
 	// No adjacent predicates -> empty Te (type-grained for everything).
 	if got := (&Set{}).EventGrainedAliases(fsa); len(got) != 0 {
 		t.Errorf("empty set produced %v", got)
-	}
-}
-
-func TestEquivalencesFor(t *testing.T) {
-	s := &Set{Equivalences: []Equivalence{
-		{Attr: "patient"},
-		{Alias: "A", Attr: "company"},
-		{Alias: "B", Attr: "company"},
-	}}
-	got := s.EquivalencesFor("A")
-	if len(got) != 2 || got[0].Attr != "patient" || got[1].Alias != "A" {
-		t.Errorf("EquivalencesFor(A) = %v", got)
 	}
 }
 

@@ -281,80 +281,3 @@ func validateOp(op predicate.Op, attr string) error {
 	}
 	return nil
 }
-
-// Builder provides fluent programmatic query construction, mirroring
-// the text syntax clause for clause.
-type Builder struct {
-	q Query
-}
-
-// NewBuilder starts a query for the given pattern.
-func NewBuilder(p pattern.Node) *Builder {
-	return &Builder{q: Query{Pattern: p, Where: &predicate.Set{}, Semantics: Any}}
-}
-
-// Return adds aggregation specs.
-func (b *Builder) Return(specs ...agg.Spec) *Builder {
-	b.q.Returns = append(b.q.Returns, specs...)
-	return b
-}
-
-// ReturnKey echoes grouping keys in the result.
-func (b *Builder) ReturnKey(keys ...GroupKey) *Builder {
-	b.q.ReturnKeys = append(b.q.ReturnKeys, keys...)
-	return b
-}
-
-// Semantics sets the event matching semantics.
-func (b *Builder) Semantics(s Semantics) *Builder {
-	b.q.Semantics = s
-	return b
-}
-
-// WhereLocal adds a local predicate.
-func (b *Builder) WhereLocal(p predicate.Local) *Builder {
-	b.q.Where.Locals = append(b.q.Where.Locals, p)
-	return b
-}
-
-// WhereEquiv adds an equivalence predicate.
-func (b *Builder) WhereEquiv(p predicate.Equivalence) *Builder {
-	b.q.Where.Equivalences = append(b.q.Where.Equivalences, p)
-	return b
-}
-
-// WhereAdjacent adds a predicate on adjacent events.
-func (b *Builder) WhereAdjacent(p predicate.Adjacent) *Builder {
-	b.q.Where.Adjacents = append(b.q.Where.Adjacents, p)
-	return b
-}
-
-// GroupBy adds grouping keys.
-func (b *Builder) GroupBy(keys ...GroupKey) *Builder {
-	b.q.GroupBy = append(b.q.GroupBy, keys...)
-	return b
-}
-
-// Within sets the window clause.
-func (b *Builder) Within(within, slide int64) *Builder {
-	b.q.Window = window.Spec{Within: within, Slide: slide}
-	return b
-}
-
-// Build validates and returns the query.
-func (b *Builder) Build() (*Query, error) {
-	q := b.q // copy
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return &q, nil
-}
-
-// MustBuild is Build that panics on error.
-func (b *Builder) MustBuild() *Query {
-	q, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return q
-}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/pattern"
 	"repro/internal/predicate"
+	"repro/internal/window"
 )
 
 const q1Text = `
@@ -223,8 +224,10 @@ func TestLexerErrors(t *testing.T) {
 
 // TestQueryStringRoundTrips: String is the one text of a query —
 // Parse gives back the same query for parsed queries, whatever their
-// clause order, literal spelling or MIN-LENGTH, and for Builder ones —
-// and queries that differ only in a literal's type render apart.
+// clause order, literal spelling or MIN-LENGTH, and for valid ASTs no
+// text spells directly (a negative zero, bytes that are not UTF-8,
+// nested Kleene plus) — and queries that differ only in a literal's
+// type render apart.
 func TestQueryStringRoundTrips(t *testing.T) {
 	var queries []*Query
 	for _, src := range []string{
@@ -238,24 +241,35 @@ func TestQueryStringRoundTrips(t *testing.T) {
 	} {
 		queries = append(queries, MustParse(src))
 	}
-	queries = append(queries,
-		NewBuilder(pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "Stock")), pattern.Opt(pattern.Seq(pattern.Type("B"), pattern.Plus(pattern.Type("C")))))).
-			Return(agg.Spec{Func: agg.Sum, Alias: "Stock", Attr: "price"}).
-			WhereLocal(predicate.Local{Alias: "Stock", Attr: "price", Op: predicate.Ge, Value: math.Copysign(0, -1)}).
-			WhereLocal(predicate.Local{Alias: "B", Attr: "tag", Op: predicate.Ne, Value: "\x00\xff"}).
-			WhereAdjacent(predicate.Adjacent{Left: "Stock", LeftAttr: "price", Op: predicate.Lt, Right: "C", RightAttr: "price"}).
-			Within(1<<62+1, 3).MustBuild(),
-		NewBuilder(pattern.Plus(pattern.Plus(pattern.Seq(pattern.Type("A"))))).
-			Return(agg.Spec{Func: agg.CountType, Alias: "A"}).Semantics(Cont).Within(4, 2).MustBuild(),
-		// Figure 9's shape: different left and right attributes under <=.
-		NewBuilder(pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "A")), pattern.TypeAs("Stock", "B"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			WhereEquiv(predicate.Equivalence{Attr: "company"}).
-			WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "u", Op: predicate.Le, Right: "A", RightAttr: "y"}).
-			WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "u", Op: predicate.Le, Right: "B", RightAttr: "y"}).
-			GroupBy(GroupKey{Attr: "company"}).
-			Within(6000, 6000).MustBuild(),
-	)
+	for _, q := range []*Query{
+		{
+			Returns: agg.Specs{{Func: agg.Sum, Alias: "Stock", Attr: "price"}},
+			Pattern: pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "Stock")), pattern.Opt(pattern.Seq(pattern.Type("B"), pattern.Plus(pattern.Type("C"))))),
+			Where: &predicate.Set{
+				Locals: []predicate.Local{
+					{Alias: "Stock", Attr: "price", Op: predicate.Ge, Value: math.Copysign(0, -1)},
+					{Alias: "B", Attr: "tag", Op: predicate.Ne, Value: "\x00\xff"},
+				},
+				Adjacents: []predicate.Adjacent{{Left: "Stock", LeftAttr: "price", Op: predicate.Lt, Right: "C", RightAttr: "price"}},
+			},
+			Window: window.Spec{Within: 1<<62 + 1, Slide: 3},
+		},
+		{
+			Returns:   agg.Specs{{Func: agg.CountType, Alias: "A"}},
+			Pattern:   pattern.Plus(pattern.Plus(pattern.Seq(pattern.Type("A")))),
+			Semantics: Cont,
+			Where:     &predicate.Set{},
+			Window:    window.Spec{Within: 4, Slide: 2},
+		},
+	} {
+		if err := q.Validate(); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		queries = append(queries, q)
+	}
+	// Figure 9's shape: different left and right attributes under <=.
+	queries = append(queries, MustParse(`RETURN COUNT(*) PATTERN SEQ(Stock A+, Stock B)
+		WHERE [company] AND A.u <= NEXT(A).y AND A.u <= NEXT(B).y GROUP-BY company WITHIN 6000 SLIDE 6000`))
 	for _, q := range queries {
 		text := q.String()
 		back, err := Parse(text)
@@ -291,23 +305,36 @@ func TestParseNestingBound(t *testing.T) {
 	}
 }
 
-// TestValidateRefusesWhatNoTextWrites: a Builder query that no query
-// text can write fails Validate, so String renders every valid query
-// in full.
+// TestValidateRefusesWhatNoTextWrites: a query AST that no query text
+// can write fails Validate, so String renders every valid query in
+// full; so does an aggregate over an alias the pattern lacks.
 func TestValidateRefusesWhatNoTextWrites(t *testing.T) {
 	deep := pattern.Node(pattern.Type("A"))
 	for range 1001 {
 		deep = pattern.Plus(deep)
 	}
-	local := func(alias, attr string, v any) *Builder {
-		return NewBuilder(pattern.Plus(pattern.Type("A"))).Return(agg.Spec{Func: agg.CountStar}).Within(10, 10).
-			WhereLocal(predicate.Local{Alias: alias, Attr: attr, Op: predicate.Eq, Value: v})
+	with := func(edit func(q *Query)) *Query {
+		q := &Query{
+			Returns: agg.Specs{{Func: agg.CountStar}},
+			Pattern: pattern.Plus(pattern.Type("A")),
+			Where:   &predicate.Set{},
+			Window:  window.Spec{Within: 10, Slide: 10},
+		}
+		edit(q)
+		return q
 	}
-	leaf := func(typ, alias string) *Builder {
-		return NewBuilder(pattern.Plus(pattern.TypeAs(typ, alias))).Return(agg.Spec{Func: agg.CountStar}).Within(10, 10)
+	if err := with(func(*Query) {}).Validate(); err != nil {
+		t.Fatalf("the unedited query fails Validate: %v", err)
 	}
-	plain := func() *Builder { return leaf("A", "A") }
-	for name, b := range map[string]*Builder{
+	local := func(alias, attr string, v any) *Query {
+		return with(func(q *Query) {
+			q.Where.Locals = []predicate.Local{{Alias: alias, Attr: attr, Op: predicate.Eq, Value: v}}
+		})
+	}
+	leaf := func(typ, alias string) *Query {
+		return with(func(q *Query) { q.Pattern = pattern.Plus(pattern.TypeAs(typ, alias)) })
+	}
+	for name, q := range map[string]*Query{
 		"int value":               local("A", "v", 5),
 		"bool value":              local("A", "v", true),
 		"NaN":                     local("A", "v", math.NaN()),
@@ -322,45 +349,55 @@ func TestValidateRefusesWhatNoTextWrites(t *testing.T) {
 		"type keyword":            leaf("seq", "A"),
 		"alias keyword":           leaf("A", "Where"),
 		"alias NEXT":              leaf("A", "next"),
-		"too deep":                NewBuilder(deep).Return(agg.Spec{Func: agg.CountStar}).Within(10, 10),
-		"equivalence attr":        plain().WhereEquiv(predicate.Equivalence{Attr: "a.b"}),
-		"group-by attr":           plain().GroupBy(GroupKey{Attr: "a b"}),
-		"aggregate attr":          plain().Return(agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v)"}),
-		"adjacent attr":           plain().WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "v", Right: "A", RightAttr: "v w"}),
-		"adjacent op":             plain().WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "v", Op: 9, Right: "A", RightAttr: "v"}),
-		"local op":                plain().WhereLocal(predicate.Local{Alias: "A", Attr: "v", Op: -1, Value: 1.0}),
-		"semantics":               plain().Semantics(7),
+		"too deep":                with(func(q *Query) { q.Pattern = deep }),
+		"equivalence attr": with(func(q *Query) {
+			q.Where.Equivalences = []predicate.Equivalence{{Attr: "a.b"}}
+		}),
+		"group-by attr": with(func(q *Query) { q.GroupBy = []GroupKey{{Attr: "a b"}} }),
+		"aggregate attr": with(func(q *Query) {
+			q.Returns = append(q.Returns, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v)"})
+		}),
+		"aggregate over an unknown alias": with(func(q *Query) {
+			q.Returns = agg.Specs{{Func: agg.Min, Alias: "Z", Attr: "x"}}
+		}),
+		"adjacent attr": with(func(q *Query) {
+			q.Where.Adjacents = []predicate.Adjacent{{Left: "A", LeftAttr: "v", Right: "A", RightAttr: "v w"}}
+		}),
+		"adjacent op": with(func(q *Query) {
+			q.Where.Adjacents = []predicate.Adjacent{{Left: "A", LeftAttr: "v", Op: 9, Right: "A", RightAttr: "v"}}
+		}),
+		"local op": with(func(q *Query) {
+			q.Where.Locals = []predicate.Local{{Alias: "A", Attr: "v", Op: -1, Value: 1.0}}
+		}),
+		"semantics": with(func(q *Query) { q.Semantics = 7 }),
 	} {
-		if q, err := b.Build(); err == nil {
+		if err := q.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %q", name, q.String())
 		}
 	}
 }
 
-func TestBuilderEquivalentToParser(t *testing.T) {
-	parsed := MustParse(q3Text)
-	built := NewBuilder(
-		pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "A")), pattern.Plus(pattern.TypeAs("Stock", "B")))).
-		ReturnKey(GroupKey{Attr: "sector"}, GroupKey{Alias: "A", Attr: "company"}, GroupKey{Alias: "B", Attr: "company"}).
-		Return(agg.Spec{Func: agg.Avg, Alias: "B", Attr: "price"}).
-		Semantics(Any).
-		WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "company"}).
-		WhereEquiv(predicate.Equivalence{Alias: "B", Attr: "company"}).
-		WhereAdjacent(predicate.Adjacent{Left: "A", LeftAttr: "price", Op: predicate.Gt, Right: "A", RightAttr: "price"}).
-		GroupBy(GroupKey{Attr: "sector"}, GroupKey{Alias: "A", Attr: "company"}, GroupKey{Alias: "B", Attr: "company"}).
-		Within(600, 10).
-		MustBuild()
-	if parsed.String() != built.String() {
-		t.Errorf("builder and parser disagree:\n%s\nvs\n%s", parsed.String(), built.String())
+// TestParseQ3MatchesAST: the parser reads q3 to the query written out
+// clause by clause.
+func TestParseQ3MatchesAST(t *testing.T) {
+	keys := []GroupKey{{Attr: "sector"}, {Alias: "A", Attr: "company"}, {Alias: "B", Attr: "company"}}
+	want := &Query{
+		Returns:    agg.Specs{{Func: agg.Avg, Alias: "B", Attr: "price"}},
+		ReturnKeys: keys,
+		Pattern:    pattern.Seq(pattern.Plus(pattern.TypeAs("Stock", "A")), pattern.Plus(pattern.TypeAs("Stock", "B"))),
+		Semantics:  Any,
+		Where: &predicate.Set{
+			Equivalences: []predicate.Equivalence{{Alias: "A", Attr: "company"}, {Alias: "B", Attr: "company"}},
+			Adjacents:    []predicate.Adjacent{{Left: "A", LeftAttr: "price", Op: predicate.Gt, Right: "A", RightAttr: "price"}},
+		},
+		GroupBy: keys,
+		Window:  window.Spec{Within: 600, Slide: 10},
 	}
-}
-
-func TestBuilderValidates(t *testing.T) {
-	_, err := NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.Min, Alias: "Z", Attr: "x"}).
-		Within(10, 10).Build()
-	if err == nil {
-		t.Error("builder accepted aggregate over unknown type")
+	if err := want.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := MustParse(q3Text); got.String() != want.String() {
+		t.Errorf("parser and AST disagree:\n%s\nvs\n%s", got.String(), want.String())
 	}
 }
 

@@ -27,7 +27,7 @@
 //     (Engine.AdvanceWatermark), so windows close and emit even for
 //     engines whose types the current event does not match.
 //
-// The query population is dynamic: Subscribe and Unsubscribe may be
+// The query population is dynamic: SubscribePlan and Unsubscribe may be
 // called at any stream position. The catalog interns copy-on-write
 // (core.Catalog), so mid-stream compilation never invalidates resolved
 // views; the per-type index is rebuilt on membership change; a
@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/query"
 )
 
 // Subscription is one hosted query: its plan, the group whose engines
@@ -69,7 +68,7 @@ type Subscription struct {
 	active bool
 }
 
-// ID returns the subscription's id: 0-based, in Subscribe order,
+// ID returns the subscription's id: 0-based, in subscribe order,
 // stable across later membership changes.
 func (s *Subscription) ID() int { return s.id }
 
@@ -137,8 +136,7 @@ type Runtime struct {
 	sawEvent    bool
 	seq         int64
 	closed      bool
-	dispatching bool            // inside Process: membership changes must wait
-	one         [1]*event.Event // Process's batch of one
+	dispatching bool // inside ProcessBatch: membership changes must wait
 
 	// Shared aggregation (sharing.go): groups lists, by plan fingerprint,
 	// the groups a fingerprint-equal subscriber joins.
@@ -151,11 +149,6 @@ type Runtime struct {
 	run core.ResolvedRun
 }
 
-// New returns an empty runtime over a fresh catalog.
-func New() *Runtime {
-	return NewOn(core.NewCatalog())
-}
-
 // NewOn returns an empty runtime over an existing catalog, for hosting
 // plans that were compiled elsewhere (core.NewPlanIn). Several
 // runtimes may share one catalog — the partition-parallel executor
@@ -164,38 +157,16 @@ func NewOn(cat *core.Catalog) *Runtime {
 	return &Runtime{cat: cat, res: core.NewResolver(cat), groups: map[string]*group{}}
 }
 
-// Subscribe compiles a query against the runtime's catalog and hosts
-// it. Engine options (result callbacks, accounting) apply to the
-// subscription and to an engine built on its behalf. Subscribing is
-// allowed at any stream position — the catalog interns copy-on-write,
-// so compilation is safe even while other runtimes share the catalog;
-// a mid-stream subscriber reports results from the first fully covered
-// window.
-func (rt *Runtime) Subscribe(q *query.Query, opts ...core.Option) (*Subscription, error) {
-	plan, err := core.NewPlanIn(rt.cat, q)
-	if err != nil {
-		return nil, err
-	}
-	s, err := rt.SubscribePlan(plan, opts...)
-	if err != nil {
-		// Compiled here, never hosted: retire its unreferenced symbols
-		// so failed subscribes do not leak catalog id space.
-		rt.cat.DiscardPlan(plan)
-		return nil, err
-	}
-	return s, nil
-}
-
 // SubscribePlan hosts an already-compiled plan. The plan must have
 // been compiled against the runtime's catalog. Mid-stream, the
 // subscription is aligned to the runtime's watermark: results start
 // from the first window fully after it.
 func (rt *Runtime) SubscribePlan(plan *core.Plan, opts ...core.Option) (*Subscription, error) {
 	if rt.closed {
-		return nil, fmt.Errorf("runtime: Subscribe after Close: %w", core.ErrClosed)
+		return nil, fmt.Errorf("runtime: SubscribePlan after Close: %w", core.ErrClosed)
 	}
 	if rt.dispatching {
-		return nil, fmt.Errorf("runtime: Subscribe from within event dispatch (e.g. a result callback); defer it until Process returns")
+		return nil, fmt.Errorf("runtime: SubscribePlan from within event dispatch (e.g. a result callback); defer it until ProcessBatch returns")
 	}
 	if plan.Catalog() != rt.cat {
 		return nil, fmt.Errorf("runtime: plan compiled against a different catalog: %w", core.ErrNotHosted)
@@ -287,11 +258,11 @@ func (rt *Runtime) unsubscribe(s *Subscription) ([]core.Result, error) {
 		return nil, fmt.Errorf("runtime: Unsubscribe after Close: %w", core.ErrClosed)
 	}
 	if rt.dispatching {
-		// Process is ranging over the host list right now (the call came
+		// ProcessBatch is ranging over the host list right now (the call came
 		// from a result callback); splicing it here would skip a
 		// sibling's watermark advance and re-enter this engine's window
 		// manager mid-emission.
-		return nil, fmt.Errorf("runtime: Unsubscribe from within event dispatch (e.g. a result callback); defer it until Process returns")
+		return nil, fmt.Errorf("runtime: Unsubscribe from within event dispatch (e.g. a result callback); defer it until ProcessBatch returns")
 	}
 	if !s.active {
 		return nil, fmt.Errorf("runtime: subscription %d already unsubscribed: %w", s.id, core.ErrNotHosted)
@@ -343,22 +314,6 @@ func (rt *Runtime) Stats() Stats {
 	return st
 }
 
-// InternBytes returns the summed live footprint of the hosted engines'
-// binding intern tables.
-func (rt *Runtime) InternBytes() int64 { return rt.Stats().BindingInternBytes }
-
-// Process consumes the next stream event for every hosted query: a
-// batch of one. Events must arrive in non-decreasing time-stamp order.
-// Result callbacks fire inside Process; they must not call Subscribe
-// or Unsubscribe (those return an error) — defer membership changes
-// until Process returns.
-func (rt *Runtime) Process(ev *event.Event) error {
-	rt.one[0] = ev
-	err := rt.ProcessBatch(rt.one[:])
-	rt.one[0] = nil
-	return err
-}
-
 // ProcessBatch consumes a pre-sorted batch — the one ingest path. The
 // batch is the unit of execution, not just of transport: one prescan
 // validates the order and stamps arrival ids, the in-order prefix is
@@ -373,7 +328,7 @@ func (rt *Runtime) Process(ev *event.Event) error {
 // prefix is ingested and the error names the first offender.
 func (rt *Runtime) ProcessBatch(events []*event.Event) error {
 	if rt.closed {
-		return fmt.Errorf("runtime: Process after Close: %w", core.ErrClosed)
+		return fmt.Errorf("runtime: ProcessBatch after Close: %w", core.ErrClosed)
 	}
 	rt.dispatching = true
 	defer func() { rt.dispatching = false }()

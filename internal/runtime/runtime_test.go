@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"weak"
 
@@ -12,8 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/metrics"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/snap"
 )
@@ -78,48 +77,36 @@ func mixedStream(n int) []*event.Event {
 func testQueries() []*query.Query {
 	return []*query.Query{
 		// Type-grained: ANY without adjacent predicates.
-		query.NewBuilder(pattern.Plus(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B")))).
-			Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}).
-			Semantics(query.Any).
-			Within(64, 32).
-			MustBuild(),
+		query.MustParse("RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ WITHIN 64 SLIDE 32"),
 		// Type-grained with binding slots and grouping.
-		query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Any).
-			WhereEquiv(predicate.Equivalence{Attr: "acct"}).
-			GroupBy(query.GroupKey{Attr: "acct"}).
-			Within(128, 128).
-			MustBuild(),
+		query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, B) WHERE [acct] GROUP-BY acct WITHIN 128 SLIDE 128"),
 		// Mixed-grained: adjacent predicate forces stored events.
-		query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-			Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Max, Alias: "M", Attr: "rate"}).
-			Semantics(query.Any).
-			WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-			WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-			GroupBy(query.GroupKey{Attr: "patient"}).
-			Within(64, 64).
-			MustBuild(),
+		query.MustParse(`RETURN COUNT(*), MAX(M.rate) PATTERN Measurement M+
+			WHERE [patient] AND M.rate < NEXT(M).rate GROUP-BY patient WITHIN 64 SLIDE 64`),
 		// Pattern-grained, skip-till-next-match.
-		query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Next).
-			WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-			WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Le, Right: "M", RightAttr: "rate"}).
-			GroupBy(query.GroupKey{Attr: "patient"}).
-			Within(96, 48).
-			MustBuild(),
+		query.MustParse(`RETURN COUNT(*) PATTERN Measurement M+ SEMANTICS skip-till-next-match
+			WHERE [patient] AND M.rate <= NEXT(M).rate GROUP-BY patient WITHIN 96 SLIDE 48`),
 		// Pattern-grained, contiguous: X noise events reset the chain,
 		// so this query must observe every event (wants-all routing).
-		query.NewBuilder(pattern.Plus(pattern.TypeAs("Measurement", "M"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Cont).
-			WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-			GroupBy(query.GroupKey{Attr: "patient"}).
-			Within(64, 64).
-			MustBuild(),
+		query.MustParse(`RETURN COUNT(*) PATTERN Measurement M+ SEMANTICS contiguous
+			WHERE [patient] GROUP-BY patient WITHIN 64 SLIDE 64`),
 	}
 }
+
+// newRuntime returns an empty runtime over a fresh catalog.
+func newRuntime() *Runtime { return NewOn(core.NewCatalog()) }
+
+// subscribe compiles q against rt's catalog and hosts the plan.
+func subscribe(rt *Runtime, q *query.Query, opts ...core.Option) (*Subscription, error) {
+	plan, err := core.NewPlanIn(rt.cat, q)
+	if err != nil {
+		return nil, err
+	}
+	return rt.SubscribePlan(plan, opts...)
+}
+
+// process hands rt one event: a batch of one.
+func process(rt *Runtime, ev *event.Event) error { return rt.ProcessBatch([]*event.Event{ev}) }
 
 // TestRuntimeMatchesIndependentEngines is the differential guarantee
 // of the shared runtime: hosting N plans over one catalog and one
@@ -130,10 +117,10 @@ func TestRuntimeMatchesIndependentEngines(t *testing.T) {
 	events := mixedStream(4000)
 	queries := testQueries()
 
-	rt := New()
+	rt := newRuntime()
 	var subs []*Subscription
 	for qi, q := range queries {
-		s, err := rt.Subscribe(q)
+		s, err := subscribe(rt, q)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
@@ -170,14 +157,10 @@ func TestRuntimeMatchesIndependentEngines(t *testing.T) {
 // TestRuntimeCallbacksAndErrors covers the per-query callback path,
 // out-of-order rejection and post-Close usage.
 func TestRuntimeCallbacksAndErrors(t *testing.T) {
-	rt := New()
+	rt := newRuntime()
 	var streamed []core.Result
-	q := query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(10, 10).
-		MustBuild()
-	sub, err := rt.Subscribe(q, core.WithResultCallback(func(r core.Result) { streamed = append(streamed, r) }))
+	q := query.MustParse("RETURN COUNT(*) PATTERN SEQ(A+, B) WITHIN 10 SLIDE 10")
+	sub, err := subscribe(rt, q, core.WithResultCallback(func(r core.Result) { streamed = append(streamed, r) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,24 +168,24 @@ func TestRuntimeCallbacksAndErrors(t *testing.T) {
 		event.New("A", 1), event.New("A", 2), event.New("B", 3),
 		event.New("Z", 15), // foreign type still advances the watermark
 	} {
-		if err := rt.Process(ev); err != nil {
+		if err := process(rt, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(streamed) != 1 {
 		t.Fatalf("callback saw %d results before close, want 1 (watermark-driven emission)", len(streamed))
 	}
-	if err := rt.Process(event.New("A", 4)); err == nil {
+	if err := process(rt, event.New("A", 4)); err == nil {
 		t.Error("out-of-order event accepted")
 	}
 	if sub.Plan().Granularity != core.TypeGrained {
 		t.Errorf("granularity = %v", sub.Plan().Granularity)
 	}
 	rt.Close()
-	if err := rt.Process(event.New("A", 99)); err == nil {
+	if err := process(rt, event.New("A", 99)); err == nil {
 		t.Error("Process after Close accepted")
 	}
-	if _, err := rt.Subscribe(q); err == nil {
+	if _, err := subscribe(rt, q); err == nil {
 		t.Error("Subscribe after Close accepted")
 	}
 	if got := len(streamed); got != 1 {
@@ -216,16 +199,12 @@ func TestRuntimeCallbacksAndErrors(t *testing.T) {
 // TestRuntimeForeignCatalogPlan rejects hosting a plan compiled
 // against a different catalog (its ids would index the wrong arrays).
 func TestRuntimeForeignCatalogPlan(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(10, 10).
-		MustBuild()
+	q := query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10")
 	foreign, err := core.NewPlan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := New()
+	rt := newRuntime()
 	if _, err := rt.SubscribePlan(foreign); err == nil {
 		t.Error("foreign-catalog plan accepted")
 	}
@@ -238,39 +217,27 @@ func TestRuntimeForeignCatalogPlan(t *testing.T) {
 func TestRuntimeUnsubscribeReleasesInternMemory(t *testing.T) {
 	// Alias-scoped equivalence: every distinct tag value lands in the
 	// engine's binding intern tables.
-	hot := query.NewBuilder(pattern.Plus(pattern.TypeAs("A", "A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Alias: "A", Attr: "tag"}).
-		Within(1000, 1000).
-		MustBuild()
-	cold := query.NewBuilder(pattern.Plus(pattern.TypeAs("A", "A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(1000, 1000).
-		MustBuild()
+	hot := query.MustParse("RETURN COUNT(*) PATTERN A+ WHERE [A.tag] WITHIN 1000 SLIDE 1000")
+	cold := query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 1000 SLIDE 1000")
 
-	rt := New()
+	rt := newRuntime()
 	var acct metrics.Accountant
-	hotSub, err := rt.Subscribe(hot, core.WithAccountant(&acct))
+	hotSub, err := subscribe(rt, hot, core.WithAccountant(&acct))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Subscribe(cold, core.WithAccountant(&acct)); err != nil {
+	if _, err := subscribe(rt, cold, core.WithAccountant(&acct)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 512; i++ {
 		ev := event.New("A", int64(i)).WithSym("tag", fmt.Sprintf("tag-%d", i))
-		if err := rt.Process(ev); err != nil {
+		if err := process(rt, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	intern := rt.InternBytes()
+	intern := rt.Stats().BindingInternBytes
 	if intern <= 0 {
 		t.Fatal("high-cardinality equivalence attribute interned nothing")
-	}
-	if got := rt.Stats().BindingInternBytes; got != intern {
-		t.Errorf("Stats.BindingInternBytes = %d, want %d", got, intern)
 	}
 	before := acct.Current()
 
@@ -281,7 +248,7 @@ func TestRuntimeUnsubscribeReleasesInternMemory(t *testing.T) {
 	if len(res) == 0 {
 		t.Error("unsubscribe flushed no windows")
 	}
-	if got := rt.InternBytes(); got != 0 {
+	if got := rt.Stats().BindingInternBytes; got != 0 {
 		t.Errorf("intern bytes after unsubscribe = %d, want 0 (cold query has no slots)", got)
 	}
 	if drop := before - acct.Current(); drop < intern {
@@ -297,7 +264,7 @@ func TestRuntimeUnsubscribeReleasesInternMemory(t *testing.T) {
 		t.Errorf("queries = %d, want 1", rt.Stats().Queries)
 	}
 	// The surviving query keeps processing.
-	if err := rt.Process(event.New("A", 2000)); err != nil {
+	if err := process(rt, event.New("A", 2000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,8 +279,8 @@ func TestRuntimeMidStreamSubscribeAligns(t *testing.T) {
 	k := len(events) / 3
 	joinTime := events[k-1].Time
 
-	rt := New()
-	if _, err := rt.Subscribe(queries[0]); err != nil {
+	rt := newRuntime()
+	if _, err := subscribe(rt, queries[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.ProcessBatch(events[:k]); err != nil {
@@ -321,7 +288,7 @@ func TestRuntimeMidStreamSubscribeAligns(t *testing.T) {
 	}
 	var late []*Subscription
 	for _, q := range queries[1:] {
-		s, err := rt.Subscribe(q)
+		s, err := subscribe(rt, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,27 +325,23 @@ func TestRuntimeMidStreamSubscribeAligns(t *testing.T) {
 // Subscribe/Unsubscribe from a callback must be rejected, not corrupt
 // dispatch.
 func TestRuntimeRejectsMembershipChangeFromCallback(t *testing.T) {
-	q := query.NewBuilder(pattern.Plus(pattern.Type("A"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		Within(10, 10).
-		MustBuild()
-	rt := New()
+	q := query.MustParse("RETURN COUNT(*) PATTERN A+ WITHIN 10 SLIDE 10")
+	rt := newRuntime()
 	var sub *Subscription
 	var subErr, unsubErr error
 	fired := false
-	sub, err := rt.Subscribe(q, core.WithResultCallback(func(core.Result) {
+	sub, err := subscribe(rt, q, core.WithResultCallback(func(core.Result) {
 		fired = true
 		_, unsubErr = sub.Unsubscribe()
-		_, subErr = rt.Subscribe(q)
+		_, subErr = subscribe(rt, q)
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Process(event.New("A", 1)); err != nil {
+	if err := process(rt, event.New("A", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Process(event.New("A", 25)); err != nil { // closes window [0,10)
+	if err := process(rt, event.New("A", 25)); err != nil { // closes window [0,10)
 		t.Fatal(err)
 	}
 	if !fired {
@@ -397,29 +360,28 @@ func TestRuntimeRejectsMembershipChangeFromCallback(t *testing.T) {
 }
 
 // TestRuntimeProcessBatchMatchesProcess is the batch-of-one
-// differential: Process is ProcessBatch on one event, and however the
-// stream is cut — one event at a time, or uneven batches including
-// empty ones — the results are identical.
+// differential: however the stream is cut — one event per batch, or
+// uneven batches including empty ones — the results are identical.
 func TestRuntimeProcessBatchMatchesProcess(t *testing.T) {
 	events := mixedStream(3000)
 	queries := testQueries()
 
-	perEvent := New()
-	batched := New()
+	perEvent := newRuntime()
+	batched := newRuntime()
 	var perSubs, batchSubs []*Subscription
 	for _, q := range queries {
-		s1, err := perEvent.Subscribe(q)
+		s1, err := subscribe(perEvent, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := batched.Subscribe(q)
+		s2, err := subscribe(batched, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		perSubs, batchSubs = append(perSubs, s1), append(batchSubs, s2)
 	}
 	for _, ev := range events {
-		if err := perEvent.Process(ev); err != nil {
+		if err := process(perEvent, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,7 +397,7 @@ func TestRuntimeProcessBatchMatchesProcess(t *testing.T) {
 		i += n
 		if n == 0 {
 			i++
-			if err := batched.Process(events[i-1]); err != nil {
+			if err := process(batched, events[i-1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -453,15 +415,15 @@ func TestRuntimeProcessBatchMatchesProcess(t *testing.T) {
 // TestRuntimeTypedErrors: runtime failures wrap the core sentinels.
 func TestRuntimeTypedErrors(t *testing.T) {
 	q := testQueries()[0]
-	rt := New()
-	sub, err := rt.Subscribe(q)
+	rt := newRuntime()
+	sub, err := subscribe(rt, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Process(event.New("A", 5)); err != nil {
+	if err := process(rt, event.New("A", 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Process(event.New("A", 1)); !errors.Is(err, core.ErrLateEvent) {
+	if err := process(rt, event.New("A", 1)); !errors.Is(err, core.ErrLateEvent) {
 		t.Errorf("out-of-order Process err = %v, want ErrLateEvent", err)
 	}
 	if err := rt.ProcessBatch([]*event.Event{event.New("A", 1)}); !errors.Is(err, core.ErrLateEvent) {
@@ -474,22 +436,18 @@ func TestRuntimeTypedErrors(t *testing.T) {
 		t.Errorf("double Unsubscribe err = %v, want ErrNotHosted", err)
 	}
 	rt.Close()
-	if err := rt.Process(event.New("A", 9)); !errors.Is(err, core.ErrClosed) {
+	if err := process(rt, event.New("A", 9)); !errors.Is(err, core.ErrClosed) {
 		t.Errorf("Process after Close err = %v, want ErrClosed", err)
 	}
-	if _, err := rt.Subscribe(q); !errors.Is(err, core.ErrClosed) {
+	if _, err := subscribe(rt, q); !errors.Is(err, core.ErrClosed) {
 		t.Errorf("Subscribe after Close err = %v, want ErrClosed", err)
 	}
 }
 
 // countQuery returns one RETURN-variant of a fixed query body: every
 // variant has the same sharing fingerprint.
-func countQuery(returns ...agg.Spec) *query.Query {
-	return query.NewBuilder(pattern.Seq(pattern.Plus(pattern.Type("A")), pattern.Type("B"))).
-		Return(returns...).
-		Semantics(query.Any).
-		Within(20, 10).
-		MustBuild()
+func countQuery(returns ...string) *query.Query {
+	return query.MustParse("RETURN " + strings.Join(returns, ", ") + " PATTERN SEQ(A+, B) WITHIN 20 SLIDE 10")
 }
 
 // TestGroupLifecycle walks one sharing group through the whole
@@ -499,8 +457,8 @@ func countQuery(returns ...agg.Spec) *query.Query {
 // window, a member leaving a shared host leaves it running, and the
 // group retires with its last member.
 func TestGroupLifecycle(t *testing.T) {
-	count, sum := agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}
-	rt := New()
+	count, sum := "COUNT(*)", "SUM(A.v)"
+	rt := newRuntime()
 	shape := func(step string, hosts, groups int, flips int64) {
 		t.Helper()
 		if st := rt.Stats(); len(rt.hosts) != hosts || st.SharedGroups != groups || st.ShareFlips != flips {
@@ -510,27 +468,27 @@ func TestGroupLifecycle(t *testing.T) {
 	}
 	feed := func(typ string, tm int64) {
 		t.Helper()
-		if err := rt.Process(event.New(typ, tm).WithNum("v", 1)); err != nil {
+		if err := process(rt, event.New(typ, tm).WithNum("v", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	subscribe := func(returns ...agg.Spec) *Subscription {
+	join := func(returns ...string) *Subscription {
 		t.Helper()
-		s, err := rt.Subscribe(countQuery(returns...))
+		s, err := subscribe(rt, countQuery(returns...))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	first := subscribe(count)
+	first := join(count)
 	shape("a group of one", 1, 0, 0)
 	feed("A", 3)
-	covered := subscribe(count)
+	covered := join(count)
 	shape("covered joiner", 1, 1, 0)
 	if v := rt.hosts[0].views; len(v) != 2 || v[0].proj != nil || v[1].proj != nil || covered.from != 1 {
 		t.Fatalf("covered joiner: views %+v from window %d, want two identity views from window 1", v, covered.from)
 	}
-	grown := subscribe(count, sum)
+	grown := join(count, sum)
 	shape("uncovered joiner", 2, 1, 1)
 	if old, cur := rt.hosts[0], rt.hosts[1]; len(old.views) != 2 || len(cur.views) != 3 || old.drained() {
 		t.Fatalf("handover: retired host serves %d, new host %d, retired drained=%v", len(old.views), len(cur.views), old.drained())
@@ -569,11 +527,11 @@ func TestGroupLifecycle(t *testing.T) {
 // the runtime (or in the subscription handles the caller still holds)
 // reaches the engine any more.
 func TestReleasedEnginesAreUnreachable(t *testing.T) {
-	count, sum := agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}
-	rt := New()
+	count, sum := "COUNT(*)", "SUM(A.v)"
+	rt := newRuntime()
 	feed := func(typ string, tm int64) {
 		t.Helper()
-		if err := rt.Process(event.New(typ, tm).WithNum("v", 1)); err != nil {
+		if err := process(rt, event.New(typ, tm).WithNum("v", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -583,13 +541,13 @@ func TestReleasedEnginesAreUnreachable(t *testing.T) {
 		}
 		return eng.Value() == nil
 	}
-	first, err := rt.Subscribe(countQuery(count))
+	first, err := subscribe(rt, countQuery(count))
 	if err != nil {
 		t.Fatal(err)
 	}
 	retired := weak.Make(rt.hosts[0].eng)
 	feed("A", 3)
-	grown, err := rt.Subscribe(countQuery(count, sum)) // uncovered: hands over at window 1
+	grown, err := subscribe(rt, countQuery(count, sum)) // uncovered: hands over at window 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,8 +588,8 @@ func TestReleasedEnginesAreUnreachable(t *testing.T) {
 // allocations per event cannot drift on fleets that share nothing.
 func TestGroupOfOneEmitsWithoutAllocating(t *testing.T) {
 	seen := 0
-	rt := New()
-	if _, err := rt.Subscribe(testQueries()[0], core.WithResultCallback(func(core.Result) { seen++ })); err != nil {
+	rt := newRuntime()
+	if _, err := subscribe(rt, testQueries()[0], core.WithResultCallback(func(core.Result) { seen++ })); err != nil {
 		t.Fatal(err)
 	}
 	r := core.Result{Wid: 3, Start: 96, End: 160, Values: []agg.Value{{Count: 7}, {F: 1}}}
@@ -651,9 +609,9 @@ func TestGroupOfOneEmitsWithoutAllocating(t *testing.T) {
 // each new time stamp inside one window.
 func TestRuntimeDispatchAllocatesNothing(t *testing.T) {
 	qs := testQueries()
-	rt := New()
+	rt := newRuntime()
 	for _, q := range []*query.Query{qs[0], qs[2], qs[3], qs[4]} {
-		if _, err := rt.Subscribe(q); err != nil {
+		if _, err := subscribe(rt, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -703,8 +661,8 @@ func TestRuntimeDispatchAllocatesNothing(t *testing.T) {
 // restored catalog as it leaves the live one: retain and release stay
 // balanced.
 func TestRestoreKeepsPlanIdentity(t *testing.T) {
-	count, sum := agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v"}
-	rt := New()
+	count, sum := "COUNT(*)", "SUM(A.v)"
+	rt := newRuntime()
 	p, err := core.NewPlanIn(rt.cat, countQuery(count))
 	if err != nil {
 		t.Fatal(err)
@@ -715,18 +673,18 @@ func TestRestoreKeepsPlanIdentity(t *testing.T) {
 		}
 	}
 	for _, q := range testQueries()[1:3] {
-		if _, err := rt.Subscribe(q); err != nil {
+		if _, err := subscribe(rt, q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, e := range mixedStream(300) {
-		if err := rt.Process(e); err != nil {
+		if err := process(rt, e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A joiner the host does not cover: the cut falls while the retired
 	// host and its successor over the union both run.
-	if _, err := rt.Subscribe(countQuery(count, sum)); err != nil {
+	if _, err := subscribe(rt, countQuery(count, sum)); err != nil {
 		t.Fatal(err)
 	}
 	var plans []*core.Plan

@@ -12,8 +12,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 )
 
@@ -102,13 +100,7 @@ func TestDrainSyncsEachWorkerOnce(t *testing.T) {
 
 	// A late joiner that does not cover the frozen routing attributes
 	// runs on the fallback worker; draining it syncs nobody else.
-	wardOnly := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "ward"}).
-		GroupBy(query.GroupKey{Attr: "ward"}).
-		Within(40, 40).
-		MustBuild()
+	wardOnly := query.MustParse("RETURN COUNT(*) PATTERN M+ WHERE [ward] GROUP-BY ward WITHIN 40 SLIDE 40")
 	late, err := m.SubscribePlan(planIn(wardOnly))
 	if err != nil {
 		t.Fatal(err)
@@ -141,21 +133,8 @@ func TestDrainSyncsEachWorkerOnce(t *testing.T) {
 // a query whose groups span workers and a late joiner on the fallback
 // worker.
 func TestDrainTakesEverythingRouted(t *testing.T) {
-	wardSpan := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		WhereEquiv(predicate.Equivalence{Attr: "ward"}).
-		GroupBy(query.GroupKey{Attr: "ward"}).
-		Within(40, 20).
-		MustBuild()
-	wardOnly := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "ward"}).
-		GroupBy(query.GroupKey{Attr: "ward"}).
-		Within(40, 40).
-		MustBuild()
+	wardSpan := query.MustParse("RETURN COUNT(*) PATTERN M+ WHERE [patient] AND [ward] GROUP-BY ward WITHIN 40 SLIDE 20")
+	wardOnly := query.MustParse("RETURN COUNT(*) PATTERN M+ WHERE [ward] GROUP-BY ward WITHIN 40 SLIDE 40")
 	events := multiStream(3000, 11)
 	for _, n := range []int{2, 4} {
 		cat := core.NewCatalog()

@@ -209,9 +209,5 @@ func (r *Reorderer) DropBoundary() int64 { return r.dropBoundary() }
 // ShedOldest depth policy.
 func (r *Reorderer) Shed() int64 { return r.shed }
 
-// MaxSeen reports the largest time stamp offered so far; ok is false
-// before the first event.
-func (r *Reorderer) MaxSeen() (int64, bool) { return r.maxSeen, r.sawAny }
-
 // Buffered reports the current buffer size.
 func (r *Reorderer) Buffered() int { return r.h.Len() }

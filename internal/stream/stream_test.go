@@ -10,21 +10,14 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/pattern"
-	"repro/internal/predicate"
 	"repro/internal/query"
 	"repro/internal/snap"
 )
 
 // parallelQuery is a partitioned q1-style query.
 func parallelQuery() *query.Query {
-	return query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Max, Alias: "M", Attr: "rate"}).
-		Semantics(query.Cont).
-		WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-		GroupBy(query.GroupKey{Attr: "patient"}).
-		Within(50, 25).
-		MustBuild()
+	return query.MustParse(`RETURN COUNT(*), MAX(M.rate) PATTERN M+ SEMANTICS contiguous
+		WHERE [patient] GROUP-BY patient WITHIN 50 SLIDE 25`)
 }
 
 func parallelStream(n, groups int) []*event.Event {
@@ -198,22 +191,9 @@ func TestParallelPeakBytes(t *testing.T) {
 func multiQueries() []*query.Query {
 	return []*query.Query{
 		parallelQuery(), // contiguous, pattern-grained
-		query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Any).
-			WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-			GroupBy(query.GroupKey{Attr: "patient"}).
-			Within(40, 40).
-			MustBuild(),
-		query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-			Return(agg.Spec{Func: agg.CountStar}, agg.Spec{Func: agg.Min, Alias: "M", Attr: "rate"}).
-			Semantics(query.Any).
-			WhereEquiv(predicate.Equivalence{Attr: "patient"}).
-			WhereEquiv(predicate.Equivalence{Attr: "ward"}).
-			WhereAdjacent(predicate.Adjacent{Left: "M", LeftAttr: "rate", Op: predicate.Lt, Right: "M", RightAttr: "rate"}).
-			GroupBy(query.GroupKey{Attr: "patient"}).
-			Within(60, 30).
-			MustBuild(),
+		query.MustParse("RETURN COUNT(*) PATTERN M+ WHERE [patient] GROUP-BY patient WITHIN 40 SLIDE 40"),
+		query.MustParse(`RETURN COUNT(*), MIN(M.rate) PATTERN M+
+			WHERE [patient] AND [ward] AND M.rate < NEXT(M).rate GROUP-BY patient WITHIN 60 SLIDE 30`),
 	}
 }
 
@@ -309,14 +289,11 @@ func TestMultiExecutorRejectsMixedCatalogs(t *testing.T) {
 func TestSharedRouteAttrs(t *testing.T) {
 	cat := core.NewCatalog()
 	mk := func(attrs ...string) *core.Plan {
-		b := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-			Return(agg.Spec{Func: agg.CountStar}).
-			Semantics(query.Any).
-			Within(10, 10)
-		for _, a := range attrs {
-			b = b.WhereEquiv(predicate.Equivalence{Attr: a})
+		where := ""
+		if len(attrs) > 0 {
+			where = "WHERE [" + strings.Join(attrs, "] AND [") + "]"
 		}
-		p, err := core.NewPlanIn(cat, b.MustBuild())
+		p, err := core.NewPlanIn(cat, query.MustParse("RETURN COUNT(*) PATTERN M+ "+where+" WITHIN 10 SLIDE 10"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,13 +412,7 @@ func TestMultiExecutorLocalityFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keyed on ward only: [patient] is not covered, locality breaks.
-	wardQ := query.NewBuilder(pattern.Plus(pattern.TypeAs("M", "M"))).
-		Return(agg.Spec{Func: agg.CountStar}).
-		Semantics(query.Any).
-		WhereEquiv(predicate.Equivalence{Attr: "ward"}).
-		GroupBy(query.GroupKey{Attr: "ward"}).
-		Within(40, 40).
-		MustBuild()
+	wardQ := query.MustParse("RETURN COUNT(*) PATTERN M+ WHERE [ward] GROUP-BY ward WITHIN 40 SLIDE 40")
 	wardPlan, err := core.NewPlanIn(cat, wardQ)
 	if err != nil {
 		t.Fatal(err)

@@ -257,7 +257,3 @@ func (m *Manager[T]) close(limit int64) []Closed[T] {
 	}
 	return m.closed
 }
-
-// ActiveCount returns the number of live window states (for memory
-// accounting).
-func (m *Manager[T]) ActiveCount() int { return len(m.active) }

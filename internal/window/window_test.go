@@ -95,23 +95,23 @@ func TestManagerLifecycle(t *testing.T) {
 	if len(created) != 2 {
 		t.Errorf("states recreated: %v", created)
 	}
-	if m.ActiveCount() != 2 {
-		t.Errorf("ActiveCount = %d", m.ActiveCount())
+	if got := m.ActiveWids(); len(got) != 2 {
+		t.Errorf("active windows = %v, want 2", got)
 	}
 	// Watermark 12 closes window 0 only.
 	closed := m.AdvanceTo(12)
 	if len(closed) != 1 || closed[0].Wid != 0 || *closed[0].State != 1 {
 		t.Fatalf("AdvanceTo(12) = %+v", closed)
 	}
-	if m.ActiveCount() != 1 {
-		t.Errorf("ActiveCount after close = %d", m.ActiveCount())
+	if got := m.ActiveWids(); len(got) != 1 {
+		t.Errorf("active windows after close = %v, want 1", got)
 	}
 	// Flush emits the rest in order.
 	rest := m.Flush()
 	if len(rest) != 1 || rest[0].Wid != 1 {
 		t.Fatalf("Flush = %+v", rest)
 	}
-	if m.ActiveCount() != 0 {
+	if len(m.ActiveWids()) != 0 {
 		t.Error("states remain after Flush")
 	}
 }
@@ -334,8 +334,8 @@ func TestManagerSkipBefore(t *testing.T) {
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("emitted wids = %v, want [2 3]", got)
 	}
-	if m.ActiveCount() != 0 {
-		t.Errorf("active = %d", m.ActiveCount())
+	if got := m.ActiveWids(); len(got) != 0 {
+		t.Errorf("active windows = %v, want none", got)
 	}
 	// A floor above already-active windows drops them.
 	m2 := NewManager(Spec{Within: 10, Slide: 10}, func(wid int64) *countState {

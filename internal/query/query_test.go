@@ -357,9 +357,6 @@ func TestValidateRefusesWhatNoTextWrites(t *testing.T) {
 		"aggregate attr": with(func(q *Query) {
 			q.Returns = append(q.Returns, agg.Spec{Func: agg.Sum, Alias: "A", Attr: "v)"})
 		}),
-		"aggregate over an unknown alias": with(func(q *Query) {
-			q.Returns = agg.Specs{{Func: agg.Min, Alias: "Z", Attr: "x"}}
-		}),
 		"adjacent attr": with(func(q *Query) {
 			q.Where.Adjacents = []predicate.Adjacent{{Left: "A", LeftAttr: "v", Right: "A", RightAttr: "v w"}}
 		}),
@@ -374,6 +371,25 @@ func TestValidateRefusesWhatNoTextWrites(t *testing.T) {
 		if err := q.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %q", name, q.String())
 		}
+	}
+}
+
+// TestValidateRefusesAggregateOverUnknownAlias: a query written as an
+// AST, not parsed, is refused when RETURN aggregates over an alias the
+// pattern does not bind, and the error names that alias.
+func TestValidateRefusesAggregateOverUnknownAlias(t *testing.T) {
+	q := &Query{
+		Returns: agg.Specs{{Func: agg.Min, Alias: "Z", Attr: "x"}},
+		Pattern: pattern.Plus(pattern.Type("A")),
+		Where:   &predicate.Set{},
+		Window:  window.Spec{Within: 10, Slide: 10},
+	}
+	err := q.Validate()
+	if err == nil {
+		t.Fatalf("Validate accepted %q", q.String())
+	}
+	if !strings.Contains(err.Error(), `"Z"`) {
+		t.Errorf("error does not name the unknown alias: %v", err)
 	}
 }
 

@@ -16,19 +16,11 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id (fig5..fig10, table9, ablation) or 'all'")
 	scale := flag.Float64("scale", 1.0, "event-count scale factor")
-	twoStep := flag.Int64("twostep-budget", bench.DefaultConfig().TwoStepBudget, "work budget for SASE/Flink before DNF")
-	online := flag.Int64("online-budget", bench.DefaultConfig().OnlineBudget, "work budget for GRETA/A-Seq before DNF")
-	flatten := flag.Int("flatten-cap", bench.DefaultConfig().FlattenCap, "Kleene flattening cap for A-Seq/Flink")
 	verify := flag.Bool("verify", true, "cross-check baseline results against COGRA")
 	flag.Parse()
 
-	cfg := bench.Config{
-		Scale:         *scale,
-		TwoStepBudget: *twoStep,
-		OnlineBudget:  *online,
-		FlattenCap:    *flatten,
-		Verify:        *verify,
-	}
+	cfg := bench.DefaultConfig()
+	cfg.Scale, cfg.Verify = *scale, *verify
 	if *exp == "all" {
 		if err := bench.RunAll(cfg, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "cograbench:", err)

@@ -6,12 +6,12 @@
 //
 //   - Merge (⊕): combine the aggregates of two disjoint sets of
 //     (partial) trends;
-//   - Extend (⊗ by one event): given the merged aggregate of all
+//   - ExtendInto (⊗ by one event): given the merged aggregate of all
 //     partial trends a new event e continues, plus the number of fresh
 //     trends e begins, produce the aggregate of all trends ending at e.
-//     ExtendInto is its one implementation: the COGRA kernels call it
-//     with the alias test and the attribute values resolved ahead, and
-//     Extend, which the baselines call, resolves both from the event.
+//     The COGRA kernels call it with the alias test and attribute
+//     values resolved ahead, the baselines with per-alias masks and
+//     values read by name.
 //
 // Because COUNT, MIN, MAX and SUM are distributive and AVG is
 // algebraic over (SUM, COUNT) [Gray et al. 1997], these two operations
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 )
 
 // Func enumerates the aggregation functions of §2.3.
@@ -150,13 +149,6 @@ func (ss Specs) Zero() Node {
 	return Node{Aux: make([]Aux, len(ss))}
 }
 
-// Clone deep-copies a node.
-func (ss Specs) Clone(n Node) Node {
-	out := Node{Count: n.Count, Aux: make([]Aux, len(n.Aux))}
-	copy(out.Aux, n.Aux)
-	return out
-}
-
 // Merge folds src into dst: the aggregate of the union of two disjoint
 // trend sets.
 func (ss Specs) Merge(dst *Node, src Node) {
@@ -187,68 +179,28 @@ func (ss Specs) Merge(dst *Node, src Node) {
 	}
 }
 
-// EventView is the minimal event interface Extend needs.
-type EventView interface {
-	NumAttr(name string) (float64, bool)
-}
-
-// Extend computes the aggregate of all trends ending at a new event e
-// matched under alias: pred is the merged aggregate of every partial
-// trend e continues, and started is the number of fresh trends e
-// begins (1 if alias is a start type of the pattern, else 0). This is
-// the ⊗ step of Table 8:
-//
-//	count  = pred.count + started
-//	countE = pred.countE + (alias==E ? count : 0)
-//	min    = alias==E ? min(pred.min, e.attr) : pred.min
-//	sum    = pred.sum + (alias==E ? e.attr * count : 0)
-//
-// It is ExtendInto, the one implementation of ⊗, with the alias test
-// spelled out and attribute values read from e by name.
-func (ss Specs) Extend(pred Node, alias string, e EventView, started uint64) Node {
-	var buf [8]bool // most RETURN clauses fit: no allocation for the mask
-	match := buf[:0]
-	for _, s := range ss {
-		match = append(match, s.Alias == alias) // events of other types only propagate (Table 8)
-	}
-	src := namedPool.Get().(*namedAttrs)
-	src.ss, src.e = ss, e
-	var out Node
-	ss.ExtendInto(&out, pred, match, src, started)
-	*src = namedAttrs{}
-	namedPool.Put(src)
-	return out
-}
-
-// namedAttrs is the SpecSource of an EventView: spec i's attribute,
-// read by name.
-type namedAttrs struct {
-	ss Specs
-	e  EventView
-}
-
-func (n *namedAttrs) SpecNum(i int) (float64, bool) { return n.e.NumAttr(n.ss[i].Attr) }
-
-// namedPool recycles Extend's sources. A fresh one escapes through the
-// SpecSource interface, which costs an allocation on every call, and
-// the baselines extend once per event and edge.
-var namedPool = sync.Pool{New: func() any { return new(namedAttrs) }}
-
 // SpecSource supplies the aggregated attribute value of spec i for the
-// event being extended, addressed by spec index instead of attribute
-// name. The COGRA runtime's per-event resolved view implements it with
-// array indexing, removing the per-extend map probes of the generic
-// EventView path.
+// event being extended, addressed by spec index: the COGRA runtime's
+// resolved view reads it from an array, the baselines by name.
 type SpecSource interface {
 	SpecNum(i int) (float64, bool)
 }
 
-// ExtendInto is the ⊗ step (see Extend) writing its result into dst,
-// reusing dst's Aux storage when capacity allows, with the alias
-// comparison precomputed: match[i] reports whether spec i targets the
-// matched alias and e supplies attribute values by spec index. dst
-// must not alias pred. Hot aggregation loops use it to stay
-// allocation-free.
+// ExtendInto is the ⊗ step of Table 8, writing into dst the aggregate
+// of all trends ending at a new event e: pred is the merged aggregate
+// of every partial trend e continues, started the number of fresh
+// trends e begins (1 if its alias is a start type of the pattern, else
+// 0), match[i] whether spec i targets e's alias, and e supplies
+// attribute values by spec index:
+//
+//	count  = pred.count + started
+//	countE = pred.countE + (match ? count : 0)
+//	min    = match ? min(pred.min, e.attr) : pred.min
+//	sum    = pred.sum + (match ? e.attr * count : 0)
+//
+// Events of other aliases only propagate. dst's Aux storage is reused
+// when its capacity allows, so hot loops stay allocation-free; dst
+// must not alias pred.
 func (ss Specs) ExtendInto(dst *Node, pred Node, match []bool, e SpecSource, started uint64) {
 	if cap(dst.Aux) >= len(ss) {
 		dst.Aux = dst.Aux[:len(ss)]
@@ -303,32 +255,6 @@ func (ss Specs) ZeroInto(n *Node) {
 	} else {
 		n.Aux = make([]Aux, len(ss))
 	}
-}
-
-// aliasedEvent pairs an event with the alias it matched; used by
-// FoldTrend.
-type aliasedEvent struct {
-	alias string
-	e     EventView
-}
-
-// TrendEvent constructs an element for FoldTrend.
-func TrendEvent(alias string, e EventView) any { return aliasedEvent{alias, e} }
-
-// FoldTrend computes the aggregate Node of a single fully materialised
-// trend — the two-step baselines' second step. The trend is given as
-// TrendEvent(alias, event) values in trend order.
-func (ss Specs) FoldTrend(trend []any) Node {
-	n := ss.Zero()
-	for i, raw := range trend {
-		ae := raw.(aliasedEvent)
-		started := uint64(0)
-		if i == 0 {
-			started = 1
-		}
-		n = ss.Extend(n, ae.alias, ae.e, started)
-	}
-	return n
 }
 
 // Value is one reported aggregation result.
@@ -439,18 +365,13 @@ func MergeValues(dst, src []Value) {
 	}
 }
 
-// Equal compares two reported value slices exactly (NaN equals NaN);
-// used by correctness tests to cross-check approaches.
-func Equal(a, b []Value) bool { return equal(a, b, 0) }
-
 // ApproxEqual compares reported values with a relative tolerance on
-// the float results. Counts are always compared exactly; SUM/AVG are
-// accumulated in algorithm-specific orders, so independent
-// implementations legitimately differ by rounding (the cross-approach
-// experiment harness uses 1e-9).
-func ApproxEqual(a, b []Value, relTol float64) bool { return equal(a, b, relTol) }
-
-func equal(a, b []Value, relTol float64) bool {
+// the float results; relTol 0 compares exactly (NaN equals NaN).
+// Counts are always compared exactly; SUM/AVG are accumulated in
+// algorithm-specific orders, so independent implementations
+// legitimately differ by rounding (the cross-approach experiment
+// harness uses 1e-9).
+func ApproxEqual(a, b []Value, relTol float64) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/event"
 )
 
 func allSpecs() Specs {
@@ -20,9 +18,50 @@ func allSpecs() Specs {
 	}
 }
 
-func ev(alias string, x float64) any {
-	return TrendEvent(alias, event.New("T", 0).WithNum("x", x))
+// num is a test-local SpecSource: an event whose every aggregated
+// attribute holds the same value.
+type num float64
+
+func (v num) SpecNum(int) (float64, bool) { return float64(v), true }
+
+// missing is an event that carries none of the aggregated attributes.
+type missing struct{}
+
+func (missing) SpecNum(int) (float64, bool) { return 0, false }
+
+// extend is ⊗ for an event matched under alias, its mask computed from
+// the specs' aliases.
+func extend(ss Specs, pred Node, alias string, e SpecSource, started uint64) Node {
+	match := make([]bool, len(ss))
+	for i, s := range ss {
+		match[i] = s.Alias == alias
+	}
+	var out Node
+	ss.ExtendInto(&out, pred, match, e, started)
+	return out
 }
+
+// step is one event of a trend: its alias and attribute value.
+type step struct {
+	alias string
+	x     float64
+}
+
+// fold aggregates one trend: the first event starts it, the others
+// extend it.
+func fold(ss Specs, trend ...step) Node {
+	n := ss.Zero()
+	for i, st := range trend {
+		started := uint64(0)
+		if i == 0 {
+			started = 1
+		}
+		n = extend(ss, n, st.alias, num(st.x), started)
+	}
+	return n
+}
+
+func clone(n Node) Node { return Node{Count: n.Count, Aux: append([]Aux(nil), n.Aux...)} }
 
 func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
@@ -67,7 +106,7 @@ func TestSpecString(t *testing.T) {
 func TestFoldSingleTrend(t *testing.T) {
 	ss := allSpecs()
 	// Trend (a:3, b, a:5): 1 trend, 2 A-events, min 3, max 5, sum 8, avg 4.
-	n := ss.FoldTrend([]any{ev("A", 3), ev("B", 100), ev("A", 5)})
+	n := fold(ss, step{"A", 3}, step{"B", 100}, step{"A", 5})
 	vals := ss.Report(n)
 	if vals[0].Count != 1 {
 		t.Errorf("COUNT(*) = %d", vals[0].Count)
@@ -82,8 +121,8 @@ func TestFoldSingleTrend(t *testing.T) {
 
 func TestMergeTwoTrends(t *testing.T) {
 	ss := allSpecs()
-	t1 := ss.FoldTrend([]any{ev("A", 3), ev("A", 5)}) // min 3 max 5 sum 8, countA 2
-	t2 := ss.FoldTrend([]any{ev("A", 1)})             // min 1 max 1 sum 1, countA 1
+	t1 := fold(ss, step{"A", 3}, step{"A", 5}) // min 3 max 5 sum 8, countA 2
+	t2 := fold(ss, step{"A", 1})               // min 1 max 1 sum 1, countA 1
 	final := ss.Zero()
 	ss.Merge(&final, t1)
 	ss.Merge(&final, t2)
@@ -97,13 +136,12 @@ func TestMergeTwoTrends(t *testing.T) {
 }
 
 func TestExtendCountsMatchPaperSemantics(t *testing.T) {
-	// Extend implements: count = pred.count + started, and the target-
-	// alias event adds attr*count to SUM — one contribution per trend
-	// ending at the event.
+	// ExtendInto implements: count = pred.count + started, and the
+	// target-alias event adds attr*count to SUM — one contribution per
+	// trend ending at the event.
 	ss := Specs{{Func: CountStar}, {Func: Sum, Alias: "A", Attr: "x"}}
 	pred := Node{Count: 3, Aux: []Aux{{}, {F: 10, Valid: true}}}
-	e := event.New("T", 0).WithNum("x", 2)
-	out := ss.Extend(pred, "A", e, 1)
+	out := extend(ss, pred, "A", num(2), 1)
 	if out.Count != 4 {
 		t.Errorf("count = %d, want 4", out.Count)
 	}
@@ -112,19 +150,24 @@ func TestExtendCountsMatchPaperSemantics(t *testing.T) {
 		t.Errorf("sum = %v, want 18", out.Aux[1].F)
 	}
 	// Non-target alias propagates untouched.
-	out2 := ss.Extend(pred, "B", e, 0)
+	out2 := extend(ss, pred, "B", num(2), 0)
 	if out2.Count != 3 || out2.Aux[1].F != 10 {
 		t.Errorf("propagation changed aggregates: %+v", out2)
+	}
+	// A target-alias event without the attribute adds nothing to SUM.
+	out3 := extend(ss, pred, "A", missing{}, 0)
+	if out3.Count != 3 || out3.Aux[1] != pred.Aux[1] {
+		t.Errorf("missing attribute changed SUM: %+v", out3)
 	}
 }
 
 func TestExtendDoesNotMutatePred(t *testing.T) {
 	ss := allSpecs()
-	pred := ss.FoldTrend([]any{ev("A", 3)})
-	before := ss.Clone(pred)
-	_ = ss.Extend(pred, "A", event.New("T", 0).WithNum("x", 9), 1)
-	if pred.Count != before.Count || pred.Aux[4].F != before.Aux[4].F {
-		t.Error("Extend mutated its input")
+	pred := fold(ss, step{"A", 3})
+	before := clone(pred)
+	_ = extend(ss, pred, "A", num(9), 1)
+	if !nodeEq(pred, before) {
+		t.Error("ExtendInto mutated its input")
 	}
 }
 
@@ -139,15 +182,20 @@ func TestMinMaxValidity(t *testing.T) {
 		t.Errorf("invalid MIN renders %q", vals[0].String())
 	}
 	// A trend without any A event leaves MIN invalid.
-	n := ss.FoldTrend([]any{ev("B", 7)})
+	n := fold(ss, step{"B", 7})
 	if ss.Report(n)[0].Valid {
 		t.Error("MIN valid though no A event")
+	}
+	// Nor does an A event without the attribute.
+	n = extend(ss, ss.Zero(), "A", missing{}, 1)
+	if ss.Report(n)[0].Valid {
+		t.Error("MIN valid though no A event carried the attribute")
 	}
 }
 
 func TestAvgNoEvents(t *testing.T) {
 	ss := Specs{{Func: Avg, Alias: "A", Attr: "x"}}
-	vals := ss.Report(ss.FoldTrend([]any{ev("B", 7)}))
+	vals := ss.Report(fold(ss, step{"B", 7}))
 	if vals[0].Valid || !math.IsNaN(vals[0].F) {
 		t.Errorf("AVG over zero A-events = %+v", vals[0])
 	}
@@ -160,6 +208,17 @@ func TestCountWrapsModulo64(t *testing.T) {
 	ss.Merge(&a, b)
 	if a.Count != 1 {
 		t.Errorf("wrap-around Count = %d, want 1", a.Count)
+	}
+	// ⊗ wraps the same way: a fresh trend on top of 2^64-1 gives 0, and
+	// COUNT(E) adds the wrapped count.
+	ss = Specs{{Func: CountStar}, {Func: CountType, Alias: "A"}}
+	pred := Node{Count: math.MaxUint64, Aux: []Aux{{}, {N: 5}}}
+	if out := extend(ss, pred, "A", num(0), 1); out.Count != 0 || out.Aux[1].N != 5 {
+		t.Errorf("wrap-around extend = %+v, want count 0, COUNT(A) 5", out)
+	}
+	pred.Count = math.MaxUint64 - 1
+	if out := extend(ss, pred, "A", num(0), 0); out.Aux[1].N != 3 {
+		t.Errorf("wrap-around COUNT(A) = %d, want 3", out.Aux[1].N)
 	}
 }
 
@@ -198,25 +257,25 @@ func TestMergeIsCommutativeMonoid(t *testing.T) {
 		f1, f2, f3 = math.Mod(f1, 1e6), math.Mod(f2, 1e6), math.Mod(f3, 1e6)
 		a, b, c := mk(c1, n1, f1, v1), mk(c2, n2, f2, v2), mk(c3, c3, f3, true)
 		// commutativity
-		ab := ss.Clone(a)
+		ab := clone(a)
 		ss.Merge(&ab, b)
-		ba := ss.Clone(b)
+		ba := clone(b)
 		ss.Merge(&ba, a)
 		if !nodeEq(ab, ba) {
 			return false
 		}
 		// associativity
-		abc1 := ss.Clone(ab)
+		abc1 := clone(ab)
 		ss.Merge(&abc1, c)
-		bc := ss.Clone(b)
+		bc := clone(b)
 		ss.Merge(&bc, c)
-		abc2 := ss.Clone(a)
+		abc2 := clone(a)
 		ss.Merge(&abc2, bc)
 		if !nodeEq(abc1, abc2) {
 			return false
 		}
 		// identity
-		az := ss.Clone(a)
+		az := clone(a)
 		ss.Merge(&az, ss.Zero())
 		return nodeEq(az, a)
 	}
@@ -230,7 +289,7 @@ func TestMergeIsCommutativeMonoid(t *testing.T) {
 // trend sets equals merging the two extensions (started counted once).
 func TestExtendDistributesOverMerge(t *testing.T) {
 	ss := allSpecs()
-	e := event.New("T", 0).WithNum("x", 4.5)
+	e := num(4.5)
 	f := func(c1, c2 uint64, s1 uint64, f1, f2 float64) bool {
 		if f1 != f1 || f2 != f2 {
 			return true
@@ -245,13 +304,13 @@ func TestExtendDistributesOverMerge(t *testing.T) {
 		b.Aux[2] = Aux{F: f2, Valid: true}
 		b.Aux[4] = Aux{F: f2, Valid: true}
 
-		merged := ss.Clone(a)
+		merged := clone(a)
 		ss.Merge(&merged, b)
-		left := ss.Extend(merged, "A", e, started)
+		left := extend(ss, merged, "A", e, started)
 
-		ea := ss.Extend(a, "A", e, started)
-		eb := ss.Extend(b, "A", e, 0)
-		right := ss.Clone(ea)
+		ea := extend(ss, a, "A", e, started)
+		eb := extend(ss, b, "A", e, 0)
+		right := clone(ea)
 		ss.Merge(&right, eb)
 		return left.Count == right.Count &&
 			left.Aux[2] == right.Aux[2] &&
@@ -286,10 +345,7 @@ func nodeEq(a, b Node) bool {
 
 func TestReportAndFormat(t *testing.T) {
 	ss := Specs{{Func: CountStar}, {Func: Min, Alias: "M", Attr: "rate"}}
-	n := ss.FoldTrend([]any{
-		TrendEvent("M", event.New("Measurement", 1).WithNum("rate", 61)),
-		TrendEvent("M", event.New("Measurement", 2).WithNum("rate", 65)),
-	})
+	n := fold(ss, step{"M", 61}, step{"M", 65})
 	got := FormatValues(ss.Report(n))
 	if got != "COUNT(*)=1, MIN(M.rate)=61" {
 		t.Errorf("FormatValues = %q", got)
@@ -298,22 +354,22 @@ func TestReportAndFormat(t *testing.T) {
 
 func TestEqual(t *testing.T) {
 	ss := Specs{{Func: CountStar}, {Func: Avg, Alias: "A", Attr: "x"}}
-	a := ss.Report(ss.FoldTrend([]any{ev("A", 2)}))
-	b := ss.Report(ss.FoldTrend([]any{ev("A", 2)}))
-	c := ss.Report(ss.FoldTrend([]any{ev("A", 3)}))
-	if !Equal(a, b) {
+	a := ss.Report(fold(ss, step{"A", 2}))
+	b := ss.Report(fold(ss, step{"A", 2}))
+	c := ss.Report(fold(ss, step{"A", 3}))
+	if !ApproxEqual(a, b, 0) {
 		t.Error("identical reports unequal")
 	}
-	if Equal(a, c) {
+	if ApproxEqual(a, c, 0) {
 		t.Error("different reports equal")
 	}
 	// NaN == NaN for AVG-of-nothing.
-	x := ss.Report(ss.FoldTrend([]any{ev("B", 2)}))
-	y := ss.Report(ss.FoldTrend([]any{ev("B", 9)}))
-	if !Equal(x, y) {
+	x := ss.Report(fold(ss, step{"B", 2}))
+	y := ss.Report(fold(ss, step{"B", 9}))
+	if !ApproxEqual(x, y, 0) {
 		t.Error("NaN AVG reports unequal")
 	}
-	if Equal(a, a[:1]) {
+	if ApproxEqual(a, a[:1], 0) {
 		t.Error("length mismatch equal")
 	}
 }

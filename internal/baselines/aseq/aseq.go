@@ -30,15 +30,16 @@ type Runner struct {
 	BudgetUnits int64
 	// Acct receives logical memory accounting if non-nil.
 	Acct *metrics.Accountant
+	ext  *baselines.Extender
 }
 
 // New builds an A-Seq runner.
-func New(plan *core.Plan) *Runner { return &Runner{plan: plan} }
+func New(plan *core.Plan) *Runner { return &Runner{plan: plan, ext: baselines.NewExtender(plan)} }
 
 // Name implements baselines.Runner.
 func (r *Runner) Name() string { return "A-Seq" }
 
-// Capabilities implements baselines.CapableRunner: A-Seq flattens
+// Capabilities implements baselines.Runner: A-Seq flattens
 // Kleene into fixed-length sequences, which works only under
 // skip-till-any-match and cannot express adjacent predicates or
 // negation (Table 9).
@@ -147,13 +148,13 @@ func (r *Runner) evalFast(sub baselines.Substream, collector *baselines.GroupCol
 			for _, ref := range refs {
 				var node agg.Node
 				if ref.pos == 0 {
-					node = specs.Extend(specs.Zero(), alias, e, 1)
+					node = r.ext.Extend(specs.Zero(), alias, e, 1)
 				} else {
 					prev := ref.q.prefix[ref.pos-1]
 					if prev.Count == 0 {
 						continue
 					}
-					node = specs.Extend(prev, alias, e, 0)
+					node = r.ext.Extend(prev, alias, e, 0)
 				}
 				specs.Merge(&ref.q.pending[ref.pos], node)
 				if !ref.q.dirty[ref.pos] {
@@ -254,7 +255,7 @@ func (r *Runner) evalWithSlots(sub baselines.Substream, collector *baselines.Gro
 					if !ok {
 						continue
 					}
-					node := specs.Extend(specs.Zero(), alias, e, 1)
+					node := r.ext.Extend(specs.Zero(), alias, e, 1)
 					pend = append(pend, staged{q: ref.q, pos: 0, key: b.Key(),
 						e: &prefixEntry{binding: b, node: node}})
 					continue
@@ -267,7 +268,7 @@ func (r *Runner) evalWithSlots(sub baselines.Substream, collector *baselines.Gro
 					if !ok {
 						continue
 					}
-					node := specs.Extend(prev.node, alias, e, 0)
+					node := r.ext.Extend(prev.node, alias, e, 0)
 					pend = append(pend, staged{q: ref.q, pos: ref.pos, key: nb.Key(),
 						e: &prefixEntry{binding: nb, node: node}})
 				}

@@ -10,9 +10,11 @@
 // evaluates exactly the same sub-streams and reports results in the
 // same shape as the COGRA engine, making cross-validation exact. The
 // aggregation algorithms themselves are implemented independently per
-// package. Partitions, bindings and groups are keyed here by their
-// value tuples (tupleKey), not by the engine's partition keys, so a key
-// collision in the engine shows as a disagreement.
+// package, over COGRA's algebra: they extend through an Extender
+// (agg.Specs.ExtendInto) and merge with agg.Specs.Merge. Partitions,
+// bindings and groups are keyed here by their value tuples (tupleKey),
+// not by the engine's partition keys, so a key collision in the engine
+// shows as a disagreement.
 package baselines
 
 import (
@@ -31,6 +33,8 @@ import (
 )
 
 // Runner evaluates a compiled query over a complete in-order stream.
+// A baseline runner keeps scratch state, so it runs one stream at a
+// time.
 type Runner interface {
 	// Name identifies the approach in experiment reports.
 	Name() string
@@ -38,6 +42,8 @@ type Runner interface {
 	// the same order as core.Engine: core.CompareResults.
 	// Approaches exceeding their work budget return ErrBudget.
 	Run(events []*event.Event) ([]core.Result, error)
+	// Capabilities is the approach's Table 9 row.
+	Capabilities() Capabilities
 }
 
 // ErrBudget marks a run that exceeded its work budget — the
@@ -93,12 +99,6 @@ func (c Capabilities) Supports(plan *core.Plan) error {
 		return ErrUnsupported{Approach: c.Approach, Feature: "negation"}
 	}
 	return nil
-}
-
-// CapableRunner is a Runner that publishes its Table 9 row.
-type CapableRunner interface {
-	Runner
-	Capabilities() Capabilities
 }
 
 // Substream is the unit every approach evaluates: the events of one

@@ -21,7 +21,7 @@ func NewCogra(plan *core.Plan) *CograRunner { return &CograRunner{Plan: plan} }
 // Name implements Runner.
 func (r *CograRunner) Name() string { return "COGRA" }
 
-// Capabilities implements CapableRunner: the engine under test covers
+// Capabilities implements Runner: the engine under test covers
 // the full matrix — which is the point of the comparison.
 func (r *CograRunner) Capabilities() Capabilities {
 	return Capabilities{Approach: "COGRA",

@@ -96,7 +96,7 @@ func runAll(t *testing.T, q *query.Query, events []*event.Event, tag string) {
 	if err != nil {
 		t.Fatalf("%s: COGRA: %v", tag, err)
 	}
-	runners := []baselines.CapableRunner{
+	runners := []baselines.Runner{
 		sase.New(plan),
 		greta.New(plan),
 		aseq.New(plan),

@@ -18,7 +18,6 @@
 package flinklite
 
 import (
-	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/event"
@@ -37,15 +36,16 @@ type Runner struct {
 	BudgetUnits int64
 	// Acct receives logical memory accounting if non-nil.
 	Acct *metrics.Accountant
+	ext  *baselines.Extender
 }
 
 // New builds a Flink-style runner.
-func New(plan *core.Plan) *Runner { return &Runner{plan: plan} }
+func New(plan *core.Plan) *Runner { return &Runner{plan: plan, ext: baselines.NewExtender(plan)} }
 
 // Name implements baselines.Runner.
 func (r *Runner) Name() string { return "Flink" }
 
-// Capabilities implements baselines.CapableRunner: Flink's NFA covers
+// Capabilities implements baselines.Runner: Flink's NFA covers
 // skip-till-any-match and contiguous matching with adjacent (IterativeCondition-
 // style) predicates, but has no skip-till-next-match and no negation
 // inside Kleene (Table 9).
@@ -118,11 +118,7 @@ func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.Gro
 
 	// Step two: aggregate the buffered matches.
 	for _, m := range matches {
-		elems := make([]any, len(m.events))
-		for i, e := range m.events {
-			elems[i] = agg.TrendEvent(m.aliases[i], e)
-		}
-		collector.Add(sub.Part, m.binding, plan.Specs.FoldTrend(elems))
+		collector.Add(sub.Part, m.binding, r.ext.Fold(m.aliases, m.events))
 	}
 	return release, nil
 }

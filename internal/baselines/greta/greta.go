@@ -26,16 +26,17 @@ type Runner struct {
 	BudgetUnits int64
 	// Acct receives logical memory accounting if non-nil.
 	Acct *metrics.Accountant
+	ext  *baselines.Extender
 }
 
 // New builds a GRETA runner. The plan's semantics must be
 // skip-till-any-match.
-func New(plan *core.Plan) *Runner { return &Runner{plan: plan} }
+func New(plan *core.Plan) *Runner { return &Runner{plan: plan, ext: baselines.NewExtender(plan)} }
 
 // Name implements baselines.Runner.
 func (r *Runner) Name() string { return "GRETA" }
 
-// Capabilities implements baselines.CapableRunner: GRETA handles only
+// Capabilities implements baselines.Runner: GRETA handles only
 // skip-till-any-match, but within it supports adjacent predicates
 // (edge filtering) and negation (Table 9).
 func (r *Runner) Capabilities() baselines.Capabilities {
@@ -121,7 +122,7 @@ func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.Gro
 				if plan.FSA.IsStart(alias) && key == startKey {
 					started = 1
 				}
-				node := specs.Extend(ex.node, alias, e, started)
+				node := r.ext.Extend(ex.node, alias, e, started)
 				gn := gNode{ev: e, alias: alias, binding: ex.binding, node: node}
 				graph = append(graph, gn)
 				grow := e.FootprintBytes() + specs.FootprintBytes() + 32

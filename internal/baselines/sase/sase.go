@@ -16,7 +16,6 @@ package sase
 import (
 	"slices"
 
-	"repro/internal/agg"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/event"
@@ -40,15 +39,16 @@ type Runner struct {
 	BudgetUnits int64
 	// Acct receives logical memory accounting if non-nil.
 	Acct *metrics.Accountant
+	ext  *baselines.Extender
 }
 
 // New builds a SASE runner for a plan.
-func New(plan *core.Plan) *Runner { return &Runner{plan: plan} }
+func New(plan *core.Plan) *Runner { return &Runner{plan: plan, ext: baselines.NewExtender(plan)} }
 
 // Name implements baselines.Runner.
 func (r *Runner) Name() string { return "SASE" }
 
-// Capabilities implements baselines.CapableRunner: the two-step
+// Capabilities implements baselines.Runner: the two-step
 // oracle materialises trends, so it covers every semantics and
 // predicate class (Table 9) — at exponential cost, bounded by
 // BudgetUnits.
@@ -67,8 +67,7 @@ func (r *Runner) Run(events []*event.Event) ([]core.Result, error) {
 // the stacks and pointers when the window closes.
 func (r *Runner) evalSubstream(sub baselines.Substream, collector *baselines.GroupCollector, budget *metrics.Budget, acct *metrics.Accountant) (func(), error) {
 	onTrend := func(tr Trend) bool {
-		node := foldTrend(r.plan.Specs, tr)
-		collector.Add(sub.Part, tr.Binding, node)
+		collector.Add(sub.Part, tr.Binding, r.ext.Fold(tr.Aliases, tr.Events))
 		return budget.Spend(int64(len(tr.Events)))
 	}
 	var err error
@@ -122,15 +121,6 @@ func EnumerateWindow(plan *core.Plan, events []*event.Event, budgetUnits int64) 
 		return nil, err
 	}
 	return trends, nil
-}
-
-// foldTrend aggregates one materialised trend (step two).
-func foldTrend(specs agg.Specs, tr Trend) agg.Node {
-	elems := make([]any, len(tr.Events))
-	for i, e := range tr.Events {
-		elems[i] = agg.TrendEvent(tr.Aliases[i], e)
-	}
-	return specs.FoldTrend(elems)
 }
 
 // storeEvents accounts the SASE event stacks (every window event is

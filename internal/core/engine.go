@@ -480,9 +480,6 @@ func (e *Engine) ReleaseIntern() {
 // shrinks.
 func (e *Engine) InternBytes() int64 { return e.sh.bnd.footprint() }
 
-// Results returns the results collected so far.
-func (e *Engine) Results() []Result { return e.results }
-
 // EventsProcessed returns how many events entered a sub-stream.
 func (e *Engine) EventsProcessed() int64 { return e.eventsIn }
 

@@ -373,7 +373,7 @@ func checkBaselines(sc *Scenario) (string, error) {
 	return "", nil
 }
 
-func capableRunners(plan *core.Plan) []baselines.CapableRunner {
+func capableRunners(plan *core.Plan) []baselines.Runner {
 	s := sase.New(plan)
 	s.BudgetUnits = baselineBudget
 	g := greta.New(plan)
@@ -382,7 +382,7 @@ func capableRunners(plan *core.Plan) []baselines.CapableRunner {
 	a.BudgetUnits = baselineBudget
 	f := flinklite.New(plan)
 	f.BudgetUnits = baselineBudget
-	return []baselines.CapableRunner{s, g, a, f}
+	return []baselines.Runner{s, g, a, f}
 }
 
 // canonOrder returns a copy in the canonical emit order

@@ -99,16 +99,6 @@ func Compile(p Node) (*FSA, error) {
 	return f, nil
 }
 
-// MustCompile is Compile that panics on error; for tests and fixed
-// example patterns.
-func MustCompile(p Node) *FSA {
-	f, err := Compile(p)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // analyse walks the desugared tree, returning start and end alias
 // lists and filling the edge set. The construction mirrors §3.1:
 //

@@ -6,13 +6,22 @@ import (
 	"testing"
 )
 
+func mustCompile(t *testing.T, p Node) *FSA {
+	t.Helper()
+	f, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // figure4Pattern is P = (SEQ(A+, B))+ from Figures 2 and 4.
 func figure4Pattern() Node {
 	return Plus(Seq(Plus(Type("A")), Type("B")))
 }
 
 func TestFigure4FSA(t *testing.T) {
-	f := MustCompile(figure4Pattern())
+	f := mustCompile(t, figure4Pattern())
 	if got := f.StartAliases(); !reflect.DeepEqual(got, []string{"A"}) {
 		t.Errorf("start = %v, want [A]", got)
 	}
@@ -30,7 +39,7 @@ func TestFigure4FSA(t *testing.T) {
 func TestQ2PatternFSA(t *testing.T) {
 	// SEQ(Accept, (SEQ(Call, Cancel))+, Finish) from query q2.
 	p := Seq(Type("Accept"), Plus(Seq(Type("Call"), Type("Cancel"))), Type("Finish"))
-	f := MustCompile(p)
+	f := mustCompile(t, p)
 	if got := f.StartAliases(); !reflect.DeepEqual(got, []string{"Accept"}) {
 		t.Errorf("start = %v", got)
 	}
@@ -57,7 +66,7 @@ func TestQ2PatternFSA(t *testing.T) {
 func TestQ3PatternFSA(t *testing.T) {
 	// SEQ(Stock A+, Stock B+) from query q3: same stream type, two aliases.
 	p := Seq(Plus(TypeAs("Stock", "A")), Plus(TypeAs("Stock", "B")))
-	f := MustCompile(p)
+	f := mustCompile(t, p)
 	if got := f.PredTypes("A"); !reflect.DeepEqual(got, []string{"A"}) {
 		t.Errorf("predTypes(A) = %v", got)
 	}
@@ -70,7 +79,7 @@ func TestQ3PatternFSA(t *testing.T) {
 }
 
 func TestSingleTypeKleene(t *testing.T) {
-	f := MustCompile(Plus(Type("M")))
+	f := mustCompile(t, Plus(Type("M")))
 	if !f.IsStart("M") || !f.IsEnd("M") {
 		t.Error("M should be both start and end")
 	}
@@ -119,7 +128,7 @@ func TestCompileRejectsBorderNegation(t *testing.T) {
 
 func TestNegationConstraint(t *testing.T) {
 	p := Seq(Plus(Type("A")), Not(Type("N")), Type("B"))
-	f := MustCompile(p)
+	f := mustCompile(t, p)
 	if len(f.Negations) != 1 {
 		t.Fatalf("negations = %d, want 1", len(f.Negations))
 	}
@@ -136,7 +145,7 @@ func TestNegationConstraint(t *testing.T) {
 func TestDesugarStar(t *testing.T) {
 	// SEQ(A*, B) = SEQ(A+, B) OR B (§8).
 	p := Seq(Star(Type("A")), Type("B"))
-	f := MustCompile(p)
+	f := mustCompile(t, p)
 	if got := f.StartAliases(); !reflect.DeepEqual(got, []string{"A", "B"}) {
 		t.Errorf("start = %v, want [A B]", got)
 	}
@@ -156,7 +165,7 @@ func TestDesugarStar(t *testing.T) {
 
 func TestDesugarOptional(t *testing.T) {
 	p := Seq(Type("A"), Opt(Type("B")), Type("C"))
-	f := MustCompile(p)
+	f := mustCompile(t, p)
 	if !f.AcceptsAliasSeq([]string{"A", "C"}) || !f.AcceptsAliasSeq([]string{"A", "B", "C"}) {
 		t.Error("optional B not handled")
 	}
@@ -185,7 +194,7 @@ func TestUnrollMinLength(t *testing.T) {
 	if got := p.String(); got != "SEQ(A A_1, A A_2, A+)" {
 		t.Errorf("unrolled = %q", got)
 	}
-	f := MustCompile(p)
+	f := mustCompile(t, p)
 	if f.AcceptsAliasSeq([]string{"A_1", "A_2"}) {
 		t.Error("length-2 match accepted after unrolling to 3")
 	}
@@ -205,7 +214,7 @@ func TestUnrollMinLength(t *testing.T) {
 }
 
 func TestAcceptsAliasSeqFigure4(t *testing.T) {
-	f := MustCompile(figure4Pattern())
+	f := mustCompile(t, figure4Pattern())
 	yes := [][]string{{"A", "B"}, {"A", "A", "B"}, {"A", "B", "A", "B"}, {"A", "A", "B", "A", "B"}}
 	no := [][]string{{}, {"B"}, {"A"}, {"B", "A"}, {"A", "B", "A"}, {"A", "B", "B"}}
 	for _, s := range yes {
@@ -221,7 +230,7 @@ func TestAcceptsAliasSeqFigure4(t *testing.T) {
 }
 
 func TestFlattenFigure4(t *testing.T) {
-	f := MustCompile(figure4Pattern())
+	f := mustCompile(t, figure4Pattern())
 	got := f.Flatten(4)
 	want := [][]string{
 		{"A", "B"},
@@ -240,7 +249,7 @@ func TestFlattenFigure4(t *testing.T) {
 }
 
 func TestFlattenMatchesCount(t *testing.T) {
-	f := MustCompile(figure4Pattern())
+	f := mustCompile(t, figure4Pattern())
 	all := f.Flatten(9)
 	byLen := map[int]uint64{}
 	for _, s := range all {
@@ -254,7 +263,7 @@ func TestFlattenMatchesCount(t *testing.T) {
 }
 
 func TestCountFlattenedLinearPattern(t *testing.T) {
-	f := MustCompile(Plus(Type("A")))
+	f := mustCompile(t, Plus(Type("A")))
 	for n := 1; n <= 5; n++ {
 		if got := f.CountFlattened(n); got != 1 {
 			t.Errorf("A+ has %d strings of length %d, want 1", got, n)
@@ -294,7 +303,7 @@ func TestAliasesOrder(t *testing.T) {
 func TestDisjunctionFSA(t *testing.T) {
 	// OR(SEQ(A,B), C+) — disjunction support from §8.
 	p := Or(Seq(Type("A"), Type("B")), Plus(Type("C")))
-	f := MustCompile(p)
+	f := mustCompile(t, p)
 	if got := f.StartAliases(); !reflect.DeepEqual(got, []string{"A", "C"}) {
 		t.Errorf("start = %v", got)
 	}
@@ -310,7 +319,7 @@ func TestDisjunctionFSA(t *testing.T) {
 }
 
 func TestFSAStringIsInformative(t *testing.T) {
-	f := MustCompile(figure4Pattern())
+	f := mustCompile(t, figure4Pattern())
 	s := f.String()
 	for _, frag := range []string{"start={A}", "end={B}", "A<-{A,B}", "B<-{A}"} {
 		if !strings.Contains(s, frag) {

@@ -116,7 +116,6 @@ func CompareStrings(l, r string, op Op) bool {
 // lets tests use lightweight fakes.
 type attrGetter interface {
 	Attr(name string) (any, bool)
-	SymAttr(name string) (string, bool)
 }
 
 // Local is a predicate on a single event: Alias.Attr ◦ Value.
@@ -178,12 +177,6 @@ func (p Equivalence) String() string {
 		return "[" + p.Attr + "]"
 	}
 	return "[" + p.Alias + "." + p.Attr + "]"
-}
-
-// Key returns the partition value the event contributes under this
-// predicate, and whether the event carries the attribute.
-func (p Equivalence) Key(e attrGetter) (string, bool) {
-	return e.SymAttr(p.Attr)
 }
 
 // Adjacent is a predicate on adjacent events in a trend:
@@ -294,13 +287,4 @@ func (s *Set) EventGrainedAliases(fsa predTyper) map[string]bool {
 		}
 	}
 	return out
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{}
-	c.Locals = append(c.Locals, s.Locals...)
-	c.Equivalences = append(c.Equivalences, s.Equivalences...)
-	c.Adjacents = append(c.Adjacents, s.Adjacents...)
-	return c
 }

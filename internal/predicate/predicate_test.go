@@ -102,18 +102,6 @@ func TestLocalNumeric(t *testing.T) {
 	}
 }
 
-func TestEquivalence(t *testing.T) {
-	global := Equivalence{Attr: "patient"}
-	scoped := Equivalence{Alias: "A", Attr: "company"}
-	e := event.New("Stock", 1).WithSym("company", "IBM").WithNum("patient", 7)
-	if k, ok := scoped.Key(e); !ok || k != "IBM" {
-		t.Errorf("Key = %q, %v", k, ok)
-	}
-	if k, ok := global.Key(e); !ok || k != "7" {
-		t.Errorf("numeric Key = %q, %v", k, ok)
-	}
-}
-
 func TestAdjacentPredicate(t *testing.T) {
 	// M.rate < NEXT(M).rate (query q1).
 	p := Adjacent{Left: "M", LeftAttr: "rate", Op: Lt, Right: "M", RightAttr: "rate"}
@@ -206,11 +194,6 @@ func TestSetStringAndClone(t *testing.T) {
 	}
 	if got := (&Set{}).String(); got != "true" {
 		t.Errorf("empty String = %q", got)
-	}
-	c := s.Clone()
-	c.Locals[0].Alias = "X"
-	if s.Locals[0].Alias != "M" {
-		t.Error("Clone shares slices")
 	}
 	if !s.HasAdjacent() || (&Set{}).HasAdjacent() {
 		t.Error("HasAdjacent wrong")

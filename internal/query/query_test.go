@@ -86,7 +86,10 @@ func TestParseQ2(t *testing.T) {
 	if len(q.Returns) != 1 || q.Returns[0].Func != agg.CountStar {
 		t.Errorf("returns = %v", q.Returns)
 	}
-	f := pattern.MustCompile(q.Pattern)
+	f, err := pattern.Compile(q.Pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !f.IsStart("Accept") || !f.IsEnd("Finish") {
 		t.Errorf("FSA start/end wrong: %s", f)
 	}

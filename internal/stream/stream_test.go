@@ -88,7 +88,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		for i := range want {
 			if got[i].Wid != want[i].Wid ||
 				fmt.Sprint(got[i].Group) != fmt.Sprint(want[i].Group) ||
-				!agg.Equal(got[i].Values, want[i].Values) {
+				!agg.ApproxEqual(got[i].Values, want[i].Values, 0) {
 				t.Fatalf("workers=%d: result %d differs:\n%v\n%v", workers, i, got[i], want[i])
 			}
 		}

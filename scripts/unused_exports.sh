@@ -27,6 +27,7 @@ sase.EnumerateWindow	the tests' trend enumerator, the ground truth of Figure 2's
 Engine.EventsSkipped	frames carry its counter; the snapshot tests read it
 Manager.StatesFor	the allocating twin of AppendStatesFor that the window tests pin it to
 Server.Draining	the drain tests poll it
+cogra.MustCompile	the public API's counterpart of MustParse, for fixed query text
 EOF
 )
 

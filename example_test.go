@@ -12,6 +12,61 @@ import (
 	cogra "repro"
 )
 
+// Example_quickstart is the running example of the paper (Figure 2):
+// the pattern (SEQ(A+, B))+ over the stream a1 b2 a3 a4 c5 b6 a7 b8
+// under all three event matching semantics. COGRA counts 43 trends
+// under skip-till-any-match, 8 under skip-till-next-match and 2 under
+// contiguous — without constructing a single trend. One Session hosts
+// all three queries, the stream is pushed once, and each
+// subscription's results are pulled after Close.
+func Example_quickstart() {
+	stream := []*cogra.Event{
+		cogra.NewEvent("A", 1),
+		cogra.NewEvent("B", 2),
+		cogra.NewEvent("A", 3),
+		cogra.NewEvent("A", 4),
+		cogra.NewEvent("C", 5), // irrelevant: skipped by ANY/NEXT, resets CONT
+		cogra.NewEvent("B", 6),
+		cogra.NewEvent("A", 7),
+		cogra.NewEvent("B", 8),
+	}
+	semantics := []string{"skip-till-any-match", "skip-till-next-match", "contiguous"}
+	sess := cogra.NewSession()
+	subs := make([]*cogra.Subscription, len(semantics))
+	for i, sem := range semantics {
+		q, err := cogra.Parse(fmt.Sprintf(`
+			RETURN COUNT(*)
+			PATTERN (SEQ(A+, B))+
+			SEMANTICS %s
+			WITHIN 100 SLIDE 100`, sem))
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		if subs[i], err = sess.Subscribe(q); err != nil {
+			fmt.Println(err)
+			return
+		}
+	}
+	if err := sess.PushBatch(stream); err != nil {
+		fmt.Println(err)
+		return
+	}
+	if err := sess.Close(); err != nil {
+		fmt.Println(err)
+		return
+	}
+	for i, sub := range subs {
+		for r := range sub.Results() {
+			fmt.Printf("%-22s granularity=%-8s %s\n", semantics[i], sub.Plan().Granularity, r)
+		}
+	}
+	// Output:
+	// skip-till-any-match    granularity=type     window [0,100): COUNT(*)=43
+	// skip-till-next-match   granularity=pattern  window [0,100): COUNT(*)=8
+	// contiguous             granularity=pattern  window [0,100): COUNT(*)=2
+}
+
 // ExampleSession_Push feeds an in-order stream one event at a time and
 // pulls the results after Close.
 func ExampleSession_Push() {

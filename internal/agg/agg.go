@@ -23,6 +23,13 @@
 // are uint64 with well-defined wrap-around modulo 2^64. Every
 // approach uses the same arithmetic, so cross-approach equality
 // checks remain exact.
+//
+// A reported Value costs its numbers: it points at its Spec in the
+// reporting plan's Specs (Specs.ReportInto), which nothing writes once
+// the plan is compiled, instead of copying it into every row. Readers
+// get a copy through Value.Spec, so a row's receiver can never write
+// into a plan, and specs compare by content, never by address. A
+// snapshot frame still writes each value's spec inline (CodeValues).
 package agg
 
 import (
@@ -257,9 +264,11 @@ func (ss Specs) ZeroInto(n *Node) {
 	}
 }
 
-// Value is one reported aggregation result.
+// Value is one reported aggregation result. It points at the
+// reporting plan's Spec instead of copying it (see the package
+// comment); the zero Value reports the zero Spec, COUNT(*).
 type Value struct {
-	Spec Spec
+	spec *Spec
 	// Count is set for COUNT(*) and COUNT(E); for AVG it carries the
 	// contributing COUNT(E) denominator so disjoint partial results
 	// stay mergeable (MergeValues).
@@ -274,16 +283,25 @@ type Value struct {
 	Sum float64
 }
 
+// Spec returns the aggregation request the value answers.
+func (v Value) Spec() Spec {
+	if v.spec == nil {
+		return Spec{}
+	}
+	return *v.spec
+}
+
 // String renders the value, e.g. "COUNT(*)=43" or "MIN(M.rate)=61".
 func (v Value) String() string {
-	switch v.Spec.Func {
+	s := v.Spec()
+	switch s.Func {
 	case CountStar, CountType:
-		return fmt.Sprintf("%s=%d", v.Spec, v.Count)
+		return fmt.Sprintf("%s=%d", s, v.Count)
 	default:
 		if !v.Valid {
-			return fmt.Sprintf("%s=null", v.Spec)
+			return fmt.Sprintf("%s=null", s)
 		}
-		return fmt.Sprintf("%s=%g", v.Spec, v.F)
+		return fmt.Sprintf("%s=%g", s, v.F)
 	}
 }
 
@@ -297,10 +315,12 @@ func (ss Specs) Report(final Node) []Value {
 
 // ReportInto is Report writing into out, which must hold len(ss)
 // values: a caller reporting many nodes at once (a closing window)
-// carves every row from one slab instead of allocating per row.
+// carves every row from one slab instead of allocating per row. The
+// values point at ss's elements, which the caller must never write
+// again — a compiled plan's Specs.
 func (ss Specs) ReportInto(out []Value, final Node) {
 	for i, s := range ss {
-		v := Value{Spec: s}
+		v := Value{spec: &ss[i]}
 		a := final.Aux[i]
 		switch s.Func {
 		case CountStar:
@@ -338,7 +358,7 @@ func (ss Specs) ReportInto(out []Value, final Node) {
 func MergeValues(dst, src []Value) {
 	for i := range dst {
 		a, b := &dst[i], src[i]
-		switch a.Spec.Func {
+		switch a.Spec().Func {
 		case CountStar, CountType:
 			a.Count += b.Count
 		case Min:
@@ -367,7 +387,9 @@ func MergeValues(dst, src []Value) {
 
 // ApproxEqual compares reported values with a relative tolerance on
 // the float results; relTol 0 compares exactly (NaN equals NaN).
-// Counts are always compared exactly; SUM/AVG are accumulated in
+// Specs compare by content, never by address: equal values reported
+// by two plans compiled from one text are equal. Counts are always
+// compared exactly; SUM/AVG are accumulated in
 // algorithm-specific orders, so independent implementations
 // legitimately differ by rounding (the cross-approach experiment
 // harness uses 1e-9).
@@ -376,7 +398,7 @@ func ApproxEqual(a, b []Value, relTol float64) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Spec != b[i].Spec || a[i].Count != b[i].Count || a[i].Valid != b[i].Valid {
+		if a[i].Spec() != b[i].Spec() || a[i].Count != b[i].Count || a[i].Valid != b[i].Valid {
 			return false
 		}
 		af, bf := a[i].F, b[i].F

@@ -2,9 +2,11 @@ package agg
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func allSpecs() Specs {
@@ -371,6 +373,42 @@ func TestEqual(t *testing.T) {
 	}
 	if ApproxEqual(a, a[:1], 0) {
 		t.Error("length mismatch equal")
+	}
+}
+
+// TestSpecsCompareByContent: two plans compiled from one text hold
+// equal specs at different addresses, and their rows compare equal; a
+// spec that differs only in its attribute does not.
+func TestSpecsCompareByContent(t *testing.T) {
+	ss := Specs{{Func: CountStar}, {Func: Sum, Alias: "A", Attr: "x"}}
+	other := slices.Clone(ss)
+	n := fold(ss, step{"A", 2}, step{"A", 5})
+	a, b := ss.Report(n), other.Report(n)
+	if a[1].spec == b[1].spec {
+		t.Fatal("the two reports share a spec; the check is vacuous")
+	}
+	if !ApproxEqual(a, b, 0) {
+		t.Error("equal specs at different addresses compare unequal")
+	}
+	other[1].Attr = "y"
+	if c := other.Report(n); ApproxEqual(a, c, 0) {
+		t.Error("SUM(A.x) and SUM(A.y) compare equal")
+	}
+}
+
+// TestValueCostsItsNumbers: a value points at its plan's spec instead
+// of copying it — 40 bytes on a 64-bit build, where an inline spec made
+// it 72 — and the zero Value, which points at none, reports COUNT(*).
+// That a Spec copy cannot write into a plan is the root package's
+// TestResultSpecIsACopy.
+func TestValueCostsItsNumbers(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if got := unsafe.Sizeof(Value{}); got != 40 {
+			t.Errorf("Value is %d bytes, want 40", got)
+		}
+	}
+	if got := (Value{}).Spec(); got != (Spec{Func: CountStar}) {
+		t.Errorf("the zero Value reports %v, want COUNT(*)", got)
 	}
 }
 

@@ -29,3 +29,41 @@ func CodeSpec(c *snap.Coder, s *Spec) {
 	c.Str(&s.Alias)
 	c.Str(&s.Attr)
 }
+
+// valueMinBytes is the minimum encoded size of a Value: its spec's
+// function byte and two empty strings, then count, float, valid and
+// sum.
+const valueMinBytes = 26
+
+var zeroSpec Spec
+
+// CodeValues lists a result's reported values in wire order, each with
+// its spec written inline: a frame's results outlive the plan that
+// reported them. Decoding gives the values one spec slab to point at.
+func CodeValues(c *snap.Coder, vs *[]Value) {
+	n := len(*vs)
+	c.Len(&n, valueMinBytes)
+	if c.Decoding() {
+		*vs = nil
+		if n == 0 {
+			return
+		}
+		*vs = make([]Value, n)
+		specs := make(Specs, n)
+		for i := range specs {
+			(*vs)[i].spec = &specs[i]
+		}
+	}
+	for i := range *vs {
+		v := &(*vs)[i]
+		spec := v.spec
+		if spec == nil {
+			spec = &zeroSpec // a zero Value, being encoded
+		}
+		CodeSpec(c, spec)
+		c.U64(&v.Count)
+		c.F64(&v.F)
+		c.Bool(&v.Valid)
+		c.F64(&v.Sum)
+	}
+}

@@ -128,11 +128,14 @@ func (r *Runner) evalFast(sub baselines.Substream, collector *baselines.GroupCol
 				continue
 			}
 			specs.Merge(&ref.q.prefix[ref.pos], ref.q.pending[ref.pos])
-			ref.q.pending[ref.pos] = specs.Zero()
+			specs.ZeroInto(&ref.q.pending[ref.pos])
 			ref.q.dirty[ref.pos] = false
 		}
 		dirtyRefs = dirtyRefs[:0]
 	}
+	// Each contribution is extended into one scratch node and merged
+	// at once, so the per-event work allocates nothing.
+	zero, scratch := specs.Zero(), specs.Zero()
 	curTime := int64(0)
 	hasCur := false
 	for _, e := range sub.Events {
@@ -146,17 +149,16 @@ func (r *Runner) evalFast(sub baselines.Substream, collector *baselines.GroupCol
 				return release, baselines.ErrBudget{Units: budget.Used()}
 			}
 			for _, ref := range refs {
-				var node agg.Node
 				if ref.pos == 0 {
-					node = r.ext.Extend(specs.Zero(), alias, e, 1)
+					r.ext.ExtendInto(&scratch, zero, alias, e, 1)
 				} else {
 					prev := ref.q.prefix[ref.pos-1]
 					if prev.Count == 0 {
 						continue
 					}
-					node = r.ext.Extend(prev, alias, e, 0)
+					r.ext.ExtendInto(&scratch, prev, alias, e, 0)
 				}
-				specs.Merge(&ref.q.pending[ref.pos], node)
+				specs.Merge(&ref.q.pending[ref.pos], scratch)
 				if !ref.q.dirty[ref.pos] {
 					ref.q.dirty[ref.pos] = true
 					dirtyRefs = append(dirtyRefs, ref)

@@ -149,3 +149,37 @@ func TestASeqSimultaneousEventsDoNotChain(t *testing.T) {
 		t.Errorf("count = %d, want 2 (no pair across equal time stamps)", results[0].Values[0].Count)
 	}
 }
+
+// TestASeqRunAllocatesPerWindow: the flattened workload's counters are
+// allocated once per window and every extension goes through one
+// scratch node, so a Run's allocations follow its windows, not its
+// events. SEQ(A+, B) with MaxLen 12 flattens into 11 sequence queries;
+// before the scratch node a 200-event window cost 22,546 allocations,
+// two per (event, flattened position).
+func TestASeqRunAllocatesPerWindow(t *testing.T) {
+	allocs := func(n int, window string) float64 {
+		plan := core.MustPlan(query.MustParse("RETURN COUNT(*), SUM(A.x) PATTERN SEQ(A+, B) " + window))
+		events := make([]*event.Event, n)
+		for i := range events {
+			typ := "A"
+			if i%4 == 3 {
+				typ = "B"
+			}
+			events[i] = event.New(typ, int64(i+1)).WithNum("x", float64(i%7))
+		}
+		r := New(plan)
+		r.MaxLen = 12
+		return testing.AllocsPerRun(3, func() {
+			if _, err := r.Run(events); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := allocs(200, "WITHIN 1000 SLIDE 1000")
+	if more := allocs(800, "WITHIN 1000 SLIDE 1000"); more > one+4 {
+		t.Errorf("one window: %v allocations over 200 events, %v over 800; the events should cost none", one, more)
+	}
+	if four := allocs(200, "WITHIN 50 SLIDE 50"); four > 4*one {
+		t.Errorf("200 events: %v allocations in one window, %v in four; want at most four times one", one, four)
+	}
+}

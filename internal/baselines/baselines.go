@@ -405,13 +405,23 @@ func AdjacentOK(plan *core.Plan, fires [][]int64, a string, ep *event.Event, b s
 }
 
 // CandidateAliases returns the pattern types an event can be matched
-// under: its type's aliases filtered by local predicates.
+// under: its type's aliases filtered by local predicates. When every
+// alias passes — always, for a query without local predicates — it is
+// the FSA's own list, which the caller must not modify, and nothing is
+// allocated.
 func CandidateAliases(plan *core.Plan, e *event.Event) []string {
-	var out []string
-	for _, alias := range plan.FSA.AliasesForType(e.Type) {
+	all := plan.FSA.AliasesForType(e.Type)
+	for i, alias := range all {
 		if plan.Where.EvalLocal(alias, e) {
-			out = append(out, alias)
+			continue
 		}
+		out := slices.Clone(all[:i])
+		for _, alias := range all[i+1:] {
+			if plan.Where.EvalLocal(alias, e) {
+				out = append(out, alias)
+			}
+		}
+		return out
 	}
-	return out
+	return all
 }

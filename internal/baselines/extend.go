@@ -58,9 +58,17 @@ func (x *Extender) mask(alias string) []bool {
 // caller may keep.
 func (x *Extender) Extend(pred agg.Node, alias string, e *event.Event, started uint64) agg.Node {
 	var out agg.Node
-	x.src.e = e
-	x.specs.ExtendInto(&out, pred, x.mask(alias), &x.src, started)
+	x.ExtendInto(&out, pred, alias, e, started)
 	return out
+}
+
+// ExtendInto is Extend writing into dst, whose Aux storage is reused
+// (agg.Specs.ExtendInto): a caller that merges the node right away
+// extends into one scratch node and allocates nothing. dst must not
+// alias pred.
+func (x *Extender) ExtendInto(dst *agg.Node, pred agg.Node, alias string, e *event.Event, started uint64) {
+	x.src.e = e
+	x.specs.ExtendInto(dst, pred, x.mask(alias), &x.src, started)
 }
 
 // Fold returns the aggregate of one materialised trend, events[i]

@@ -25,7 +25,7 @@ package core
 //
 // What is recycled is what the last window generation used, not the most
 // a sub-stream ever needed: reset gives the slabs it did not reach back
-// to the GC, and shed does the same for the plain slices an aggregator
+// to the GC, and Shed does the same for the plain slices an aggregator
 // keeps, so one dense partition does not size the pool for good.
 const (
 	arenaMinEntries = 8
@@ -74,11 +74,12 @@ func (a *arena[T]) reset() {
 	a.cur, a.off = 0, 0
 }
 
-// shed truncates s for the next window generation, keeping its storage
+// Shed truncates s for the next window generation, keeping its storage
 // — unless the generation that ends used less than a quarter of it:
 // then it is sized for a spike and goes back to the GC. Storage the size
-// of an arena's first slab always stays.
-func shed[T any](s []T) []T {
+// of an arena's first slab always stays. The result buffers a drain
+// recycles (internal/runtime, internal/stream) follow the same rule.
+func Shed[T any](s []T) []T {
 	if cap(s) > arenaMinEntries && len(s) < cap(s)/4 {
 		return nil
 	}

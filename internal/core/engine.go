@@ -621,7 +621,7 @@ func (e *Engine) emit(wid int64, ws *winState) {
 	}
 	// The scratch keeps the storage this window used and no string of it.
 	clear(groups)
-	sc.rows, sc.groups, sc.aux = shed(rows), shed(groups), shed(aux)
+	sc.rows, sc.groups, sc.aux = Shed(rows), Shed(groups), Shed(aux)
 
 	// The state is pooled with every slot emptied — unless its slot array
 	// is sized for ids a compacted dictionary has since given back.

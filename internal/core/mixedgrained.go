@@ -477,7 +477,7 @@ func (t *mixedGrained) Results() []bindingResult {
 
 // Release returns all retained memory to the accountant and empties the
 // aggregator in place for its next sub-stream, keeping the storage this
-// one used (shed). Windows the manager drops unreported never flush, so
+// one used (Shed). Windows the manager drops unreported never flush, so
 // the memo is disowned here too.
 func (t *mixedGrained) Release() {
 	t.sh.memo.disown(t)
@@ -492,7 +492,7 @@ func (t *mixedGrained) Release() {
 				freed += entries[i].foot
 			}
 			clear(entries) // their cells go back to the arenas below
-			te.stored[id] = shed(entries)
+			te.stored[id] = Shed(entries)
 		}
 		freed += te.fires.footprint()
 		te.fires.reset()

@@ -89,9 +89,9 @@ func (t *nodeTable) reset() {
 }
 
 // release is reset at the end of a window generation: storage the
-// generation left mostly unused goes back to the GC (shed).
+// generation left mostly unused goes back to the GC (Shed).
 func (t *nodeTable) release() {
-	if shed(t.entries) == nil {
+	if Shed(t.entries) == nil {
 		t.entries, t.idx = nil, nil
 		return
 	}

@@ -125,15 +125,7 @@ func CodeResult(c *snap.Coder, res *Result) {
 	c.I64(&res.Start)
 	c.I64(&res.End)
 	snap.Slice(c, &res.Group, 4, (*snap.Coder).Str)
-	snap.Slice(c, &res.Values, 26, codeValue)
-}
-
-func codeValue(c *snap.Coder, v *agg.Value) {
-	agg.CodeSpec(c, &v.Spec)
-	c.U64(&v.Count)
-	c.F64(&v.F)
-	c.Bool(&v.Valid)
-	c.F64(&v.Sum)
+	agg.CodeValues(c, &res.Values)
 }
 
 // --- bindings ---

@@ -156,13 +156,13 @@ func (n *negFires) blockedBetween(ci int, t1, t2 int64) bool {
 	return i < len(ts) && ts[i] < t2
 }
 
-// reset forgets every fire, keeping the storage it used (shed).
+// reset forgets every fire, keeping the storage it used (Shed).
 func (n *negFires) reset() {
 	if n == nil {
 		return
 	}
 	for ci := range n.times {
-		n.times[ci] = shed(n.times[ci])
+		n.times[ci] = Shed(n.times[ci])
 	}
 }
 

@@ -1,6 +1,7 @@
 package diff
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestRepairSlackTieInversion(t *testing.T) {
 // a newline does not forge a line, and Equal and Diff tell such results
 // apart.
 func TestCanonQuotesGroups(t *testing.T) {
-	count := func(n uint64) []agg.Value { return []agg.Value{{Spec: agg.Spec{Func: agg.CountStar}, Count: n}} }
+	count := func(n uint64) []agg.Value { return []agg.Value{{Count: n}} }
 	res := func(group ...string) []cogra.Result {
 		return []cogra.Result{{Wid: 1, Start: 10, End: 20, Group: group, Values: count(2)}}
 	}
@@ -60,5 +61,24 @@ func TestCanonQuotesGroups(t *testing.T) {
 		if strings.Count(Canon(pair[0]), "\n") != 1 {
 			t.Errorf("Canon(%q) spans more than one line", pair[0][0].Group)
 		}
+	}
+}
+
+// TestCompareReadsSpecsByContent: rows of two plans compiled from one
+// RETURN clause point at different but equal specs, and Compare finds
+// them equal at tolerance 0; rows whose specs differ it tells apart.
+func TestCompareReadsSpecsByContent(t *testing.T) {
+	mine := agg.Specs{{Func: agg.CountStar}, {Func: agg.Max, Alias: "A", Attr: "x"}}
+	theirs := slices.Clone(mine)
+	node := agg.Node{Count: 3, Aux: []agg.Aux{{}, {F: 7, Valid: true}}}
+	res := func(ss agg.Specs) []cogra.Result {
+		return []cogra.Result{{Wid: 2, Start: 20, End: 30, Group: []string{"g"}, Values: ss.Report(node)}}
+	}
+	if d := Compare(res(mine), res(theirs), 0); d != "" {
+		t.Errorf("equal specs at different addresses: %s", d)
+	}
+	theirs[1].Func = agg.Min
+	if Compare(res(mine), res(theirs), 0) == "" {
+		t.Error("MAX(A.x) and MIN(A.x) rows compare equal")
 	}
 }

@@ -77,12 +77,27 @@ func (s *Subscription) Plan() *core.Plan { return s.plan }
 
 // Drain returns the results collected since the last Drain and clears
 // the buffer (nil when the subscription streams through a result
-// callback). Windows still open are not included — they emit when the
-// watermark passes them.
+// callback, or when nothing closed). Windows still open are not
+// included — they emit when the watermark passes them.
 func (s *Subscription) Drain() []core.Result {
 	out := s.buf
+	if len(out) == 0 {
+		return nil
+	}
 	s.buf, s.last = nil, len(out)
 	return out
+}
+
+// Recycle gives back a buffer Drain handed over, once its receiver has
+// copied every result out of it: the buffer is cleared and collects the
+// next results instead of a fresh one, unless that drain used less than
+// a quarter of it (core.Shed). Call it where Drain may be called.
+func (s *Subscription) Recycle(buf []core.Result) {
+	if s.buf != nil {
+		return // a buffer an empty Drain left in place
+	}
+	clear(buf)
+	s.buf = core.Shed(buf)
 }
 
 // Active reports whether the subscription still receives events.

@@ -57,7 +57,7 @@ func ToWireResult(r cogra.Result) WireResult {
 	out := WireResult{Wid: r.Wid, Start: r.Start, End: r.End, Group: r.Group, Text: r.String()}
 	out.Values = make([]WireValue, len(r.Values))
 	for i, v := range r.Values {
-		wv := WireValue{Spec: v.Spec.String(), Count: v.Count, F: v.F, Valid: v.Valid}
+		wv := WireValue{Spec: v.Spec().String(), Count: v.Count, F: v.F, Valid: v.Valid}
 		if !v.Valid {
 			// An invalid AVG carries NaN, which JSON cannot encode; the
 			// float is meaningless without Valid anyway.

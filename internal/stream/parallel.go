@@ -102,13 +102,17 @@ type MultiExecutor struct {
 	fallbackPend *[]*event.Event
 	pending      []*[]*event.Event // per-worker batch under construction
 	keyBuf       []byte
-	pool         sync.Pool
-	subs         []*Sub // every subscription ever, indexed by id
-	seq          int64
-	lastTime     int64
-	sawEvent     bool
-	skipped      int64
-	retiredPeak  int64 // summed peaks of retired fallback workers
+	// pool is allocated apart from the executor: a sync.Pool stays
+	// registered with the Go runtime for up to two GC cycles after its
+	// last use, and an embedded one would keep a closed executor — its
+	// engines, plans and results — alive with it.
+	pool        *sync.Pool
+	subs        []*Sub // every subscription ever, indexed by id
+	seq         int64
+	lastTime    int64
+	sawEvent    bool
+	skipped     int64
+	retiredPeak int64 // summed peaks of retired fallback workers
 	// retiredFlips and retiredSaved keep the sharing counters of retired
 	// fallback workers, mirroring retiredPeak.
 	retiredFlips int64
@@ -127,6 +131,7 @@ type Sub struct {
 	hosts  []*mworker
 	wsubs  []*runtime.Subscription // parallel to hosts
 	parts  [][]core.Result         // the hosts' results on their way to deliver
+	merged []core.Result           // a merge's storage the callback consumed
 }
 
 // ID returns the subscription's id: 0-based, in subscribe order.
@@ -199,9 +204,11 @@ func NewMultiExecutorOn(cat *core.Catalog, n int, engOpts ...core.Option) *Multi
 // snapshot restore, which learns n from the frame.
 func (m *MultiExecutor) start(n int) {
 	m.inThread = n == 1
-	m.pool.New = func() any {
-		b := make([]*event.Event, 0, routeBatchSize)
-		return &b
+	if !m.inThread {
+		m.pool = &sync.Pool{New: func() any {
+			b := make([]*event.Event, 0, routeBatchSize)
+			return &b
+		}}
 	}
 	m.pending = make([]*[]*event.Event, n)
 	for i := 0; i < n; i++ {
@@ -212,7 +219,7 @@ func (m *MultiExecutor) start(n int) {
 // newWorker builds one worker and, unless the executor runs in-thread,
 // starts its goroutine.
 func (m *MultiExecutor) newWorker() *mworker {
-	w := &mworker{pool: &m.pool, rt: runtime.NewOn(m.cat), engOpts: m.engOpts}
+	w := &mworker{pool: m.pool, rt: runtime.NewOn(m.cat), engOpts: m.engOpts}
 	if !m.inThread {
 		w.start()
 	}
@@ -499,15 +506,30 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 	// Even on a partial failure the healthy workers' engines have been
 	// flushed and released; return what they reported alongside the
 	// error rather than destroying it.
-	return sub.deliver(parts), firstErr
+	return sub.deliver(parts, nil), firstErr
 }
 
 // deliver merges one subscription's per-host results — handed over for
 // good — into the order a single engine emits them and hands them to the
-// callback when one is installed, else back to the caller. parts' own
-// storage is kept for the next gather.
-func (s *Sub) deliver(parts [][]core.Result) []core.Result {
-	merged := mergeResults(parts)
+// callback when one is installed, else back to the caller. A lone list
+// is delivered as is. Lists the merge copied out of go back to the
+// hosts' subscriptions in back (parallel to parts; nil when the hosts
+// are not parked or not staying) to collect the next results, and a
+// merged list the callback consumed is kept for the next merge. parts'
+// own storage is kept for the next gather.
+func (s *Sub) deliver(parts [][]core.Result, back []*runtime.Subscription) []core.Result {
+	var dst []core.Result
+	if s.cb != nil {
+		// Taken, not borrowed: a callback that drains again merges into
+		// storage of its own.
+		dst, s.merged = s.merged, nil
+	}
+	merged, copied := mergeResults(dst, parts)
+	if copied && back != nil {
+		for i, p := range parts {
+			back[i].Recycle(p)
+		}
+	}
 	clear(parts)
 	s.parts = parts[:0]
 	if s.cb == nil {
@@ -515,6 +537,10 @@ func (s *Sub) deliver(parts [][]core.Result) []core.Result {
 	}
 	for _, r := range merged {
 		s.cb(r)
+	}
+	if copied {
+		clear(merged)
+		s.merged = core.Shed(merged)
 	}
 	return nil
 }
@@ -560,11 +586,12 @@ func (m *MultiExecutor) drain(sub *Sub) ([]core.Result, error) {
 	// Drained results are destructively taken from the worker engines;
 	// hand them over even when one worker reported an error.
 	parts, err := m.drainHosts(sub)
-	return sub.deliver(parts), err
+	return sub.deliver(parts, sub.wsubs), err
 }
 
 // drainHosts parks sub's hosts at the executor's watermark and takes
-// each one's closed results, in host order.
+// each one's closed results, in host order (nil for a worker in error
+// state), and leaves the hosts parked.
 func (m *MultiExecutor) drainHosts(sub *Sub) ([][]core.Result, error) {
 	m.flushPending()
 	m.park(sub.hosts)
@@ -575,6 +602,7 @@ func (m *MultiExecutor) drainHosts(sub *Sub) ([][]core.Result, error) {
 			if firstErr == nil {
 				firstErr = w.err
 			}
+			parts = append(parts, nil)
 			continue
 		}
 		parts = append(parts, sub.wsubs[i].Drain())
@@ -701,6 +729,7 @@ func (w *mworker) process(batch *[]*event.Event) {
 		// the remaining input is drained without processing.
 		w.err = w.rt.ProcessBatch(*batch)
 	}
+	clear(*batch) // a pooled batch pins no event
 	*batch = (*batch)[:0]
 	w.pool.Put(batch)
 }
@@ -865,7 +894,7 @@ func (p *MultiExecutor) Close() ([][]core.Result, error) {
 		for i, w := range sub.hosts {
 			parts = append(parts, w.results[sub.wsubs[i].ID()])
 		}
-		out[sub.id] = sub.deliver(parts)
+		out[sub.id] = sub.deliver(parts, nil)
 	}
 	return out, nil
 }
@@ -878,9 +907,11 @@ func (p *MultiExecutor) Close() ([][]core.Result, error) {
 // solo engine would have emitted (agg.MergeValues). Each host's results
 // are in that order already — an engine emits so, and
 // TestWorkerDrainsAreOrdered holds every worker's drain to it — so this
-// is a k-way merge of the hosts' heads; a lone non-empty list is
-// returned as is, uncopied. parts' entries are consumed.
-func mergeResults(parts [][]core.Result) []core.Result {
+// is a k-way merge of the hosts' heads into dst's storage; a lone
+// non-empty list is returned as is, uncopied. copied reports whether
+// the result is a merge, which leaves the lists free for reuse. parts
+// is not modified.
+func mergeResults(dst []core.Result, parts [][]core.Result) (out []core.Result, copied bool) {
 	total, lists := 0, 0
 	var only []core.Result
 	for _, p := range parts {
@@ -889,21 +920,32 @@ func mergeResults(parts [][]core.Result) []core.Result {
 		}
 	}
 	if lists < 2 {
-		return only
+		return only, false
 	}
-	out := make([]core.Result, 0, total)
+	// The hosts' cursors: on the stack for any executor this side of
+	// eight workers.
+	var cursors [8]int
+	var head []int
+	if len(parts) <= len(cursors) {
+		head = cursors[:len(parts)]
+	} else {
+		head = make([]int, len(parts))
+	}
+	if out = dst[:0]; cap(out) < total {
+		out = make([]core.Result, 0, total)
+	}
 	for {
 		best := -1
 		for i, p := range parts {
-			if len(p) > 0 && (best < 0 || core.CompareResults(p[0], parts[best][0]) < 0) {
+			if head[i] < len(p) && (best < 0 || core.CompareResults(p[head[i]], parts[best][head[best]]) < 0) {
 				best = i
 			}
 		}
 		if best < 0 {
-			return out
+			return out, true
 		}
-		r := parts[best][0]
-		parts[best] = parts[best][1:]
+		r := parts[best][head[best]]
+		head[best]++
 		if n := len(out); n > 0 && core.CompareResults(out[n-1], r) == 0 {
 			agg.MergeValues(out[n-1].Values, r.Values)
 			continue

@@ -13,10 +13,12 @@ package cogra_test
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
 	cogra "repro"
+	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/fuzz/diff"
 )
@@ -531,6 +533,88 @@ func TestSessionDrainHandsOverWithoutCopying(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs-1, pushDrain); got != 2 {
 		t.Errorf("push + Drain of one closed window: %v allocations, want 2", got)
+	}
+}
+
+// TestWorkerDrainRecyclesResultBuffers: a Drain that merges two
+// workers' results copies them into the merged slice and hands each
+// worker its buffer back for the next windows. A warm 2-worker Drain of
+// one closed window over eight groups therefore allocates the merged
+// slice and the window's rows — a value slab and a group-tuple slab on
+// each worker — and nothing else: five allocations. A fresh worker
+// buffer per drain, or one that regrew, would add to them. The count
+// is taken around Drain alone: the batch the push routes comes from a
+// sync.Pool, which drops a share of what it is given under the race
+// detector.
+func TestWorkerDrainRecyclesResultBuffers(t *testing.T) {
+	sess := cogra.NewSession(cogra.WithWorkers(2))
+	defer sess.Close()
+	sub, err := sess.Subscribe(cogra.MustParse(`RETURN COUNT(*) PATTERN A+ WHERE [k] GROUP-BY k WITHIN 10 SLIDE 10`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const groups, warm, runs = 8, 20, 50
+	var before, after goruntime.MemStats
+	var mallocs uint64
+	for w := 0; w <= warm+runs; w++ {
+		batch := make([]*cogra.Event, groups)
+		for g := range batch {
+			batch[g] = cogra.NewEvent("A", int64(10*w+g)).WithSym("k", fmt.Sprint("k", g))
+			batch[g].ID = int64(w*groups + g + 1)
+		}
+		if err := sess.PushBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		goruntime.ReadMemStats(&before)
+		got := sub.Drain()
+		goruntime.ReadMemStats(&after)
+		if w > 0 && len(got) != groups {
+			t.Fatalf("a push past a window boundary drained %d results, want %d", len(got), groups)
+		}
+		if w > warm {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	if got := mallocs / runs; got != 5 { // truncated, as testing.AllocsPerRun does
+		t.Errorf("Drain merging two workers: %v allocations, want 5", got)
+	}
+}
+
+// TestResultSpecIsACopy: a row's spec points at its plan's RETURN
+// clause, but Spec hands out a copy: writing to it reaches neither the
+// plan's clause nor the rows delivered later.
+func TestResultSpecIsACopy(t *testing.T) {
+	sess := cogra.NewSession()
+	defer sess.Close()
+	sub, err := sess.Subscribe(cogra.MustParse(`RETURN COUNT(*), MAX(A.x) PATTERN A+ WITHIN 10 SLIDE 10`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(at int64) []cogra.Result {
+		if err := sess.Push(cogra.NewEvent("A", at).WithNum("x", float64(at))); err != nil {
+			t.Fatal(err)
+		}
+		return sub.Drain()
+	}
+	push(1)
+	first := push(11)
+	if len(first) != 1 {
+		t.Fatalf("first window: %d results, want 1", len(first))
+	}
+	spec := first[0].Values[1].Spec()
+	spec.Func, spec.Attr = agg.Min, "y"
+	later := push(21)
+	if len(later) != 1 {
+		t.Fatalf("second window: %d results, want 1", len(later))
+	}
+	want := "MAX(A.x)"
+	if got := sub.Plan().Query.Returns[1].String(); got != want {
+		t.Errorf("the plan's RETURN clause reads %s after a row's spec copy was written, want %s", got, want)
+	}
+	for _, r := range []cogra.Result{first[0], later[0]} {
+		if got := r.Values[1].Spec().String(); got != want {
+			t.Errorf("%v: spec %s, want %s", r, got, want)
+		}
 	}
 }
 

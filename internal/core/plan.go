@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/agg"
@@ -79,7 +80,9 @@ type Plan struct {
 	FSA *pattern.FSA
 	// Granularity is the selected aggregation granularity (§3.3).
 	Granularity Granularity
-	// Specs is the compiled RETURN clause.
+	// Specs is the compiled RETURN clause: the plan's own copy of
+	// Query.Returns, which delivered rows point into (agg.Value), so
+	// nothing may write it.
 	Specs agg.Specs
 	// Where holds the classified predicates.
 	Where *predicate.Set
@@ -156,9 +159,8 @@ func NewPlanIn(cat *Catalog, q *query.Query) (*Plan, error) {
 		cat:         cat,
 		FSA:         fsa,
 		Granularity: SelectGranularity(q.Semantics, q.Where.HasAdjacent()),
-		Specs:       q.Returns,
+		Specs:       slices.Clone(q.Returns),
 		Where:       q.Where,
-		negGuard:    map[[2]string]int{},
 	}
 	p.text = q.String()
 	p.fingerprint = p.text[strings.Index(p.text, "\nPATTERN ")+1:]
@@ -236,6 +238,9 @@ func NewPlanIn(cat *Catalog, q *query.Query) (*Plan, error) {
 		for _, pred := range nc.Pred {
 			for _, fol := range nc.Follow {
 				pair := [2]string{pred, fol}
+				if p.negGuard == nil {
+					p.negGuard = map[[2]string]int{} // only a plan with negation has one
+				}
 				if _, dup := p.negGuard[pair]; !dup {
 					p.negGuard[pair] = i
 				}

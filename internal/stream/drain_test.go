@@ -318,16 +318,13 @@ func TestSortResultsMatchesJoinedReference(t *testing.T) {
 	}
 
 	specs := agg.Specs{{Func: agg.CountStar}, {Func: agg.Sum, Alias: "A", Attr: "x"}}
-	var merged []core.Result
+	heads := make([]int, 4) // one set of cursors for every merge, as a Sub keeps
 	for iter := 0; iter < 4000; iter++ {
 		alphabet, ref := plainAlphabet, cmpJoined
 		if iter%2 == 1 {
 			alphabet, ref = nulAlphabet, cmpTuples
 		}
-		hosts := 1 + rng.Intn(4)
-		if iter%100 == 0 {
-			hosts = 10 // more hosts than the merge keeps cursors for on the stack
-		}
+		hosts := 1 + rng.Intn(len(heads))
 		parts := make([][]core.Result, hosts)
 		var all []core.Result
 		for h := range parts {
@@ -353,10 +350,7 @@ func TestSortResultsMatchesJoinedReference(t *testing.T) {
 			}
 		}
 		want := sortResultsBy(all, ref)
-		got, copied := mergeResults(merged, parts)
-		if copied {
-			merged = got // the next merge reuses this one's storage, as a callback's drains do
-		}
+		got, _ := mergeResults(parts, heads)
 		if len(got) != len(want) {
 			t.Fatalf("iteration %d: %d results, reference %d", iter, len(got), len(want))
 		}
@@ -469,66 +463,5 @@ func TestWorkerDrainsAreOrdered(t *testing.T) {
 		if spans == 0 {
 			t.Errorf("%d workers: no drain gathered from more than one host; the check is vacuous", workers)
 		}
-	}
-}
-
-// TestCallbackDrainsReuseMergedStorage: with a callback installed, a
-// drain that merges workers delivers out of a merged list the
-// subscription keeps for its next merge; the rows a callback kept stay
-// what they were, and each drain delivers what a pull subscription of
-// the same plan returns at that position.
-func TestCallbackDrainsReuseMergedStorage(t *testing.T) {
-	cat := core.NewCatalog()
-	plan, err := core.NewPlanIn(cat, parallelQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMultiExecutorOn(cat, 2)
-	pull, err := m.SubscribePlan(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept []core.Result
-	push, err := m.SubscribePlan(plan, WithCallback(func(r core.Result) { kept = append(kept, r) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := parallelStream(3000, 12)
-	var want []core.Result
-	var storage *core.Result
-	merges, reused := 0, 0
-	for lo := 0; lo < len(events); lo += 100 {
-		if err := m.ProcessBatch(events[lo:min(lo+100, len(events))]); err != nil {
-			t.Fatal(err)
-		}
-		got, err := pull.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, got...)
-		n := len(kept)
-		if _, err := push.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if d := fmt.Sprint(kept[n:]); d != fmt.Sprint(got) {
-			t.Fatalf("events [0,%d): callback drain\n%s\npull drain\n%v", lo+100, d, got)
-		}
-		if cap(push.merged) > 0 {
-			merges++
-			if s := &push.merged[:1][0]; s == storage {
-				reused++
-			} else {
-				storage = s
-			}
-		}
-	}
-	if fmt.Sprint(kept) != fmt.Sprint(want) {
-		t.Error("rows a callback kept changed after later drains")
-	}
-	if reused == 0 {
-		t.Errorf("%d merging drains, none reused the previous merge's storage", merges)
-	}
-	if _, err := m.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

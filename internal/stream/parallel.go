@@ -131,7 +131,7 @@ type Sub struct {
 	hosts  []*mworker
 	wsubs  []*runtime.Subscription // parallel to hosts
 	parts  [][]core.Result         // the hosts' results on their way to deliver
-	merged []core.Result           // a merge's storage the callback consumed
+	heads  []int                   // mergeResults' cursors, kept like parts
 }
 
 // ID returns the subscription's id: 0-based, in subscribe order.
@@ -514,17 +514,13 @@ func (m *MultiExecutor) unsubscribe(sub *Sub) ([]core.Result, error) {
 // callback when one is installed, else back to the caller. A lone list
 // is delivered as is. Lists the merge copied out of go back to the
 // hosts' subscriptions in back (parallel to parts; nil when the hosts
-// are not parked or not staying) to collect the next results, and a
-// merged list the callback consumed is kept for the next merge. parts'
+// are not parked or not staying) to collect the next results. parts'
 // own storage is kept for the next gather.
 func (s *Sub) deliver(parts [][]core.Result, back []*runtime.Subscription) []core.Result {
-	var dst []core.Result
-	if s.cb != nil {
-		// Taken, not borrowed: a callback that drains again merges into
-		// storage of its own.
-		dst, s.merged = s.merged, nil
+	if len(parts) > 1 && len(s.heads) < len(parts) {
+		s.heads = make([]int, len(parts)) // a lone host never merges
 	}
-	merged, copied := mergeResults(dst, parts)
+	merged, copied := mergeResults(parts, s.heads)
 	if copied && back != nil {
 		for i, p := range parts {
 			back[i].Recycle(p)
@@ -537,10 +533,6 @@ func (s *Sub) deliver(parts [][]core.Result, back []*runtime.Subscription) []cor
 	}
 	for _, r := range merged {
 		s.cb(r)
-	}
-	if copied {
-		clear(merged)
-		s.merged = core.Shed(merged)
 	}
 	return nil
 }
@@ -907,11 +899,11 @@ func (p *MultiExecutor) Close() ([][]core.Result, error) {
 // solo engine would have emitted (agg.MergeValues). Each host's results
 // are in that order already — an engine emits so, and
 // TestWorkerDrainsAreOrdered holds every worker's drain to it — so this
-// is a k-way merge of the hosts' heads into dst's storage; a lone
-// non-empty list is returned as is, uncopied. copied reports whether
-// the result is a merge, which leaves the lists free for reuse. parts
-// is not modified.
-func mergeResults(dst []core.Result, parts [][]core.Result) (out []core.Result, copied bool) {
+// is a k-way merge of the hosts' heads, with head (one cursor per
+// list, len(head) >= len(parts)) as scratch; a lone non-empty list is
+// returned as is, uncopied. copied reports whether the result is a
+// merge, which leaves the lists free for reuse. parts is not modified.
+func mergeResults(parts [][]core.Result, head []int) (out []core.Result, copied bool) {
 	total, lists := 0, 0
 	var only []core.Result
 	for _, p := range parts {
@@ -922,18 +914,9 @@ func mergeResults(dst []core.Result, parts [][]core.Result) (out []core.Result, 
 	if lists < 2 {
 		return only, false
 	}
-	// The hosts' cursors: on the stack for any executor this side of
-	// eight workers.
-	var cursors [8]int
-	var head []int
-	if len(parts) <= len(cursors) {
-		head = cursors[:len(parts)]
-	} else {
-		head = make([]int, len(parts))
-	}
-	if out = dst[:0]; cap(out) < total {
-		out = make([]core.Result, 0, total)
-	}
+	head = head[:len(parts)]
+	clear(head)
+	out = make([]core.Result, 0, total)
 	for {
 		best := -1
 		for i, p := range parts {

@@ -580,13 +580,15 @@ func TestWorkerDrainRecyclesResultBuffers(t *testing.T) {
 	}
 }
 
-// TestResultSpecIsACopy: a row's spec points at its plan's RETURN
-// clause, but Spec hands out a copy: writing to it reaches neither the
-// plan's clause nor the rows delivered later.
+// TestResultSpecIsACopy: a row's spec points at its plan's compiled
+// copy of the RETURN clause, but Spec hands out a copy: writing to it
+// reaches neither the plan's clause nor the rows delivered later, and
+// writing the subscribed query's clause reaches no row.
 func TestResultSpecIsACopy(t *testing.T) {
 	sess := cogra.NewSession()
 	defer sess.Close()
-	sub, err := sess.Subscribe(cogra.MustParse(`RETURN COUNT(*), MAX(A.x) PATTERN A+ WITHIN 10 SLIDE 10`))
+	q := cogra.MustParse(`RETURN COUNT(*), MAX(A.x) PATTERN A+ WITHIN 10 SLIDE 10`)
+	sub, err := sess.Subscribe(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +613,12 @@ func TestResultSpecIsACopy(t *testing.T) {
 	if got := sub.Plan().Query.Returns[1].String(); got != want {
 		t.Errorf("the plan's RETURN clause reads %s after a row's spec copy was written, want %s", got, want)
 	}
-	for _, r := range []cogra.Result{first[0], later[0]} {
+	q.Returns[1].Func = agg.Min // the caller's query, after Subscribe
+	last := push(31)
+	if len(last) != 1 {
+		t.Fatalf("third window: %d results, want 1", len(last))
+	}
+	for _, r := range []cogra.Result{first[0], later[0], last[0]} {
 		if got := r.Values[1].Spec().String(); got != want {
 			t.Errorf("%v: spec %s, want %s", r, got, want)
 		}

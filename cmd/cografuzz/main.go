@@ -11,11 +11,13 @@
 //	cografuzz -seed 1 -n 200 -out testdata/repros   # deterministic batch
 //	cografuzz -budget 75s                           # CI smoke
 //	cografuzz -repro testdata/repros/f.repro        # replay one failure
+//	cografuzz -repro testdata/scenarios/f.repro     # replay a corpus file
 //	cografuzz -list                                 # show the oracle suite
 //
-// Exit status: 0 when every scenario passed (or a replayed repro no
-// longer fails), 1 when a mismatch was found (or a replayed repro
-// still fails), 2 on usage or I/O errors.
+// -repro prints one verdict per oracle the file names, and one for its
+// reach properties. Exit status: 0 when every scenario passed (or every
+// verdict of a replayed file passes), 1 when a mismatch was found (or a
+// replayed file still fails), 2 on usage or I/O errors.
 package main
 
 import (
@@ -51,17 +53,23 @@ func main() {
 	}
 
 	if *repro != "" {
-		rep, mismatch, err := fuzz.ReplayFile(*repro)
+		rep, verdicts, err := fuzz.ReplayFile(*repro)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cografuzz: %v\n", err)
 			os.Exit(2)
 		}
-		if mismatch != "" {
-			fmt.Printf("%s: oracle %s still fails on %s:\n%s\n", *repro, rep.Oracle, rep.Scenario, mismatch)
+		failed := false
+		for _, v := range verdicts {
+			if v.Mismatch != "" {
+				failed = true
+				fmt.Printf("%s: %s FAILS on %s:\n%s\n", *repro, v.Oracle, rep.Scenario, v.Mismatch)
+			} else {
+				fmt.Printf("%s: %s passes (%s)\n", *repro, v.Oracle, rep.Scenario)
+			}
+		}
+		if failed {
 			os.Exit(1)
 		}
-		fmt.Printf("%s: oracle %s passes (%s) — the captured bug no longer reproduces\n",
-			*repro, rep.Oracle, rep.Scenario)
 		return
 	}
 

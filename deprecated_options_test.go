@@ -6,9 +6,11 @@ package cogra_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	cogra "repro"
+	"repro/internal/fuzz/diff"
 )
 
 // TestDeprecatedSessionOptionsAreNoOps: WithSharedAggregation and
@@ -18,7 +20,7 @@ import (
 // fingerprint-equal queries, and a one-slot query whose interns
 // rotate); their snapshot frames must be byte-identical.
 func TestDeprecatedSessionOptionsAreNoOps(t *testing.T) {
-	fleet := append(sharedFleetQueries()["type"][:2:2], lifecycleQueries()["type-slots"])
+	fleet := []string{diff.PatientQueries()["type"], strings.Replace(diff.PatientQueries()["type"], "COUNT(*), SUM(A.v)", "COUNT(*)", 1), typeSlots}
 	events := lifecycleStream(2000)
 	frame := func(opts ...cogra.SessionOption) []byte {
 		sess := cogra.NewSession(opts...)

@@ -1,11 +1,13 @@
 package cogra_test
 
-// The permanent regression net behind testdata/repros/: every file in
-// the directory is a shrunk scenario cografuzz once caught failing an
-// oracle, committed after the underlying bug was fixed. Replaying them
-// here pins each bug fixed forever — a regression flips the replay
-// back to failing. New repros are added by copying the file cografuzz
-// -out wrote (see README "Differential fuzzing").
+// The replayed corpora. testdata/repros holds shrunk scenarios
+// cografuzz once caught failing an oracle, committed after the bug was
+// fixed: replaying them pins each bug fixed forever. testdata/scenarios
+// holds the differential spine's scenarios (written by
+// scripts/gen_fuzz_corpus.go from fuzz.Corpus): each replays through
+// the oracles it names and must reach the properties it names. New
+// repros are added by copying the file cografuzz -out wrote (see README
+// "Differential fuzzing").
 
 import (
 	"os"
@@ -15,8 +17,9 @@ import (
 	"repro/internal/fuzz"
 )
 
-func TestFuzzRepros(t *testing.T) {
-	dir := filepath.Join("testdata", "repros")
+// replayCorpus replays every .repro file under dir, one parallel
+// subtest per file, and fails on every verdict with a mismatch.
+func replayCorpus(t *testing.T, dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading %s: %v", dir, err)
@@ -28,17 +31,23 @@ func TestFuzzRepros(t *testing.T) {
 		}
 		ran++
 		t.Run(ent.Name(), func(t *testing.T) {
-			rep, mismatch, err := fuzz.ReplayFile(filepath.Join(dir, ent.Name()))
+			t.Parallel()
+			rep, verdicts, err := fuzz.ReplayFile(filepath.Join(dir, ent.Name()))
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}
-			if mismatch != "" {
-				t.Errorf("oracle %s fails again on %s — a fixed bug has regressed:\n%s",
-					rep.Oracle, rep.Scenario, mismatch)
+			for _, v := range verdicts {
+				if v.Mismatch != "" {
+					t.Errorf("%s fails on %s:\n%s", v.Oracle, rep.Scenario, v.Mismatch)
+				}
 			}
 		})
 	}
 	if ran == 0 {
-		t.Fatal("no .repro files under testdata/repros; the regression net is vacuous")
+		t.Fatalf("no .repro files under %s; the replay is vacuous", dir)
 	}
 }
+
+func TestFuzzRepros(t *testing.T) { replayCorpus(t, filepath.Join("testdata", "repros")) }
+
+func TestScenarioCorpus(t *testing.T) { replayCorpus(t, filepath.Join("testdata", "scenarios")) }

@@ -21,15 +21,15 @@ import (
 // ids), slack buffer holding events, and a mid-stream cut.
 func fuzzSeedSnapshot(tb testing.TB) []byte {
 	events := sessionTestStream(400)
-	shuffled, slack := shuffleBounded(events, 6, 7)
+	shuffled, slack := diff.ShuffleBounded(events, 6, 7)
 	sess := cogra.NewSession(cogra.WithSlack(slack))
-	if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"])); err != nil {
+	if _, err := sess.Subscribe(cogra.MustParse(diff.PatientQueries()["type"])); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["pattern"])); err != nil {
+	if _, err := sess.Subscribe(cogra.MustParse(diff.PatientQueries()["pattern"])); err != nil {
 		tb.Fatal(err)
 	}
-	extra, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["mixed"]))
+	extra, err := sess.Subscribe(cogra.MustParse(diff.PatientQueries()["mixed"]))
 	if err != nil {
 		tb.Fatal(err)
 	}

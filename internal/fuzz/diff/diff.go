@@ -1,10 +1,10 @@
 // Package diff holds the differential-comparison helpers shared by
-// the repo's hand-written differential spine (session, batch-kernel
-// and snapshot tests) and the randomized fuzz runner (internal/fuzz):
-// solo-replay and bare-engine references, result canonicalization,
-// first-divergence byte diffs, the full-window filter for mid-stream
-// joiners and the bounded shuffle that produces slack-repairable
-// disorder.
+// the root package's tests and the fuzz oracles (internal/fuzz), which
+// replay both drawn scenarios and the scenario corpus: the patient
+// stream, solo-replay and bare-engine references, result
+// canonicalization, first-divergence byte diffs, the full-window
+// filter for mid-stream joiners and the bounded shuffle that produces
+// slack-repairable disorder.
 //
 // The helpers are deliberately test-framework-free (no testing.TB):
 // the fuzz runner calls them from a plain binary and the tests wrap

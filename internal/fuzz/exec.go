@@ -63,11 +63,10 @@ func (m Mode) String() string {
 	return s
 }
 
-// WatermarkSample is one Stats() observation taken mid-run.
-type WatermarkSample struct {
+// StatsSample is one Stats() observation taken mid-run.
+type StatsSample struct {
 	AfterEvents int
-	Watermark   int64
-	Valid       bool
+	cogra.SessionStats
 }
 
 // RunOutput is what one Execute produces: the results of every
@@ -80,13 +79,21 @@ type RunOutput struct {
 	// rendering used in mismatch reports.
 	Results [][]cogra.Result
 	PerSub  []string
-	// Stats is the session's final Stats() after every subscription
-	// has been unsubscribed but before Close; HasStats is false for
-	// server runs (the server owns the session).
+	// Stats is the session's Stats() after the last event, before
+	// Close; HasStats is false for server runs (the server owns the
+	// session).
 	Stats    cogra.SessionStats
 	HasStats bool
-	// Watermarks are sampled along the run, in push order.
-	Watermarks []WatermarkSample
+	// Samples are taken along the run, in push order; the last is
+	// Stats.
+	Samples []StatsSample
+	// Drains holds, per subscription, the length of every drain in
+	// order: two runs that push the same batches must hand out the same
+	// rows in every drain, not only in all of them together.
+	Drains [][]int
+	// CutDrift describes how Stats() changed across a snapshot cut;
+	// empty when it did not.
+	CutDrift string
 }
 
 func (m Mode) options() []cogra.SessionOption {
@@ -99,8 +106,8 @@ func (m Mode) options() []cogra.SessionOption {
 
 // Execute runs the scenario under the mode. It stamps canonical event
 // IDs (1..n by slice position) before pushing so timestamp ties break
-// identically in every mode and push order — the same convention the
-// hand-written differential spine uses.
+// identically in every mode and push order, and in the bare engines
+// the solo oracle compares with.
 func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 	n := len(sc.Events)
 	for i, e := range sc.Events {
@@ -129,7 +136,7 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 		}
 	}
 
-	out := &RunOutput{PerSub: make([]string, len(sc.Subs))}
+	out := &RunOutput{PerSub: make([]string, len(sc.Subs)), Drains: make([][]int, len(sc.Subs))}
 	results := make([][]cogra.Result, len(sc.Subs))
 	sess := cogra.NewSession(opts...)
 	live := make(map[int]*cogra.Subscription) // scenario sub index → live sub
@@ -166,10 +173,12 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 			if sub == nil {
 				continue
 			}
-			results[si] = append(results[si], sub.Unsubscribe()...)
+			rows := sub.Unsubscribe()
 			if err := sub.Err(); err != nil {
 				return fmt.Errorf("fuzz: sub %d unsubscribe: %w", si, err)
 			}
+			results[si] = append(results[si], rows...)
+			out.Drains[si] = append(out.Drains[si], len(rows))
 			delete(live, si)
 		}
 		return nil
@@ -181,10 +190,12 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 	}
 	drainLive := func() error {
 		for si, sub := range live {
-			results[si] = append(results[si], sub.Drain()...)
+			rows := sub.Drain()
 			if err := sub.Err(); err != nil {
 				return fmt.Errorf("fuzz: sub %d drain: %w", si, err)
 			}
+			results[si] = append(results[si], rows...)
+			out.Drains[si] = append(out.Drains[si], len(rows))
 		}
 		return nil
 	}
@@ -194,8 +205,7 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 			return fmt.Errorf("fuzz: stats after %d events: %w", pushed, err)
 		}
 		out.Stats, out.HasStats = st, true
-		out.Watermarks = append(out.Watermarks,
-			WatermarkSample{AfterEvents: pushed, Watermark: st.Watermark, Valid: st.WatermarkValid})
+		out.Samples = append(out.Samples, StatsSample{AfterEvents: pushed, SessionStats: st})
 		return drainLive()
 	}
 
@@ -251,6 +261,18 @@ func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 			restored, err := cogra.Restore(&buf)
 			if err != nil {
 				return nil, fmt.Errorf("fuzz: restore at %d: %w", pos, err)
+			}
+			// Stats() counters are continuous across the cut.
+			before, err := sess.Stats()
+			if err != nil {
+				return nil, fmt.Errorf("fuzz: stats at the cut: %w", err)
+			}
+			after, err := restored.Stats()
+			if err != nil {
+				return nil, fmt.Errorf("fuzz: stats after the restore: %w", err)
+			}
+			if b, a := fmt.Sprintf("%+v", before), fmt.Sprintf("%+v", after); b != a {
+				out.CutDrift = fmt.Sprintf("Stats() not continuous across the restore at %d\nbefore: %s\nafter:  %s", pos, b, a)
 			}
 			// Re-home the live subscriptions onto the restored session;
 			// ids survive the cut.

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,10 +35,10 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("Generate(7, %d) again: %v", i, err)
 		}
 		var ab, bb bytes.Buffer
-		if err := WriteRepro(&ab, &Repro{Oracle: "batch", Scenario: a}); err != nil {
+		if err := WriteRepro(&ab, &Repro{Oracles: []string{"batch"}, Scenario: a}); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteRepro(&bb, &Repro{Oracle: "batch", Scenario: b}); err != nil {
+		if err := WriteRepro(&bb, &Repro{Oracles: []string{"batch"}, Scenario: b}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
@@ -54,7 +55,7 @@ func TestReproRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first bytes.Buffer
-	rep := &Repro{Oracle: "slack", Mismatch: "sub 0: oops\nmore detail", Scenario: sc}
+	rep := &Repro{Oracles: []string{"slack"}, Mismatch: "sub 0: oops\nmore detail", Scenario: sc}
 	if err := WriteRepro(&first, rep); err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestReproRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadRepro: %v", err)
 	}
-	if back.Oracle != "slack" {
-		t.Errorf("oracle = %q, want slack", back.Oracle)
+	if len(back.Oracles) != 1 || back.Oracles[0] != "slack" {
+		t.Errorf("oracles = %q, want [slack]", back.Oracles)
 	}
 	var second bytes.Buffer
-	if err := WriteRepro(&second, &Repro{Oracle: back.Oracle, Mismatch: rep.Mismatch, Scenario: back.Scenario}); err != nil {
+	if err := WriteRepro(&second, &Repro{Oracles: back.Oracles, Mismatch: rep.Mismatch, Scenario: back.Scenario}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -127,10 +128,10 @@ func TestShrinkProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if err := WriteRepro(&a, &Repro{Oracle: o.Name, Scenario: small}); err != nil {
+	if err := WriteRepro(&a, &Repro{Oracles: []string{o.Name}, Scenario: small}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRepro(&b, &Repro{Oracle: o.Name, Scenario: again}); err != nil {
+	if err := WriteRepro(&b, &Repro{Oracles: []string{o.Name}, Scenario: again}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -183,6 +184,88 @@ func TestOracleNamesStable(t *testing.T) {
 	for _, name := range []string{"batch", "workers", "slack", "jitter", "late", "solo", "snapshot", "server", "baselines"} {
 		if OracleByName(name) == nil {
 			t.Errorf("oracle %q is gone; committed repro files may name it", name)
+		}
+	}
+}
+
+// A corpus file's additions — several oracles, exact comparison and
+// reach properties — round-trip byte for byte.
+func TestCorpusFileRoundTrip(t *testing.T) {
+	sc, err := Generate(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Exact = true
+	rep := &Repro{Oracles: []string{"batch", "workers", "solo"}, Reach: []string{"tie-runs", "results-every-sub"}, Scenario: sc}
+	var first bytes.Buffer
+	if err := WriteRepro(&first, rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"oracle batch,workers,solo\n", "reach tie-runs results-every-sub\n", " exact=1\n"} {
+		if !strings.Contains(first.String(), line) {
+			t.Errorf("written file lacks %q", line)
+		}
+	}
+	back, err := ReadRepro(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadRepro: %v", err)
+	}
+	if !back.Scenario.Exact {
+		t.Error("exact=1 did not read back")
+	}
+	var second bytes.Buffer
+	if err := WriteRepro(&second, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("corpus file round trip is not byte for byte:\n--- first ---\n%s\n--- second ---\n%s", first.String(), second.String())
+	}
+}
+
+// The repro files committed before the corpus format existed still
+// parse and replay clean, each through its one oracle with the float
+// tolerance.
+func TestCommittedReprosReplay(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/repros/*.repro")
+	if err != nil || len(paths) != 3 {
+		t.Fatalf("want the 3 committed repros, got %d (%v)", len(paths), err)
+	}
+	for _, path := range paths {
+		rep, verdicts, err := ReplayFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(rep.Oracles) != 1 || len(rep.Reach) != 0 || rep.Scenario.Exact {
+			t.Errorf("%s: read as oracles %q, reach %q, exact %v", path, rep.Oracles, rep.Reach, rep.Scenario.Exact)
+		}
+		if len(verdicts) != 1 || verdicts[0].Mismatch != "" {
+			t.Errorf("%s: verdicts %+v", path, verdicts)
+		}
+	}
+}
+
+// A reach line may only name properties of the fixed table, and an
+// oracle line only known oracles or *.
+func TestReadReproRejectsUnknownNames(t *testing.T) {
+	sc, err := Generate(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteRepro(&buf, &Repro{Oracles: []string{"*"}, Reach: []string{"tie-runs"}, Scenario: sc}); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.String()
+	if _, err := ReadRepro(strings.NewReader(good)); err != nil {
+		t.Fatalf("a file naming * and tie-runs does not parse: %v", err)
+	}
+	for _, bad := range []string{
+		strings.Replace(good, "reach tie-runs", "reach tie-runs no-such-property", 1),
+		strings.Replace(good, "oracle *", "oracle batch,no-such-oracle", 1),
+		strings.Replace(good, "oracle *", "oracle *,batch", 1),
+	} {
+		if _, err := ReadRepro(strings.NewReader(bad)); err == nil {
+			t.Errorf("parsed a file with an unknown name:\n%s", bad[:strings.Index(bad, "config")])
 		}
 	}
 }

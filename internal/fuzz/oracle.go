@@ -45,28 +45,28 @@ func Oracles() []Oracle {
 	return []Oracle{
 		{
 			Name: "batch",
-			Doc:  "batch kernels == per-event execution",
+			Doc:  "batch kernels == per-event execution, sorted and under slack",
 			Check: func(sc *Scenario) (string, error) {
-				flipped := BaseMode(sc)
-				if flipped.BatchSize > 0 {
-					flipped.BatchSize = 0
-				} else {
-					flipped.BatchSize = 256
-				}
-				return selfDiff(sc, flipped)
+				return selfDiff(sc, true, func(m *Mode) {
+					if m.BatchSize > 0 {
+						m.BatchSize = 0
+					} else {
+						m.BatchSize = 256
+					}
+				})
 			},
 		},
 		{
 			Name: "workers",
-			Doc:  "4-worker parallel session == inline",
+			Doc:  "4-worker parallel session == inline, drain by drain",
 			Check: func(sc *Scenario) (string, error) {
-				flipped := BaseMode(sc)
-				if flipped.Workers > 0 {
-					flipped.Workers = 0
-				} else {
-					flipped.Workers = 4
-				}
-				return selfDiff(sc, flipped)
+				return selfDiff(sc, false, func(m *Mode) {
+					if m.Workers > 0 {
+						m.Workers = 0
+					} else {
+						m.Workers = 4
+					}
+				})
 			},
 		},
 		{
@@ -76,9 +76,7 @@ func Oracles() []Oracle {
 				if sc.HasChurn() {
 					return "", nil // join watermarks differ under reorder buffering
 				}
-				flipped := BaseMode(sc)
-				flipped.Shuffled = true
-				return selfDiff(sc, flipped)
+				return selfDiff(sc, false, func(m *Mode) { m.Shuffled = true })
 			},
 		},
 		{
@@ -88,9 +86,7 @@ func Oracles() []Oracle {
 				if sc.HasChurn() || sc.Jitter <= 0 {
 					return "", nil // join watermarks differ under reorder buffering
 				}
-				flipped := BaseMode(sc)
-				flipped.Jittered = true
-				return selfDiff(sc, flipped)
+				return selfDiff(sc, false, func(m *Mode) { m.Jittered = true })
 			},
 		},
 		{
@@ -105,23 +101,19 @@ func Oracles() []Oracle {
 		},
 		{
 			Name: "snapshot",
-			Doc:  "snapshot-at-k + restore + suffix == undisturbed",
+			Doc:  "snapshot-at-k + restore + suffix == undisturbed (results and Stats), sorted and under slack",
 			Check: func(sc *Scenario) (string, error) {
 				if sc.SnapshotAt <= 0 || sc.SnapshotAt >= len(sc.Events) {
 					return "", nil
 				}
-				flipped := BaseMode(sc)
-				flipped.SnapshotAt = sc.SnapshotAt
-				return selfDiff(sc, flipped)
+				return selfDiff(sc, true, func(m *Mode) { m.SnapshotAt = sc.SnapshotAt })
 			},
 		},
 		{
 			Name: "server",
 			Doc:  "cograd-served tenant, checkpointed on a cadence, == embedded session",
 			Check: func(sc *Scenario) (string, error) {
-				flipped := BaseMode(sc)
-				flipped.Server = true
-				return selfDiff(sc, flipped)
+				return selfDiff(sc, false, func(m *Mode) { m.Server = true })
 			},
 		},
 		{
@@ -143,11 +135,27 @@ func OracleByName(name string) *Oracle {
 	return nil
 }
 
-// selfDiff runs the scenario under its base mode and under the
-// flipped mode, checks the base run's invariants and compares every
-// subscription's results.
-func selfDiff(sc *Scenario, flipped Mode) (string, error) {
-	base, err := Execute(sc, BaseMode(sc))
+// selfDiff runs the scenario under its base mode and under the mode
+// flip makes of it, checks the base run's invariants and compares every
+// subscription's results. A flipped run that pushes the same batches
+// must drain the same rows at every drain; one that cut a snapshot must
+// keep Stats() continuous across the cut and end with the base run's
+// Stats(). underSlack also compares the shuffled base with the same
+// flip, on a churn-free scenario: the flipped axis with the reorder
+// buffer in the path.
+func selfDiff(sc *Scenario, underSlack bool, flip func(*Mode)) (string, error) {
+	base := BaseMode(sc)
+	if m, err := diffModes(sc, base, flip); m != "" || err != nil || !underSlack || sc.HasChurn() {
+		return m, err
+	}
+	base.Shuffled = true
+	return diffModes(sc, base, flip)
+}
+
+func diffModes(sc *Scenario, baseMode Mode, flip func(*Mode)) (string, error) {
+	flipped := baseMode
+	flip(&flipped)
+	base, err := Execute(sc, baseMode)
 	if err != nil {
 		return "", err
 	}
@@ -159,37 +167,69 @@ func selfDiff(sc *Scenario, flipped Mode) (string, error) {
 		return "", fmt.Errorf("flipped mode (%s): %w", flipped, err)
 	}
 	for si := range sc.Subs {
-		if d := diff.Compare(got.Results[si], base.Results[si], diff.FloatTol); d != "" {
-			return fmt.Sprintf("sub %d: %s != base (%s)\n%s", si, flipped, BaseMode(sc), d), nil
+		if d := diff.Compare(got.Results[si], base.Results[si], sc.tolerance()); d != "" {
+			return fmt.Sprintf("sub %d: %s != base (%s)\n%s", si, flipped, baseMode, d), nil
 		}
+	}
+	if got.CutDrift != "" {
+		return fmt.Sprintf("%s: %s", flipped, got.CutDrift), nil
+	}
+	if flipped.SnapshotAt > 0 && got.HasStats && base.HasStats {
+		// PeakBytes is left out: a restored worker session can reach a
+		// different high-water mark than the undisturbed one.
+		gs, ws := got.Stats, base.Stats
+		gs.PeakBytes, ws.PeakBytes = 0, 0
+		if g, w := fmt.Sprintf("%+v", gs), fmt.Sprintf("%+v", ws); g != w {
+			return fmt.Sprintf("final Stats(): %s != base (%s)\ngot:  %s\nwant: %s", flipped, baseMode, g, w), nil
+		}
+	}
+	// A flip of the worker count alone pushes the same batches, so both
+	// sides drain at the same positions.
+	sameBatches := flipped
+	sameBatches.Workers = baseMode.Workers
+	if sameBatches == baseMode && !slices.EqualFunc(got.Drains, base.Drains, slices.Equal) {
+		return fmt.Sprintf("drain sizes: %s %v != base (%s) %v", flipped, got.Drains, baseMode, base.Drains), nil
 	}
 	return "", nil
 }
 
 // checkInvariants checks what one base-mode run must show whatever it
-// is compared with: Stats().Watermark is monotone along the run, and
-// the final Stats() counts every pushed event, exactly the resident
-// subscriptions and, once none is resident, no intern bytes. Every
-// oracle that makes a base run (selfDiff, checkSolo) reports a
+// is compared with: Stats().Watermark is monotone along the run, every
+// drain is in strict (window, group) order, and the final Stats()
+// counts every pushed event (processed or still buffered), exactly the
+// resident subscriptions and, once none is resident, no intern bytes.
+// Every oracle that makes a base run (selfDiff, checkSolo) reports a
 // violation as its own mismatch.
 func checkInvariants(sc *Scenario, out *RunOutput) string {
-	var last WatermarkSample
+	var last StatsSample
 	haveLast := false
-	for _, s := range out.Watermarks {
-		if haveLast && last.Valid && (!s.Valid || s.Watermark < last.Watermark) {
+	for _, s := range out.Samples {
+		if haveLast && last.WatermarkValid && (!s.WatermarkValid || s.Watermark < last.Watermark) {
 			return fmt.Sprintf("watermark regressed: %d after %d events, then %d (valid=%v) after %d events",
-				last.Watermark, last.AfterEvents, s.Watermark, s.Valid, s.AfterEvents)
+				last.Watermark, last.AfterEvents, s.Watermark, s.WatermarkValid, s.AfterEvents)
 		}
-		if s.Valid {
+		if s.WatermarkValid {
 			last, haveLast = s, true
+		}
+	}
+	for si, rows := range out.Results {
+		at := 0
+		for _, n := range out.Drains[si] {
+			for i := at + 1; i < at+n; i++ {
+				if core.CompareResults(rows[i-1], rows[i]) >= 0 {
+					return fmt.Sprintf("sub %d: a drain is out of window-then-group order or repeats a (window, group): %v then %v",
+						si, rows[i-1], rows[i])
+				}
+			}
+			at += n
 		}
 	}
 	if !out.HasStats {
 		return ""
 	}
 	n := len(sc.Events)
-	if out.Stats.Events != int64(n) {
-		return fmt.Sprintf("Stats().Events = %d, want %d (events pushed)", out.Stats.Events, n)
+	if st := out.Stats; st.Events+int64(st.ReorderDepth) != int64(n) {
+		return fmt.Sprintf("Stats().Events = %d with %d buffered, want %d (events pushed)", st.Events, st.ReorderDepth, n)
 	}
 	resident := 0
 	for _, s := range sc.Subs {
@@ -230,7 +270,7 @@ func checkSolo(sc *Scenario) (string, error) {
 		if sub.Join > 0 {
 			want = diff.FullWindowsAfter(want, sc.Events[sub.Join-1].Time)
 		}
-		if d := diff.Compare(got.Results[si], want, diff.FloatTol); d != "" {
+		if d := diff.Compare(got.Results[si], want, sc.tolerance()); d != "" {
 			return fmt.Sprintf("sub %d: session (%s) != solo engine\n%s", si, BaseMode(sc), d), nil
 		}
 	}
@@ -284,7 +324,7 @@ func checkLate(sc *Scenario) (string, error) {
 			gotStats.LateDropped, dropped, short), nil
 	}
 	for si := range sc.Subs {
-		if d := diff.Compare(got[si], want[si], diff.FloatTol); d != "" {
+		if d := diff.Compare(got[si], want[si], sc.tolerance()); d != "" {
 			return fmt.Sprintf("sub %d: slack-%d DropLate run != survivor replay\n%s", si, short, d), nil
 		}
 	}
@@ -365,7 +405,7 @@ func checkBaselines(sc *Scenario) (string, error) {
 				}
 				return "", fmt.Errorf("sub %d: %s: %w", si, r.Name(), err)
 			}
-			if d := diff.Compare(canonOrder(got), canonOrder(ref), diff.FloatTol); d != "" {
+			if d := diff.Compare(canonOrder(got), canonOrder(ref), sc.tolerance()); d != "" {
 				return fmt.Sprintf("sub %d: %s disagrees with COGRA\n%s", si, r.Name(), d), nil
 			}
 		}

@@ -1,16 +1,19 @@
-// The repro codec: a failing (scenario, oracle) pair serialized as a
-// self-contained text file that `cografuzz -repro <file>` and the
-// committed TestFuzzRepros regression suite both replay. The format is
+// The repro codec: a scenario and the oracles that replay it,
+// serialized as a self-contained text file that `cografuzz -repro
+// <file>` and the root package's corpus tests replay — a failing
+// (scenario, oracle) pair the shrinker wrote under testdata/repros, or
+// a scenario of the corpus under testdata/scenarios. The format is
 // line-oriented and fully deterministic — encoding the same scenario
 // always produces the same bytes, which is what lets the shrinker's
 // output be pinned in golden tests.
 //
 //	cografuzz-repro v1
 //	# free-form comment lines (the mismatch at capture time)
-//	oracle slack
+//	oracle slack,solo
+//	reach tie-runs results-every-sub
 //	template transit
 //	seed 0x1f2e3d4c
-//	config workers=4 batch=64 shuffleblock=8 shuffleseed=97 snapat=-1
+//	config workers=4 batch=64 shuffleblock=8 shuffleseed=97 snapat=-1 jitter=0 exact=1
 //	sub join=0 leave=128
 //		RETURN COUNT(*)
 //		PATTERN SEQ(Board+, Ride)
@@ -21,9 +24,13 @@
 //	time,type,passenger,station,wait:num
 //	...one CSV row per event...
 //
-// Query lines are tab-indented inside sub/end blocks (the canonical
-// multi-line rendering of query.String). The events section reuses the
-// repository's CSV event codec and must come last.
+// The oracle line names one oracle, several separated by commas, or *
+// for every oracle that applies. A reach line names properties of the
+// reach table (reach.go) the base run must show. exact=1 compares
+// results with no float tolerance; a file without it keeps
+// diff.FloatTol. Query lines are tab-indented inside sub/end blocks
+// (the canonical multi-line rendering of query.String). The events
+// section reuses the repository's CSV event codec and must come last.
 package fuzz
 
 import (
@@ -38,11 +45,13 @@ import (
 
 const reproMagic = "cografuzz-repro v1"
 
-// Repro couples a scenario with the oracle it fails and the mismatch
-// observed at capture time.
+// Repro couples a scenario with the oracles that replay it, the
+// properties its base run must reach and the mismatch observed at
+// capture time.
 type Repro struct {
-	Oracle   string
-	Mismatch string // informational; replay recomputes it
+	Oracles  []string // oracle names, or the one name "*"
+	Reach    []string // reach table names
+	Mismatch string   // informational; replay recomputes it
 	Scenario *Scenario
 }
 
@@ -57,14 +66,21 @@ func WriteRepro(w io.Writer, r *Repro) error {
 			fmt.Fprintf(bw, "# %s\n", line)
 		}
 	}
-	fmt.Fprintf(bw, "oracle %s\n", r.Oracle)
+	fmt.Fprintf(bw, "oracle %s\n", strings.Join(r.Oracles, ","))
+	if len(r.Reach) > 0 {
+		fmt.Fprintf(bw, "reach %s\n", strings.Join(r.Reach, " "))
+	}
 	sc := r.Scenario
 	if sc.Template != "" {
 		fmt.Fprintf(bw, "template %s\n", sc.Template)
 	}
 	fmt.Fprintf(bw, "seed %#x\n", sc.Seed)
-	fmt.Fprintf(bw, "config workers=%d batch=%d shuffleblock=%d shuffleseed=%d snapat=%d jitter=%d\n",
+	fmt.Fprintf(bw, "config workers=%d batch=%d shuffleblock=%d shuffleseed=%d snapat=%d jitter=%d",
 		sc.Workers, sc.BatchSize, sc.ShuffleBlock, sc.ShuffleSeed, sc.SnapshotAt, sc.Jitter)
+	if sc.Exact {
+		fmt.Fprint(bw, " exact=1")
+	}
+	fmt.Fprintln(bw)
 	for _, sub := range sc.Subs {
 		fmt.Fprintf(bw, "sub join=%d leave=%d\n", sub.Join, sub.Leave)
 		for _, line := range strings.Split(strings.TrimRight(sub.Src, "\n"), "\n") {
@@ -102,7 +118,19 @@ func ReadRepro(r io.Reader) (*Repro, error) {
 		case line == "" || strings.HasPrefix(line, "# "), line == "#":
 			// comments carry the captured mismatch; replay ignores them
 		case strings.HasPrefix(line, "oracle "):
-			out.Oracle = strings.TrimPrefix(line, "oracle ")
+			out.Oracles = strings.Split(strings.TrimPrefix(line, "oracle "), ",")
+			for _, name := range out.Oracles {
+				if name != "*" && OracleByName(name) == nil || name == "*" && len(out.Oracles) > 1 {
+					return nil, fmt.Errorf("repro: bad oracle line %q", line)
+				}
+			}
+		case strings.HasPrefix(line, "reach "):
+			for _, name := range strings.Fields(strings.TrimPrefix(line, "reach ")) {
+				if reachByName(name) == nil {
+					return nil, fmt.Errorf("repro: unknown reach property %q", name)
+				}
+				out.Reach = append(out.Reach, name)
+			}
 		case strings.HasPrefix(line, "template "):
 			sc.Template = strings.TrimPrefix(line, "template ")
 		case strings.HasPrefix(line, "seed "):
@@ -170,7 +198,7 @@ func ReadRepro(r io.Reader) (*Repro, error) {
 		return nil, fmt.Errorf("repro: %d events in CSV section, header says %d", len(events), wantEvents)
 	}
 	sc.Events = events
-	if out.Oracle == "" {
+	if len(out.Oracles) == 0 {
 		return nil, fmt.Errorf("repro: missing oracle line")
 	}
 	if len(sc.Subs) == 0 {
@@ -210,6 +238,8 @@ func parseConfig(s string, sc *Scenario) error {
 			// Absent in v1 files written before the jitter oracles
 			// existed; they replay with jitter 0 (those oracles skip).
 			sc.Jitter = n
+		case "exact":
+			sc.Exact = n != 0
 		default:
 			return fmt.Errorf("repro: unknown config field %q", k)
 		}

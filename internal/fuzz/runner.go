@@ -159,7 +159,7 @@ func writeFailure(dir string, f *Failure) (string, error) {
 	}
 	path := filepath.Join(dir, fmt.Sprintf("%s_%016x.repro", f.Oracle, f.Scenario.Seed))
 	err := snap.WriteFileAtomic(path, func(w io.Writer) error {
-		return WriteRepro(w, &Repro{Oracle: f.Oracle, Mismatch: f.Mismatch, Scenario: f.Scenario})
+		return WriteRepro(w, &Repro{Oracles: []string{f.Oracle}, Mismatch: f.Mismatch, Scenario: f.Scenario})
 	})
 	if err != nil {
 		return "", err
@@ -167,30 +167,52 @@ func writeFailure(dir string, f *Failure) (string, error) {
 	return path, nil
 }
 
-// Replay loads a repro file and re-runs its oracle. It returns the
-// recomputed mismatch ("" when the repro no longer fails — the bug is
-// fixed) plus the decoded repro for reporting.
-func Replay(r io.Reader) (*Repro, string, error) {
+// Verdict is one check of a replayed file: an oracle's, or "reach"
+// for the file's reach properties. Mismatch is "" when it passes.
+type Verdict struct {
+	Oracle   string
+	Mismatch string
+}
+
+// Replay loads a repro or corpus file, checks its reach properties and
+// re-runs every oracle it names ("*": the whole suite; an oracle that
+// does not apply passes). A verdict with a mismatch means the file
+// fails again; a committed one is a regression.
+func Replay(r io.Reader) (*Repro, []Verdict, error) {
 	rep, err := ReadRepro(r)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
-	o := OracleByName(rep.Oracle)
-	if o == nil {
-		return rep, "", fmt.Errorf("repro names unknown oracle %q", rep.Oracle)
+	var verdicts []Verdict
+	if len(rep.Reach) > 0 {
+		lack, err := checkReach(rep.Scenario, rep.Reach)
+		if err != nil {
+			return rep, nil, fmt.Errorf("reach: %w", err)
+		}
+		verdicts = append(verdicts, Verdict{Oracle: "reach", Mismatch: lack})
 	}
-	mismatch, err := o.Check(rep.Scenario)
-	if err != nil {
-		return rep, "", err
+	suite := Oracles()
+	if rep.Oracles[0] != "*" {
+		suite = nil
+		for _, name := range rep.Oracles {
+			suite = append(suite, *OracleByName(name))
+		}
 	}
-	return rep, mismatch, nil
+	for _, o := range suite {
+		mismatch, err := o.Check(rep.Scenario)
+		if err != nil {
+			return rep, verdicts, fmt.Errorf("oracle %s: %w", o.Name, err)
+		}
+		verdicts = append(verdicts, Verdict{Oracle: o.Name, Mismatch: mismatch})
+	}
+	return rep, verdicts, nil
 }
 
 // ReplayFile is Replay over a path.
-func ReplayFile(path string) (*Repro, string, error) {
+func ReplayFile(path string) (*Repro, []Verdict, error) {
 	fh, err := os.Open(path)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
 	defer fh.Close()
 	return Replay(fh)

@@ -56,6 +56,20 @@ type Scenario struct {
 	ShuffleSeed  int64 // splitmix seed pinned in repro files
 	SnapshotAt   int   // event index for the snapshot oracle; <=0 none
 	Jitter       int64 // max ingest delay for the jitter/late oracles; <=0 none
+
+	// Exact compares results with no float tolerance: the corpus
+	// scenarios sum integer-valued payloads, so every order of
+	// accumulation gives the same bits.
+	Exact bool
+}
+
+// tolerance is the relative float tolerance the oracles compare the
+// scenario's results with.
+func (sc *Scenario) tolerance() float64 {
+	if sc.Exact {
+		return 0
+	}
+	return diff.FloatTol
 }
 
 // HasChurn reports whether any subscription joins or leaves

@@ -9,167 +9,29 @@ package cogra_test
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
 	cogra "repro"
+	"repro/internal/fuzz/diff"
 )
 
-// lifecycleStream emits a rotating-cardinality multi-type stream:
-// every 64-tick frame introduces fresh u/w slot values (suffix-stamped
-// with the frame index) that are never seen again, so binding-intern
-// tables ramp without eviction and plateau with it. All events carry
-// patient, the shared partition attribute of the lifecycle queries.
+// lifecycleStream is the patient stream with every ward renamed per
+// 64-tick frame, so a value bound in a slot is never seen again: binding
+// intern tables ramp without eviction and plateau with it.
 func lifecycleStream(n int) []*cogra.Event {
-	rng := rand.New(rand.NewSource(23))
-	rates := [3]float64{60, 70, 80}
-	out := make([]*cogra.Event, 0, n)
-	tm := int64(0)
-	for i := 0; i < n; i++ {
-		p := rng.Intn(3)
-		patient := fmt.Sprintf("p%d", p)
-		u := fmt.Sprintf("u%d-%d", tm/64, rng.Intn(3))
-		w := fmt.Sprintf("w%d-%d", tm/64, rng.Intn(2))
-		var ev *cogra.Event
-		switch x := rng.Intn(10); {
-		case x < 3:
-			ev = cogra.NewEvent("A", tm).WithSym("patient", patient).
-				WithSym("u", u).WithSym("w", w).WithNum("v", float64(rng.Intn(100)))
-		case x < 5:
-			ev = cogra.NewEvent("B", tm).WithSym("patient", patient).
-				WithSym("u", u).WithSym("w", w).WithNum("v", float64(rng.Intn(100)))
-		case x < 8:
-			rates[p] += float64(rng.Intn(7)) - 3
-			ev = cogra.NewEvent("M", tm).WithSym("patient", patient).
-				WithSym("u", u).WithNum("rate", rates[p])
-		default:
-			ev = cogra.NewEvent("X", tm).WithSym("patient", patient).WithNum("noise", 1)
-		}
-		ev.ID = int64(i + 1)
-		out = append(out, ev)
-		if rng.Intn(4) != 0 {
-			tm++
-		}
-	}
-	return out
+	return diff.PatientStream(diff.PatientShape{Seed: 23, Step: diff.DenseStep, Rotate: true}, n)
 }
 
-// lifecycleQueries exercises the reclamation paths per granularity:
-// alias-scoped slots drive value interning (type), value interning
-// alongside stored events (mixed), vector interning (three slots), and
-// the slot-less pattern granularity (eviction must be a no-op).
-func lifecycleQueries() map[string]string {
-	return map[string]string{
-		"type-slots": `
-			RETURN COUNT(*), SUM(A.v)
-			PATTERN (SEQ(A+, B))+
-			SEMANTICS skip-till-any-match
-			WHERE [patient] AND [A.u]
-			GROUP-BY patient
-			WITHIN 64 SLIDE 32`,
-		"mixed-slots": `
-			RETURN COUNT(*), MAX(M.rate)
-			PATTERN M+
-			SEMANTICS skip-till-any-match
-			WHERE [patient] AND [M.u] AND M.rate < NEXT(M).rate
-			GROUP-BY patient
-			WITHIN 64 SLIDE 64`,
-		"wide-slots": `
-			RETURN COUNT(*)
-			PATTERN (SEQ(A+, B))+
-			SEMANTICS skip-till-any-match
-			WHERE [patient] AND [A.u] AND [A.w] AND [B.u]
-			GROUP-BY patient
-			WITHIN 64 SLIDE 32`,
-		"pattern": `
-			RETURN COUNT(*)
-			PATTERN M+
-			SEMANTICS skip-till-next-match
-			WHERE [patient] AND M.rate <= NEXT(M).rate
-			GROUP-BY patient
-			WITHIN 96 SLIDE 48`,
-	}
-}
-
-// TestSessionMemoryLifecycleDifferential is the acceptance check of
-// the bounded-state session: a WithSlack + depth-capped session (whose
-// engines evict binding interns) fed a shuffled rotating-cardinality
-// stream is byte-identical to a bare core.Engine without eviction fed
-// the sorted stream, across all granularities and both session modes,
-// while BindingInternBytes and ReorderDepth stay bounded.
-func TestSessionMemoryLifecycleDifferential(t *testing.T) {
-	events := lifecycleStream(4000)
-	shuffled, slack := shuffleBounded(events, 6, 7)
-	if slack == 0 {
-		t.Fatal("shuffle produced no disorder; test is vacuous")
-	}
-	const maxDepth = 256 // far above the natural peak: no shedding, results stay identical
-	for mode, opts := range sessionModes() {
-		for name, src := range lifecycleQueries() {
-			t.Run(mode+"/"+name, func(t *testing.T) {
-				want, ref := engineRun(t, src, events)
-
-				sess := cogra.NewSession(append(opts[:len(opts):len(opts)],
-					cogra.WithSlack(slack),
-					cogra.WithMaxReorderDepth(maxDepth))...)
-				sub, err := sess.Subscribe(cogra.MustParse(src))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var peakIntern int64
-				for i := 0; i < len(shuffled); i += 128 {
-					end := min(i+128, len(shuffled))
-					if err := sess.PushBatch(shuffled[i:end]); err != nil {
-						t.Fatal(err)
-					}
-					st, err := sess.Stats()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if st.BindingInternBytes > peakIntern {
-						peakIntern = st.BindingInternBytes
-					}
-					if st.ReorderDepth > maxDepth {
-						t.Fatalf("reorder depth %d exceeds the cap %d", st.ReorderDepth, maxDepth)
-					}
-				}
-				st, err := sess.Stats()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.LateDropped != 0 || st.ReorderShed != 0 {
-					t.Fatalf("events lost within slack and cap: dropped=%d shed=%d", st.LateDropped, st.ReorderShed)
-				}
-				if err := sess.Close(); err != nil {
-					t.Fatal(err)
-				}
-				got := sub.Drain()
-				if len(want) == 0 {
-					t.Fatal("no results; differential test is vacuous")
-				}
-				if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-					t.Errorf("bounded-state session diverges from unbounded run\ngot:  %v\nwant: %v", got, want)
-				}
-
-				// The unbounded reference must ramp well past the bounded
-				// session's peak for slot-carrying queries, or the bound
-				// proves nothing. (Pattern granularity has no slots — both
-				// sides stay at zero.)
-				if strings.Contains(name, "slots") {
-					if peakIntern == 0 {
-						t.Error("no intern footprint tracked for a slot query")
-					}
-					if ref.InternBytes() < 3*peakIntern {
-						t.Errorf("unbounded engine (%dB) did not ramp past bounded peak (%dB); plateau vacuous",
-							ref.InternBytes(), peakIntern)
-					}
-				}
-			})
-		}
-	}
-}
+// typeSlots binds the ward of every A: over lifecycleStream its value
+// interns rotate.
+const typeSlots = `
+	RETURN COUNT(*), SUM(A.v)
+	PATTERN (SEQ(A+, B))+
+	SEMANTICS skip-till-any-match
+	WHERE [patient] AND [A.ward]
+	GROUP-BY patient
+	WITHIN 64 SLIDE 32`
 
 // TestSessionInternPlateau samples the evicted footprint over a long
 // rotating-cardinality run and asserts a plateau: after warmup the
@@ -177,7 +39,7 @@ func TestSessionMemoryLifecycleDifferential(t *testing.T) {
 // though fresh slot values keep arriving for ~60 more epochs.
 func TestSessionInternPlateau(t *testing.T) {
 	events := lifecycleStream(8000)
-	src := lifecycleQueries()["type-slots"]
+	src := typeSlots
 	sess := cogra.NewSession(cogra.WithSlack(4))
 	if _, err := sess.Subscribe(cogra.MustParse(src)); err != nil {
 		t.Fatal(err)
@@ -224,7 +86,7 @@ func TestSessionCatalogCompaction(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			events := lifecycleStream(600)
 			sess := cogra.NewSession(opts...)
-			if _, err := sess.Subscribe(cogra.MustParse(lifecycleQueries()["type-slots"])); err != nil {
+			if _, err := sess.Subscribe(cogra.MustParse(typeSlots)); err != nil {
 				t.Fatal(err)
 			}
 			if err := sess.PushBatch(events[:200]); err != nil {
@@ -309,7 +171,7 @@ func TestSessionCatalogSlotTruncation(t *testing.T) {
 	events := lifecycleStream(300)
 	sess := cogra.NewSession()
 	defer sess.Close()
-	if _, err := sess.Subscribe(cogra.MustParse(lifecycleQueries()["type-slots"])); err != nil {
+	if _, err := sess.Subscribe(cogra.MustParse(typeSlots)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.PushBatch(events[:100]); err != nil {
@@ -398,7 +260,7 @@ func TestSessionCatalogSlotTruncation(t *testing.T) {
 // undisturbed solo run.
 func TestSessionCompactionKeepsResidentResults(t *testing.T) {
 	events := lifecycleStream(2000)
-	src := lifecycleQueries()["type-slots"]
+	src := typeSlots
 	for mode, opts := range sessionModes() {
 		t.Run(mode, func(t *testing.T) {
 			want := soloRun(t, src, events)
@@ -450,7 +312,7 @@ func TestSessionCompactionKeepsResidentResults(t *testing.T) {
 func TestSessionFailedSubscribeDoesNotLeakSymbols(t *testing.T) {
 	events := lifecycleStream(300)
 	sess := cogra.NewSession(cogra.WithWorkers(4))
-	if _, err := sess.Subscribe(cogra.MustParse(lifecycleQueries()["type-slots"])); err != nil {
+	if _, err := sess.Subscribe(cogra.MustParse(typeSlots)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.PushBatch(events); err != nil {
@@ -541,7 +403,7 @@ func TestSessionBackpressure(t *testing.T) {
 	t.Run("reject", func(t *testing.T) {
 		sess := cogra.NewSession(cogra.WithSlack(1000),
 			cogra.WithMaxReorderDepth(4), cogra.WithDepthPolicy(cogra.Reject))
-		if _, err := sess.Subscribe(cogra.MustParse(lifecycleQueries()["type-slots"])); err != nil {
+		if _, err := sess.Subscribe(cogra.MustParse(typeSlots)); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
@@ -574,7 +436,7 @@ func TestSessionBackpressure(t *testing.T) {
 	})
 	t.Run("shed", func(t *testing.T) {
 		sess := cogra.NewSession(cogra.WithSlack(1000), cogra.WithMaxReorderDepth(4))
-		if _, err := sess.Subscribe(cogra.MustParse(lifecycleQueries()["type-slots"])); err != nil {
+		if _, err := sess.Subscribe(cogra.MustParse(typeSlots)); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 12; i++ {
@@ -604,12 +466,12 @@ func TestSessionBackpressure(t *testing.T) {
 // in CI).
 func TestSessionStatsConcurrentWithPush(t *testing.T) {
 	events := lifecycleStream(3000)
-	shuffled, slack := shuffleBounded(events, 4, 11)
+	shuffled, slack := diff.ShuffleBounded(events, 4, 11)
 	for mode, opts := range sessionModes() {
 		t.Run(mode, func(t *testing.T) {
 			sess := cogra.NewSession(append(opts[:len(opts):len(opts)],
 				cogra.WithSlack(slack))...)
-			sub, err := sess.Subscribe(cogra.MustParse(lifecycleQueries()["type-slots"]))
+			sub, err := sess.Subscribe(cogra.MustParse(typeSlots))
 			if err != nil {
 				t.Fatal(err)
 			}

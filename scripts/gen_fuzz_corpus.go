@@ -1,10 +1,12 @@
 //go:build ignore
 
-// gen_fuzz_corpus regenerates the committed snapshot fixtures: the
-// golden frames TestSnapshotGoldenFrames pins byte for byte
-// (testdata/golden, one per diff.GoldenFrames scenario) and the seed
-// corpus for FuzzSnapshotDecode (testdata/fuzz/FuzzSnapshotDecode).
-// Both must be exactly what the current build writes — CI reruns this
+// gen_fuzz_corpus regenerates the committed test fixtures: the golden
+// frames TestSnapshotGoldenFrames pins byte for byte (testdata/golden,
+// one per diff.GoldenFrames scenario), the scenario corpus
+// TestScenarioCorpus replays (testdata/scenarios, one file per
+// fuzz.Corpus entry) and the seed corpus for FuzzSnapshotDecode
+// (testdata/fuzz/FuzzSnapshotDecode).
+// All three must be exactly what the current build writes — CI reruns this
 // and fails on any diff under testdata/. For the corpus it builds the
 // same kind of valid snapshot as the fuzz target's programmatic seed —
 // three granularities subscribed, one unsubscribed (tombstoned catalog
@@ -39,55 +41,15 @@ import (
 	"path/filepath"
 
 	cogra "repro"
+	"repro/internal/fuzz"
 	"repro/internal/fuzz/diff"
 )
 
 const (
-	corpusDir = "testdata/fuzz/FuzzSnapshotDecode"
-	goldenDir = "testdata/golden"
+	corpusDir   = "testdata/fuzz/FuzzSnapshotDecode"
+	goldenDir   = "testdata/golden"
+	scenarioDir = "testdata/scenarios"
 )
-
-// seedStream mirrors the shape of the test suite's session stream:
-// A/B sequences, M measurement walks and X noise over three patients,
-// dense equal-timestamp runs and idle gaps. Deterministic (fixed rand
-// seed) so regeneration is reproducible.
-func seedStream(n int) []*cogra.Event {
-	rng := rand.New(rand.NewSource(17))
-	rates := [3]float64{60, 70, 80}
-	out := make([]*cogra.Event, 0, n)
-	tm := int64(0)
-	for i := 0; i < n; i++ {
-		p := rng.Intn(3)
-		patient := fmt.Sprintf("p%d", p)
-		ward := fmt.Sprintf("w%d", rng.Intn(2))
-		var ev *cogra.Event
-		switch x := rng.Intn(10); {
-		case x < 3:
-			ev = cogra.NewEvent("A", tm).WithSym("patient", patient).
-				WithSym("ward", ward).WithNum("v", float64(rng.Intn(100)))
-		case x < 5:
-			ev = cogra.NewEvent("B", tm).WithSym("patient", patient).
-				WithSym("ward", ward).WithNum("v", float64(rng.Intn(100)))
-		case x < 8:
-			rates[p] += float64(rng.Intn(7)) - 3
-			ev = cogra.NewEvent("M", tm).WithSym("patient", patient).
-				WithSym("ward", ward).WithNum("rate", rates[p])
-		default:
-			ev = cogra.NewEvent("X", tm).WithSym("patient", patient).
-				WithSym("ward", ward).WithNum("noise", 1)
-		}
-		ev.ID = int64(i + 1)
-		out = append(out, ev)
-		switch rng.Intn(8) {
-		case 0, 1, 2: // dense run: same time stamp
-		case 7:
-			tm += 30 + int64(rng.Intn(150)) // idle gap spanning windows
-		default:
-			tm++
-		}
-	}
-	return out
-}
 
 // shuffleBounded shuffles within fixed-size blocks and reports the
 // slack needed to repair the disorder.
@@ -113,29 +75,8 @@ func shuffleBounded(events []*cogra.Event, block int, seed int64) ([]*cogra.Even
 }
 
 func seedSnapshot() ([]byte, error) {
-	queries := map[string]string{
-		"type": `
-			RETURN COUNT(*), SUM(A.v)
-			PATTERN (SEQ(A+, B))+
-			SEMANTICS skip-till-any-match
-			WHERE [patient] GROUP-BY patient
-			WITHIN 64 SLIDE 32`,
-		"pattern": `
-			RETURN COUNT(*)
-			PATTERN M+
-			SEMANTICS skip-till-next-match
-			WHERE [patient] AND M.rate <= NEXT(M).rate
-			GROUP-BY patient
-			WITHIN 96 SLIDE 48`,
-		"mixed": `
-			RETURN COUNT(*), MAX(M.rate)
-			PATTERN M+
-			SEMANTICS skip-till-any-match
-			WHERE [patient] AND M.rate < NEXT(M).rate
-			GROUP-BY patient
-			WITHIN 64 SLIDE 64`,
-	}
-	shuffled, slack := shuffleBounded(seedStream(400), 6, 7)
+	queries := diff.PatientQueries()
+	shuffled, slack := shuffleBounded(diff.PatientStream(diff.PatientShape{Seed: 17}, 400), 6, 7)
 	sess := cogra.NewSession(cogra.WithSlack(slack))
 	for _, name := range []string{"type", "pattern"} {
 		if _, err := sess.Subscribe(cogra.MustParse(queries[name])); err != nil {
@@ -189,8 +130,44 @@ func writeGoldens() error {
 	return nil
 }
 
+// writeScenarios writes every scenario of fuzz.Corpus and removes any
+// other .repro file in the directory, so a renamed scenario leaves
+// nothing behind.
+func writeScenarios() error {
+	if err := os.MkdirAll(scenarioDir, 0o755); err != nil {
+		return err
+	}
+	keep := map[string]bool{}
+	for _, e := range fuzz.Corpus() {
+		var buf bytes.Buffer
+		if err := fuzz.WriteRepro(&buf, e.Repro); err != nil {
+			return fmt.Errorf("scenario %s: %w", e.Name, err)
+		}
+		name := e.Name + ".repro"
+		keep[name] = true
+		if err := os.WriteFile(filepath.Join(scenarioDir, name), buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	stale, err := filepath.Glob(filepath.Join(scenarioDir, "*.repro"))
+	if err != nil {
+		return err
+	}
+	for _, path := range stale {
+		if !keep[filepath.Base(path)] {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func main() {
 	if err := writeGoldens(); err != nil {
+		log.Fatal("gen_fuzz_corpus: ", err)
+	}
+	if err := writeScenarios(); err != nil {
 		log.Fatal("gen_fuzz_corpus: ", err)
 	}
 	valid, err := seedSnapshot()
@@ -231,6 +208,6 @@ func main() {
 			log.Fatal("gen_fuzz_corpus: ", err)
 		}
 	}
-	fmt.Printf("gen_fuzz_corpus: wrote %d golden frames to %s, %d seeds to %s (valid snapshot: %d bytes)\n",
-		len(diff.GoldenFrames()), goldenDir, len(seeds), corpusDir, len(valid))
+	fmt.Printf("gen_fuzz_corpus: wrote %d golden frames to %s, %d scenarios to %s, %d seeds to %s (valid snapshot: %d bytes)\n",
+		len(diff.GoldenFrames()), goldenDir, len(fuzz.Corpus()), scenarioDir, len(seeds), corpusDir, len(valid))
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	cogra "repro"
+	"repro/internal/fuzz/diff"
 )
 
 func TestSinkPanicFailsSubscriptionOnly(t *testing.T) {
@@ -19,7 +20,7 @@ func TestSinkPanicFailsSubscriptionOnly(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			sess := cogra.NewSession(opts...)
 			var delivered int
-			panicky, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"]),
+			panicky, err := sess.Subscribe(cogra.MustParse(diff.PatientQueries()["type"]),
 				cogra.WithSink(cogra.SinkFunc(func(cogra.Result) {
 					delivered++
 					panic("sink exploded")
@@ -27,7 +28,7 @@ func TestSinkPanicFailsSubscriptionOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			standing, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["mixed"]))
+			standing, err := sess.Subscribe(cogra.MustParse(diff.PatientQueries()["mixed"]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +48,7 @@ func TestSinkPanicFailsSubscriptionOnly(t *testing.T) {
 				t.Errorf("sink called %d times after panicking, want exactly 1", delivered)
 			}
 			got := standing.Drain()
-			want := soloRun(t, sessionTestQueries()["mixed"], events)
+			want := soloRun(t, diff.PatientQueries()["mixed"], events)
 			if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
 				t.Errorf("healthy subscription disturbed by a sibling's sink panic\ngot:  %v\nwant: %v", got, want)
 			}

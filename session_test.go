@@ -1,104 +1,25 @@
 package cogra_test
 
-// Differential tests pinning the Session API's dynamic-membership
-// semantics:
-//
-//   - subscribe-at-event-k equals a pre-stream subscriber (a solo run)
-//     fed the suffix, from the first fully covered window on;
-//   - unsubscribe-at-event-k equals a solo run fed the prefix;
-//   - a churning fleet (random subscribe/unsubscribe schedule) holds
-//     both properties for every membership interval, across all three
-//     granularities and 1/4 workers (run under -race in CI).
+// Tests pinning the Session API: Stats and intern release, the typed
+// lifecycle errors, Drain's hand-over and buffer recycling, result
+// ownership and the rules for calls from inside sinks. Subscribe at k,
+// unsubscribe at k and churn against solo runs are the solo oracle's,
+// replayed over testdata/scenarios (TestScenarioCorpus).
 
 import (
 	"fmt"
-	"math/rand"
 	goruntime "runtime"
-	"strings"
 	"testing"
 
 	cogra "repro"
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/fuzz/diff"
 )
 
-// sessionTestStream emits a multi-type stream: A/B sequences, M
-// measurement random walks and X noise, all carrying patient (the
-// shared partition attribute), ward (a secondary key) and a numeric
-// payload. Time stamps repeat (dense runs) and jump (idle gaps); IDs
-// are pre-assigned so the same slice can feed concurrent workers and
-// reference runs without mutation.
+// sessionTestStream is the patient stream in its default tempo: dense
+// equal-time runs and idle gaps spanning windows.
 func sessionTestStream(n int) []*cogra.Event {
-	rng := rand.New(rand.NewSource(17))
-	rates := [3]float64{60, 70, 80}
-	out := make([]*cogra.Event, 0, n)
-	tm := int64(0)
-	for i := 0; i < n; i++ {
-		p := rng.Intn(3)
-		patient := fmt.Sprintf("p%d", p)
-		ward := fmt.Sprintf("w%d", rng.Intn(2))
-		var ev *cogra.Event
-		switch x := rng.Intn(10); {
-		case x < 3:
-			ev = cogra.NewEvent("A", tm).WithSym("patient", patient).
-				WithSym("ward", ward).WithNum("v", float64(rng.Intn(100)))
-		case x < 5:
-			ev = cogra.NewEvent("B", tm).WithSym("patient", patient).
-				WithSym("ward", ward).WithNum("v", float64(rng.Intn(100)))
-		case x < 8:
-			rates[p] += float64(rng.Intn(7)) - 3
-			ev = cogra.NewEvent("M", tm).WithSym("patient", patient).
-				WithSym("ward", ward).WithNum("rate", rates[p])
-		default:
-			ev = cogra.NewEvent("X", tm).WithSym("patient", patient).
-				WithSym("ward", ward).WithNum("noise", 1)
-		}
-		ev.ID = int64(i + 1)
-		out = append(out, ev)
-		switch rng.Intn(8) {
-		case 0, 1, 2: // dense run: same time stamp
-		case 7:
-			tm += 30 + int64(rng.Intn(150)) // idle gap spanning windows
-		default:
-			tm++
-		}
-	}
-	return out
-}
-
-// sessionTestQueries covers the three granularities plus the
-// contiguous wants-all path; every query partitions by patient so a
-// 4-worker session routes on a shared attribute.
-func sessionTestQueries() map[string]string {
-	return map[string]string{
-		"type": `
-			RETURN COUNT(*), SUM(A.v)
-			PATTERN (SEQ(A+, B))+
-			SEMANTICS skip-till-any-match
-			WHERE [patient] GROUP-BY patient
-			WITHIN 64 SLIDE 32`,
-		"mixed": `
-			RETURN COUNT(*), MAX(M.rate)
-			PATTERN M+
-			SEMANTICS skip-till-any-match
-			WHERE [patient] AND M.rate < NEXT(M).rate
-			GROUP-BY patient
-			WITHIN 64 SLIDE 64`,
-		"pattern": `
-			RETURN COUNT(*)
-			PATTERN M+
-			SEMANTICS skip-till-next-match
-			WHERE [patient] AND M.rate <= NEXT(M).rate
-			GROUP-BY patient
-			WITHIN 96 SLIDE 48`,
-		"contiguous": `
-			RETURN COUNT(*)
-			PATTERN M+
-			SEMANTICS contiguous
-			WHERE [patient] GROUP-BY patient
-			WITHIN 64 SLIDE 64`,
-	}
+	return diff.PatientStream(diff.PatientShape{Seed: 17}, n)
 }
 
 // soloRun executes one query alone over a slice of the stream — the
@@ -113,261 +34,10 @@ func soloRun(t *testing.T, src string, events []*cogra.Event) []cogra.Result {
 	return rs
 }
 
-// engineRun executes one query on a bare, non-evicting core.Engine
-// over a slice of the stream — the unbounded reference — and returns
-// its results and the engine (diff.EngineRun with the error lifted to
-// t.Fatal).
-func engineRun(t *testing.T, src string, events []*cogra.Event) ([]cogra.Result, *core.Engine) {
-	t.Helper()
-	rs, eng, err := diff.EngineRun(src, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs, eng
-}
-
-// rotateWards is the eviction rows' stream: the session test stream
-// with every ward value renamed per 64-tick frame, so a value bound in a
-// binding slot is never seen again once its frame has passed.
-func rotateWards(events []*cogra.Event) []*cogra.Event {
-	out := make([]*cogra.Event, len(events))
-	for i, e := range events {
-		out[i] = e.Clone().WithSym("ward", fmt.Sprintf("%s-%d", e.Sym["ward"], e.Time/64))
-	}
-	return out
-}
-
-// wardSlot is the eviction rows' query: under skip-till-any-match, the
-// only semantics that takes an alias-scoped equivalence, it also binds
-// the ward of the query's first alias, so over rotateWards the
-// session's binding interns are reclaimed and their ids recycled while
-// the stream runs. A pattern-grained query keeps no slot; eviction has
-// nothing to do there.
-func wardSlot(src string) string {
-	if !strings.Contains(src, "skip-till-any-match") {
-		return src
-	}
-	alias := "M"
-	if strings.Contains(src, "SEQ(A+") {
-		alias = "A"
-	}
-	return strings.Replace(src, "WHERE [patient]", "WHERE [patient] AND ["+alias+".ward]", 1)
-}
-
-// fullWindowsAfter keeps the results of windows fully covered by an
-// observer joining at watermark t: those starting strictly after t.
-func fullWindowsAfter(results []cogra.Result, t int64) []cogra.Result {
-	return diff.FullWindowsAfter(results, t)
-}
-
 func sessionModes() map[string][]cogra.SessionOption {
 	return map[string][]cogra.SessionOption{
 		"inline":   nil,
 		"workers4": {cogra.WithWorkers(4)},
-	}
-}
-
-// TestSessionSubscribeMidStreamMatchesSuffix: for every granularity
-// and for both the inline and the 4-worker session, a query subscribed
-// at event k produces, from its first fully covered window on, results
-// byte-identical to a pre-stream subscriber fed the same suffix.
-func TestSessionSubscribeMidStreamMatchesSuffix(t *testing.T) {
-	events := sessionTestStream(3000)
-	k := len(events) / 3
-	joinTime := events[k-1].Time
-	for mode, opts := range sessionModes() {
-		for name, src := range sessionTestQueries() {
-			t.Run(mode+"/"+name, func(t *testing.T) {
-				sess := cogra.NewSession(opts...)
-				// A standing query keeps the stream busy before the join.
-				standing, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.PushBatch(events[:k]); err != nil {
-					t.Fatal(err)
-				}
-				late, err := sess.Subscribe(cogra.MustParse(src))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.PushBatch(events[k:]); err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.Close(); err != nil {
-					t.Fatal(err)
-				}
-				got := late.Drain()
-				want := fullWindowsAfter(soloRun(t, src, events[k:]), joinTime)
-				if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-					t.Errorf("mid-stream subscriber diverges from suffix solo run\ngot:  %v\nwant: %v", got, want)
-				}
-				if len(want) == 0 {
-					t.Error("no results; differential test is vacuous")
-				}
-				// The standing query must equal its own full-stream solo run.
-				sGot := standing.Drain()
-				sWant := soloRun(t, sessionTestQueries()["type"], events)
-				if fmt.Sprintf("%v", sGot) != fmt.Sprintf("%v", sWant) {
-					t.Errorf("standing query disturbed by mid-stream subscribe\ngot:  %v\nwant: %v", sGot, sWant)
-				}
-			})
-		}
-	}
-}
-
-// TestSessionUnsubscribeMatchesPrefix: unsubscribing at event k flushes
-// exactly the results a solo run over the prefix reports, and the rest
-// of the fleet is untouched.
-func TestSessionUnsubscribeMatchesPrefix(t *testing.T) {
-	events := sessionTestStream(3000)
-	k := len(events) / 2
-	for mode, opts := range sessionModes() {
-		for name, src := range sessionTestQueries() {
-			t.Run(mode+"/"+name, func(t *testing.T) {
-				sess := cogra.NewSession(opts...)
-				leaving, err := sess.Subscribe(cogra.MustParse(src))
-				if err != nil {
-					t.Fatal(err)
-				}
-				standing, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["mixed"]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.PushBatch(events[:k]); err != nil {
-					t.Fatal(err)
-				}
-				got := leaving.Unsubscribe()
-				if err := leaving.Err(); err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.PushBatch(events[k:]); err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.Close(); err != nil {
-					t.Fatal(err)
-				}
-				want := soloRun(t, src, events[:k])
-				if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-					t.Errorf("unsubscribe flush diverges from prefix solo run\ngot:  %v\nwant: %v", got, want)
-				}
-				if len(want) == 0 {
-					t.Error("no results; differential test is vacuous")
-				}
-				sGot := standing.Drain()
-				sWant := soloRun(t, sessionTestQueries()["mixed"], events)
-				if fmt.Sprintf("%v", sGot) != fmt.Sprintf("%v", sWant) {
-					t.Errorf("standing query disturbed by unsubscribe\ngot:  %v\nwant: %v", sGot, sWant)
-				}
-			})
-		}
-	}
-}
-
-// TestSessionChurn runs a random subscribe/unsubscribe schedule over
-// the fleet — including a ward-keyed and an unpartitioned query that
-// break worker-locality mid-stream — and verifies every membership
-// interval [join, leave) against a filtered solo run of its slice of
-// the stream. CI runs this under -race for the 4-worker session.
-func TestSessionChurn(t *testing.T) {
-	events := sessionTestStream(4000)
-	specs := []string{
-		sessionTestQueries()["type"],
-		sessionTestQueries()["mixed"],
-		sessionTestQueries()["pattern"],
-		sessionTestQueries()["contiguous"],
-		// Ward-keyed: does not cover the [patient] routing attribute,
-		// so a mid-stream subscribe falls back to the full-stream
-		// worker in parallel sessions.
-		`RETURN COUNT(*)
-		 PATTERN A+
-		 SEMANTICS skip-till-any-match
-		 WHERE [ward] GROUP-BY ward
-		 WITHIN 50 SLIDE 50`,
-		// Unpartitioned: no stream keys at all.
-		`RETURN COUNT(*)
-		 PATTERN (SEQ(A+, B))+
-		 SEMANTICS skip-till-any-match
-		 WITHIN 80 SLIDE 40`,
-	}
-
-	type interval struct {
-		spec    int
-		join    int // first event index the subscription observes
-		sub     *cogra.Subscription
-		results []cogra.Result
-		leave   int
-	}
-
-	for mode, opts := range sessionModes() {
-		t.Run(mode, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(23))
-			sess := cogra.NewSession(opts...)
-			var live []*interval
-			var done []*interval
-
-			subscribe := func(spec, at int) {
-				sub, err := sess.Subscribe(cogra.MustParse(specs[spec]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, &interval{spec: spec, join: at, sub: sub})
-			}
-			unsubscribe := func(li, at int) {
-				iv := live[li]
-				live = append(live[:li], live[li+1:]...)
-				iv.results = iv.sub.Unsubscribe()
-				if err := iv.sub.Err(); err != nil {
-					t.Fatal(err)
-				}
-				iv.leave = at
-				done = append(done, iv)
-			}
-
-			// The founding query pins the routing attributes to
-			// [patient] before the first event.
-			subscribe(0, 0)
-			for i, e := range events {
-				if err := sess.Push(e); err != nil {
-					t.Fatal(err)
-				}
-				if rng.Intn(100) != 0 {
-					continue
-				}
-				// Membership change after event i.
-				if len(live) > 2 && rng.Intn(2) == 0 {
-					unsubscribe(rng.Intn(len(live)), i+1)
-				} else {
-					subscribe(rng.Intn(len(specs)), i+1)
-				}
-			}
-			if err := sess.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for _, iv := range live {
-				iv.results = iv.sub.Drain()
-				iv.leave = len(events)
-				done = append(done, iv)
-			}
-
-			checked := 0
-			for _, iv := range done {
-				want := soloRun(t, specs[iv.spec], events[iv.join:iv.leave])
-				if iv.join > 0 {
-					want = fullWindowsAfter(want, events[iv.join-1].Time)
-				}
-				if fmt.Sprintf("%v", iv.results) != fmt.Sprintf("%v", want) {
-					t.Errorf("spec %d over [%d,%d) diverges from filtered solo run\ngot:  %v\nwant: %v",
-						iv.spec, iv.join, iv.leave, iv.results, want)
-				}
-				if len(want) > 0 {
-					checked++
-				}
-			}
-			if len(done) < 8 || checked < len(done)/2 {
-				t.Errorf("churn too tame: %d intervals, %d with results", len(done), checked)
-			}
-		})
 	}
 }
 

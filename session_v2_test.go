@@ -12,143 +12,7 @@ import (
 	"testing"
 
 	cogra "repro"
-	"repro/internal/fuzz/diff"
 )
-
-// shuffleBounded returns a copy of events shuffled within blocks of
-// the given size (bounded disorder) plus the slack required to repair
-// it (diff.ShuffleBounded, shared with the fuzzer's slack oracle).
-func shuffleBounded(events []*cogra.Event, block int, seed int64) ([]*cogra.Event, int64) {
-	return diff.ShuffleBounded(events, block, seed)
-}
-
-// TestSessionSlackDifferential: a stream shuffled within slack K,
-// pushed through PushBatch on a WithSlack(K) session, produces
-// byte-identical results to the sorted stream pushed event by event
-// through a slack-less session — for every granularity (plus the
-// contiguous wants-all path) and for inline and 4-worker sessions.
-func TestSessionSlackDifferential(t *testing.T) {
-	events := sessionTestStream(3000)
-	shuffled, slack := shuffleBounded(events, 6, 99)
-	if slack == 0 {
-		t.Fatal("shuffle produced no disorder; test is vacuous")
-	}
-	for mode, opts := range sessionModes() {
-		for name, src := range sessionTestQueries() {
-			t.Run(mode+"/"+name, func(t *testing.T) {
-				ref := cogra.NewSession(opts...)
-				refSub, err := ref.Subscribe(cogra.MustParse(src))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, e := range events {
-					if err := ref.Push(e); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := ref.Close(); err != nil {
-					t.Fatal(err)
-				}
-				want := refSub.Drain()
-
-				sess := cogra.NewSession(append(opts[:len(opts):len(opts)], cogra.WithSlack(slack))...)
-				sub, err := sess.Subscribe(cogra.MustParse(src))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.PushBatch(shuffled); err != nil {
-					t.Fatal(err)
-				}
-				if err := sess.Close(); err != nil {
-					t.Fatal(err)
-				}
-				got := sub.Drain()
-
-				if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-					t.Errorf("shuffled-with-slack diverges from sorted stream\ngot:  %v\nwant: %v", got, want)
-				}
-				if len(want) == 0 {
-					t.Error("no results; differential test is vacuous")
-				}
-				st, err := sess.Stats()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.LateDropped != 0 {
-					t.Errorf("dropped %d events within slack", st.LateDropped)
-				}
-				if st.ReorderPeakDepth == 0 {
-					t.Error("reorder peak depth not tracked")
-				}
-			})
-		}
-	}
-}
-
-// TestSessionSlackZeroMatchesProcess: with slack 0 Push is
-// result-identical to a solo engine's per-event Process on an in-order
-// stream, in both session modes.
-func TestSessionSlackZeroMatchesProcess(t *testing.T) {
-	events := sessionTestStream(2000)
-	src := sessionTestQueries()["type"]
-	for mode, opts := range sessionModes() {
-		t.Run(mode, func(t *testing.T) {
-			want := soloRun(t, src, events)
-
-			sess := cogra.NewSession(append(opts[:len(opts):len(opts)], cogra.WithSlack(0))...)
-			sub, err := sess.Subscribe(cogra.MustParse(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range events {
-				if err := sess.Push(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sess.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sub.Drain(); fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-				t.Errorf("slack-0 Push diverges from Process\ngot:  %v\nwant: %v", got, want)
-			}
-		})
-	}
-}
-
-// TestSessionPushBatchMatchesProcess: the native batch path produces
-// exactly the per-event path's results (no slack configured).
-func TestSessionPushBatchMatchesProcess(t *testing.T) {
-	events := sessionTestStream(2000)
-	src := sessionTestQueries()["mixed"]
-	for mode, opts := range sessionModes() {
-		t.Run(mode, func(t *testing.T) {
-			want := soloRun(t, src, events) // per-event Process reference
-
-			sess := cogra.NewSession(opts...)
-			sub, err := sess.Subscribe(cogra.MustParse(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Uneven batch sizes cross every internal boundary.
-			for i := 0; i < len(events); {
-				n := 1 + (i*7)%97
-				if i+n > len(events) {
-					n = len(events) - i
-				}
-				if err := sess.PushBatch(events[i : i+n]); err != nil {
-					t.Fatal(err)
-				}
-				i += n
-			}
-			if err := sess.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sub.Drain(); fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-				t.Errorf("PushBatch diverges from Process\ngot:  %v\nwant: %v", got, want)
-			}
-		})
-	}
-}
 
 // TestSessionLatePolicies: beyond-slack events are dropped and counted
 // under DropLate (the default) and fail Push with ErrLateEvent under

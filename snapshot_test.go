@@ -1,15 +1,11 @@
 package cogra_test
 
-// Differential tests for checkpoint/restore: snapshotting a session at
-// event k, restoring it, and pushing the remaining suffix must be
-// byte-identical to the undisturbed run — results AND Stats counters —
-// across all three granularities, inline and 4-worker sessions, and
-// the slack, catalog-compaction and after-close variants; the
-// eviction variant binds a slot over values that age out (wardSlot,
-// rotateWards) and also holds the restored run's results to a bare
-// core.Engine that never evicts. This extends the repo's differential
-// spine (solo run == session run == parallel run) with: restore ==
-// undisturbed run.
+// Tests for checkpoint/restore that pin API behaviour: a frame keeps
+// the session's configuration, the golden frames pin the wire format,
+// old formats are refused, damaged frames fail typed, and restored
+// sessions take joiners and hand out pending results. That a restore
+// plus the suffix equals the undisturbed run is the snapshot oracle's,
+// replayed over testdata/scenarios (TestScenarioCorpus).
 
 import (
 	"bytes"
@@ -26,182 +22,6 @@ import (
 	"repro/internal/fuzz/diff"
 	"repro/internal/snap"
 )
-
-// snapRun feeds events to a session hosting a standing query and the
-// query under test, with optional churn (an extra query subscribed at
-// the start and unsubscribed at event churnAt, forcing catalog
-// compaction). At event snapAt (-1: never) it snapshots, restores, and
-// continues on the restored session. Returns the target's drained
-// results and the final stats rendering.
-func snapRun(t *testing.T, opts []cogra.SessionOption, src string, events []*cogra.Event, snapAt, churnAt int) ([]cogra.Result, string, string) {
-	t.Helper()
-	sess := cogra.NewSession(opts...)
-	if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"])); err != nil {
-		t.Fatal(err)
-	}
-	target, err := sess.Subscribe(cogra.MustParse(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var extra *cogra.Subscription
-	if churnAt >= 0 {
-		if extra, err = sess.Subscribe(cogra.MustParse(sessionTestQueries()["mixed"])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var cutStats string
-	targetID := target.ID()
-	for i, e := range events {
-		if extra != nil && i == churnAt {
-			extra.Unsubscribe()
-			if err := extra.Err(); err != nil {
-				t.Fatal(err)
-			}
-			extra = nil
-		}
-		if i == snapAt {
-			var buf bytes.Buffer
-			if err := sess.Snapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			before, err := sess.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess.Close() // the original "crashes"; discard its tail
-			if sess, err = cogra.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			after, err := sess.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprintf("%+v", after) != fmt.Sprintf("%+v", before) {
-				t.Fatalf("stats not continuous across restore\nbefore: %+v\nafter:  %+v", before, after)
-			}
-			cutStats = fmt.Sprintf("%+v", after)
-			subs := sess.Subscriptions()
-			if len(subs) <= targetID {
-				t.Fatalf("restored session has %d subscriptions, want at least %d", len(subs), targetID+1)
-			}
-			target = subs[targetID]
-			if !target.Active() {
-				t.Fatal("restored target subscription inactive")
-			}
-		}
-		if err := sess.Push(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := sess.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return target.Drain(), fmt.Sprintf("%+v", st), cutStats
-}
-
-// TestSessionSnapshotRestoreDifferential is also the pooling
-// differential: engines recycle the sub-aggregators and window states of
-// closed windows, and a restored session starts with empty pools, so
-// every cell compares a cold-pool run (restored: its state is built
-// from the frame by the constructors a pool miss uses) with a warm-pool
-// run (undisturbed) byte for byte. The afterclose variant cuts right
-// after a long idle gap has closed every open window — the moment the
-// free lists are at their fullest and the frame at its emptiest.
-func TestSessionSnapshotRestoreDifferential(t *testing.T) {
-	base := sessionTestStream(2400)
-	shuffled, slack := shuffleBounded(base, 6, 99)
-	if slack == 0 {
-		t.Fatal("shuffle produced no disorder; slack variant is vacuous")
-	}
-	mid := len(base) / 2
-	afterClose := -1
-	for i := mid; i < len(base); i++ {
-		if base[i].Time-base[i-1].Time > 96+48 { // longer than any window reaches back
-			afterClose = i + 1 // event i closed them all
-			break
-		}
-	}
-	if afterClose < 0 {
-		t.Fatal("stream has no long idle gap after the midpoint; afterclose variant is vacuous")
-	}
-	variants := map[string]struct {
-		opts    []cogra.SessionOption
-		events  []*cogra.Event
-		churnAt int
-		snapAt  int
-		evict   bool // wardSlot over rotateWards; results must also equal a non-evicting engine's
-	}{
-		"plain":      {nil, base, -1, mid, false},
-		"slack":      {[]cogra.SessionOption{cogra.WithSlack(slack)}, shuffled, -1, mid, false},
-		"eviction":   {nil, rotateWards(base), -1, mid, true},
-		"compaction": {nil, base, len(base) / 4, mid, false},
-		"afterclose": {nil, base, -1, afterClose, false},
-	}
-	for mode, mopts := range sessionModes() {
-		for vname, v := range variants {
-			for qname, src := range sessionTestQueries() {
-				t.Run(mode+"/"+vname+"/"+qname, func(t *testing.T) {
-					if v.evict {
-						src = wardSlot(src)
-					}
-					opts := append(mopts[:len(mopts):len(mopts)], v.opts...)
-					want, wantStats, _ := snapRun(t, opts, src, v.events, -1, v.churnAt)
-					got, gotStats, _ := snapRun(t, opts, src, v.events, v.snapAt, v.churnAt)
-					if !diff.Equal(got, want) {
-						t.Errorf("restored run diverges from undisturbed run\n%s", diff.Diff(got, want))
-					}
-					if v.evict {
-						if ref, _ := engineRun(t, src, v.events); !diff.Equal(got, ref) {
-							t.Errorf("restored run diverges from a non-evicting engine\n%s", diff.Diff(got, ref))
-						}
-					}
-					if len(want) == 0 {
-						t.Error("no results; differential test is vacuous")
-					}
-					if gotStats != wantStats {
-						t.Errorf("final stats diverge\ngot:  %s\nwant: %s", gotStats, wantStats)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestSessionSnapshotMidTimestamp pins the stream-transaction rule: a
-// snapshot taken between two events of the SAME time stamp (staged,
-// uncommitted aggregator state) restores and finishes identically.
-func TestSessionSnapshotMidTimestamp(t *testing.T) {
-	events := sessionTestStream(2000)
-	// Find a cut strictly inside a dense (equal-time) run.
-	snapAt := -1
-	for i := 1; i < len(events); i++ {
-		if events[i].Time == events[i-1].Time && i > len(events)/2 {
-			snapAt = i
-			break
-		}
-	}
-	if snapAt < 0 {
-		t.Fatal("stream has no dense run after the midpoint")
-	}
-	for mode, mopts := range sessionModes() {
-		for qname, src := range sessionTestQueries() {
-			t.Run(mode+"/"+qname, func(t *testing.T) {
-				want, wantStats, _ := snapRun(t, mopts, src, events, -1, -1)
-				got, gotStats, _ := snapRun(t, mopts, src, events, snapAt, -1)
-				if !diff.Equal(got, want) {
-					t.Errorf("mid-timestamp restore diverges\n%s", diff.Diff(got, want))
-				}
-				if gotStats != wantStats {
-					t.Errorf("final stats diverge\ngot:  %s\nwant: %s", gotStats, wantStats)
-				}
-			})
-		}
-	}
-}
 
 // TestRestoreKeepsSessionConfig: a frame is the whole session. A
 // session restored from a snapshot runs under the configuration it was
@@ -534,7 +354,7 @@ func TestRestoreLaggingV7Frames(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func(sess *cogra.Session) [][]cogra.Result {
-				suffix := runShapedStream(900)
+				suffix := diff.PatientStream(diff.PatientShape{Seed: 41, Step: diff.RunStep, Burst: diff.BurstOf3To8}, 900)
 				for i, e := range suffix {
 					e.Time += st.Watermark + 1
 					e.ID = int64(100_000 + i)
@@ -582,7 +402,7 @@ func TestRestoreLaggingV7Frames(t *testing.T) {
 // one patient, so three workers never see an event, then a late joiner.
 func quietWorkerSession() (*cogra.Session, error) {
 	sess := cogra.NewSession(cogra.WithWorkers(4))
-	q := sessionTestQueries()
+	q := diff.PatientQueries()
 	if _, err := sess.Subscribe(cogra.MustParse(q["type"])); err != nil {
 		return nil, err
 	}
@@ -631,11 +451,11 @@ func TestRestoreThenSubscribe(t *testing.T) {
 	events := sessionTestStream(2400)
 	k := len(events) / 2
 	joinTime := events[k-1].Time
-	src := sessionTestQueries()["mixed"]
+	src := diff.PatientQueries()["mixed"]
 	for mode, mopts := range sessionModes() {
 		t.Run(mode, func(t *testing.T) {
 			sess := cogra.NewSession(mopts...)
-			if _, err := sess.Subscribe(cogra.MustParse(sessionTestQueries()["type"])); err != nil {
+			if _, err := sess.Subscribe(cogra.MustParse(diff.PatientQueries()["type"])); err != nil {
 				t.Fatal(err)
 			}
 			if err := sess.PushBatch(events[:k]); err != nil {
@@ -661,7 +481,7 @@ func TestRestoreThenSubscribe(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := late.Drain()
-			want := fullWindowsAfter(soloRun(t, src, events[k:]), joinTime)
+			want := diff.FullWindowsAfter(soloRun(t, src, events[k:]), joinTime)
 			if !diff.Equal(got, want) {
 				t.Errorf("post-restore subscriber diverges from suffix solo run\n%s", diff.Diff(got, want))
 			}
@@ -679,7 +499,7 @@ func TestRestorePendingResults(t *testing.T) {
 	events := sessionTestStream(2400)
 	for mode, mopts := range sessionModes() {
 		t.Run(mode, func(t *testing.T) {
-			src := sessionTestQueries()["type"]
+			src := diff.PatientQueries()["type"]
 			sess := cogra.NewSession(mopts...)
 			sub, err := sess.Subscribe(cogra.MustParse(src))
 			if err != nil {
@@ -802,6 +622,78 @@ func TestRestoreSurvivesPayloadDamage(t *testing.T) {
 						damaged[at] = b
 						try(fmt.Sprintf("byte %#02x", b), at, damaged)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestSharedAggregationAddedAtRestore: a restored group takes joiners
+// as a live one does. Each golden frame restores, takes a second
+// subscription of its first active query, and runs a suffix. The second
+// subscription must join the restored query's group (SharedGroups >= 1)
+// and report the first one's results from its first full window on.
+// The subtests group the frames by topology.
+func TestSharedAggregationAddedAtRestore(t *testing.T) {
+	frames := map[string][]string{
+		"inline":   {"detached", "handover", "literals", "mixed", "unconstrained", "vectors"},
+		"workers2": {"retired"},
+		"workers4": {"fleet"},
+	}
+	for mode, names := range frames {
+		t.Run(mode, func(t *testing.T) {
+			for _, name := range names {
+				sess, err := cogra.Restore(bytes.NewReader(readGolden(t, name)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := sess.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (st.Workers > 1) != (mode != "inline") {
+					t.Fatalf("%s restores to %d workers: filed under the wrong topology", name, st.Workers)
+				}
+				var first *cogra.Subscription
+				for _, sub := range sess.Subscriptions() {
+					if sub.Active() {
+						first = sub
+						break
+					}
+				}
+				if first == nil {
+					t.Fatalf("%s has no active subscription", name)
+				}
+				second, err := sess.Subscribe(cogra.MustParse(first.Plan().Query.String()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if joined, err := sess.Stats(); err != nil || joined.SharedGroups < 1 {
+					t.Errorf("%s: the second subscription did not join the restored group: %+v, %v", name, joined, err)
+				}
+				// The session test mix after the cut, with C for X and an x
+				// value, so the three-slot SEQ(A+, B, C) of the vectors frame
+				// matches too.
+				suffix := sessionTestStream(600)
+				for i, e := range suffix {
+					e.Time += st.Watermark + 1
+					e.WithSym("x", fmt.Sprintf("x%d", i%3))
+					if e.Type == "X" {
+						e.Type = "C"
+					}
+				}
+				if err := sess.PushBatch(suffix); err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+				got := second.Drain()
+				if len(got) == 0 {
+					t.Errorf("%s: the second subscription reported nothing; the test is vacuous", name)
+				}
+				if want := diff.FullWindowsAfter(first.Drain(), st.Watermark); !diff.Equal(got, want) {
+					t.Errorf("%s: the second subscription diverges from the first's full windows\n%s", name, diff.Diff(got, want))
 				}
 			}
 		})

@@ -212,6 +212,7 @@ func Corpus() []CorpusEntry {
 	runs := diff.PatientStream(diff.PatientShape{Seed: 41, Step: diff.RunStep, Burst: diff.BurstOf3To8}, 1500)
 	groups := diff.PatientStream(diff.PatientShape{Seed: 43, Step: diff.GroupStep()}, 1500)
 	rotatedRuns := diff.PatientStream(diff.PatientShape{Seed: 41, Step: diff.RunStep, Burst: diff.BurstOf3To8, Rotate: true}, 1500)
+	rotatedGroups := diff.PatientStream(diff.PatientShape{Seed: 43, Step: diff.GroupStep(), Rotate: true}, 1500)
 	session := diff.PatientStream(diff.PatientShape{Seed: 17}, 1500)
 	rotatedSession := diff.PatientStream(diff.PatientShape{Seed: 17, Rotate: true}, 1500)
 	lifecycle := diff.PatientStream(diff.PatientShape{Seed: 23, Step: diff.DenseStep, Rotate: true}, 2000)
@@ -237,6 +238,10 @@ func Corpus() []CorpusEntry {
 	}
 	add(entry{name: "batch_evict", oracles: "batch,solo", reach: "tie-runs intern-3x results-every-sub",
 		events: rotatedRuns, subs: resident(len(rotatedRuns), slotted...), workers: 4, batch: 256})
+	add(entry{name: "batch_interleaved_compaction", oracles: "batch,workers,solo", reach: "interleaved-ties compaction results-every-sub",
+		events: groups, subs: append(resident(len(groups), kernelFleet()...), SubSpec{Src: noise, Leave: 768}), batch: 256})
+	add(entry{name: "batch_interleaved_evict", oracles: "batch,solo", reach: "interleaved-ties intern-3x results-every-sub",
+		events: rotatedGroups, subs: resident(len(rotatedGroups), slotted...), workers: 4, batch: 256})
 
 	// Late joiners on the one fallback worker, which retires with its
 	// last subscriber; and a cut inside a tie while it is live.

@@ -269,3 +269,34 @@ func TestReadReproRejectsUnknownNames(t *testing.T) {
 		}
 	}
 }
+
+// TestExecuteKeepsRunsWhileScenarioReadsSame: a second Execute of the
+// same mode hands back the kept run, and one after the subscriptions
+// change runs again.
+func TestExecuteKeepsRunsWhileScenarioReadsSame(t *testing.T) {
+	var sc *Scenario
+	for i := 0; sc == nil || len(sc.Subs) < 2; i++ {
+		var err error
+		if sc, err = Generate(1, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := Execute(sc, BaseMode(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := Execute(sc, BaseMode(sc)); err != nil || again != first {
+		t.Fatalf("the same mode ran again (%v)", err)
+	}
+	sc.Subs = sc.Subs[:1]
+	fewer, err := Execute(sc, BaseMode(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fewer == first || len(fewer.Results) != 1 {
+		t.Fatalf("a run kept for %d subscriptions answered for 1", len(first.Results))
+	}
+	if c := sc.Clone(); len(c.runs) != 0 {
+		t.Fatal("a clone keeps its original's runs")
+	}
+}

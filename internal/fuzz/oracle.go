@@ -145,14 +145,17 @@ func OracleByName(name string) *Oracle {
 // buffer in the path.
 func selfDiff(sc *Scenario, underSlack bool, flip func(*Mode)) (string, error) {
 	base := BaseMode(sc)
-	if m, err := diffModes(sc, base, flip); m != "" || err != nil || !underSlack || sc.HasChurn() {
+	if m, err := DiffModes(sc, base, flip); m != "" || err != nil || !underSlack || sc.HasChurn() {
 		return m, err
 	}
 	base.Shuffled = true
-	return diffModes(sc, base, flip)
+	return DiffModes(sc, base, flip)
 }
 
-func diffModes(sc *Scenario, baseMode Mode, flip func(*Mode)) (string, error) {
+// DiffModes is one half of a self-differential: the scenario run under
+// baseMode, whose invariants it checks, against the same run with flip
+// applied. It returns "" when they agree.
+func DiffModes(sc *Scenario, baseMode Mode, flip func(*Mode)) (string, error) {
 	flipped := baseMode
 	flip(&flipped)
 	base, err := Execute(sc, baseMode)

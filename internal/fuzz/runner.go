@@ -174,38 +174,49 @@ type Verdict struct {
 	Mismatch string
 }
 
-// Replay loads a repro or corpus file, checks its reach properties and
-// re-runs every oracle it names ("*": the whole suite; an oracle that
-// does not apply passes). A verdict with a mismatch means the file
-// fails again; a committed one is a regression.
+// Replay loads a repro or corpus file and checks it (Check). A verdict
+// with a mismatch means the file fails again; a committed one is a
+// regression.
 func Replay(r io.Reader) (*Repro, []Verdict, error) {
 	rep, err := ReadRepro(r)
 	if err != nil {
 		return nil, nil, err
 	}
+	verdicts, err := Check(rep.Scenario, rep.Reach, rep.Oracles)
+	return rep, verdicts, err
+}
+
+// Check checks a scenario's reach properties and re-runs every oracle
+// it names ("*": the whole suite; an oracle that does not apply
+// passes), one verdict each.
+func Check(sc *Scenario, reach, oracles []string) ([]Verdict, error) {
 	var verdicts []Verdict
-	if len(rep.Reach) > 0 {
-		lack, err := checkReach(rep.Scenario, rep.Reach)
+	if len(reach) > 0 {
+		lack, err := checkReach(sc, reach)
 		if err != nil {
-			return rep, nil, fmt.Errorf("reach: %w", err)
+			return nil, fmt.Errorf("reach: %w", err)
 		}
 		verdicts = append(verdicts, Verdict{Oracle: "reach", Mismatch: lack})
 	}
 	suite := Oracles()
-	if rep.Oracles[0] != "*" {
+	if len(oracles) != 1 || oracles[0] != "*" {
 		suite = nil
-		for _, name := range rep.Oracles {
-			suite = append(suite, *OracleByName(name))
+		for _, name := range oracles {
+			o := OracleByName(name)
+			if o == nil {
+				return verdicts, fmt.Errorf("unknown oracle %q", name)
+			}
+			suite = append(suite, *o)
 		}
 	}
 	for _, o := range suite {
-		mismatch, err := o.Check(rep.Scenario)
+		mismatch, err := o.Check(sc)
 		if err != nil {
-			return rep, verdicts, fmt.Errorf("oracle %s: %w", o.Name, err)
+			return verdicts, fmt.Errorf("oracle %s: %w", o.Name, err)
 		}
 		verdicts = append(verdicts, Verdict{Oracle: o.Name, Mismatch: mismatch})
 	}
-	return rep, verdicts, nil
+	return verdicts, nil
 }
 
 // ReplayFile is Replay over a path.

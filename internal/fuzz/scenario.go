@@ -61,6 +61,8 @@ type Scenario struct {
 	// scenarios sum integer-valued payloads, so every order of
 	// accumulation gives the same bits.
 	Exact bool
+
+	runs []runMemo // Execute's kept runs
 }
 
 // tolerance is the relative float tolerance the oracles compare the
@@ -113,6 +115,7 @@ func (sc *Scenario) Size() int {
 // events; the Subs slice and scalar knobs are independent.
 func (sc *Scenario) Clone() *Scenario {
 	c := *sc
+	c.runs = nil
 	c.Subs = append([]SubSpec(nil), sc.Subs...)
 	c.Events = append([]*cogra.Event(nil), sc.Events...)
 	return &c

@@ -11,6 +11,7 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	cogra "repro"
@@ -100,10 +101,10 @@ const (
 )
 
 // sharedFleet returns three RETURN-variants of one sharing-equivalent
-// query body per granularity: each trio compiles to one sharing
-// fingerprint, so a session folds it into one group hosting the union
-// of their aggregates.
-func sharedFleet(g string) []string {
+// query body per granularity, named <g>-0 to <g>-2: each trio compiles
+// to one sharing fingerprint, so a session folds it into one group
+// hosting the union of their aggregates.
+func sharedFleet(g string) []SubSpec {
 	bodies := map[string]string{
 		"type": `
 			PATTERN (SEQ(A+, B))+
@@ -128,9 +129,9 @@ func sharedFleet(g string) []string {
 		"mixed":   {"COUNT(*), MAX(M.rate)", "COUNT(*)", "MIN(M.rate), AVG(M.rate)"},
 		"pattern": {"COUNT(*)", "COUNT(M)", "SUM(M.rate)"},
 	}
-	var out []string
-	for _, ret := range returns[g] {
-		out = append(out, "RETURN "+ret+"\n"+bodies[g])
+	var out []SubSpec
+	for i, ret := range returns[g] {
+		out = append(out, SubSpec{Name: fmt.Sprintf("%s-%d", g, i), Src: "RETURN " + ret + "\n" + bodies[g]})
 	}
 	return out
 }
@@ -151,33 +152,49 @@ func wardSlot(src string) string {
 	return strings.Replace(src, "WHERE [patient]", "WHERE [patient] AND ["+alias+".ward]", 1)
 }
 
-// patientFleet is the four patient queries, in a fixed order.
-func patientFleet() []string {
+// patientFleet is the four patient queries, named by granularity.
+func patientFleet() []SubSpec {
 	q := diff.PatientQueries()
-	return []string{q["type"], q["mixed"], q["pattern"], q["contiguous"]}
+	var out []SubSpec
+	for _, name := range []string{"type", "mixed", "pattern", "contiguous"} {
+		out = append(out, SubSpec{Name: name, Src: q[name]})
+	}
+	return out
 }
 
 // kernelFleet is the patient fleet plus both Figure 2 plans.
-func kernelFleet() []string { return append(patientFleet(), figure2Mixed, figure2Negated) }
+func kernelFleet() []SubSpec {
+	return append(patientFleet(), SubSpec{Name: "figure2-mixed", Src: figure2Mixed}, SubSpec{Name: "figure2-negated", Src: figure2Negated})
+}
+
+// wardSlotted is wardSlot over each subscription of a fleet.
+func wardSlotted(fleet []SubSpec) []SubSpec {
+	out := slices.Clone(fleet)
+	for i := range out {
+		out[i].Src = wardSlot(out[i].Src)
+	}
+	return out
+}
 
 // entry is the corpus's scenario builder: every scenario compares
 // exactly, and every query is stored in its canonical text.
 type entry struct {
-	name    string
-	oracles string
-	reach   string
-	events  []*cogra.Event
-	subs    []SubSpec
-	workers int
-	batch   int
-	snapAt  int
+	name     string
+	oracles  string
+	reach    string
+	events   []*cogra.Event
+	subs     []SubSpec
+	workers  int
+	batch    int
+	snapAt   int
+	maxDepth int
 }
 
-// resident subscribes each query for the whole stream.
-func resident(n int, srcs ...string) []SubSpec {
-	var out []SubSpec
-	for _, src := range srcs {
-		out = append(out, SubSpec{Src: src, Join: 0, Leave: n})
+// resident keeps each subscription for the whole stream of n events.
+func resident(n int, subs ...SubSpec) []SubSpec {
+	out := slices.Clone(subs)
+	for i := range out {
+		out[i].Join, out[i].Leave = 0, n
 	}
 	return out
 }
@@ -231,23 +248,22 @@ func Corpus() []CorpusEntry {
 	add(entry{name: "batch_interleaved", oracles: "batch,workers,slack,solo", reach: "interleaved-ties straddles results-every-sub",
 		events: groups, subs: resident(len(groups), kernelFleet()...), batch: 256})
 	add(entry{name: "batch_compaction", oracles: "batch,workers,solo", reach: "tie-runs compaction results-every-sub",
-		events: runs, subs: append(resident(len(runs), kernelFleet()...), SubSpec{Src: noise, Leave: 768}), batch: 256})
-	var slotted []string
-	for _, src := range kernelFleet() {
-		slotted = append(slotted, wardSlot(src))
-	}
+		events: runs, subs: append(resident(len(runs), kernelFleet()...), SubSpec{Name: "noise", Src: noise, Leave: 768}), batch: 256})
+	slotted := wardSlotted(kernelFleet())
 	add(entry{name: "batch_evict", oracles: "batch,solo", reach: "tie-runs intern-3x results-every-sub",
 		events: rotatedRuns, subs: resident(len(rotatedRuns), slotted...), workers: 4, batch: 256})
 	add(entry{name: "batch_interleaved_compaction", oracles: "batch,workers,solo", reach: "interleaved-ties compaction results-every-sub",
-		events: groups, subs: append(resident(len(groups), kernelFleet()...), SubSpec{Src: noise, Leave: 768}), batch: 256})
+		events: groups, subs: append(resident(len(groups), kernelFleet()...), SubSpec{Name: "noise", Src: noise, Leave: 768}), batch: 256})
 	add(entry{name: "batch_interleaved_evict", oracles: "batch,solo", reach: "interleaved-ties intern-3x results-every-sub",
 		events: rotatedGroups, subs: resident(len(rotatedGroups), slotted...), workers: 4, batch: 256})
 
 	// Late joiners on the one fallback worker, which retires with its
 	// last subscriber; and a cut inside a tie while it is live.
 	n := len(runs)
-	fallback := []SubSpec{{Src: q["type"], Leave: n},
-		{Src: wardSeq, Join: n / 3, Leave: n - 64}, {Src: wardTrend, Join: n / 3, Leave: 2 * n / 3}, {Src: globalContiguous, Join: n / 3, Leave: n - 64}}
+	fallback := []SubSpec{{Name: "type", Src: q["type"], Leave: n},
+		{Name: "ward-seq", Src: wardSeq, Join: n / 3, Leave: n - 64},
+		{Name: "ward-trend", Src: wardTrend, Join: n / 3, Leave: 2 * n / 3},
+		{Name: "global-contiguous", Src: globalContiguous, Join: n / 3, Leave: n - 64}}
 	add(entry{name: "workers_fallback", oracles: "workers,batch,solo", reach: "fallback-worker groups-retired results-every-sub",
 		events: runs, subs: fallback, workers: 4, batch: 256})
 	fallbackCut := append([]SubSpec(nil), fallback...)
@@ -258,18 +274,22 @@ func Corpus() []CorpusEntry {
 	// Every drain of a worker session against the inline drain at the
 	// same position, with groups spanning workers and a late joiner on
 	// the fallback worker.
-	drains := append(resident(n, append(patientFleet(), wardSpan)...), SubSpec{Src: wardTrend, Join: n / 3, Leave: n})
+	drains := append(resident(n, append(patientFleet(), SubSpec{Name: "ward-span", Src: wardSpan})...),
+		SubSpec{Name: "ward-trend", Src: wardTrend, Join: n / 3, Leave: n})
 	add(entry{name: "workers_drains", oracles: "workers,solo", reach: "fallback-worker results-every-sub",
 		events: runs, subs: drains, workers: 2, batch: 300})
 
 	// Subscribe at k, unsubscribe at k and a churning fleet against
 	// one bare engine per membership interval.
 	n = len(session)
-	membership := resident(n, q["type"])
-	for _, src := range patientFleet() {
-		membership = append(membership, SubSpec{Src: src, Join: n / 3, Leave: n}, SubSpec{Src: src, Join: 0, Leave: n / 2})
+	standingType := SubSpec{Name: "standing", Src: q["type"], Leave: n}
+	membership := []SubSpec{standingType}
+	for _, s := range patientFleet() {
+		membership = append(membership, SubSpec{Name: s.Name + "-join", Src: s.Src, Join: n / 3, Leave: n},
+			SubSpec{Name: s.Name + "-leave", Src: s.Src, Join: 0, Leave: n / 2})
 	}
-	membership = append(membership, SubSpec{Src: wardRuns, Join: n / 5, Leave: 4 * n / 5}, SubSpec{Src: unpartitioned, Join: 3 * n / 5, Leave: n})
+	membership = append(membership, SubSpec{Name: "ward-runs", Src: wardRuns, Join: n / 5, Leave: 4 * n / 5},
+		SubSpec{Name: "unpartitioned", Src: unpartitioned, Join: 3 * n / 5, Leave: n})
 	add(entry{name: "solo_membership", oracles: "solo,workers,batch", reach: "fallback-worker results-every-sub",
 		events: session, subs: membership, workers: 4})
 
@@ -282,50 +302,47 @@ func Corpus() []CorpusEntry {
 	// a cut inside a tie, after churn compacted the catalog, right
 	// after an idle gap closed every window, and over slots that age
 	// out.
-	standing := resident(n, append([]string{q["type"]}, patientFleet()...)...)
+	standing := resident(n, append([]SubSpec{standingType}, patientFleet()...)...)
 	add(entry{name: "snapshot_tie", oracles: "snapshot,solo", reach: "cut-in-tie results-every-sub",
 		events: session, subs: standing, snapAt: tieCut(session, n/2, n)})
 	add(entry{name: "snapshot_compaction", oracles: "snapshot,solo", reach: "compaction results-every-sub",
-		events: session, subs: append(append([]SubSpec(nil), standing...), SubSpec{Src: noise, Leave: n / 4}), workers: 4, snapAt: n / 2})
+		events: session, subs: append(slices.Clone(standing), SubSpec{Name: "noise", Src: noise, Leave: n / 4}), workers: 4, snapAt: n / 2})
 	afterClose := n / 2
 	for session[afterClose].Time-session[afterClose-1].Time <= 96+48 { // longer than any window reaches back
 		afterClose++
 	}
 	add(entry{name: "snapshot_afterclose", oracles: "snapshot", reach: "results-every-sub",
 		events: session, subs: standing, workers: 4, snapAt: afterClose + 1})
-	var slottedStanding []SubSpec
-	for _, s := range standing {
-		slottedStanding = append(slottedStanding, SubSpec{Src: wardSlot(s.Src), Leave: s.Leave})
-	}
 	add(entry{name: "snapshot_evict", oracles: "snapshot,solo", reach: "intern-3x results-every-sub",
-		events: rotatedSession, subs: slottedStanding, snapAt: n / 2})
+		events: rotatedSession, subs: wardSlotted(standing), snapAt: n / 2})
 
 	// Sharing against one bare engine per query: per granularity a
 	// trio plus an unrelated control, churned member by member, handed
 	// over with both hosts live, and rejoined across the sparse phase.
 	n = len(phases)
 	dense := quietBoundary(phases, 2*n/3)
+	control := SubSpec{Name: "control", Src: q["contiguous"], Leave: n}
+	var evictFleet []SubSpec
 	for _, g := range []string{"type", "mixed", "pattern"} {
 		trio := sharedFleet(g)
-		control := SubSpec{Src: q["contiguous"], Leave: n}
+		evictFleet = append(evictFleet, trio...)
+		member := func(i, join, leave int) SubSpec {
+			s := trio[i]
+			s.Join, s.Leave = join, leave
+			return s
+		}
 		add(entry{name: "shared_" + g + "_churn", oracles: "solo,snapshot,workers", reach: "shared-group share-flip groups-retired results-every-sub",
-			events: phases, subs: []SubSpec{{Src: trio[0], Leave: 7 * n / 8}, {Src: trio[1], Leave: 2 * n / 3}, {Src: trio[2], Leave: 3 * n / 4}, control},
+			events: phases, subs: []SubSpec{member(0, 0, 7*n/8), member(1, 0, 2*n/3), member(2, 0, 3*n/4), control},
 			batch: 256, snapAt: 5 * n / 8})
 		add(entry{name: "shared_" + g + "_handover", oracles: "solo,snapshot,workers", reach: "shared-group share-flip results-every-sub",
-			events: phases, subs: []SubSpec{{Src: trio[0], Leave: dense + 6}, {Src: trio[1], Leave: n}, {Src: trio[2], Join: dense, Leave: n}, control},
+			events: phases, subs: []SubSpec{member(0, 0, dense+6), member(1, 0, n), member(2, dense, n), control},
 			workers: 4, batch: 256, snapAt: dense + 3})
 		add(entry{name: "shared_" + g + "_rejoin", oracles: "solo,workers", reach: "shared-group share-flip results-every-sub",
-			events: phases, subs: []SubSpec{{Src: trio[0], Leave: n}, {Src: trio[1], Leave: 7 * n / 16}, {Src: trio[2], Join: n / 2, Leave: n}, control},
+			events: phases, subs: []SubSpec{member(0, 0, n), member(1, 0, 7*n/16), member(2, n/2, n), control},
 			batch: 256})
 	}
-	var evictFleet []string
-	for _, g := range []string{"type", "mixed", "pattern"} {
-		for _, src := range sharedFleet(g) {
-			evictFleet = append(evictFleet, wardSlot(src))
-		}
-	}
 	add(entry{name: "shared_evict", oracles: "solo,batch", reach: "shared-group intern-3x results-every-sub",
-		events: rotatedPhases, subs: resident(n, append(evictFleet, q["contiguous"])...), workers: 4, batch: 256})
+		events: rotatedPhases, subs: resident(n, append(wardSlotted(evictFleet), control)...), workers: 4, batch: 256})
 	// Two queries a lossy rendering would write alike: the number 65 and
 	// the string '65', on a negated alias, so both report and differ.
 	literal := func(lit string) string {
@@ -333,27 +350,30 @@ func Corpus() []CorpusEntry {
 			WHERE [patient] AND M.rate = %s GROUP-BY patient WITHIN 64 SLIDE 32`, lit)
 	}
 	add(entry{name: "solo_literals", oracles: "solo", reach: "results-every-sub",
-		events: phases, subs: resident(n, literal("65"), literal("'65'"))})
+		events: phases, subs: resident(n, SubSpec{Name: "number", Src: literal("65")}, SubSpec{Name: "string", Src: literal("'65'")})})
 
 	// A bounded-state session over slot values that age out against
 	// bare engines that keep them all.
 	n = len(lifecycle)
-	lifecycleFleet := []string{
-		`RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ SEMANTICS skip-till-any-match
-			WHERE [patient] AND [A.ward] GROUP-BY patient WITHIN 64 SLIDE 32`,
-		`RETURN COUNT(*), MAX(M.rate) PATTERN M+ SEMANTICS skip-till-any-match
-			WHERE [patient] AND [M.ward] AND M.rate < NEXT(M).rate GROUP-BY patient WITHIN 64 SLIDE 64`,
-		`RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS skip-till-any-match
-			WHERE [patient] AND [A.ward] AND [B.ward] GROUP-BY patient WITHIN 64 SLIDE 32`,
-		q["pattern"],
+	// The shuffled run caps its reorder buffer far above the disorder's
+	// natural peak, so nothing is shed and the results stay identical.
+	lifecycleFleet := []SubSpec{
+		{Name: "type-slots", Src: `RETURN COUNT(*), SUM(A.v) PATTERN (SEQ(A+, B))+ SEMANTICS skip-till-any-match
+			WHERE [patient] AND [A.ward] GROUP-BY patient WITHIN 64 SLIDE 32`},
+		{Name: "mixed-slots", Src: `RETURN COUNT(*), MAX(M.rate) PATTERN M+ SEMANTICS skip-till-any-match
+			WHERE [patient] AND [M.ward] AND M.rate < NEXT(M).rate GROUP-BY patient WITHIN 64 SLIDE 64`},
+		// Three slots: the bindings intern value-id vectors.
+		{Name: "wide-slots", Src: `RETURN COUNT(*) PATTERN (SEQ(A+, B))+ SEMANTICS skip-till-any-match
+			WHERE [patient] AND [A.ward] AND [A.bed] AND [B.ward] GROUP-BY patient WITHIN 64 SLIDE 32`},
+		{Name: "pattern", Src: q["pattern"]},
 	}
-	add(entry{name: "solo_lifecycle", oracles: "solo,slack,workers", reach: "intern-3x results-every-sub",
-		events: lifecycle, subs: resident(n, lifecycleFleet...), batch: 128})
+	add(entry{name: "solo_lifecycle", oracles: "solo,slack,workers", reach: "intern-3x vector-slots results-every-sub",
+		events: lifecycle, subs: resident(n, lifecycleFleet...), batch: 128, maxDepth: 256})
 
 	out := make([]CorpusEntry, 0, len(entries))
 	for _, e := range entries {
 		sc := &Scenario{Events: e.events, Workers: e.workers, BatchSize: e.batch,
-			ShuffleBlock: 6, ShuffleSeed: 7, SnapshotAt: -1, Exact: true}
+			ShuffleBlock: 6, ShuffleSeed: 7, SnapshotAt: -1, MaxDepth: e.maxDepth, Exact: true}
 		if e.snapAt > 0 {
 			sc.SnapshotAt = e.snapAt
 		}
@@ -362,7 +382,7 @@ func Corpus() []CorpusEntry {
 			if err != nil {
 				panic(fmt.Sprintf("fuzz: corpus %s: %v", e.name, err))
 			}
-			sc.Subs = append(sc.Subs, SubSpec{Src: q.String(), Join: s.Join, Leave: s.Leave})
+			sc.Subs = append(sc.Subs, SubSpec{Name: s.Name, Src: q.String(), Join: s.Join, Leave: s.Leave})
 		}
 		out = append(out, CorpusEntry{Name: e.name, Repro: &Repro{
 			Oracles: strings.Split(e.oracles, ","), Reach: strings.Fields(e.reach), Scenario: sc}})

@@ -21,7 +21,9 @@ type PatientShape struct {
 	Burst func(rng *rand.Rand) int
 	// Rotate renames every ward per 64-tick frame ("w1-7"), so a value
 	// bound in a binding slot is never seen again once its frame has
-	// passed: what session engines evict and a bare engine keeps.
+	// passed: what session engines evict and a bare engine keeps. It
+	// also gives every event a bed, renamed the same way ("b0-7"), so
+	// a query can bind more than two rotating slots.
 	Rotate bool
 }
 
@@ -33,6 +35,9 @@ type PatientShape struct {
 // stream.
 func PatientStream(shape PatientShape, n int) []*cogra.Event {
 	rng := rand.New(rand.NewSource(shape.Seed))
+	// Beds draw from a source of their own, so the rest of a rotated
+	// stream is the stream without them.
+	beds := rand.New(rand.NewSource(^shape.Seed))
 	step := shape.Step
 	if step == nil {
 		step = sessionStep
@@ -70,6 +75,9 @@ func PatientStream(shape PatientShape, n int) []*cogra.Event {
 			ev = cogra.NewEvent("X", tm).WithNum("noise", 1)
 		}
 		ev.WithSym("patient", fmt.Sprintf("p%d", p)).WithSym("ward", ward)
+		if shape.Rotate {
+			ev.WithSym("bed", fmt.Sprintf("b%d-%d", beds.Intn(2), tm/64))
+		}
 		ev.ID = int64(i + 1)
 		out = append(out, ev)
 		tm += step(rng, i, n)

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 
 	cogra "repro"
@@ -78,10 +77,10 @@ type RunOutput struct {
 	// aggregates get a relative tolerance.
 	Results [][]cogra.Result
 	// Stats is the session's Stats() after the last event, before
-	// Close; HasStats is false for server runs (the server owns the
-	// session).
-	Stats    cogra.SessionStats
-	HasStats bool
+	// Close, and Closed its Stats() after Close; HasStats is false for
+	// server runs (the server owns the session).
+	Stats, Closed cogra.SessionStats
+	HasStats      bool
 	// Samples are taken along the run, in push order; the last is
 	// Stats.
 	Samples []StatsSample
@@ -105,42 +104,25 @@ func (m Mode) options() []cogra.SessionOption {
 // Execute runs the scenario under the mode. It stamps canonical event
 // IDs (1..n by slice position) before pushing so timestamp ties break
 // identically in every mode and push order, and in the bare engines
-// the solo oracle compares with. An embedded run is kept on the
-// scenario and handed out again while the scenario reads the same: the
-// oracles of one check all start from the same base run, and the
-// shuffled base of one is the flipped run of another. Callers only read
-// the output.
+// the solo oracle compares with.
 func Execute(sc *Scenario, m Mode) (*RunOutput, error) {
 	for i, e := range sc.Events {
 		e.ID = int64(i + 1)
 	}
-	for _, r := range sc.runs {
-		if r.mode == m && r.reads(sc) {
-			return r.out, nil
-		}
-	}
-	out, err := execute(sc, m)
-	if err == nil && !m.Server {
-		sc.runs = append(sc.runs, runMemo{mode: m, subs: slices.Clone(sc.Subs), events: sc.Events,
-			block: sc.ShuffleBlock, seed: sc.ShuffleSeed, jitter: sc.Jitter, out: out})
-	}
-	return out, err
+	return execute(sc, m)
 }
 
-// runMemo is one kept run and the parts of the scenario it read.
-type runMemo struct {
-	mode   Mode
-	subs   []SubSpec
-	events []*cogra.Event
-	block  int
-	seed   int64
-	jitter int64
-	out    *RunOutput
-}
-
-func (r *runMemo) reads(sc *Scenario) bool {
-	return slices.Equal(r.subs, sc.Subs) && slices.Equal(r.events, sc.Events) &&
-		r.block == sc.ShuffleBlock && r.seed == sc.ShuffleSeed && r.jitter == sc.Jitter
+// slackOptions sizes the reorder buffer of a disordered run: the slack
+// that repairs its disorder, capped at the scenario's MaxDepth.
+func (sc *Scenario) slackOptions(slack int64) []cogra.SessionOption {
+	if slack <= 0 {
+		return nil
+	}
+	opts := []cogra.SessionOption{cogra.WithSlack(slack)}
+	if sc.MaxDepth > 0 {
+		opts = append(opts, cogra.WithMaxReorderDepth(sc.MaxDepth))
+	}
+	return opts
 }
 
 func execute(sc *Scenario, m Mode) (*RunOutput, error) {
@@ -157,15 +139,11 @@ func execute(sc *Scenario, m Mode) (*RunOutput, error) {
 	if m.Shuffled {
 		shuffled, slack := diff.ShuffleBounded(sc.Events, sc.ShuffleBlock, sc.ShuffleSeed)
 		pushOrder = shuffled
-		if slack > 0 {
-			opts = append(opts, cogra.WithSlack(slack))
-		}
+		opts = append(opts, sc.slackOptions(slack)...)
 	} else if m.Jittered {
 		jittered, slack := diff.JitterOrder(sc.Events, sc.Jitter, sc.ShuffleSeed)
 		pushOrder = jittered
-		if slack > 0 {
-			opts = append(opts, cogra.WithSlack(slack))
-		}
+		opts = append(opts, sc.slackOptions(slack)...)
 	}
 
 	out := &RunOutput{Drains: make([][]int, len(sc.Subs))}
@@ -330,6 +308,10 @@ func execute(sc *Scenario, m Mode) (*RunOutput, error) {
 	}
 	if err := sess.Close(); err != nil {
 		return nil, fmt.Errorf("fuzz: close: %w", err)
+	}
+	var err error
+	if out.Closed, err = sess.Stats(); err != nil {
+		return nil, fmt.Errorf("fuzz: stats after close: %w", err)
 	}
 	if err := drainLive(); err != nil {
 		return nil, err

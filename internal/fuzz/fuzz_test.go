@@ -188,20 +188,24 @@ func TestOracleNamesStable(t *testing.T) {
 	}
 }
 
-// A corpus file's additions — several oracles, exact comparison and
-// reach properties — round-trip byte for byte.
+// A corpus file's additions — several oracles, exact comparison, a
+// reorder cap, named subscriptions and reach properties — round-trip
+// byte for byte.
 func TestCorpusFileRoundTrip(t *testing.T) {
 	sc, err := Generate(3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Exact = true
+	sc.Exact, sc.MaxDepth = true, 64
+	for i := range sc.Subs {
+		sc.Subs[i].Name = fmt.Sprintf("q%d", i)
+	}
 	rep := &Repro{Oracles: []string{"batch", "workers", "solo"}, Reach: []string{"tie-runs", "results-every-sub"}, Scenario: sc}
 	var first bytes.Buffer
 	if err := WriteRepro(&first, rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []string{"oracle batch,workers,solo\n", "reach tie-runs results-every-sub\n", " exact=1\n"} {
+	for _, line := range []string{"oracle batch,workers,solo\n", "reach tie-runs results-every-sub\n", " maxdepth=64 exact=1\n", " name=q0\n"} {
 		if !strings.Contains(first.String(), line) {
 			t.Errorf("written file lacks %q", line)
 		}
@@ -210,8 +214,8 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadRepro: %v", err)
 	}
-	if !back.Scenario.Exact {
-		t.Error("exact=1 did not read back")
+	if !back.Scenario.Exact || back.Scenario.MaxDepth != 64 || back.Scenario.Subs[0].Name != "q0" {
+		t.Error("exact=1, maxdepth=64 or name=q0 did not read back")
 	}
 	var second bytes.Buffer
 	if err := WriteRepro(&second, back); err != nil {
@@ -244,12 +248,18 @@ func TestCommittedReprosReplay(t *testing.T) {
 	}
 }
 
-// A reach line may only name properties of the fixed table, and an
-// oracle line only known oracles or *.
+// A reach line may only name properties of the fixed table, an oracle
+// line only known oracles or *, and no two subscriptions share a name.
 func TestReadReproRejectsUnknownNames(t *testing.T) {
 	sc, err := Generate(3, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(sc.Subs) < 2 {
+		t.Fatalf("scenario has %d subscriptions, want 2 or more", len(sc.Subs))
+	}
+	for i := range sc.Subs {
+		sc.Subs[i].Name = fmt.Sprintf("q%d", i)
 	}
 	var buf bytes.Buffer
 	if err := WriteRepro(&buf, &Repro{Oracles: []string{"*"}, Reach: []string{"tie-runs"}, Scenario: sc}); err != nil {
@@ -263,40 +273,10 @@ func TestReadReproRejectsUnknownNames(t *testing.T) {
 		strings.Replace(good, "reach tie-runs", "reach tie-runs no-such-property", 1),
 		strings.Replace(good, "oracle *", "oracle batch,no-such-oracle", 1),
 		strings.Replace(good, "oracle *", "oracle *,batch", 1),
+		strings.Replace(good, "name=q1", "name=q0", 1),
 	} {
 		if _, err := ReadRepro(strings.NewReader(bad)); err == nil {
 			t.Errorf("parsed a file with an unknown name:\n%s", bad[:strings.Index(bad, "config")])
 		}
-	}
-}
-
-// TestExecuteKeepsRunsWhileScenarioReadsSame: a second Execute of the
-// same mode hands back the kept run, and one after the subscriptions
-// change runs again.
-func TestExecuteKeepsRunsWhileScenarioReadsSame(t *testing.T) {
-	var sc *Scenario
-	for i := 0; sc == nil || len(sc.Subs) < 2; i++ {
-		var err error
-		if sc, err = Generate(1, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first, err := Execute(sc, BaseMode(sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, err := Execute(sc, BaseMode(sc)); err != nil || again != first {
-		t.Fatalf("the same mode ran again (%v)", err)
-	}
-	sc.Subs = sc.Subs[:1]
-	fewer, err := Execute(sc, BaseMode(sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fewer == first || len(fewer.Results) != 1 {
-		t.Fatalf("a run kept for %d subscriptions answered for 1", len(first.Results))
-	}
-	if c := sc.Clone(); len(c.runs) != 0 {
-		t.Fatal("a clone keeps its original's runs")
 	}
 }

@@ -169,6 +169,9 @@ func DiffModes(sc *Scenario, baseMode Mode, flip func(*Mode)) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("flipped mode (%s): %w", flipped, err)
 	}
+	if m := checkInvariants(sc, got); m != "" {
+		return fmt.Sprintf("%s: %s", flipped, m), nil
+	}
 	for si := range sc.Subs {
 		if d := diff.Compare(got.Results[si], base.Results[si], sc.tolerance()); d != "" {
 			return fmt.Sprintf("sub %d: %s != base (%s)\n%s", si, flipped, baseMode, d), nil
@@ -178,12 +181,15 @@ func DiffModes(sc *Scenario, baseMode Mode, flip func(*Mode)) (string, error) {
 		return fmt.Sprintf("%s: %s", flipped, got.CutDrift), nil
 	}
 	if flipped.SnapshotAt > 0 && got.HasStats && base.HasStats {
-		// PeakBytes is left out: a restored worker session can reach a
-		// different high-water mark than the undisturbed one.
-		gs, ws := got.Stats, base.Stats
-		gs.PeakBytes, ws.PeakBytes = 0, 0
+		// A drawn scenario leaves PeakBytes out: a restored worker
+		// session can reach a different high-water mark than the
+		// undisturbed one. An exact one compares every field.
+		gs, ws := got.Closed, base.Closed
+		if !sc.Exact {
+			gs.PeakBytes, ws.PeakBytes = 0, 0
+		}
 		if g, w := fmt.Sprintf("%+v", gs), fmt.Sprintf("%+v", ws); g != w {
-			return fmt.Sprintf("final Stats(): %s != base (%s)\ngot:  %s\nwant: %s", flipped, baseMode, g, w), nil
+			return fmt.Sprintf("Stats() after Close: %s != base (%s)\ngot:  %s\nwant: %s", flipped, baseMode, g, w), nil
 		}
 	}
 	// A flip of the worker count alone pushes the same batches, so both
@@ -196,17 +202,22 @@ func DiffModes(sc *Scenario, baseMode Mode, flip func(*Mode)) (string, error) {
 	return "", nil
 }
 
-// checkInvariants checks what one base-mode run must show whatever it
-// is compared with: Stats().Watermark is monotone along the run, every
-// drain is in strict (window, group) order, and the final Stats()
-// counts every pushed event (processed or still buffered), exactly the
-// resident subscriptions and, once none is resident, no intern bytes.
-// Every oracle that makes a base run (selfDiff, checkSolo) reports a
-// violation as its own mismatch.
+// checkInvariants checks what one run must show whatever it is
+// compared with: Stats().Watermark is monotone along the run, every
+// drain is in strict (window, group) order, the reorder buffer stays
+// within the scenario's MaxDepth and neither drops nor sheds an event
+// (every disordered run is slacked to repair its disorder), and the
+// final Stats() counts every pushed event (processed or still
+// buffered), exactly the resident subscriptions and, once none is
+// resident, no intern bytes. Every oracle that makes a run (selfDiff,
+// checkSolo) reports a violation as its own mismatch.
 func checkInvariants(sc *Scenario, out *RunOutput) string {
 	var last StatsSample
 	haveLast := false
 	for _, s := range out.Samples {
+		if sc.MaxDepth > 0 && s.ReorderDepth > sc.MaxDepth {
+			return fmt.Sprintf("reorder depth %d after %d events exceeds the cap %d", s.ReorderDepth, s.AfterEvents, sc.MaxDepth)
+		}
 		if haveLast && last.WatermarkValid && (!s.WatermarkValid || s.Watermark < last.Watermark) {
 			return fmt.Sprintf("watermark regressed: %d after %d events, then %d (valid=%v) after %d events",
 				last.Watermark, last.AfterEvents, s.Watermark, s.WatermarkValid, s.AfterEvents)
@@ -215,9 +226,9 @@ func checkInvariants(sc *Scenario, out *RunOutput) string {
 			last, haveLast = s, true
 		}
 	}
-	for si, rows := range out.Results {
-		at := 0
-		for _, n := range out.Drains[si] {
+	for si, drains := range out.Drains {
+		rows, at := out.Results[si], 0
+		for _, n := range drains {
 			for i := at + 1; i < at+n; i++ {
 				if core.CompareResults(rows[i-1], rows[i]) >= 0 {
 					return fmt.Sprintf("sub %d: a drain is out of window-then-group order or repeats a (window, group): %v then %v",
@@ -231,6 +242,9 @@ func checkInvariants(sc *Scenario, out *RunOutput) string {
 		return ""
 	}
 	n := len(sc.Events)
+	if st := out.Closed; st.LateDropped != 0 || st.ReorderShed != 0 {
+		return fmt.Sprintf("events lost within slack: %d dropped late, %d shed", st.LateDropped, st.ReorderShed)
+	}
 	if st := out.Stats; st.Events+int64(st.ReorderDepth) != int64(n) {
 		return fmt.Sprintf("Stats().Events = %d with %d buffered, want %d (events pushed)", st.Events, st.ReorderDepth, n)
 	}

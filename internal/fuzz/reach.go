@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	cogra "repro"
+	"repro/internal/core"
 	"repro/internal/fuzz/diff"
 )
 
@@ -83,6 +84,17 @@ func reachTable() []reachProp {
 					return fmt.Sprintf("the cut at %d does not split an equal-time same-type run", k)
 				}
 				return ""
+			}},
+		{name: "vector-slots", doc: "a query binds more than two slots, so its bindings intern value-id vectors",
+			stream: func(sc *Scenario) string {
+				for _, sub := range sc.Subs {
+					if q, err := cogra.Parse(sub.Src); err == nil {
+						if plan, err := core.NewPlan(q); err == nil && len(plan.Slots) > 2 {
+							return ""
+						}
+					}
+				}
+				return "no query binds more than two slots"
 			}},
 		{name: "results-every-sub", doc: "every subscription reports a result",
 			run: func(sc *Scenario, base *RunOutput) (string, error) {

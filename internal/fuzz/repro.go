@@ -14,7 +14,7 @@
 //	template transit
 //	seed 0x1f2e3d4c
 //	config workers=4 batch=64 shuffleblock=8 shuffleseed=97 snapat=-1 jitter=0 exact=1
-//	sub join=0 leave=128
+//	sub join=0 leave=128 name=boarding
 //		RETURN COUNT(*)
 //		PATTERN SEQ(Board+, Ride)
 //		SEMANTICS skip-till-any-match
@@ -26,11 +26,15 @@
 //
 // The oracle line names one oracle, several separated by commas, or *
 // for every oracle that applies. A reach line names properties of the
-// reach table (reach.go) the base run must show. exact=1 compares
-// results with no float tolerance; a file without it keeps
-// diff.FloatTol. Query lines are tab-indented inside sub/end blocks
-// (the canonical multi-line rendering of query.String). The events
-// section reuses the repository's CSV event codec and must come last.
+// reach table (reach.go) the base run must show. maxdepth=n caps the
+// reorder buffer of the shuffled and jittered runs, which must then
+// neither drop nor shed an event. exact=1 compares
+// results with no float tolerance and the snapshot oracle's final
+// Stats() in every field; a file without it keeps diff.FloatTol and
+// leaves PeakBytes out. A sub line may name its subscription. Query
+// lines are tab-indented inside sub/end blocks (the canonical
+// multi-line rendering of query.String). The events section reuses the
+// repository's CSV event codec and must come last.
 package fuzz
 
 import (
@@ -77,12 +81,19 @@ func WriteRepro(w io.Writer, r *Repro) error {
 	fmt.Fprintf(bw, "seed %#x\n", sc.Seed)
 	fmt.Fprintf(bw, "config workers=%d batch=%d shuffleblock=%d shuffleseed=%d snapat=%d jitter=%d",
 		sc.Workers, sc.BatchSize, sc.ShuffleBlock, sc.ShuffleSeed, sc.SnapshotAt, sc.Jitter)
+	if sc.MaxDepth > 0 {
+		fmt.Fprintf(bw, " maxdepth=%d", sc.MaxDepth)
+	}
 	if sc.Exact {
 		fmt.Fprint(bw, " exact=1")
 	}
 	fmt.Fprintln(bw)
 	for _, sub := range sc.Subs {
-		fmt.Fprintf(bw, "sub join=%d leave=%d\n", sub.Join, sub.Leave)
+		fmt.Fprintf(bw, "sub join=%d leave=%d", sub.Join, sub.Leave)
+		if sub.Name != "" {
+			fmt.Fprintf(bw, " name=%s", sub.Name)
+		}
+		fmt.Fprintln(bw)
 		for _, line := range strings.Split(strings.TrimRight(sub.Src, "\n"), "\n") {
 			fmt.Fprintf(bw, "\t%s\n", line)
 		}
@@ -147,8 +158,15 @@ func ReadRepro(r io.Reader) (*Repro, error) {
 			sub := SubSpec{}
 			for _, f := range strings.Fields(strings.TrimPrefix(line, "sub ")) {
 				k, v, ok := strings.Cut(f, "=")
+				if !ok {
+					return nil, fmt.Errorf("repro: bad sub field %q", f)
+				}
+				if k == "name" {
+					sub.Name = v
+					continue
+				}
 				n, perr := strconv.Atoi(v)
-				if !ok || perr != nil {
+				if perr != nil {
 					return nil, fmt.Errorf("repro: bad sub field %q", f)
 				}
 				switch k {
@@ -238,6 +256,8 @@ func parseConfig(s string, sc *Scenario) error {
 			// Absent in v1 files written before the jitter oracles
 			// existed; they replay with jitter 0 (those oracles skip).
 			sc.Jitter = n
+		case "maxdepth":
+			sc.MaxDepth = int(n)
 		case "exact":
 			sc.Exact = n != 0
 		default:
@@ -249,10 +269,15 @@ func parseConfig(s string, sc *Scenario) error {
 
 // validate checks the structural invariants replay and the shrinker
 // both rely on: parseable queries, membership intervals inside the
-// stream, and a compilable plan per query.
+// stream, a compilable plan per query and no name given twice.
 func validate(sc *Scenario) error {
 	n := len(sc.Events)
+	named := map[string]bool{}
 	for si, sub := range sc.Subs {
+		if sub.Name != "" && named[sub.Name] {
+			return fmt.Errorf("sub %d: name %q given twice", si, sub.Name)
+		}
+		named[sub.Name] = true
 		if sub.Join < 0 || sub.Join >= n && n > 0 || sub.Leave <= sub.Join || sub.Leave > n {
 			return fmt.Errorf("sub %d: bad membership interval [%d,%d) over %d events", si, sub.Join, sub.Leave, n)
 		}

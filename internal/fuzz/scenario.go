@@ -27,8 +27,11 @@ import (
 // text, as rendered by query.String) and its membership interval over
 // the event stream — subscribed before pushing event index Join,
 // unsubscribed before pushing event index Leave (Leave == len(Events)
-// means it stays until end of stream).
+// means it stays until end of stream). A corpus scenario names each
+// subscription (one word, unique in the scenario), so a test can pick
+// one by name; a drawn one leaves Name empty.
 type SubSpec struct {
+	Name  string
 	Src   string
 	Join  int
 	Leave int
@@ -56,13 +59,13 @@ type Scenario struct {
 	ShuffleSeed  int64 // splitmix seed pinned in repro files
 	SnapshotAt   int   // event index for the snapshot oracle; <=0 none
 	Jitter       int64 // max ingest delay for the jitter/late oracles; <=0 none
+	MaxDepth     int   // reorder buffer cap of the shuffled and jittered runs; 0 none
 
-	// Exact compares results with no float tolerance: the corpus
-	// scenarios sum integer-valued payloads, so every order of
-	// accumulation gives the same bits.
+	// Exact compares results with no float tolerance, and the snapshot
+	// oracle's Stats() after Close in every field: the corpus scenarios
+	// sum integer-valued payloads, so every order of accumulation gives
+	// the same bits.
 	Exact bool
-
-	runs []runMemo // Execute's kept runs
 }
 
 // tolerance is the relative float tolerance the oracles compare the
@@ -115,7 +118,6 @@ func (sc *Scenario) Size() int {
 // events; the Subs slice and scalar knobs are independent.
 func (sc *Scenario) Clone() *Scenario {
 	c := *sc
-	c.runs = nil
 	c.Subs = append([]SubSpec(nil), sc.Subs...)
 	c.Events = append([]*cogra.Event(nil), sc.Events...)
 	return &c

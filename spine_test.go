@@ -2,16 +2,19 @@ package cogra_test
 
 // The differential spine, query by query. Each test replays scenario
 // files of testdata/scenarios (written by scripts/gen_fuzz_corpus.go
-// from fuzz.Corpus) narrowed to one session mode and one subscription
-// or variant, through the oracle that flips the test's axis, so a
+// from fuzz.Corpus) narrowed to one session mode and the subscriptions
+// it names, through the oracle that flips the test's axis, so a
 // failure names the mode, the variant and the query it breaks;
-// TestScenarioCorpus replays the same files whole. Every case names
-// the reach properties its narrowed scenario must still show, so a
-// case that stops reaching them fails instead of passing vacuously.
+// TestScenarioCorpus replays the same files whole. The files name their
+// subscriptions, and the tests pick them by name. Every case names the
+// reach properties its narrowed scenario must still show, so a case
+// that stops reaching them fails instead of passing vacuously.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,38 +29,45 @@ var spineModes = []struct {
 	workers int
 }{{"inline", 0}, {"workers4", 4}}
 
-// The subscription orders of fuzz.Corpus: the kernel fleet of the
-// batch_* files and the patient fleet of slack_session (the snapshot_*
-// files put one more type query before it).
-var (
-	kernelQueries  = []string{"type", "mixed", "pattern", "contiguous", "figure2-mixed", "figure2-negated"}
-	patientQueries = []string{"type", "mixed", "pattern", "contiguous"}
-)
-
-// corpusFiles holds each scenario file parsed once: name → *fuzz.Repro.
+// corpusFiles holds each scenario file parsed once: name → *fuzz.Scenario.
 var corpusFiles sync.Map
 
-// corpusScenario returns the scenario of testdata/scenarios/<file>.repro
-// on the given worker count, keeping only the subscriptions at keep (all
-// of them when keep is empty). Its events are its own copies, since
-// fuzz.Execute stamps their IDs; they share the parsed attribute maps,
-// which nothing writes.
-func corpusScenario(t *testing.T, file string, workers int, keep ...int) *fuzz.Scenario {
+// corpusFile returns the scenario of testdata/scenarios/<file>.repro,
+// parsed once per package run.
+func corpusFile(t *testing.T, file string) *fuzz.Scenario {
 	t.Helper()
-	rep, ok := corpusFiles.Load(file)
-	if !ok {
-		fh, err := os.Open(filepath.Join("testdata", "scenarios", file+".repro"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fh.Close()
-		parsed, err := fuzz.ReadRepro(fh)
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		rep, _ = corpusFiles.LoadOrStore(file, parsed)
+	if sc, ok := corpusFiles.Load(file); ok {
+		return sc.(*fuzz.Scenario)
 	}
-	sc := rep.(*fuzz.Repro).Scenario.Clone()
+	data, err := os.ReadFile(filepath.Join("testdata", "scenarios", file+".repro"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fuzz.ReadRepro(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	sc, _ := corpusFiles.LoadOrStore(file, rep.Scenario)
+	return sc.(*fuzz.Scenario)
+}
+
+// subNames returns the names of the file's subscriptions in file order.
+func subNames(t *testing.T, file string) (names []string) {
+	for _, s := range corpusFile(t, file).Subs {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
+// corpusScenario returns the scenario of testdata/scenarios/<file>.repro
+// on the given worker count, keeping only the subscriptions named in
+// keep (all of them when keep is empty). Its events are its own copies,
+// since fuzz.Execute stamps their IDs; they share the parsed attribute
+// maps, which nothing writes.
+func corpusScenario(t *testing.T, file string, workers int, keep ...string) *fuzz.Scenario {
+	t.Helper()
+	parsed := corpusFile(t, file)
+	sc := parsed.Clone()
 	events := make([]cogra.Event, len(sc.Events))
 	for i, e := range sc.Events {
 		events[i] = *e
@@ -65,13 +75,22 @@ func corpusScenario(t *testing.T, file string, workers int, keep ...int) *fuzz.S
 	}
 	sc.Workers = workers
 	if len(keep) > 0 {
-		subs := sc.Subs
-		sc.Subs = nil
-		for _, i := range keep {
-			sc.Subs = append(sc.Subs, subs[i])
+		sc.Subs = sc.Subs[:0] // the clone's own slice
+		for _, name := range keep {
+			sc.Subs = append(sc.Subs, *subNamed(t, parsed, name))
 		}
 	}
 	return sc
+}
+
+// subNamed returns the scenario's subscription of that name.
+func subNamed(t *testing.T, sc *fuzz.Scenario, name string) *fuzz.SubSpec {
+	t.Helper()
+	i := slices.IndexFunc(sc.Subs, func(s fuzz.SubSpec) bool { return s.Name == name })
+	if i < 0 {
+		t.Fatalf("%s names no subscription %q", sc, name)
+	}
+	return &sc.Subs[i]
 }
 
 // expectClean fails unless the scenario reaches every property of reach
@@ -108,6 +127,17 @@ func parallelRun(t *testing.T, name string, f func(t *testing.T)) {
 	})
 }
 
+// eachSub runs f as the parallel subtest <mode>/<name> for each session
+// mode and each subscription of the file; slack_session's are the
+// patient queries.
+func eachSub(t *testing.T, file string, f func(t *testing.T, workers int, q string)) {
+	for _, m := range spineModes {
+		for _, q := range subNames(t, file) {
+			parallelRun(t, m.name+"/"+q, func(t *testing.T) { f(t, m.workers, q) })
+		}
+	}
+}
+
 func batchOn(m *fuzz.Mode) { m.BatchSize = 256 }
 
 // slotted reports whether a query binds a ward slot (fuzz.Corpus slots
@@ -133,25 +163,24 @@ func TestSessionBatchKernelDifferential(t *testing.T) {
 	}
 	for _, s := range streams {
 		for _, m := range spineModes {
-			for qi, q := range kernelQueries {
+			for _, q := range subNames(t, s.plain) {
 				name := func(variant string) string { return s.prefix + m.name + "/" + variant + "/" + q }
 				parallelRun(t, name("plain"), func(t *testing.T) {
-					sc := corpusScenario(t, s.plain, m.workers, qi)
+					sc := corpusScenario(t, s.plain, m.workers, q)
 					expectClean(t, sc, s.ties+" results-every-sub", "")
 					expectModes(t, sc, fuzz.Mode{Workers: m.workers}, batchOn)
 				})
 				parallelRun(t, name("slack"), func(t *testing.T) {
-					sc := corpusScenario(t, s.plain, m.workers, qi)
+					sc := corpusScenario(t, s.plain, m.workers, q)
 					expectModes(t, sc, fuzz.Mode{Workers: m.workers, Shuffled: true}, batchOn)
 				})
 				parallelRun(t, name("compaction"), func(t *testing.T) {
-					// The kernel fleet's noise subscription, last in the file,
-					// leaves mid-stream.
-					expectClean(t, corpusScenario(t, s.compaction, m.workers, qi, len(kernelQueries)),
+					// The noise subscription leaves mid-stream.
+					expectClean(t, corpusScenario(t, s.compaction, m.workers, q, "noise"),
 						"compaction results-every-sub", "batch")
 				})
 				parallelRun(t, name("eviction"), func(t *testing.T) {
-					sc := corpusScenario(t, s.evict, m.workers, qi)
+					sc := corpusScenario(t, s.evict, m.workers, q)
 					expectClean(t, sc, "results-every-sub"+slotted(sc), "solo")
 				})
 			}
@@ -185,23 +214,15 @@ func TestDrainEveryBatchDifferential(t *testing.T) {
 // suffix and the prefix; TestSessionChurn runs the whole membership
 // schedule of solo_membership.
 func TestSessionSubscribeMidStreamMatchesSuffix(t *testing.T) {
-	for _, m := range spineModes {
-		for qi, q := range patientQueries {
-			parallelRun(t, m.name+"/"+q, func(t *testing.T) {
-				expectClean(t, corpusScenario(t, "solo_membership", m.workers, 0, 1+2*qi), "results-every-sub", "solo")
-			})
-		}
-	}
+	eachSub(t, "slack_session", func(t *testing.T, workers int, q string) {
+		expectClean(t, corpusScenario(t, "solo_membership", workers, "standing", q+"-join"), "results-every-sub", "solo")
+	})
 }
 
 func TestSessionUnsubscribeMatchesPrefix(t *testing.T) {
-	for _, m := range spineModes {
-		for qi, q := range patientQueries {
-			parallelRun(t, m.name+"/"+q, func(t *testing.T) {
-				expectClean(t, corpusScenario(t, "solo_membership", m.workers, 0, 2+2*qi), "results-every-sub", "solo")
-			})
-		}
-	}
+	eachSub(t, "slack_session", func(t *testing.T, workers int, q string) {
+		expectClean(t, corpusScenario(t, "solo_membership", workers, "standing", q+"-leave"), "results-every-sub", "solo")
+	})
 }
 
 func TestSessionChurn(t *testing.T) {
@@ -221,19 +242,15 @@ func TestSessionChurn(t *testing.T) {
 // TestSessionPushBatchMatchesProcess: per-event and odd-sized batch
 // pushes of an in-order session equal a bare engine's Process.
 func TestSessionSlackDifferential(t *testing.T) {
-	for _, m := range spineModes {
-		for qi, q := range patientQueries {
-			parallelRun(t, m.name+"/"+q, func(t *testing.T) {
-				expectClean(t, corpusScenario(t, "slack_session", m.workers, qi), "tie-runs results-every-sub", "slack")
-			})
-		}
-	}
+	eachSub(t, "slack_session", func(t *testing.T, workers int, q string) {
+		expectClean(t, corpusScenario(t, "slack_session", workers, q), "tie-runs results-every-sub", "slack")
+	})
 }
 
 func TestSessionSlackZeroMatchesProcess(t *testing.T) {
 	for _, m := range spineModes {
 		parallelRun(t, m.name, func(t *testing.T) {
-			expectClean(t, corpusScenario(t, "slack_session", m.workers, 0), "results-every-sub", "solo")
+			expectClean(t, corpusScenario(t, "slack_session", m.workers, "type"), "results-every-sub", "solo")
 		})
 	}
 }
@@ -241,7 +258,7 @@ func TestSessionSlackZeroMatchesProcess(t *testing.T) {
 func TestSessionPushBatchMatchesProcess(t *testing.T) {
 	for _, m := range spineModes {
 		parallelRun(t, m.name, func(t *testing.T) {
-			sc := corpusScenario(t, "slack_session", m.workers, 1)
+			sc := corpusScenario(t, "slack_session", m.workers, "mixed")
 			sc.BatchSize = 97
 			expectClean(t, sc, "results-every-sub", "solo")
 		})
@@ -257,27 +274,26 @@ func TestSessionPushBatchMatchesProcess(t *testing.T) {
 // run.
 func TestSessionSnapshotRestoreDifferential(t *testing.T) {
 	for _, m := range spineModes {
-		for qi, q := range patientQueries {
-			sub := 1 + qi // after the standing type query
+		for _, q := range subNames(t, "slack_session") {
 			name := func(variant string) string { return m.name + "/" + variant + "/" + q }
 			for variant, shuffled := range map[string]bool{"plain": false, "slack": true} {
 				parallelRun(t, name(variant), func(t *testing.T) {
-					sc := corpusScenario(t, "snapshot_compaction", m.workers, 0, sub)
+					sc := corpusScenario(t, "snapshot_compaction", m.workers, "standing", q)
 					expectClean(t, sc, "results-every-sub", "")
 					expectModes(t, sc, fuzz.Mode{Workers: m.workers, Shuffled: shuffled},
 						func(f *fuzz.Mode) { f.SnapshotAt = sc.SnapshotAt })
 				})
 			}
 			parallelRun(t, name("compaction"), func(t *testing.T) {
-				// The noise subscription, last in the file, leaves before the cut.
-				expectClean(t, corpusScenario(t, "snapshot_compaction", m.workers, 0, sub, 1+len(patientQueries)),
+				// The noise subscription leaves before the cut.
+				expectClean(t, corpusScenario(t, "snapshot_compaction", m.workers, "standing", q, "noise"),
 					"compaction results-every-sub", "snapshot")
 			})
 			parallelRun(t, name("afterclose"), func(t *testing.T) {
-				expectClean(t, corpusScenario(t, "snapshot_afterclose", m.workers, 0, sub), "results-every-sub", "snapshot")
+				expectClean(t, corpusScenario(t, "snapshot_afterclose", m.workers, "standing", q), "results-every-sub", "snapshot")
 			})
 			parallelRun(t, name("eviction"), func(t *testing.T) {
-				sc := corpusScenario(t, "snapshot_evict", m.workers, 0, sub)
+				sc := corpusScenario(t, "snapshot_evict", m.workers, "standing", q)
 				expectClean(t, sc, "results-every-sub"+slotted(sc), "snapshot solo")
 			})
 		}
@@ -285,13 +301,9 @@ func TestSessionSnapshotRestoreDifferential(t *testing.T) {
 }
 
 func TestSessionSnapshotMidTimestamp(t *testing.T) {
-	for _, m := range spineModes {
-		for qi, q := range patientQueries {
-			parallelRun(t, m.name+"/"+q, func(t *testing.T) {
-				expectClean(t, corpusScenario(t, "snapshot_tie", m.workers, 0, 1+qi), "cut-in-tie results-every-sub", "snapshot")
-			})
-		}
-	}
+	eachSub(t, "slack_session", func(t *testing.T, workers int, q string) {
+		expectClean(t, corpusScenario(t, "snapshot_tie", workers, "standing", q), "cut-in-tie results-every-sub", "snapshot")
+	})
 }
 
 // TestSharedAggregationDifferential: per granularity, a trio of
@@ -305,7 +317,7 @@ func TestSessionSnapshotMidTimestamp(t *testing.T) {
 func TestSharedAggregationDifferential(t *testing.T) {
 	const sharing = "shared-group share-flip results-every-sub"
 	for _, m := range spineModes {
-		for gi, g := range []string{"type", "mixed", "pattern"} {
+		for _, g := range []string{"type", "mixed", "pattern"} {
 			name := func(variant string) string { return m.name + "/" + variant + "/" + g }
 			file := func(variant string) string { return "shared_" + g + "_" + variant }
 			parallelRun(t, name("churn"), func(t *testing.T) {
@@ -320,7 +332,7 @@ func TestSharedAggregationDifferential(t *testing.T) {
 			})
 			parallelRun(t, name("handover"), func(t *testing.T) {
 				sc := corpusScenario(t, file("handover"), m.workers)
-				sc.Subs[0].Leave = len(sc.Events) // the old host stays
+				subNamed(t, sc, g+"-0").Leave = len(sc.Events) // the old host stays
 				expectClean(t, sc, sharing, "solo")
 			})
 			parallelRun(t, name("leave2hosts"), func(t *testing.T) {
@@ -333,8 +345,7 @@ func TestSharedAggregationDifferential(t *testing.T) {
 				expectClean(t, corpusScenario(t, file("rejoin"), m.workers), sharing, "solo")
 			})
 			parallelRun(t, name("evict"), func(t *testing.T) {
-				// shared_evict holds the three trios in this order, then the control.
-				sc := corpusScenario(t, "shared_evict", m.workers, 3*gi, 3*gi+1, 3*gi+2, 9)
+				sc := corpusScenario(t, "shared_evict", m.workers, g+"-0", g+"-1", g+"-2", "control")
 				expectClean(t, sc, "shared-group results-every-sub"+slotted(sc), "solo")
 			})
 		}
@@ -345,15 +356,17 @@ func TestSharedAggregationDifferential(t *testing.T) {
 }
 
 // TestSessionMemoryLifecycleDifferential: a bounded-state session over
-// slot values that age out, sorted and under slack, equals a bare
-// engine that keeps them all, which interns at least 3x its peak.
+// slot values that age out, sorted and under slack with a capped reorder
+// buffer that sheds nothing, equals a bare engine that keeps them all,
+// which interns at least 3x its peak; wide-slots interns value-id
+// vectors.
 func TestSessionMemoryLifecycleDifferential(t *testing.T) {
-	for _, m := range spineModes {
-		for qi, q := range []string{"type-slots", "mixed-slots", "wide-slots", "pattern"} {
-			parallelRun(t, m.name+"/"+q, func(t *testing.T) {
-				sc := corpusScenario(t, "solo_lifecycle", m.workers, qi)
-				expectClean(t, sc, "results-every-sub"+slotted(sc), "solo slack")
-			})
+	eachSub(t, "solo_lifecycle", func(t *testing.T, workers int, q string) {
+		sc := corpusScenario(t, "solo_lifecycle", workers, q)
+		reach := "results-every-sub" + slotted(sc)
+		if q == "wide-slots" {
+			reach += " vector-slots"
 		}
-	}
+		expectClean(t, sc, reach, "solo slack")
+	})
 }

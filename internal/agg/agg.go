@@ -205,9 +205,14 @@ type SpecSource interface {
 //	min    = match ? min(pred.min, e.attr) : pred.min
 //	sum    = pred.sum + (match ? e.attr * count : 0)
 //
-// Events of other aliases only propagate. dst's Aux storage is reused
-// when its capacity allows, so hot loops stay allocation-free; dst
-// must not alias pred.
+// Events of other aliases only propagate. dst must not alias pred.
+//
+// Storage: dst's Aux is written in place when it has room for len(ss)
+// entries, and only a node without room (a baseline's fresh one) gets a
+// new array. The COGRA kernels always give their nodes room from storage
+// they own — a table keeps its first entry's auxiliaries inline and
+// carves the rest from one array per doubling — so ⊗ never allocates
+// there. ZeroInto and CodeNode follow the same rule.
 func (ss Specs) ExtendInto(dst *Node, pred Node, match []bool, e SpecSource, started uint64) {
 	if cap(dst.Aux) >= len(ss) {
 		dst.Aux = dst.Aux[:len(ss)]
@@ -250,8 +255,8 @@ func (ss Specs) ExtendInto(dst *Node, pred Node, match []bool, e SpecSource, sta
 	}
 }
 
-// ZeroInto resets n to the aggregate of the empty trend set, reusing
-// its Aux storage.
+// ZeroInto resets n to the aggregate of the empty trend set, in n's own
+// Aux storage when it has room (see ExtendInto).
 func (ss Specs) ZeroInto(n *Node) {
 	n.Count = 0
 	if cap(n.Aux) >= len(ss) {

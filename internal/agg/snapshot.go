@@ -11,10 +11,23 @@ import "repro/internal/snap"
 // length validation.
 const NodeMinBytes = 12
 
-// CodeNode lists a Node's fields in wire order.
+// CodeNode lists a Node's fields in wire order. Decoding writes into
+// n's own Aux storage when it has room, as ExtendInto and ZeroInto do, so
+// a node whose owner gave it storage (a restored table entry) decodes
+// without allocating.
 func CodeNode(c *snap.Coder, n *Node) {
 	c.U64(&n.Count)
-	snap.Slice(c, &n.Aux, 17, codeAux)
+	k := len(n.Aux)
+	c.Len(&k, 17)
+	if c.Decoding() {
+		if k > cap(n.Aux) {
+			n.Aux = make([]Aux, k)
+		}
+		n.Aux = n.Aux[:k]
+	}
+	for i := range n.Aux {
+		codeAux(c, &n.Aux[i])
+	}
 }
 
 func codeAux(c *snap.Coder, a *Aux) {

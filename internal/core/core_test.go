@@ -104,12 +104,12 @@ func TestPaperTable5Intermediates(t *testing.T) {
 		tg.Process(&rv)
 		tg.flush() // commit so the tables are observable
 		if want, ok := wantA[e.Time]; ok {
-			if got := tg.tables[plan.aliasIDs["A"]].entries[0].node.Count; got != want {
+			if got := tg.mainTable(plan.aliasIDs["A"])[0].node.Count; got != want {
 				t.Errorf("after %v: A.count = %d, want %d", e, got, want)
 			}
 		}
 		if want, ok := wantB[e.Time]; ok {
-			if got := tg.tables[plan.aliasIDs["B"]].entries[0].node.Count; got != want {
+			if got := tg.mainTable(plan.aliasIDs["B"])[0].node.Count; got != want {
 				t.Errorf("after %v: B.count = %d, want %d", e, got, want)
 			}
 		}
@@ -119,13 +119,16 @@ func TestPaperTable5Intermediates(t *testing.T) {
 // TestSubAggregatorOpenCost pins what opening one (window, partition)
 // costs a type-grained plan — the dominant term of a fleet of grouped
 // queries. A warm engine reopens an aggregator a closed window released:
-// nothing. A cold open is two allocations, the struct (which stays in
-// the 112-byte size class) and its table cells — no table storage before
-// the first commit, no scratch of its own, none of what only the event
-// store of a mixed-grained plan needs.
+// nothing. A cold open is one allocation, the struct (in the 96-byte size
+// class): no tables before the first staged update, no scratch of its
+// own, none of what only the event store of a mixed-grained plan needs.
+// Filling it costs one more whatever the events, the array of its tables
+// and staged list (mixedGrained.own), in which a table of one key keeps
+// its entry and the entry's auxiliaries; restoring it from a frame builds
+// the same layout (coldCosts).
 func TestSubAggregatorOpenCost(t *testing.T) {
-	if size := unsafe.Sizeof(mixedGrained{}); size > 112 {
-		t.Errorf("sizeof(mixedGrained) = %d, want <= 112", size)
+	if size := unsafe.Sizeof(mixedGrained{}); size > 96 {
+		t.Errorf("sizeof(mixedGrained) = %d, want <= 96", size)
 	}
 	plan := MustPlan(query.MustParse(`
 		RETURN key, COUNT(*), SUM(A.v) PATTERN SEQ(S0 A+, S1 B)
@@ -135,8 +138,8 @@ func TestSubAggregatorOpenCost(t *testing.T) {
 	}
 	eng := NewEngine(plan)
 	var sink subAggregator
-	if cold := testing.AllocsPerRun(100, func() { sink = eng.openSubAggregator() }); cold != 2 {
-		t.Errorf("cold open: %v allocations, want 2", cold)
+	if cold := testing.AllocsPerRun(100, func() { sink = eng.openSubAggregator() }); cold != 1 {
+		t.Errorf("cold open: %v allocations, want 1", cold)
 	}
 	if _, ok := sink.(*mixedGrained); !ok {
 		t.Errorf("type-grained plan built a %T", sink)
@@ -148,6 +151,73 @@ func TestSubAggregatorOpenCost(t *testing.T) {
 	if warm != 0 {
 		t.Errorf("warm open: %v allocations, want 0", warm)
 	}
+
+	// Cold fills: steady_fleet's plan, and durable_disordered's, whose
+	// binding slot takes the general path and whose sliding windows give
+	// each partition four aggregators.
+	for _, tc := range []struct{ name, where string }{
+		{"steady_fleet", "[key] GROUP-BY key WITHIN 256 SLIDE 256"},
+		{"durable_disordered", "[key] AND [A.key] GROUP-BY key WITHIN 256 SLIDE 64"},
+	} {
+		plan := MustPlan(query.MustParse(`RETURN key, COUNT(*), SUM(A.v) PATTERN SEQ(S0 A+, S1 B) WHERE ` + tc.where))
+		fill, restore := coldCosts(t, plan)
+		if fill > 2.5 {
+			t.Errorf("cold fill/%s: %.3f allocations per (window, partition), want <= 2.5", tc.name, fill)
+		}
+		// The frame spells each partition's key out: one string more.
+		if restore > 3.5 {
+			t.Errorf("restore/%s: %.3f allocations per (window, partition), want <= 3.5", tc.name, restore)
+		}
+	}
+}
+
+// coldCosts feeds 256 partitions no engine has seen an A, an A at a
+// later time stamp and a B each, and returns the allocations per
+// (window, partition) they opened, the partition dictionary's growth
+// included: every aggregator is cold, since no window closes. The events
+// fall where windows of 256 ticks sliding by 64 overlap four deep. It
+// also returns what restoring a fresh engine from the frame of all that
+// costs per (window, partition).
+func coldCosts(t *testing.T, plan *Plan) (fill, restore float64) {
+	t.Helper()
+	const parts, at = 256, 192
+	var batches [2][]*event.Event // the first one warms the engine's scratch
+	for b := range batches {
+		for step, typ := range []string{"S0", "S0", "S1"} {
+			for k := range parts {
+				ev := event.New(typ, int64(at+3*b+step)).WithSym("key", fmt.Sprintf("k%d", b*parts+k)).WithNum("v", float64(k))
+				batches[b] = append(batches[b], ev)
+			}
+		}
+	}
+	eng := NewEngine(plan)
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, ev := range batches[next] {
+			if err := eng.Process(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next++
+	})
+	opened := 0
+	for _, wid := range eng.mgr.ActiveWids() {
+		ws, _ := eng.mgr.State(wid)
+		opened += ws.open
+	}
+	if opened != 2*parts*len(eng.mgr.ActiveWids()) {
+		t.Fatalf("%d (window, partition) pairs open over %d windows, want %d per window", opened, len(eng.mgr.ActiveWids()), 2*parts)
+	}
+	var w snap.Writer
+	eng.Code(snap.Encoder(&w), math.MaxInt64)
+	restores := testing.AllocsPerRun(5, func() {
+		r := w.Reader()
+		NewEngine(plan).Code(snap.Decoder(r), math.MaxInt64)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return allocs / float64(opened/2), restores / float64(opened)
 }
 
 // TestPoolsGiveBackASpike pins the bound on what an engine recycles: the
@@ -252,7 +322,7 @@ func TestZeroSumPredecessorStillExtends(t *testing.T) {
 		}
 		recordedB := func() (out []agg.Node) {
 			mg.flush()
-			for _, e := range mg.tables[b].entries {
+			for _, e := range mg.mainTable(b) {
 				out = append(out, e.node)
 			}
 			if mg.te != nil {
@@ -267,7 +337,7 @@ func TestZeroSumPredecessorStillExtends(t *testing.T) {
 		if got := recordedB(); len(got) != 0 {
 			t.Fatalf("%s: a B with no predecessor entry was recorded: %v", tc.name, got)
 		}
-		mg.tables[a].entries[0].node.Count = 0 // as if wrapped to 0 mod 2^64
+		mg.mainTable(a)[0].node.Count = 0 // as if wrapped to 0 mod 2^64
 		feed("B", 3)
 		if got := recordedB(); len(got) != 1 || got[0].Count != 0 {
 			t.Errorf("%s: B after a zero-count A entry recorded %v, want one zero-count node", tc.name, got)
@@ -314,7 +384,7 @@ func TestRunMemoSurvivesStoredScan(t *testing.T) {
 	if want := []uint64{1, 3, 2, 3}; !slices.Equal(got, want) {
 		t.Errorf("stored A counts = %v, want %v", got, want)
 	}
-	if got := mg.tables[b].entries[0].node.Count; got != 1+9 {
+	if got := mg.mainTable(b)[0].node.Count; got != 1+9 {
 		t.Errorf("B table count = %d, want 10", got)
 	}
 }
@@ -372,7 +442,7 @@ func TestRunMemoServesStoredPredecessors(t *testing.T) {
 		if got, want := storedCounts(plan, mg, "A"), []uint64{100, 2, 2}; !slices.Equal(got, want) {
 			t.Errorf("stored A counts = %v, want %v", got, want)
 		}
-		b := mg.tables[plan.aliasIDs["B"]].entries[0].node
+		b := mg.mainTable(plan.aliasIDs["B"])[0].node
 		if b.Count != 9 || b.Aux[1].F != 24 {
 			t.Errorf("B table: count %d, SUM(A.x) %v; want 9, 24", b.Count, b.Aux[1].F)
 		}
@@ -392,7 +462,7 @@ func TestRunMemoServesStoredPredecessors(t *testing.T) {
 		if got, want := storedCounts(plan, mg, "A"), []uint64{1, 100}; !slices.Equal(got, want) {
 			t.Errorf("stored A counts = %v, want %v", got, want)
 		}
-		b := mg.tables[plan.aliasIDs["B"]].entries[0].node
+		b := mg.mainTable(plan.aliasIDs["B"])[0].node
 		if b.Count != 6 || b.Aux[1].F != 21 {
 			t.Errorf("B table: count %d, SUM(A.x) %v; want 6, 21", b.Count, b.Aux[1].F)
 		}
@@ -449,7 +519,7 @@ func TestReleaseDisownsRunMemo(t *testing.T) {
 	}
 	feed(2) // another partition's first event, same time stamp: one trend
 	mg.flush()
-	if got := mg.tables[a].entries[0].node.Count; got != 1 {
+	if got := mg.mainTable(a)[0].node.Count; got != 1 {
 		t.Errorf("reopened aggregator counts %d trends ending at its first event, want 1 (stale memo: 2)", got)
 	}
 }

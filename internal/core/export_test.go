@@ -26,3 +26,13 @@ func EventBytesQueries() [][2]string {
 	}
 	return qs
 }
+
+// mainTable returns the committed entries of alias id's main table: none
+// for an event-grained alias, which has no table, or before the
+// aggregator owns its tables.
+func (t *mixedGrained) mainTable(id int32) []tableEntry {
+	if i := t.plan.tableCells[id]; i >= 0 {
+		return t.committed(i)
+	}
+	return nil
+}

@@ -44,13 +44,18 @@ type mixedGrained struct {
 	sh *kernelShared
 
 	// tables holds the Tt aggregates (Algorithm 2's hash table H,
-	// E.count of Theorem 4.1) per binding, in rows of one cell per alias
-	// id: row 0 is the main tables, row ci+1 mirrors it but resets on
-	// fires of negation constraint ci. Which cells are ever used is the
-	// plan's (Plan.tableCells: Tt aliases, and in row ci+1 only those in
-	// the constraint's Pred set); an unused cell, like one no event has
-	// reached yet, owns no storage.
+	// E.count of Theorem 4.1) per binding: the main table of each Tt
+	// alias and, per negation constraint ci, a shadow of each Tt alias in
+	// ci's Pred set, which mirrors the main table but resets on fires of
+	// ci (Plan.tableCells numbers them). It is nil until the aggregator
+	// stages its first update (own): a sub-stream that never reaches a
+	// Tt alias owns nothing but this struct.
 	tables []nodeTable
+	// staged is the current time stamp's uncommitted updates, in arrival
+	// order (the stream-transaction discipline of §8), kept as a list
+	// (nodeTable.push) whose entries name their alias. It is the cell own
+	// allocates after the tables.
+	staged *nodeTable
 	// te is nil for a TypeGrained plan (no adjacent predicate, so Te = ∅
 	// by construction): what only stored events need stays behind this
 	// one pointer. It is keyed on the plan label, not on
@@ -61,7 +66,6 @@ type mixedGrained struct {
 	// recorded and charged (snapshot.go, golden frame "unconstrained").
 	te *eventStore
 
-	staged       []stagedUpdate
 	stagedResets []int
 
 	curTime int64
@@ -156,15 +160,11 @@ const (
 	runSumEmpty
 )
 
-// newMixedGrained builds a cold aggregator: the struct and its (empty)
-// table cells, plus the event store a MixedGrained plan needs. Everything
-// else is grown on demand and kept across Release.
+// newMixedGrained builds a cold aggregator: the struct, plus the event
+// store a MixedGrained plan needs. Everything else is grown on demand
+// and kept across Release.
 func newMixedGrained(p *Plan, sh *kernelShared) *mixedGrained {
-	t := &mixedGrained{
-		plan:   p,
-		sh:     sh,
-		tables: make([]nodeTable, len(p.tableCells)),
-	}
+	t := &mixedGrained{plan: p, sh: sh}
 	if p.Granularity == MixedGrained {
 		t.te = &eventStore{
 			stored: make([][]storedEntry, len(p.aliasNames)),
@@ -175,6 +175,44 @@ func newMixedGrained(p *Plan, sh *kernelShared) *mixedGrained {
 }
 
 func (t *mixedGrained) reopen() {} // holds nothing until its first commit
+
+// own gives the aggregator its tables and its staged list, at the first
+// update it stages or decodes, in one array of cells: a table keeps its
+// first entry inline, and the entry's auxiliaries too when the plan
+// reports at most inlineAux aggregates. A wider plan's first entries take
+// theirs from a second array. The storage is kept across Release, so a
+// recycled aggregator never owns again.
+func (t *mixedGrained) own() {
+	n := t.plan.tables
+	cells := make([]nodeTable, n+1)
+	t.tables, t.staged = cells[:n:n], &cells[n]
+	if w := len(t.plan.Specs); w > inlineAux {
+		aux := make([]agg.Aux, w*len(cells))
+		for i := range cells {
+			cells[i].one[0].node.Aux, aux = aux[:w:w], aux[w:]
+		}
+	}
+}
+
+// committed returns the entries of table i: none before the aggregator
+// owns its tables.
+func (t *mixedGrained) committed(i int32) []tableEntry {
+	if t.tables == nil {
+		return nil
+	}
+	return t.tables[i].entries
+}
+
+// stage appends one staged update and returns its node for ExtendInto,
+// reusing the entry (and its Aux storage) a previous flush left behind.
+func (t *mixedGrained) stage(alias int32, key bkey) *agg.Node {
+	if t.staged == nil {
+		t.own()
+	}
+	u := t.staged.push(len(t.plan.Specs))
+	u.alias, u.key = alias, key
+	return &u.node
+}
 
 // entryBytes is the logical size of one table entry: the aggregate
 // node, the 8-byte interned key and map overhead.
@@ -242,7 +280,7 @@ func (t *mixedGrained) Process(rv *resolvedVals) {
 				continue
 			}
 			// Type-grained predecessor (Algorithm 2 lines 7–8).
-			tbl := t.tables[edge.table].entries
+			tbl := t.committed(edge.table)
 			for i := range tbl {
 				if nk, compat := t.sh.bnd.combine(tbl[i].key, assigns); compat {
 					contrib.add(specs, nk, &tbl[i].node)
@@ -268,7 +306,7 @@ func (t *mixedGrained) Process(rv *resolvedVals) {
 			if ap.eventGrained {
 				t.store(ap, rv, nk, pred, started)
 			} else {
-				specs.ExtendInto(stageUpdate(&t.staged, ap.id, nk), pred, ap.specMatch, rv, started)
+				specs.ExtendInto(t.stage(ap.id, nk), pred, ap.specMatch, rv, started)
 			}
 		}
 		contrib.reset()
@@ -314,7 +352,7 @@ func (t *mixedGrained) processFast(ap *aliasPlan, rv *resolvedVals) {
 		for pi := range ap.preds {
 			if edge := &ap.preds[pi]; !edge.eventGrained {
 				// Without slots a table holds the empty key or nothing.
-				if tbl := t.tables[edge.table].entries; len(tbl) > 0 {
+				if tbl := t.committed(edge.table); len(tbl) > 0 {
 					specs.Merge(sum, tbl[0].node)
 					state = runSumFound
 				}
@@ -343,7 +381,7 @@ func (t *mixedGrained) processFast(ap *aliasPlan, rv *resolvedVals) {
 	if ap.eventGrained {
 		t.store(ap, rv, 0, *sum, started)
 	} else {
-		specs.ExtendInto(stageUpdate(&t.staged, ap.id, 0), *sum, ap.specMatch, rv, started)
+		specs.ExtendInto(t.stage(ap.id, 0), *sum, ap.specMatch, rv, started)
 	}
 }
 
@@ -408,32 +446,39 @@ func (t *mixedGrained) store(ap *aliasPlan, rv *resolvedVals, key bkey, pred agg
 // tables, so the per-time-stamp contribution memos go stale here.
 func (t *mixedGrained) flush() {
 	t.sh.memo.disown(t)
-	n := len(t.plan.aliasNames)
+	if t.staged == nil { // nothing was ever staged, so every table is empty
+		t.stagedResets = t.stagedResets[:0]
+		return
+	}
+	cells, n := t.plan.tableCells, len(t.plan.aliasNames)
 	for _, ci := range t.stagedResets {
-		for i := (ci + 1) * n; i < (ci+2)*n; i++ {
+		for _, i := range cells[(ci+1)*n : (ci+2)*n] {
+			if i < 0 {
+				continue
+			}
 			tbl := &t.tables[i]
 			t.sh.acct.Add(-int64(len(tbl.entries)) * t.entryBytes())
 			tbl.reset()
 		}
 	}
 	t.stagedResets = t.stagedResets[:0]
-	specs := t.plan.Specs
-	for i := range t.staged {
-		u := &t.staged[i]
+	specs, staged := t.plan.Specs, t.staged.entries
+	for i := range staged {
+		u := &staged[i]
 		// The alias's cell in every row: the main table, then each shadow
 		// that tracks it.
-		for c := int(u.alias); c < len(t.tables); c += n {
-			if !t.plan.tableCells[c] {
+		for c := int(u.alias); c < len(cells); c += n {
+			if cells[c] < 0 {
 				continue
 			}
-			dst, created := t.tables[c].slot(specs, u.key)
+			dst, created := t.tables[cells[c]].slot(specs, u.key)
 			if created {
 				t.sh.acct.Add(t.entryBytes())
 			}
 			specs.Merge(dst, u.node)
 		}
 	}
-	t.staged = t.staged[:0]
+	t.staged.entries = staged[:0]
 }
 
 // Results merges per binding: Tt end aliases from their tables (Theorem
@@ -444,8 +489,8 @@ func (t *mixedGrained) Results() []bindingResult {
 	t.flush()
 	specs, sh, ends := t.plan.Specs, t.sh, t.plan.endAliasIDs
 	merged := &sh.merged
-	if len(ends) == 1 && !t.plan.eventGrainedByID[ends[0]] {
-		merged = &t.tables[ends[0]]
+	if len(ends) == 1 && !t.plan.eventGrainedByID[ends[0]] && t.tables != nil {
+		merged = &t.tables[t.plan.tableCells[ends[0]]]
 	} else {
 		merged.reset()
 		for _, id := range ends {
@@ -456,9 +501,9 @@ func (t *mixedGrained) Results() []bindingResult {
 				}
 				continue
 			}
-			for i := range t.tables[id].entries {
-				e := &t.tables[id].entries[i]
-				merged.add(specs, e.key, &e.node)
+			tbl := t.committed(t.plan.tableCells[id])
+			for i := range tbl {
+				merged.add(specs, tbl[i].key, &tbl[i].node)
 			}
 		}
 	}
@@ -486,6 +531,9 @@ func (t *mixedGrained) Release() {
 		freed += int64(len(t.tables[i].entries)) * t.entryBytes()
 		t.tables[i].release()
 	}
+	if t.staged != nil {
+		t.staged.entries = t.staged.entries[:0] // one time stamp's worth: bounded by a run, not a window
+	}
 	if te := t.te; te != nil {
 		for id, entries := range te.stored {
 			for i := range entries {
@@ -500,6 +548,6 @@ func (t *mixedGrained) Release() {
 		te.aux.reset()
 	}
 	t.sh.acct.Add(-freed)
-	t.staged, t.stagedResets = t.staged[:0], t.stagedResets[:0] // one time stamp's worth: bounded by a run, not a window
+	t.stagedResets = t.stagedResets[:0]
 	t.hasCur = false
 }

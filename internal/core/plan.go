@@ -126,8 +126,13 @@ type Plan struct {
 	adjLeft          []int32
 	endAliasIDs      []int32
 	eventGrainedByID []bool
-	tableCells       []bool  // which cells of mixedGrained.tables the plan uses
-	attrIDs          []int32 // the ids of attrSyms: what the plan reads
+	// tableCells numbers the cells of the any-match kernel's alias ×
+	// table-kind grid (symbols.go) the plan uses: each cell's index in
+	// mixedGrained.tables, -1 for a cell that has no table. tables is
+	// how many do.
+	tableCells []int32
+	tables     int
+	attrIDs    []int32 // the ids of attrSyms: what the plan reads
 }
 
 // NewPlan runs the static query analyzer: pattern analysis (§3.1),

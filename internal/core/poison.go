@@ -49,11 +49,18 @@ func poisonNode(n *agg.Node) {
 	fill(n.Aux, poisonAux)
 }
 
-// poison scribbles over the recycled storage of an emptied table.
+// poison scribbles over the recycled storage of an emptied table: its
+// array of entries, and the inline entry with its auxiliaries, which
+// back the table again once a generation sheds the array.
 func (t *nodeTable) poison() {
-	dead := t.entries[:cap(t.entries)]
+	poisonEntries(t.entries[:cap(t.entries)])
+	poisonEntries(t.one[:])
+	fill(t.aux[:], poisonAux)
+}
+
+func poisonEntries(dead []tableEntry) {
 	for i := range dead {
-		dead[i].key = poisonKey
+		dead[i].key, dead[i].alias = poisonKey, math.MaxInt32
 		poisonNode(&dead[i].node)
 	}
 }
@@ -98,10 +105,8 @@ func poisonAggregator(sa subAggregator) {
 		for i := range t.tables {
 			t.tables[i].poison()
 		}
-		dead := t.staged[:cap(t.staged)]
-		for i := range dead {
-			dead[i].alias, dead[i].key = math.MaxInt32, poisonKey
-			poisonNode(&dead[i].node)
+		if t.staged != nil {
+			t.staged.poison()
 		}
 		fill(t.stagedResets, math.MaxInt32)
 		if te := t.te; te != nil {

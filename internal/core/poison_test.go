@@ -3,6 +3,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/event"
@@ -13,10 +15,12 @@ import (
 // aggregator really is scribbled over, so the rest of the suite passing
 // means nothing read it back.
 func TestPoisonIsLive(t *testing.T) {
-	plan := MustPlan(query.MustParse(`RETURN COUNT(*) PATTERN SEQ(A+, B) WITHIN 4 SLIDE 4`))
+	// A slot on A gives both tables two keys, so each moves its entries
+	// to an array and keeps its inline one aside.
+	plan := MustPlan(query.MustParse(`RETURN COUNT(*) PATTERN SEQ(A+, B) WHERE [A.k] WITHIN 4 SLIDE 4`))
 	eng := NewEngine(plan)
 	for i, typ := range []string{"A", "A", "B", "A"} {
-		if err := eng.Process(event.New(typ, int64(i))); err != nil {
+		if err := eng.Process(event.New(typ, int64(i)).WithSym("k", []string{"x", "y"}[i%2])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,17 +37,32 @@ func TestPoisonIsLive(t *testing.T) {
 	if mg.curTime != poisonTime {
 		t.Errorf("pooled aggregator has curTime %d, want the sentinel", mg.curTime)
 	}
-	scribbled := 0
-	for i := range mg.tables {
-		for _, e := range mg.tables[i].entries[:cap(mg.tables[i].entries)] {
+	// Every entry a table or the staged list keeps — the inline one
+	// included, which backs the table again once a generation sheds its
+	// array — and every auxiliary they hold.
+	scribbled := func(what string, tbl *nodeTable) (n int) {
+		for _, e := range slices.Concat(tbl.entries[:cap(tbl.entries)], tbl.one[:]) {
 			if e.key != poisonKey || e.node.Count != poisonCount {
-				t.Errorf("table %d keeps entry {key %#x, count %#x} unscribbled", i, e.key, e.node.Count)
+				t.Errorf("%s keeps entry {key %#x, count %#x} unscribbled", what, e.key, e.node.Count)
 			}
-			scribbled++
+			for _, a := range e.node.Aux[:cap(e.node.Aux)] {
+				if a != poisonAux {
+					t.Errorf("%s keeps auxiliary %+v unscribbled", what, a)
+				}
+			}
+			n++
 		}
+		return n
 	}
-	if scribbled == 0 {
-		t.Error("the pooled aggregator recycles no table entry; the check is vacuous")
+	entries := 0
+	for i := range mg.tables {
+		if cap(mg.tables[i].entries) < 2 {
+			t.Errorf("table %d never held two keys; the inline entry is not checked apart", i)
+		}
+		entries += scribbled(fmt.Sprintf("table %d", i), &mg.tables[i])
+	}
+	if entries == 0 || mg.staged == nil || scribbled("the staged list", mg.staged) == 0 {
+		t.Error("the pooled aggregator recycles no table entry or staged update; the check is vacuous")
 	}
 
 	// A swept partition id: k is opened in window 0 only, and the close

@@ -295,52 +295,85 @@ func (p *Plan) fits(bnd *bindings, k bkey, n *agg.Node) bool {
 	return bnd.validKey(k) && len(n.Aux) == len(p.Specs)
 }
 
-// codeTable codes one binding-keyed aggregate table in ascending key
-// order (a cell nothing was ever committed to is an empty table, as a
-// cell holding no entries is: the plan decides which cells a frame
-// carries, not what the run grew).
-func codeTable(c *snap.Coder, tbl *nodeTable, p *Plan, bnd *bindings) {
-	n := len(tbl.entries)
+// codeTable codes table i in ascending key order (a table nothing was
+// ever committed to is empty, as one holding no entries is, and so is
+// every table of an aggregator that owns none yet: the plan decides
+// which tables a frame carries, not what the run grew). Encoding, a
+// table of several keys is sorted in the engine's scratch; decoding,
+// each entry decodes straight into the node its table inserts, so a
+// restored aggregator has the layout a live one grows.
+func (t *mixedGrained) codeTable(c *snap.Coder, i int) {
+	p, bnd := t.plan, t.sh.bnd
+	var entries []tableEntry
+	if t.tables != nil {
+		entries = t.tables[i].entries
+	}
+	n := len(entries)
 	c.Len(&n, 8+agg.NodeMinBytes)
 	if c.Decoding() {
-		for i := 0; i < n && c.Err() == nil; i++ {
-			var e tableEntry
-			codeBkey(c, &e.key)
-			agg.CodeNode(c, &e.node)
-			c.Check(tbl.find(e.key) < 0 && p.fits(bnd, e.key, &e.node), "aggregate table entry repeats a binding key or does not fit the plan")
+		for j := 0; j < n && c.Err() == nil; j++ {
+			if t.tables == nil {
+				t.own()
+			}
+			tbl := &t.tables[i]
+			var k bkey
+			codeBkey(c, &k)
+			c.Check(tbl.find(k) < 0 && bnd.validKey(k), "aggregate table entry repeats a binding key or does not fit the plan")
 			if c.Err() == nil {
-				dst, _ := tbl.slot(p.Specs, e.key)
-				dst.Count = e.node.Count
-				copy(dst.Aux, e.node.Aux)
+				dst, _ := tbl.slot(p.Specs, k)
+				agg.CodeNode(c, dst)
+				c.Check(p.fits(bnd, k, dst), "aggregate table entry repeats a binding key or does not fit the plan")
 			}
 		}
 		return
 	}
-	sorted := slices.Clone(tbl.entries)
-	slices.SortFunc(sorted, func(a, b tableEntry) int { return cmp.Compare(a.key, b.key) })
-	for i := range sorted {
-		codeBkey(c, &sorted[i].key)
-		agg.CodeNode(c, &sorted[i].node)
+	sorted := entries
+	if n > 1 {
+		sorted = append(t.sh.sorted[:0], entries...)
+		slices.SortFunc(sorted, func(a, b tableEntry) int { return cmp.Compare(a.key, b.key) })
+	}
+	for j := range sorted {
+		codeBkey(c, &sorted[j].key)
+		agg.CodeNode(c, &sorted[j].node)
+	}
+	if n > 1 {
+		clear(sorted) // the scratch pins no table's storage
+		t.sh.sorted = sorted[:0]
 	}
 }
 
-func codeStagedUpdate(c *snap.Coder, u *stagedUpdate) {
+func codeStagedUpdate(c *snap.Coder, u *tableEntry) {
 	c.I32(&u.alias)
 	codeBkey(c, &u.key)
 	agg.CodeNode(c, &u.node)
 }
 
-// codeStaged codes the open time stamp's uncommitted updates and
-// negation resets.
-func codeStaged(c *snap.Coder, staged *[]stagedUpdate, resets *[]int, p *Plan, bnd *bindings) {
-	snap.Slice(c, staged, 12+agg.NodeMinBytes, codeStagedUpdate)
-	snap.Slice(c, resets, 8, (*snap.Coder).Int)
-	if c.Decoding() {
-		for i := range *staged {
-			u := &(*staged)[i]
-			c.Check(u.alias >= 0 && int(u.alias) < len(p.aliasNames) && p.fits(bnd, u.key, &u.node), "staged update does not fit the plan")
+// codeStaged codes the open time stamp's uncommitted updates, decoding
+// each straight into the entry the staged list appends, and its negation
+// resets.
+func (t *mixedGrained) codeStaged(c *snap.Coder) {
+	p, bnd := t.plan, t.sh.bnd
+	var staged []tableEntry
+	if t.staged != nil {
+		staged = t.staged.entries
+	}
+	n := len(staged)
+	c.Len(&n, 12+agg.NodeMinBytes)
+	for j := 0; j < n && c.Err() == nil; j++ {
+		if !c.Decoding() {
+			codeStagedUpdate(c, &staged[j])
+			continue
 		}
-		for _, ci := range *resets {
+		if t.staged == nil {
+			t.own()
+		}
+		u := t.staged.push(len(p.Specs))
+		codeStagedUpdate(c, u)
+		c.Check(u.alias >= 0 && int(u.alias) < len(p.aliasNames) && p.fits(bnd, u.key, &u.node), "staged update does not fit the plan")
+	}
+	snap.Slice(c, &t.stagedResets, 8, (*snap.Coder).Int)
+	if c.Decoding() {
+		for _, ci := range t.stagedResets {
 			c.Check(ci >= 0 && ci < len(p.FSA.Negations), "staged reset references an unknown negation")
 		}
 	}
@@ -381,10 +414,8 @@ func (t *mixedGrained) code(c *snap.Coder) {
 	bnd := t.sh.bnd
 	c.I64(&t.curTime)
 	c.Bool(&t.hasCur)
-	for i := range t.tables {
-		if t.plan.tableCells[i] { // main tables by alias id, then the shadow rows
-			codeTable(c, &t.tables[i], t.plan, bnd)
-		}
+	for i := range t.plan.tables { // in grid order: main tables by alias id, then the shadow rows
+		t.codeTable(c, i)
 	}
 	if te := t.te; te != nil {
 		for id := range te.stored {
@@ -396,7 +427,7 @@ func (t *mixedGrained) code(c *snap.Coder) {
 		}
 		codeNegFires(c, te.fires, len(t.plan.FSA.Negations))
 	}
-	codeStaged(c, &t.staged, &t.stagedResets, t.plan, bnd)
+	t.codeStaged(c)
 }
 
 func codeStoredEntry(c *snap.Coder, se *storedEntry) {

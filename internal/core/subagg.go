@@ -75,6 +75,9 @@ type kernelShared struct {
 	merged nodeTable
 	out    []bindingResult
 	vals   []string
+	// sorted is where a snapshot sorts a table of several keys
+	// (mixedGrained.codeTable); empty between uses.
+	sorted []tableEntry
 }
 
 // newSubAggregator builds the aggregator of the plan's semantics: the
@@ -87,29 +90,6 @@ func newSubAggregator(p *Plan, sh *kernelShared) subAggregator {
 		return newPatternGrained(p, sh)
 	}
 	return newMixedGrained(p, sh)
-}
-
-// stagedUpdate is one uncommitted contribution of the current
-// time stamp (the stream-transaction discipline of §8).
-type stagedUpdate struct {
-	alias int32
-	key   bkey
-	node  agg.Node
-}
-
-// stageUpdate appends one staged update and returns its node for
-// ExtendInto, reusing the entry (and its Aux storage) left behind by
-// a previous flush.
-func stageUpdate(staged *[]stagedUpdate, alias int32, key bkey) *agg.Node {
-	n := len(*staged)
-	if n < cap(*staged) {
-		*staged = (*staged)[:n+1]
-	} else {
-		*staged = append(*staged, stagedUpdate{})
-	}
-	u := &(*staged)[n]
-	u.alias, u.key = alias, key
-	return &u.node
 }
 
 // accountant is the metrics.Accountant surface the aggregators need.

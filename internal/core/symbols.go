@@ -12,6 +12,8 @@ package core
 // change only: results are identical to the string-keyed evaluator.
 
 import (
+	"slices"
+
 	"repro/internal/event"
 	"repro/internal/predicate"
 )
@@ -152,7 +154,7 @@ type slotRef struct {
 type predEdge struct {
 	id           int32 // predecessor alias id
 	guard        int32 // negation constraint index + 1; 0 = unguarded
-	table        int32 // cell of mixedGrained.tables a Tt predecessor is read from
+	table        int32 // index in mixedGrained.tables of the table a Tt predecessor is read from
 	eventGrained bool  // predecessor keeps stored events (mixed Te)
 	adj          []adjCheck
 }
@@ -247,17 +249,16 @@ func (p *Plan) compile() {
 	// The aggregate tables of the any-match kernel, one row of alias
 	// cells per table kind: row 0 the Tt aliases' main tables, row ci+1
 	// the shadows of negation constraint ci, which track only the Tt
-	// aliases in its Pred set.
+	// aliases in its Pred set. The cells in use are numbered in row
+	// order; the others get no table.
 	n := len(p.aliasNames)
-	p.tableCells = make([]bool, n*(1+len(p.FSA.Negations)))
-	for id := range n {
-		p.tableCells[id] = !p.eventGrainedByID[id]
-	}
-	for ci, nc := range p.FSA.Negations {
-		for _, a := range nc.Pred {
-			if id := int(p.aliasIDs[a]); !p.eventGrainedByID[id] {
-				p.tableCells[(ci+1)*n+id] = true
-			}
+	p.tableCells = make([]int32, n*(1+len(p.FSA.Negations)))
+	for c := range p.tableCells {
+		row, id := c/n, c%n
+		p.tableCells[c] = -1
+		if !p.eventGrainedByID[id] && (row == 0 || slices.Contains(p.FSA.Negations[row-1].Pred, p.aliasNames[id])) {
+			p.tableCells[c] = int32(p.tables)
+			p.tables++
 		}
 	}
 
@@ -326,8 +327,9 @@ func (p *Plan) compileAlias(alias string, leftPos map[int32]int) aliasPlan {
 		if ci, guarded := p.negGuard[[2]string{pred, alias}]; guarded {
 			edge.guard = int32(ci) + 1
 		}
-		// A guarded transition reads the constraint's shadow row.
-		edge.table = edge.guard*int32(len(p.aliasNames)) + pid
+		// A guarded transition reads the constraint's shadow row (-1:
+		// an event-grained predecessor has no table).
+		edge.table = p.tableCells[edge.guard*int32(len(p.aliasNames))+pid]
 		for _, a := range p.Where.Adjacents {
 			if !a.Guards(pred, alias) {
 				continue

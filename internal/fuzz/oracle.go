@@ -181,9 +181,12 @@ func DiffModes(sc *Scenario, baseMode Mode, flip func(*Mode)) (string, error) {
 		return fmt.Sprintf("%s: %s", flipped, got.CutDrift), nil
 	}
 	if flipped.SnapshotAt > 0 && got.HasStats && base.HasStats {
-		// A drawn scenario leaves PeakBytes out: a restored worker
-		// session can reach a different high-water mark than the
-		// undisturbed one. An exact one compares every field.
+		// A drawn scenario leaves PeakBytes out. Snapshot parks every
+		// worker at the cut's watermark, which closes windows the
+		// undisturbed run closes only at its next time stamp, after
+		// another host's commit: the two runs can reach different
+		// high-water marks, with or without the restore. An exact one
+		// compares every field.
 		gs, ws := got.Closed, base.Closed
 		if !sc.Exact {
 			gs.PeakBytes, ws.PeakBytes = 0, 0
